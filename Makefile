@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet determinism-grep build test race cover journal-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-wire trace
+.PHONY: check vet determinism-grep build test race cover journal-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module trace
 
 ## check: the full gate — vet, the determinism grep, build, race-test
 ## the concurrent packages, the whole suite with per-package coverage
@@ -8,8 +8,9 @@ GO ?= go
 ## coverage floors), the write-ahead-journal race smoke, the wire-codec
 ## and transport smoke, the fault-injection smoke matrix, the
 ## small-shape pool-throughput smoke, the federation smoke, the
-## machine-churn determinism smoke, then the ops-plane smoke.
-check: vet determinism-grep build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke
+## machine-churn determinism smoke, the ops-plane smoke, then the
+## benchmark module's own vet and tests.
+check: vet determinism-grep build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke bench-module
 
 vet:
 	$(GO) vet ./...
@@ -18,7 +19,9 @@ vet:
 ## read the wall clock or the global math/rand state outside tests —
 ## one stray time.Now() is enough to make same-seed traces diverge.
 ## (Seeded rand.New(rand.NewSource(...)) instances are fine and do not
-## match the pattern.)
+## match the pattern.)  The live socket transport, internal/rpc, needs
+## the wall clock for its I/O deadlines; that is why it is a package
+## of its own, outside internal/wire and internal/monitor.
 determinism-grep:
 	@if grep -rnE 'time\.Now\(|\brand\.(Int|Float|Perm|Shuffle|Seed|Exp|Norm)' \
 		--include='*.go' --exclude='*_test.go' internal/daemon internal/sim internal/wire internal/monitor; then \
@@ -43,12 +46,13 @@ race:
 ## a plain pipe into tee would swallow a failing suite, because the
 ## recipe shell is plain sh with no pipefail.  Every package in
 ## COVER_PKGS is a regression-suite foundation (the tracing layer, the
-## write-ahead journal, the wire codec) and must stay at or above the
-## COVER_FLOOR.
+## write-ahead journal, the wire codec, the live transport) and must
+## stay at or above the COVER_FLOOR.
 COVER_PKGS = \
 	github.com/errscope/grid/internal/obs \
 	github.com/errscope/grid/internal/journal \
 	github.com/errscope/grid/internal/wire \
+	github.com/errscope/grid/internal/rpc \
 	github.com/errscope/grid/internal/faultinject \
 	github.com/errscope/grid/internal/live \
 	github.com/errscope/grid/internal/monitor
@@ -80,12 +84,13 @@ cover:
 journal-smoke:
 	$(GO) test -race -count=1 ./internal/journal/
 
-## wire-smoke: the frame codec, AEAD session, and both protocol
-## stacks' binary/secure modes under the race detector — the fuzz seed
-## corpus, the truncation-at-every-offset sweep, the replay and tamper
-## tests, and encrypted live round trips.
+## wire-smoke: the frame codec, AEAD session, the shared transport and
+## both protocol stacks' binary/secure modes under the race detector —
+## the fuzz seed corpus, the truncation-at-every-offset sweep, the
+## replay and tamper tests, the transport conformance suite, and
+## encrypted live round trips.
 wire-smoke:
-	$(GO) test -race -count=1 ./internal/wire/ ./internal/chirp/ ./internal/remoteio/
+	$(GO) test -race -count=1 ./internal/wire/ ./internal/rpc/ ./internal/chirp/ ./internal/remoteio/
 
 ## fault-smoke: one fault-injection cell per error class; exits
 ## non-zero on any misclassification.
@@ -155,12 +160,12 @@ bench-obs:
 bench-pool:
 	$(GO) run ./cmd/experiments -run bench-pool
 
-## bench-wire: the wire-transport harness — live loopback round trips
-## for chirp and remoteio in text, binary, and encrypted modes; fails
-## if any binary arm is slower than its text baseline; writes
-## BENCH_wire.json.
-bench-wire:
-	$(GO) run ./cmd/experiments -run bench-wire
+## bench-module: bench/ is a module of its own, so `go vet ./...` and
+## `go test ./...` at the root never compile it; this does, so that a
+## live-stack name the benchmark uses cannot move without it noticing.
+bench-module:
+	$(GO) vet -C bench ./...
+	$(GO) test -C bench ./...
 
 ## trace: regenerate the canonical per-class propagation traces under
 ## traces/ (the committed goldens live in

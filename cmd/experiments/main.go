@@ -10,9 +10,9 @@
 //
 // Experiment ids: figure1, figure2, figure3, figure4, naive,
 // blackhole, mounts, migration, crashes, crash-recovery, principles,
-// bench-matchmaker, bench-obs, bench-pool, bench-wire, pool-smoke,
-// flock-smoke, churn-smoke, ops-smoke, checkpoint-sweep, fault-sweep,
-// fault-smoke, trace.
+// bench-matchmaker, bench-obs, bench-pool, pool-smoke, flock-smoke,
+// churn-smoke, ops-smoke, checkpoint-sweep, fault-sweep, fault-smoke,
+// trace.
 package main
 
 import (
@@ -43,10 +43,6 @@ func main() {
 			"output path for bench-obs rows")
 		benchPoolOut = flag.String("bench-pool-out", "BENCH_pool.json",
 			"output path for bench-pool rows")
-		benchWireOut = flag.String("bench-wire-out", "BENCH_wire.json",
-			"output path for bench-wire rows")
-		wireRounds = flag.Int("wire-rounds", 2000,
-			"round-trips per bench-wire arm")
 		traceOut = flag.String("trace-out", "traces",
 			"directory for per-class JSONL traces from the trace experiment")
 		ckptOut = flag.String("checkpoint-sweep-out", "checkpoint_sweep.json",
@@ -138,21 +134,6 @@ func main() {
 			rep.AddNote("wrote %s", *benchPoolOut)
 			return rep, nil
 		}, "pool-scale end-to-end throughput (writes BENCH_pool.json)"},
-		{"bench-wire", func() (*experiments.Report, error) {
-			rows, rep, err := experiments.BenchWire(*wireRounds)
-			if err != nil {
-				return rep, err
-			}
-			data, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*benchWireOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			rep.AddNote("wrote %s", *benchWireOut)
-			return rep, nil
-		}, "wire transport round-trips: text vs binary vs encrypted (writes BENCH_wire.json)"},
 		{"pool-smoke", func() (*experiments.Report, error) {
 			return experiments.PoolSmoke(*seed)
 		}, "small-shape pool throughput smoke (reference == optimized == parallel gate)"},

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/wire"
 )
@@ -16,7 +17,7 @@ import (
 
 // serveBinary handles one framed connection; r already holds the
 // peeked first byte.
-func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader) {
+func (s *Server) serveBinary(st *session, conn net.Conn, r *bufio.Reader) {
 	sess := wire.NewSession(r, conn, wire.Config{
 		Secret: []byte(s.secret),
 		AuthFailure: func() *scope.Error {
@@ -28,13 +29,6 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader) {
 		s.logErr(err)
 		return
 	}
-	st := &session{files: make(map[int]File), pos: make(map[int]int64), nextFD: 3}
-	defer func() {
-		for _, f := range st.files {
-			f.Close()
-		}
-	}()
-	var resp []byte
 	for {
 		cmd, pl, err := sess.ReadMsg()
 		if err != nil {
@@ -43,219 +37,100 @@ func (s *Server) serveBinary(conn net.Conn, r *bufio.Reader) {
 			}
 			return
 		}
-		quit, err := s.handleBin(st, sess, cmd, pl, &resp)
-		if err != nil {
-			s.logErr(err)
+		if cmd == binQuit {
+			if err := sess.WriteMsg(wire.CmdOK); err != nil {
+				s.logErr(err)
+			}
 			return
 		}
-		if quit {
+		// Refusals are answered in-band; only a failed response write
+		// is fatal to the connection.
+		resp, err := st.handleBin(cmd, pl)
+		if err != nil {
+			err = sess.WriteError(err, CodeBackend, scope.ScopeLocalResource)
+		} else {
+			err = sess.WriteMsg(wire.CmdOK, resp)
+		}
+		if err != nil {
+			s.logErr(err)
 			return
 		}
 	}
 }
 
-// binErr sends a scoped error response frame.
-func binErr(sess *wire.Session, err error) error {
-	return sess.WriteError(err, CodeBackend, scope.ScopeLocalResource)
-}
-
-func binBadRequest(sess *wire.Session, format string, args ...any) error {
-	return binErr(sess, scope.New(scope.ScopeFunction, CodeBadRequest, format, args...))
-}
-
-// handleBin processes one request frame.  The returned error is fatal
-// to the connection (the response write failed); protocol-level
-// refusals are answered in-band.
-func (s *Server) handleBin(st *session, sess *wire.Session, cmd byte, pl []byte, resp *[]byte) (quit bool, fatal error) {
+// handleBin decodes and runs one request frame and returns the response
+// payload.
+func (st *session) handleBin(cmd byte, pl []byte) ([]byte, error) {
 	cur := wire.NewCursor(pl)
 	switch cmd {
-	case binQuit:
-		return true, sess.WriteMsg(wire.CmdOK)
-
 	case binOpen:
 		flags := OpenFlags(cur.U8())
 		path := cur.RestString()
 		if !cur.OK() {
-			return false, binBadRequest(sess, "open: short payload")
+			return nil, badRequest("open: short payload")
 		}
-		f, err := s.backend.Open(path, flags)
-		if err != nil {
-			return false, binErr(sess, err)
-		}
-		fd := st.nextFD
-		st.nextFD++
-		st.files[fd] = f
-		if flags&FlagAppend != 0 {
-			if size, serr := f.Size(); serr == nil {
-				st.pos[fd] = size
-			}
-		} else {
-			st.pos[fd] = 0
-		}
-		*resp = wire.AppendU32((*resp)[:0], uint32(fd))
-		return false, sess.WriteMsg(wire.CmdOK, *resp)
+		fd, err := st.open(path, flags)
+		return wire.AppendU32(nil, uint32(fd)), err
 
 	case binClose:
-		fd, f, errResp := st.lookupBinFD(&cur)
-		if errResp != nil {
-			return false, binErr(sess, errResp)
+		fd := int(cur.U32())
+		if !cur.OK() {
+			return nil, badRequest("missing fd")
 		}
-		delete(st.files, fd)
-		delete(st.pos, fd)
-		if err := f.Close(); err != nil {
-			return false, binErr(sess, err)
-		}
-		return false, sess.WriteMsg(wire.CmdOK)
+		return nil, st.close(fd)
 
 	case binRead, binPRead:
-		fd, f, errResp := st.lookupBinFD(&cur)
-		if errResp != nil {
-			return false, binErr(sess, errResp)
-		}
-		length := int(cur.U32())
-		offset := st.pos[fd]
+		fd, length := int(cur.U32()), int(cur.U32())
+		var at *int64
 		if cmd == binPRead {
-			offset = cur.I64()
+			off := cur.I64()
+			at = &off
 		}
 		if !cur.Done() || length < 0 || length > maxDataLen {
-			return false, binBadRequest(sess, "read: bad arguments")
+			return nil, badRequest("read: bad arguments")
 		}
-		data, err := f.ReadAt(offset, length)
-		if err != nil {
-			return false, binErr(sess, err)
-		}
-		if cmd == binRead {
-			st.pos[fd] = offset + int64(len(data))
-		}
-		return false, sess.WriteMsg(wire.CmdOK, data)
+		return st.read(fd, length, at)
 
-	case binWrite:
-		fd, f, errResp := st.lookupBinFD(&cur)
-		if errResp != nil {
-			return false, binErr(sess, errResp)
+	case binWrite, binPWrite:
+		fd := int(cur.U32())
+		var at *int64
+		if cmd == binPWrite {
+			off := cur.I64()
+			at = &off
 		}
-		data := cur.Rest()
-		offset := st.pos[fd]
-		n, err := f.WriteAt(offset, data)
-		if err != nil {
-			return false, binErr(sess, err)
-		}
-		st.pos[fd] = offset + int64(n)
-		*resp = wire.AppendU32((*resp)[:0], uint32(n))
-		return false, sess.WriteMsg(wire.CmdOK, *resp)
-
-	case binPWrite:
-		_, f, errResp := st.lookupBinFD(&cur)
-		if errResp != nil {
-			return false, binErr(sess, errResp)
-		}
-		offset := cur.I64()
 		data := cur.Rest()
 		if !cur.OK() {
-			return false, binBadRequest(sess, "pwrite: short payload")
+			return nil, badRequest("write: short payload")
 		}
-		n, err := f.WriteAt(offset, data)
-		if err != nil {
-			return false, binErr(sess, err)
-		}
-		*resp = wire.AppendU32((*resp)[:0], uint32(n))
-		return false, sess.WriteMsg(wire.CmdOK, *resp)
+		n, err := st.write(fd, data, at)
+		return wire.AppendU32(nil, uint32(n)), err
 
 	case binSeek:
-		fd, f, errResp := st.lookupBinFD(&cur)
-		if errResp != nil {
-			return false, binErr(sess, errResp)
-		}
-		whence := int(cur.U8())
-		off := cur.I64()
+		fd, whence, off := int(cur.U32()), int(cur.U8()), cur.I64()
 		if !cur.Done() {
-			return false, binBadRequest(sess, "lseek: bad arguments")
+			return nil, badRequest("lseek: bad arguments")
 		}
-		var base int64
-		switch whence {
-		case SeekSet:
-			base = 0
-		case SeekCur:
-			base = st.pos[fd]
-		case SeekEnd:
-			size, err := f.Size()
-			if err != nil {
-				return false, binErr(sess, err)
-			}
-			base = size
-		default:
-			return false, binBadRequest(sess, "bad whence %d", whence)
-		}
-		pos := base + off
-		if pos < 0 {
-			return false, binBadRequest(sess, "negative seek position")
-		}
-		st.pos[fd] = pos
-		*resp = wire.AppendI64((*resp)[:0], pos)
-		return false, sess.WriteMsg(wire.CmdOK, *resp)
+		pos, err := st.seek(fd, off, whence)
+		return wire.AppendI64(nil, pos), err
 
 	case binUnlink:
-		if err := s.backend.Unlink(cur.RestString()); err != nil {
-			return false, binErr(sess, err)
-		}
-		return false, sess.WriteMsg(wire.CmdOK)
+		return nil, st.backend.Unlink(cur.RestString())
 
 	case binRename:
 		oldPath := cur.Str()
 		newPath := cur.RestString()
 		if !cur.OK() {
-			return false, binBadRequest(sess, "rename: short payload")
+			return nil, badRequest("rename: short payload")
 		}
-		if err := s.backend.Rename(oldPath, newPath); err != nil {
-			return false, binErr(sess, err)
-		}
-		return false, sess.WriteMsg(wire.CmdOK)
+		return nil, st.backend.Rename(oldPath, newPath)
 
 	case binStat:
-		info, err := s.backend.Stat(cur.RestString())
-		if err != nil {
-			return false, binErr(sess, err)
-		}
-		out := wire.AppendI64((*resp)[:0], info.Size)
-		out = append(out, roByte(info.ReadOnly))
-		out = append(out, info.Path...)
-		*resp = out
-		return false, sess.WriteMsg(wire.CmdOK, out)
+		info, err := st.backend.Stat(cur.RestString())
+		return rpc.AppendInfo(nil, info, true), err
 
 	case binGetdir:
-		infos, err := s.backend.List(cur.RestString())
-		if err != nil {
-			return false, binErr(sess, err)
-		}
-		out := wire.AppendU32((*resp)[:0], uint32(len(infos)))
-		for _, info := range infos {
-			out = wire.AppendI64(out, info.Size)
-			out = append(out, roByte(info.ReadOnly))
-			out = wire.AppendStr(out, info.Path)
-		}
-		*resp = out
-		return false, sess.WriteMsg(wire.CmdOK, out)
+		infos, err := st.backend.List(cur.RestString())
+		return rpc.AppendInfos(nil, infos), err
 	}
-	return false, binBadRequest(sess, "unknown command %#x", cmd)
-}
-
-func roByte(ro bool) byte {
-	if ro {
-		return 1
-	}
-	return 0
-}
-
-// lookupBinFD reads and resolves a descriptor argument; a nil File
-// with a non-nil error means "answer with this and keep the session".
-func (st *session) lookupBinFD(cur *wire.Cursor) (int, File, error) {
-	fd := int(cur.U32())
-	if !cur.OK() {
-		return 0, nil, scope.New(scope.ScopeFunction, CodeBadRequest, "missing fd")
-	}
-	f, ok := st.files[fd]
-	if !ok {
-		return 0, nil, scope.New(scope.ScopeFunction, CodeBadFD, "fd %d not open", fd)
-	}
-	return fd, f, nil
+	return nil, badRequest("unknown command %#x", cmd)
 }

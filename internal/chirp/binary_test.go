@@ -204,42 +204,6 @@ func TestSilentServerRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestSilentServerTimeoutBinary covers the deadline on the framed
-// path: the handshake itself hangs, and the dial must fail with a
-// network-scope timeout instead of blocking.
-func TestSilentServerTimeoutBinary(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			// Read forever, never answer the handshake.
-			buf := make([]byte, 1024)
-			for {
-				if _, err := conn.Read(buf); err != nil {
-					return
-				}
-			}
-		}
-	}()
-	start := time.Now()
-	_, err = DialOpts(ln.Addr().String(), "k", DialOptions{Mode: wire.ModeBinary, IOTimeout: 150 * time.Millisecond})
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("dial took %v", elapsed)
-	}
-	se, ok := scope.AsError(err)
-	if !ok || se.Scope != scope.ScopeNetwork || se.Kind != scope.KindEscaping {
-		t.Fatalf("handshake timeout = %v", err)
-	}
-}
-
 func TestBinaryGetdirPathsWithSpaces(t *testing.T) {
 	fs, _, addr := startServer(t, "k")
 	fs.WriteFile("/dir/a  b", []byte("1"))

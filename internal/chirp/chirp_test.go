@@ -256,30 +256,6 @@ func TestUnlinkRenameStat(t *testing.T) {
 	}
 }
 
-func TestConnectionLossIsEscaping(t *testing.T) {
-	_, srv, addr := startServer(t, "k")
-	c := dial(t, addr, "k")
-	fd, err := c.Open("/f", FlagWrite|FlagCreate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Kill the server mid-session: the next call must produce an
-	// escaping error of network scope, not a fake explicit result
-	// (Principles 1 and 2).
-	srv.Close()
-	_, err = c.Write(fd, []byte("x"))
-	se, _ := scope.AsError(err)
-	if se == nil || se.Kind != scope.KindEscaping || se.Scope != scope.ScopeNetwork {
-		t.Fatalf("write after server death = %v", err)
-	}
-	// The client is sticky-dead afterwards.
-	_, err = c.Read(fd, 1)
-	se2, _ := scope.AsError(err)
-	if se2 == nil || se2.Kind != scope.KindEscaping {
-		t.Fatalf("second call = %v", err)
-	}
-}
-
 func TestClientErrorsConformToContract(t *testing.T) {
 	fs, _, addr := startServer(t, "k")
 	fs.WriteFile("/f", []byte("x"))
@@ -317,15 +293,15 @@ func TestServerSurvivesGarbage(t *testing.T) {
 	}
 	for _, g := range garbage {
 		func() {
-			conn, err := Dial(addr, "k")
+			raw, err := dialRaw(addr)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer conn.Close()
-			conn.mu.Lock()
-			conn.w.WriteString(g)
-			conn.w.Flush()
-			conn.mu.Unlock()
+			defer raw.close()
+			if resp := raw.send("cookie \"k\"\n"); !strings.HasPrefix(resp, "ok") {
+				t.Fatalf("auth: %q", resp)
+			}
+			raw.conn.Write([]byte(g))
 		}()
 	}
 	time.Sleep(20 * time.Millisecond)

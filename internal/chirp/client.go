@@ -1,77 +1,37 @@
 package chirp
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"github.com/errscope/grid/internal/obs"
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/vfs"
 	"github.com/errscope/grid/internal/wire"
 )
 
-// Client is the I/O-library side of the Chirp protocol.  All methods
+// Client is the I/O-library side of the Chirp protocol: the shared
+// rpc.Client connection (deadlines, the sticky transport failure, the
+// Trace and TraceJob fields) under Chirp's operations.  All methods
 // return scoped errors: explicit protocol errors carry the code and
 // scope sent by the proxy; transport failures become escaping errors
 // of network scope, because a broken connection is inexpressible in
 // the file interface (Principle 2).
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	dead error // sticky escaping error once the transport fails
+type Client struct{ *rpc.Client }
 
-	mode      wire.Mode
-	sess      *wire.Session // nil in text mode
-	ioTimeout time.Duration
+// DialOptions parameterize a client connection.  The proxy sniffs the
+// mode from the client's opening byte, so any Mode may be dialled.
+type DialOptions = rpc.DialOptions
 
-	// Trace, when non-nil and enabled, receives an error event the
-	// first time the transport fails; TraceJob tags it.  Set both
-	// before issuing requests.
-	Trace    obs.Tracer
-	TraceJob int64
-}
-
-// DialOptions parameterize a client connection.
-type DialOptions struct {
-	// Timeout bounds the TCP connect; 0 means 10s.
-	Timeout time.Duration
-	// IOTimeout bounds each request round trip (write + read).  0
-	// means 10s; negative disables deadlines.  An expired deadline
-	// surfaces as an escaping network-scope RequestTimeout error.
-	IOTimeout time.Duration
-	// Mode selects the transport: ModeText (default, the legacy line
-	// protocol), ModeBinary (framed, checksummed), or ModeSecure
-	// (framed and encrypted; the cookie is never transmitted).
-	Mode wire.Mode
-	// RekeyAfter bounds the sealed frames per direction in ModeSecure;
-	// 0 means no budget.
-	RekeyAfter uint64
-}
-
-func (o DialOptions) connectTimeout() time.Duration {
-	if o.Timeout == 0 {
-		return 10 * time.Second
-	}
-	return o.Timeout
-}
-
-func (o DialOptions) ioTimeout() time.Duration {
-	if o.IOTimeout == 0 {
-		return 10 * time.Second
-	}
-	if o.IOTimeout < 0 {
-		return 0
-	}
-	return o.IOTimeout
+var proto = rpc.Proto{
+	Comp:           "chirp-client",
+	Counter:        "chirp.transport_failures",
+	ConnectionLost: CodeConnectionLost,
+	RequestTimeout: CodeRequestTimeout,
+	BadRequest:     CodeBadRequest,
 }
 
 // checkCookie rejects cookies that cannot travel safely: a newline or
@@ -103,21 +63,28 @@ func DialMode(addr, cookie string, mode wire.Mode) (*Client, error) {
 	return DialOpts(addr, cookie, DialOptions{Mode: mode})
 }
 
+// presentCookie is the text-mode authentication: the cookie travels as
+// the first request.
+func presentCookie(cookie string) func(*rpc.Client) error {
+	return func(c *rpc.Client) error {
+		_, _, err := c.Call(fmt.Sprintf("cookie %s\n", wire.Quote(cookie)), 0)
+		return err
+	}
+}
+
+func wrap(c *rpc.Client, err error) (*Client, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &Client{c}, nil
+}
+
 // DialOpts connects with full options.
 func DialOpts(addr, cookie string, o DialOptions) (*Client, error) {
 	if err := checkCookie(cookie); err != nil {
 		return nil, err
 	}
-	conn, err := net.DialTimeout("tcp", addr, o.connectTimeout())
-	if err != nil {
-		return nil, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	c, err := NewClient(conn, cookie, o)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return c, nil
+	return wrap(rpc.Dial(&proto, addr, o, []byte(cookie), presentCookie(cookie)))
 }
 
 // NewClient authenticates over an established connection (used by
@@ -126,483 +93,168 @@ func NewClient(conn net.Conn, cookie string, o DialOptions) (*Client, error) {
 	if err := checkCookie(cookie); err != nil {
 		return nil, err
 	}
-	c := &Client{
-		conn:      conn,
-		r:         bufio.NewReader(conn),
-		w:         bufio.NewWriter(conn),
-		mode:      o.Mode,
-		ioTimeout: o.ioTimeout(),
-	}
-	if o.Mode == wire.ModeText {
-		if _, _, err := c.roundTrip(fmt.Sprintf("cookie %s\n", quoteArg(cookie)), 0); err != nil {
-			return nil, err
-		}
-		return c, nil
-	}
-	c.sess = wire.NewSession(c.r, conn, wire.Config{
-		Mode:       o.Mode,
-		Secret:     []byte(cookie),
-		RekeyAfter: o.RekeyAfter,
-	})
-	c.arm()
-	err := c.sess.ClientHandshake()
-	c.disarm()
-	if err != nil {
-		if se, ok := scope.AsError(err); ok && se.Scope != scope.ScopeNetwork {
-			// The server's explicit refusal (bad cookie), not
-			// transport trouble: pass it through untouched.
-			return nil, se
-		}
-		return nil, scope.Escape(scope.ScopeNetwork, "", err)
-	}
-	return c, nil
+	return wrap(rpc.NewClient(&proto, conn, o, []byte(cookie), presentCookie(cookie)))
 }
 
 // Close ends the session politely and closes the connection.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
+func (c *Client) Close() error { return c.Quit(binQuit) }
+
+// checkBin kills the connection over a framed response that did not
+// decode exactly; checkText does the same for a text response value.
+func (c *Client) checkBin(cur *wire.Cursor, what string, pl []byte) error {
+	if cur.Done() {
 		return nil
 	}
-	if c.sess != nil {
-		_ = c.sess.WriteMsg(binQuit) // best effort
-		c.sess.Release()
-		c.sess = nil
-	} else {
-		fmt.Fprint(c.w, "quit\n")
-		c.w.Flush()
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
+	return c.Fail(fmt.Errorf("bad %s response (%d bytes)", what, len(pl)))
 }
 
-// arm sets the per-request I/O deadline; disarm clears it.  Without a
-// deadline a hung peer stalls the round trip — and the shadow behind
-// it — forever.
-func (c *Client) arm() {
-	if c.ioTimeout > 0 && c.conn != nil {
-		c.conn.SetDeadline(time.Now().Add(c.ioTimeout))
+func (c *Client) checkText(convErr error, what, v string) error {
+	if convErr == nil {
+		return nil
 	}
+	return c.Fail(fmt.Errorf("bad %s response %q", what, v))
 }
-
-func (c *Client) disarm() {
-	if c.ioTimeout > 0 && c.conn != nil {
-		c.conn.SetDeadline(time.Time{})
-	}
-}
-
-// fail records and returns a sticky transport error.  A scoped cause
-// (a frame-layer fault: checksum, MAC, replay, key expiry) keeps its
-// code and escapes; a deadline expiry becomes RequestTimeout; any
-// other cause is a lost connection.
-func (c *Client) fail(err error) error {
-	code := CodeConnectionLost
-	var ne net.Error
-	if _, ok := scope.AsError(err); ok {
-		code = "" // Escape adopts the cause's code and widens its scope
-	} else if errors.As(err, &ne) && ne.Timeout() {
-		code = CodeRequestTimeout
-	}
-	esc := scope.Escape(scope.ScopeNetwork, code, err)
-	first := c.dead == nil
-	c.dead = esc
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	if first && c.Trace != nil && c.Trace.Enabled() {
-		// One origin event per connection death; later calls return
-		// the sticky error without re-reporting.
-		c.Trace.Emit(obs.Event{
-			T:      time.Now().UnixNano(),
-			Comp:   "chirp-client",
-			Kind:   obs.KindError,
-			Job:    c.TraceJob,
-			Code:   esc.Code,
-			Scope:  esc.Scope.String(),
-			EKind:  esc.Kind.String(),
-			Detail: esc.Error(),
-		})
-		c.Trace.Count("chirp.transport_failures", 1)
-	}
-	return esc
-}
-
-// roundTrip sends one request line (plus optional payload) and reads
-// the response line; wantData is the number of payload bytes to read
-// after an "ok n" response (capped at n).  Callers hold no lock.
-func (c *Client) roundTrip(request string, wantData int, payload ...[]byte) (value string, data []byte, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead != nil {
-		return "", nil, c.dead
-	}
-	if c.conn == nil {
-		return "", nil, scope.New(scope.ScopeFunction, CodeBadRequest, "client closed")
-	}
-	c.arm()
-	defer c.disarm()
-	if _, err := io.WriteString(c.w, request); err != nil {
-		return "", nil, c.fail(err)
-	}
-	for _, p := range payload {
-		if _, err := c.w.Write(p); err != nil {
-			return "", nil, c.fail(err)
-		}
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", nil, c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", nil, c.fail(err)
-	}
-	line = strings.TrimRight(line, "\r\n")
-	verb, rest, _ := strings.Cut(line, " ")
-	switch verb {
-	case "ok":
-		value = rest
-		if wantData > 0 {
-			lenField, _, _ := strings.Cut(rest, " ")
-			n, convErr := strconv.Atoi(lenField)
-			if convErr != nil || n < 0 || n > maxDataLen {
-				return "", nil, c.fail(fmt.Errorf("bad data length %q", line))
-			}
-			data = make([]byte, n)
-			if _, err := io.ReadFull(c.r, data); err != nil {
-				return "", nil, c.fail(err)
-			}
-		}
-		return value, data, nil
-	case "error":
-		// Decode from the raw remainder: the quoted message may
-		// contain consecutive spaces that field-splitting would eat.
-		se, decErr := decodeErrorLine(rest)
-		if decErr != nil {
-			return "", nil, c.fail(decErr)
-		}
-		return "", nil, se
-	default:
-		return "", nil, c.fail(fmt.Errorf("bad response %q", line))
-	}
-}
-
-// roundTripBin sends one framed request and returns the response
-// payload (copied out of the session buffer).  Callers hold no lock.
-func (c *Client) roundTripBin(cmd byte, parts ...[]byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead != nil {
-		return nil, c.dead
-	}
-	if c.conn == nil {
-		return nil, scope.New(scope.ScopeFunction, CodeBadRequest, "client closed")
-	}
-	c.arm()
-	defer c.disarm()
-	if err := c.sess.WriteMsg(cmd, parts...); err != nil {
-		return nil, c.fail(err)
-	}
-	rcmd, pl, err := c.sess.ReadMsg()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	switch rcmd {
-	case wire.CmdOK:
-		return append([]byte(nil), pl...), nil
-	case wire.CmdErr:
-		se, decErr := wire.DecodeErrorPayload(pl)
-		if decErr != nil {
-			return nil, c.fail(decErr)
-		}
-		return nil, se
-	default:
-		return nil, c.fail(fmt.Errorf("bad response frame %#x", rcmd))
-	}
-}
-
-// binary reports whether the client speaks frames.
-func (c *Client) binary() bool { return c.mode != wire.ModeText }
 
 // Open opens a remote file and returns its descriptor.
 func (c *Client) Open(path string, flags OpenFlags) (int, error) {
-	if c.binary() {
-		pl, err := c.roundTripBin(binOpen, []byte{byte(flags)}, []byte(path))
+	if c.Binary() {
+		pl, err := c.CallBin(binOpen, []byte{byte(flags)}, []byte(path))
 		if err != nil {
 			return -1, err
 		}
 		cur := wire.NewCursor(pl)
 		fd := cur.U32()
-		if !cur.Done() {
-			return -1, c.failLocked(fmt.Errorf("bad open response (%d bytes)", len(pl)))
-		}
-		return int(fd), nil
+		return int(fd), c.checkBin(&cur, "open", pl)
 	}
-	v, _, err := c.roundTrip(fmt.Sprintf("open %s %s\n", quoteArg(path), flags), 0)
+	v, _, err := c.Call(fmt.Sprintf("open %s %s\n", wire.Quote(path), flags), 0)
 	if err != nil {
 		return -1, err
 	}
 	fd, convErr := strconv.Atoi(v)
-	if convErr != nil {
-		return -1, c.failLocked(fmt.Errorf("bad open response %q", v))
-	}
-	return fd, nil
-}
-
-// failLocked is fail for callers outside the round-trip lock.
-func (c *Client) failLocked(err error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fail(err)
+	return fd, c.checkText(convErr, "open", v)
 }
 
 // CloseFD closes a remote descriptor.
 func (c *Client) CloseFD(fd int) error {
-	if c.binary() {
-		_, err := c.roundTripBin(binClose, wire.AppendU32(nil, uint32(fd)))
+	if c.Binary() {
+		_, err := c.CallBin(binClose, wire.AppendU32(nil, uint32(fd)))
 		return err
 	}
-	_, _, err := c.roundTrip(fmt.Sprintf("close %d\n", fd), 0)
+	_, _, err := c.Call(fmt.Sprintf("close %d\n", fd), 0)
 	return err
 }
 
 // Read reads up to length bytes from the descriptor's current offset.
 func (c *Client) Read(fd, length int) ([]byte, error) {
-	if c.binary() {
+	if c.Binary() {
 		arg := wire.AppendU32(wire.AppendU32(nil, uint32(fd)), uint32(length))
-		return c.roundTripBin(binRead, arg)
+		return c.CallBin(binRead, arg)
 	}
-	_, data, err := c.roundTrip(fmt.Sprintf("read %d %d\n", fd, length), length)
+	_, data, err := c.Call(fmt.Sprintf("read %d %d\n", fd, length), length)
 	return data, err
 }
 
 // PRead reads up to length bytes at the given offset.
 func (c *Client) PRead(fd, length int, offset int64) ([]byte, error) {
-	if c.binary() {
+	if c.Binary() {
 		arg := wire.AppendI64(wire.AppendU32(wire.AppendU32(nil, uint32(fd)), uint32(length)), offset)
-		return c.roundTripBin(binPRead, arg)
+		return c.CallBin(binPRead, arg)
 	}
-	_, data, err := c.roundTrip(fmt.Sprintf("pread %d %d %d\n", fd, length, offset), length)
+	_, data, err := c.Call(fmt.Sprintf("pread %d %d %d\n", fd, length, offset), length)
 	return data, err
-}
-
-// decodeCount unpacks a u32 response payload.
-func (c *Client) decodeCount(pl []byte, what string) (int, error) {
-	cur := wire.NewCursor(pl)
-	n := cur.U32()
-	if !cur.Done() {
-		return 0, c.failLocked(fmt.Errorf("bad %s response (%d bytes)", what, len(pl)))
-	}
-	return int(n), nil
 }
 
 // Write writes data at the descriptor's current offset.
 func (c *Client) Write(fd int, data []byte) (int, error) {
-	if c.binary() {
-		pl, err := c.roundTripBin(binWrite, wire.AppendU32(nil, uint32(fd)), data)
+	if c.Binary() {
+		pl, err := c.CallBin(binWrite, wire.AppendU32(nil, uint32(fd)), data)
 		if err != nil {
 			return 0, err
 		}
-		return c.decodeCount(pl, "write")
+		cur := wire.NewCursor(pl)
+		n := cur.U32()
+		return int(n), c.checkBin(&cur, "write", pl)
 	}
-	v, _, err := c.roundTrip(fmt.Sprintf("write %d %d\n", fd, len(data)), 0, data)
+	v, _, err := c.Call(fmt.Sprintf("write %d %d\n", fd, len(data)), 0, data)
 	if err != nil {
 		return 0, err
 	}
 	n, convErr := strconv.Atoi(v)
-	if convErr != nil {
-		return 0, c.failLocked(fmt.Errorf("bad write response %q", v))
-	}
-	return n, nil
+	return n, c.checkText(convErr, "write", v)
 }
 
 // PWrite writes data at the given offset.
 func (c *Client) PWrite(fd int, data []byte, offset int64) (int, error) {
-	if c.binary() {
+	if c.Binary() {
 		arg := wire.AppendI64(wire.AppendU32(nil, uint32(fd)), offset)
-		pl, err := c.roundTripBin(binPWrite, arg, data)
+		pl, err := c.CallBin(binPWrite, arg, data)
 		if err != nil {
 			return 0, err
 		}
-		return c.decodeCount(pl, "pwrite")
+		cur := wire.NewCursor(pl)
+		n := cur.U32()
+		return int(n), c.checkBin(&cur, "pwrite", pl)
 	}
-	v, _, err := c.roundTrip(fmt.Sprintf("pwrite %d %d %d\n", fd, len(data), offset), 0, data)
+	v, _, err := c.Call(fmt.Sprintf("pwrite %d %d %d\n", fd, len(data), offset), 0, data)
 	if err != nil {
 		return 0, err
 	}
 	n, convErr := strconv.Atoi(v)
-	if convErr != nil {
-		return 0, c.failLocked(fmt.Errorf("bad pwrite response %q", v))
-	}
-	return n, nil
+	return n, c.checkText(convErr, "pwrite", v)
 }
 
 // Seek repositions the descriptor and returns the new offset.
 func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
-	if c.binary() {
+	if c.Binary() {
 		arg := wire.AppendI64(append(wire.AppendU32(nil, uint32(fd)), byte(whence)), offset)
-		pl, err := c.roundTripBin(binSeek, arg)
+		pl, err := c.CallBin(binSeek, arg)
 		if err != nil {
 			return 0, err
 		}
 		cur := wire.NewCursor(pl)
 		pos := cur.I64()
-		if !cur.Done() {
-			return 0, c.failLocked(fmt.Errorf("bad lseek response (%d bytes)", len(pl)))
-		}
-		return pos, nil
+		return pos, c.checkBin(&cur, "lseek", pl)
 	}
-	v, _, err := c.roundTrip(fmt.Sprintf("lseek %d %d %d\n", fd, offset, whence), 0)
+	v, _, err := c.Call(fmt.Sprintf("lseek %d %d %d\n", fd, offset, whence), 0)
 	if err != nil {
 		return 0, err
 	}
 	pos, convErr := strconv.ParseInt(v, 10, 64)
-	if convErr != nil {
-		return 0, c.failLocked(fmt.Errorf("bad lseek response %q", v))
-	}
-	return pos, nil
+	return pos, c.checkText(convErr, "lseek", v)
 }
 
 // Unlink removes a remote file.
 func (c *Client) Unlink(path string) error {
-	if c.binary() {
-		_, err := c.roundTripBin(binUnlink, []byte(path))
+	if c.Binary() {
+		_, err := c.CallBin(binUnlink, []byte(path))
 		return err
 	}
-	_, _, err := c.roundTrip(fmt.Sprintf("unlink %s\n", quoteArg(path)), 0)
+	_, _, err := c.Call(fmt.Sprintf("unlink %s\n", wire.Quote(path)), 0)
 	return err
 }
 
 // Rename moves a remote file.
 func (c *Client) Rename(oldPath, newPath string) error {
-	if c.binary() {
-		_, err := c.roundTripBin(binRename, wire.AppendStr(nil, oldPath), []byte(newPath))
+	if c.Binary() {
+		_, err := c.CallBin(binRename, wire.AppendStr(nil, oldPath), []byte(newPath))
 		return err
 	}
-	_, _, err := c.roundTrip(fmt.Sprintf("rename %s %s\n", quoteArg(oldPath), quoteArg(newPath)), 0)
+	_, _, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)), 0)
 	return err
-}
-
-// decodeInfo unpacks a stat-shaped payload region.
-func decodeInfo(cur *wire.Cursor, rest bool) vfs.Info {
-	size := cur.I64()
-	ro := cur.U8()
-	var p string
-	if rest {
-		p = cur.RestString()
-	} else {
-		p = cur.Str()
-	}
-	return vfs.Info{Path: p, Size: size, ReadOnly: ro != 0}
 }
 
 // List enumerates remote files under a prefix.
 func (c *Client) List(prefix string) ([]vfs.Info, error) {
-	if c.binary() {
-		pl, err := c.roundTripBin(binGetdir, []byte(prefix))
-		if err != nil {
-			return nil, err
-		}
-		cur := wire.NewCursor(pl)
-		n := int(cur.U32())
-		if !cur.OK() || n < 0 || n > 1<<20 {
-			return nil, c.failLocked(fmt.Errorf("bad getdir response (%d bytes)", len(pl)))
-		}
-		out := make([]vfs.Info, 0, n)
-		for i := 0; i < n; i++ {
-			out = append(out, decodeInfo(&cur, false))
-		}
-		if !cur.Done() {
-			return nil, c.failLocked(fmt.Errorf("bad getdir entries (%d bytes)", len(pl)))
-		}
-		return out, nil
+	if c.Binary() {
+		return c.CallListBin(binGetdir, prefix)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead != nil {
-		return nil, c.dead
-	}
-	if c.conn == nil {
-		return nil, scope.New(scope.ScopeFunction, CodeBadRequest, "client closed")
-	}
-	c.arm()
-	defer c.disarm()
-	if _, err := fmt.Fprintf(c.w, "getdir %s\n", quoteArg(prefix)); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	line = strings.TrimRight(line, "\r\n")
-	verb, rest, _ := strings.Cut(line, " ")
-	if verb == "error" {
-		se, decErr := decodeErrorLine(rest)
-		if decErr != nil {
-			return nil, c.fail(decErr)
-		}
-		return nil, se
-	}
-	if verb != "ok" || strings.Contains(rest, " ") {
-		return nil, c.fail(fmt.Errorf("bad getdir response %q", line))
-	}
-	n, convErr := strconv.Atoi(rest)
-	if convErr != nil || n < 0 || n > 1<<20 {
-		return nil, c.fail(fmt.Errorf("bad getdir count %q", rest))
-	}
-	out := make([]vfs.Info, 0, n)
-	for i := 0; i < n; i++ {
-		entry, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		ef := strings.Fields(strings.TrimRight(entry, "\r\n"))
-		if len(ef) < 3 {
-			return nil, c.fail(fmt.Errorf("bad getdir entry %q", entry))
-		}
-		size, e1 := strconv.ParseInt(ef[0], 10, 64)
-		ro, e2 := strconv.Atoi(ef[1])
-		p, e3 := unquoteArg(strings.Join(ef[2:], " "))
-		if e1 != nil || e2 != nil || e3 != nil {
-			return nil, c.fail(fmt.Errorf("bad getdir entry %q", entry))
-		}
-		out = append(out, vfs.Info{Path: p, Size: size, ReadOnly: ro != 0})
-	}
-	return out, nil
+	return c.CallList(fmt.Sprintf("getdir %s\n", wire.Quote(prefix)))
 }
 
 // Stat describes a remote file.
 func (c *Client) Stat(path string) (vfs.Info, error) {
-	if c.binary() {
-		pl, err := c.roundTripBin(binStat, []byte(path))
-		if err != nil {
-			return vfs.Info{}, err
-		}
-		cur := wire.NewCursor(pl)
-		info := decodeInfo(&cur, true)
-		if !cur.Done() {
-			return vfs.Info{}, c.failLocked(fmt.Errorf("bad stat response (%d bytes)", len(pl)))
-		}
-		return info, nil
+	if c.Binary() {
+		return c.CallStatBin(binStat, path)
 	}
-	v, _, err := c.roundTrip(fmt.Sprintf("stat %s\n", quoteArg(path)), 0)
-	if err != nil {
-		return vfs.Info{}, err
-	}
-	fields := strings.Fields(v)
-	if len(fields) < 3 {
-		return vfs.Info{}, c.failLocked(fmt.Errorf("bad stat response %q", v))
-	}
-	size, err1 := strconv.ParseInt(fields[0], 10, 64)
-	ro, err2 := strconv.Atoi(fields[1])
-	p, err3 := unquoteArg(strings.Join(fields[2:], " "))
-	if err1 != nil || err2 != nil || err3 != nil {
-		return vfs.Info{}, c.failLocked(fmt.Errorf("bad stat response %q", v))
-	}
-	return vfs.Info{Path: p, Size: size, ReadOnly: ro != 0}, nil
+	return c.CallStat(fmt.Sprintf("stat %s\n", wire.Quote(path)))
 }

@@ -30,7 +30,6 @@ import (
 	"strings"
 
 	"github.com/errscope/grid/internal/scope"
-	"github.com/errscope/grid/internal/wire"
 )
 
 // Explicit error codes of the Chirp interface (Principle 4: concise
@@ -159,24 +158,3 @@ const (
 	SeekCur = 1
 	SeekEnd = 2
 )
-
-// encodeError renders a scoped error as a wire error line.  Plain
-// errors are widened to BackendError at local-resource scope: the
-// proxy cannot explain them, but it can still state their scope.
-func encodeError(err error) string {
-	return wire.EncodeError(err, CodeBackend, scope.ScopeLocalResource)
-}
-
-// decodeErrorLine parses the raw remainder of a wire line after the
-// "error " verb.  It must receive the unsplit bytes: quoted messages
-// may contain consecutive spaces.
-func decodeErrorLine(rest string) (*scope.Error, error) {
-	return wire.DecodeError(rest)
-}
-
-// quoteArg encodes a path or string argument for the wire (no spaces
-// or newlines may appear raw).
-func quoteArg(s string) string { return wire.Quote(s) }
-
-// unquoteArg decodes a quoted wire argument.
-func unquoteArg(s string) (string, error) { return wire.Unquote(s) }

@@ -3,32 +3,26 @@ package chirp
 import (
 	"bufio"
 	"crypto/subtle"
-	"fmt"
 	"io"
 	"net"
 	"strconv"
-	"strings"
-	"sync"
 
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 )
 
 // maxDataLen bounds a single read or write payload, protecting the
 // proxy from a runaway client.
-const maxDataLen = 16 << 20
+const maxDataLen = rpc.MaxData
 
 // Server is the Chirp proxy: it listens on a loopback TCP port,
 // authenticates clients by shared secret, and forwards file
 // operations to a Backend.
 type Server struct {
+	*rpc.Acceptor // Listen and Close
+
 	backend Backend
 	secret  string
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 
 	// ErrorLog, if non-nil, receives per-connection protocol faults
 	// the proxy consumed (the starter's view of escaping errors).
@@ -38,67 +32,9 @@ type Server struct {
 // NewServer creates a Chirp proxy over backend requiring the given
 // shared-secret cookie.
 func NewServer(backend Backend, secret string) *Server {
-	return &Server{
-		backend: backend,
-		secret:  secret,
-		conns:   make(map[net.Conn]struct{}),
-	}
-}
-
-// Listen starts the proxy on addr ("127.0.0.1:0" for an ephemeral
-// loopback port) and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("chirp: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serve(conn)
-			s.mu.Lock()
-			delete(s.conns, conn)
-			s.mu.Unlock()
-		}()
-	}
-}
-
-// Close shuts the listener and all connections down and waits for
-// the connection handlers to finish.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+	s := &Server{backend: backend, secret: secret}
+	s.Acceptor = rpc.NewAcceptor("chirp", s.serve)
+	return s
 }
 
 func (s *Server) logErr(err error) {
@@ -107,32 +43,139 @@ func (s *Server) logErr(err error) {
 	}
 }
 
-// session holds per-connection state: authentication and the file
-// descriptor table.
+func badRequest(format string, args ...any) *scope.Error {
+	return scope.New(scope.ScopeFunction, CodeBadRequest, format, args...)
+}
+
+// session is the per-connection descriptor table.  Its methods are the
+// protocol's descriptor rules — allocation and the append position on
+// open, the implicit offset of read and write, seek arithmetic, close —
+// stated once for the text and the frame decoder to share.
 type session struct {
-	authed bool
-	files  map[int]File
-	pos    map[int]int64
-	nextFD int
+	backend Backend
+	files   map[int]File
+	pos     map[int]int64
+	nextFD  int
+}
+
+func (s *Server) newSession() *session {
+	return &session{backend: s.backend, files: make(map[int]File), pos: make(map[int]int64), nextFD: 3}
+}
+
+// closeAll releases every descriptor the connection left open.
+func (st *session) closeAll() {
+	for _, f := range st.files {
+		f.Close()
+	}
+}
+
+func (st *session) file(fd int) (File, error) {
+	f, ok := st.files[fd]
+	if !ok {
+		return nil, scope.New(scope.ScopeFunction, CodeBadFD, "fd %d not open", fd)
+	}
+	return f, nil
+}
+
+func (st *session) open(path string, flags OpenFlags) (int, error) {
+	f, err := st.backend.Open(path, flags)
+	if err != nil {
+		return 0, err
+	}
+	fd := st.nextFD
+	st.nextFD++
+	st.files[fd] = f
+	if flags&FlagAppend != 0 {
+		if size, serr := f.Size(); serr == nil {
+			st.pos[fd] = size
+		}
+	} else {
+		st.pos[fd] = 0
+	}
+	return fd, nil
+}
+
+func (st *session) close(fd int) error {
+	f, err := st.file(fd)
+	if err != nil {
+		return err
+	}
+	delete(st.files, fd)
+	delete(st.pos, fd)
+	return f.Close()
+}
+
+// read reads at *at, or with at nil at the descriptor's offset, which
+// then advances.
+func (st *session) read(fd, length int, at *int64) ([]byte, error) {
+	f, err := st.file(fd)
+	if err != nil {
+		return nil, err
+	}
+	if at != nil {
+		return f.ReadAt(*at, length)
+	}
+	data, err := f.ReadAt(st.pos[fd], length)
+	if err == nil {
+		st.pos[fd] += int64(len(data))
+	}
+	return data, err
+}
+
+// write is read's twin.
+func (st *session) write(fd int, data []byte, at *int64) (int, error) {
+	f, err := st.file(fd)
+	if err != nil {
+		return 0, err
+	}
+	if at != nil {
+		return f.WriteAt(*at, data)
+	}
+	n, err := f.WriteAt(st.pos[fd], data)
+	if err == nil {
+		st.pos[fd] += int64(n)
+	}
+	return n, err
+}
+
+func (st *session) seek(fd int, off int64, whence int) (int64, error) {
+	f, err := st.file(fd)
+	if err != nil {
+		return 0, err
+	}
+	var base int64
+	switch whence {
+	case SeekSet:
+	case SeekCur:
+		base = st.pos[fd]
+	case SeekEnd:
+		if base, err = f.Size(); err != nil {
+			return 0, err
+		}
+	default:
+		return 0, badRequest("bad whence %d", whence)
+	}
+	pos := base + off
+	if pos < 0 {
+		return 0, badRequest("negative seek position")
+	}
+	st.pos[fd] = pos
+	return pos, nil
 }
 
 func (s *Server) serve(conn net.Conn) {
-	defer conn.Close()
 	r := bufio.NewReader(conn)
+	st := s.newSession()
+	defer st.closeAll()
 	// A binary client's first byte is a session message type (always
 	// >= 0x80); a text client's first byte is a lowercase verb.  One
 	// peeked byte selects the protocol, with no bytes consumed.
 	if first, err := r.Peek(1); err == nil && first[0] >= 0x80 {
-		s.serveBinary(conn, r)
+		s.serveBinary(st, conn, r)
 		return
 	}
 	w := bufio.NewWriter(conn)
-	sess := &session{files: make(map[int]File), pos: make(map[int]int64), nextFD: 3}
-	defer func() {
-		for _, f := range sess.files {
-			f.Close()
-		}
-	}()
+	authed := false
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
@@ -141,13 +184,46 @@ func (s *Server) serve(conn net.Conn) {
 			}
 			return
 		}
-		quit, err := s.handle(sess, strings.TrimRight(line, "\r\n"), r, w)
-		if err != nil {
-			s.logErr(err)
-			return
+		// quit ends the session after the reply; fatal is an escaping
+		// error at this layer: it is logged and the connection drops.
+		var (
+			reply rpc.Reply
+			quit  bool
+			fatal error
+		)
+		switch verb, args := rpc.ParseRequest(line); {
+		case verb == "":
+			reply.Err = badRequest("empty request")
+		case verb == "quit":
+			quit = true
+		case verb == "cookie":
+			secret := args.Path()
+			if err := args.Done(); err != nil {
+				reply.Err = badRequest("cookie: %v", err)
+			} else if subtle.ConstantTimeCompare([]byte(secret), []byte(s.secret)) != 1 {
+				// A bad cookie invalidates the whole session: the
+				// client is not who the starter revealed the secret
+				// to.  Process scope, and the connection drops.
+				reply.Err, quit = scope.New(scope.ScopeProcess, CodeNotAuthed, "bad cookie"), true
+			} else {
+				authed = true
+			}
+		case !authed:
+			reply.Err, quit = scope.New(scope.ScopeProcess, CodeNotAuthed, "authenticate first"), true
+		case verb == "write" || verb == "pwrite":
+			reply, fatal = st.handleWrite(verb, args, r)
+		default:
+			reply = st.handle(verb, args)
 		}
-		if err := w.Flush(); err != nil {
-			s.logErr(scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err))
+		// Plain errors go out as BackendError at local-resource scope:
+		// the proxy cannot explain them, but it can still state their
+		// scope.
+		reply.WriteTo(w, CodeBackend, scope.ScopeLocalResource)
+		if err := w.Flush(); err != nil && fatal == nil {
+			fatal = scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
+		}
+		if fatal != nil {
+			s.logErr(fatal)
 			return
 		}
 		if quit {
@@ -156,194 +232,80 @@ func (s *Server) serve(conn net.Conn) {
 	}
 }
 
-// handle processes one request line.  It returns quit=true when the
-// client ends the session, and a non-nil error only for conditions
-// that must tear the connection down (escaping errors at this layer).
-func (s *Server) handle(sess *session, line string, r *bufio.Reader, w *bufio.Writer) (quit bool, fatal error) {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "empty request")))
-		return false, nil
-	}
-	verb, args := fields[0], fields[1:]
-
-	if verb == "quit" {
-		fmt.Fprint(w, "ok\n")
-		return true, nil
-	}
-	if verb == "cookie" {
-		if len(args) != 1 {
-			fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "cookie wants 1 argument")))
-			return false, nil
-		}
-		secret, err := unquoteArg(args[0])
-		if err != nil || subtle.ConstantTimeCompare([]byte(secret), []byte(s.secret)) != 1 {
-			// A bad cookie invalidates the whole session: the
-			// client is not who the starter revealed the secret
-			// to.  Process scope, and the connection drops.
-			fmt.Fprint(w, encodeError(scope.New(scope.ScopeProcess, CodeNotAuthed, "bad cookie")))
-			w.Flush()
-			return true, nil
-		}
-		sess.authed = true
-		fmt.Fprint(w, "ok\n")
-		return false, nil
-	}
-	if !sess.authed {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeProcess, CodeNotAuthed, "authenticate first")))
-		w.Flush()
-		return true, nil
-	}
-
+// handle decodes and runs one authenticated text request.  Each verb
+// decodes its arguments and runs only if all of them did; otherwise it
+// falls out to the refusal at the bottom.
+func (st *session) handle(verb string, a *rpc.Args) rpc.Reply {
 	switch verb {
 	case "open":
-		s.handleOpen(sess, args, w)
+		if path, flagArg := a.Path(), a.Next("flags"); a.Done() == nil {
+			flags, err := ParseOpenFlags(flagArg)
+			if err != nil {
+				return rpc.Reply{Err: badRequest("%v", err)}
+			}
+			fd, err := st.open(path, flags)
+			return rpc.Reply{Value: strconv.Itoa(fd), Err: err}
+		}
 	case "close":
-		s.handleClose(sess, args, w)
-	case "read":
-		s.handleRead(sess, args, w, false)
-	case "pread":
-		s.handleRead(sess, args, w, true)
-	case "write":
-		return false, s.handleWrite(sess, args, r, w, false)
-	case "pwrite":
-		return false, s.handleWrite(sess, args, r, w, true)
+		if fd := a.Int("fd"); a.Done() == nil {
+			return rpc.Reply{Err: st.close(fd)}
+		}
+	case "read", "pread":
+		fd, length := a.Int("fd"), a.Int("length")
+		var at *int64
+		if verb == "pread" {
+			off := a.Int64("offset")
+			at = &off
+		}
+		if a.Done() == nil {
+			if length < 0 || length > maxDataLen {
+				return rpc.Reply{Err: badRequest("bad length %d", length)}
+			}
+			data, err := st.read(fd, length, at)
+			return rpc.Reply{Value: strconv.Itoa(len(data)), Data: data, Err: err}
+		}
 	case "lseek":
-		s.handleLseek(sess, args, w)
+		if fd, off, whence := a.Int("fd"), a.Int64("offset"), a.Int("whence"); a.Done() == nil {
+			pos, err := st.seek(fd, off, whence)
+			return rpc.Reply{Value: strconv.FormatInt(pos, 10), Err: err}
+		}
 	case "unlink":
-		s.handlePathOp(args, w, s.backend.Unlink)
+		if path := a.Path(); a.Done() == nil {
+			return rpc.Reply{Err: st.backend.Unlink(path)}
+		}
 	case "rename":
-		s.handleRename(args, w)
+		if oldPath, newPath := a.Path(), a.Path(); a.Done() == nil {
+			return rpc.Reply{Err: st.backend.Rename(oldPath, newPath)}
+		}
 	case "stat":
-		s.handleStat(args, w)
+		if path := a.Path(); a.Done() == nil {
+			info, err := st.backend.Stat(path)
+			return rpc.Reply{Value: rpc.InfoLine(info), Err: err}
+		}
 	case "getdir":
-		s.handleGetdir(args, w)
+		if prefix := a.Path(); a.Done() == nil {
+			infos, err := st.backend.List(prefix)
+			return rpc.ListReply(infos, err)
+		}
 	default:
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "unknown verb %q", verb)))
+		return rpc.Reply{Err: badRequest("unknown verb %q", verb)}
 	}
-	return false, nil
+	return rpc.Reply{Err: badRequest("%s: %v", verb, a.Done())}
 }
 
-func (s *Server) handleOpen(sess *session, args []string, w *bufio.Writer) {
-	if len(args) != 2 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "open wants 2 arguments")))
-		return
+// handleWrite decodes and runs a write.  Its payload follows the
+// request line, so the length must be acted on before the fd or offset
+// may refuse; an error beside the reply is fatal to the connection.
+func (st *session) handleWrite(verb string, a *rpc.Args, r *bufio.Reader) (rpc.Reply, error) {
+	fdArg, length, offArg := a.Next("fd"), a.Int("length"), ""
+	if verb == "pwrite" {
+		offArg = a.Next("offset")
 	}
-	path, err := unquoteArg(args[0])
-	if err != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad path encoding")))
-		return
-	}
-	flags, err := ParseOpenFlags(args[1])
-	if err != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "%v", err)))
-		return
-	}
-	f, err := s.backend.Open(path, flags)
-	if err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return
-	}
-	fd := sess.nextFD
-	sess.nextFD++
-	sess.files[fd] = f
-	if flags&FlagAppend != 0 {
-		if size, serr := f.Size(); serr == nil {
-			sess.pos[fd] = size
-		}
-	} else {
-		sess.pos[fd] = 0
-	}
-	fmt.Fprintf(w, "ok %d\n", fd)
-}
-
-func (s *Server) handleClose(sess *session, args []string, w *bufio.Writer) {
-	fd, f, ok := sess.lookupFD(args, w)
-	if !ok {
-		return
-	}
-	delete(sess.files, fd)
-	delete(sess.pos, fd)
-	if err := f.Close(); err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return
-	}
-	fmt.Fprint(w, "ok\n")
-}
-
-func (sess *session) lookupFD(args []string, w *bufio.Writer) (int, File, bool) {
-	if len(args) < 1 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "missing fd")))
-		return 0, nil, false
-	}
-	fd, err := strconv.Atoi(args[0])
-	if err != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad fd %q", args[0])))
-		return 0, nil, false
-	}
-	f, ok := sess.files[fd]
-	if !ok {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadFD, "fd %d not open", fd)))
-		return 0, nil, false
-	}
-	return fd, f, true
-}
-
-func (s *Server) handleRead(sess *session, args []string, w *bufio.Writer, positional bool) {
-	want := 2
-	if positional {
-		want = 3
-	}
-	if len(args) != want {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "read wants %d arguments", want)))
-		return
-	}
-	fd, f, ok := sess.lookupFD(args, w)
-	if !ok {
-		return
-	}
-	length, err := strconv.Atoi(args[1])
-	if err != nil || length < 0 || length > maxDataLen {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad length %q", args[1])))
-		return
-	}
-	offset := sess.pos[fd]
-	if positional {
-		off, err := strconv.ParseInt(args[2], 10, 64)
-		if err != nil {
-			fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad offset %q", args[2])))
-			return
-		}
-		offset = off
-	}
-	data, err := f.ReadAt(offset, length)
-	if err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return
-	}
-	if !positional {
-		sess.pos[fd] = offset + int64(len(data))
-	}
-	fmt.Fprintf(w, "ok %d\n", len(data))
-	w.Write(data)
-}
-
-func (s *Server) handleWrite(sess *session, args []string, r *bufio.Reader, w *bufio.Writer, positional bool) error {
-	want := 2
-	if positional {
-		want = 3
-	}
-	if len(args) != want {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "write wants %d arguments", want)))
-		return nil
-	}
-	length, err := strconv.Atoi(args[1])
-	if err != nil || length < 0 {
+	if err := a.Done(); err != nil || length < 0 {
 		// The payload length is unusable; the stream is no longer
 		// framed and the connection must drop (escaping error).
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad length %q", args[1])))
-		w.Flush()
-		return scope.New(scope.ScopeNetwork, CodeProtocolError, "unframed write request")
+		return rpc.Reply{Err: badRequest("%s: bad length", verb)},
+			scope.New(scope.ScopeNetwork, CodeProtocolError, "unframed write request")
 	}
 	if length > maxDataLen {
 		// The length parsed, so the framing is intact: the declared
@@ -352,166 +314,30 @@ func (s *Server) handleWrite(sess *session, args []string, r *bufio.Reader, w *b
 		// session — tearing the connection down here would turn a
 		// function-scope refusal into a network-scope failure.
 		if _, err := io.CopyN(io.Discard, r, int64(length)); err != nil {
-			return scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
+			return rpc.Reply{}, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
 		}
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest,
-			"length %d exceeds limit %d", length, maxDataLen)))
-		return nil
+		return rpc.Reply{Err: badRequest("length %d exceeds limit %d", length, maxDataLen)}, nil
 	}
 	// Read the payload before validating the fd or offset: even a
-	// doomed request must have its bytes consumed, or the next
-	// request line would parse from the middle of this payload and
+	// doomed request must have its bytes consumed, or the next request
+	// line would parse from the middle of this payload and
 	// desynchronize the protocol.
 	data := make([]byte, length)
 	if _, err := io.ReadFull(r, data); err != nil {
-		return scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
+		return rpc.Reply{}, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
 	}
-	fd, f, ok := sess.lookupFD(args, w)
-	if !ok {
-		return nil
+	fd, err := strconv.Atoi(fdArg)
+	if err != nil {
+		return rpc.Reply{Err: badRequest("bad fd %q", fdArg)}, nil
 	}
-	offset := sess.pos[fd]
-	if positional {
-		off, err := strconv.ParseInt(args[2], 10, 64)
+	var at *int64
+	if verb == "pwrite" {
+		off, err := strconv.ParseInt(offArg, 10, 64)
 		if err != nil {
-			fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad offset %q", args[2])))
-			return nil
+			return rpc.Reply{Err: badRequest("bad offset %q", offArg)}, nil
 		}
-		offset = off
+		at = &off
 	}
-	n, err := f.WriteAt(offset, data)
-	if err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return nil
-	}
-	if !positional {
-		sess.pos[fd] = offset + int64(n)
-	}
-	fmt.Fprintf(w, "ok %d\n", n)
-	return nil
-}
-
-func (s *Server) handleLseek(sess *session, args []string, w *bufio.Writer) {
-	if len(args) != 3 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "lseek wants 3 arguments")))
-		return
-	}
-	fd, f, ok := sess.lookupFD(args, w)
-	if !ok {
-		return
-	}
-	off, err1 := strconv.ParseInt(args[1], 10, 64)
-	whence, err2 := strconv.Atoi(args[2])
-	if err1 != nil || err2 != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad lseek arguments")))
-		return
-	}
-	var base int64
-	switch whence {
-	case SeekSet:
-		base = 0
-	case SeekCur:
-		base = sess.pos[fd]
-	case SeekEnd:
-		size, err := f.Size()
-		if err != nil {
-			fmt.Fprint(w, encodeError(err))
-			return
-		}
-		base = size
-	default:
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad whence %d", whence)))
-		return
-	}
-	pos := base + off
-	if pos < 0 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "negative seek position")))
-		return
-	}
-	sess.pos[fd] = pos
-	fmt.Fprintf(w, "ok %d\n", pos)
-}
-
-func (s *Server) handlePathOp(args []string, w *bufio.Writer, op func(string) error) {
-	if len(args) != 1 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "wants 1 argument")))
-		return
-	}
-	path, err := unquoteArg(args[0])
-	if err != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad path encoding")))
-		return
-	}
-	if err := op(path); err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return
-	}
-	fmt.Fprint(w, "ok\n")
-}
-
-func (s *Server) handleRename(args []string, w *bufio.Writer) {
-	if len(args) != 2 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "rename wants 2 arguments")))
-		return
-	}
-	oldPath, err1 := unquoteArg(args[0])
-	newPath, err2 := unquoteArg(args[1])
-	if err1 != nil || err2 != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad path encoding")))
-		return
-	}
-	if err := s.backend.Rename(oldPath, newPath); err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return
-	}
-	fmt.Fprint(w, "ok\n")
-}
-
-// handleGetdir lists files under a prefix: "ok n" followed by n lines
-// of "size readonly quoted-path".
-func (s *Server) handleGetdir(args []string, w *bufio.Writer) {
-	if len(args) != 1 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "getdir wants 1 argument")))
-		return
-	}
-	prefix, err := unquoteArg(args[0])
-	if err != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad path encoding")))
-		return
-	}
-	infos, err := s.backend.List(prefix)
-	if err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return
-	}
-	fmt.Fprintf(w, "ok %d\n", len(infos))
-	for _, info := range infos {
-		ro := 0
-		if info.ReadOnly {
-			ro = 1
-		}
-		fmt.Fprintf(w, "%d %d %s\n", info.Size, ro, quoteArg(info.Path))
-	}
-}
-
-func (s *Server) handleStat(args []string, w *bufio.Writer) {
-	if len(args) != 1 {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "stat wants 1 argument")))
-		return
-	}
-	path, err := unquoteArg(args[0])
-	if err != nil {
-		fmt.Fprint(w, encodeError(scope.New(scope.ScopeFunction, CodeBadRequest, "bad path encoding")))
-		return
-	}
-	info, err := s.backend.Stat(path)
-	if err != nil {
-		fmt.Fprint(w, encodeError(err))
-		return
-	}
-	ro := 0
-	if info.ReadOnly {
-		ro = 1
-	}
-	fmt.Fprintf(w, "ok %d %d %s\n", info.Size, ro, quoteArg(info.Path))
+	n, err := st.write(fd, data, at)
+	return rpc.Reply{Value: strconv.Itoa(n), Err: err}, nil
 }

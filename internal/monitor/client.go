@@ -1,162 +1,99 @@
 package monitor
 
 import (
-	"bufio"
-	"encoding/hex"
-	"fmt"
 	"io"
-	"net"
 	"strings"
 
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/wire"
 )
 
-// Client is one ops-plane connection: a subscriber draining the
-// stream, or an admin session issuing verbs.  Which one it becomes is
-// decided by the first call (Subscribe or Admin), mirroring the
-// server's first-record dispatch.
-type Client struct {
-	conn net.Conn
-	mode wire.Mode
-	sess *wire.Session // framed modes only
-	r    *bufio.Reader
-	w    *bufio.Writer // text mode only
+// Client is one ops-plane connection over the shared rpc.Client: a
+// subscriber draining the stream, or an admin session issuing verbs.
+// Which one it becomes is decided by the first call (Subscribe or
+// Admin), mirroring the server's first-record dispatch.  Connecting,
+// authenticating, Subscribe and Admin are deadline-bounded round trips
+// like any other client's; only the subscriber stream itself (Next,
+// Collect) waits without limit, because an idle stream is legal.
+type Client struct{ *rpc.Client }
+
+var proto = rpc.Proto{
+	Comp:           "monitor-client",
+	Counter:        "monitor.transport_failures",
+	ConnectionLost: CodeConnectionLost,
+	RequestTimeout: CodeRequestTimeout,
+	BadRequest:     CodeBadRequest,
 }
 
 // Dial connects and authenticates in the given mode.
 func Dial(addr string, mode wire.Mode, key []byte) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	return dial(addr, key, rpc.DialOptions{Mode: mode})
+}
+
+func dial(addr string, key []byte, o rpc.DialOptions) (*Client, error) {
+	c, err := rpc.Dial(&proto, addr, o, key, func(c *rpc.Client) error { return c.AnswerChallenge(key) })
 	if err != nil {
-		return nil, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	c := &Client{conn: conn, mode: mode, r: bufio.NewReader(conn)}
-	if mode == wire.ModeText {
-		c.w = bufio.NewWriter(conn)
-		if err := c.textAuth(key); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		return c, nil
-	}
-	c.sess = wire.NewSession(c.r, conn, wire.Config{Mode: mode, Secret: key})
-	if err := c.sess.ClientHandshake(); err != nil {
-		c.sess.Release()
-		conn.Close()
 		return nil, err
 	}
-	return c, nil
+	return &Client{c}, nil
 }
 
-// textAuth answers the server's HMAC challenge.
-func (c *Client) textAuth(key []byte) error {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
+// call is one request/reply exchange in either envelope: the record
+// travels as a frame under cmd or as a bare line, and the reply's
+// record comes back without its "ok".
+func (c *Client) call(cmd byte, rec string) (string, error) {
+	if c.Binary() {
+		pl, err := c.CallBin(cmd, []byte(rec))
+		return string(pl), err
 	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 2 || fields[0] != "challenge" {
-		return scope.New(scope.ScopeNetwork, CodeBadRequest,
-			"expected a challenge, got %q", strings.TrimSpace(line))
-	}
-	nonce, err := hex.DecodeString(fields[1])
-	if err != nil {
-		return scope.New(scope.ScopeNetwork, CodeBadRequest, "bad challenge nonce")
-	}
-	fmt.Fprintf(c.w, "auth %s\n", hex.EncodeToString(authenticate(key, nonce)))
-	if err := c.w.Flush(); err != nil {
-		return scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	return c.readTextOK()
-}
-
-// readTextOK consumes one "ok ..." or "error ..." line.
-func (c *Client) readTextOK() error {
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	line = strings.TrimSpace(line)
-	if line == "ok" || strings.HasPrefix(line, "ok ") {
-		return nil
-	}
-	if rest, ok := strings.CutPrefix(line, "error "); ok {
-		se, derr := wire.DecodeError(rest)
-		if derr != nil {
-			return scope.New(scope.ScopeNetwork, CodeBadRequest, "%v", derr)
-		}
-		return se
-	}
-	return scope.New(scope.ScopeNetwork, CodeBadRequest, "unexpected reply %q", line)
-}
-
-// Close tears the connection down.
-func (c *Client) Close() {
-	if c.sess != nil {
-		c.sess.Release()
-		c.sess = nil
-	}
-	c.conn.Close()
+	v, _, err := c.Call(rec+"\n", 0)
+	return v, err
 }
 
 // Subscribe turns this connection into a subscriber session streaming
 // from event index `from`.
 func (c *Client) Subscribe(from int64) error {
-	if c.mode == wire.ModeText {
-		fmt.Fprintln(c.w, EncodeSub(from))
-		if err := c.w.Flush(); err != nil {
-			return scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-		}
-		return c.readTextOK()
-	}
-	if err := c.sess.WriteMsg(cmdSub, []byte(EncodeSub(from))); err != nil {
-		return err
-	}
-	cmd, payload, err := c.sess.ReadMsg()
+	_, err := c.call(cmdSub, EncodeSub(from))
+	return err
+}
+
+// Admin issues one verb on this connection and returns the server's
+// detail line.  A failed verb comes back as the scoped error the pool
+// raised, reconstructed across the wire.
+func (c *Client) Admin(verb, target string) (string, error) {
+	rec, err := c.call(cmdAdmin, EncodeAdmin(verb, target))
 	if err != nil {
-		return err
+		return "", err
 	}
-	if cmd == wire.CmdErr {
-		return c.decodeErr(payload)
-	}
-	if cmd != wire.CmdOK {
-		return scope.New(scope.ScopeNetwork, CodeBadRequest,
-			"subscribe: unexpected reply %#x", cmd)
-	}
-	return nil
+	_, _, detail, err := ParseAdminOK(rec)
+	return detail, err
 }
 
 // Next reads one streamed record.  A clean server close is io.EOF.
 func (c *Client) Next() (byte, string, error) {
-	if c.mode == wire.ModeText {
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return 0, "", err
-		}
-		line = strings.TrimSpace(line)
-		switch {
-		case strings.HasPrefix(line, "mev "):
-			return cmdEvent, line, nil
-		case strings.HasPrefix(line, "mmet "):
-			return cmdMetrics, line, nil
-		}
-		// A refused subscription arrives in-stream as an error line.
-		if rest, ok := strings.CutPrefix(line, "error "); ok {
-			if se, derr := wire.DecodeError(rest); derr == nil {
-				return 0, "", se
-			}
-		}
-		return 0, "", scope.New(scope.ScopeNetwork, CodeBadRequest,
-			"unexpected stream line %q", line)
-	}
-	cmd, payload, err := c.sess.ReadMsg()
+	cmd, rec, err := c.Recv()
 	if err != nil {
 		return 0, "", err
 	}
-	if cmd == wire.CmdErr {
-		return 0, "", c.decodeErr(payload)
+	switch {
+	case cmd == wire.CmdErr:
+		// A refused subscription arrives in-stream as an error reply.
+		if se, derr := wire.DecodeErrorPayload([]byte(rec)); derr == nil {
+			return 0, "", se
+		}
+	case cmd != 0:
+		return cmd, rec, nil
+	case strings.HasPrefix(rec, "mev "):
+		return cmdEvent, rec, nil
+	case strings.HasPrefix(rec, "mmet "):
+		return cmdMetrics, rec, nil
+	case strings.HasPrefix(rec, "error "):
+		if se, derr := wire.DecodeError(rec[len("error "):]); derr == nil {
+			return 0, "", se
+		}
 	}
-	return cmd, string(payload), nil
+	return 0, "", scope.New(scope.ScopeNetwork, CodeBadRequest, "unexpected stream record %q", rec)
 }
 
 // Collect drains the stream into col until the server closes the
@@ -187,57 +124,4 @@ func isConnClosed(err error) bool {
 	return strings.Contains(msg, "use of closed network connection") ||
 		strings.Contains(msg, "connection reset by peer") ||
 		strings.Contains(msg, "EOF")
-}
-
-// Admin issues one verb on this connection and returns the server's
-// detail line.  A failed verb comes back as the scoped error the pool
-// raised, reconstructed across the wire.
-func (c *Client) Admin(verb, target string) (string, error) {
-	if c.mode == wire.ModeText {
-		fmt.Fprintln(c.w, EncodeAdmin(verb, target))
-		if err := c.w.Flush(); err != nil {
-			return "", scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-		}
-		line, err := c.r.ReadString('\n')
-		if err != nil {
-			return "", scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-		}
-		line = strings.TrimSpace(line)
-		if rest, ok := strings.CutPrefix(line, "ok "); ok {
-			_, _, detail, err := ParseAdminOK(rest)
-			return detail, err
-		}
-		if rest, ok := strings.CutPrefix(line, "error "); ok {
-			se, derr := wire.DecodeError(rest)
-			if derr != nil {
-				return "", scope.New(scope.ScopeNetwork, CodeBadRequest, "%v", derr)
-			}
-			return "", se
-		}
-		return "", scope.New(scope.ScopeNetwork, CodeBadRequest, "unexpected reply %q", line)
-	}
-	if err := c.sess.WriteMsg(cmdAdmin, []byte(EncodeAdmin(verb, target))); err != nil {
-		return "", err
-	}
-	cmd, payload, err := c.sess.ReadMsg()
-	if err != nil {
-		return "", err
-	}
-	switch cmd {
-	case wire.CmdOK:
-		_, _, detail, err := ParseAdminOK(string(payload))
-		return detail, err
-	case wire.CmdErr:
-		return "", c.decodeErr(payload)
-	}
-	return "", scope.New(scope.ScopeNetwork, CodeBadRequest, "unexpected reply %#x", cmd)
-}
-
-// decodeErr rebuilds a scoped error from a CmdErr payload.
-func (c *Client) decodeErr(payload []byte) error {
-	se, err := wire.DecodeErrorPayload(payload)
-	if err != nil {
-		return scope.New(scope.ScopeNetwork, CodeBadRequest, "%v", err)
-	}
-	return se
 }

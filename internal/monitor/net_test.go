@@ -3,12 +3,14 @@ package monitor
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
 
 	"github.com/errscope/grid/internal/pool"
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/wire"
 )
@@ -119,6 +121,75 @@ func TestServedAuthFailure(t *testing.T) {
 				t.Fatal("a wrong key authenticated")
 			}
 		})
+	}
+}
+
+// TestDialSilentServerTimesOut is the regression for the ops-plane
+// client that could hang forever: it dialled with no connect timeout
+// and ran the handshake, the text authentication and Admin with no
+// deadline.  Against a listener that accepts and never speaks, the
+// dial now fails like the other clients' — an escaping network-scope
+// error, RequestTimeout where the client was waiting on a text line —
+// and so does a round trip on a connection that goes silent later.
+func TestDialSilentServerTimesOut(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			defer conn.Close()
+		}
+	}()
+	short := 150 * time.Millisecond
+	for _, mode := range []wire.Mode{wire.ModeText, wire.ModeBinary, wire.ModeSecure} {
+		start := time.Now()
+		cli, err := dial(ln.Addr().String(), opsKey, rpc.DialOptions{Mode: mode, IOTimeout: short})
+		if err == nil {
+			cli.Close()
+			t.Fatalf("%s: a silent server authenticated", mode)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("%s: dial took %v", mode, elapsed)
+		}
+		se, ok := scope.AsError(err)
+		if !ok || se.Scope != scope.ScopeNetwork || se.Kind != scope.KindEscaping {
+			t.Fatalf("%s: dial = %v, want an escaping network-scope error", mode, err)
+		}
+		if mode == wire.ModeText && se.Code != CodeRequestTimeout {
+			t.Errorf("text: dial = %v, want %s", err, CodeRequestTimeout)
+		}
+	}
+
+	// A server that authenticates and then goes silent: Admin is
+	// bounded too, and the failure sticks.
+	silent := rpc.NewAcceptor("silent", func(conn net.Conn) {
+		r := bufio.NewReader(conn)
+		if rpc.Challenge(r, bufio.NewWriter(conn), opsKey, authFailed()) {
+			io.Copy(io.Discard, r)
+		}
+	})
+	addr, err := silent.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	cli, err := dial(addr, opsKey, rpc.DialOptions{IOTimeout: short})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	_, err = cli.Admin("compact", "schedd")
+	if se, ok := scope.AsError(err); !ok || se.Code != CodeRequestTimeout || se.Scope != scope.ScopeNetwork || se.Kind != scope.KindEscaping {
+		t.Fatalf("admin against a silent server = %v, want escaping %s", err, CodeRequestTimeout)
+	}
+	if err2 := cli.Subscribe(0); err2 != err {
+		t.Errorf("call after the timeout = %v, want the sticky %v", err2, err)
 	}
 }
 

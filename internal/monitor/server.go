@@ -2,16 +2,13 @@ package monitor
 
 import (
 	"bufio"
-	"crypto/hmac"
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
 	"time"
 
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/wire"
 )
@@ -22,6 +19,9 @@ const (
 	CodeBadRequest     = "BadRequest"
 	CodeMonitorDead    = "MonitorDead"
 	CodeConnectionLost = wire.CodeConnectionLostName
+	// CodeRequestTimeout marks a round trip whose I/O deadline expired;
+	// like a lost connection it escapes with network scope.
+	CodeRequestTimeout = "RequestTimeout"
 )
 
 // Contract returns the explicit error interface of the channel: an
@@ -44,6 +44,8 @@ func Contract() *scope.Contract {
 // only — accepting, authenticating, or losing a connection never
 // touches the pool.
 type Server struct {
+	*rpc.Acceptor // Listen and Close
+
 	mon *Monitor
 	key []byte
 
@@ -53,166 +55,164 @@ type Server struct {
 	// framed wire.Session and accepts whichever of binary/secure the
 	// client opens with.
 	Mode wire.Mode
-
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	wg       sync.WaitGroup
 }
 
 // NewServer creates an ops-plane service for mon, authenticated by
 // the shared key.
 func NewServer(mon *Monitor, key []byte) *Server {
-	return &Server{mon: mon, key: append([]byte(nil), key...), conns: make(map[net.Conn]struct{})}
+	s := &Server{mon: mon, key: append([]byte(nil), key...)}
+	s.Acceptor = rpc.NewAcceptor("monitor", s.serve)
+	return s
 }
 
-// Listen starts the service and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("monitor: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serve(conn)
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
+func authFailed() *scope.Error {
+	return scope.New(scope.ScopeLocalResource, CodeAuthFailed, "monitor authentication failed")
 }
 
-// Close stops the service and all connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+// link is one authenticated connection seen as records.  The records
+// are the same canonical lines on both transports; only the envelope
+// differs, and the link hides it: a frame whose command byte names the
+// record, or a bare line (the record tags make the byte redundant)
+// with replies prefixed "ok" / "error".
+type link interface {
+	// recv reads the client's next record.
+	recv() (string, error)
+	// send writes a stream record under its command, or with
+	// wire.CmdOK an acknowledgement carrying rec ("" for none).
+	send(cmd byte, rec string) error
+	// refuse writes err as the reply; an err that is not scoped goes
+	// out at the fallback code and scope.
+	refuse(err error, fallbackCode string, fallbackScope scope.Scope) error
 }
 
+type frameLink struct{ sess *wire.Session }
+
+func (l frameLink) recv() (string, error) {
+	_, payload, err := l.sess.ReadMsg()
+	return string(payload), err
+}
+
+func (l frameLink) send(cmd byte, rec string) error {
+	return l.sess.WriteMsg(cmd, []byte(rec))
+}
+
+func (l frameLink) refuse(err error, code string, sc scope.Scope) error {
+	return l.sess.WriteError(err, code, sc)
+}
+
+type textLink struct {
+	r *bufio.Reader
+	w *bufio.Writer
+}
+
+func (l textLink) recv() (string, error) {
+	line, err := l.r.ReadString('\n')
+	return strings.TrimSpace(line), err
+}
+
+func (l textLink) send(cmd byte, rec string) error {
+	switch {
+	case cmd != wire.CmdOK:
+		fmt.Fprintln(l.w, rec)
+	case rec == "":
+		fmt.Fprint(l.w, "ok\n")
+	default:
+		fmt.Fprintf(l.w, "ok %s\n", rec)
+	}
+	return l.w.Flush()
+}
+
+func (l textLink) refuse(err error, code string, sc scope.Scope) error {
+	fmt.Fprint(l.w, wire.EncodeError(err, code, sc))
+	return l.w.Flush()
+}
+
+// serve authenticates one connection in the server's mode and runs
+// the session over the resulting link.
 func (s *Server) serve(conn net.Conn) {
-	defer conn.Close()
-	if s.Mode != wire.ModeText {
-		s.serveSession(conn)
+	r := bufio.NewReader(conn)
+	if s.Mode == wire.ModeText {
+		w := bufio.NewWriter(conn)
+		if rpc.Challenge(r, w, s.key, scope.New(scope.ScopeLocalResource, CodeAuthFailed, "bad authenticator")) {
+			s.session(conn, textLink{r, w})
+		}
 		return
 	}
-	s.serveText(conn)
+	sess := wire.NewSession(r, conn, wire.Config{Secret: s.key, AuthFailure: authFailed})
+	// session returns only after the subscriber's writer goroutine has
+	// exited, so the pooled buffers are released with no writer left.
+	defer sess.Release()
+	if sess.ServerHandshake() == nil {
+		s.session(conn, frameLink{sess})
+	}
 }
 
-// serveSession handles one framed connection (binary or secure).
-func (s *Server) serveSession(conn net.Conn) {
-	sess := wire.NewSession(bufio.NewReader(conn), conn, wire.Config{
-		Secret: s.key,
-		AuthFailure: func() *scope.Error {
-			return scope.New(scope.ScopeLocalResource, CodeAuthFailed,
-				"monitor authentication failed")
-		},
-	})
-	defer sess.Release()
-	if sess.ServerHandshake() != nil {
-		return
-	}
-	cmd, payload, err := sess.ReadMsg()
+func badRequest(format string, args ...any) *scope.Error {
+	return scope.New(scope.ScopeFunction, CodeBadRequest, format, args...)
+}
+
+// session dispatches on the connection's first record.
+func (s *Server) session(conn net.Conn, l link) {
+	rec, err := l.recv()
 	if err != nil {
 		return
 	}
-	switch cmd {
-	case cmdSub:
-		from, err := ParseSub(string(payload))
+	switch {
+	case strings.HasPrefix(rec, "msub "):
+		from, err := ParseSub(rec)
 		if err != nil {
-			sess.WriteError(scope.New(scope.ScopeFunction, CodeBadRequest, "%v", err),
-				CodeBadRequest, scope.ScopeFunction)
+			l.refuse(badRequest("%v", err), CodeBadRequest, scope.ScopeFunction)
 			return
 		}
-		// Ack before registering the sink: once subscribed, the pump
-		// goroutine owns the write half, and a concurrent ack would
-		// race it.  A refused subscription (the monitor is dead)
-		// follows the ack as an error frame in the stream.
-		if sess.WriteMsg(wire.CmdOK) != nil {
+		// Ack before registering the sink: once subscribed, the sink's
+		// writer goroutine owns the write half, and a concurrent ack
+		// would race it.  A refused subscription (the monitor is dead)
+		// follows the ack as an error reply in the stream.
+		if l.send(wire.CmdOK, "") != nil {
 			return
 		}
-		sink := newAsyncSink(conn, func(cmd byte, line string) error {
-			return sess.WriteMsg(cmd, []byte(line))
-		})
+		sink := newAsyncSink(conn, l.send)
 		if err := s.mon.Subscribe(sink, from); err != nil {
-			sess.WriteError(err, CodeMonitorDead, scope.ScopeProcess)
-			sink.Close()
-			<-sink.done
-			return
-		}
-		// The stream is one-way from here: the sink's writer goroutine
-		// owns the write half while this goroutine blocks on the read
-		// half, waiting only for the client to hang up.  The session's
-		// read and write halves are independent, so the split is safe.
-		for {
-			if _, _, err := sess.ReadMsg(); err != nil {
-				break
+			l.refuse(err, CodeMonitorDead, scope.ScopeProcess)
+		} else {
+			// The stream is one-way from here: this goroutine blocks on
+			// the read half, waiting only for the client to hang up.
+			// The two halves of a link are independent, so the split
+			// is safe.
+			for err == nil {
+				_, err = l.recv()
 			}
+			s.mon.Detach(sink)
 		}
-		s.mon.Detach(sink)
 		sink.Close()
-		// Wait for the writer goroutine to flush and exit before the
-		// deferred Release returns the session's pooled buffers; the
-		// sink's close grace bounds the wait.
+		// Wait for the writer goroutine to flush and exit; the sink's
+		// close grace bounds the wait.
 		<-sink.done
 
-	case cmdAdmin:
+	case strings.HasPrefix(rec, "madm "):
 		for {
-			verb, target, err := ParseAdmin(string(payload))
+			verb, target, err := ParseAdmin(rec)
 			if err != nil {
-				sess.WriteError(scope.New(scope.ScopeFunction, CodeBadRequest, "%v", err),
-					CodeBadRequest, scope.ScopeFunction)
+				l.refuse(badRequest("%v", err), CodeBadRequest, scope.ScopeFunction)
 				return
 			}
-			detail, aerr := s.mon.Admin(verb, target)
-			if aerr != nil {
-				if sess.WriteError(aerr, CodeBadRequest, scope.ScopePool) != nil {
-					return
-				}
-			} else if sess.WriteMsg(wire.CmdOK, []byte(EncodeAdminOK(verb, target, detail))) != nil {
+			if detail, aerr := s.mon.Admin(verb, target); aerr != nil {
+				err = l.refuse(aerr, CodeBadRequest, scope.ScopePool)
+			} else {
+				err = l.send(wire.CmdOK, EncodeAdminOK(verb, target, detail))
+			}
+			if err != nil {
 				return
 			}
-			if cmd, payload, err = sess.ReadMsg(); err != nil || cmd != cmdAdmin {
+			if rec, err = l.recv(); err != nil {
 				return
 			}
 		}
 
 	default:
-		// The same explicit refusal the text path gives: a first
-		// record that is neither a subscribe nor an admin request is a
-		// bad request, not a silent close.
-		sess.WriteError(scope.New(scope.ScopeFunction, CodeBadRequest,
-			"expected msub or madm, got command %#x", cmd),
-			CodeBadRequest, scope.ScopeFunction)
+		// A first record that is neither a subscribe nor an admin
+		// request is a bad request, not a silent close.
+		l.refuse(badRequest("expected msub or madm, got %q", rec), CodeBadRequest, scope.ScopeFunction)
 	}
 }
 
@@ -347,135 +347,3 @@ func (k *asyncSink) drain() {
 		}
 	}
 }
-
-// serveText handles one legacy line-protocol connection: an HMAC
-// challenge/response, then the same first-record dispatch, with
-// records travelling as bare lines (their tags make the command byte
-// redundant).
-func (s *Server) serveText(conn net.Conn) {
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
-
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
-		return
-	}
-	fmt.Fprintf(w, "challenge %s\n", hex.EncodeToString(nonce))
-	if w.Flush() != nil {
-		return
-	}
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 2 || fields[0] != "auth" || !s.verify(nonce, fields[1]) {
-		fmt.Fprint(w, wire.EncodeError(
-			scope.New(scope.ScopeLocalResource, CodeAuthFailed, "bad authenticator"),
-			CodeAuthFailed, scope.ScopeLocalResource))
-		w.Flush()
-		return
-	}
-	fmt.Fprint(w, "ok\n")
-	if w.Flush() != nil {
-		return
-	}
-
-	line, err = r.ReadString('\n')
-	if err != nil {
-		return
-	}
-	line = strings.TrimSpace(line)
-	switch {
-	case strings.HasPrefix(line, "msub "):
-		from, err := ParseSub(line)
-		if err != nil {
-			fmt.Fprint(w, wire.EncodeError(
-				scope.New(scope.ScopeFunction, CodeBadRequest, "%v", err),
-				CodeBadRequest, scope.ScopeFunction))
-			w.Flush()
-			return
-		}
-		// Ack before registering the sink, for the same single-writer
-		// reason as the framed path.
-		fmt.Fprint(w, "ok\n")
-		if w.Flush() != nil {
-			return
-		}
-		// The record tags make the command byte redundant on this
-		// transport, so the writer ignores it.
-		sink := newAsyncSink(conn, func(_ byte, line string) error {
-			if _, err := fmt.Fprintln(w, line); err != nil {
-				return err
-			}
-			return w.Flush()
-		})
-		if err := s.mon.Subscribe(sink, from); err != nil {
-			fmt.Fprint(w, wire.EncodeError(err, CodeMonitorDead, scope.ScopeProcess))
-			w.Flush()
-			sink.Close()
-			<-sink.done
-			return
-		}
-		// Block on the read half until the client hangs up; the sink's
-		// writer goroutine owns the write half.
-		for {
-			if _, err := r.ReadString('\n'); err != nil {
-				break
-			}
-		}
-		s.mon.Detach(sink)
-		sink.Close()
-		<-sink.done
-
-	case strings.HasPrefix(line, "madm "):
-		for {
-			verb, target, err := ParseAdmin(line)
-			if err != nil {
-				fmt.Fprint(w, wire.EncodeError(
-					scope.New(scope.ScopeFunction, CodeBadRequest, "%v", err),
-					CodeBadRequest, scope.ScopeFunction))
-				w.Flush()
-				return
-			}
-			detail, aerr := s.mon.Admin(verb, target)
-			if aerr != nil {
-				fmt.Fprint(w, wire.EncodeError(aerr, CodeBadRequest, scope.ScopePool))
-			} else {
-				fmt.Fprintf(w, "ok %s\n", EncodeAdminOK(verb, target, detail))
-			}
-			if w.Flush() != nil {
-				return
-			}
-			raw, err := r.ReadString('\n')
-			if err != nil {
-				return
-			}
-			line = strings.TrimSpace(raw)
-		}
-
-	default:
-		fmt.Fprint(w, wire.EncodeError(
-			scope.New(scope.ScopeFunction, CodeBadRequest, "expected msub or madm, got %q", line),
-			CodeBadRequest, scope.ScopeFunction))
-		w.Flush()
-	}
-}
-
-func (s *Server) verify(nonce []byte, mac string) bool {
-	want := authenticate(s.key, nonce)
-	got, err := hex.DecodeString(mac)
-	if err != nil {
-		return false
-	}
-	return hmac.Equal(got, want)
-}
-
-// authenticate computes the HMAC response for a nonce — the same
-// construction the remote I/O channel uses.
-func authenticate(key, nonce []byte) []byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(nonce)
-	return m.Sum(nil)
-}
-

@@ -158,13 +158,3 @@ func TestListErrorPath(t *testing.T) {
 		t.Errorf("list after renew = %+v, %v", infos, err)
 	}
 }
-
-func TestDialTimeoutRefused(t *testing.T) {
-	// A port with nothing listening: connection refused must escape
-	// with network scope.
-	_, err := Dial("127.0.0.1:1", testKey)
-	se, _ := scope.AsError(err)
-	if se == nil || se.Kind != scope.KindEscaping || se.Scope != scope.ScopeNetwork {
-		t.Errorf("refused dial = %v", err)
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"net"
 
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/wire"
 )
@@ -13,10 +14,8 @@ import (
 
 func (s *Server) serveBinary(conn net.Conn) {
 	sess := wire.NewSession(bufio.NewReader(conn), conn, wire.Config{
-		Secret: s.key,
-		AuthFailure: func() *scope.Error {
-			return scope.New(scope.ScopeLocalResource, CodeAuthFailed, "bad authenticator")
-		},
+		Secret:      s.key,
+		AuthFailure: authFailed,
 	})
 	defer sess.Release()
 	if err := sess.ServerHandshake(); err != nil {
@@ -27,40 +26,30 @@ func (s *Server) serveBinary(conn net.Conn) {
 		if err != nil {
 			return
 		}
-		quit, err := s.handleBin(sess, cmd, pl)
-		if err != nil || quit {
+		if cmd == rioQuit {
+			_ = sess.WriteMsg(wire.CmdOK) // the client is already leaving
+			return
+		}
+		// Refusals are answered in-band; only a failed response write
+		// ends the connection.
+		resp, err := s.handleBin(cmd, pl)
+		if err != nil {
+			err = sess.WriteError(err, CodeShadowError, scope.ScopeLocalResource)
+		} else {
+			err = sess.WriteMsg(wire.CmdOK, resp)
+		}
+		if err != nil {
 			return
 		}
 	}
 }
 
-func rioErr(sess *wire.Session, err error) error {
-	return sess.WriteError(err, CodeShadowError, scope.ScopeLocalResource)
-}
-
-func rioBadRequest(sess *wire.Session, format string, args ...any) error {
-	return rioErr(sess, scope.New(scope.ScopeFunction, CodeBadRequest, format, args...))
-}
-
-// handleBin processes one RPC frame; the returned error is fatal to
-// the connection (a response write failed).
-func (s *Server) handleBin(sess *wire.Session, cmd byte, pl []byte) (quit bool, fatal error) {
-	if cmd == rioQuit {
-		return true, sess.WriteMsg(wire.CmdOK)
+// handleBin decodes and runs one RPC frame and returns the response
+// payload.
+func (s *Server) handleBin(cmd byte, pl []byte) ([]byte, error) {
+	if err := s.expiry(true); err != nil {
+		return nil, err
 	}
-	// Both expiry gates come before any RPC work, mirroring the text
-	// server's credential check: the channel's security state is
-	// unavailable, a local-resource condition, regardless of what the
-	// RPC would have done.
-	if s.sessionKeysExpired() {
-		return false, rioErr(sess, scope.New(scope.ScopeLocalResource, wire.CodeKeyExpired,
-			"session key expired: sealed-frame budget exhausted, rekey required"))
-	}
-	if s.credentialsExpired() {
-		return false, rioErr(sess, scope.New(scope.ScopeLocalResource, CodeCredentialsExpired,
-			"the channel's security credentials have expired"))
-	}
-
 	cur := wire.NewCursor(pl)
 	switch cmd {
 	case rioRead:
@@ -68,81 +57,42 @@ func (s *Server) handleBin(sess *wire.Session, cmd byte, pl []byte) (quit bool, 
 		length := int(cur.U32())
 		path := cur.RestString()
 		if !cur.OK() || length < 0 || length > maxDataLen {
-			return false, rioBadRequest(sess, "bad read arguments")
+			return nil, badRequest("bad read arguments")
 		}
-		data, err := s.fs.ReadAt(path, off, length)
-		if err != nil {
-			return false, rioErr(sess, err)
-		}
-		return false, sess.WriteMsg(wire.CmdOK, data)
+		return s.fs.ReadAt(path, off, length)
 
 	case rioWrite:
 		off := cur.I64()
 		path := cur.Str()
 		data := cur.Rest()
 		if !cur.OK() {
-			return false, rioBadRequest(sess, "bad write arguments")
+			return nil, badRequest("bad write arguments")
 		}
 		n, err := s.fs.WriteAt(path, off, data)
-		if err != nil {
-			return false, rioErr(sess, err)
-		}
-		return false, sess.WriteMsg(wire.CmdOK, wire.AppendU32(nil, uint32(n)))
+		return wire.AppendU32(nil, uint32(n)), err
 
 	case rioCreate:
-		return false, s.rioPath1(sess, &cur, s.fs.Create)
+		return nil, s.fs.Create(cur.RestString())
 	case rioTrunc:
-		return false, s.rioPath1(sess, &cur, func(p string) error { return s.fs.WriteFile(p, nil) })
+		return nil, s.fs.WriteFile(cur.RestString(), nil)
 	case rioUnlink:
-		return false, s.rioPath1(sess, &cur, s.fs.Unlink)
+		return nil, s.fs.Unlink(cur.RestString())
 
 	case rioStat:
 		info, err := s.fs.Stat(cur.RestString())
-		if err != nil {
-			return false, rioErr(sess, err)
-		}
-		out := wire.AppendI64(nil, info.Size)
-		out = append(out, roByte(info.ReadOnly))
-		out = append(out, info.Path...)
-		return false, sess.WriteMsg(wire.CmdOK, out)
+		return rpc.AppendInfo(nil, info, true), err
 
 	case rioList:
 		infos, err := s.fs.List(cur.RestString())
-		if err != nil {
-			return false, rioErr(sess, err)
-		}
-		out := wire.AppendU32(nil, uint32(len(infos)))
-		for _, info := range infos {
-			out = wire.AppendI64(out, info.Size)
-			out = append(out, roByte(info.ReadOnly))
-			out = wire.AppendStr(out, info.Path)
-		}
-		return false, sess.WriteMsg(wire.CmdOK, out)
+		return rpc.AppendInfos(nil, infos), err
 
 	case rioRename:
 		oldPath := cur.Str()
 		newPath := cur.RestString()
 		if !cur.OK() {
-			return false, rioBadRequest(sess, "bad rename arguments")
+			return nil, badRequest("bad rename arguments")
 		}
-		if err := s.fs.Rename(oldPath, newPath); err != nil {
-			return false, rioErr(sess, err)
-		}
-		return false, sess.WriteMsg(wire.CmdOK)
+		return nil, s.fs.Rename(oldPath, newPath)
 	}
-	return false, rioBadRequest(sess, "unknown command %#x", cmd)
-}
-
-func (s *Server) rioPath1(sess *wire.Session, cur *wire.Cursor, op func(string) error) error {
-	if err := op(cur.RestString()); err != nil {
-		return rioErr(sess, err)
-	}
-	return sess.WriteMsg(wire.CmdOK)
-}
-
-func roByte(ro bool) byte {
-	if ro {
-		return 1
-	}
-	return 0
+	return nil, badRequest("unknown command %#x", cmd)
 }

@@ -1,77 +1,36 @@
 package remoteio
 
 import (
-	"bufio"
-	"encoding/hex"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
-	"github.com/errscope/grid/internal/obs"
-	"github.com/errscope/grid/internal/scope"
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/vfs"
 	"github.com/errscope/grid/internal/wire"
 )
 
-// Client speaks the shadow remote I/O protocol.  Transport failures
-// surface as escaping errors of network scope; the caller (the
-// starter's proxy) widens them to local-resource scope, because a
-// shadow that cannot be reached means the submit side is unavailable.
-type Client struct {
-	mu   sync.Mutex
-	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	dead error
-
-	mode      wire.Mode
-	sess      *wire.Session // nil in text mode
-	ioTimeout time.Duration
-
-	// Trace, when non-nil and enabled, receives an error event the
-	// first time the transport fails; TraceJob tags it.  Set both
-	// before issuing requests.
-	Trace    obs.Tracer
-	TraceJob int64
-}
+// Client speaks the shadow remote I/O protocol over the shared
+// rpc.Client connection (deadlines, the sticky transport failure, the
+// Trace and TraceJob fields).  Transport failures surface as escaping
+// errors of network scope; the caller (the starter's proxy) widens them
+// to local-resource scope, because a shadow that cannot be reached
+// means the submit side is unavailable.
+type Client struct{ *rpc.Client }
 
 // DialOptions parameterize a client connection.  The mode must match
 // the server's: unlike Chirp, the text server speaks first (the
 // challenge), so the transport cannot be sniffed from the client's
 // opening bytes.
-type DialOptions struct {
-	// Timeout bounds the TCP connect; 0 means 10s.
-	Timeout time.Duration
-	// IOTimeout bounds each request round trip.  0 means 10s;
-	// negative disables deadlines.  Expiry surfaces as an escaping
-	// network-scope RequestTimeout error.
-	IOTimeout time.Duration
-	// Mode selects the transport; it must match the server's Mode.
-	Mode wire.Mode
-	// RekeyAfter bounds sealed frames per direction in ModeSecure.
-	RekeyAfter uint64
-}
+type DialOptions = rpc.DialOptions
 
-func (o DialOptions) connectTimeout() time.Duration {
-	if o.Timeout == 0 {
-		return 10 * time.Second
-	}
-	return o.Timeout
-}
-
-func (o DialOptions) ioTimeout() time.Duration {
-	if o.IOTimeout == 0 {
-		return 10 * time.Second
-	}
-	if o.IOTimeout < 0 {
-		return 0
-	}
-	return o.IOTimeout
+var proto = rpc.Proto{
+	Comp:           "remoteio-client",
+	Counter:        "remoteio.transport_failures",
+	ConnectionLost: CodeConnectionLost,
+	RequestTimeout: CodeRequestTimeout,
+	BadRequest:     CodeBadRequest,
 }
 
 // Dial connects and authenticates with the shared key.
@@ -89,281 +48,75 @@ func DialMode(addr string, key []byte, mode wire.Mode) (*Client, error) {
 	return DialOpts(addr, key, DialOptions{Mode: mode})
 }
 
-// DialOpts connects with full options.
-func DialOpts(addr string, key []byte, o DialOptions) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, o.connectTimeout())
+func wrap(c *rpc.Client, err error) (*Client, error) {
 	if err != nil {
-		return nil, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	c, err := NewClient(conn, key, o)
-	if err != nil {
-		conn.Close()
 		return nil, err
 	}
-	return c, nil
+	return &Client{c}, nil
+}
+
+// answer is the text-mode authentication: the HMAC challenge.
+func answer(key []byte) func(*rpc.Client) error {
+	return func(c *rpc.Client) error { return c.AnswerChallenge(key) }
+}
+
+// DialOpts connects with full options.
+func DialOpts(addr string, key []byte, o DialOptions) (*Client, error) {
+	return wrap(rpc.Dial(&proto, addr, o, key, answer(key)))
 }
 
 // NewClient authenticates over an established connection (used by
 // benchmarks and tests that construct their own sockets).
 func NewClient(conn net.Conn, key []byte, o DialOptions) (*Client, error) {
-	c := &Client{
-		conn:      conn,
-		r:         bufio.NewReader(conn),
-		w:         bufio.NewWriter(conn),
-		mode:      o.Mode,
-		ioTimeout: o.ioTimeout(),
-	}
-	if o.Mode != wire.ModeText {
-		c.sess = wire.NewSession(c.r, conn, wire.Config{
-			Mode:       o.Mode,
-			Secret:     key,
-			RekeyAfter: o.RekeyAfter,
-		})
-		c.arm()
-		err := c.sess.ClientHandshake()
-		c.disarm()
-		if err != nil {
-			if se, ok := scope.AsError(err); ok && se.Scope != scope.ScopeNetwork {
-				return nil, se // the server's explicit refusal
-			}
-			return nil, scope.Escape(scope.ScopeNetwork, "", err)
-		}
-		return c, nil
-	}
-
-	c.arm()
-	line, err := c.r.ReadString('\n')
-	c.disarm()
-	if err != nil {
-		return nil, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 2 || fields[0] != "challenge" {
-		return nil, scope.Escape(scope.ScopeNetwork, CodeConnectionLost,
-			fmt.Errorf("bad challenge %q", line))
-	}
-	nonce, err := hex.DecodeString(fields[1])
-	if err != nil {
-		return nil, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	mac := authenticate(key, nonce)
-	if _, _, err := c.roundTrip(fmt.Sprintf("auth %s\n", hex.EncodeToString(mac)), 0); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return wrap(rpc.NewClient(&proto, conn, o, key, answer(key)))
 }
 
-// Close ends the session.
-func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil
-	}
-	if c.sess != nil {
-		_ = c.sess.WriteMsg(rioQuit) // best effort
-		c.sess.Release()
-		c.sess = nil
-	} else {
-		fmt.Fprint(c.w, "quit\n")
-		c.w.Flush()
-	}
-	err := c.conn.Close()
-	c.conn = nil
-	return err
-}
-
-// arm sets the per-request I/O deadline; disarm clears it.
-func (c *Client) arm() {
-	if c.ioTimeout > 0 && c.conn != nil {
-		c.conn.SetDeadline(time.Now().Add(c.ioTimeout))
-	}
-}
-
-func (c *Client) disarm() {
-	if c.ioTimeout > 0 && c.conn != nil {
-		c.conn.SetDeadline(time.Time{})
-	}
-}
-
-// fail records and returns a sticky transport error.  A scoped cause
-// (a frame-layer fault) keeps its code and escapes; a deadline expiry
-// becomes RequestTimeout; anything else is a lost connection.
-func (c *Client) fail(err error) error {
-	code := CodeConnectionLost
-	var ne net.Error
-	if _, ok := scope.AsError(err); ok {
-		code = "" // Escape adopts the cause's code and widens its scope
-	} else if errors.As(err, &ne) && ne.Timeout() {
-		code = CodeRequestTimeout
-	}
-	esc := scope.Escape(scope.ScopeNetwork, code, err)
-	first := c.dead == nil
-	c.dead = esc
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-	}
-	if first && c.Trace != nil && c.Trace.Enabled() {
-		// One origin event per connection death; later calls return
-		// the sticky error without re-reporting.
-		c.Trace.Emit(obs.Event{
-			T:      time.Now().UnixNano(),
-			Comp:   "remoteio-client",
-			Kind:   obs.KindError,
-			Job:    c.TraceJob,
-			Code:   esc.Code,
-			Scope:  esc.Scope.String(),
-			EKind:  esc.Kind.String(),
-			Detail: esc.Error(),
-		})
-		c.Trace.Count("remoteio.transport_failures", 1)
-	}
-	return esc
-}
-
-// failLocked is fail for callers outside the round-trip lock.
-func (c *Client) failLocked(err error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fail(err)
-}
-
-func (c *Client) roundTrip(request string, wantData int, payload ...[]byte) (string, []byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead != nil {
-		return "", nil, c.dead
-	}
-	if c.conn == nil {
-		return "", nil, scope.New(scope.ScopeFunction, CodeBadRequest, "client closed")
-	}
-	c.arm()
-	defer c.disarm()
-	if _, err := io.WriteString(c.w, request); err != nil {
-		return "", nil, c.fail(err)
-	}
-	for _, p := range payload {
-		if _, err := c.w.Write(p); err != nil {
-			return "", nil, c.fail(err)
-		}
-	}
-	if err := c.w.Flush(); err != nil {
-		return "", nil, c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return "", nil, c.fail(err)
-	}
-	line = strings.TrimRight(line, "\r\n")
-	verb, rest, _ := strings.Cut(line, " ")
-	switch verb {
-	case "ok":
-		var data []byte
-		if wantData > 0 {
-			lenField, _, _ := strings.Cut(rest, " ")
-			n, convErr := strconv.Atoi(lenField)
-			if convErr != nil || n < 0 || n > maxDataLen {
-				return "", nil, c.fail(fmt.Errorf("bad data length %q", line))
-			}
-			data = make([]byte, n)
-			if _, err := io.ReadFull(c.r, data); err != nil {
-				return "", nil, c.fail(err)
-			}
-		}
-		return rest, data, nil
-	case "error":
-		// Decode from the raw remainder: the quoted message may
-		// contain consecutive spaces that field-splitting would eat.
-		se, decErr := wire.DecodeError(rest)
-		if decErr != nil {
-			return "", nil, c.fail(decErr)
-		}
-		return "", nil, se
-	default:
-		return "", nil, c.fail(fmt.Errorf("bad response %q", line))
-	}
-}
-
-// roundTripBin sends one framed request and returns the response
-// payload (copied out of the session buffer).
-func (c *Client) roundTripBin(cmd byte, parts ...[]byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead != nil {
-		return nil, c.dead
-	}
-	if c.conn == nil {
-		return nil, scope.New(scope.ScopeFunction, CodeBadRequest, "client closed")
-	}
-	c.arm()
-	defer c.disarm()
-	if err := c.sess.WriteMsg(cmd, parts...); err != nil {
-		return nil, c.fail(err)
-	}
-	rcmd, pl, err := c.sess.ReadMsg()
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	switch rcmd {
-	case wire.CmdOK:
-		return append([]byte(nil), pl...), nil
-	case wire.CmdErr:
-		se, decErr := wire.DecodeErrorPayload(pl)
-		if decErr != nil {
-			return nil, c.fail(decErr)
-		}
-		return nil, se
-	default:
-		return nil, c.fail(fmt.Errorf("bad response frame %#x", rcmd))
-	}
-}
-
-func (c *Client) binary() bool { return c.mode != wire.ModeText }
+// Close ends the session politely and closes the connection.
+func (c *Client) Close() error { return c.Quit(rioQuit) }
 
 // Read reads up to length bytes of path at offset.
 func (c *Client) Read(path string, offset int64, length int) ([]byte, error) {
-	if c.binary() {
+	if c.Binary() {
 		arg := wire.AppendU32(wire.AppendI64(nil, offset), uint32(length))
-		return c.roundTripBin(rioRead, arg, []byte(path))
+		return c.CallBin(rioRead, arg, []byte(path))
 	}
-	_, data, err := c.roundTrip(fmt.Sprintf("read %s %d %d\n", wire.Quote(path), offset, length), length)
+	_, data, err := c.Call(fmt.Sprintf("read %s %d %d\n", wire.Quote(path), offset, length), length)
 	return data, err
 }
 
 // Write writes data to path at offset.
 func (c *Client) Write(path string, offset int64, data []byte) (int, error) {
-	if c.binary() {
+	if c.Binary() {
 		arg := wire.AppendStr(wire.AppendI64(nil, offset), path)
-		pl, err := c.roundTripBin(rioWrite, arg, data)
+		pl, err := c.CallBin(rioWrite, arg, data)
 		if err != nil {
 			return 0, err
 		}
 		cur := wire.NewCursor(pl)
 		n := cur.U32()
 		if !cur.Done() {
-			return 0, c.failLocked(fmt.Errorf("bad write response (%d bytes)", len(pl)))
+			return 0, c.Fail(fmt.Errorf("bad write response (%d bytes)", len(pl)))
 		}
 		return int(n), nil
 	}
-	v, _, err := c.roundTrip(fmt.Sprintf("write %s %d %d\n", wire.Quote(path), offset, len(data)), 0, data)
+	v, _, err := c.Call(fmt.Sprintf("write %s %d %d\n", wire.Quote(path), offset, len(data)), 0, data)
 	if err != nil {
 		return 0, err
 	}
 	n, convErr := strconv.Atoi(v)
 	if convErr != nil {
-		return 0, c.failLocked(fmt.Errorf("bad write response %q", v))
+		return 0, c.Fail(fmt.Errorf("bad write response %q", v))
 	}
 	return n, nil
 }
 
 // pathOp runs one path-only RPC in either transport.
 func (c *Client) pathOp(cmd byte, verb, path string) error {
-	if c.binary() {
-		_, err := c.roundTripBin(cmd, []byte(path))
+	if c.Binary() {
+		_, err := c.CallBin(cmd, []byte(path))
 		return err
 	}
-	_, _, err := c.roundTrip(fmt.Sprintf("%s %s\n", verb, wire.Quote(path)), 0)
+	_, _, err := c.Call(fmt.Sprintf("%s %s\n", verb, wire.Quote(path)), 0)
 	return err
 }
 
@@ -378,124 +131,26 @@ func (c *Client) Unlink(path string) error { return c.pathOp(rioUnlink, "unlink"
 
 // Rename moves a file.
 func (c *Client) Rename(oldPath, newPath string) error {
-	if c.binary() {
-		_, err := c.roundTripBin(rioRename, wire.AppendStr(nil, oldPath), []byte(newPath))
+	if c.Binary() {
+		_, err := c.CallBin(rioRename, wire.AppendStr(nil, oldPath), []byte(newPath))
 		return err
 	}
-	_, _, err := c.roundTrip(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)), 0)
+	_, _, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)), 0)
 	return err
 }
 
 // List enumerates files under a prefix.
 func (c *Client) List(prefix string) ([]vfs.Info, error) {
-	if c.binary() {
-		pl, err := c.roundTripBin(rioList, []byte(prefix))
-		if err != nil {
-			return nil, err
-		}
-		cur := wire.NewCursor(pl)
-		n := int(cur.U32())
-		if !cur.OK() || n < 0 || n > 1<<20 {
-			return nil, c.failLocked(fmt.Errorf("bad list response (%d bytes)", len(pl)))
-		}
-		out := make([]vfs.Info, 0, n)
-		for i := 0; i < n; i++ {
-			size := cur.I64()
-			ro := cur.U8()
-			p := cur.Str()
-			out = append(out, vfs.Info{Path: p, Size: size, ReadOnly: ro != 0})
-		}
-		if !cur.Done() {
-			return nil, c.failLocked(fmt.Errorf("bad list entries (%d bytes)", len(pl)))
-		}
-		return out, nil
+	if c.Binary() {
+		return c.CallListBin(rioList, prefix)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dead != nil {
-		return nil, c.dead
-	}
-	if c.conn == nil {
-		return nil, scope.New(scope.ScopeFunction, CodeBadRequest, "client closed")
-	}
-	c.arm()
-	defer c.disarm()
-	if _, err := fmt.Fprintf(c.w, "list %s\n", wire.Quote(prefix)); err != nil {
-		return nil, c.fail(err)
-	}
-	if err := c.w.Flush(); err != nil {
-		return nil, c.fail(err)
-	}
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return nil, c.fail(err)
-	}
-	line = strings.TrimRight(line, "\r\n")
-	verb, rest, _ := strings.Cut(line, " ")
-	if verb == "error" {
-		se, decErr := wire.DecodeError(rest)
-		if decErr != nil {
-			return nil, c.fail(decErr)
-		}
-		return nil, se
-	}
-	if verb != "ok" || strings.Contains(rest, " ") {
-		return nil, c.fail(fmt.Errorf("bad list response %q", line))
-	}
-	n, convErr := strconv.Atoi(rest)
-	if convErr != nil || n < 0 || n > 1<<20 {
-		return nil, c.fail(fmt.Errorf("bad list count %q", rest))
-	}
-	out := make([]vfs.Info, 0, n)
-	for i := 0; i < n; i++ {
-		entry, err := c.r.ReadString('\n')
-		if err != nil {
-			return nil, c.fail(err)
-		}
-		ef := strings.Fields(strings.TrimRight(entry, "\r\n"))
-		if len(ef) < 3 {
-			return nil, c.fail(fmt.Errorf("bad list entry %q", entry))
-		}
-		size, e1 := strconv.ParseInt(ef[0], 10, 64)
-		ro, e2 := strconv.Atoi(ef[1])
-		p, e3 := wire.Unquote(strings.Join(ef[2:], " "))
-		if e1 != nil || e2 != nil || e3 != nil {
-			return nil, c.fail(fmt.Errorf("bad list entry %q", entry))
-		}
-		out = append(out, vfs.Info{Path: p, Size: size, ReadOnly: ro != 0})
-	}
-	return out, nil
+	return c.CallList(fmt.Sprintf("list %s\n", wire.Quote(prefix)))
 }
 
 // Stat describes a file.
 func (c *Client) Stat(path string) (vfs.Info, error) {
-	if c.binary() {
-		pl, err := c.roundTripBin(rioStat, []byte(path))
-		if err != nil {
-			return vfs.Info{}, err
-		}
-		cur := wire.NewCursor(pl)
-		size := cur.I64()
-		ro := cur.U8()
-		p := cur.RestString()
-		if !cur.Done() {
-			return vfs.Info{}, c.failLocked(fmt.Errorf("bad stat response (%d bytes)", len(pl)))
-		}
-		return vfs.Info{Path: p, Size: size, ReadOnly: ro != 0}, nil
+	if c.Binary() {
+		return c.CallStatBin(rioStat, path)
 	}
-	v, _, err := c.roundTrip(fmt.Sprintf("stat %s\n", wire.Quote(path)), 0)
-	if err != nil {
-		return vfs.Info{}, err
-	}
-	fields := strings.Fields(v)
-	if len(fields) < 3 {
-		return vfs.Info{}, c.failLocked(fmt.Errorf("bad stat response %q", v))
-	}
-	size, err1 := strconv.ParseInt(fields[0], 10, 64)
-	ro, err2 := strconv.Atoi(fields[1])
-	p, err3 := wire.Unquote(strings.Join(fields[2:], " "))
-	if err1 != nil || err2 != nil || err3 != nil {
-		return vfs.Info{}, c.failLocked(fmt.Errorf("bad stat response %q", v))
-	}
-	return vfs.Info{Path: p, Size: size, ReadOnly: ro != 0}, nil
+	return c.CallStat(fmt.Sprintf("stat %s\n", wire.Quote(path)))
 }

@@ -139,18 +139,6 @@ func TestCredentialExpiry(t *testing.T) {
 	}
 }
 
-func TestServerDeathEscapes(t *testing.T) {
-	fs, srv, addr := startShadow(t)
-	fs.WriteFile("/f", []byte("x"))
-	c := shadowClient(t, addr)
-	srv.Close()
-	_, err := c.Read("/f", 0, 1)
-	se, _ := scope.AsError(err)
-	if se == nil || se.Kind != scope.KindEscaping || se.Scope != scope.ScopeNetwork {
-		t.Fatalf("read after shadow death = %v", err)
-	}
-}
-
 func TestErrorsConformToContract(t *testing.T) {
 	fs, srv, addr := startShadow(t)
 	fs.WriteFile("/f", []byte("x"))

@@ -18,17 +18,12 @@ package remoteio
 
 import (
 	"bufio"
-	"crypto/hmac"
-	"crypto/rand"
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
 	"io"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/vfs"
 	"github.com/errscope/grid/internal/wire"
@@ -63,7 +58,7 @@ const (
 )
 
 // maxDataLen bounds one RPC payload.
-const maxDataLen = 16 << 20
+const maxDataLen = rpc.MaxData
 
 // Contract returns the explicit error interface of the channel.
 func Contract() *scope.Contract {
@@ -84,6 +79,8 @@ func Contract() *scope.Contract {
 // Server is the shadow's file service: it exposes the submit
 // machine's file system (a vfs.FileSystem) over authenticated RPC.
 type Server struct {
+	*rpc.Acceptor // Listen and Close
+
 	fs  *vfs.FileSystem
 	key []byte
 
@@ -93,367 +90,166 @@ type Server struct {
 	Mode wire.Mode
 
 	mu          sync.Mutex
-	listener    net.Listener
-	conns       map[net.Conn]struct{}
-	closed      bool
 	expired     bool
 	expiredKeys bool
-	wg          sync.WaitGroup
 }
 
 // NewServer creates a shadow file service over fs, authenticated by
 // the shared key.
 func NewServer(fs *vfs.FileSystem, key []byte) *Server {
-	return &Server{fs: fs, key: append([]byte(nil), key...), conns: make(map[net.Conn]struct{})}
+	s := &Server{fs: fs, key: append([]byte(nil), key...)}
+	s.Acceptor = rpc.NewAcceptor("remoteio", s.serve)
+	return s
+}
+
+func (s *Server) setFlag(flag *bool, v bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	*flag = v
 }
 
 // ExpireCredentials simulates security-credential expiry: every
 // subsequent RPC fails with CredentialsExpiredError at local-resource
 // scope until RenewCredentials is called.
-func (s *Server) ExpireCredentials() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expired = true
-}
+func (s *Server) ExpireCredentials() { s.setFlag(&s.expired, true) }
 
 // RenewCredentials restores the channel's credentials.
-func (s *Server) RenewCredentials() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expired = false
-}
-
-func (s *Server) credentialsExpired() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expired
-}
+func (s *Server) RenewCredentials() { s.setFlag(&s.expired, false) }
 
 // ExpireSessionKeys simulates the secure session's key budget running
 // out on the server side: every subsequent framed RPC fails with
 // KeyExpired at local-resource scope until RenewSessionKeys.  It is
 // deterministic — a flag, never wall time.
-func (s *Server) ExpireSessionKeys() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expiredKeys = true
-}
+func (s *Server) ExpireSessionKeys() { s.setFlag(&s.expiredKeys, true) }
 
 // RenewSessionKeys restores the session keys.
-func (s *Server) RenewSessionKeys() {
+func (s *Server) RenewSessionKeys() { s.setFlag(&s.expiredKeys, false) }
+
+// expiry is the gate before any RPC work: with the channel's security
+// state unavailable — a local-resource condition — the RPC is refused
+// regardless of what it would have done.  Session keys exist only in
+// the framed modes.
+func (s *Server) expiry(framed bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.expiredKeys = false
-}
-
-func (s *Server) sessionKeysExpired() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.expiredKeys
-}
-
-// Listen starts the service and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("remoteio: listen: %w", err)
+	if framed && s.expiredKeys {
+		return scope.New(scope.ScopeLocalResource, wire.CodeKeyExpired,
+			"session key expired: sealed-frame budget exhausted, rekey required")
 	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serve(conn)
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
+	if s.expired {
+		return scope.New(scope.ScopeLocalResource, CodeCredentialsExpired,
+			"the channel's security credentials have expired")
+	}
+	return nil
 }
 
-// Close stops the service and all connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	if s.listener != nil {
-		s.listener.Close()
-	}
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
+func badRequest(format string, args ...any) *scope.Error {
+	return scope.New(scope.ScopeFunction, CodeBadRequest, format, args...)
 }
 
-func errLine(w *bufio.Writer, err error) {
-	fmt.Fprint(w, wire.EncodeError(err, CodeShadowError, scope.ScopeLocalResource))
+func authFailed() *scope.Error {
+	return scope.New(scope.ScopeLocalResource, CodeAuthFailed, "bad authenticator")
 }
 
 func (s *Server) serve(conn net.Conn) {
-	defer conn.Close()
 	if s.Mode != wire.ModeText {
 		s.serveBinary(conn)
 		return
 	}
 	r := bufio.NewReader(conn)
 	w := bufio.NewWriter(conn)
-
-	// Challenge/response authentication.
-	nonce := make([]byte, 16)
-	if _, err := rand.Read(nonce); err != nil {
+	if !rpc.Challenge(r, w, s.key, authFailed()) {
 		return
 	}
-	fmt.Fprintf(w, "challenge %s\n", hex.EncodeToString(nonce))
-	if w.Flush() != nil {
-		return
-	}
-	line, err := r.ReadString('\n')
-	if err != nil {
-		return
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != 2 || fields[0] != "auth" || !s.verify(nonce, fields[1]) {
-		errLine(w, scope.New(scope.ScopeLocalResource, CodeAuthFailed, "bad authenticator"))
-		w.Flush()
-		return
-	}
-	fmt.Fprint(w, "ok\n")
-	if w.Flush() != nil {
-		return
-	}
-
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
 			return
 		}
-		if !s.handle(strings.TrimSpace(line), r, w) {
-			w.Flush()
+		reply, more := s.handle(line, r)
+		reply.WriteTo(w, CodeShadowError, scope.ScopeLocalResource)
+		if w.Flush() != nil || !more {
 			return
 		}
-		if w.Flush() != nil {
-			return
-		}
 	}
 }
 
-func (s *Server) verify(nonce []byte, mac string) bool {
-	want := authenticate(s.key, nonce)
-	got, err := hex.DecodeString(mac)
-	if err != nil {
-		return false
+// handle runs one text RPC and reports whether the session continues
+// after its reply.
+func (s *Server) handle(line string, r *bufio.Reader) (reply rpc.Reply, more bool) {
+	verb, a := rpc.ParseRequest(line)
+	switch verb {
+	case "":
+		return rpc.Reply{Err: badRequest("empty request")}, true
+	case "quit":
+		return rpc.Reply{}, false
 	}
-	return hmac.Equal(got, want)
-}
-
-// authenticate computes the HMAC response for a nonce.
-func authenticate(key, nonce []byte) []byte {
-	m := hmac.New(sha256.New, key)
-	m.Write(nonce)
-	return m.Sum(nil)
-}
-
-// handle processes one RPC; it reports whether the session continues.
-func (s *Server) handle(line string, r *bufio.Reader, w *bufio.Writer) bool {
-	fields := strings.Fields(line)
-	if len(fields) == 0 {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "empty request"))
-		return true
-	}
-	verb, args := fields[0], fields[1:]
-	if verb == "quit" {
-		fmt.Fprint(w, "ok\n")
-		return false
-	}
-	// Write payloads must be drained even when the RPC is refused,
-	// or the stream loses framing.
+	// A write's payload must be drained even when the RPC is refused,
+	// or the stream loses framing; its path and offset are decoded only
+	// afterwards.
+	var pathArg, offArg string
 	var payload []byte
 	if verb == "write" {
-		if len(args) != 3 {
-			errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "write wants 3 arguments"))
-			return false // framing unknown: drop the connection
-		}
-		n, err := strconv.Atoi(args[2])
-		if err != nil || n < 0 || n > maxDataLen {
-			errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad length %q", args[2]))
-			return false
+		var n int
+		pathArg, offArg, n = a.Next("path"), a.Next("offset"), a.Int("length")
+		if err := a.Done(); err != nil || n < 0 || n > maxDataLen {
+			// Framing unknown: refuse and drop the connection.
+			return rpc.Reply{Err: badRequest("write: bad length")}, false
 		}
 		payload = make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return false
+			return rpc.Reply{Err: err}, false
 		}
 	}
-	if s.credentialsExpired() {
-		errLine(w, scope.New(scope.ScopeLocalResource, CodeCredentialsExpired,
-			"the channel's security credentials have expired"))
-		return true
+	if err := s.expiry(false); err != nil {
+		return rpc.Reply{Err: err}, true
 	}
 
+	// Each verb decodes its arguments and runs only if all of them did;
+	// otherwise it falls out to the refusal at the bottom.
 	switch verb {
 	case "read":
-		s.rpcRead(args, w)
-	case "write":
-		s.rpcWrite(args, payload, w)
-	case "create":
-		s.rpcPath1(args, w, s.fs.Create)
-	case "trunc":
-		s.rpcPath1(args, w, func(p string) error { return s.fs.WriteFile(p, nil) })
-	case "unlink":
-		s.rpcPath1(args, w, s.fs.Unlink)
-	case "stat":
-		s.rpcStat(args, w)
-	case "list":
-		s.rpcList(args, w)
-	case "rename":
-		s.rpcRename(args, w)
-	default:
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "unknown verb %q", verb))
-	}
-	return true
-}
-
-func (s *Server) rpcRead(args []string, w *bufio.Writer) {
-	if len(args) != 3 {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "read wants 3 arguments"))
-		return
-	}
-	path, err := wire.Unquote(args[0])
-	if err != nil {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad path"))
-		return
-	}
-	off, err1 := strconv.ParseInt(args[1], 10, 64)
-	length, err2 := strconv.Atoi(args[2])
-	if err1 != nil || err2 != nil || length < 0 || length > maxDataLen {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad read arguments"))
-		return
-	}
-	data, err := s.fs.ReadAt(path, off, length)
-	if err != nil {
-		errLine(w, err)
-		return
-	}
-	fmt.Fprintf(w, "ok %d\n", len(data))
-	w.Write(data)
-}
-
-func (s *Server) rpcWrite(args []string, payload []byte, w *bufio.Writer) {
-	path, err := wire.Unquote(args[0])
-	if err != nil {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad path"))
-		return
-	}
-	off, err := strconv.ParseInt(args[1], 10, 64)
-	if err != nil {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad offset"))
-		return
-	}
-	n, err := s.fs.WriteAt(path, off, payload)
-	if err != nil {
-		errLine(w, err)
-		return
-	}
-	fmt.Fprintf(w, "ok %d\n", n)
-}
-
-func (s *Server) rpcPath1(args []string, w *bufio.Writer, op func(string) error) {
-	if len(args) != 1 {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "wants 1 argument"))
-		return
-	}
-	path, err := wire.Unquote(args[0])
-	if err != nil {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad path"))
-		return
-	}
-	if err := op(path); err != nil {
-		errLine(w, err)
-		return
-	}
-	fmt.Fprint(w, "ok\n")
-}
-
-func (s *Server) rpcStat(args []string, w *bufio.Writer) {
-	if len(args) != 1 {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "stat wants 1 argument"))
-		return
-	}
-	path, err := wire.Unquote(args[0])
-	if err != nil {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad path"))
-		return
-	}
-	info, err := s.fs.Stat(path)
-	if err != nil {
-		errLine(w, err)
-		return
-	}
-	ro := 0
-	if info.ReadOnly {
-		ro = 1
-	}
-	fmt.Fprintf(w, "ok %d %d %s\n", info.Size, ro, wire.Quote(info.Path))
-}
-
-// rpcList enumerates files under a prefix: "ok n" then n entry lines.
-func (s *Server) rpcList(args []string, w *bufio.Writer) {
-	if len(args) != 1 {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "list wants 1 argument"))
-		return
-	}
-	prefix, err := wire.Unquote(args[0])
-	if err != nil {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad path"))
-		return
-	}
-	infos, err := s.fs.List(prefix)
-	if err != nil {
-		errLine(w, err)
-		return
-	}
-	fmt.Fprintf(w, "ok %d\n", len(infos))
-	for _, info := range infos {
-		ro := 0
-		if info.ReadOnly {
-			ro = 1
+		path, off, length := a.Path(), a.Int64("offset"), a.Int("length")
+		if a.Done() == nil && length >= 0 && length <= maxDataLen {
+			data, err := s.fs.ReadAt(path, off, length)
+			return rpc.Reply{Value: strconv.Itoa(len(data)), Data: data, Err: err}, true
 		}
-		fmt.Fprintf(w, "%d %d %s\n", info.Size, ro, wire.Quote(info.Path))
+		return rpc.Reply{Err: badRequest("bad read arguments")}, true
+	case "write":
+		path, err1 := wire.Unquote(pathArg)
+		off, err2 := strconv.ParseInt(offArg, 10, 64)
+		if err1 != nil || err2 != nil {
+			return rpc.Reply{Err: badRequest("bad write arguments")}, true
+		}
+		n, err := s.fs.WriteAt(path, off, payload)
+		return rpc.Reply{Value: strconv.Itoa(n), Err: err}, true
+	case "create":
+		if path := a.Path(); a.Done() == nil {
+			return rpc.Reply{Err: s.fs.Create(path)}, true
+		}
+	case "trunc":
+		if path := a.Path(); a.Done() == nil {
+			return rpc.Reply{Err: s.fs.WriteFile(path, nil)}, true
+		}
+	case "unlink":
+		if path := a.Path(); a.Done() == nil {
+			return rpc.Reply{Err: s.fs.Unlink(path)}, true
+		}
+	case "rename":
+		if oldPath, newPath := a.Path(), a.Path(); a.Done() == nil {
+			return rpc.Reply{Err: s.fs.Rename(oldPath, newPath)}, true
+		}
+	case "stat":
+		if path := a.Path(); a.Done() == nil {
+			info, err := s.fs.Stat(path)
+			return rpc.Reply{Value: rpc.InfoLine(info), Err: err}, true
+		}
+	case "list":
+		if prefix := a.Path(); a.Done() == nil {
+			return rpc.ListReply(s.fs.List(prefix)), true
+		}
+	default:
+		return rpc.Reply{Err: badRequest("unknown verb %q", verb)}, true
 	}
-}
-
-func (s *Server) rpcRename(args []string, w *bufio.Writer) {
-	if len(args) != 2 {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "rename wants 2 arguments"))
-		return
-	}
-	oldPath, err1 := wire.Unquote(args[0])
-	newPath, err2 := wire.Unquote(args[1])
-	if err1 != nil || err2 != nil {
-		errLine(w, scope.New(scope.ScopeFunction, CodeBadRequest, "bad path"))
-		return
-	}
-	if err := s.fs.Rename(oldPath, newPath); err != nil {
-		errLine(w, err)
-		return
-	}
-	fmt.Fprint(w, "ok\n")
+	return rpc.Reply{Err: badRequest("%s: %v", verb, a.Done())}, true
 }

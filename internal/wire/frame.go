@@ -154,10 +154,14 @@ func (fr *FrameReader) Release() {
 	}
 }
 
-// grow ensures the scratch buffer holds n bytes.
+// grow ensures the scratch buffer holds n bytes.  A reallocation keeps
+// the frame header already read into the old buffer: the checksum
+// covers it.
 func (fr *FrameReader) grow(n int) []byte {
 	if cap(fr.buf) < n {
-		fr.buf = make([]byte, 0, n+n/2)
+		buf := make([]byte, frameHeaderLen, n+n/2)
+		copy(buf, fr.buf[:frameHeaderLen])
+		fr.buf = buf
 	}
 	return fr.buf[:n]
 }

@@ -140,6 +140,33 @@ func TestFrameReaderOversize(t *testing.T) {
 	mustScope(t, err, CodeFrameProtocol)
 }
 
+// TestFrameReaderLargePayloads is the regression for frames that
+// outgrow the pooled 64 KiB buffer: the reallocation used to drop the
+// header bytes already read, so the checksum covered zeros and every
+// such frame died as ChecksumMismatch.  Each size starts from a buffer
+// of the pool's initial capacity, so the larger ones must grow, and a
+// small frame follows each large one to show the reader stays in step.
+func TestFrameReaderLargePayloads(t *testing.T) {
+	initial := cap(frameBufPool.New().([]byte))
+	for _, n := range []int{initial - FrameOverhead - 1, initial - FrameOverhead, initial, 1 << 20, 16 << 20} {
+		payload := bytes.Repeat([]byte{0xA5, 0x5A, 0x3C}, n/3+1)[:n]
+		stream := AppendFrame(nil, 0x92, 0, payload)
+		stream = AppendFrame(stream, 0x93, 1, []byte("next"))
+		fr := &FrameReader{
+			r:   bufio.NewReader(bytes.NewReader(stream)),
+			buf: make([]byte, 0, initial),
+			max: DefaultMaxPayload,
+		}
+		cmd, got, err := fr.Next()
+		if err != nil || cmd != 0x92 || !bytes.Equal(got, payload) {
+			t.Fatalf("%d-byte payload: cmd %#x, %d bytes, err %v", n, cmd, len(got), err)
+		}
+		if cmd, got, err = fr.Next(); err != nil || cmd != 0x93 || string(got) != "next" {
+			t.Fatalf("frame after the %d-byte payload: cmd %#x, %q, err %v", n, cmd, got, err)
+		}
+	}
+}
+
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, 0x90, 0, []byte("seed payload")))
 	f.Add(AppendFrame(nil, 0xA0, 3))
