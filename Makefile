@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: check vet determinism-grep build test race cover journal-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module trace
+.PHONY: check fmt-check vet determinism-grep build test race cover journal-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module trace
 
-## check: the full gate — vet, the determinism grep, build, race-test
+## check: the full gate — gofmt, vet, the determinism grep, build, race-test
 ## the concurrent packages, the whole suite with per-package coverage
 ## (including the golden-trace regression suite and the per-package
 ## coverage floors), the write-ahead-journal race smoke, the wire-codec
@@ -10,7 +10,15 @@ GO ?= go
 ## small-shape pool-throughput smoke, the federation smoke, the
 ## machine-churn determinism smoke, the ops-plane smoke, then the
 ## benchmark module's own vet and tests.
-check: vet determinism-grep build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke bench-module
+check: fmt-check vet determinism-grep build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke bench-module
+
+## fmt-check: every Go file in the repo (bench/ included) is
+## gofmt-clean; lists the offenders and fails otherwise.
+fmt-check:
+	@out=$$(gofmt -l *.go cmd examples internal bench); \
+	if [ -n "$$out" ]; then \
+		echo 'FAIL: gofmt -l is not empty:'; echo "$$out"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

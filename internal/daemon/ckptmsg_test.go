@@ -127,8 +127,8 @@ func FuzzParseCheckpoint(f *testing.F) {
 	b := EncodeCheckpoint(1, 0)
 	f.Add(a)
 	f.Add(b)
-	f.Add(a[:12])           // cut mid-line
-	f.Add(a[:len(a)-1])     // torn crc
+	f.Add(a[:12])       // cut mid-line
+	f.Add(a[:len(a)-1]) // torn crc
 	f.Add("ckpt job=1 cpu=0 crc=00000000")
 	f.Add("garbage")
 	f.Add(strings.Repeat("ckpt ", 8))

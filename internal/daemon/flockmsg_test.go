@@ -101,8 +101,8 @@ func FuzzParseFlockMsg(f *testing.F) {
 	deny := EncodeFlockMsg(FlockMsg{Op: FlockDeny, Job: 7, Reason: "no live peer pool"})
 	f.Add(grant)
 	f.Add(deny)
-	f.Add(grant[:12])                     // cut mid-line, the injector's default
-	f.Add(deny[:len(deny)-1])             // torn closing quote
+	f.Add(grant[:12])         // cut mid-line, the injector's default
+	f.Add(deny[:len(deny)-1]) // torn closing quote
 	f.Add("flock grant job=1 level=1 negotiator=\"m\\\"m\"")
 	f.Add("flock deny job=0 reason=\"\"")
 	f.Add("garbage")

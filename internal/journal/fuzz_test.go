@@ -21,11 +21,11 @@ func fuzzSeed() []byte {
 func FuzzDecode(f *testing.F) {
 	valid := fuzzSeed()
 	f.Add(valid)
-	f.Add(valid[:len(valid)-3])          // torn tail
-	f.Add(valid[:headerSize-1])          // shorter than one header
-	f.Add([]byte{})                      // empty log
-	f.Add([]byte("garbage"))             // no magic at all
-	f.Add(append([]byte{magic}, 'X'))    // bad kind byte
+	f.Add(valid[:len(valid)-3])       // torn tail
+	f.Add(valid[:headerSize-1])       // shorter than one header
+	f.Add([]byte{})                   // empty log
+	f.Add([]byte("garbage"))          // no magic at all
+	f.Add(append([]byte{magic}, 'X')) // bad kind byte
 	mangled := append([]byte(nil), valid...)
 	mangled[len(mangled)/2] ^= 0xFF // corrupt a middle record
 	f.Add(mangled)

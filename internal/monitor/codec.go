@@ -5,6 +5,7 @@ import (
 	"hash/crc32"
 	"strconv"
 	"strings"
+	"sync"
 
 	"github.com/errscope/grid/internal/obs"
 )
@@ -63,20 +64,24 @@ type Snapshot struct {
 // EncodeEvent renders the canonical record of one streamed obs event.
 // Every field is present, zero or not: a fixed shape parses strictly.
 func EncodeEvent(ev obs.Event) string {
-	var sb strings.Builder
-	sb.WriteString("mev t=")
-	sb.WriteString(strconv.FormatInt(ev.T, 10))
-	appendStr(&sb, "comp", ev.Comp)
-	appendStr(&sb, "kind", ev.Kind)
-	sb.WriteString(" job=")
-	sb.WriteString(strconv.FormatInt(ev.Job, 10))
-	appendStr(&sb, "code", ev.Code)
-	appendStr(&sb, "scope", ev.Scope)
-	appendStr(&sb, "ekind", ev.EKind)
-	appendStr(&sb, "detail", ev.Detail)
-	sb.WriteString(" value=")
-	sb.WriteString(strconv.FormatInt(ev.Value, 10))
-	return sealRecord(&sb)
+	buf := scratch.Get().(*[]byte)
+	dst := append((*buf)[:0], "mev t="...)
+	dst = strconv.AppendInt(dst, ev.T, 10)
+	dst = appendStr(dst, "comp", ev.Comp)
+	dst = appendStr(dst, "kind", ev.Kind)
+	dst = append(dst, " job="...)
+	dst = strconv.AppendInt(dst, ev.Job, 10)
+	dst = appendStr(dst, "code", ev.Code)
+	dst = appendStr(dst, "scope", ev.Scope)
+	dst = appendStr(dst, "ekind", ev.EKind)
+	dst = appendStr(dst, "detail", ev.Detail)
+	dst = append(dst, " value="...)
+	dst = strconv.AppendInt(dst, ev.Value, 10)
+	dst = sealRecord(dst)
+	line := string(dst)
+	*buf = dst
+	scratch.Put(buf)
+	return line
 }
 
 // ParseEvent decodes one streamed event record, strictly.
@@ -136,15 +141,14 @@ func (m *Snapshot) fieldPtrs() []*int64 {
 
 // EncodeSnapshot renders the canonical pool-metrics record.
 func EncodeSnapshot(m Snapshot) string {
-	var sb strings.Builder
-	sb.WriteString("mmet")
+	dst := append(make([]byte, 0, 256), "mmet"...)
 	for i, p := range m.fieldPtrs() {
-		sb.WriteByte(' ')
-		sb.WriteString(snapFields[i])
-		sb.WriteByte('=')
-		sb.WriteString(strconv.FormatInt(*p, 10))
+		dst = append(dst, ' ')
+		dst = append(dst, snapFields[i]...)
+		dst = append(dst, '=')
+		dst = strconv.AppendInt(dst, *p, 10)
 	}
-	return sealRecord(&sb)
+	return string(sealRecord(dst))
 }
 
 // ParseSnapshot decodes one pool-metrics record, strictly.
@@ -173,10 +177,8 @@ func ParseSnapshot(s string) (Snapshot, error) {
 // EncodeSub renders a subscribe request: stream events from the given
 // index (0 = full backlog).
 func EncodeSub(from int64) string {
-	var sb strings.Builder
-	sb.WriteString("msub from=")
-	sb.WriteString(strconv.FormatInt(from, 10))
-	return sealRecord(&sb)
+	dst := strconv.AppendInt([]byte("msub from="), from, 10)
+	return string(sealRecord(dst))
 }
 
 // ParseSub decodes one subscribe request, strictly.
@@ -203,11 +205,9 @@ func ParseSub(s string) (int64, error) {
 
 // EncodeAdmin renders an admin verb request.
 func EncodeAdmin(verb, target string) string {
-	var sb strings.Builder
-	sb.WriteString("madm")
-	appendStr(&sb, "verb", verb)
-	appendStr(&sb, "target", target)
-	return sealRecord(&sb)
+	dst := appendStr([]byte("madm"), "verb", verb)
+	dst = appendStr(dst, "target", target)
+	return string(sealRecord(dst))
 }
 
 // ParseAdmin decodes one admin verb request, strictly.
@@ -233,12 +233,10 @@ func ParseAdmin(s string) (verb, target string, err error) {
 
 // EncodeAdminOK renders the acknowledgement of a completed admin verb.
 func EncodeAdminOK(verb, target, detail string) string {
-	var sb strings.Builder
-	sb.WriteString("mok")
-	appendStr(&sb, "verb", verb)
-	appendStr(&sb, "target", target)
-	appendStr(&sb, "detail", detail)
-	return sealRecord(&sb)
+	dst := appendStr([]byte("mok"), "verb", verb)
+	dst = appendStr(dst, "target", target)
+	dst = appendStr(dst, "detail", detail)
+	return string(sealRecord(dst))
 }
 
 // ParseAdminOK decodes one admin acknowledgement, strictly.
@@ -267,19 +265,58 @@ func ParseAdminOK(s string) (verb, target, detail string, err error) {
 
 // --- codec internals -------------------------------------------------
 
-// appendStr appends ` key="quoted"` to the record under construction.
-func appendStr(sb *strings.Builder, key, v string) {
-	sb.WriteByte(' ')
-	sb.WriteString(key)
-	sb.WriteByte('=')
-	sb.WriteString(strconv.Quote(v))
+// scratch lends out byte buffers for the two per-event operations —
+// building a record and checksumming a received one — so that the
+// first costs one allocation (the line) and the second none.  crc32's
+// arch-specific update is an indirect call, so a buffer passed to it
+// can never live on the stack.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// checksum is crc32.ChecksumIEEE([]byte(s)) without the allocation.
+func checksum(s string) uint32 {
+	buf := scratch.Get().(*[]byte)
+	*buf = append((*buf)[:0], s...)
+	sum := crc32.ChecksumIEEE(*buf)
+	scratch.Put(buf)
+	return sum
 }
 
+// plainASCII reports whether strconv.Quote would render v as the same
+// bytes between two quotes: printable ASCII with nothing to escape.
+// Almost every string the pool emits is; anything else takes strconv's
+// slower path, on both the encode and the parse side.
+func plainASCII(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendStr appends ` key="quoted"` to the record under construction.
+func appendStr(dst []byte, key, v string) []byte {
+	dst = append(dst, ' ')
+	dst = append(dst, key...)
+	dst = append(dst, '=')
+	if !plainASCII(v) {
+		return strconv.AppendQuote(dst, v)
+	}
+	dst = append(dst, '"')
+	dst = append(dst, v...)
+	return append(dst, '"')
+}
+
+const hexDigits = "0123456789abcdef"
+
 // sealRecord appends the CRC trailer over the bytes built so far.
-func sealRecord(sb *strings.Builder) string {
-	sum := crc32.ChecksumIEEE([]byte(sb.String()))
-	fmt.Fprintf(sb, " crc=%08x", sum)
-	return sb.String()
+func sealRecord(dst []byte) []byte {
+	sum := crc32.ChecksumIEEE(dst)
+	dst = append(dst, " crc="...)
+	for shift := 28; shift >= 0; shift -= 4 {
+		dst = append(dst, hexDigits[sum>>shift&0xf])
+	}
+	return dst
 }
 
 // checkCRC validates the record's trailer against the bytes it covers
@@ -293,28 +330,42 @@ func checkCRC(s string, rest *string) error {
 	if len(raw) != 8 {
 		return fmt.Errorf("monitor: crc %q is not 8 hex digits", raw)
 	}
-	sum, err := strconv.ParseUint(raw, 16, 32)
-	if err != nil {
-		return fmt.Errorf("monitor: field crc: %v", err)
+	// Canonical hex only: eight lowercase digits, as sealRecord writes
+	// them; uppercase would re-encode differently and break the round
+	// trip.
+	var sum uint32
+	for j := 0; j < len(raw); j++ {
+		d := strings.IndexByte(hexDigits, raw[j])
+		if d < 0 {
+			return fmt.Errorf("monitor: non-canonical crc=%q", raw)
+		}
+		sum = sum<<4 | uint32(d)
 	}
-	// Canonical hex only: ParseUint accepts uppercase, which would
-	// re-encode differently and break the round trip.
-	if raw != fmt.Sprintf("%08x", uint32(sum)) {
-		return fmt.Errorf("monitor: non-canonical crc=%q", raw)
+	if got := checksum(s[:len(s)-len(" crc=")-8]); got != sum {
+		return fmt.Errorf("monitor: crc mismatch: record says %08x, bytes say %08x", sum, got)
 	}
-	covered := s[:len(s)-len(" crc=")-8]
-	if got := crc32.ChecksumIEEE([]byte(covered)); got != uint32(sum) {
-		return fmt.Errorf("monitor: crc mismatch: record says %08x, bytes say %08x",
-			uint32(sum), got)
+	// The field cutters eat one optional space after every field, so
+	// without this a space between the last field and the trailer
+	// would parse and then re-encode differently.
+	if i > 0 && (*rest)[i-1] == ' ' {
+		return fmt.Errorf("monitor: space before the crc trailer: %q", s)
 	}
 	*rest = (*rest)[:i]
 	return nil
 }
 
+// cutKey consumes "key=" from the front of r.
+func cutKey(r, key string) (string, bool) {
+	if len(r) <= len(key) || r[len(key)] != '=' || r[:len(key)] != key {
+		return r, false
+	}
+	return r[len(key)+1:], true
+}
+
 // cutInt consumes "key=<int64>" (and the single space after it, when
 // more fields follow) from the front of *rest.
 func cutInt(rest *string, key string) (int64, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
+	r, ok := cutKey(*rest, key)
 	if !ok {
 		return 0, fmt.Errorf("monitor: expected %s= at %q", key, *rest)
 	}
@@ -324,14 +375,16 @@ func cutInt(rest *string, key string) (int64, error) {
 	} else {
 		r = ""
 	}
+	// Only the spelling FormatInt writes: "0", or an optional minus and
+	// digits that start with 1-9.  ParseInt alone would also take "+2",
+	// "007" and "-0", which re-encode differently.
+	digits := strings.TrimPrefix(raw, "-")
+	if raw != "0" && (digits == "" || digits[0] < '1' || digits[0] > '9') {
+		return 0, fmt.Errorf("monitor: non-canonical %s=%q", key, raw)
+	}
 	v, err := strconv.ParseInt(raw, 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("monitor: field %s: %v", key, err)
-	}
-	// Reject non-canonical spellings ("+2", "007") that ParseInt
-	// accepts: they would re-encode differently.
-	if raw != strconv.FormatInt(v, 10) {
-		return 0, fmt.Errorf("monitor: non-canonical %s=%q", key, raw)
 	}
 	*rest = r
 	return v, nil
@@ -342,22 +395,31 @@ func cutInt(rest *string, key string) (int64, error) {
 // strconv.Quote spelling is accepted: a value that unquotes fine but
 // would re-quote differently is rejected.
 func cutStr(rest *string, key string) (string, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
+	r, ok := cutKey(*rest, key)
 	if !ok {
 		return "", fmt.Errorf("monitor: expected %s= at %q", key, *rest)
 	}
-	raw, err := strconv.QuotedPrefix(r)
-	if err != nil {
-		return "", fmt.Errorf("monitor: field %s: %v", key, err)
+	var v string
+	end := -1
+	if strings.HasPrefix(r, `"`) {
+		end = strings.IndexByte(r[1:], '"')
 	}
-	v, err := strconv.Unquote(raw)
-	if err != nil {
-		return "", fmt.Errorf("monitor: field %s: %v", key, err)
+	if end >= 0 && plainASCII(r[1:1+end]) {
+		// The value is its own canonical quoting: a slice of the line.
+		v, r = r[1:1+end], r[end+2:]
+	} else {
+		raw, err := strconv.QuotedPrefix(r)
+		if err != nil {
+			return "", fmt.Errorf("monitor: field %s: %v", key, err)
+		}
+		if v, err = strconv.Unquote(raw); err != nil {
+			return "", fmt.Errorf("monitor: field %s: %v", key, err)
+		}
+		if raw != strconv.Quote(v) {
+			return "", fmt.Errorf("monitor: non-canonical %s=%s", key, raw)
+		}
+		r = r[len(raw):]
 	}
-	if raw != strconv.Quote(v) {
-		return "", fmt.Errorf("monitor: non-canonical %s=%s", key, raw)
-	}
-	r = r[len(raw):]
 	if strings.HasPrefix(r, " ") {
 		r = r[1:]
 	} else if r != "" {

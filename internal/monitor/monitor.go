@@ -20,7 +20,6 @@ package monitor
 
 import (
 	"fmt"
-
 	"sync"
 
 	"github.com/errscope/grid/internal/daemon"
@@ -52,9 +51,11 @@ type Config struct {
 	// Clock stamps the monitor's own log lines.  Required.
 	Clock Clock
 
-	// Recorder is the pool trace the monitor streams.  The monitor
-	// only ever reads it (Events is a snapshot copy), so a slow or
-	// dead subscriber cannot block an emitting daemon.
+	// Recorder is the pool trace the monitor streams; nil streams
+	// metrics snapshots only.  The monitor only ever reads it, one
+	// segment at a time from its slowest cursor (EventsSince copies
+	// under the recorder's lock and delivery happens outside it), so a
+	// slow or dead subscriber cannot block an emitting daemon.
 	Recorder *obs.Recorder
 
 	// Metrics builds one pool snapshot per pump; nil streams none.
@@ -83,16 +84,19 @@ type Config struct {
 // writer goroutine and fail on overflow rather than let TCP
 // backpressure reach the pump.  Deliver's error means the subscriber
 // is gone: the monitor closes and forgets the sink and nothing else —
-// the defining non-failure of the ops plane.
+// the defining non-failure of the ops plane.  Each record is encoded
+// once per pump and the same line goes to every sink.
 type Sink interface {
 	Deliver(cmd byte, line string) error
 	Close()
 }
 
 // subscriber is one attached sink and its cursor into the event log.
+// gone marks a sink dropped earlier in the current pump.
 type subscriber struct {
 	sink Sink
 	next int
+	gone bool
 }
 
 // Monitor streams one pool's trace to its subscribers and runs admin
@@ -106,6 +110,9 @@ type Monitor struct {
 	delivered int64
 	dropped   int
 	log       []string
+
+	// events is the pump's read buffer: one recorder segment, reused.
+	events []obs.Event
 }
 
 // New attaches a monitor to the pool described by cfg.
@@ -196,60 +203,82 @@ func (m *Monitor) Dropped() int {
 // session, and the pump carries on with the rest.  Deliver never
 // blocks on a slow consumer (see Sink), so holding the monitor's lock
 // across delivery cannot stall the pool stepping loop behind it.
+//
+// The pump reads the log from its slowest cursor forward, one
+// recorder segment at a time, so it costs what is new to its
+// subscribers, not the length of the log.
 func (m *Monitor) Pump() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.killed || len(m.subs) == 0 {
 		return
 	}
-	events := m.cfg.Recorder.Events()
-	var snap Snapshot
-	haveSnap := false
+	// The log as of now is this pump's horizon: a cursor beyond it
+	// means the subscriber asked to start in the future, and it picks
+	// up (snapshots too) when the log catches up.
+	end := 0
+	if m.cfg.Recorder != nil {
+		end = m.cfg.Recorder.Len()
+	}
+	from := end
+	for _, sub := range m.subs {
+		from = min(from, sub.next)
+	}
+	for from < end {
+		m.events = m.cfg.Recorder.EventsSince(from, m.events)
+		for _, ev := range m.events[:min(len(m.events), end-from)] {
+			m.streamEvent(from, ev)
+			from++
+		}
+	}
 	if m.cfg.Metrics != nil {
-		snap = m.cfg.Metrics()
-		haveSnap = true
+		line := EncodeSnapshot(m.cfg.Metrics())
+		for _, sub := range m.subs {
+			if !sub.gone && sub.next <= end {
+				m.deliver(sub, cmdMetrics, line)
+			}
+		}
 	}
 	live := m.subs[:0]
 	for _, sub := range m.subs {
-		if !m.stream(sub, events, snap, haveSnap) {
-			continue
+		if !sub.gone {
+			live = append(live, sub)
 		}
-		live = append(live, sub)
 	}
 	// Zero the dropped tail so forgotten subscribers are collectable.
-	for i := len(live); i < len(m.subs); i++ {
-		m.subs[i] = nil
-	}
+	clear(m.subs[len(live):])
 	m.subs = live
 }
 
-// stream sends one subscriber its backlog and the snapshot; false
-// means the subscriber is gone and was closed.
-func (m *Monitor) stream(sub *subscriber, events []obs.Event, snap Snapshot, haveSnap bool) bool {
-	if sub.next > len(events) {
-		// A cursor past the log means the subscriber asked to start
-		// in the future; it picks up when the log catches up.
-		return true
-	}
-	for _, ev := range events[sub.next:] {
-		if m.cfg.Normalize {
-			ev.T = 0
-			ev.Detail = ""
+// streamEvent delivers the event at index i of the log to every
+// subscriber whose cursor stands there, encoding it at most once.
+func (m *Monitor) streamEvent(i int, ev obs.Event) {
+	line := ""
+	for _, sub := range m.subs {
+		if sub.gone || sub.next != i {
+			continue
 		}
-		if err := sub.sink.Deliver(cmdEvent, EncodeEvent(ev)); err != nil {
-			m.drop(sub, err)
-			return false
+		if line == "" {
+			if m.cfg.Normalize {
+				ev.T = 0
+				ev.Detail = ""
+			}
+			line = EncodeEvent(ev)
 		}
-		sub.next++
-		m.delivered++
-	}
-	if haveSnap {
-		if err := sub.sink.Deliver(cmdMetrics, EncodeSnapshot(snap)); err != nil {
-			m.drop(sub, err)
-			return false
+		if m.deliver(sub, cmdEvent, line) {
+			sub.next++
 		}
-		m.delivered++
 	}
+}
+
+// deliver hands one record to one subscriber; false means the
+// subscriber is gone and was closed.
+func (m *Monitor) deliver(sub *subscriber, cmd byte, line string) bool {
+	if err := sub.sink.Deliver(cmd, line); err != nil {
+		m.drop(sub, err)
+		return false
+	}
+	m.delivered++
 	return true
 }
 
@@ -257,6 +286,7 @@ func (m *Monitor) stream(sub *subscriber, events []obs.Event, snap Snapshot, hav
 // monitor's own log — the pool never hears about it.
 func (m *Monitor) drop(sub *subscriber, err error) {
 	sub.sink.Close()
+	sub.gone = true
 	m.dropped++
 	m.note("subscriber dropped at cursor %d: %v", sub.next, err)
 }

@@ -16,10 +16,20 @@ import (
 // byte.
 type Recorder struct {
 	mu       sync.Mutex
-	events   []Event
+	segs     [][]Event // every segment but the last holds segSize events
+	n        int
 	counters map[string]int64
 	hists    map[string]*Histogram
 }
+
+// The event log is a list of fixed-size segments that are only ever
+// appended to: recording an event never moves an earlier one, and a
+// reader holding a cursor (EventsSince) copies what is new to it, not
+// the whole past.
+const (
+	segShift = 10
+	segSize  = 1 << segShift
+)
 
 // Histogram is a cheap summary of one observed distribution.
 type Histogram struct {
@@ -43,7 +53,12 @@ func (r *Recorder) Enabled() bool { return true }
 // Emit appends the event.
 func (r *Recorder) Emit(ev Event) {
 	r.mu.Lock()
-	r.events = append(r.events, ev)
+	if r.n&(segSize-1) == 0 {
+		r.segs = append(r.segs, make([]Event, 0, segSize))
+	}
+	last := len(r.segs) - 1
+	r.segs[last] = append(r.segs[last], ev)
+	r.n++
 	r.mu.Unlock()
 }
 
@@ -77,9 +92,35 @@ func (r *Recorder) Observe(name string, v int64) {
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
+	out := make([]Event, 0, r.n)
+	for _, seg := range r.segs {
+		out = append(out, seg...)
+	}
 	return out
+}
+
+// Len returns the number of events recorded so far: the cursor of a
+// reader that has seen everything.
+func (r *Recorder) Len() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
+
+// EventsSince is the cursor read: it copies the events from index
+// from up to the end of the segment that holds it — at most segSize
+// events, however long the log — into buf[:0] and returns them.  A
+// reader advances its cursor by the length of the result and calls
+// again; an empty result means it is caught up (or from is not an
+// index of the log at all).  The result is the caller's own copy.
+func (r *Recorder) EventsSince(from int, buf []Event) []Event {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	buf = buf[:0]
+	if from < 0 || from >= r.n {
+		return buf
+	}
+	return append(buf, r.segs[from>>segShift][from&(segSize-1):]...)
 }
 
 // Counter returns the named counter's value.

@@ -297,65 +297,70 @@ func collectMetrics(bus *sim.Bus, schedds []*daemon.Schedd, startds []*daemon.St
 	var m Metrics
 	m.MessagesSent = bus.Sent()
 	m.MessagesLost = bus.Lost()
-	var jobs []*daemon.Job
 	for _, s := range schedds {
 		m.Requeues += s.Requeues
 		m.Recoveries += s.Recoveries
-		jobs = append(jobs, s.Jobs()...)
-		for _, rep := range s.Reports {
-			if rep.IncidentalLeak {
+		for i := range s.Reports {
+			if s.Reports[i].IncidentalLeak {
 				m.IncidentalLeaks++
 			}
+		}
+		for _, j := range s.Jobs() {
+			m.addJob(j)
 		}
 	}
 	for _, sd := range startds {
 		m.LeaseExpiries += sd.LeasesExpired
 		m.Preemptions += sd.Preemptions
 	}
-	for _, j := range jobs {
-		m.Jobs++
-		switch j.State {
-		case daemon.JobCompleted:
-			m.Completed++
-			m.TurnaroundTotal += j.Finished.Sub(j.Submitted)
-		case daemon.JobUnexecutable:
-			m.Unexecutable++
-		case daemon.JobHeld:
-			m.Held++
-		default:
-			m.Unfinished++
+	return m
+}
+
+// addJob folds one job and its attempts into the summary.  A monitor
+// runs this over the whole queue once per pump, so it reads attempts
+// in place and sorts a result by scope without building its error.
+func (m *Metrics) addJob(j *daemon.Job) {
+	m.Jobs++
+	switch j.State {
+	case daemon.JobCompleted:
+		m.Completed++
+		m.TurnaroundTotal += j.Finished.Sub(j.Submitted)
+	case daemon.JobUnexecutable:
+		m.Unexecutable++
+	case daemon.JobHeld:
+		m.Held++
+	default:
+		m.Unfinished++
+	}
+	for i := range j.Attempts {
+		att := &j.Attempts[i]
+		m.Attempts++
+		if att.FetchError != nil {
+			m.FetchFailures++
+			continue
 		}
-		for _, att := range j.Attempts {
-			m.Attempts++
-			if att.FetchError != nil {
-				m.FetchFailures++
-				continue
-			}
-			if att.LostContact != nil {
-				m.LostContacts++
-				continue
-			}
-			if att.Evicted {
-				// The owner's return ends the attempt; whether the
-				// occupancy was wasted depends on the universe
-				// (checkpointing preserves it), so it is reported
-				// separately rather than as badput.
-				m.Evictions++
-				continue
-			}
-			trueErr := att.True.Err()
-			if trueErr == nil || scope.ScopeOf(trueErr) == scope.ScopeProgram {
-				m.Goodput += att.CPU
-			} else {
-				// A failed attempt wastes the machine for its whole
-				// occupancy — claim, transfer, startup — not just
-				// the program CPU it burned (Section 5: "continuous
-				// waste of CPU and network capacity").
-				m.Badput += att.End.Sub(att.Start)
-			}
+		if att.LostContact != nil {
+			m.LostContacts++
+			continue
+		}
+		if att.Evicted {
+			// The owner's return ends the attempt; whether the
+			// occupancy was wasted depends on the universe
+			// (checkpointing preserves it), so it is reported
+			// separately rather than as badput.
+			m.Evictions++
+			continue
+		}
+		if s := att.True.ErrScope(); s == scope.ScopeNone || s == scope.ScopeProgram {
+			m.Goodput += att.CPU
+		} else {
+			// A failed attempt wastes the machine for its whole
+			// occupancy — claim, transfer, startup — not just
+			// the program CPU it burned (Section 5: "continuous
+			// waste of CPU and network capacity").
+			m.Badput += att.End.Sub(att.Start)
 		}
 	}
-	return m
 }
 
 // String renders the metrics as a one-line experiment row.

@@ -90,21 +90,39 @@ func (r *Result) Err() error {
 		e := New(ScopeProgram, r.Exception, "%s", r.Message)
 		return e
 	case StatusEscape:
-		// A record carrying no usable scope (hand-written or damaged)
-		// must not default to a narrow reading: the wrapper reported
-		// an environmental escape, so the widest safe attribution is
-		// the execution environment itself.
-		s := r.Scope
-		if s == ScopeNone || !s.Valid() {
-			s = ScopeRemoteResource
-		}
-		e := New(s, r.Exception, "%s", r.Message)
+		e := New(r.ErrScope(), r.Exception, "%s", r.Message)
 		e.Kind = KindEscaping
 		return e
 	default:
 		e := New(ScopeRemoteResource, "NoResultFile", "the execution environment produced no result file")
 		e.Kind = KindEscaping
 		return e
+	}
+}
+
+// ErrScope returns ScopeOf(r.Err()) — ScopeNone for success — without
+// building the error: what a caller that only sorts results by scope
+// (the pool's goodput/badput split) needs.
+func (r *Result) ErrScope() Scope {
+	switch r.Status {
+	case StatusExited:
+		if r.ExitCode == 0 {
+			return ScopeNone
+		}
+		return ScopeProgram
+	case StatusException:
+		return ScopeProgram
+	case StatusEscape:
+		// A record carrying no usable scope (hand-written or damaged)
+		// must not default to a narrow reading: the wrapper reported
+		// an environmental escape, so the widest safe attribution is
+		// the execution environment itself.
+		if !r.Scope.Valid() {
+			return ScopeRemoteResource
+		}
+		return r.Scope
+	default:
+		return ScopeRemoteResource
 	}
 }
 

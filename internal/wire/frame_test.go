@@ -282,9 +282,9 @@ func TestDecodeErrorPayloadMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		{0x01},
-		good[:len(good)-1],               // truncated
+		good[:len(good)-1], // truncated
 		append(append([]byte(nil), good...), 0xFF), // trailing garbage
-		{99, 0, 0, 1, 'C', 0, 0},         // invalid scope
+		{99, 0, 0, 1, 'C', 0, 0},                   // invalid scope
 	}
 	for i, b := range cases {
 		if _, err := DecodeErrorPayload(b); err == nil {
