@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet determinism-grep build test race cover journal-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module trace
+.PHONY: check fmt-check vet determinism-grep build test race cover journal-smoke fuzz-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module trace
 
 ## check: the full gate — gofmt, vet, the determinism grep, build, race-test
 ## the concurrent packages, the whole suite with per-package coverage
@@ -88,9 +88,27 @@ cover:
 
 ## journal-smoke: the schedd write-ahead journal under the race
 ## detector — concurrent append/compact/replay plus the torn-tail and
-## fuzz-seeded decode tests.
+## fuzz-seeded decode tests — and then its one client: the schedd's
+## crash, group-commit, replay and recovery tests, which include the
+## replay decoder's differential seeds and its cost guards.
 journal-smoke:
 	$(GO) test -race -count=1 ./internal/journal/
+	$(GO) test -race -count=1 -run 'Schedd|GroupCommit|Replay|Recover' ./internal/daemon/
+
+## fuzz-smoke: every Fuzz* target in the repo, FUZZTIME each (default
+## 5s).  The targets come from `go test -list`, so a new one is picked
+## up without touching this file; the corpus the fuzzer grows goes to
+## .fuzz-cache/ (ignored), and only a failing input lands under the
+## package's testdata/.  Not part of `check`: CI runs it nightly.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@$(GO) test -list '^Fuzz' ./... | \
+	awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "== $$pkg $$target ($(FUZZTIME))"; \
+		$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) \
+			-test.fuzzcachedir $(CURDIR)/.fuzz-cache || exit 1; \
+	done
 
 ## wire-smoke: the frame codec, AEAD session, the shared transport and
 ## both protocol stacks' binary/secure modes under the race detector —

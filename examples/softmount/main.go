@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/errscope/grid/internal/daemon"
+	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/pool"
 )
 
@@ -20,17 +21,27 @@ func run(name string, mount daemon.MountPolicy, perJob bool) {
 	params.Mount = mount
 	p := pool.New(pool.Config{Seed: 11, Params: params,
 		Machines: pool.UniformMachines(4, 2048)})
-	ids := p.SubmitJava(12, pool.UniformCompute(10*time.Minute))
 	if perJob {
 		// Half the jobs are interactive (2 minutes of patience),
-		// half are overnight batch (2 hours).
-		for i, id := range ids {
+		// half are overnight batch (2 hours).  The patience goes into
+		// the ad before Submit: the submit record is what a schedd
+		// crash recovers the ad from.
+		for i := 0; i < 12; i++ {
+			exe := fmt.Sprintf("/home/user/job%d.class", i)
+			if err := p.Schedd.SubmitFS.WriteFile(exe, []byte("class bytes")); err != nil {
+				exe = ""
+			}
+			ad := daemon.NewJavaJobAd("user", 128)
 			tol := int64(120)
 			if i%2 == 1 {
 				tol = 7200
 			}
-			p.Schedd.Job(id).Ad.SetInt("OutageTolerance", tol)
+			ad.SetInt("OutageTolerance", tol)
+			p.Schedd.Submit(&daemon.Job{Owner: "user", Ad: ad,
+				Program: jvm.WellBehaved(10 * time.Minute), Executable: exe})
 		}
+	} else {
+		p.SubmitJava(12, pool.UniformCompute(10*time.Minute))
 	}
 	// The outage: 45 minutes, starting 5 minutes in.
 	p.Engine.After(5*time.Minute, func() { p.Schedd.SubmitFS.SetOffline(true) })

@@ -86,7 +86,11 @@ type Job struct {
 	// owner's Java configuration is irrelevant to it.
 	Universe string
 	// Ad carries Requirements/Rank and job attributes (ImageSize,
-	// OutageTolerance, ...).
+	// OutageTolerance, ...).  It is immutable once the job is
+	// submitted: Submit renders it into the journal's submit record
+	// and every later snapshot line reuses that rendering, so an
+	// attribute set on a queued job's ad is lost at the next recovery.
+	// Set everything before Submit.
 	Ad *classad.Ad
 	// Program is the simulated Java program.
 	Program *jvm.Program

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/errscope/grid/internal/classad"
 	"github.com/errscope/grid/internal/journal"
 	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/scope"
@@ -13,12 +14,16 @@ import (
 )
 
 // jobSummary flattens everything the journal must preserve about a
-// job into one comparable string.
+// job — its ad and program included — into one comparable string.
 func jobSummary(j *Job) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "id=%d owner=%s universe=%s exe=%s state=%s ckpt=%s submitted=%d finished=%d finalerr=%v\n",
+	ad := "<nil>"
+	if j.Ad != nil {
+		ad = j.Ad.String()
+	}
+	fmt.Fprintf(&b, "id=%d owner=%s universe=%s exe=%s state=%s ckpt=%s submitted=%d finished=%d finalerr=%v ad=%s prog=%q\n",
 		j.ID, j.Owner, j.Universe, j.Executable, j.State, j.CheckpointCPU,
-		j.Submitted, j.Finished, j.FinalErr)
+		j.Submitted, j.Finished, j.FinalErr, ad, jvm.EncodeProgram(j.Program))
 	for i, a := range j.Attempts {
 		fmt.Fprintf(&b, "  att%d machine=%s start=%d end=%d cpu=%s evicted=%t fetch=%v lost=%v rep=%q tru=%q\n",
 			i, a.Machine, a.Start, a.End, a.CPU, a.Evicted,
@@ -176,6 +181,97 @@ func TestScheddJournalReplayEquality(t *testing.T) {
 	after := queueSummary(schedd)
 	if before != after {
 		t.Errorf("queue diverged across replay:\n--- before ---\n%s--- after ---\n%s", before, after)
+	}
+}
+
+// crashRecover takes the schedd down and brings it back from its own
+// journal.
+func crashRecover(t *testing.T, s *Schedd) {
+	t.Helper()
+	s.Crash()
+	if err := s.Recover(nil); err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+}
+
+// TestReplayKeepsAdsDistinct queues jobs whose ads differ in as little
+// as replay could overlook — one attribute's value, or one character
+// that the journal writes escaped (quote, backslash, newline, tab,
+// non-ASCII, and the two-character spellings those escapes look like)
+// — and recovers the queue twice: from the submit records and from a
+// snapshot.  A replay that keyed its ad table on the wrong text, or
+// took the escape-free path for a value that needed unescaping, would
+// hand a job its neighbour's ad.
+func TestReplayKeepsAdsDistinct(t *testing.T) {
+	_, _, schedd, _, _ := testPool(t, DefaultParams(), goodMachine("m1"))
+	submit := func(edit func(ad *classad.Ad)) JobID {
+		ad := NewJavaJobAd("alice", 128)
+		edit(ad)
+		return schedd.Submit(&Job{Owner: "alice", Ad: ad, Program: jvm.WellBehaved(time.Minute)})
+	}
+	submit(func(ad *classad.Ad) {})
+	submit(func(ad *classad.Ad) {}) // byte-identical to the first: the table's hit
+	submit(func(ad *classad.Ad) { ad.SetInt("ImageSize", 129) })
+	for _, note := range []string{
+		`plain`, `a"b`, `a\b`, "a\nb", `a\nb`, "a\tb", `a\tb`, "caf\u00e9", `caf\u00e9`, "a\x7fb", "a b", "a  b",
+	} {
+		submit(func(ad *classad.Ad) { ad.SetString("Note", note) })
+	}
+	before := queueSummary(schedd)
+
+	check := func(when string) {
+		t.Helper()
+		if after := queueSummary(schedd); after != before {
+			t.Fatalf("%s: queue diverged across replay:\n--- before ---\n%s--- after ---\n%s", when, before, after)
+		}
+		// Every rebuilt job owns its ad: editing one changes neither
+		// its byte-identical neighbour nor anybody else.
+		jobs := schedd.Jobs()
+		seen := make(map[*classad.Ad]JobID)
+		for _, j := range jobs {
+			if prev, dup := seen[j.Ad]; dup {
+				t.Fatalf("%s: jobs %d and %d share one *Ad", when, prev, j.ID)
+			}
+			seen[j.Ad] = j.ID
+		}
+		want := jobs[1].Ad.String()
+		jobs[0].Ad.SetInt("Scratch", 1)
+		if got := jobs[1].Ad.String(); got != want {
+			t.Fatalf("%s: editing job 1's ad changed job 2's: %s", when, got)
+		}
+		jobs[0].Ad.Delete("Scratch")
+	}
+	crashRecover(t, schedd)
+	check("from submit records")
+	if err := schedd.ForceCompact(); err != nil {
+		t.Fatal(err)
+	}
+	crashRecover(t, schedd)
+	check("from a snapshot")
+}
+
+// TestRecoveryKeepsSubmittedAdAttributes pins what a submitter puts
+// in the ad before Submit: a Java job declaring OutageTolerance keeps
+// it across a crash taken before a compaction (replayed from the
+// submit record) and after one (replayed from a snapshot line).
+func TestRecoveryKeepsSubmittedAdAttributes(t *testing.T) {
+	_, _, schedd, _, _ := testPool(t, DefaultParams(), goodMachine("m1"))
+	ad := NewJavaJobAd("alice", 128)
+	ad.SetInt("OutageTolerance", 7200)
+	id := schedd.Submit(&Job{Owner: "alice", Ad: ad, Program: jvm.WellBehaved(time.Minute)})
+	if got := schedd.Job(id).OutageTolerance(); got != 2*time.Hour {
+		t.Fatalf("before any crash: OutageTolerance = %v", got)
+	}
+	crashRecover(t, schedd)
+	if got := schedd.Job(id).OutageTolerance(); got != 2*time.Hour {
+		t.Errorf("after a crash before compaction: OutageTolerance = %v, want 2h", got)
+	}
+	if err := schedd.ForceCompact(); err != nil {
+		t.Fatal(err)
+	}
+	crashRecover(t, schedd)
+	if got := schedd.Job(id).OutageTolerance(); got != 2*time.Hour {
+		t.Errorf("after a crash after compaction: OutageTolerance = %v, want 2h", got)
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/errscope/grid/internal/classad"
 	"github.com/errscope/grid/internal/journal"
 	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/obs"
@@ -226,13 +225,14 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	s.Requeues = 0
 	s.MatchesReceived, s.MatchesDeclined, s.ClaimsFailed = 0, 0, 0
 
+	rp := newReplayer(s)
 	if len(r.Snapshot) > 0 {
-		if err := s.applySnapshot(r.Snapshot); err != nil {
+		if err := rp.applySnapshot(r.Snapshot); err != nil {
 			return fmt.Errorf("schedd %s: snapshot: %w", s.name, err)
 		}
 	}
 	for i, e := range r.Entries {
-		if err := s.applyEntry(e); err != nil {
+		if err := rp.applyEntry(e); err != nil {
 			return fmt.Errorf("schedd %s: record %d: %w", s.name, i, err)
 		}
 	}
@@ -477,174 +477,6 @@ func decodeScopedErr(enc string) (error, error) {
 		Origin: parts[3], Message: parts[4]}, nil
 }
 
-// --- record replay ---------------------------------------------------
-
-// applyEntry replays one journal record against the queue.  Records
-// are facts, not requests: they were written ahead of transitions
-// that then happened, so they apply unconditionally.
-func (s *Schedd) applyEntry(payload []byte) error {
-	kv, err := scanKV(string(payload))
-	if err != nil {
-		return err
-	}
-	id, err := parseInt64(kv, "id")
-	if err != nil {
-		return err
-	}
-	at, err := parseInt64(kv, "at")
-	if err != nil {
-		return err
-	}
-	op := kv["op"]
-	if op == "submit" {
-		return s.replaySubmit(JobID(id), sim.Time(at), kv)
-	}
-	j, ok := s.jobs[JobID(id)]
-	if !ok {
-		return fmt.Errorf("%s record for unknown job %d", op, id)
-	}
-	switch op {
-	case "match":
-		s.setState(j, JobMatched)
-	case "claim-timeout", "claim-denied":
-		s.setState(j, JobIdle)
-	case "exec":
-		machine, err := unquoted(kv, "machine")
-		if err != nil {
-			return err
-		}
-		s.setState(j, JobRunning)
-		j.avoidanceRelaxed = false
-		s.resetFlock(j)
-		j.Attempts = append(j.Attempts, Attempt{Machine: machine, Start: sim.Time(at)})
-	case "relax":
-		j.avoidanceRelaxed = true
-	case "ckpt":
-		cpu, err := parseInt64(kv, "cpu")
-		if err != nil {
-			return err
-		}
-		if d := durationNS(cpu); d > j.CheckpointCPU {
-			j.CheckpointCPU = d
-		}
-	case "flock":
-		level, err := parseInt64(kv, "level")
-		if err != nil {
-			return err
-		}
-		to, err := unquoted(kv, "to")
-		if err != nil {
-			return err
-		}
-		j.flockedTo, j.flockLevel = to, int(level)
-		j.flockedAt = sim.Time(at)
-	case "final":
-		f, err := decodeFinal(JobID(id), kv)
-		if err != nil {
-			return err
-		}
-		s.applyFinal(j, f, finalError(f), sim.Time(at))
-	case "recover":
-		s.normalizeJob(j, sim.Time(at))
-	default:
-		return fmt.Errorf("unknown record op %q", op)
-	}
-	return nil
-}
-
-func (s *Schedd) replaySubmit(id JobID, at sim.Time, kv map[string]string) error {
-	j := &Job{ID: id, State: JobIdle, Submitted: at}
-	var err error
-	if j.Owner, err = unquoted(kv, "owner"); err != nil {
-		return err
-	}
-	if j.Universe, err = unquoted(kv, "universe"); err != nil {
-		return err
-	}
-	if j.Executable, err = unquoted(kv, "exe"); err != nil {
-		return err
-	}
-	adSrc, err := unquoted(kv, "ad")
-	if err != nil {
-		return err
-	}
-	if adSrc != "" {
-		if j.Ad, err = classad.Parse(adSrc); err != nil {
-			return fmt.Errorf("job %d ad: %w", id, err)
-		}
-		j.Ad.Precompile()
-	}
-	progSrc, err := unquoted(kv, "prog")
-	if err != nil {
-		return err
-	}
-	if j.Program, err = jvm.ParseProgram(progSrc); err != nil {
-		return fmt.Errorf("job %d program: %w", id, err)
-	}
-	s.addJob(j)
-	if id > s.nextID {
-		s.nextID = id
-	}
-	return nil
-}
-
-func decodeFinal(id JobID, kv map[string]string) (jobFinalMsg, error) {
-	f := jobFinalMsg{Job: id}
-	var err error
-	if f.Machine, err = unquoted(kv, "machine"); err != nil {
-		return f, err
-	}
-	cpu, err := parseInt64(kv, "cpu")
-	if err != nil {
-		return f, err
-	}
-	ckpt, err := parseInt64(kv, "ckpt")
-	if err != nil {
-		return f, err
-	}
-	f.CPU, f.CheckpointCPU = durationNS(cpu), durationNS(ckpt)
-	if f.Evicted, err = parseBool(kv, "evicted"); err != nil {
-		return f, err
-	}
-	if _, ok := kv["pre"]; ok { // absent in pre-preemption logs
-		if f.Preempted, err = parseBool(kv, "pre"); err != nil {
-			return f, err
-		}
-	}
-	if f.Hold, err = parseBool(kv, "hold"); err != nil {
-		return f, err
-	}
-	fetch, err := unquoted(kv, "fetch")
-	if err != nil {
-		return f, err
-	}
-	if f.FetchError, err = decodeScopedErr(fetch); err != nil {
-		return f, err
-	}
-	lost, err := unquoted(kv, "lost")
-	if err != nil {
-		return f, err
-	}
-	if f.LostContact, err = decodeScopedErr(lost); err != nil {
-		return f, err
-	}
-	rep, err := unquoted(kv, "rep")
-	if err != nil {
-		return f, err
-	}
-	if f.Reported, err = scope.DecodeResultString(rep); err != nil {
-		return f, fmt.Errorf("reported result: %w", err)
-	}
-	tru, err := unquoted(kv, "tru")
-	if err != nil {
-		return f, err
-	}
-	if f.True, err = scope.DecodeResultString(tru); err != nil {
-		return f, fmt.Errorf("true result: %w", err)
-	}
-	return f, nil
-}
-
 // --- snapshot --------------------------------------------------------
 
 // snapshot serializes the whole queue: one header line, the
@@ -780,312 +612,4 @@ func appendReport(b []byte, r *UserReport) []byte {
 	b = append(b, " leak="...)
 	b = strconv.AppendBool(b, r.IncidentalLeak)
 	return append(b, '\n')
-}
-
-func (s *Schedd) applySnapshot(data []byte) error {
-	var cur *Job
-	for ln, line := range strings.Split(string(data), "\n") {
-		if line == "" {
-			continue
-		}
-		kind, rest, _ := strings.Cut(line, " ")
-		kv, err := scanKV(rest)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", ln+1, err)
-		}
-		switch kind {
-		case "schedd":
-			if v, err := parseInt64(kv, "nextID"); err != nil {
-				return err
-			} else {
-				s.nextID = JobID(v)
-			}
-			if v, err := parseInt64(kv, "requeues"); err != nil {
-				return err
-			} else {
-				s.Requeues = int(v)
-			}
-			if v, err := parseInt64(kv, "recoveries"); err != nil {
-				return err
-			} else {
-				s.Recoveries = int(v)
-			}
-		case "failure":
-			m, err := unquoted(kv, "machine")
-			if err != nil {
-				return err
-			}
-			n, err := parseInt64(kv, "count")
-			if err != nil {
-				return err
-			}
-			rec := failureRecord{count: int(n)}
-			if _, ok := kv["last"]; ok { // absent in pre-expiry logs
-				last, err := parseInt64(kv, "last")
-				if err != nil {
-					return err
-				}
-				rec.last = sim.Time(last)
-			}
-			s.machineFailures[m] = rec
-			s.avoidedDirty = true
-		case "job":
-			if cur, err = s.snapshotJob(kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
-		case "attempt":
-			if cur == nil {
-				return fmt.Errorf("line %d: attempt before job", ln+1)
-			}
-			if err := snapshotAttempt(cur, kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
-		case "report":
-			if err := s.snapshotReport(kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
-		default:
-			return fmt.Errorf("line %d: unknown snapshot line %q", ln+1, kind)
-		}
-	}
-	return nil
-}
-
-func (s *Schedd) snapshotJob(kv map[string]string) (*Job, error) {
-	id, err := parseInt64(kv, "id")
-	if err != nil {
-		return nil, err
-	}
-	if err := s.replaySubmit(JobID(id), 0, kv); err != nil {
-		return nil, err
-	}
-	j := s.jobs[JobID(id)]
-	st, err := parseJobState(kv["state"])
-	if err != nil {
-		return nil, err
-	}
-	s.setState(j, st)
-	ckpt, err := parseInt64(kv, "ckpt")
-	if err != nil {
-		return nil, err
-	}
-	j.CheckpointCPU = durationNS(ckpt)
-	if j.avoidanceRelaxed, err = parseBool(kv, "relaxed"); err != nil {
-		return nil, err
-	}
-	sub, err := parseInt64(kv, "submitted")
-	if err != nil {
-		return nil, err
-	}
-	fin, err := parseInt64(kv, "finished")
-	if err != nil {
-		return nil, err
-	}
-	j.Submitted, j.Finished = sim.Time(sub), sim.Time(fin)
-	fe, err := unquoted(kv, "finalerr")
-	if err != nil {
-		return nil, err
-	}
-	if j.FinalErr, err = decodeScopedErr(fe); err != nil {
-		return nil, err
-	}
-	return j, nil
-}
-
-func snapshotAttempt(j *Job, kv map[string]string) error {
-	var a Attempt
-	var err error
-	if a.Machine, err = unquoted(kv, "machine"); err != nil {
-		return err
-	}
-	start, err := parseInt64(kv, "start")
-	if err != nil {
-		return err
-	}
-	end, err := parseInt64(kv, "end")
-	if err != nil {
-		return err
-	}
-	cpu, err := parseInt64(kv, "cpu")
-	if err != nil {
-		return err
-	}
-	a.Start, a.End, a.CPU = sim.Time(start), sim.Time(end), durationNS(cpu)
-	if a.Evicted, err = parseBool(kv, "evicted"); err != nil {
-		return err
-	}
-	if _, ok := kv["pre"]; ok { // absent in pre-preemption logs
-		if a.Preempted, err = parseBool(kv, "pre"); err != nil {
-			return err
-		}
-	}
-	fetch, err := unquoted(kv, "fetch")
-	if err != nil {
-		return err
-	}
-	if a.FetchError, err = decodeScopedErr(fetch); err != nil {
-		return err
-	}
-	lost, err := unquoted(kv, "lost")
-	if err != nil {
-		return err
-	}
-	if a.LostContact, err = decodeScopedErr(lost); err != nil {
-		return err
-	}
-	rep, err := unquoted(kv, "rep")
-	if err != nil {
-		return err
-	}
-	if a.Reported, err = scope.DecodeResultString(rep); err != nil {
-		return err
-	}
-	tru, err := unquoted(kv, "tru")
-	if err != nil {
-		return err
-	}
-	if a.True, err = scope.DecodeResultString(tru); err != nil {
-		return err
-	}
-	j.Attempts = append(j.Attempts, a)
-	return nil
-}
-
-func (s *Schedd) snapshotReport(kv map[string]string) error {
-	var r UserReport
-	job, err := parseInt64(kv, "job")
-	if err != nil {
-		return err
-	}
-	r.Job = JobID(job)
-	if r.Disposition, err = parseDisposition(kv["disp"]); err != nil {
-		return err
-	}
-	res, err := unquoted(kv, "result")
-	if err != nil {
-		return err
-	}
-	if r.Result, err = scope.DecodeResultString(res); err != nil {
-		return err
-	}
-	enc, err := unquoted(kv, "err")
-	if err != nil {
-		return err
-	}
-	if r.Err, err = decodeScopedErr(enc); err != nil {
-		return err
-	}
-	if r.IncidentalLeak, err = parseBool(kv, "leak"); err != nil {
-		return err
-	}
-	s.Reports = append(s.Reports, r)
-	return nil
-}
-
-// --- parsing helpers -------------------------------------------------
-
-// scanKV splits one record line into key=value pairs.  Values are
-// either bare tokens (numbers, names) or Go-quoted strings that may
-// contain spaces, quotes, and newlines.
-func scanKV(line string) (map[string]string, error) {
-	kv := make(map[string]string)
-	for i := 0; i < len(line); {
-		if line[i] == ' ' {
-			i++
-			continue
-		}
-		eq := strings.IndexByte(line[i:], '=')
-		if eq < 0 {
-			return nil, fmt.Errorf("no '=' in %q", line[i:])
-		}
-		key := line[i : i+eq]
-		i += eq + 1
-		var val string
-		if i < len(line) && line[i] == '"' {
-			j := i + 1
-			for j < len(line) {
-				if line[j] == '\\' {
-					j += 2
-					continue
-				}
-				if line[j] == '"' {
-					break
-				}
-				j++
-			}
-			if j >= len(line) {
-				return nil, fmt.Errorf("unterminated quote for %q", key)
-			}
-			val = line[i : j+1]
-			i = j + 1
-		} else {
-			end := strings.IndexByte(line[i:], ' ')
-			if end < 0 {
-				end = len(line) - i
-			}
-			val = line[i : i+end]
-			i += end
-		}
-		kv[key] = val
-	}
-	return kv, nil
-}
-
-func unquoted(kv map[string]string, key string) (string, error) {
-	raw, ok := kv[key]
-	if !ok {
-		return "", fmt.Errorf("missing field %q", key)
-	}
-	v, err := strconv.Unquote(raw)
-	if err != nil {
-		return "", fmt.Errorf("field %q: %w", key, err)
-	}
-	return v, nil
-}
-
-func parseInt64(kv map[string]string, key string) (int64, error) {
-	raw, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("missing field %q", key)
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("field %q: %w", key, err)
-	}
-	return v, nil
-}
-
-func parseBool(kv map[string]string, key string) (bool, error) {
-	raw, ok := kv[key]
-	if !ok {
-		return false, fmt.Errorf("missing field %q", key)
-	}
-	v, err := strconv.ParseBool(raw)
-	if err != nil {
-		return false, fmt.Errorf("field %q: %w", key, err)
-	}
-	return v, nil
-}
-
-func durationNS(n int64) time.Duration { return time.Duration(n) }
-
-func parseJobState(name string) (JobState, error) {
-	for i, n := range jobStateNames {
-		if n == name {
-			return JobState(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown job state %q", name)
-}
-
-func parseDisposition(name string) (scope.Disposition, error) {
-	for _, d := range []scope.Disposition{
-		scope.DispositionComplete, scope.DispositionUnexecutable,
-		scope.DispositionRequeue, scope.DispositionHold,
-	} {
-		if d.String() == name {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown disposition %q", name)
 }

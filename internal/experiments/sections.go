@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/errscope/grid/internal/daemon"
+	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/pool"
 )
 
@@ -114,6 +115,31 @@ func Blackhole(seed int64, machines, jobs int, fractions []float64, policies []B
 	return r
 }
 
+// submitPatientJobs queues what pool.SubmitJava would, except that
+// each job states its own patience for submit-side outages: half
+// declare two minutes, half declare two hours.  OutageTolerance goes
+// into the ad before Submit — the submit record is the ad's durable
+// form, so an attribute set afterwards would not survive a schedd
+// crash.
+func submitPatientJobs(p *pool.Pool, n int, compute time.Duration) []daemon.JobID {
+	ids := make([]daemon.JobID, 0, n)
+	for i := 0; i < n; i++ {
+		exe := fmt.Sprintf("/home/user/job%d.class", i)
+		if err := p.Schedd.SubmitFS.WriteFile(exe, []byte("class bytes")); err != nil {
+			exe = ""
+		}
+		ad := daemon.NewJavaJobAd("user", 128)
+		tol := int64(120)
+		if i%2 == 1 {
+			tol = 7200
+		}
+		ad.SetInt("OutageTolerance", tol)
+		ids = append(ids, p.Schedd.Submit(&daemon.Job{Owner: "user", Ad: ad,
+			Program: jvm.WellBehaved(compute), Executable: exe}))
+	}
+	return ids
+}
+
 // Mounts reproduces the Section 5 hard/soft mount discussion: the
 // submit file system suffers an outage of varying length while a
 // workload runs; each policy trades stuck claims against premature
@@ -142,17 +168,10 @@ func Mounts(seed int64, machines, jobs int, outages []time.Duration) *Report {
 			params.Mount = a.mount
 			p := pool.New(pool.Config{Seed: seed, Params: params,
 				Machines: pool.UniformMachines(machines, 2048)})
-			ids := p.SubmitJava(jobs, pool.UniformCompute(10*time.Minute))
 			if a.mount.Kind == daemon.MountPerJob {
-				// Half the jobs declare two minutes of patience, half
-				// declare two hours: each chooses its own criteria.
-				for i, id := range ids {
-					tol := int64(120)
-					if i%2 == 1 {
-						tol = 7200
-					}
-					p.Schedd.Job(id).Ad.SetInt("OutageTolerance", tol)
-				}
+				submitPatientJobs(p, jobs, 10*time.Minute)
+			} else {
+				p.SubmitJava(jobs, pool.UniformCompute(10*time.Minute))
 			}
 			// The outage begins 5 minutes in.
 			p.Engine.After(5*time.Minute, func() { p.Schedd.SubmitFS.SetOffline(true) })

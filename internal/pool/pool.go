@@ -166,8 +166,14 @@ func (p *Pool) AllTerminal() bool {
 
 // SubmitStandard queues n Standard Universe jobs — re-linked binaries
 // with transparent checkpointing — staging each executable on the
-// submit-side file system.
+// submit-side file system.  The jobs' ads are copies of one
+// precompiled template: each job owns its Ad, all of them share the
+// immutable expressions, the compiled Requirements/Rank and the
+// rendering, so Submit's Precompile and the journal's Ad.String() cost
+// one parse per call, not one per job.
 func (p *Pool) SubmitStandard(n int, build func(i int) *jvm.Program) []daemon.JobID {
+	tmpl := daemon.NewStandardJobAd("user", 128)
+	tmpl.Precompile()
 	ids := make([]daemon.JobID, 0, n)
 	for i := 0; i < n; i++ {
 		exe := fmt.Sprintf("/home/user/job%d.exe", i)
@@ -177,7 +183,7 @@ func (p *Pool) SubmitStandard(n int, build func(i int) *jvm.Program) []daemon.Jo
 		job := &daemon.Job{
 			Owner:      "user",
 			Universe:   "standard",
-			Ad:         daemon.NewStandardJobAd("user", 128),
+			Ad:         tmpl.Copy(),
 			Program:    build(i),
 			Executable: exe,
 		}
@@ -187,8 +193,11 @@ func (p *Pool) SubmitStandard(n int, build func(i int) *jvm.Program) []daemon.Jo
 }
 
 // SubmitJava queues n Java jobs whose programs come from the builder,
-// staging each executable on the submit-side file system.
+// staging each executable on the submit-side file system.  Ads are
+// copies of one precompiled template, as in SubmitStandard.
 func (p *Pool) SubmitJava(n int, build func(i int) *jvm.Program) []daemon.JobID {
+	tmpl := daemon.NewJavaJobAd("user", 128)
+	tmpl.Precompile()
 	ids := make([]daemon.JobID, 0, n)
 	for i := 0; i < n; i++ {
 		exe := fmt.Sprintf("/home/user/job%d.class", i)
@@ -200,7 +209,7 @@ func (p *Pool) SubmitJava(n int, build func(i int) *jvm.Program) []daemon.JobID 
 		}
 		job := &daemon.Job{
 			Owner:      "user",
-			Ad:         daemon.NewJavaJobAd("user", 128),
+			Ad:         tmpl.Copy(),
 			Program:    build(i),
 			Executable: exe,
 		}
