@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt-check vet determinism-grep build test race cover journal-smoke fuzz-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module trace
+.PHONY: check fmt-check vet determinism-grep build test race cover journal-smoke fuzz-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module bench-pairs trace
 
 ## check: the full gate — gofmt, vet, the determinism grep, build, race-test
 ## the concurrent packages, the whole suite with per-package coverage
@@ -192,6 +192,17 @@ bench-pool:
 bench-module:
 	$(GO) vet -C bench ./...
 	$(GO) test -C bench ./...
+
+## bench-pairs: how a PR that claims a gain is judged (bench/README.md):
+## N alternating runs of workload W on revision PARENT and on this
+## checkout, then medians, quartiles, pair-wise wins and the median
+## ratio of every end-to-end metric; fails if the digests differ.
+##   make bench-pairs PARENT=HEAD~1 W=pool-deep N=10 [SEED=42] [SECS=10]
+N ?= 10
+SEED ?= 42
+SECS ?= 10
+bench-pairs:
+	@bash scripts/bench-pairs.sh "$(PARENT)" "$(W)" $(N) $(SEED) $(SECS)
 
 ## trace: regenerate the canonical per-class propagation traces under
 ## traces/ (the committed goldens live in

@@ -147,6 +147,9 @@ type Job struct {
 	attEncN int
 	// refName caches the schedd#id advertisement name.
 	refName string
+	// adBody caches the boxed advertiseMsg last sent for the job (see
+	// Schedd.advertiseJob).
+	adBody any
 }
 
 // LastAttempt returns the most recent attempt, or nil.

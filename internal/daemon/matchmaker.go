@@ -36,9 +36,15 @@ type Matchmaker struct {
 	// structures are rebuilt in one pass (see machineEntry.absent).
 	absentMachines int
 
-	jobs        map[jobKey]*jobEntry
-	ownerQueues map[string][]*jobEntry // per owner, sorted by (schedd, job)
-	ownerNames  []string               // owners with non-empty queues, name-sorted
+	jobs map[jobKey]*jobEntry
+	// schedds interns schedd names for jobKey; lastSchedd and
+	// lastScheddIdx remember the latest lookup, which a pool with one
+	// submit point hits on every message.
+	schedds       map[string]jobKey
+	lastSchedd    string
+	lastScheddIdx jobKey
+	ownerQueues   map[string][]*jobEntry // per owner, sorted by (schedd, job)
+	ownerNames    []string               // owners with non-empty queues, name-sorted
 	// deadJobs counts tombstoned queue slots awaiting the per-cycle
 	// compaction (see jobEntry.dead).
 	deadJobs int
@@ -116,16 +122,40 @@ type machineEntry struct {
 	absent bool
 }
 
-type jobKey struct {
-	schedd string
-	job    JobID
+// jobKey identifies a request: the schedd's interned index above
+// jobKeyIDBits, the JobID below.  An integer key keeps every refresh,
+// withdrawal and match on the map's fast64 path; a (name, id) struct
+// key hashed and compared the schedd name per message.
+type jobKey uint64
+
+// jobKeyIDBits leaves 24 bits of schedd index.  Job ids are queue
+// positions counted from 1, so 2^40 is out of any queue's reach.
+const jobKeyIDBits = 40
+
+// jobKey builds the key of a schedd's job, interning the name on first
+// sight.
+func (m *Matchmaker) jobKey(schedd string, job JobID) jobKey {
+	if uint64(job)>>jobKeyIDBits != 0 {
+		panic("daemon: job id out of range")
+	}
+	if schedd != m.lastSchedd || m.lastScheddIdx == 0 {
+		idx, ok := m.schedds[schedd]
+		if !ok {
+			idx = jobKey(len(m.schedds)+1) << jobKeyIDBits
+			m.schedds[schedd] = idx
+		}
+		m.lastSchedd, m.lastScheddIdx = schedd, idx
+	}
+	return m.lastScheddIdx | jobKey(job)
 }
 
 type jobEntry struct {
-	key   jobKey
-	ad    *classad.Ad
-	owner string
-	pre   []classad.Constraint // constant conjuncts of the job's Requirements
+	key    jobKey
+	schedd string
+	job    JobID
+	ad     *classad.Ad
+	owner  string
+	pre    []classad.Constraint // constant conjuncts of the job's Requirements
 	// noMatchSent limits no-match notifications to one per
 	// advertisement, keeping a steady-state cycle allocation-free;
 	// each schedd re-advertise re-arms it.
@@ -200,12 +230,12 @@ func (m *Matchmaker) preemptable(e *machineEntry, r float64) bool {
 // jobOwner extracts the requesting user from the job ad, falling back
 // to the schedd name so anonymous requests still get a fair-share
 // bucket.  Evaluated once at advertise time.
-func jobOwner(key jobKey, ad *classad.Ad) string {
+func jobOwner(schedd string, ad *classad.Ad) string {
 	if v := ad.EvalAttr("Owner", nil); v.Type() == classad.StringType {
 		s, _ := v.StringValue()
 		return s
 	}
-	return key.schedd
+	return schedd
 }
 
 // NewMatchmaker creates and registers the matchmaker on the bus and
@@ -221,6 +251,7 @@ func NewMatchmaker(bus Runtime, params Params) *Matchmaker {
 		machines:    make(map[string]*machineEntry),
 		index:       newAttrIndex(),
 		jobs:        make(map[jobKey]*jobEntry),
+		schedds:     make(map[string]jobKey),
 		ownerQueues: make(map[string][]*jobEntry),
 		clusters:    make(map[string]*clusterEntry),
 		usage:       make(map[string]int),
@@ -256,12 +287,11 @@ func (m *Matchmaker) receiveAd(ad advertiseMsg) {
 		}
 		m.upsertMachine(ad.Name, ad.Ad, m.bus.Now().Add(lifetime))
 	case "job":
-		key := jobKey{schedd: ad.Schedd, job: ad.Job}
 		if ad.Ad == nil {
-			m.removeJob(key) // schedd withdraws the request
+			m.removeJob(m.jobKey(ad.Schedd, ad.Job)) // schedd withdraws the request
 			return
 		}
-		m.upsertJob(key, ad.Ad, ad.Flocked)
+		m.upsertJob(ad.Schedd, ad.Job, ad.Ad, ad.Flocked)
 	}
 }
 
@@ -345,13 +375,13 @@ func (m *Matchmaker) compactMachines() {
 // compareJobEntries orders jobs within an owner bucket by submission
 // identity.
 func compareJobEntries(a, b *jobEntry) int {
-	if c := strings.Compare(a.key.schedd, b.key.schedd); c != 0 {
+	if c := strings.Compare(a.schedd, b.schedd); c != 0 {
 		return c
 	}
 	switch {
-	case a.key.job < b.key.job:
+	case a.job < b.job:
 		return -1
-	case a.key.job > b.key.job:
+	case a.job > b.job:
 		return 1
 	}
 	return 0
@@ -360,7 +390,8 @@ func compareJobEntries(a, b *jobEntry) int {
 // upsertJob installs or refreshes a job request in its owner bucket.
 // Jobs are always the self side of a match, so only their compiled
 // Requirements and pre-filter are needed — no attribute table.
-func (m *Matchmaker) upsertJob(key jobKey, ad *classad.Ad, foreign bool) {
+func (m *Matchmaker) upsertJob(schedd string, job JobID, ad *classad.Ad, foreign bool) {
+	key := m.jobKey(schedd, job)
 	expires := m.bus.Now().Add(m.jobAdLifetime())
 	if old, ok := m.jobs[key]; ok {
 		if old.ad == ad {
@@ -372,7 +403,7 @@ func (m *Matchmaker) upsertJob(key jobKey, ad *classad.Ad, foreign bool) {
 			return
 		}
 		// Refresh in place; owner may change if the ad changed.
-		if newOwner := jobOwner(key, ad); newOwner != old.owner {
+		if newOwner := jobOwner(schedd, ad); newOwner != old.owner {
 			m.removeJob(key)
 		} else {
 			old.ad = ad
@@ -383,7 +414,7 @@ func (m *Matchmaker) upsertJob(key jobKey, ad *classad.Ad, foreign bool) {
 			return
 		}
 	}
-	j := &jobEntry{key: key, ad: ad, owner: jobOwner(key, ad),
+	j := &jobEntry{key: key, schedd: schedd, job: job, ad: ad, owner: jobOwner(schedd, ad),
 		pre: classad.RequirementsPrefilter(ad), expires: expires, foreign: foreign}
 	if foreign {
 		m.foreignJobs++
@@ -521,8 +552,8 @@ func (m *Matchmaker) negotiate() {
 				j.noMatchSent = true
 				m.NoMatches++
 				m.tr.Count("matchmaker.no_matches", 1)
-				m.bus.Send(m.name, j.key.schedd, kindNoMatch,
-					noMatchMsg{Job: j.key.job})
+				m.bus.Send(m.name, j.schedd, kindNoMatch,
+					noMatchMsg{Job: j.job})
 			}
 			continue
 		}
@@ -538,8 +569,8 @@ func (m *Matchmaker) negotiate() {
 		// advertised (a startd re-advertises a fresh object on every
 		// state change), so the claim protocol can read it without a
 		// per-match deep copy.
-		m.bus.Send(m.name, j.key.schedd, kindMatchNotify, matchNotifyMsg{
-			Job:       j.key.job,
+		m.bus.Send(m.name, j.schedd, kindMatchNotify, matchNotifyMsg{
+			Job:       j.job,
 			Machine:   best.name,
 			MachineAd: best.ad,
 		})
@@ -791,7 +822,7 @@ func (m *Matchmaker) AdvertiseMachine(name string, ad *classad.Ad) {
 // AdvertiseJob installs or refreshes a job request directly, for
 // benchmarks and tests that drive the matchmaker without the bus.
 func (m *Matchmaker) AdvertiseJob(schedd string, job JobID, ad *classad.Ad) {
-	m.upsertJob(jobKey{schedd: schedd, job: job}, ad, false)
+	m.upsertJob(schedd, job, ad, false)
 }
 
 // MachineCount reports the machines currently advertised (absent

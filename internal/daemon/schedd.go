@@ -58,10 +58,10 @@ type Schedd struct {
 	fast bool
 
 	// idleOrder and idlePos index the idle jobs in the order they
-	// became idle, with tombstoned (zero) slots compacted lazily, so
-	// the periodic advertisement walks O(idle) entries instead of the
-	// whole queue.
-	idleOrder []JobID
+	// became idle, with tombstoned (nil) slots compacted lazily, so
+	// the periodic advertisement walks O(idle) entries — the jobs
+	// themselves, no queue lookup each — instead of the whole queue.
+	idleOrder []*Job
 	idlePos   map[JobID]int
 	idleStale int
 	// nonTerminal counts jobs not yet in a final state; AllTerminal —
@@ -199,7 +199,7 @@ func (s *Schedd) addJob(j *Job) {
 		s.nonTerminal++
 	}
 	if j.State == JobIdle {
-		s.idleAdd(j.ID)
+		s.idleAdd(j)
 	}
 }
 
@@ -214,7 +214,7 @@ func (s *Schedd) setState(j *Job, st JobState) {
 		s.idleRemove(j.ID)
 	}
 	if st == JobIdle {
-		s.idleAdd(j.ID)
+		s.idleAdd(j)
 	}
 	if !j.State.Terminal() && st.Terminal() {
 		s.nonTerminal--
@@ -223,12 +223,12 @@ func (s *Schedd) setState(j *Job, st JobState) {
 }
 
 // idleAdd appends a job to the idle index.
-func (s *Schedd) idleAdd(id JobID) {
-	if _, ok := s.idlePos[id]; ok {
+func (s *Schedd) idleAdd(j *Job) {
+	if _, ok := s.idlePos[j.ID]; ok {
 		return
 	}
-	s.idlePos[id] = len(s.idleOrder)
-	s.idleOrder = append(s.idleOrder, id)
+	s.idlePos[j.ID] = len(s.idleOrder)
+	s.idleOrder = append(s.idleOrder, j)
 }
 
 // idleRemove tombstones a job's slot; compaction happens lazily on
@@ -239,19 +239,20 @@ func (s *Schedd) idleRemove(id JobID) {
 		return
 	}
 	delete(s.idlePos, id)
-	s.idleOrder[pos] = 0 // job ids start at 1
+	s.idleOrder[pos] = nil
 	s.idleStale++
 }
 
 // compactIdle squeezes the tombstones out of the idle index.
 func (s *Schedd) compactIdle() {
 	live := s.idleOrder[:0]
-	for _, id := range s.idleOrder {
-		if id != 0 {
-			s.idlePos[id] = len(live)
-			live = append(live, id)
+	for _, j := range s.idleOrder {
+		if j != nil {
+			s.idlePos[j.ID] = len(live)
+			live = append(live, j)
 		}
 	}
+	clear(s.idleOrder[len(live):])
 	s.idleOrder = live
 	s.idleStale = 0
 }
@@ -295,11 +296,10 @@ func (s *Schedd) advertiseIdle() {
 	if s.idleStale > 0 && s.idleStale >= len(s.idleOrder)/2 {
 		s.compactIdle()
 	}
-	for _, id := range s.idleOrder {
-		if id == 0 {
+	for _, j := range s.idleOrder {
+		if j == nil {
 			continue
 		}
-		j := s.jobs[id]
 		s.advertiseJob(j)
 		s.rescueFlocked(j)
 	}
@@ -407,15 +407,25 @@ func (s *Schedd) matchmakerFor(j *Job) string {
 	return s.params.matchmaker()
 }
 
+// advertiseJob sends the job's request to its negotiator.  The body is
+// boxed once and the same interface value re-sent for as long as it
+// would read the same: the periodic refresh of an unchanged idle job —
+// most of a deep queue's traffic — allocates nothing.  The ad and the
+// flocked flag are the only fields that change in the life of a Job
+// value.
 func (s *Schedd) advertiseJob(j *Job) {
-	s.send(s.matchmakerFor(j), kindAdvertise, advertiseMsg{
-		Kind:    "job",
-		Name:    s.jobRefName(j),
-		Schedd:  s.name,
-		Job:     j.ID,
-		Ad:      s.effectiveAd(j),
-		Flocked: j.flockedTo != "",
-	})
+	ad, flocked := s.effectiveAd(j), j.flockedTo != ""
+	if sent, _ := j.adBody.(advertiseMsg); sent.Ad != ad || sent.Flocked != flocked {
+		j.adBody = advertiseMsg{
+			Kind:    "job",
+			Name:    s.jobRefName(j),
+			Schedd:  s.name,
+			Job:     j.ID,
+			Ad:      ad,
+			Flocked: flocked,
+		}
+	}
+	s.send(s.matchmakerFor(j), kindAdvertise, j.adBody)
 }
 
 // withdrawJob removes the job's request from its current negotiator so

@@ -91,8 +91,13 @@ type Bus struct {
 
 	// freeDeliveries recycles in-flight delivery records, so a
 	// steady-state message costs no closure or capture allocation —
-	// the bus-side extension of the engine's event pool.
+	// the bus-side extension of the engine's event pool, and capped
+	// like it: every record in flight rides one event.
 	freeDeliveries []*delivery
+	// lastTo and lastShard remember the destination shard sendNow
+	// resolved last: a daemon's burst goes to one name.
+	lastTo    string
+	lastShard int32
 }
 
 // delivery is one scheduled message arrival.  The run field is bound
@@ -117,6 +122,14 @@ func (b *Bus) getDelivery(m Message) *delivery {
 	return d
 }
 
+// putDelivery pools a retired record; past the cap a burst's overflow
+// goes back to the garbage collector.
+func (b *Bus) putDelivery(d *delivery) {
+	if len(b.freeDeliveries) < maxFreeEvents {
+		b.freeDeliveries = append(b.freeDeliveries, d)
+	}
+}
+
 // deliver hands the message to its target.  The record is recycled
 // before the actor runs, mirroring the engine's event recycling, so
 // sends made from inside Receive can reuse it immediately.
@@ -127,7 +140,7 @@ func (d *delivery) deliver() {
 		return
 	}
 	d.msg = Message{} // drop the body reference while pooled
-	b.freeDeliveries = append(b.freeDeliveries, d)
+	b.putDelivery(d)
 	a, ok := b.actors[m.To]
 	if !ok {
 		b.lost.Add(1)
@@ -335,7 +348,10 @@ func (b *Bus) sendNow(m Message) {
 	b.observe(m, obs.KindMsg)
 	// Deliveries run on the destination's shard, so same-instant
 	// deliveries to different daemons may execute concurrently.
-	shard := b.eng.ShardID(ShardKey(m.To))
+	if m.To != b.lastTo || b.lastShard == 0 {
+		b.lastTo, b.lastShard = m.To, b.eng.ShardID(ShardKey(m.To))
+	}
+	shard := b.lastShard
 	d := b.latency(m.From, m.To) + f.Delay
 	if d < 0 {
 		d = 0

@@ -36,12 +36,22 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 // schedule, so a steady-state simulation allocates no event memory.
 // gen distinguishes incarnations so a stale Timer cannot cancel the
 // recycled event.
+//
+// Queued events are either heads — entries of the heap — or chained:
+// linked, in seq order, behind a head of the same instant.  The links
+// are intrusive, so a chain costs no allocation, an instant with one
+// event is a bare heap entry, and the struct stays in the 64-byte size
+// class.
 type event struct {
 	at    Time
 	seq   uint64 // insertion order; breaks ties deterministically
 	fn    func()
-	index int    // heap index; -1 removed/popped, stagedIndex pending barrier insert
+	index int    // heap index of a head; chainedIndex, stagedIndex, or -1 when not queued
 	gen   uint64 // incarnation counter for Timer validity
+	// next is the successor in the chain, on heads and chained events
+	// alike; tail is the chain's last event and is kept on heads only
+	// (a head with no chain is its own tail).
+	next, tail *event
 
 	// shard is the affinity key of the callback: events of different
 	// shards may execute concurrently within one virtual instant.
@@ -57,14 +67,23 @@ type event struct {
 	// the current wave, so a second Cancel reports false like the
 	// serial engine's double cancel.
 	cancelStaged bool
+	// dead marks a chained event that was cancelled.  A chain has no
+	// back links, so the struct stays linked — its Timer already
+	// invalid, its seq still ordering the chain — until promotion
+	// walks past it and pools it.
+	dead bool
 }
 
-// stagedIndex marks an event created during a parallel wave and not
-// yet inserted into the heap; the barrier assigns its seq and inserts
-// it in deterministic order.
-const stagedIndex = -2
+const (
+	// stagedIndex marks an event created during a parallel wave and not
+	// yet queued; the barrier assigns its seq and queues it in
+	// deterministic order.
+	stagedIndex = -2
+	// chainedIndex marks an event linked behind a head.
+	chainedIndex = -3
+)
 
-// eventHeap is a 4-ary min-heap ordered by (at, seq).  It is
+// eventHeap is a 4-ary min-heap of heads ordered by (at, seq).  It is
 // monomorphic — no container/heap interface dispatch — because Step
 // and At dominate the engine's CPU profile.  The arity and the
 // internal layout are free to differ from container/heap's binary
@@ -136,21 +155,8 @@ func (h *eventHeap) push(e *event) {
 	*h = q
 }
 
-// popMin removes and returns the earliest event.
-func (h *eventHeap) popMin() *event {
-	q := *h
-	n := len(q) - 1
-	q.swap(0, n)
-	q.down(0, n)
-	e := q[n]
-	q[n] = nil
-	e.index = -1
-	*h = q[:n]
-	return e
-}
-
-// remove deletes the event at heap index i and returns it.
-func (h *eventHeap) remove(i int) *event {
+// remove deletes the head at heap index i.
+func (h *eventHeap) remove(i int) {
 	q := *h
 	n := len(q) - 1
 	if i != n {
@@ -159,11 +165,84 @@ func (h *eventHeap) remove(i int) *event {
 			q.up(i)
 		}
 	}
-	e := q[n]
 	q[n] = nil
-	e.index = -1
 	*h = q[:n]
-	return e
+}
+
+// push queues ev.  An event for the instant of the head pushed to
+// last, with a seq past that head's tail, is linked behind it — O(1),
+// and the common case by far: a daemon that sends n messages from one
+// callback schedules n deliveries for one instant.  Anything else
+// enters the heap as a new head, so an instant may have several heads
+// (another instant was scheduled in between; older seqs re-entered
+// after a parallel Stop).  That is why coalescing is never a
+// correctness matter: every chain ascends in seq and popMin always
+// takes the least head, so pops are a k-way merge in global (at, seq)
+// order whichever way the events were grouped.
+func (e *Engine) push(ev *event) {
+	e.live++
+	if h := e.last; h != nil && h.at == ev.at && h.tail.seq < ev.seq {
+		h.tail.next = ev
+		h.tail = ev
+		ev.index = chainedIndex
+		return
+	}
+	ev.tail = ev
+	e.events.push(ev)
+	e.last = ev
+}
+
+// popMin removes and returns the earliest event.
+func (e *Engine) popMin() *event {
+	h := e.events[0]
+	e.dropHead(h)
+	return h
+}
+
+// dropHead takes head h out of the queue.  Its first live successor is
+// promoted into h's heap slot — its key is larger than h's, so one
+// down restores the heap, and at the root that down moves nothing
+// while the instant has a single head.  Dead successors on the way
+// are pooled; with no live successor the slot is removed.
+func (e *Engine) dropHead(h *event) {
+	s := h.next
+	for s != nil && s.dead {
+		dead := s
+		s, dead.next = s.next, nil
+		e.pool(dead)
+	}
+	if s != nil {
+		s.tail = h.tail
+		s.index = h.index
+		e.events[s.index] = s
+		e.events.down(s.index, len(e.events))
+	} else {
+		e.events.remove(h.index)
+	}
+	if e.last == h {
+		e.last = s
+	}
+	h.index, h.next, h.tail = -1, nil, nil
+	e.live--
+}
+
+// cancelQueued cancels a live event and reports whether it was queued.
+// A head leaves the queue at once; a chained event is only marked (see
+// event.dead), its Timer invalidated here and now.
+func (e *Engine) cancelQueued(ev *event) bool {
+	switch {
+	case ev.index >= 0:
+		e.dropHead(ev)
+		e.recycle(ev)
+	case ev.index == chainedIndex:
+		ev.dead = true
+		ev.fn = nil
+		ev.gen++
+		e.live--
+	default:
+		return false
+	}
+	return true
 }
 
 // Engine is a discrete-event simulator.  It is not safe for
@@ -172,10 +251,14 @@ func (h *eventHeap) remove(i int) *event {
 // interleaved events.
 type Engine struct {
 	now    Time
-	events eventHeap
-	seq    uint64
-	rng    *rand.Rand
-	seed   int64
+	events eventHeap // the heads; events[0] is the earliest live event
+	// last is the head most recently pushed to — push's one-entry
+	// cache — or nil; live counts queued events that are not dead.
+	last *event
+	live int
+	seq  uint64
+	rng  *rand.Rand
+	seed int64
 	// stopped is atomic because Stop may be called from a worker
 	// goroutine during a parallel instant.
 	stopped atomic.Bool
@@ -212,7 +295,8 @@ type Engine struct {
 // events return to the garbage collector: the pool exists to make the
 // steady state allocation-free, not to hold the high-water mark of a
 // burst forever.  The cap accommodates a pool-scale fleet — one
-// in-flight timer per simulated machine — at ~80 bytes per struct.
+// in-flight timer per simulated machine — at 64 bytes per struct
+// (unsafe.Sizeof(event{}); a test pins it).
 const maxFreeEvents = 65536
 
 // New creates an engine whose random source is seeded with seed.
@@ -249,7 +333,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events still scheduled.
-func (e *Engine) Pending() int { return len(e.events) }
+func (e *Engine) Pending() int { return e.live }
 
 // Timer is a handle to a scheduled event; Cancel prevents a pending
 // event from firing.  The handle carries the event's incarnation so
@@ -267,20 +351,18 @@ type Timer struct {
 // from inside a parallel instant — daemon code cancels through its
 // scoped runtime, which routes to cancelFrom with the caller's shard.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.gen != t.ev.gen || t.ev.index < 0 {
+	if t == nil || t.ev == nil || t.gen != t.ev.gen {
 		return false
 	}
-	t.eng.events.remove(t.ev.index)
-	t.eng.recycle(t.ev)
-	return true
+	return t.eng.cancelQueued(t.ev)
 }
 
 // cancelFrom is Cancel as issued by an event running on the given
 // shard, safe during a parallel instant.  Outside a wave it is
 // exactly Cancel.  Inside a wave:
 //
-//   - a future event still in the heap is cancel-staged; the barrier
-//     removes it in deterministic order (heap state is frozen during
+//   - a future event still in the queue is cancel-staged; the barrier
+//     removes it in deterministic order (queue state is frozen during
 //     the wave);
 //   - an event scheduled earlier in this wave and not yet inserted is
 //     cancel-staged the same way — the barrier still consumes its seq
@@ -301,7 +383,7 @@ func (t *Timer) cancelFrom(shard int32) bool {
 	}
 	ev := t.ev
 	switch {
-	case ev.index >= 0, ev.index == stagedIndex:
+	case ev.index >= 0, ev.index == stagedIndex, ev.index == chainedIndex:
 		if ev.cancelStaged {
 			return false
 		}
@@ -327,9 +409,17 @@ func (t *Timer) cancelFrom(shard int32) bool {
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
 	ev.gen++
+	e.pool(ev)
+}
+
+// pool resets an event that has left the queue (its links are already
+// nil) and puts it on the free list.
+func (e *Engine) pool(ev *event) {
+	ev.index = -1
 	ev.skip = false
 	ev.done = false
 	ev.cancelStaged = false
+	ev.dead = false
 	if len(e.free) < maxFreeEvents {
 		e.free = append(e.free, ev)
 	}
@@ -363,7 +453,7 @@ func (e *Engine) atShard(shard int32, at Time, fn func()) Timer {
 	}
 	ev.shard = shard
 	e.seq++
-	e.events.push(ev)
+	e.push(ev)
 	return Timer{eng: e, ev: ev, gen: ev.gen}
 }
 
@@ -405,15 +495,15 @@ func (e *Engine) Every(period time.Duration, fn func()) (stop func()) {
 }
 
 // Step executes the next pending event, advancing the clock to its
-// time.  It reports whether an event was executed.  Cancelled events
-// are removed from the heap eagerly, so every pop is a live event;
-// the struct is recycled before the callback runs, letting callbacks
-// that schedule reuse it immediately.
+// time.  It reports whether an event was executed.  A cancelled event
+// is never a head, so every pop is a live event; the struct is
+// recycled before the callback runs, letting callbacks that schedule
+// reuse it immediately.
 func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	ev := e.events.popMin()
+	ev := e.popMin()
 	e.now = ev.at
 	fn := ev.fn
 	e.recycle(ev)

@@ -107,3 +107,32 @@ func TestSteadyStateScheduleAllocFree(t *testing.T) {
 		t.Errorf("schedule+fire allocated %.1f objects per run, want 0", allocs)
 	}
 }
+
+// TestDeliveryFreeListBounded is TestFreeListBounded for the bus: a
+// burst of messages twice the cap drains into a pool no larger than the
+// cap, and a send-deliver cycle afterwards still allocates nothing.
+func TestDeliveryFreeListBounded(t *testing.T) {
+	eng := New(1)
+	bus := NewBus(eng, time.Millisecond)
+	received := 0
+	bus.Register("sink", ActorFunc(func(Message) { received++ }))
+	const burst = 2 * maxFreeEvents
+	for i := 0; i < burst; i++ {
+		bus.Send("src", "sink", "k", nil)
+	}
+	eng.Run()
+	if received != burst {
+		t.Fatalf("delivered %d of %d", received, burst)
+	}
+	if got := len(bus.freeDeliveries); got > maxFreeEvents {
+		t.Errorf("the bus pools %d delivery records after a %d-message burst, cap is %d",
+			got, burst, maxFreeEvents)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		bus.Send("src", "sink", "k", nil)
+		eng.Step()
+	})
+	if allocs > 0 {
+		t.Errorf("send+deliver allocated %.1f objects per run after the burst, want 0", allocs)
+	}
+}

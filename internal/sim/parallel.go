@@ -310,7 +310,7 @@ func (e *Engine) runInstant(t Time) {
 	for !e.stopped.Load() {
 		wave := e.waveBuf[:0]
 		for len(e.events) > 0 && e.events[0].at == t {
-			wave = append(wave, e.events.popMin())
+			wave = append(wave, e.popMin())
 		}
 		e.waveBuf = wave[:0]
 		if len(wave) == 0 {
@@ -356,7 +356,7 @@ func (e *Engine) pushBack(evs []*event) {
 			e.recycle(ev)
 			continue
 		}
-		e.events.push(ev)
+		e.push(ev)
 	}
 }
 
@@ -484,7 +484,7 @@ func (e *Engine) runSegment(evs []*event) {
 		e.processed += c.processed
 		c.processed = 0
 		for i, d := range c.freeDel {
-			d.bus.freeDeliveries = append(d.bus.freeDeliveries, d)
+			d.bus.putDelivery(d)
 			c.freeDel[i] = nil
 		}
 		c.freeDel = c.freeDel[:0]
@@ -510,8 +510,10 @@ func runShard(c *shardCtx) {
 		}
 		c.parent = ev.seq
 		c.idx = 0
-		ev.fn()
+		// done before the call: an event that cancels its own timer
+		// while running gets false, as on the serial engine.
 		ev.done = true
+		ev.fn()
 		c.processed++
 	}
 }
@@ -523,12 +525,11 @@ func (e *Engine) applyEffect(fx *effect) {
 		ev := fx.ev
 		ev.seq = e.seq
 		e.seq++
-		e.events.push(ev)
+		e.push(ev)
 	case fxCancel:
 		ev := fx.ev
-		if fx.gen == ev.gen && ev.index >= 0 {
-			e.events.remove(ev.index)
-			e.recycle(ev)
+		if fx.gen == ev.gen {
+			e.cancelQueued(ev)
 		}
 	case fxSend:
 		fx.bus.sendNow(fx.msg)
