@@ -32,7 +32,7 @@ vet:
 ## of its own, outside internal/wire and internal/monitor.
 determinism-grep:
 	@if grep -rnE 'time\.Now\(|\brand\.(Int|Float|Perm|Shuffle|Seed|Exp|Norm)' \
-		--include='*.go' --exclude='*_test.go' internal/daemon internal/sim internal/wire internal/monitor; then \
+		--include='*.go' --exclude='*_test.go' internal/daemon internal/sim internal/wire internal/monitor internal/record; then \
 		echo 'FAIL: wall clock or global math/rand state in a deterministic package'; \
 		exit 1; \
 	fi
@@ -63,7 +63,8 @@ COVER_PKGS = \
 	github.com/errscope/grid/internal/rpc \
 	github.com/errscope/grid/internal/faultinject \
 	github.com/errscope/grid/internal/live \
-	github.com/errscope/grid/internal/monitor
+	github.com/errscope/grid/internal/monitor \
+	github.com/errscope/grid/internal/record
 COVER_FLOOR = 85
 cover:
 	@$(GO) test -cover ./... > cover.txt 2>&1; status=$$?; \
@@ -88,11 +89,12 @@ cover:
 
 ## journal-smoke: the schedd write-ahead journal under the race
 ## detector — concurrent append/compact/replay plus the torn-tail and
-## fuzz-seeded decode tests — and then its one client: the schedd's
-## crash, group-commit, replay and recovery tests, which include the
-## replay decoder's differential seeds and its cost guards.
+## fuzz-seeded decode tests, and the record language whose lenient
+## cursor reads the journal back — and then its one client: the
+## schedd's crash, group-commit, replay and recovery tests, which
+## include the replay decoder's differential seeds and its cost guards.
 journal-smoke:
-	$(GO) test -race -count=1 ./internal/journal/
+	$(GO) test -race -count=1 ./internal/journal/ ./internal/record/
 	$(GO) test -race -count=1 -run 'Schedd|GroupCommit|Replay|Recover' ./internal/daemon/
 
 ## fuzz-smoke: every Fuzz* target in the repo, FUZZTIME each (default

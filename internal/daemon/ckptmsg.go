@@ -2,19 +2,17 @@ package daemon
 
 import (
 	"fmt"
-	"hash/crc32"
-	"strconv"
-	"strings"
 	"time"
 
+	"github.com/errscope/grid/internal/record"
 	"github.com/errscope/grid/internal/scope"
 )
 
 // The checkpoint codec.  A checkpoint crosses the pool boundary — it
 // leaves the execution machine and must survive that machine's death —
 // so, like the flock codec, it travels as a canonical text record
-// rather than a process-local struct: one line, fixed field order, and
-// a CRC-32 trailer over everything before it.  Canonical means
+// rather than a process-local struct: one line in the strict grammar
+// of package record, sealed by its CRC-32 trailer.  Canonical means
 // ParseCheckpoint(EncodeCheckpoint(j, c)) == (j, c) and re-encoding
 // any accepted line reproduces it byte for byte, the property the fuzz
 // test pins.  A corrupted or truncated line is a parse error the
@@ -26,91 +24,32 @@ import (
 // EncodeCheckpoint renders the canonical one-line checkpoint record
 // for a job's accumulated CPU progress.
 func EncodeCheckpoint(job JobID, cpu time.Duration) string {
-	var sb strings.Builder
-	sb.WriteString("ckpt job=")
-	sb.WriteString(strconv.Itoa(int(job)))
-	sb.WriteString(" cpu=")
-	sb.WriteString(strconv.FormatInt(int64(cpu), 10))
-	sum := crc32.ChecksumIEEE([]byte(sb.String()))
-	sb.WriteString(" crc=")
-	fmt.Fprintf(&sb, "%08x", sum)
-	return sb.String()
+	buf := record.Buffer()
+	b := record.AppendInt(append(*buf, "ckpt"...), "job", int64(job))
+	return record.Seal(buf, record.AppendInt(b, "cpu", int64(cpu)))
 }
 
 // ParseCheckpoint decodes one checkpoint record, strictly: exact field
 // order, single spaces, canonical integers, and a CRC that matches the
 // bytes it covers.  Anything else — above all, a payload damaged in
-// transit — is an error.
+// transit — is an error.  The fields are read before the trailer is
+// checked, so a byte flipped inside a number reports as that field's
+// error (the corrupt-checkpoint golden trace pins the text).
 func ParseCheckpoint(s string) (JobID, time.Duration, error) {
-	rest, ok := strings.CutPrefix(s, "ckpt ")
-	if !ok {
-		return 0, 0, fmt.Errorf("ckpt: not a checkpoint record: %q", s)
-	}
-	job, err := cutCkptInt(&rest, "job", true)
-	if err != nil {
+	r := record.NewReader("ckpt: ", s)
+	r.Tag("ckpt", "a checkpoint record")
+	job, cpu := r.Int("job"), r.Int("cpu")
+	r.Unseal()
+	if err := r.End(); err != nil {
 		return 0, 0, err
 	}
 	if job < 0 {
 		return 0, 0, fmt.Errorf("ckpt: negative job %d", job)
 	}
-	cpu, err := cutCkptInt(&rest, "cpu", true)
-	if err != nil {
-		return 0, 0, err
-	}
 	if cpu < 0 {
 		return 0, 0, fmt.Errorf("ckpt: negative cpu %d", cpu)
 	}
-	raw, ok := strings.CutPrefix(rest, "crc=")
-	if !ok {
-		return 0, 0, fmt.Errorf("ckpt: expected crc= at %q", rest)
-	}
-	if len(raw) != 8 {
-		return 0, 0, fmt.Errorf("ckpt: crc %q is not 8 hex digits", raw)
-	}
-	sum, err := strconv.ParseUint(raw, 16, 32)
-	if err != nil {
-		return 0, 0, fmt.Errorf("ckpt: field crc: %w", err)
-	}
-	// Canonical hex only: ParseUint accepts uppercase, which would
-	// re-encode differently and break the round trip.
-	if raw != fmt.Sprintf("%08x", uint32(sum)) {
-		return 0, 0, fmt.Errorf("ckpt: non-canonical crc=%q", raw)
-	}
-	covered := s[:len(s)-len(" crc=")-8]
-	if got := crc32.ChecksumIEEE([]byte(covered)); got != uint32(sum) {
-		return 0, 0, fmt.Errorf("ckpt: crc mismatch: record says %08x, bytes say %08x",
-			uint32(sum), got)
-	}
 	return JobID(job), time.Duration(cpu), nil
-}
-
-// cutCkptInt consumes "key=<int64>" (and, when more fields follow, the
-// single space after it) from the front of *rest.
-func cutCkptInt(rest *string, key string, more bool) (int64, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
-	if !ok {
-		return 0, fmt.Errorf("ckpt: expected %s= at %q", key, *rest)
-	}
-	var raw string
-	if more {
-		raw, r, ok = strings.Cut(r, " ")
-		if !ok {
-			return 0, fmt.Errorf("ckpt: truncated after %s", key)
-		}
-	} else {
-		raw, r = r, ""
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("ckpt: field %s: %w", key, err)
-	}
-	// Reject non-canonical spellings ("+2", "007") that ParseInt
-	// accepts: they would re-encode differently.
-	if raw != strconv.FormatInt(v, 10) {
-		return 0, fmt.Errorf("ckpt: non-canonical %s=%q", key, raw)
-	}
-	*rest = r
-	return v, nil
 }
 
 // ckptCorruptErr scopes a damaged checkpoint record: the network

@@ -118,10 +118,45 @@ func TestCorruptCheckpoint(t *testing.T) {
 	}
 }
 
-// FuzzParseCheckpoint is the codec's canonicality guarantee: arbitrary
-// input must never panic, and anything the parser accepts must
-// re-encode to the exact input bytes — the same contract the flock
-// codec pins.
+// resealCkpt recomputes a record's CRC trailer (or adds one), so that
+// what decides is the field grammar, not the checksum.
+func resealCkpt(s string) string {
+	if i := strings.LastIndex(s, " crc="); i >= 0 {
+		s = s[:i]
+	}
+	return fmt.Sprintf("%s crc=%08x", s, crc32.ChecksumIEEE([]byte(s)))
+}
+
+// diffCkpt is the differential check: on any input the codec and the
+// parent's (ckptmsg_ref_test.go) must agree on accept/reject and on
+// the decoded values, and an accepted line must be the canonical
+// encoding under both, byte for byte.  There is no deliberate
+// difference in what is accepted; only some error texts moved (see
+// CHANGES.md).
+func diffCkpt(t *testing.T, s string) {
+	t.Helper()
+	job, cpu, err := ParseCheckpoint(s)
+	rjob, rcpu, rerr := refParseCheckpoint(s)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("ParseCheckpoint(%q): codec says %v, parent says %v", s, err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if job != rjob || cpu != rcpu || job < 0 || cpu < 0 {
+		t.Fatalf("ParseCheckpoint(%q): codec (%d, %v), parent (%d, %v)", s, job, cpu, rjob, rcpu)
+	}
+	if enc, ref := EncodeCheckpoint(job, cpu), refEncodeCheckpoint(rjob, rcpu); enc != s || ref != s {
+		t.Fatalf("accepted %q but re-encodes as %q (parent %q)", s, enc, ref)
+	}
+}
+
+// FuzzParseCheckpoint is the codec's canonicality guarantee and its
+// differential proof: arbitrary input must never panic, the codec and
+// its parent agree on every input, and anything accepted re-encodes to
+// the exact input bytes.  A mutated line almost never keeps a valid
+// checksum, so each input is also tried re-sealed: that is what lets
+// the fuzzer reach the field grammar.
 func FuzzParseCheckpoint(f *testing.F) {
 	a := EncodeCheckpoint(7, 30*time.Minute)
 	b := EncodeCheckpoint(1, 0)
@@ -132,24 +167,39 @@ func FuzzParseCheckpoint(f *testing.F) {
 	f.Add("ckpt job=1 cpu=0 crc=00000000")
 	f.Add("garbage")
 	f.Add(strings.Repeat("ckpt ", 8))
+	for _, s := range ckptAwkward {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, s string) {
-		job, cpu, err := ParseCheckpoint(s)
-		if err != nil {
-			return
-		}
-		if job < 0 || cpu < 0 {
-			t.Fatalf("accepted negative values from %q: (%d, %v)", s, job, cpu)
-		}
-		enc := EncodeCheckpoint(job, cpu)
-		if enc != s {
-			t.Fatalf("accepted %q but re-encodes as %q: parser admits a non-canonical form", s, enc)
-		}
-		job2, cpu2, err := ParseCheckpoint(enc)
-		if err != nil {
-			t.Fatalf("re-parse of %q failed: %v", enc, err)
-		}
-		if job2 != job || cpu2 != cpu {
-			t.Fatalf("round trip changed the record: (%d, %v) vs (%d, %v)", job2, cpu2, job, cpu)
-		}
+		diffCkpt(t, s)
+		diffCkpt(t, resealCkpt(s))
 	})
+}
+
+// ckptAwkward are payloads (trailer added by resealCkpt) a fuzzer needs
+// luck for: each is a canonical record with one thing respelled.
+var ckptAwkward = []string{
+	"ckpt job=7 cpu=5", "ckpt job=7 cpu=5 ", "ckpt job=7  cpu=5", "ckpt  job=7 cpu=5",
+	"ckpt job=7 cpu=5 x", "ckpt job=7 cpu=5 crc=00000000", "ckpt job=7", "ckpt job=7 ",
+	"ckpt job=+7 cpu=5", "ckpt job=07 cpu=5", "ckpt job=-0 cpu=5", "ckpt job=7 cpu=-5",
+	"ckpt job=-7 cpu=5", "ckpt job=7\x00cpu=5", "ckpt job=\x11 cpu=5", "ckpt cpu=5 job=7",
+	"ckpt job=9223372036854775807 cpu=9223372036854775807", "ckpt job=7 cpu=9223372036854775808",
+}
+
+// TestCheckpointMatchesParent runs the awkward spellings through both
+// codecs, sealed and as they are, plus damaged trailers.
+func TestCheckpointMatchesParent(t *testing.T) {
+	for _, s := range ckptAwkward {
+		diffCkpt(t, s)
+		diffCkpt(t, resealCkpt(s))
+	}
+	good := EncodeCheckpoint(3, time.Hour)
+	n := len(good)
+	for _, s := range []string{
+		good[:n-8] + strings.ToUpper(good[n-8:]), good[:n-8] + "+" + good[n-7:],
+		good[:n-8] + good[n-7:], good[:n-8] + "0" + good[n-8:], good[:n-13],
+		good + good[n-13:], good[:n-13] + " " + good[n-13:],
+	} {
+		diffCkpt(t, s)
+	}
 }

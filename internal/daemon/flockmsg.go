@@ -2,17 +2,18 @@ package daemon
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
+	"github.com/errscope/grid/internal/record"
 	"github.com/errscope/grid/internal/scope"
 )
 
 // The flock negotiation codec.  A flock decision is the one message
 // that crosses pool-administration boundaries, so — like the scenario
 // and journal formats — it travels as a canonical text record rather
-// than a process-local struct: one line, fixed field order, Go-quoted
-// strings.  Canonical means ParseFlockMsg(EncodeFlockMsg(m)) == m and
+// than a process-local struct: one line in the strict grammar of
+// package record (fixed field order, single spaces, Go-quoted
+// strings).  Canonical means ParseFlockMsg(EncodeFlockMsg(m)) == m and
 // EncodeFlockMsg(ParseFlockMsg(s)) == s for every accepted s, the
 // property the fuzz test pins.  A truncated or corrupted line is a
 // parse error the receiving schedd scopes as a network failure — the
@@ -48,121 +49,54 @@ type FlockMsg struct {
 
 // EncodeFlockMsg renders the canonical one-line encoding.
 func EncodeFlockMsg(m FlockMsg) string {
-	var sb strings.Builder
-	sb.WriteString("flock ")
-	sb.WriteString(string(m.Op))
-	sb.WriteString(" job=")
-	sb.WriteString(strconv.Itoa(int(m.Job)))
+	b := append(append(make([]byte, 0, 64), "flock "...), m.Op...)
+	b = record.AppendInt(b, "job", int64(m.Job))
 	switch m.Op {
 	case FlockGrant:
-		sb.WriteString(" level=")
-		sb.WriteString(strconv.Itoa(m.Level))
-		sb.WriteString(" negotiator=")
-		sb.WriteString(strconv.Quote(m.Negotiator))
+		b = record.AppendInt(b, "level", int64(m.Level))
+		b = record.AppendStr(b, "negotiator", m.Negotiator)
 	case FlockDeny:
-		sb.WriteString(" reason=")
-		sb.WriteString(strconv.Quote(m.Reason))
+		b = record.AppendStr(b, "reason", m.Reason)
 	}
-	return sb.String()
+	return string(b)
 }
 
-// ParseFlockMsg decodes one flock decision, strictly: exact field
-// order, single spaces, Go-quoted strings.  Anything else — above
-// all, a line cut short in transit — is an error.
+// ParseFlockMsg decodes one flock decision, strictly.  Anything but
+// the canonical line — above all, a line cut short in transit — is an
+// error.
 func ParseFlockMsg(s string) (FlockMsg, error) {
-	var m FlockMsg
 	rest, ok := strings.CutPrefix(s, "flock ")
 	if !ok {
-		return m, fmt.Errorf("flock: not a flock record: %q", s)
+		return FlockMsg{}, fmt.Errorf("flock: not a flock record: %q", s)
 	}
-	op, rest, ok := strings.Cut(rest, " ")
-	if !ok {
-		return m, fmt.Errorf("flock: truncated after op %q", op)
+	i := strings.IndexByte(rest, ' ')
+	if i < 0 {
+		return FlockMsg{}, fmt.Errorf("flock: truncated after op %q", rest)
 	}
-	m.Op = FlockOp(op)
-	job, err := cutIntField(&rest, "job", true)
-	if err != nil {
-		return m, err
-	}
-	if job < 0 {
-		return m, fmt.Errorf("flock: negative job %d", job)
-	}
-	m.Job = JobID(job)
+	op := rest[:i]
+	m := FlockMsg{Op: FlockOp(op)}
+	r := record.NewReader("flock: ", rest[i:])
+	m.Job = JobID(r.Int("job"))
 	switch m.Op {
 	case FlockGrant:
-		level, err := cutIntField(&rest, "level", true)
-		if err != nil {
-			return m, err
-		}
-		if level < 1 {
-			return m, fmt.Errorf("flock: grant level %d out of range", level)
-		}
-		m.Level = level
-		if m.Negotiator, err = cutQuotedField(&rest, "negotiator"); err != nil {
-			return m, err
-		}
-		if m.Negotiator == "" {
-			return m, fmt.Errorf("flock: grant names no negotiator")
-		}
+		m.Level, m.Negotiator = int(r.Int("level")), r.Str("negotiator")
 	case FlockDeny:
-		if m.Reason, err = cutQuotedField(&rest, "reason"); err != nil {
-			return m, err
-		}
-	default:
-		return m, fmt.Errorf("flock: unknown op %q", op)
+		m.Reason = r.Str("reason")
 	}
-	if rest != "" {
-		return m, fmt.Errorf("flock: trailing garbage %q", rest)
+	if err := r.End(); err != nil {
+		return FlockMsg{}, err
+	}
+	switch {
+	case m.Job < 0:
+		return FlockMsg{}, fmt.Errorf("flock: negative job %d", m.Job)
+	case m.Op != FlockGrant && m.Op != FlockDeny:
+		return FlockMsg{}, fmt.Errorf("flock: unknown op %q", op)
+	case m.Op == FlockGrant && m.Level < 1:
+		return FlockMsg{}, fmt.Errorf("flock: grant level %d out of range", m.Level)
+	case m.Op == FlockGrant && m.Negotiator == "":
+		return FlockMsg{}, fmt.Errorf("flock: grant names no negotiator")
 	}
 	return m, nil
-}
-
-// cutIntField consumes "key=<int>" (and, when more fields follow, the
-// single space after it) from the front of *rest.
-func cutIntField(rest *string, key string, more bool) (int, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
-	if !ok {
-		return 0, fmt.Errorf("flock: expected %s= at %q", key, *rest)
-	}
-	var raw string
-	if more {
-		raw, r, ok = strings.Cut(r, " ")
-		if !ok {
-			return 0, fmt.Errorf("flock: truncated after %s", key)
-		}
-	} else {
-		raw, r = r, ""
-	}
-	v, err := strconv.Atoi(raw)
-	if err != nil {
-		return 0, fmt.Errorf("flock: field %s: %w", key, err)
-	}
-	// Reject non-canonical spellings ("+2", "007") that Atoi accepts:
-	// they would re-encode differently and break the round trip.
-	if raw != strconv.Itoa(v) {
-		return 0, fmt.Errorf("flock: non-canonical %s=%q", key, raw)
-	}
-	*rest = r
-	return v, nil
-}
-
-// cutQuotedField consumes a trailing `key="..."` Go-quoted field.
-func cutQuotedField(rest *string, key string) (string, error) {
-	r, ok := strings.CutPrefix(*rest, key+"=")
-	if !ok {
-		return "", fmt.Errorf("flock: expected %s= at %q", key, *rest)
-	}
-	v, err := strconv.Unquote(r)
-	if err != nil {
-		return "", fmt.Errorf("flock: field %s: %w", key, err)
-	}
-	// Canonical quoting only: Unquote accepts spellings (`...`,
-	// "\x41") that Quote would not emit.
-	if r != strconv.Quote(v) {
-		return "", fmt.Errorf("flock: non-canonical %s=%s", key, r)
-	}
-	*rest = ""
-	return v, nil
 }
 
 // flockReplyErr scopes a damaged flock reply: the network delivered

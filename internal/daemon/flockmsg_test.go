@@ -92,10 +92,35 @@ func TestTruncateFlockReply(t *testing.T) {
 	}
 }
 
-// FuzzParseFlockMsg is the codec's canonicality guarantee: arbitrary
-// input must never panic, and anything the parser accepts must
-// re-encode to the exact input bytes and survive a second round trip
-// unchanged — the same contract the journal and scenario codecs pin.
+// diffFlock is the differential check: on any input the codec and the
+// parent's (flockmsg_ref_test.go) must agree on accept/reject and on
+// the decoded message, and an accepted line must be the canonical
+// encoding under both, byte for byte.  There is no deliberate
+// difference in what is accepted; only some error texts moved (see
+// CHANGES.md).
+func diffFlock(t *testing.T, s string) {
+	t.Helper()
+	m, err := ParseFlockMsg(s)
+	want, rerr := refParseFlockMsg(s)
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("ParseFlockMsg(%q): codec says %v, parent says %v", s, err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if m != want {
+		t.Fatalf("ParseFlockMsg(%q): codec %+v, parent %+v", s, m, want)
+	}
+	if enc, ref := EncodeFlockMsg(m), refEncodeFlockMsg(want); enc != s || ref != s {
+		t.Fatalf("accepted %q but re-encodes as %q (parent %q)", s, enc, ref)
+	}
+}
+
+// FuzzParseFlockMsg is the codec's canonicality guarantee and its
+// differential proof: arbitrary input must never panic, the codec and
+// its parent agree on every input, and anything accepted re-encodes to
+// the exact input bytes — the same contract the journal and scenario
+// codecs pin.
 func FuzzParseFlockMsg(f *testing.F) {
 	grant := EncodeFlockMsg(FlockMsg{Op: FlockGrant, Job: 7, Level: 2, Negotiator: "mm-p2"})
 	deny := EncodeFlockMsg(FlockMsg{Op: FlockDeny, Job: 7, Reason: "no live peer pool"})
@@ -107,21 +132,43 @@ func FuzzParseFlockMsg(f *testing.F) {
 	f.Add("flock deny job=0 reason=\"\"")
 	f.Add("garbage")
 	f.Add(strings.Repeat("flock ", 8))
-	f.Fuzz(func(t *testing.T, s string) {
-		m, err := ParseFlockMsg(s)
-		if err != nil {
-			return
-		}
-		enc := EncodeFlockMsg(m)
-		if enc != s {
-			t.Fatalf("accepted %q but re-encodes as %q: parser admits a non-canonical form", s, enc)
-		}
-		m2, err := ParseFlockMsg(enc)
-		if err != nil {
-			t.Fatalf("re-parse of %q failed: %v", enc, err)
-		}
-		if m2 != m {
-			t.Fatalf("round trip changed the message: %+v vs %+v", m2, m)
-		}
-	})
+	for _, s := range flockAwkward {
+		f.Add(s)
+	}
+	f.Fuzz(diffFlock)
+}
+
+// flockAwkward are the spellings a fuzzer needs luck for: each is a
+// canonical line with one thing respelled.
+var flockAwkward = []string{
+	`flock grant job=1 level=1 negotiator="mm" `,
+	`flock grant job=1 level=1 negotiator="mm"x`,
+	`flock grant job=1 level=1 negotiator="m" m"`,
+	`flock grant job=1 level=1 negotiator="\x41"`,
+	`flock grant job=1 level=1 negotiator="caf\u00e9"`,
+	"flock grant job=1 level=1 negotiator=\"café\"",
+	"flock grant job=1 level=1 negotiator=\"tab\there\"",
+	`flock grant job=1 level=1 negotiator="tab\there"`,
+	`flock grant job=1 level=1  negotiator="mm"`,
+	`flock grant job=1  level=1 negotiator="mm"`,
+	`flock grant  job=1 level=1 negotiator="mm"`,
+	`flock grant job=1 level=1`,
+	`flock grant job=1 level=1 `,
+	`flock grant job=1 level=-0 negotiator="mm"`,
+	`flock grant job=9223372036854775807 level=1 negotiator="mm"`,
+	`flock grant job=9223372036854775808 level=1 negotiator="mm"`,
+	`flock grant job=1 level=1 negotiator='m'`,
+	`flock deny job=1 reason="x" reason="y"`,
+	`flock deny job=1 negotiator="x"`,
+	`flock deny job=-1 reason="x"`,
+	`flock borrow job=1 reason="x"`,
+	`flock deny job=1 reason=""`,
+}
+
+// TestFlockMatchesParent runs the awkward spellings through both
+// codecs.
+func TestFlockMatchesParent(t *testing.T) {
+	for _, s := range flockAwkward {
+		diffFlock(t, s)
+	}
 }

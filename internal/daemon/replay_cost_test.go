@@ -110,25 +110,6 @@ func TestRecoveredQueueDoesNotPinTheLog(t *testing.T) {
 	runtime.KeepAlive(disk)
 }
 
-// TestFieldCursorAllocatesNothing: scanning a line and reading its
-// numbers, flags and empty strings through the reused cursor touches
-// the heap not at all; only a non-empty string value is copied out.
-func TestFieldCursorAllocatesNothing(t *testing.T) {
-	line := []byte(`id=12 machine="c0001" start=123456789012 end=-5 cpu=300000000000 evicted=false pre=true fetch="" lost=""`)
-	var f fields
-	if n := testing.AllocsPerRun(100, func() {
-		if err := f.scan(line); err != nil {
-			t.Fatal(err)
-		}
-		sum := f.int("id") + f.int("start") + f.int("end") + f.int("cpu")
-		if _, ok := f.get("pre"); !ok || sum == 0 || f.bool("evicted") || !f.bool("pre") || f.str("fetch") != "" || f.err != nil {
-			t.Fatal("misread", f.err)
-		}
-	}); n != 0 {
-		t.Errorf("cursor allocated %v times per line", n)
-	}
-}
-
 func BenchmarkRecover(b *testing.B) {
 	_, s := twoAdQueue(8192)
 	b.ReportAllocs()

@@ -686,7 +686,7 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(recMatch(j.ID, s.bus.Now(), m.Machine))
+	s.journalAppend(recMachineOp("match", j.ID, s.bus.Now(), m.Machine))
 	s.setState(j, JobMatched)
 	j.claimSeq++
 	seq := j.claimSeq
@@ -738,7 +738,7 @@ func (s *Schedd) receiveClaim(from string, r claimReplyMsg) {
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(recExec(j.ID, s.bus.Now(), from))
+	s.journalAppend(recMachineOp("exec", j.ID, s.bus.Now(), from))
 	s.setState(j, JobRunning)
 	j.avoidanceRelaxed = false // the next idle spell re-arms avoidance
 	s.resetFlock(j)            // every attempt restarts the job at home

@@ -9,9 +9,10 @@ package daemon
 //
 // The journal holds one text record per transition, and the periodic
 // compaction folds the applied prefix into a snapshot of the whole
-// queue.  Both are key=value lines with Go-quoted strings, so a torn
-// tail truncates at a record boundary (package journal) and a record
-// never splits across frames.
+// queue.  Both are key=value lines written with package record's
+// quoter, so a torn tail truncates at a record boundary (package
+// journal) and a record never splits across frames; scheddreplay.go
+// reads them back in the record package's lenient journal grammar.
 //
 // Deliberately not persisted: per-job event logs and the transient
 // counters (MatchesReceived, MatchesDeclined, ClaimsFailed) — they
@@ -26,13 +27,13 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/errscope/grid/internal/journal"
 	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/obs"
+	"github.com/errscope/grid/internal/record"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/sim"
 )
@@ -312,7 +313,7 @@ func shadowDiedErr(schedd string) *scope.Error {
 
 // identLine returns — building it on first use — the encoding of the
 // job's immutable identity fields, shared by the submit record and
-// every snapshot line: "owner=.. universe=.. exe=.. ad=.. prog=..".
+// every snapshot line: " owner=.. universe=.. exe=.. ad=.. prog=..".
 // Owner, Universe, Executable, Ad, and Program never change after
 // submission (recovery builds a fresh Job), so the rendered ad and the
 // quoting work are paid once per job instead of once per snapshot.
@@ -322,119 +323,72 @@ func (j *Job) identLine() []byte {
 		if j.Ad != nil {
 			ad = j.Ad.String()
 		}
-		b := append(make([]byte, 0, 96+len(ad)), "owner="...)
-		b = scope.AppendQuote(b, j.Owner)
-		b = append(b, " universe="...)
-		b = scope.AppendQuote(b, j.Universe)
-		b = append(b, " exe="...)
-		b = scope.AppendQuote(b, j.Executable)
-		b = append(b, " ad="...)
-		b = scope.AppendQuote(b, ad)
-		b = append(b, " prog="...)
-		b = scope.AppendQuote(b, jvm.EncodeProgram(j.Program))
-		j.identEnc = b
+		b := record.AppendStr(make([]byte, 0, 96+len(ad)), "owner", j.Owner)
+		b = record.AppendStr(b, "universe", j.Universe)
+		b = record.AppendStr(b, "exe", j.Executable)
+		b = record.AppendStr(b, "ad", ad)
+		j.identEnc = record.AppendStr(b, "prog", jvm.EncodeProgram(j.Program))
 	}
 	return j.identEnc
 }
 
+// recHead starts a record: "op=<op> id=<id> at=<at>".
+func recHead(size int, op string, id JobID, at sim.Time) []byte {
+	b := append(append(make([]byte, 0, size), "op="...), op...)
+	return record.AppendInt(record.AppendInt(b, "id", int64(id)), "at", int64(at))
+}
+
 func recSubmit(j *Job) []byte {
 	ident := j.identLine()
-	b := append(make([]byte, 0, 40+len(ident)), "op=submit id="...)
-	b = strconv.AppendInt(b, int64(j.ID), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(j.Submitted), 10)
-	b = append(b, ' ')
-	b = append(b, ident...)
-	return b
+	return append(recHead(40+len(ident), "submit", j.ID, j.Submitted), ident...)
 }
 
+// recMachineOp records a transition onto a machine: match, exec.
 func recMachineOp(op string, id JobID, at sim.Time, machine string) []byte {
-	b := append(make([]byte, 0, 48+len(machine)), "op="...)
-	b = append(b, op...)
-	b = append(b, " id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " machine="...)
-	b = scope.AppendQuote(b, machine)
-	return b
-}
-
-func recMatch(id JobID, at sim.Time, machine string) []byte {
-	return recMachineOp("match", id, at, machine)
-}
-
-func recExec(id JobID, at sim.Time, machine string) []byte {
-	return recMachineOp("exec", id, at, machine)
+	return record.AppendStr(recHead(48+len(machine), op, id, at), "machine", machine)
 }
 
 // recFlock records a flock transition: the job's advertisement moved
 // to the peer negotiator `to` at 1-based `level`, or came home again
 // (level 0, empty to).
 func recFlock(id JobID, at sim.Time, level int, to string) []byte {
-	b := append(make([]byte, 0, 56+len(to)), "op=flock id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " level="...)
-	b = strconv.AppendInt(b, int64(level), 10)
-	b = append(b, " to="...)
-	b = scope.AppendQuote(b, to)
-	return b
+	b := record.AppendInt(recHead(56+len(to), "flock", id, at), "level", int64(level))
+	return record.AppendStr(b, "to", to)
 }
 
 // recCkpt records a committed checkpoint: the job can resume from cpu
 // nanoseconds of delivered work on any machine, even after a schedd
 // crash.
 func recCkpt(id JobID, at sim.Time, cpu time.Duration) []byte {
-	b := append(make([]byte, 0, 56), "op=ckpt id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " cpu="...)
-	b = strconv.AppendInt(b, int64(cpu), 10)
-	return b
+	return record.AppendInt(recHead(56, "ckpt", id, at), "cpu", int64(cpu))
 }
 
 // recEvent covers the transitions that carry no payload beyond the
 // job and the instant: claim-timeout, claim-denied, relax, recover.
 func recEvent(op string, id JobID, at sim.Time) []byte {
-	b := append(make([]byte, 0, 40), "op="...)
-	b = append(b, op...)
-	b = append(b, " id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	return b
+	return recHead(40, op, id, at)
 }
 
 func recFinal(f jobFinalMsg, at sim.Time) []byte {
-	b := append(make([]byte, 0, 256), "op=final id="...)
-	b = strconv.AppendInt(b, int64(f.Job), 10)
-	b = append(b, " at="...)
-	b = strconv.AppendInt(b, int64(at), 10)
-	b = append(b, " machine="...)
-	b = scope.AppendQuote(b, f.Machine)
-	b = append(b, " cpu="...)
-	b = strconv.AppendInt(b, int64(f.CPU), 10)
-	b = append(b, " ckpt="...)
-	b = strconv.AppendInt(b, int64(f.CheckpointCPU), 10)
-	b = append(b, " evicted="...)
-	b = strconv.AppendBool(b, f.Evicted)
+	b := record.AppendStr(recHead(256, "final", f.Job, at), "machine", f.Machine)
+	b = record.AppendInt(b, "cpu", int64(f.CPU))
+	b = record.AppendInt(b, "ckpt", int64(f.CheckpointCPU))
+	b = record.AppendBool(b, "evicted", f.Evicted)
 	if f.Preempted { // written only when set, so pre-preemption logs replay byte-identically
-		b = append(b, " pre=true"...)
+		b = record.AppendBool(b, "pre", true)
 	}
-	b = append(b, " hold="...)
-	b = strconv.AppendBool(b, f.Hold)
-	b = append(b, " fetch="...)
-	b = scope.AppendQuote(b, encodeScopedErr(f.FetchError))
-	b = append(b, " lost="...)
-	b = scope.AppendQuote(b, encodeScopedErr(f.LostContact))
-	b = append(b, " rep="...)
-	b = scope.AppendQuote(b, f.Reported.EncodeString())
-	b = append(b, " tru="...)
-	b = scope.AppendQuote(b, f.True.EncodeString())
-	return b
+	b = record.AppendBool(b, "hold", f.Hold)
+	return appendOutcome(b, f.FetchError, f.LostContact, &f.Reported, &f.True)
+}
+
+// appendOutcome writes the fields an attempt's end shares with the
+// final record that reports it: the two scoped errors, then the
+// reported and the true result.
+func appendOutcome(b []byte, fetch, lost error, rep, tru *scope.Result) []byte {
+	b = record.AppendStr(b, "fetch", encodeScopedErr(fetch))
+	b = record.AppendStr(b, "lost", encodeScopedErr(lost))
+	b = record.AppendStr(b, "rep", rep.EncodeString())
+	return record.AppendStr(b, "tru", tru.EncodeString())
 }
 
 // encodeScopedErr flattens an error for the journal.  The cause chain
@@ -495,14 +449,9 @@ func (s *Schedd) snapshot() []byte {
 		// growth factor.
 		s.snapBuf = make([]byte, 0, 256*len(s.jobs))
 	}
-	b := s.snapBuf[:0]
-	b = append(b, "schedd nextID="...)
-	b = strconv.AppendInt(b, int64(s.nextID), 10)
-	b = append(b, " requeues="...)
-	b = strconv.AppendInt(b, int64(s.Requeues), 10)
-	b = append(b, " recoveries="...)
-	b = strconv.AppendInt(b, int64(s.Recoveries), 10)
-	b = append(b, '\n')
+	b := record.AppendInt(append(s.snapBuf[:0], "schedd"...), "nextID", int64(s.nextID))
+	b = record.AppendInt(b, "requeues", int64(s.Requeues))
+	b = append(record.AppendInt(b, "recoveries", int64(s.Recoveries)), '\n')
 	machines := make([]string, 0, len(s.machineFailures))
 	for m, rec := range s.machineFailures {
 		if rec.count != 0 {
@@ -512,33 +461,19 @@ func (s *Schedd) snapshot() []byte {
 	sort.Strings(machines)
 	for _, m := range machines {
 		rec := s.machineFailures[m]
-		b = append(b, "failure machine="...)
-		b = scope.AppendQuote(b, m)
-		b = append(b, " count="...)
-		b = strconv.AppendInt(b, int64(rec.count), 10)
-		b = append(b, " last="...)
-		b = strconv.AppendInt(b, int64(rec.last), 10)
-		b = append(b, '\n')
+		b = record.AppendStr(append(b, "failure"...), "machine", m)
+		b = record.AppendInt(b, "count", int64(rec.count))
+		b = append(record.AppendInt(b, "last", int64(rec.last)), '\n')
 	}
 	for _, id := range s.order {
 		j := s.jobs[id]
-		b = append(b, "job id="...)
-		b = strconv.AppendInt(b, int64(j.ID), 10)
-		b = append(b, ' ')
-		b = append(b, j.identLine()...)
-		b = append(b, " state="...)
-		b = append(b, j.State.String()...)
-		b = append(b, " ckpt="...)
-		b = strconv.AppendInt(b, int64(j.CheckpointCPU), 10)
-		b = append(b, " relaxed="...)
-		b = strconv.AppendBool(b, j.avoidanceRelaxed)
-		b = append(b, " submitted="...)
-		b = strconv.AppendInt(b, int64(j.Submitted), 10)
-		b = append(b, " finished="...)
-		b = strconv.AppendInt(b, int64(j.Finished), 10)
-		b = append(b, " finalerr="...)
-		b = scope.AppendQuote(b, encodeScopedErr(j.FinalErr))
-		b = append(b, '\n')
+		b = append(record.AppendInt(append(b, "job"...), "id", int64(j.ID)), j.identLine()...)
+		b = append(append(b, " state="...), j.State.String()...)
+		b = record.AppendInt(b, "ckpt", int64(j.CheckpointCPU))
+		b = record.AppendBool(b, "relaxed", j.avoidanceRelaxed)
+		b = record.AppendInt(b, "submitted", int64(j.Submitted))
+		b = record.AppendInt(b, "finished", int64(j.Finished))
+		b = append(record.AppendStr(b, "finalerr", encodeScopedErr(j.FinalErr)), '\n')
 		b = j.appendAttempts(b)
 	}
 	if s.reportEncN > len(s.Reports) {
@@ -574,42 +509,22 @@ func (j *Job) appendAttempts(b []byte) []byte {
 }
 
 func appendAttempt(b []byte, id JobID, a *Attempt) []byte {
-	b = append(b, "attempt id="...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	b = append(b, " machine="...)
-	b = scope.AppendQuote(b, a.Machine)
-	b = append(b, " start="...)
-	b = strconv.AppendInt(b, int64(a.Start), 10)
-	b = append(b, " end="...)
-	b = strconv.AppendInt(b, int64(a.End), 10)
-	b = append(b, " cpu="...)
-	b = strconv.AppendInt(b, int64(a.CPU), 10)
-	b = append(b, " evicted="...)
-	b = strconv.AppendBool(b, a.Evicted)
+	b = record.AppendInt(append(b, "attempt"...), "id", int64(id))
+	b = record.AppendStr(b, "machine", a.Machine)
+	b = record.AppendInt(b, "start", int64(a.Start))
+	b = record.AppendInt(b, "end", int64(a.End))
+	b = record.AppendInt(b, "cpu", int64(a.CPU))
+	b = record.AppendBool(b, "evicted", a.Evicted)
 	if a.Preempted {
-		b = append(b, " pre=true"...)
+		b = record.AppendBool(b, "pre", true)
 	}
-	b = append(b, " fetch="...)
-	b = scope.AppendQuote(b, encodeScopedErr(a.FetchError))
-	b = append(b, " lost="...)
-	b = scope.AppendQuote(b, encodeScopedErr(a.LostContact))
-	b = append(b, " rep="...)
-	b = scope.AppendQuote(b, a.Reported.EncodeString())
-	b = append(b, " tru="...)
-	b = scope.AppendQuote(b, a.True.EncodeString())
-	return append(b, '\n')
+	return append(appendOutcome(b, a.FetchError, a.LostContact, &a.Reported, &a.True), '\n')
 }
 
 func appendReport(b []byte, r *UserReport) []byte {
-	b = append(b, "report job="...)
-	b = strconv.AppendInt(b, int64(r.Job), 10)
-	b = append(b, " disp="...)
-	b = append(b, r.Disposition.String()...)
-	b = append(b, " result="...)
-	b = scope.AppendQuote(b, r.Result.EncodeString())
-	b = append(b, " err="...)
-	b = scope.AppendQuote(b, encodeScopedErr(r.Err))
-	b = append(b, " leak="...)
-	b = strconv.AppendBool(b, r.IncidentalLeak)
-	return append(b, '\n')
+	b = record.AppendInt(append(b, "report"...), "job", int64(r.Job))
+	b = append(append(b, " disp="...), r.Disposition.String()...)
+	b = record.AppendStr(b, "result", r.Result.EncodeString())
+	b = record.AppendStr(b, "err", encodeScopedErr(r.Err))
+	return append(record.AppendBool(b, "leak", r.IncidentalLeak), '\n')
 }

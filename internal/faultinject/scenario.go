@@ -23,6 +23,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/errscope/grid/internal/record"
 )
 
 // Class names one kind of failure.  The set covers every boundary in
@@ -252,37 +254,54 @@ type Scenario struct {
 //	fault class=permission site=submit path="/home/user/out" at=1m0s
 //
 // Fields appear in a fixed order and zero-valued trigger fields are
-// omitted, so Encode is a canonical form: Encode(Parse(Encode(s)))
-// is byte-identical to Encode(s).
+// omitted; the path is always quoted, a site only when it is not a
+// bare token.  So Encode is a canonical form: Parse(Encode(s)) == s,
+// and Encode(Parse(Encode(s))) is byte-identical to Encode(s).
 func (s Scenario) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "seed = %d\n", s.Seed)
+	b := strconv.AppendInt([]byte("seed = "), s.Seed, 10)
 	for _, f := range s.Faults {
-		fmt.Fprintf(&b, "fault class=%s site=%s", f.Class, f.Site)
+		b = append(append(b, "\nfault class="...), f.Class...)
+		if bare(f.Site) {
+			b = append(append(b, " site="...), f.Site...)
+		} else {
+			b = record.AppendStr(b, "site", f.Site)
+		}
 		if f.Path != "" {
-			fmt.Fprintf(&b, " path=%s", strconv.Quote(f.Path))
+			b = record.AppendStr(b, "path", f.Path)
 		}
 		if f.At != 0 {
-			fmt.Fprintf(&b, " at=%s", f.At)
+			b = append(append(b, " at="...), f.At.String()...)
 		}
 		if f.For != 0 {
-			fmt.Fprintf(&b, " for=%s", f.For)
+			b = append(append(b, " for="...), f.For.String()...)
 		}
 		if f.Count != 0 {
-			fmt.Fprintf(&b, " count=%d", f.Count)
+			b = record.AppendInt(b, "count", int64(f.Count))
 		}
 		if f.Param != 0 {
-			fmt.Fprintf(&b, " param=%d", f.Param)
+			b = record.AppendInt(b, "param", f.Param)
 		}
-		b.WriteByte('\n')
 	}
-	return b.String()
+	return string(append(b, '\n'))
+}
+
+// bare reports whether v reads back unquoted as itself: printable
+// ASCII with no space and no quote.  The empty site stays bare too, so
+// a scenario missing its site encodes as it always did.
+func bare(v string) bool {
+	for i := 0; i < len(v); i++ {
+		if c := v[i]; c <= ' ' || c > '~' || c == '"' {
+			return false
+		}
+	}
+	return true
 }
 
 // Parse reads the line format produced by Encode.  Blank lines and
 // #-comments are ignored.
 func Parse(text string) (Scenario, error) {
 	var s Scenario
+	var c record.Cursor
 	seenSeed := false
 	for i, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
@@ -303,7 +322,7 @@ func Parse(text string) (Scenario, error) {
 		if !ok {
 			return s, fmt.Errorf("line %d: expected \"seed = N\" or \"fault ...\", got %q", lineNo, line)
 		}
-		f, err := parseFault(rest)
+		f, err := parseFault(&c, rest)
 		if err != nil {
 			return s, fmt.Errorf("line %d: %v", lineNo, err)
 		}
@@ -315,18 +334,26 @@ func Parse(text string) (Scenario, error) {
 	return s, nil
 }
 
-// parseFault reads the key=value fields after the "fault " keyword.
-func parseFault(rest string) (Fault, error) {
+// parseFault reads the key=value fields after the "fault " keyword in
+// the journal grammar of package record: any order, the last of two
+// equal keys wins — but every key must be known.  A value is bare or
+// quoted as a whole; a quote anywhere else is an error.
+func parseFault(c *record.Cursor, rest string) (Fault, error) {
 	var f Fault
-	fields, err := splitFields(rest)
-	if err != nil {
-		return f, err
+	if err := c.Scan([]byte(strings.TrimSpace(rest))); err != nil {
+		return f, fmt.Errorf("fields are not key=value: %v", err)
 	}
-	for _, field := range fields {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			return f, fmt.Errorf("field %q is not key=value", field)
+	for i := 0; i < c.Len(); i++ {
+		k, raw := c.Field(i)
+		key, val := string(k), string(raw)
+		if strings.HasPrefix(val, `"`) {
+			if val = c.Unquote(key, raw); c.Err != nil {
+				return f, c.Err
+			}
+		} else if strings.Contains(val, `"`) {
+			return f, fmt.Errorf("field %s=%s: a quote must open the value", key, val)
 		}
+		var err error
 		switch key {
 		case "class":
 			f.Class = Class(val)
@@ -359,47 +386,4 @@ func parseFault(rest string) (Fault, error) {
 		return f, fmt.Errorf("fault %s: negative trigger", f.Class)
 	}
 	return f, nil
-}
-
-// splitFields splits on spaces, honoring double-quoted values (the
-// path field quotes with strconv, so embedded spaces survive).
-func splitFields(s string) ([]string, error) {
-	var fields []string
-	for s = strings.TrimSpace(s); s != ""; s = strings.TrimLeft(s, " ") {
-		if q := strings.IndexByte(s, '"'); q >= 0 && q < len(s) && (strings.IndexByte(s, ' ') == -1 || q < strings.IndexByte(s, ' ')) {
-			// Field contains a quoted value: find its closing quote.
-			tail := s[q+1:]
-			end := -1
-			for j := 0; j < len(tail); j++ {
-				if tail[j] == '\\' {
-					j++
-					continue
-				}
-				if tail[j] == '"' {
-					end = j
-					break
-				}
-			}
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated quote in %q", s)
-			}
-			raw := s[:q+1+end+1]
-			key := raw[:q]
-			unq, err := strconv.Unquote(raw[q:])
-			if err != nil {
-				return nil, fmt.Errorf("bad quoted value in %q: %v", raw, err)
-			}
-			fields = append(fields, key+unq)
-			s = s[len(raw):]
-			continue
-		}
-		sp := strings.IndexByte(s, ' ')
-		if sp < 0 {
-			fields = append(fields, s)
-			break
-		}
-		fields = append(fields, s[:sp])
-		s = s[sp:]
-	}
-	return fields, nil
 }

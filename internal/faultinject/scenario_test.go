@@ -1,7 +1,9 @@
 package faultinject
 
 import (
+	"os"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -93,5 +95,122 @@ func TestScenarioParseErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestScenarioEncodeQuotesAwkwardSites: a site that is not a bare token
+// — a space, a quote, a control byte — used to be written bare, so the
+// text Encode wrote did not parse back ("site=a b" is a site "a" and a
+// field "b").  Such a site is quoted now; a bare one is written as it
+// always was.
+func TestScenarioEncodeQuotesAwkwardSites(t *testing.T) {
+	for _, site := range []string{"a b", `q"uote`, "tab\there", "é", "machine:c001", "actor:shadow:", `back\slash`} {
+		s := Scenario{Seed: 1, Faults: []Fault{{Class: ClassCrash, Site: site, At: time.Minute}}}
+		enc := s.Encode()
+		got, err := Parse(enc)
+		if err != nil || !reflect.DeepEqual(got, s) {
+			t.Errorf("site %q: Parse(%q) = %+v, %v", site, enc, got, err)
+		}
+		if bare(site) != (enc == refEncode(s)) {
+			t.Errorf("site %q: encoded %q, parent %q", site, enc, refEncode(s))
+		}
+	}
+}
+
+// diffScenario is the differential check: on any input the codec and
+// the parent's (scenario_ref_test.go) agree on accept/reject and on the
+// decoded scenario, Encode is canonical for what was accepted —
+// Parse(Encode(s)) == s, and re-encoding is byte-identical — and for a
+// scenario whose sites are all bare tokens Encode writes the parent's
+// bytes.
+func diffScenario(t *testing.T, text string) {
+	t.Helper()
+	s, err := Parse(text)
+	want, rerr := refParse(text)
+	if err != nil && rerr == nil && quoteHole(text, want) {
+		return
+	}
+	if (err == nil) != (rerr == nil) {
+		t.Fatalf("Parse(%q): codec says %v, parent says %v", text, err, rerr)
+	}
+	if err != nil {
+		return
+	}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("Parse(%q): codec %+v, parent %+v", text, s, want)
+	}
+	enc := s.Encode()
+	back, err := Parse(enc)
+	if err != nil || !reflect.DeepEqual(back, s) {
+		t.Fatalf("Parse(Encode(%+v)) = %+v, %v\n%s", s, back, err, enc)
+	}
+	if re := back.Encode(); re != enc {
+		t.Fatalf("Encode is not canonical:\n first %q\nsecond %q", enc, re)
+	}
+	allBare := true
+	for _, f := range s.Faults {
+		allBare = allBare && bare(f.Site)
+	}
+	if ref := refEncode(s); allBare && enc != ref {
+		t.Fatalf("bare-site scenario encodes as %q, parent %q", enc, ref)
+	}
+}
+
+// quoteHole names the one deliberate difference.  The parent's splitter
+// treated a quote anywhere in a field as the start of a quoted part and
+// spliced the unquoted part back in: `site=a"b c"` was the site "ab c",
+// `"class=crash"` the class crash.  Encode never wrote such a line; the
+// codec reads a value as bare or quoted as a whole, and refuses a quote
+// anywhere else.  The parent's reading is still expressible: the
+// scenario it decoded round-trips through Encode.
+func quoteHole(text string, parent Scenario) bool {
+	if !strings.Contains(text, `"`) {
+		return false
+	}
+	back, err := Parse(parent.Encode())
+	return err == nil && reflect.DeepEqual(back, parent)
+}
+
+// scenarioSeeds are every scenario text the sweep cells run (written by
+// internal/experiments' TestFuzzCorporaHoldTheSweep), then the
+// spellings a fuzzer needs luck for.
+func scenarioSeeds(t testing.TB) []string {
+	data, err := os.ReadFile("testdata/sweep-scenarios.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seeds []string
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		s, err := strconv.Unquote(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seeds = append(seeds, s)
+	}
+	const head = "seed = 1\nfault class=permission site=submit"
+	return append(seeds,
+		head, head+` path="/a b"`, head+` path="/a\"b"`, head+` path=/plain`, head+` path="/unterminated`,
+		head+` path="/a"site=x`, head+` path="/a"x`, head+` site=y site=z`, head+` count=+3 param=-4 at=1h for=-0s`,
+		head+` count=x`, head+` at=soon`, head+` =x`, head+` a b=1`, head+` "path=/x"`, head+` site=a"b c"`,
+		head+` site=a"b`, head+` site="a b"`, head+` site=a="b"`, head+` pa"th="/x"`, head+` class="crash"`,
+		head+"\tcount=1", "seed = x", "fault class=crash site=m", "# c\nseed = 2\n\n  fault class=crash site=m  \n",
+	)
+}
+
+// FuzzParseScenario is the scenario codec's differential proof; its
+// round-trip property is what finds a non-canonical Encode.
+//
+//	go test ./internal/faultinject -run xxx -fuzz '^FuzzParseScenario$' -fuzztime 30s
+func FuzzParseScenario(f *testing.F) {
+	for _, s := range scenarioSeeds(f) {
+		f.Add(s)
+	}
+	f.Fuzz(diffScenario)
+}
+
+// TestScenarioMatchesParent runs the seeds through both codecs.
+func TestScenarioMatchesParent(t *testing.T) {
+	for _, s := range scenarioSeeds(t) {
+		diffScenario(t, s)
 	}
 }

@@ -1,20 +1,22 @@
 package jvm
 
 import (
+	"bytes"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"github.com/errscope/grid/internal/record"
 	"github.com/errscope/grid/internal/scope"
 )
 
 // Program serialization for the schedd's write-ahead journal.  A
 // submitted job's program must survive a schedd crash, so the submit
 // record carries the program in this line-based form: one header line
-// (class name and image flag), then one line per step.  The encoding
-// is deterministic — identical programs encode to identical bytes — so
-// journaled logs stay byte-stable per seed.
+// (class name and image flag), then one line per step, each a kind
+// word and fields in the journal grammar of package record.  The
+// encoding is deterministic — identical programs encode to identical
+// bytes — so journaled logs stay byte-stable per seed.
 
 // EncodeProgram renders p into the journal line form.  A nil program
 // encodes to the empty string and decodes back to nil.
@@ -22,34 +24,37 @@ func EncodeProgram(p *Program) string {
 	if p == nil {
 		return ""
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "program class=%s corrupt=%t\n", strconv.Quote(p.Class), p.ImageCorrupt)
+	b := record.AppendStr(append(make([]byte, 0, 64), "program"...), "class", p.Class)
+	b = record.AppendBool(b, "corrupt", p.ImageCorrupt)
 	for _, s := range p.Steps {
 		switch s := s.(type) {
 		case Compute:
-			fmt.Fprintf(&b, "compute dur=%d\n", int64(s.Duration))
+			b = record.AppendInt(append(b, "\ncompute"...), "dur", int64(s.Duration))
 		case Allocate:
-			fmt.Fprintf(&b, "allocate bytes=%d\n", s.Bytes)
+			b = record.AppendInt(append(b, "\nallocate"...), "bytes", s.Bytes)
 		case Free:
-			fmt.Fprintf(&b, "free bytes=%d\n", s.Bytes)
+			b = record.AppendInt(append(b, "\nfree"...), "bytes", s.Bytes)
 		case Throw:
-			fmt.Fprintf(&b, "throw exception=%s message=%s scope=%s\n",
-				strconv.Quote(s.Exception), strconv.Quote(s.Message), s.Scope)
+			b = record.AppendStr(append(b, "\nthrow"...), "exception", s.Exception)
+			b = record.AppendStr(b, "message", s.Message)
+			b = append(append(b, " scope="...), s.Scope.String()...)
 		case Exit:
-			fmt.Fprintf(&b, "exit code=%d\n", s.Code)
+			b = record.AppendInt(append(b, "\nexit"...), "code", int64(s.Code))
 		case IORead:
-			fmt.Fprintf(&b, "ioread path=%s offset=%d length=%d\n",
-				strconv.Quote(s.Path), s.Offset, s.Length)
+			b = record.AppendStr(append(b, "\nioread"...), "path", s.Path)
+			b = record.AppendInt(b, "offset", s.Offset)
+			b = record.AppendInt(b, "length", int64(s.Length))
 		case IOWrite:
-			fmt.Fprintf(&b, "iowrite path=%s offset=%d data=%s\n",
-				strconv.Quote(s.Path), s.Offset, strconv.Quote(string(s.Data)))
+			b = record.AppendStr(append(b, "\niowrite"...), "path", s.Path)
+			b = record.AppendInt(b, "offset", s.Offset)
+			b = record.AppendStr(b, "data", string(s.Data))
 		default:
 			// A step type the codec does not know cannot be made
 			// durable; fail loudly rather than journal a lie.
 			panic(fmt.Sprintf("jvm: EncodeProgram: unknown step type %T", s))
 		}
 	}
-	return b.String()
+	return string(append(b, '\n'))
 }
 
 // ParseProgram decodes the output of EncodeProgram.  Any deviation
@@ -60,180 +65,59 @@ func ParseProgram(src string) (*Program, error) {
 	if src == "" {
 		return nil, nil
 	}
-	lines := strings.Split(strings.TrimSuffix(src, "\n"), "\n")
-	head, err := fields(lines[0], "program")
-	if err != nil {
-		return nil, err
+	var c record.Cursor
+	line, text, more := bytes.Cut([]byte(strings.TrimSuffix(src, "\n")), []byte{'\n'})
+	head, ok := bytes.CutPrefix(line, []byte("program"))
+	if !ok {
+		return nil, fmt.Errorf("jvm: parse program: line %q is not a %q record", line, "program")
 	}
-	p := &Program{}
-	if p.Class, err = unquote(head, "class"); err != nil {
-		return nil, err
+	if err := c.Scan(head); err != nil {
+		return nil, parseErr(err)
 	}
-	if p.ImageCorrupt, err = parseBool(head, "corrupt"); err != nil {
-		return nil, err
+	p := &Program{Class: c.Str("class"), ImageCorrupt: c.Bool("corrupt")}
+	if c.Err != nil {
+		return nil, parseErr(c.Err)
 	}
-	for _, line := range lines[1:] {
-		kind, _, _ := strings.Cut(line, " ")
-		kv, err := fields(line, kind)
-		if err != nil {
-			return nil, err
+	for more {
+		line, text, more = bytes.Cut(text, []byte{'\n'})
+		kind, fields, _ := bytes.Cut(line, []byte{' '})
+		if err := c.Scan(fields); err != nil {
+			return nil, parseErr(err)
 		}
 		var step Step
-		switch kind {
+		switch string(kind) {
 		case "compute":
-			d, err := parseInt(kv, "dur")
-			if err != nil {
-				return nil, err
-			}
-			step = Compute{Duration: time.Duration(d)}
+			step = Compute{Duration: time.Duration(c.Int("dur"))}
 		case "allocate":
-			n, err := parseInt(kv, "bytes")
-			if err != nil {
-				return nil, err
-			}
-			step = Allocate{Bytes: n}
+			step = Allocate{Bytes: c.Int("bytes")}
 		case "free":
-			n, err := parseInt(kv, "bytes")
-			if err != nil {
-				return nil, err
-			}
-			step = Free{Bytes: n}
+			step = Free{Bytes: c.Int("bytes")}
 		case "throw":
-			var t Throw
-			if t.Exception, err = unquote(kv, "exception"); err != nil {
-				return nil, err
-			}
-			if t.Message, err = unquote(kv, "message"); err != nil {
-				return nil, err
-			}
+			t := Throw{Exception: c.Str("exception"), Message: c.Str("message")}
 			// A Throw's scope defaults to zero (program scope at run
 			// time); ParseScope rejects "none", so special-case it.
-			if kv["scope"] != scope.ScopeNone.String() {
-				if t.Scope, err = scope.ParseScope(kv["scope"]); err != nil {
+			if sc, _ := c.Get("scope"); c.Err == nil && string(sc) != scope.ScopeNone.String() {
+				var err error
+				if t.Scope, err = scope.ParseScope(string(sc)); err != nil {
 					return nil, fmt.Errorf("jvm: parse program: throw scope: %w", err)
 				}
 			}
 			step = t
 		case "exit":
-			c, err := parseInt(kv, "code")
-			if err != nil {
-				return nil, err
-			}
-			step = Exit{Code: int(c)}
+			step = Exit{Code: int(c.Int("code"))}
 		case "ioread":
-			var r IORead
-			if r.Path, err = unquote(kv, "path"); err != nil {
-				return nil, err
-			}
-			if r.Offset, err = parseInt(kv, "offset"); err != nil {
-				return nil, err
-			}
-			n, err := parseInt(kv, "length")
-			if err != nil {
-				return nil, err
-			}
-			r.Length = int(n)
-			step = r
+			step = IORead{Path: c.Str("path"), Offset: c.Int("offset"), Length: int(c.Int("length"))}
 		case "iowrite":
-			var w IOWrite
-			if w.Path, err = unquote(kv, "path"); err != nil {
-				return nil, err
-			}
-			if w.Offset, err = parseInt(kv, "offset"); err != nil {
-				return nil, err
-			}
-			data, err := unquote(kv, "data")
-			if err != nil {
-				return nil, err
-			}
-			w.Data = []byte(data)
-			step = w
+			step = IOWrite{Path: c.Str("path"), Offset: c.Int("offset"), Data: []byte(c.Str("data"))}
 		default:
 			return nil, fmt.Errorf("jvm: parse program: unknown step %q", kind)
+		}
+		if c.Err != nil {
+			return nil, parseErr(c.Err)
 		}
 		p.Steps = append(p.Steps, step)
 	}
 	return p, nil
 }
 
-// fields splits "kind k1=v1 k2=v2 ..." into its key/value pairs,
-// checking the leading kind token.  Quoted values may contain spaces;
-// the splitter respects strconv.Quote escaping.
-func fields(line, kind string) (map[string]string, error) {
-	rest, ok := strings.CutPrefix(line, kind)
-	if !ok {
-		return nil, fmt.Errorf("jvm: parse program: line %q is not a %q record", line, kind)
-	}
-	kv := map[string]string{}
-	for rest != "" {
-		rest = strings.TrimPrefix(rest, " ")
-		eq := strings.IndexByte(rest, '=')
-		if eq <= 0 {
-			return nil, fmt.Errorf("jvm: parse program: malformed field in %q", line)
-		}
-		key := rest[:eq]
-		rest = rest[eq+1:]
-		var val string
-		if strings.HasPrefix(rest, `"`) {
-			// Quoted value: find its closing quote by scanning past
-			// backslash escapes.
-			end := 1
-			for end < len(rest) {
-				if rest[end] == '\\' {
-					end += 2
-					continue
-				}
-				if rest[end] == '"' {
-					break
-				}
-				end++
-			}
-			if end >= len(rest) {
-				return nil, fmt.Errorf("jvm: parse program: unterminated quote in %q", line)
-			}
-			val, rest = rest[:end+1], rest[end+1:]
-		} else if sp := strings.IndexByte(rest, ' '); sp >= 0 {
-			val, rest = rest[:sp], rest[sp:]
-		} else {
-			val, rest = rest, ""
-		}
-		kv[key] = val
-	}
-	return kv, nil
-}
-
-func unquote(kv map[string]string, key string) (string, error) {
-	v, ok := kv[key]
-	if !ok {
-		return "", fmt.Errorf("jvm: parse program: missing field %q", key)
-	}
-	s, err := strconv.Unquote(v)
-	if err != nil {
-		return "", fmt.Errorf("jvm: parse program: field %q: %w", key, err)
-	}
-	return s, nil
-}
-
-func parseInt(kv map[string]string, key string) (int64, error) {
-	v, ok := kv[key]
-	if !ok {
-		return 0, fmt.Errorf("jvm: parse program: missing field %q", key)
-	}
-	n, err := strconv.ParseInt(v, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("jvm: parse program: field %q: %w", key, err)
-	}
-	return n, nil
-}
-
-func parseBool(kv map[string]string, key string) (bool, error) {
-	v, ok := kv[key]
-	if !ok {
-		return false, fmt.Errorf("jvm: parse program: missing field %q", key)
-	}
-	b, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("jvm: parse program: field %q: %w", key, err)
-	}
-	return b, nil
-}
+func parseErr(err error) error { return fmt.Errorf("jvm: parse program: %w", err) }

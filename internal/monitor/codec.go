@@ -2,25 +2,22 @@ package monitor
 
 import (
 	"fmt"
-	"hash/crc32"
-	"strconv"
-	"strings"
-	"sync"
 
 	"github.com/errscope/grid/internal/obs"
+	"github.com/errscope/grid/internal/record"
 )
 
 // The monitor stream codec.  Every record that crosses the ops-plane
 // boundary — a streamed obs event, a pool-metrics snapshot, a
 // subscribe request, an admin verb and its acknowledgement — travels
-// as a canonical one-line text record: fixed field order, Go-quoted
-// strings, canonical integers, and a CRC-32 trailer over everything
-// before it, exactly the discipline of the flock and checkpoint
-// codecs.  Canonical means Parse(Encode(x)) == x and re-encoding any
-// accepted line reproduces it byte for byte — the property the fuzz
-// targets pin.  Nothing here prefix-guesses: a field out of order, a
-// non-canonical spelling, or a CRC that does not hold is a parse
-// error scoped at the network (the record is damaged, not the pool).
+// as a canonical one-line text record in the strict grammar of package
+// record, sealed by its CRC-32 trailer, exactly the discipline of the
+// flock and checkpoint codecs.  Canonical means Parse(Encode(x)) == x
+// and re-encoding any accepted line reproduces it byte for byte — the
+// property the fuzz targets pin.  The trailer is checked before any
+// field is read; a field out of order, a non-canonical spelling, or a
+// CRC that does not hold is a parse error scoped at the network (the
+// record is damaged, not the pool).
 //
 //	mev t=60000000000 comp="big" kind="state" job=1 code="evicted" scope="" ekind="" detail="" value=0 crc=1a2b3c4d
 //	mmet t=60000000000 jobs=4 completed=2 ... lost=0 crc=9f43aa10
@@ -63,69 +60,31 @@ type Snapshot struct {
 
 // EncodeEvent renders the canonical record of one streamed obs event.
 // Every field is present, zero or not: a fixed shape parses strictly.
+// It costs one allocation, the line.
 func EncodeEvent(ev obs.Event) string {
-	buf := scratch.Get().(*[]byte)
-	dst := append((*buf)[:0], "mev t="...)
-	dst = strconv.AppendInt(dst, ev.T, 10)
-	dst = appendStr(dst, "comp", ev.Comp)
-	dst = appendStr(dst, "kind", ev.Kind)
-	dst = append(dst, " job="...)
-	dst = strconv.AppendInt(dst, ev.Job, 10)
-	dst = appendStr(dst, "code", ev.Code)
-	dst = appendStr(dst, "scope", ev.Scope)
-	dst = appendStr(dst, "ekind", ev.EKind)
-	dst = appendStr(dst, "detail", ev.Detail)
-	dst = append(dst, " value="...)
-	dst = strconv.AppendInt(dst, ev.Value, 10)
-	dst = sealRecord(dst)
-	line := string(dst)
-	*buf = dst
-	scratch.Put(buf)
-	return line
+	buf := record.Buffer()
+	dst := record.AppendInt(append(*buf, "mev"...), "t", ev.T)
+	dst = record.AppendStr(dst, "comp", ev.Comp)
+	dst = record.AppendStr(dst, "kind", ev.Kind)
+	dst = record.AppendInt(dst, "job", ev.Job)
+	dst = record.AppendStr(dst, "code", ev.Code)
+	dst = record.AppendStr(dst, "scope", ev.Scope)
+	dst = record.AppendStr(dst, "ekind", ev.EKind)
+	dst = record.AppendStr(dst, "detail", ev.Detail)
+	return record.Seal(buf, record.AppendInt(dst, "value", ev.Value))
 }
 
-// ParseEvent decodes one streamed event record, strictly.
+// ParseEvent decodes one streamed event record, strictly: the trailer
+// first, then the fields.  String fields are slices of s: on a line
+// with nothing escaped it allocates nothing.
 func ParseEvent(s string) (obs.Event, error) {
-	var ev obs.Event
-	rest, ok := strings.CutPrefix(s, "mev ")
-	if !ok {
-		return ev, fmt.Errorf("monitor: not an event record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return ev, err
-	}
-	var err error
-	if ev.T, err = cutInt(&rest, "t"); err != nil {
-		return ev, err
-	}
-	if ev.Comp, err = cutStr(&rest, "comp"); err != nil {
-		return ev, err
-	}
-	if ev.Kind, err = cutStr(&rest, "kind"); err != nil {
-		return ev, err
-	}
-	if ev.Job, err = cutInt(&rest, "job"); err != nil {
-		return ev, err
-	}
-	if ev.Code, err = cutStr(&rest, "code"); err != nil {
-		return ev, err
-	}
-	if ev.Scope, err = cutStr(&rest, "scope"); err != nil {
-		return ev, err
-	}
-	if ev.EKind, err = cutStr(&rest, "ekind"); err != nil {
-		return ev, err
-	}
-	if ev.Detail, err = cutStr(&rest, "detail"); err != nil {
-		return ev, err
-	}
-	if ev.Value, err = cutInt(&rest, "value"); err != nil {
-		return ev, err
-	}
-	if rest != "" {
-		return ev, fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return ev, nil
+	r := record.NewReader("monitor: ", s)
+	r.Tag("mev", "an event record")
+	r.Unseal()
+	ev := obs.Event{T: r.Int("t"), Comp: r.Str("comp"), Kind: r.Str("kind"), Job: r.Int("job"),
+		Code: r.Str("code"), Scope: r.Str("scope"), EKind: r.Str("ekind"), Detail: r.Str("detail"),
+		Value: r.Int("value")}
+	return ev, r.End()
 }
 
 // snapFields fixes the wire order of the snapshot record.
@@ -141,61 +100,41 @@ func (m *Snapshot) fieldPtrs() []*int64 {
 
 // EncodeSnapshot renders the canonical pool-metrics record.
 func EncodeSnapshot(m Snapshot) string {
-	dst := append(make([]byte, 0, 256), "mmet"...)
+	buf := record.Buffer()
+	dst := append(*buf, "mmet"...)
 	for i, p := range m.fieldPtrs() {
-		dst = append(dst, ' ')
-		dst = append(dst, snapFields[i]...)
-		dst = append(dst, '=')
-		dst = strconv.AppendInt(dst, *p, 10)
+		dst = record.AppendInt(dst, snapFields[i], *p)
 	}
-	return string(sealRecord(dst))
+	return record.Seal(buf, dst)
 }
 
 // ParseSnapshot decodes one pool-metrics record, strictly.
 func ParseSnapshot(s string) (Snapshot, error) {
 	var m Snapshot
-	rest, ok := strings.CutPrefix(s, "mmet ")
-	if !ok {
-		return m, fmt.Errorf("monitor: not a metrics record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return m, err
-	}
+	r := record.NewReader("monitor: ", s)
+	r.Tag("mmet", "a metrics record")
+	r.Unseal()
 	for i, p := range m.fieldPtrs() {
-		v, err := cutInt(&rest, snapFields[i])
-		if err != nil {
-			return m, err
-		}
-		*p = v
+		*p = r.Int(snapFields[i])
 	}
-	if rest != "" {
-		return m, fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return m, nil
+	return m, r.End()
 }
 
 // EncodeSub renders a subscribe request: stream events from the given
 // index (0 = full backlog).
 func EncodeSub(from int64) string {
-	dst := strconv.AppendInt([]byte("msub from="), from, 10)
-	return string(sealRecord(dst))
+	buf := record.Buffer()
+	return record.Seal(buf, record.AppendInt(append(*buf, "msub"...), "from", from))
 }
 
 // ParseSub decodes one subscribe request, strictly.
 func ParseSub(s string) (int64, error) {
-	rest, ok := strings.CutPrefix(s, "msub ")
-	if !ok {
-		return 0, fmt.Errorf("monitor: not a subscribe record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
+	r := record.NewReader("monitor: ", s)
+	r.Tag("msub", "a subscribe record")
+	r.Unseal()
+	from := r.Int("from")
+	if err := r.End(); err != nil {
 		return 0, err
-	}
-	from, err := cutInt(&rest, "from")
-	if err != nil {
-		return 0, err
-	}
-	if rest != "" {
-		return 0, fmt.Errorf("monitor: trailing bytes %q", rest)
 	}
 	if from < 0 {
 		return 0, fmt.Errorf("monitor: negative subscribe index %d", from)
@@ -205,226 +144,33 @@ func ParseSub(s string) (int64, error) {
 
 // EncodeAdmin renders an admin verb request.
 func EncodeAdmin(verb, target string) string {
-	dst := appendStr([]byte("madm"), "verb", verb)
-	dst = appendStr(dst, "target", target)
-	return string(sealRecord(dst))
+	buf := record.Buffer()
+	dst := record.AppendStr(append(*buf, "madm"...), "verb", verb)
+	return record.Seal(buf, record.AppendStr(dst, "target", target))
 }
 
 // ParseAdmin decodes one admin verb request, strictly.
 func ParseAdmin(s string) (verb, target string, err error) {
-	rest, ok := strings.CutPrefix(s, "madm ")
-	if !ok {
-		return "", "", fmt.Errorf("monitor: not an admin record: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return "", "", err
-	}
-	if verb, err = cutStr(&rest, "verb"); err != nil {
-		return "", "", err
-	}
-	if target, err = cutStr(&rest, "target"); err != nil {
-		return "", "", err
-	}
-	if rest != "" {
-		return "", "", fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return verb, target, nil
+	r := record.NewReader("monitor: ", s)
+	r.Tag("madm", "an admin record")
+	r.Unseal()
+	verb, target = r.Str("verb"), r.Str("target")
+	return verb, target, r.End()
 }
 
 // EncodeAdminOK renders the acknowledgement of a completed admin verb.
 func EncodeAdminOK(verb, target, detail string) string {
-	dst := appendStr([]byte("mok"), "verb", verb)
-	dst = appendStr(dst, "target", target)
-	dst = appendStr(dst, "detail", detail)
-	return string(sealRecord(dst))
+	buf := record.Buffer()
+	dst := record.AppendStr(append(*buf, "mok"...), "verb", verb)
+	dst = record.AppendStr(dst, "target", target)
+	return record.Seal(buf, record.AppendStr(dst, "detail", detail))
 }
 
 // ParseAdminOK decodes one admin acknowledgement, strictly.
 func ParseAdminOK(s string) (verb, target, detail string, err error) {
-	rest, ok := strings.CutPrefix(s, "mok ")
-	if !ok {
-		return "", "", "", fmt.Errorf("monitor: not an admin ack: %q", s)
-	}
-	if err := checkCRC(s, &rest); err != nil {
-		return "", "", "", err
-	}
-	if verb, err = cutStr(&rest, "verb"); err != nil {
-		return "", "", "", err
-	}
-	if target, err = cutStr(&rest, "target"); err != nil {
-		return "", "", "", err
-	}
-	if detail, err = cutStr(&rest, "detail"); err != nil {
-		return "", "", "", err
-	}
-	if rest != "" {
-		return "", "", "", fmt.Errorf("monitor: trailing bytes %q", rest)
-	}
-	return verb, target, detail, nil
-}
-
-// --- codec internals -------------------------------------------------
-
-// scratch lends out byte buffers for the two per-event operations —
-// building a record and checksumming a received one — so that the
-// first costs one allocation (the line) and the second none.  crc32's
-// arch-specific update is an indirect call, so a buffer passed to it
-// can never live on the stack.
-var scratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// checksum is crc32.ChecksumIEEE([]byte(s)) without the allocation.
-func checksum(s string) uint32 {
-	buf := scratch.Get().(*[]byte)
-	*buf = append((*buf)[:0], s...)
-	sum := crc32.ChecksumIEEE(*buf)
-	scratch.Put(buf)
-	return sum
-}
-
-// plainASCII reports whether strconv.Quote would render v as the same
-// bytes between two quotes: printable ASCII with nothing to escape.
-// Almost every string the pool emits is; anything else takes strconv's
-// slower path, on both the encode and the parse side.
-func plainASCII(v string) bool {
-	for i := 0; i < len(v); i++ {
-		if c := v[i]; c < ' ' || c > '~' || c == '"' || c == '\\' {
-			return false
-		}
-	}
-	return true
-}
-
-// appendStr appends ` key="quoted"` to the record under construction.
-func appendStr(dst []byte, key, v string) []byte {
-	dst = append(dst, ' ')
-	dst = append(dst, key...)
-	dst = append(dst, '=')
-	if !plainASCII(v) {
-		return strconv.AppendQuote(dst, v)
-	}
-	dst = append(dst, '"')
-	dst = append(dst, v...)
-	return append(dst, '"')
-}
-
-const hexDigits = "0123456789abcdef"
-
-// sealRecord appends the CRC trailer over the bytes built so far.
-func sealRecord(dst []byte) []byte {
-	sum := crc32.ChecksumIEEE(dst)
-	dst = append(dst, " crc="...)
-	for shift := 28; shift >= 0; shift -= 4 {
-		dst = append(dst, hexDigits[sum>>shift&0xf])
-	}
-	return dst
-}
-
-// checkCRC validates the record's trailer against the bytes it covers
-// and trims it (plus its leading space) off *rest.
-func checkCRC(s string, rest *string) error {
-	i := strings.LastIndex(*rest, " crc=")
-	if i < 0 {
-		return fmt.Errorf("monitor: record has no crc trailer: %q", s)
-	}
-	raw := (*rest)[i+len(" crc="):]
-	if len(raw) != 8 {
-		return fmt.Errorf("monitor: crc %q is not 8 hex digits", raw)
-	}
-	// Canonical hex only: eight lowercase digits, as sealRecord writes
-	// them; uppercase would re-encode differently and break the round
-	// trip.
-	var sum uint32
-	for j := 0; j < len(raw); j++ {
-		d := strings.IndexByte(hexDigits, raw[j])
-		if d < 0 {
-			return fmt.Errorf("monitor: non-canonical crc=%q", raw)
-		}
-		sum = sum<<4 | uint32(d)
-	}
-	if got := checksum(s[:len(s)-len(" crc=")-8]); got != sum {
-		return fmt.Errorf("monitor: crc mismatch: record says %08x, bytes say %08x", sum, got)
-	}
-	// The field cutters eat one optional space after every field, so
-	// without this a space between the last field and the trailer
-	// would parse and then re-encode differently.
-	if i > 0 && (*rest)[i-1] == ' ' {
-		return fmt.Errorf("monitor: space before the crc trailer: %q", s)
-	}
-	*rest = (*rest)[:i]
-	return nil
-}
-
-// cutKey consumes "key=" from the front of r.
-func cutKey(r, key string) (string, bool) {
-	if len(r) <= len(key) || r[len(key)] != '=' || r[:len(key)] != key {
-		return r, false
-	}
-	return r[len(key)+1:], true
-}
-
-// cutInt consumes "key=<int64>" (and the single space after it, when
-// more fields follow) from the front of *rest.
-func cutInt(rest *string, key string) (int64, error) {
-	r, ok := cutKey(*rest, key)
-	if !ok {
-		return 0, fmt.Errorf("monitor: expected %s= at %q", key, *rest)
-	}
-	raw := r
-	if j := strings.IndexByte(r, ' '); j >= 0 {
-		raw, r = r[:j], r[j+1:]
-	} else {
-		r = ""
-	}
-	// Only the spelling FormatInt writes: "0", or an optional minus and
-	// digits that start with 1-9.  ParseInt alone would also take "+2",
-	// "007" and "-0", which re-encode differently.
-	digits := strings.TrimPrefix(raw, "-")
-	if raw != "0" && (digits == "" || digits[0] < '1' || digits[0] > '9') {
-		return 0, fmt.Errorf("monitor: non-canonical %s=%q", key, raw)
-	}
-	v, err := strconv.ParseInt(raw, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("monitor: field %s: %v", key, err)
-	}
-	*rest = r
-	return v, nil
-}
-
-// cutStr consumes `key="quoted"` (and the single space after it, when
-// more fields follow) from the front of *rest.  Only the canonical
-// strconv.Quote spelling is accepted: a value that unquotes fine but
-// would re-quote differently is rejected.
-func cutStr(rest *string, key string) (string, error) {
-	r, ok := cutKey(*rest, key)
-	if !ok {
-		return "", fmt.Errorf("monitor: expected %s= at %q", key, *rest)
-	}
-	var v string
-	end := -1
-	if strings.HasPrefix(r, `"`) {
-		end = strings.IndexByte(r[1:], '"')
-	}
-	if end >= 0 && plainASCII(r[1:1+end]) {
-		// The value is its own canonical quoting: a slice of the line.
-		v, r = r[1:1+end], r[end+2:]
-	} else {
-		raw, err := strconv.QuotedPrefix(r)
-		if err != nil {
-			return "", fmt.Errorf("monitor: field %s: %v", key, err)
-		}
-		if v, err = strconv.Unquote(raw); err != nil {
-			return "", fmt.Errorf("monitor: field %s: %v", key, err)
-		}
-		if raw != strconv.Quote(v) {
-			return "", fmt.Errorf("monitor: non-canonical %s=%s", key, raw)
-		}
-		r = r[len(raw):]
-	}
-	if strings.HasPrefix(r, " ") {
-		r = r[1:]
-	} else if r != "" {
-		return "", fmt.Errorf("monitor: expected space after %s at %q", key, r)
-	}
-	*rest = r
-	return v, nil
+	r := record.NewReader("monitor: ", s)
+	r.Tag("mok", "an admin ack")
+	r.Unseal()
+	verb, target, detail = r.Str("verb"), r.Str("target"), r.Str("detail")
+	return verb, target, detail, r.End()
 }

@@ -94,9 +94,10 @@ func TestPumpCostIsTheNewEvents(t *testing.T) {
 	small, _, _ := pumpAlloc(short)
 	big, mon, rec := pumpAlloc(long)
 	// The slack covers a collector opening a new recorder segment in
-	// one run and not in the other.
+	// one run and not in the other.  Under the race detector the
+	// byte totals are too noisy for it; the counts below still hold.
 	const slack = 512 << 10
-	if big > small+slack {
+	if !raceEnabled && big > small+slack {
 		t.Errorf("a pump of %d new events allocates %d B over a %d-event log but %d B over a %d-event one",
 			fresh, big, long, small, short)
 	}
@@ -123,7 +124,7 @@ func TestPumpCostIsTheNewEvents(t *testing.T) {
 	}
 	// Everything the catch-up allocates is the lines themselves and the
 	// pump's one-segment read buffer — not a copy of the backlog.
-	if lines := perLine * uint64(late.events); delta > lines+slack {
+	if lines := perLine * uint64(late.events); !raceEnabled && delta > lines+slack {
 		t.Errorf("catching up on %d events allocated %d B: %d B of lines and %d B besides",
 			late.events, delta, lines, delta-lines)
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"github.com/errscope/grid/internal/record"
 )
 
 // Result is the program wrapper's report of one execution attempt,
@@ -153,7 +155,8 @@ func ResultFromError(exitCode int, err error) Result {
 // The result file is a line-oriented key = value document, in the
 // spirit of the ClassAd-adjacent formats Condor uses for its
 // persistent state.  It is deliberately trivial to parse so that even
-// a crippled environment can produce one.
+// a crippled environment can produce one — a grammar of its own, not
+// package record's, sharing only its quoter for the message.
 //
 // The final line is always the end-of-record marker "end = ok".  A
 // starter that crashes mid-write — or a scratch disk that fills —
@@ -163,47 +166,6 @@ func ResultFromError(exitCode int, err error) Result {
 
 // endMarker terminates every well-formed result file.
 const endMarker = "ok"
-
-// AppendQuote is strconv.AppendQuote specialized for the common case
-// of the simulator's encoders — printable ASCII with occasional
-// quotes, backslashes, and newlines.  Output is byte-identical to
-// strconv.AppendQuote; anything outside the fast cases defers to it.
-func AppendQuote(b []byte, s string) []byte {
-	n := len(b)
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c < 0x7f {
-			if c == '"' || c == '\\' {
-				b = append(b, s[start:i]...)
-				b = append(b, '\\', c)
-				start = i + 1
-			}
-			continue
-		}
-		switch c {
-		case '\n':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'n')
-			start = i + 1
-		case '\t':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 't')
-			start = i + 1
-		case '\r':
-			b = append(b, s[start:i]...)
-			b = append(b, '\\', 'r')
-			start = i + 1
-		default:
-			// Non-ASCII or an exotic control: hand the whole string
-			// to strconv for the full escaping rules.
-			return strconv.AppendQuote(b[:n], s)
-		}
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
 
 // AppendEncoded appends the result file representation of r to b and
 // returns the extended slice — the allocation-free core of Encode.
@@ -225,7 +187,7 @@ func (r *Result) AppendEncoded(b []byte) []byte {
 	}
 	if r.Message != "" {
 		b = append(b, "message = "...)
-		b = AppendQuote(b, r.Message)
+		b = record.AppendQuote(b, r.Message)
 		b = append(b, '\n')
 	}
 	b = append(b, "end = "...)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
-	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -227,24 +226,5 @@ func TestResultStatusString(t *testing.T) {
 	}
 	if _, err := ParseResultStatus("nope"); err == nil {
 		t.Error("ParseResultStatus(nope) should fail")
-	}
-}
-
-// TestAppendQuoteMatchesStrconv pins the fast quoter to
-// strconv.AppendQuote byte-for-byte, across the fast ASCII path, every
-// escaped byte, and the non-ASCII fallback.
-func TestAppendQuoteMatchesStrconv(t *testing.T) {
-	cases := []string{
-		"", "plain", "with space", `has "quotes" inside`, `back\slash`,
-		"line1\nline2", "tab\there", "cr\rhere", "mixed\n\"x\\y\"\t",
-		"unicode: héllo", "control: \x01\x02", "bell\a", "del\x7f",
-		"status = exited\nexit_code = 0\nend = ok\n",
-	}
-	for _, s := range cases {
-		got := string(AppendQuote(nil, s))
-		want := string(strconv.AppendQuote(nil, s))
-		if got != want {
-			t.Errorf("AppendQuote(%q) = %s, want %s", s, got, want)
-		}
 	}
 }
