@@ -1,8 +1,9 @@
 GO ?= go
 
-.PHONY: check fmt-check vet determinism-grep build test race cover journal-smoke fuzz-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-matchmaker bench-obs bench-pool bench-module bench-pairs trace
+.PHONY: check fmt-check vet determinism-grep no-testing-in-binaries build test race cover journal-smoke fuzz-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-module bench-pairs trace
 
-## check: the full gate — gofmt, vet, the determinism grep, build, race-test
+## check: the full gate — gofmt, vet, the determinism grep, the
+## no-testing-in-binaries guard, build, race-test
 ## the concurrent packages, the whole suite with per-package coverage
 ## (including the golden-trace regression suite and the per-package
 ## coverage floors), the write-ahead-journal race smoke, the wire-codec
@@ -10,7 +11,7 @@ GO ?= go
 ## small-shape pool-throughput smoke, the federation smoke, the
 ## machine-churn determinism smoke, the ops-plane smoke, then the
 ## benchmark module's own vet and tests.
-check: fmt-check vet determinism-grep build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke bench-module
+check: fmt-check vet determinism-grep no-testing-in-binaries build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke bench-module
 
 ## fmt-check: every Go file in the repo (bench/ included) is
 ## gofmt-clean; lists the offenders and fails otherwise.
@@ -34,6 +35,16 @@ determinism-grep:
 	@if grep -rnE 'time\.Now\(|\brand\.(Int|Float|Perm|Shuffle|Seed|Exp|Norm)' \
 		--include='*.go' --exclude='*_test.go' internal/daemon internal/sim internal/wire internal/monitor internal/record; then \
 		echo 'FAIL: wall clock or global math/rand state in a deterministic package'; \
+		exit 1; \
+	fi
+
+## no-testing-in-binaries: no shipped command links package testing.
+## A benchmark or a test oracle belongs in a _test.go file; one that
+## reaches a binary through a production package fails here.
+no-testing-in-binaries:
+	@deps=$$($(GO) list -deps ./cmd/... ./examples/...) || exit 1; \
+	if echo "$$deps" | grep -qx testing; then \
+		echo 'FAIL: package testing is linked into a command under cmd/ or examples/'; \
 		exit 1; \
 	fi
 
@@ -159,34 +170,18 @@ ops-smoke:
 checkpoint-sweep:
 	$(GO) run ./cmd/experiments -run checkpoint-sweep
 
-## pool-smoke: one small pool shape end to end in three arms — the
-## pre-PR-5 reference schedd, the optimized serial schedd, and the
-## parallel engine at workers>1 — dispositions compared byte for byte,
-## plus a golden-trace spot check of one fault cell on the parallel
-## engine.  The gate that keeps the throughput work trace-equivalent.
+## pool-smoke: one small uniform pool end to end, serial, rerun and on
+## the parallel engine at workers>1 — dispositions compared byte for
+## byte, every job must complete — plus a golden-trace spot check of
+## one fault cell on the parallel engine.  The gate that keeps the
+## throughput path deterministic; the fast-vs-reference proofs are the
+## test oracles in internal/daemon (FuzzNegotiate, CheckScheddIndex).
 pool-smoke:
 	$(GO) run ./cmd/experiments -run pool-smoke
 
 ## bench: the Go benchmark suite with allocation reporting.
 bench:
 	$(GO) test -bench=. -benchmem .
-
-## bench-matchmaker: the negotiation fast-path harness; writes
-## BENCH_matchmaker.json.
-bench-matchmaker:
-	$(GO) run ./cmd/experiments -run bench-matchmaker
-
-## bench-obs: the tracing overhead harness (matchmaker and shadow hot
-## paths under off/nop/recorder tracers); writes BENCH_obs.json.
-bench-obs:
-	$(GO) run ./cmd/experiments -run bench-obs
-
-## bench-pool: the end-to-end pool-throughput harness — full job
-## lifecycles (schedd -> matchmaker -> shadow -> startd -> starter) at
-## GridSim-like shapes, optimized and reference arms; writes
-## BENCH_pool.json.
-bench-pool:
-	$(GO) run ./cmd/experiments -run bench-pool
 
 ## bench-module: bench/ is a module of its own, so `go vet ./...` and
 ## `go test ./...` at the root never compile it; this does, so that a

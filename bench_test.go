@@ -216,21 +216,52 @@ func BenchmarkClassAdMatch(b *testing.B) {
 	}
 }
 
-func BenchmarkClassAdBestMatchN(b *testing.B) {
-	b.ReportAllocs()
-	job, _ := classad.Parse(`[ ImageSize = 128;
-		Requirements = target.HasJava && target.Memory >= my.ImageSize;
-		Rank = target.Memory ]`)
+// BenchmarkNegotiateWave is one arrival wave through the matchmaker
+// that ships: the whole pool re-advertises (every eighth machine lacks
+// Java), n identical-but-for-owner Java jobs advertise, and one
+// negotiation cycle matches them, notifications delivered.
+func BenchmarkNegotiateWave(b *testing.B) {
 	for _, n := range []int{16, 128, 1024} {
-		cands := make([]*classad.Ad, n)
-		for i := range cands {
-			cands[i], _ = classad.Parse(fmt.Sprintf(
-				`[ Machine = "c%03d"; Memory = %d; HasJava = %v ]`,
-				i, 512+i, i%7 != 0))
-		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				classad.BestMatch(job, cands)
+			b.ReportAllocs()
+			eng := sim.New(1)
+			bus := sim.NewBus(eng, 0)
+			params := daemon.DefaultParams()
+			params.NegotiationInterval = 1000 * time.Hour
+			params.MachineAdLifetime = 10000 * time.Hour
+			m := daemon.NewMatchmaker(bus, params)
+			bus.Register("schedd", sim.ActorFunc(func(sim.Message) {}))
+			names := make([]string, n)
+			machineAds := make([]*classad.Ad, n)
+			jobAds := make([]*classad.Ad, n)
+			for i := range machineAds {
+				names[i] = fmt.Sprintf("m%04d", i)
+				ad := classad.NewAd()
+				ad.SetString("Machine", names[i])
+				ad.SetString("Arch", "X86_64")
+				ad.SetString("OpSys", "LINUX")
+				ad.SetInt("Memory", int64(512+i))
+				ad.SetBool("HasJava", i%8 != 0)
+				ad.SetString("State", "Unclaimed")
+				ad.Precompile()
+				machineAds[i] = ad
+				jobAds[i] = daemon.NewJavaJobAd(fmt.Sprintf("u%d", i%4), 128)
+				jobAds[i].Precompile()
+			}
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				for i, ad := range machineAds {
+					m.AdvertiseMachine(names[i], ad)
+				}
+				for i, ad := range jobAds {
+					m.AdvertiseJob("schedd", daemon.JobID(i+1), ad)
+				}
+				m.Negotiate()
+				eng.RunUntil(eng.Now())
+			}
+			b.StopTimer()
+			if m.MatchesMade == 0 {
+				b.Fatal("no matches made")
 			}
 		})
 	}
@@ -370,6 +401,52 @@ func BenchmarkPoolThroughput(b *testing.B) {
 				p.Run(72 * time.Hour)
 				if m := p.Metrics(); m.Unfinished != 0 {
 					b.Fatalf("unfinished: %s", m)
+				}
+			}
+		})
+	}
+	// An idle-workstation pool whose owners reclaim and release
+	// machines while the workload drains: evicted jobs requeue, and
+	// every job must still complete.
+	b.Run("m256_j1024_churn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p := pool.New(pool.Config{Seed: 1, Params: daemon.DefaultParams(),
+				Machines: pool.UniformMachines(256, 2048),
+				Churn: &pool.ChurnConfig{Horizon: 2 * time.Hour, MeanUp: 10 * time.Minute,
+					Downtime: 15 * time.Minute}})
+			p.SubmitJava(1024, pool.UniformCompute(5*time.Minute))
+			p.Run(7 * 24 * time.Hour)
+			if m := p.Metrics(); m.Completed != 1024 {
+				b.Fatalf("%d of 1024 jobs completed: %s", m.Completed, m)
+			}
+		}
+	})
+	// Federations: a home pool too small for its jobs (64 MB machines,
+	// 128 MB ads), so every home job flocks, and 256-machine peer pools
+	// the first of which runs its own load beside the flocked one.
+	for _, fed := range []struct {
+		name               string
+		peers              int
+		homeJobs, peerJobs int
+	}{{"fed_2pool", 1, 512, 512}, {"fed_3pool", 2, 1024, 512}} {
+		b.Run(fed.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pools := []pool.FedPoolConfig{{Name: "p1", Machines: pool.UniformMachines(16, 64)}}
+				for k := 0; k < fed.peers; k++ {
+					name := fmt.Sprintf("p%d", k+2)
+					pools[0].FlockTo = append(pools[0].FlockTo, name)
+					pools = append(pools, pool.FedPoolConfig{Name: name,
+						Machines: pool.UniformMachines(256, 2048)})
+				}
+				f := pool.NewFederation(pool.FederationConfig{Seed: 1, Params: daemon.DefaultParams(),
+					Pools: pools, FlockAfter: 2 * time.Minute})
+				f.Pool("p1").SubmitJava(fed.homeJobs, pool.UniformCompute(5*time.Minute))
+				f.Pool("p2").SubmitJava(fed.peerJobs, pool.UniformCompute(5*time.Minute))
+				f.Run(7 * 24 * time.Hour)
+				if m := f.Metrics(); m.Completed != fed.homeJobs+fed.peerJobs {
+					b.Fatalf("%d of %d jobs completed: %s", m.Completed, fed.homeJobs+fed.peerJobs, m)
 				}
 			}
 		})

@@ -10,9 +10,12 @@
 //
 // Experiment ids: figure1, figure2, figure3, figure4, naive,
 // blackhole, mounts, migration, crashes, crash-recovery, principles,
-// bench-matchmaker, bench-obs, bench-pool, pool-smoke, flock-smoke,
-// churn-smoke, ops-smoke, checkpoint-sweep, fault-sweep, fault-smoke,
-// trace.
+// pool-smoke, flock-smoke, churn-smoke, ops-smoke, checkpoint-sweep,
+// fault-sweep, fault-smoke, trace.
+//
+// checkpoint-sweep and trace write their output files (see
+// -checkpoint-sweep-out and -trace-out) when selected with -run; under
+// -all they write only to a path given explicitly on the command line.
 package main
 
 import (
@@ -21,7 +24,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"github.com/errscope/grid/internal/experiments"
@@ -35,20 +37,24 @@ func main() {
 		seed     = flag.Int64("seed", 42, "simulation seed")
 		machines = flag.Int("machines", 20, "machines in pool experiments")
 		jobs     = flag.Int("jobs", 100, "jobs in pool experiments")
-		workers  = flag.Int("workers", runtime.GOMAXPROCS(0),
-			"engine workers for the parallel bench arm (<=1 disables it)")
-		benchOut = flag.String("bench-out", "BENCH_matchmaker.json",
-			"output path for bench-matchmaker rows")
-		benchObsOut = flag.String("bench-obs-out", "BENCH_obs.json",
-			"output path for bench-obs rows")
-		benchPoolOut = flag.String("bench-pool-out", "BENCH_pool.json",
-			"output path for bench-pool rows")
 		traceOut = flag.String("trace-out", "traces",
 			"directory for per-class JSONL traces from the trace experiment")
 		ckptOut = flag.String("checkpoint-sweep-out", "checkpoint_sweep.json",
 			"output path for checkpoint-sweep rows")
 	)
 	flag.Parse()
+	if *all {
+		// -all is a sweep over every experiment, not a regeneration of
+		// the output files: only a path the caller names is written.
+		named := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { named[f.Name] = true })
+		if !named["trace-out"] {
+			*traceOut = ""
+		}
+		if !named["checkpoint-sweep-out"] {
+			*ckptOut = ""
+		}
+	}
 
 	type entry struct {
 		id  string
@@ -95,48 +101,9 @@ func main() {
 		{"principles", func() (*experiments.Report, error) {
 			return experiments.Principles(), nil
 		}, "the four principles, violated and obeyed"},
-		{"bench-matchmaker", func() (*experiments.Report, error) {
-			rows, rep := experiments.BenchMatchmaker([]int{16, 128, 1024})
-			data, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*benchOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			rep.AddNote("wrote %s", *benchOut)
-			return rep, nil
-		}, "matchmaker fast-path micro-benchmarks (writes BENCH_matchmaker.json)"},
-		{"bench-obs", func() (*experiments.Report, error) {
-			rows, rep := experiments.BenchObs()
-			data, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*benchObsOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			rep.AddNote("wrote %s", *benchObsOut)
-			return rep, nil
-		}, "tracing overhead micro-benchmarks (writes BENCH_obs.json)"},
-		{"bench-pool", func() (*experiments.Report, error) {
-			rows, rep, err := experiments.BenchPool(*seed, *workers)
-			if err != nil {
-				return rep, err
-			}
-			data, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				return nil, err
-			}
-			if err := os.WriteFile(*benchPoolOut, append(data, '\n'), 0o644); err != nil {
-				return nil, err
-			}
-			rep.AddNote("wrote %s", *benchPoolOut)
-			return rep, nil
-		}, "pool-scale end-to-end throughput (writes BENCH_pool.json)"},
 		{"pool-smoke", func() (*experiments.Report, error) {
 			return experiments.PoolSmoke(*seed)
-		}, "small-shape pool throughput smoke (reference == optimized == parallel gate)"},
+		}, "small-shape pool throughput smoke (serial == rerun == parallel gate)"},
 		{"flock-smoke", func() (*experiments.Report, error) {
 			return experiments.FlockSmoke(*seed)
 		}, "federation smoke: flocked jobs complete, serial == rerun == parallel, peer-death zero loss"},
@@ -150,6 +117,9 @@ func main() {
 			rows, rep, err := experiments.CheckpointSweep(*seed)
 			if err != nil {
 				return rep, err
+			}
+			if *ckptOut == "" {
+				return rep, nil
 			}
 			data, jerr := json.MarshalIndent(rows, "", "  ")
 			if jerr != nil {

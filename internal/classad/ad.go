@@ -246,7 +246,7 @@ func (a *Ad) EvalString(src string, target *Ad) (Value, error) {
 
 // Precompile eagerly builds the match fast-path caches: the compiled
 // Requirements and Rank handles and the constant-attribute table.
-// After Precompile, Match/Rank/BestMatch over the ad are read-only
+// After Precompile, Match/Rank over the ad are read-only
 // and safe for concurrent use until the next mutation.
 func (a *Ad) Precompile() {
 	a.requirementsCompiled()

@@ -26,28 +26,11 @@ func RequirementsMet(a, b *Ad) bool {
 	return c.EvalBool(a, b)
 }
 
-// RequirementsMetSlow is the uncompiled reference implementation: a
-// direct AST walk with no memoization.  Equivalence and determinism
-// tests compare it against the fast path.
-func RequirementsMetSlow(a, b *Ad) bool {
-	e, ok := a.Lookup(AttrRequirements)
-	if !ok {
-		return true
-	}
-	got, isBool := e.eval(env{self: a, target: b}).BoolValue()
-	return isBool && got
-}
-
 // Match reports whether the two ads match: each ad's Requirements
 // must evaluate to true in the context of the other.  Match is
 // symmetric.
 func Match(a, b *Ad) bool {
 	return RequirementsMet(a, b) && RequirementsMet(b, a)
-}
-
-// MatchSlow is Match over the uncompiled reference evaluator.
-func MatchSlow(a, b *Ad) bool {
-	return RequirementsMetSlow(a, b) && RequirementsMetSlow(b, a)
 }
 
 // rankValue converts a Rank evaluation result to a float: missing,
@@ -74,15 +57,6 @@ func Rank(a, b *Ad) float64 {
 	return rankValue(c.Eval(a, b))
 }
 
-// RankSlow is Rank over the uncompiled reference evaluator.
-func RankSlow(a, b *Ad) float64 {
-	e, ok := a.Lookup(AttrRank)
-	if !ok {
-		return 0
-	}
-	return rankValue(e.eval(env{self: a, target: b}))
-}
-
 // RequirementsPrefilter returns the constant conjuncts of the ad's
 // Requirements, or nil when there are none.  Callers may test a
 // candidate's Table against them to skip full evaluation of pairs the
@@ -93,77 +67,4 @@ func RequirementsPrefilter(a *Ad) []Constraint {
 		return nil
 	}
 	return c.Prefilter()
-}
-
-// BestMatch returns the index of the candidate in cands that matches
-// ad with the highest rank (evaluated from ad's point of view), or -1
-// if none match.  Ties break toward the earliest candidate, keeping
-// matchmaking deterministic.
-func BestMatch(ad *Ad, cands []*Ad) int {
-	best := -1
-	bestRank := 0.0
-	pre := RequirementsPrefilter(ad)
-	for i, c := range cands {
-		if c == nil {
-			continue
-		}
-		if len(pre) > 0 && !AdmitsAll(pre, c.Table()) {
-			continue
-		}
-		if !Match(ad, c) {
-			continue
-		}
-		r := Rank(ad, c)
-		if best == -1 || r > bestRank {
-			best = i
-			bestRank = r
-		}
-	}
-	return best
-}
-
-// BestMatchN returns the indices of up to n matching candidates,
-// ordered by descending rank with ties broken toward the earliest
-// candidate.  n <= 0 means all matching candidates.
-func BestMatchN(ad *Ad, cands []*Ad, n int) []int {
-	if n <= 0 {
-		n = len(cands)
-	}
-	type scored struct {
-		idx  int
-		rank float64
-	}
-	top := make([]scored, 0, n)
-	pre := RequirementsPrefilter(ad)
-	for i, c := range cands {
-		if c == nil {
-			continue
-		}
-		if len(pre) > 0 && !AdmitsAll(pre, c.Table()) {
-			continue
-		}
-		if !Match(ad, c) {
-			continue
-		}
-		r := Rank(ad, c)
-		// Insertion into the running top-n: strictly greater rank
-		// moves ahead; equal rank keeps earlier candidates first.
-		pos := len(top)
-		for pos > 0 && r > top[pos-1].rank {
-			pos--
-		}
-		if pos >= n {
-			continue
-		}
-		if len(top) < n {
-			top = append(top, scored{})
-		}
-		copy(top[pos+1:], top[pos:])
-		top[pos] = scored{idx: i, rank: r}
-	}
-	out := make([]int, len(top))
-	for i, s := range top {
-		out[i] = s.idx
-	}
-	return out
 }

@@ -98,37 +98,6 @@ func TestRank(t *testing.T) {
 	}
 }
 
-func TestBestMatch(t *testing.T) {
-	job := jobAd(t, `[
-		ImageSize = 100;
-		Requirements = target.Memory >= my.ImageSize;
-		Rank = target.Memory;
-	]`)
-	cands := []*Ad{
-		jobAd(t, `[ Memory = 64 ]`),   // too small
-		jobAd(t, `[ Memory = 256 ]`),  // ok
-		jobAd(t, `[ Memory = 1024 ]`), // best
-		nil,                           // tolerated
-		jobAd(t, `[ Memory = 512 ]`),  // ok
-	}
-	if got := BestMatch(job, cands); got != 2 {
-		t.Errorf("BestMatch = %d, want 2", got)
-	}
-	// Ties break to the earliest candidate.
-	tie := []*Ad{
-		jobAd(t, `[ Memory = 512 ]`),
-		jobAd(t, `[ Memory = 512 ]`),
-	}
-	if got := BestMatch(job, tie); got != 0 {
-		t.Errorf("tie BestMatch = %d, want 0", got)
-	}
-	// No candidates match.
-	none := []*Ad{jobAd(t, `[ Memory = 1 ]`)}
-	if got := BestMatch(job, none); got != -1 {
-		t.Errorf("BestMatch = %d, want -1", got)
-	}
-}
-
 func TestMatchRealisticCondorAds(t *testing.T) {
 	// A startd ad in the style the paper's pool would publish.
 	machine := jobAd(t, `

@@ -39,13 +39,13 @@ func TestAutoClusterScansOncePerCycle(t *testing.T) {
 	}
 }
 
-// TestAutoClusterMatchesReferenceOrder compares the clustered fast
-// path against the reference scan job for job: same machines, same
-// rank-descending assignment, rank ties broken by name order.
+// TestAutoClusterMatchesReferenceOrder compares the clustered cycle
+// against the reference scan (refNegotiate) job for job: same
+// machines, same rank-descending assignment, rank ties broken by name
+// order.
 func TestAutoClusterMatchesReferenceOrder(t *testing.T) {
-	assign := func(disableFast bool) []string {
+	assign := func(negotiate func(*Matchmaker)) []string {
 		params := DefaultParams()
-		params.DisableMatchFastPath = disableFast
 		params.NegotiationInterval = 1000 * time.Hour
 		eng := sim.New(1)
 		bus := sim.NewBus(eng, 0)
@@ -70,11 +70,12 @@ func TestAutoClusterMatchesReferenceOrder(t *testing.T) {
 		for i := 1; i <= 6; i++ {
 			m.AdvertiseJob("schedd", JobID(i), NewJavaJobAd("alice", 128))
 		}
-		m.Negotiate()
+		negotiate(m)
 		eng.RunFor(time.Second)
 		return got
 	}
-	fast, slow := assign(false), assign(true)
+	fast := assign((*Matchmaker).Negotiate)
+	slow := assign((*Matchmaker).refNegotiate)
 	if fmt.Sprint(fast) != fmt.Sprint(slow) {
 		t.Fatalf("clustered assignment %v differs from reference %v", fast, slow)
 	}

@@ -193,12 +193,6 @@ type Params struct {
 	// checkpoint — the preempt-grace-expiry fault class.  Zero
 	// selects 30s.
 	VacateGracePeriod time.Duration
-	// DisableMatchFastPath makes the matchmaker negotiate with the
-	// uncompiled reference evaluator and no candidate index — the
-	// original scheduler shape.  Same-seed runs must produce
-	// identical traces either way; the determinism regression tests
-	// compare the two.
-	DisableMatchFastPath bool
 	// Matchmaker names this pool's negotiator.  Empty selects the
 	// historic single-pool name ("matchmaker"); a federation gives
 	// each pool's negotiator a distinct name so N pools can share one
@@ -221,13 +215,6 @@ type Params struct {
 	// silent for three intervals is considered dead and is skipped
 	// when granting.
 	FlockPingInterval time.Duration
-	// DisableScheddFastPath makes the schedd run with the original
-	// pre-throughput-work shape: O(queue) idle scans, O(queue)
-	// AllTerminal, one journal append (and one fsync) per transition,
-	// and a defensive ad copy per advertisement and claim.  Same-seed
-	// runs must produce identical dispositions either way; the
-	// pool-smoke gate and the determinism tests compare the two.
-	DisableScheddFastPath bool
 	// Trace receives structured error-propagation events and metrics
 	// from every daemon (see package obs).  Nil disables tracing at
 	// zero allocation cost on the hot paths.

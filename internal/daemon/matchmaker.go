@@ -15,7 +15,7 @@ import (
 // then individually responsible for claiming one another — the
 // matchmaker's word is advisory, exactly as in Condor.
 //
-// The negotiation fast path keeps every per-cycle structure
+// The negotiation cycle keeps every per-cycle structure
 // incremental: machines live in a name-sorted list and an
 // attribute-value index maintained on advertise/expire; jobs live in
 // per-owner buckets kept in submission order at insert time; jobs
@@ -165,8 +165,8 @@ type jobEntry struct {
 	// matching machines to a submitter that no longer exists.
 	expires sim.Time
 	// sig is the rendered ad, the auto-cluster key.  Computed lazily
-	// on the first fast-path cycle and invalidated when the ad
-	// content changes, so the reference path never pays for it.
+	// on the job's first cycle and invalidated when the ad content
+	// changes.
 	sig string
 	// dead marks a withdrawn request still occupying its slot in the
 	// owner queue.  Removal tombstones instead of deleting because a
@@ -540,11 +540,10 @@ func (m *Matchmaker) negotiate() {
 		jobs = append(local, foreign...)
 	}
 
-	fast := !m.params.DisableMatchFastPath
 	for _, j := range jobs {
-		best := m.findBest(j, fast)
+		best := m.findBest(j)
 		if best == nil {
-			if !j.noMatchSent && !m.anyCompatible(j, fast) {
+			if !j.noMatchSent && !m.anyCompatible(j) {
 				// Not outbid — unmatchable: no ad in the pool
 				// satisfies the job at all.  Tell the schedd, which
 				// alone knows whether its own avoidance constraint
@@ -577,10 +576,10 @@ func (m *Matchmaker) negotiate() {
 	}
 	// Provisional matches expire when the startd re-advertises; a
 	// machine that was matched but never claimed becomes visible
-	// again on its next ad.  Cycle cost is measured by the bench-pool
-	// and bench-matchmaker harnesses on the wall clock outside the
-	// deterministic path; in here only virtual-clock facts are
-	// observed.
+	// again on its next ad.  Cycle cost is measured on the wall clock
+	// outside the deterministic path (the benchmark's
+	// daemon.probe_negotiate_ms_10k, BenchmarkNegotiateWave); in here
+	// only virtual-clock facts are observed.
 	if m.tr.Enabled() {
 		m.tr.Observe("matchmaker.cycle_jobs", int64(len(jobs)))
 	}
@@ -634,33 +633,13 @@ func (m *Matchmaker) expireJobs() {
 }
 
 // findBest returns the best unmatched machine for the job, or nil.
-// The fast path resolves the job's auto-cluster — candidates narrowed
-// through the equality index, constant-incompatible pairs skipped via
-// the pre-filter, Requirements and Rank evaluated once per cluster
-// through the compiled handles — and pops the best machine not yet
-// handed out this cycle.  The slow path is the reference full scan
-// with AST evaluation, kept for equivalence and determinism
-// regression tests.
-func (m *Matchmaker) findBest(j *jobEntry, fast bool) *machineEntry {
-	if !fast {
-		var best *machineEntry
-		bestRank := 0.0
-		for _, name := range m.machineNames {
-			entry := m.machines[name]
-			if entry.absent || entry.matched || !classad.MatchSlow(j.ad, entry.ad) {
-				continue
-			}
-			r := classad.RankSlow(j.ad, entry.ad)
-			if !m.preemptable(entry, r) {
-				continue
-			}
-			if best == nil || r > bestRank {
-				best = entry
-				bestRank = r
-			}
-		}
-		return best
-	}
+// It resolves the job's auto-cluster — candidates narrowed through the
+// equality index, constant-incompatible pairs skipped via the
+// pre-filter, Requirements and Rank evaluated once per cluster through
+// the compiled handles — and pops the best machine not yet handed out
+// this cycle.  The full scan with AST evaluation it must agree with is
+// the test oracle refFindBest (matchmaker_ref_test.go).
+func (m *Matchmaker) findBest(j *jobEntry) *machineEntry {
 	c := m.cluster(j)
 	for c.next < len(c.ranked) {
 		if entry := c.ranked[c.next].entry; !entry.matched {
@@ -743,19 +722,10 @@ func (m *Matchmaker) cluster(j *jobEntry) *clusterEntry {
 }
 
 // anyCompatible reports whether any advertised machine — including
-// ones provisionally matched this cycle — satisfies the job.  Both
-// paths agree by the pre-filter soundness argument: narrowing only
-// ever discards machines full evaluation would reject.
-func (m *Matchmaker) anyCompatible(j *jobEntry, fast bool) bool {
-	if !fast {
-		for _, name := range m.machineNames {
-			if e := m.machines[name]; !e.absent && classad.MatchSlow(j.ad, e.ad) &&
-				m.preemptable(e, classad.RankSlow(j.ad, e.ad)) {
-				return true
-			}
-		}
-		return false
-	}
+// ones provisionally matched this cycle — satisfies the job.  It
+// agrees with a full scan by the pre-filter soundness argument:
+// narrowing only ever discards machines full evaluation would reject.
+func (m *Matchmaker) anyCompatible(j *jobEntry) bool {
 	// findBest already resolved the cluster this cycle (anyCompatible
 	// is only consulted after it returned nil), so this is a cached
 	// flag, not a scan.

@@ -50,13 +50,6 @@ type Schedd struct {
 	order  []JobID
 	nextID JobID
 
-	// fast selects the throughput path: the idle-job index, the
-	// non-terminal counter, shared precompiled ads, and write-ahead
-	// group commit.  The reference arm (Params.DisableScheddFastPath)
-	// keeps the original O(queue) scans and one-append-per-record
-	// journal so determinism tests can compare the two.
-	fast bool
-
 	// idleOrder and idlePos index the idle jobs in the order they
 	// became idle, with tombstoned (nil) slots compacted lazily, so
 	// the periodic advertisement walks O(idle) entries — the jobs
@@ -88,7 +81,7 @@ type Schedd struct {
 	wal *journal.Journal
 	// walAppends counts entries since the last compaction.
 	walAppends int
-	// Group commit (fast path): walBuf holds the records of the open
+	// Group commit: walBuf holds the records of the open
 	// batch, outbox the sends deferred until those records are
 	// durable, and commitArmed whether the commit event is scheduled
 	// for the end of the current instant.
@@ -151,7 +144,6 @@ func NewSchedd(bus Runtime, params Params, name string) *Schedd {
 		params:          params,
 		name:            name,
 		tr:              params.tracer(),
-		fast:            !params.DisableScheddFastPath,
 		SubmitFS:        vfs.New(),
 		jobs:            make(map[JobID]*Job),
 		idlePos:         make(map[JobID]int),
@@ -270,29 +262,10 @@ func (s *Schedd) Jobs() []*Job {
 }
 
 // AllTerminal reports whether every job reached a final state.
-func (s *Schedd) AllTerminal() bool {
-	if s.fast {
-		return s.nonTerminal == 0
-	}
-	for _, j := range s.jobs {
-		if !j.State.Terminal() {
-			return false
-		}
-	}
-	return true
-}
+func (s *Schedd) AllTerminal() bool { return s.nonTerminal == 0 }
 
 func (s *Schedd) advertiseIdle() {
 	s.expireFailures()
-	if !s.fast {
-		for _, id := range s.order {
-			if j := s.jobs[id]; j.State == JobIdle {
-				s.advertiseJob(j)
-				s.rescueFlocked(j)
-			}
-		}
-		return
-	}
 	if s.idleStale > 0 && s.idleStale >= len(s.idleOrder)/2 {
 		s.compactIdle()
 	}
@@ -454,13 +427,9 @@ func (s *Schedd) effectiveAd(j *Job) *classad.Ad {
 	if len(avoided) == 0 {
 		// Nothing to strengthen.  The precompiled ad is immutable
 		// from here on — evaluation touches only its memo caches — so
-		// the fast path shares it instead of copying per
-		// advertisement, and the matchmaker recognizes the pointer
-		// and skips re-indexing.
-		if s.fast {
-			return j.Ad
-		}
-		return j.Ad.Copy()
+		// it is shared instead of copied per advertisement, and the
+		// matchmaker recognizes the pointer and skips re-indexing.
+		return j.Ad
 	}
 	ad := j.Ad.Copy()
 	var list strings.Builder
@@ -692,14 +661,10 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 	seq := j.claimSeq
 	s.logEvent(j, EventMatched, "machine %s", m.Machine)
 	s.withdrawJob(j)
-	jobAd := j.Ad
-	if !s.fast {
-		jobAd = j.Ad.Copy()
-	}
 	s.send(m.Machine, kindClaimRequest, claimRequestMsg{
 		Job:    j.ID,
 		Schedd: s.name,
-		JobAd:  jobAd,
+		JobAd:  j.Ad,
 	})
 	// Claim timeout: a startd that never answers — dead, partitioned
 	// — must not strand the job in the matched state.  The silence

@@ -38,8 +38,8 @@ import (
 	"github.com/errscope/grid/internal/sim"
 )
 
-// walCompactEvery bounds journal growth: after this many appended
-// records the log is folded into a snapshot before the next append.
+// walCompactEvery is the floor of the compaction threshold: a log
+// shorter than this many records is never folded into a snapshot.
 const walCompactEvery = 64
 
 // Journal exposes the schedd's write-ahead journal — the durable
@@ -51,24 +51,10 @@ func (s *Schedd) Journal() *journal.Journal { return s.wal }
 func (s *Schedd) Crashed() bool { return s.crashed }
 
 // journalAppend writes one record ahead of the transition it
-// describes.  The reference arm appends (and, on a real disk, syncs)
-// immediately; the fast path buffers the record into the open batch
-// and schedules the group commit for the end of the current instant,
-// deferring every outgoing send behind it (see commitWAL).
+// describes: the record joins the open batch, and the group commit is
+// scheduled for the end of the current instant, deferring every
+// outgoing send behind it (see commitWAL).
 func (s *Schedd) journalAppend(rec []byte) {
-	if !s.fast {
-		// Compaction runs before the append: every record already in
-		// the log has been applied to the queue, so the snapshot of
-		// the current queue plus the new record is the complete
-		// history.
-		if s.walAppends >= walCompactEvery {
-			s.wal.Compact(s.snapshot(), nil)
-			s.walAppends = 0
-		}
-		s.wal.Append(rec)
-		s.walAppends++
-		return
-	}
 	s.walBuf = append(s.walBuf, rec)
 	if !s.commitArmed {
 		s.commitArmed = true
@@ -81,8 +67,8 @@ func (s *Schedd) journalAppend(rec []byte) {
 	}
 }
 
-// compactEvery is the adaptive compaction threshold: at least the
-// historic walCompactEvery, but grown with queue size.  A fixed
+// compactEvery is the adaptive compaction threshold: at least
+// walCompactEvery, but grown with queue size.  A fixed
 // threshold makes a big pool re-serialize its whole queue every 64
 // transitions — O(queue²) journal work over a run — while a
 // proportional one keeps compaction amortized O(1) per transition.

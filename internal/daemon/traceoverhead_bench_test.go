@@ -17,7 +17,7 @@ import (
 // explicitly no-op, the instrumented matchmaker and shadow cost the
 // same as before the instrumentation existed.  The matchmaker's
 // steady-state cycle in particular must stay at zero allocations —
-// the fast-path claim BENCH_matchmaker.json records.
+// the claim the retired bench-matchmaker harness once recorded.
 
 // traceArms enumerates the tracer configurations under test.
 func traceArms() []struct {

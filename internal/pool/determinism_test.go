@@ -27,11 +27,10 @@ func dispositionTrace(p *Pool) string {
 // runTracedPool assembles a failure-rich pool — misconfigured
 // machines, chronic-failure avoidance, several owners competing — and
 // returns its disposition trace.
-func runTracedPool(seed int64, disableFastPath bool) string {
+func runTracedPool(seed int64) string {
 	params := daemon.DefaultParams()
 	params.ChronicFailureThreshold = 3
 	params.MaxAttempts = 10
-	params.DisableMatchFastPath = disableFastPath
 	ms := Misconfigure(UniformMachines(10, 2048), 3, BreakBadLibraryPath, false)
 	p := New(Config{Seed: seed, Params: params, Machines: ms, Schedds: 2})
 	p.StageSharedInput()
@@ -44,12 +43,12 @@ func runTracedPool(seed int64, disableFastPath bool) string {
 // matchmaking fast path: with one seed, the pool must produce
 // byte-identical job-disposition traces run-to-run.
 func TestDeterminismSameSeedSameTrace(t *testing.T) {
-	a := runTracedPool(11, false)
-	b := runTracedPool(11, false)
+	a := runTracedPool(11)
+	b := runTracedPool(11)
 	if a != b {
 		t.Fatalf("same seed, different traces:\n--- run A ---\n%s\n--- run B ---\n%s", a, b)
 	}
-	if runTracedPool(12, false) == a {
+	if runTracedPool(12) == a {
 		t.Error("different seeds produced identical traces; the trace is not discriminating")
 	}
 }
@@ -65,13 +64,14 @@ func TestDeterminismSameSeedSameTrace(t *testing.T) {
 //     carry (my.NightShift), the machine-side UNDEFINED veto;
 //   - machines crashing and restarting at instants not aligned with
 //     the 60s negotiation cycle, so ads expire mid-cycle and the
-//     fast path's index must shrink and regrow in step with the
-//     reference scheduler's view.
-func runUndefinedEdgePool(seed int64, disableFastPath bool) string {
+//     candidate index must shrink and regrow in step with the pool.
+//
+// internal/daemon's TestDeterminismUndefinedEdgesMatchReference runs
+// the same shape against the reference negotiation scan.
+func runUndefinedEdgePool(seed int64) string {
 	params := daemon.DefaultParams()
 	params.ChronicFailureThreshold = 2
 	params.MaxAttempts = 6
-	params.DisableMatchFastPath = disableFastPath
 	ms := UniformMachines(8, 2048)
 	// One machine vetoes anything that is not definitely a night-shift
 	// job: jobs never advertise NightShift, so the veto edge is
@@ -92,8 +92,7 @@ func runUndefinedEdgePool(seed int64, disableFastPath bool) string {
 			ad.MustSetExpr("Rank", "target.GPUMemory")
 		case 2:
 			// GPU-requiring: the requirement edge is UNDEFINED on
-			// every machine, so the job must stay idle forever — in
-			// both scheduler shapes.
+			// every machine, so the job must stay idle forever.
 			ad.MustSetExpr("Requirements", "target.HasJava && target.HasGPU")
 		}
 		exe := fmt.Sprintf("/home/user/job%d.class", i)
@@ -120,26 +119,14 @@ func runUndefinedEdgePool(seed int64, disableFastPath bool) string {
 	return dispositionTrace(p)
 }
 
-// TestDeterminismUndefinedEdges pins the fast path to the reference
-// scheduler on the UNDEFINED-heavy pool, and the trace to itself
-// across reruns of one seed.
+// TestDeterminismUndefinedEdges pins the trace of the UNDEFINED-heavy
+// pool to itself across reruns of one seed, and the UNDEFINED
+// requirement to stranding exactly the jobs it names.
 func TestDeterminismUndefinedEdges(t *testing.T) {
 	for _, seed := range []int64{3, 17} {
-		fast := runUndefinedEdgePool(seed, false)
-		if again := runUndefinedEdgePool(seed, false); again != fast {
+		fast := runUndefinedEdgePool(seed)
+		if again := runUndefinedEdgePool(seed); again != fast {
 			t.Fatalf("seed %d: same seed, different traces", seed)
-		}
-		slow := runUndefinedEdgePool(seed, true)
-		if fast != slow {
-			fl, sl := strings.Split(fast, "\n"), strings.Split(slow, "\n")
-			for i := range fl {
-				if i >= len(sl) || fl[i] != sl[i] {
-					t.Fatalf("seed %d: fast path diverged at line %d:\nfast: %s\nslow: %s",
-						seed, i, fl[i], sl[min(i, len(sl)-1)])
-				}
-			}
-			t.Fatalf("seed %d: fast path diverged (length %d vs %d)",
-				seed, len(fl), len(sl))
 		}
 		// The UNDEFINED requirement must strand exactly the
 		// GPU-requiring third of the jobs, never silently match them.
@@ -151,28 +138,6 @@ func TestDeterminismUndefinedEdges(t *testing.T) {
 		}
 		if idle != 6 {
 			t.Errorf("seed %d: %d jobs idle, want the 6 GPU-requiring ones", seed, idle)
-		}
-	}
-}
-
-// TestDeterminismFastPathMatchesReference compares the compiled,
-// indexed negotiation against the original scheduler shape
-// (DisableMatchFastPath): the optimization must change no decision,
-// so the traces are byte-identical.
-func TestDeterminismFastPathMatchesReference(t *testing.T) {
-	for _, seed := range []int64{1, 7, 23} {
-		fast := runTracedPool(seed, false)
-		slow := runTracedPool(seed, true)
-		if fast != slow {
-			t.Errorf("seed %d: fast path diverged from the reference scheduler", seed)
-			// Show the first differing line to make the report usable.
-			fl, sl := strings.Split(fast, "\n"), strings.Split(slow, "\n")
-			for i := range fl {
-				if i >= len(sl) || fl[i] != sl[i] {
-					t.Fatalf("first divergence at line %d:\nfast: %s\nslow: %s",
-						i, fl[i], sl[min(i, len(sl)-1)])
-				}
-			}
 		}
 	}
 }
