@@ -66,9 +66,10 @@ race:
 ## a plain pipe into tee would swallow a failing suite, because the
 ## recipe shell is plain sh with no pipefail.  Every package in
 ## COVER_PKGS is a regression-suite foundation (the tracing layer, the
-## write-ahead journal, the wire codec, the live transport, the ClassAd
-## evaluator every match decision runs through) and must
-## stay at or above the COVER_FLOOR.
+## write-ahead journal, the wire codec, the live transport and the two
+## file protocols and file system on it, the ClassAd evaluator every
+## match decision runs through) and must stay at or above the
+## COVER_FLOOR.
 COVER_PKGS = \
 	github.com/errscope/grid/internal/classad \
 	github.com/errscope/grid/internal/obs \
@@ -78,7 +79,10 @@ COVER_PKGS = \
 	github.com/errscope/grid/internal/faultinject \
 	github.com/errscope/grid/internal/live \
 	github.com/errscope/grid/internal/monitor \
-	github.com/errscope/grid/internal/record
+	github.com/errscope/grid/internal/record \
+	github.com/errscope/grid/internal/chirp \
+	github.com/errscope/grid/internal/remoteio \
+	github.com/errscope/grid/internal/vfs
 COVER_FLOOR = 85
 cover:
 	@$(GO) test -cover ./... > cover.txt 2>&1; status=$$?; \
@@ -126,13 +130,17 @@ fuzz-smoke:
 			-test.fuzzcachedir $(CURDIR)/.fuzz-cache || exit 1; \
 	done
 
-## wire-smoke: the frame codec, AEAD session, the shared transport and
-## both protocol stacks' binary/secure modes under the race detector —
-## the fuzz seed corpus, the truncation-at-every-offset sweep, the
-## replay and tamper tests, the transport conformance suite, and
-## encrypted live round trips.
+## wire-smoke: the frame codec, AEAD session, the shared transport,
+## both protocol stacks' binary/secure modes and the file system under
+## them, under the race detector — the fuzz seed corpus, the
+## truncation-at-every-offset sweep, the replay and tamper tests, the
+## transport conformance suite, and encrypted live round trips — then
+## ten runs of the shared-link test: two job connections of one proxy
+## over one remoteio link, which pins that no buffer is shared across
+## sessions.
 wire-smoke:
-	$(GO) test -race -count=1 ./internal/wire/ ./internal/rpc/ ./internal/chirp/ ./internal/remoteio/
+	$(GO) test -race -count=1 ./internal/wire/ ./internal/rpc/ ./internal/chirp/ ./internal/remoteio/ ./internal/vfs/
+	$(GO) test -race -count=10 -run '^TestSharedLinkKeepsSessionsApart$$' ./internal/remoteio/
 
 ## fault-smoke: one fault-injection cell per error class; exits
 ## non-zero on any misclassification.

@@ -27,8 +27,11 @@ type Backend interface {
 
 // File is an open file within a backend.
 type File interface {
-	// ReadAt reads up to length bytes at offset.
-	ReadAt(offset int64, length int) ([]byte, error)
+	// ReadAt appends up to length bytes at offset to dst and returns
+	// the extended slice, or dst unchanged on error.  The proxy passes
+	// its connection's own buffer: several connections may share one
+	// backend, never a dst.
+	ReadAt(dst []byte, offset int64, length int) ([]byte, error)
 	// WriteAt writes data at offset.
 	WriteAt(offset int64, data []byte) (int, error)
 	// Size returns the current file size.
@@ -85,14 +88,14 @@ type vfsFile struct {
 	closed bool
 }
 
-func (f *vfsFile) ReadAt(offset int64, length int) ([]byte, error) {
+func (f *vfsFile) ReadAt(dst []byte, offset int64, length int) ([]byte, error) {
 	if f.closed {
-		return nil, scope.New(scope.ScopeFunction, CodeBadFD, "read on closed file %s", f.path)
+		return dst, scope.New(scope.ScopeFunction, CodeBadFD, "read on closed file %s", f.path)
 	}
 	if f.flags&FlagRead == 0 {
-		return nil, scope.New(scope.ScopeFile, CodeAccessDenied, "%s not open for reading", f.path)
+		return dst, scope.New(scope.ScopeFile, CodeAccessDenied, "%s not open for reading", f.path)
 	}
-	return f.fs.ReadAt(f.path, offset, length)
+	return f.fs.AppendAt(dst, f.path, offset, length)
 }
 
 func (f *vfsFile) WriteAt(offset int64, data []byte) (int, error) {

@@ -45,12 +45,13 @@ func (s *Server) serveBinary(st *session, conn net.Conn, r *bufio.Reader) {
 		}
 		// Refusals are answered in-band; only a failed response write
 		// is fatal to the connection.
-		resp, err := st.handleBin(cmd, pl)
+		resp, err := st.handleBin(st.buf[:0], cmd, pl)
 		if err != nil {
 			err = sess.WriteError(err, CodeBackend, scope.ScopeLocalResource)
 		} else {
 			err = sess.WriteMsg(wire.CmdOK, resp)
 		}
+		st.buf = wire.Keep(resp)
 		if err != nil {
 			s.logErr(err)
 			return
@@ -58,26 +59,28 @@ func (s *Server) serveBinary(st *session, conn net.Conn, r *bufio.Reader) {
 	}
 }
 
-// handleBin decodes and runs one request frame and returns the response
-// payload.
-func (st *session) handleBin(cmd byte, pl []byte) ([]byte, error) {
+// handleBin decodes and runs one request frame and appends the
+// response payload to dst.  Every path returns dst or its extension, so
+// the connection keeps its buffer across refusals.  A write's data
+// aliases the request frame.
+func (st *session) handleBin(dst []byte, cmd byte, pl []byte) ([]byte, error) {
 	cur := wire.NewCursor(pl)
 	switch cmd {
 	case binOpen:
 		flags := OpenFlags(cur.U8())
 		path := cur.RestString()
 		if !cur.OK() {
-			return nil, badRequest("open: short payload")
+			return dst, badRequest("open: short payload")
 		}
 		fd, err := st.open(path, flags)
-		return wire.AppendU32(nil, uint32(fd)), err
+		return wire.AppendU32(dst, uint32(fd)), err
 
 	case binClose:
 		fd := int(cur.U32())
 		if !cur.OK() {
-			return nil, badRequest("missing fd")
+			return dst, badRequest("missing fd")
 		}
-		return nil, st.close(fd)
+		return dst, st.close(fd)
 
 	case binRead, binPRead:
 		fd, length := int(cur.U32()), int(cur.U32())
@@ -87,9 +90,9 @@ func (st *session) handleBin(cmd byte, pl []byte) ([]byte, error) {
 			at = &off
 		}
 		if !cur.Done() || length < 0 || length > maxDataLen {
-			return nil, badRequest("read: bad arguments")
+			return dst, badRequest("read: bad arguments")
 		}
-		return st.read(fd, length, at)
+		return st.read(dst, fd, length, at)
 
 	case binWrite, binPWrite:
 		fd := int(cur.U32())
@@ -100,37 +103,37 @@ func (st *session) handleBin(cmd byte, pl []byte) ([]byte, error) {
 		}
 		data := cur.Rest()
 		if !cur.OK() {
-			return nil, badRequest("write: short payload")
+			return dst, badRequest("write: short payload")
 		}
 		n, err := st.write(fd, data, at)
-		return wire.AppendU32(nil, uint32(n)), err
+		return wire.AppendU32(dst, uint32(n)), err
 
 	case binSeek:
 		fd, whence, off := int(cur.U32()), int(cur.U8()), cur.I64()
 		if !cur.Done() {
-			return nil, badRequest("lseek: bad arguments")
+			return dst, badRequest("lseek: bad arguments")
 		}
 		pos, err := st.seek(fd, off, whence)
-		return wire.AppendI64(nil, pos), err
+		return wire.AppendI64(dst, pos), err
 
 	case binUnlink:
-		return nil, st.backend.Unlink(cur.RestString())
+		return dst, st.backend.Unlink(cur.RestString())
 
 	case binRename:
 		oldPath := cur.Str()
 		newPath := cur.RestString()
 		if !cur.OK() {
-			return nil, badRequest("rename: short payload")
+			return dst, badRequest("rename: short payload")
 		}
-		return nil, st.backend.Rename(oldPath, newPath)
+		return dst, st.backend.Rename(oldPath, newPath)
 
 	case binStat:
 		info, err := st.backend.Stat(cur.RestString())
-		return rpc.AppendInfo(nil, info, true), err
+		return rpc.AppendInfo(dst, info, true), err
 
 	case binGetdir:
 		infos, err := st.backend.List(cur.RestString())
-		return rpc.AppendInfos(nil, infos), err
+		return rpc.AppendInfos(dst, infos), err
 	}
-	return nil, badRequest("unknown command %#x", cmd)
+	return dst, badRequest("unknown command %#x", cmd)
 }

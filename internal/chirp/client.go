@@ -67,7 +67,7 @@ func DialMode(addr, cookie string, mode wire.Mode) (*Client, error) {
 // the first request.
 func presentCookie(cookie string) func(*rpc.Client) error {
 	return func(c *rpc.Client) error {
-		_, _, err := c.Call(fmt.Sprintf("cookie %s\n", wire.Quote(cookie)), 0)
+		_, err := c.Call(fmt.Sprintf("cookie %s\n", wire.Quote(cookie)))
 		return err
 	}
 }
@@ -118,7 +118,7 @@ func (c *Client) checkText(convErr error, what, v string) error {
 // Open opens a remote file and returns its descriptor.
 func (c *Client) Open(path string, flags OpenFlags) (int, error) {
 	if c.Binary() {
-		pl, err := c.CallBin(binOpen, []byte{byte(flags)}, []byte(path))
+		pl, err := c.CallBin(nil, binOpen, []byte{byte(flags)}, []byte(path))
 		if err != nil {
 			return -1, err
 		}
@@ -126,7 +126,7 @@ func (c *Client) Open(path string, flags OpenFlags) (int, error) {
 		fd := cur.U32()
 		return int(fd), c.checkBin(&cur, "open", pl)
 	}
-	v, _, err := c.Call(fmt.Sprintf("open %s %s\n", wire.Quote(path), flags), 0)
+	v, err := c.Call(fmt.Sprintf("open %s %s\n", wire.Quote(path), flags))
 	if err != nil {
 		return -1, err
 	}
@@ -137,10 +137,10 @@ func (c *Client) Open(path string, flags OpenFlags) (int, error) {
 // CloseFD closes a remote descriptor.
 func (c *Client) CloseFD(fd int) error {
 	if c.Binary() {
-		_, err := c.CallBin(binClose, wire.AppendU32(nil, uint32(fd)))
+		_, err := c.CallBin(nil, binClose, wire.AppendU32(nil, uint32(fd)))
 		return err
 	}
-	_, _, err := c.Call(fmt.Sprintf("close %d\n", fd), 0)
+	_, err := c.Call(fmt.Sprintf("close %d\n", fd))
 	return err
 }
 
@@ -148,26 +148,24 @@ func (c *Client) CloseFD(fd int) error {
 func (c *Client) Read(fd, length int) ([]byte, error) {
 	if c.Binary() {
 		arg := wire.AppendU32(wire.AppendU32(nil, uint32(fd)), uint32(length))
-		return c.CallBin(binRead, arg)
+		return c.CallBin(nil, binRead, arg)
 	}
-	_, data, err := c.Call(fmt.Sprintf("read %d %d\n", fd, length), length)
-	return data, err
+	return c.CallData(nil, fmt.Sprintf("read %d %d\n", fd, length))
 }
 
 // PRead reads up to length bytes at the given offset.
 func (c *Client) PRead(fd, length int, offset int64) ([]byte, error) {
 	if c.Binary() {
 		arg := wire.AppendI64(wire.AppendU32(wire.AppendU32(nil, uint32(fd)), uint32(length)), offset)
-		return c.CallBin(binPRead, arg)
+		return c.CallBin(nil, binPRead, arg)
 	}
-	_, data, err := c.Call(fmt.Sprintf("pread %d %d %d\n", fd, length, offset), length)
-	return data, err
+	return c.CallData(nil, fmt.Sprintf("pread %d %d %d\n", fd, length, offset))
 }
 
 // Write writes data at the descriptor's current offset.
 func (c *Client) Write(fd int, data []byte) (int, error) {
 	if c.Binary() {
-		pl, err := c.CallBin(binWrite, wire.AppendU32(nil, uint32(fd)), data)
+		pl, err := c.CallBin(nil, binWrite, wire.AppendU32(nil, uint32(fd)), data)
 		if err != nil {
 			return 0, err
 		}
@@ -175,7 +173,7 @@ func (c *Client) Write(fd int, data []byte) (int, error) {
 		n := cur.U32()
 		return int(n), c.checkBin(&cur, "write", pl)
 	}
-	v, _, err := c.Call(fmt.Sprintf("write %d %d\n", fd, len(data)), 0, data)
+	v, err := c.Call(fmt.Sprintf("write %d %d\n", fd, len(data)), data)
 	if err != nil {
 		return 0, err
 	}
@@ -187,7 +185,7 @@ func (c *Client) Write(fd int, data []byte) (int, error) {
 func (c *Client) PWrite(fd int, data []byte, offset int64) (int, error) {
 	if c.Binary() {
 		arg := wire.AppendI64(wire.AppendU32(nil, uint32(fd)), offset)
-		pl, err := c.CallBin(binPWrite, arg, data)
+		pl, err := c.CallBin(nil, binPWrite, arg, data)
 		if err != nil {
 			return 0, err
 		}
@@ -195,7 +193,7 @@ func (c *Client) PWrite(fd int, data []byte, offset int64) (int, error) {
 		n := cur.U32()
 		return int(n), c.checkBin(&cur, "pwrite", pl)
 	}
-	v, _, err := c.Call(fmt.Sprintf("pwrite %d %d %d\n", fd, len(data), offset), 0, data)
+	v, err := c.Call(fmt.Sprintf("pwrite %d %d %d\n", fd, len(data), offset), data)
 	if err != nil {
 		return 0, err
 	}
@@ -207,7 +205,7 @@ func (c *Client) PWrite(fd int, data []byte, offset int64) (int, error) {
 func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 	if c.Binary() {
 		arg := wire.AppendI64(append(wire.AppendU32(nil, uint32(fd)), byte(whence)), offset)
-		pl, err := c.CallBin(binSeek, arg)
+		pl, err := c.CallBin(nil, binSeek, arg)
 		if err != nil {
 			return 0, err
 		}
@@ -215,7 +213,7 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 		pos := cur.I64()
 		return pos, c.checkBin(&cur, "lseek", pl)
 	}
-	v, _, err := c.Call(fmt.Sprintf("lseek %d %d %d\n", fd, offset, whence), 0)
+	v, err := c.Call(fmt.Sprintf("lseek %d %d %d\n", fd, offset, whence))
 	if err != nil {
 		return 0, err
 	}
@@ -226,20 +224,20 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 // Unlink removes a remote file.
 func (c *Client) Unlink(path string) error {
 	if c.Binary() {
-		_, err := c.CallBin(binUnlink, []byte(path))
+		_, err := c.CallBin(nil, binUnlink, []byte(path))
 		return err
 	}
-	_, _, err := c.Call(fmt.Sprintf("unlink %s\n", wire.Quote(path)), 0)
+	_, err := c.Call(fmt.Sprintf("unlink %s\n", wire.Quote(path)))
 	return err
 }
 
 // Rename moves a remote file.
 func (c *Client) Rename(oldPath, newPath string) error {
 	if c.Binary() {
-		_, err := c.CallBin(binRename, wire.AppendStr(nil, oldPath), []byte(newPath))
+		_, err := c.CallBin(nil, binRename, wire.AppendStr(nil, oldPath), []byte(newPath))
 		return err
 	}
-	_, _, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)), 0)
+	_, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)))
 	return err
 }
 

@@ -1,9 +1,12 @@
 package chirp
 
 import (
+	"bufio"
 	"bytes"
+	"net"
 	"testing"
 
+	"github.com/errscope/grid/internal/vfs"
 	"github.com/errscope/grid/internal/wire"
 )
 
@@ -80,5 +83,44 @@ func TestFramePastPooledBuffer(t *testing.T) {
 				t.Fatalf("pread = %d bytes, %v", len(got), err)
 			}
 		})
+	}
+}
+
+// TestOversizedReadLeavesBoundedBuffer: an 8 MiB PRead grows the proxy
+// connection's reply buffer past wire.BufSize, and the connection drops
+// it after that reply: once the next read has gone through, it keeps
+// no more than the bound.
+func TestOversizedReadLeavesBoundedBuffer(t *testing.T) {
+	const big = 8 << 20
+	fs := vfs.New()
+	if err := fs.WriteFile("/big", bytes.Repeat([]byte("0123456789abcdef"), big/16)); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(&VFSBackend{FS: fs}, "k")
+	st := s.newSession()
+	cc, sc := net.Pipe()
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		defer sc.Close()
+		s.serveBinary(st, sc, bufio.NewReaderSize(sc, wire.BufSize))
+	}()
+	c, err := NewClient(cc, "k", DialOptions{Mode: wire.ModeBinary})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := c.Open("/big", FlagRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{big, 32 << 10} {
+		if got, err := c.PRead(fd, n, 0); err != nil || len(got) != n {
+			t.Fatalf("%d-byte pread: %d bytes, %v", n, len(got), err)
+		}
+	}
+	c.Close()
+	<-served
+	if n := cap(st.buf); n > wire.BufSize {
+		t.Errorf("the connection keeps a %d-byte buffer after the oversized read, want at most %d", n, wire.BufSize)
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"crypto/subtle"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 
 	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
+	"github.com/errscope/grid/internal/wire"
 )
 
 // maxDataLen bounds a single read or write payload, protecting the
@@ -56,6 +58,12 @@ type session struct {
 	files   map[int]File
 	pos     map[int]int64
 	nextFD  int
+
+	// buf is the connection's own scratch, never shared with another
+	// connection even when their backends share one link: replies are
+	// built in it, and so are text-mode write payloads.  It is reset
+	// with wire.Keep after every reply.
+	buf []byte
 }
 
 func (s *Server) newSession() *session {
@@ -105,19 +113,19 @@ func (st *session) close(fd int) error {
 	return f.Close()
 }
 
-// read reads at *at, or with at nil at the descriptor's offset, which
-// then advances.
-func (st *session) read(fd, length int, at *int64) ([]byte, error) {
+// read appends to dst what it reads at *at, or with at nil at the
+// descriptor's offset, which then advances.
+func (st *session) read(dst []byte, fd, length int, at *int64) ([]byte, error) {
 	f, err := st.file(fd)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	if at != nil {
-		return f.ReadAt(*at, length)
+		return f.ReadAt(dst, *at, length)
 	}
-	data, err := f.ReadAt(st.pos[fd], length)
+	data, err := f.ReadAt(dst, st.pos[fd], length)
 	if err == nil {
-		st.pos[fd] += int64(len(data))
+		st.pos[fd] += int64(len(data) - len(dst))
 	}
 	return data, err
 }
@@ -164,7 +172,7 @@ func (st *session) seek(fd int, off int64, whence int) (int64, error) {
 }
 
 func (s *Server) serve(conn net.Conn) {
-	r := bufio.NewReader(conn)
+	r := bufio.NewReaderSize(conn, wire.BufSize)
 	st := s.newSession()
 	defer st.closeAll()
 	// A binary client's first byte is a session message type (always
@@ -174,7 +182,7 @@ func (s *Server) serve(conn net.Conn) {
 		s.serveBinary(st, conn, r)
 		return
 	}
-	w := bufio.NewWriter(conn)
+	w := bufio.NewWriterSize(conn, wire.BufSize)
 	authed := false
 	for {
 		line, err := r.ReadString('\n')
@@ -222,6 +230,7 @@ func (s *Server) serve(conn net.Conn) {
 		if err := w.Flush(); err != nil && fatal == nil {
 			fatal = scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
 		}
+		st.buf = wire.Keep(st.buf)
 		if fatal != nil {
 			s.logErr(fatal)
 			return
@@ -261,7 +270,8 @@ func (st *session) handle(verb string, a *rpc.Args) rpc.Reply {
 			if length < 0 || length > maxDataLen {
 				return rpc.Reply{Err: badRequest("bad length %d", length)}
 			}
-			data, err := st.read(fd, length, at)
+			data, err := st.read(st.buf[:0], fd, length, at)
+			st.buf = data
 			return rpc.Reply{Value: strconv.Itoa(len(data)), Data: data, Err: err}
 		}
 	case "lseek":
@@ -322,7 +332,8 @@ func (st *session) handleWrite(verb string, a *rpc.Args, r *bufio.Reader) (rpc.R
 	// doomed request must have its bytes consumed, or the next request
 	// line would parse from the middle of this payload and
 	// desynchronize the protocol.
-	data := make([]byte, length)
+	st.buf = slices.Grow(st.buf[:0], length)[:length]
+	data := st.buf
 	if _, err := io.ReadFull(r, data); err != nil {
 		return rpc.Reply{}, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
 	}

@@ -44,11 +44,10 @@ func dial(addr string, key []byte, o rpc.DialOptions) (*Client, error) {
 // record comes back without its "ok".
 func (c *Client) call(cmd byte, rec string) (string, error) {
 	if c.Binary() {
-		pl, err := c.CallBin(cmd, []byte(rec))
+		pl, err := c.CallBin(nil, cmd, []byte(rec))
 		return string(pl), err
 	}
-	v, _, err := c.Call(rec+"\n", 0)
-	return v, err
+	return c.Call(rec + "\n")
 }
 
 // Subscribe turns this connection into a subscriber session streaming

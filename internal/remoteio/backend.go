@@ -82,14 +82,14 @@ type remoteFile struct {
 	closed bool
 }
 
-func (f *remoteFile) ReadAt(offset int64, length int) ([]byte, error) {
+func (f *remoteFile) ReadAt(dst []byte, offset int64, length int) ([]byte, error) {
 	if f.closed {
-		return nil, scope.New(scope.ScopeFunction, chirp.CodeBadFD, "read on closed file %s", f.path)
+		return dst, scope.New(scope.ScopeFunction, chirp.CodeBadFD, "read on closed file %s", f.path)
 	}
 	if f.flags&chirp.FlagRead == 0 {
-		return nil, scope.New(scope.ScopeFile, chirp.CodeAccessDenied, "%s not open for reading", f.path)
+		return dst, scope.New(scope.ScopeFile, chirp.CodeAccessDenied, "%s not open for reading", f.path)
 	}
-	data, err := f.client.Read(f.path, offset, length)
+	data, err := f.client.AppendAt(dst, f.path, offset, length)
 	return data, widen(err)
 }
 

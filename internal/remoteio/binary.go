@@ -13,7 +13,7 @@ import (
 // requests are refused in-band and never desynchronize the stream.
 
 func (s *Server) serveBinary(conn net.Conn) {
-	sess := wire.NewSession(bufio.NewReader(conn), conn, wire.Config{
+	sess := wire.NewSession(bufio.NewReaderSize(conn, wire.BufSize), conn, wire.Config{
 		Secret:      s.key,
 		AuthFailure: authFailed,
 	})
@@ -21,6 +21,7 @@ func (s *Server) serveBinary(conn net.Conn) {
 	if err := sess.ServerHandshake(); err != nil {
 		return
 	}
+	var buf []byte // the connection's reply scratch, reset with wire.Keep
 	for {
 		cmd, pl, err := sess.ReadMsg()
 		if err != nil {
@@ -32,23 +33,26 @@ func (s *Server) serveBinary(conn net.Conn) {
 		}
 		// Refusals are answered in-band; only a failed response write
 		// ends the connection.
-		resp, err := s.handleBin(cmd, pl)
+		resp, err := s.handleBin(buf, cmd, pl)
 		if err != nil {
 			err = sess.WriteError(err, CodeShadowError, scope.ScopeLocalResource)
 		} else {
 			err = sess.WriteMsg(wire.CmdOK, resp)
 		}
+		buf = wire.Keep(resp)
 		if err != nil {
 			return
 		}
 	}
 }
 
-// handleBin decodes and runs one RPC frame and returns the response
-// payload.
-func (s *Server) handleBin(cmd byte, pl []byte) ([]byte, error) {
+// handleBin decodes and runs one RPC frame and appends the response
+// payload to dst.  Every path returns dst or its extension, so the
+// connection keeps its buffer across refusals.  A write's data aliases
+// the request frame.
+func (s *Server) handleBin(dst []byte, cmd byte, pl []byte) ([]byte, error) {
 	if err := s.expiry(true); err != nil {
-		return nil, err
+		return dst, err
 	}
 	cur := wire.NewCursor(pl)
 	switch cmd {
@@ -57,42 +61,42 @@ func (s *Server) handleBin(cmd byte, pl []byte) ([]byte, error) {
 		length := int(cur.U32())
 		path := cur.RestString()
 		if !cur.OK() || length < 0 || length > maxDataLen {
-			return nil, badRequest("bad read arguments")
+			return dst, badRequest("bad read arguments")
 		}
-		return s.fs.ReadAt(path, off, length)
+		return s.fs.AppendAt(dst, path, off, length)
 
 	case rioWrite:
 		off := cur.I64()
 		path := cur.Str()
 		data := cur.Rest()
 		if !cur.OK() {
-			return nil, badRequest("bad write arguments")
+			return dst, badRequest("bad write arguments")
 		}
 		n, err := s.fs.WriteAt(path, off, data)
-		return wire.AppendU32(nil, uint32(n)), err
+		return wire.AppendU32(dst, uint32(n)), err
 
 	case rioCreate:
-		return nil, s.fs.Create(cur.RestString())
+		return dst, s.fs.Create(cur.RestString())
 	case rioTrunc:
-		return nil, s.fs.WriteFile(cur.RestString(), nil)
+		return dst, s.fs.WriteFile(cur.RestString(), nil)
 	case rioUnlink:
-		return nil, s.fs.Unlink(cur.RestString())
+		return dst, s.fs.Unlink(cur.RestString())
 
 	case rioStat:
 		info, err := s.fs.Stat(cur.RestString())
-		return rpc.AppendInfo(nil, info, true), err
+		return rpc.AppendInfo(dst, info, true), err
 
 	case rioList:
 		infos, err := s.fs.List(cur.RestString())
-		return rpc.AppendInfos(nil, infos), err
+		return rpc.AppendInfos(dst, infos), err
 
 	case rioRename:
 		oldPath := cur.Str()
 		newPath := cur.RestString()
 		if !cur.OK() {
-			return nil, badRequest("bad rename arguments")
+			return dst, badRequest("bad rename arguments")
 		}
-		return nil, s.fs.Rename(oldPath, newPath)
+		return dst, s.fs.Rename(oldPath, newPath)
 	}
-	return nil, badRequest("unknown command %#x", cmd)
+	return dst, badRequest("unknown command %#x", cmd)
 }

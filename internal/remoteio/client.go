@@ -74,21 +74,29 @@ func NewClient(conn net.Conn, key []byte, o DialOptions) (*Client, error) {
 // Close ends the session politely and closes the connection.
 func (c *Client) Close() error { return c.Quit(rioQuit) }
 
-// Read reads up to length bytes of path at offset.
+// Read reads up to length bytes of path at offset into a fresh slice;
+// it is AppendAt(nil, ...).
 func (c *Client) Read(path string, offset int64, length int) ([]byte, error) {
+	return c.AppendAt(nil, path, offset, length)
+}
+
+// AppendAt appends up to length bytes of path at offset to dst and
+// returns the extended slice, or dst unchanged on error.  The client
+// serializes its calls, so several callers may share it as long as
+// each brings its own dst.
+func (c *Client) AppendAt(dst []byte, path string, offset int64, length int) ([]byte, error) {
 	if c.Binary() {
 		arg := wire.AppendU32(wire.AppendI64(nil, offset), uint32(length))
-		return c.CallBin(rioRead, arg, []byte(path))
+		return c.CallBin(dst, rioRead, arg, []byte(path))
 	}
-	_, data, err := c.Call(fmt.Sprintf("read %s %d %d\n", wire.Quote(path), offset, length), length)
-	return data, err
+	return c.CallData(dst, fmt.Sprintf("read %s %d %d\n", wire.Quote(path), offset, length))
 }
 
 // Write writes data to path at offset.
 func (c *Client) Write(path string, offset int64, data []byte) (int, error) {
 	if c.Binary() {
 		arg := wire.AppendStr(wire.AppendI64(nil, offset), path)
-		pl, err := c.CallBin(rioWrite, arg, data)
+		pl, err := c.CallBin(nil, rioWrite, arg, data)
 		if err != nil {
 			return 0, err
 		}
@@ -99,7 +107,7 @@ func (c *Client) Write(path string, offset int64, data []byte) (int, error) {
 		}
 		return int(n), nil
 	}
-	v, _, err := c.Call(fmt.Sprintf("write %s %d %d\n", wire.Quote(path), offset, len(data)), 0, data)
+	v, err := c.Call(fmt.Sprintf("write %s %d %d\n", wire.Quote(path), offset, len(data)), data)
 	if err != nil {
 		return 0, err
 	}
@@ -113,10 +121,10 @@ func (c *Client) Write(path string, offset int64, data []byte) (int, error) {
 // pathOp runs one path-only RPC in either transport.
 func (c *Client) pathOp(cmd byte, verb, path string) error {
 	if c.Binary() {
-		_, err := c.CallBin(cmd, []byte(path))
+		_, err := c.CallBin(nil, cmd, []byte(path))
 		return err
 	}
-	_, _, err := c.Call(fmt.Sprintf("%s %s\n", verb, wire.Quote(path)), 0)
+	_, err := c.Call(fmt.Sprintf("%s %s\n", verb, wire.Quote(path)))
 	return err
 }
 
@@ -132,10 +140,10 @@ func (c *Client) Unlink(path string) error { return c.pathOp(rioUnlink, "unlink"
 // Rename moves a file.
 func (c *Client) Rename(oldPath, newPath string) error {
 	if c.Binary() {
-		_, err := c.CallBin(rioRename, wire.AppendStr(nil, oldPath), []byte(newPath))
+		_, err := c.CallBin(nil, rioRename, wire.AppendStr(nil, oldPath), []byte(newPath))
 		return err
 	}
-	_, _, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)), 0)
+	_, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)))
 	return err
 }
 

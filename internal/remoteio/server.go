@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -156,18 +157,20 @@ func (s *Server) serve(conn net.Conn) {
 		s.serveBinary(conn)
 		return
 	}
-	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
+	r := bufio.NewReaderSize(conn, wire.BufSize)
+	w := bufio.NewWriterSize(conn, wire.BufSize)
 	if !rpc.Challenge(r, w, s.key, authFailed()) {
 		return
 	}
+	var buf []byte // the connection's scratch, reset with wire.Keep
 	for {
 		line, err := r.ReadString('\n')
 		if err != nil {
 			return
 		}
-		reply, more := s.handle(line, r)
+		reply, more := s.handle(line, r, &buf)
 		reply.WriteTo(w, CodeShadowError, scope.ScopeLocalResource)
+		buf = wire.Keep(buf)
 		if w.Flush() != nil || !more {
 			return
 		}
@@ -175,8 +178,9 @@ func (s *Server) serve(conn net.Conn) {
 }
 
 // handle runs one text RPC and reports whether the session continues
-// after its reply.
-func (s *Server) handle(line string, r *bufio.Reader) (reply rpc.Reply, more bool) {
+// after its reply.  A read's reply data and a write's payload are built
+// in *buf, the connection's scratch.
+func (s *Server) handle(line string, r *bufio.Reader, buf *[]byte) (reply rpc.Reply, more bool) {
 	verb, a := rpc.ParseRequest(line)
 	switch verb {
 	case "":
@@ -196,7 +200,8 @@ func (s *Server) handle(line string, r *bufio.Reader) (reply rpc.Reply, more boo
 			// Framing unknown: refuse and drop the connection.
 			return rpc.Reply{Err: badRequest("write: bad length")}, false
 		}
-		payload = make([]byte, n)
+		*buf = slices.Grow((*buf)[:0], n)[:n]
+		payload = *buf
 		if _, err := io.ReadFull(r, payload); err != nil {
 			return rpc.Reply{Err: err}, false
 		}
@@ -211,7 +216,8 @@ func (s *Server) handle(line string, r *bufio.Reader) (reply rpc.Reply, more boo
 	case "read":
 		path, off, length := a.Path(), a.Int64("offset"), a.Int("length")
 		if a.Done() == nil && length >= 0 && length <= maxDataLen {
-			data, err := s.fs.ReadAt(path, off, length)
+			data, err := s.fs.AppendAt((*buf)[:0], path, off, length)
+			*buf = data
 			return rpc.Reply{Value: strconv.Itoa(len(data)), Data: data, Err: err}, true
 		}
 		return rpc.Reply{Err: badRequest("bad read arguments")}, true

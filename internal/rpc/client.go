@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -116,15 +117,17 @@ func Dial(p *Proto, addr string, o DialOptions, secret []byte, textAuth func(*Cl
 // textAuth, the protocol's own opening exchange.  On error the caller
 // still owns conn.
 func NewClient(p *Proto, conn net.Conn, o DialOptions, secret []byte, textAuth func(*Client) error) (*Client, error) {
+	// Both buffers hold a whole bulk message, so one syscall carries
+	// it each way; framed requests bypass the writer.
 	c := &Client{
 		conn:      conn,
-		r:         bufio.NewReader(conn),
-		w:         bufio.NewWriter(conn),
+		r:         bufio.NewReaderSize(conn, wire.BufSize),
 		proto:     p,
 		mode:      o.Mode,
 		ioTimeout: max(orTenSeconds(o.IOTimeout), 0),
 	}
 	if o.Mode == wire.ModeText {
+		c.w = bufio.NewWriterSize(conn, wire.BufSize)
 		if err := textAuth(c); err != nil {
 			return nil, err
 		}
@@ -311,58 +314,71 @@ func (c *Client) textCall(request string, payload [][]byte) (string, error) {
 	return "", c.fail(fmt.Errorf("bad response %q", line))
 }
 
-// Call is one text round trip.  With wantData > 0 the reply value
-// opens with a byte count and that many payload bytes follow the line.
-func (c *Client) Call(request string, wantData int, payload ...[]byte) (value string, data []byte, err error) {
+// Call is one text round trip; it returns the reply value.
+func (c *Client) Call(request string, payload ...[]byte) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.begin(); err != nil {
-		return "", nil, err
+		return "", err
 	}
 	defer c.disarm()
-	value, err = c.textCall(request, payload)
-	if err != nil || wantData <= 0 {
-		return value, nil, err
+	return c.textCall(request, payload)
+}
+
+// CallData is one text round trip whose reply value opens with a byte
+// count; that many bytes follow the line and are appended to dst.  It
+// returns the extended slice, or dst unchanged on error.
+func (c *Client) CallData(dst []byte, request string) ([]byte, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.begin(); err != nil {
+		return dst, err
+	}
+	defer c.disarm()
+	value, err := c.textCall(request, nil)
+	if err != nil {
+		return dst, err
 	}
 	lenField, _, _ := strings.Cut(value, " ")
 	n, convErr := strconv.Atoi(lenField)
 	if convErr != nil || n < 0 || n > MaxData {
-		return "", nil, c.fail(fmt.Errorf("bad data length %q", value))
+		return dst, c.fail(fmt.Errorf("bad data length %q", value))
 	}
-	data = make([]byte, n)
-	if _, err := io.ReadFull(c.r, data); err != nil {
-		return "", nil, c.fail(err)
+	data := slices.Grow(dst, n)[:len(dst)+n]
+	if _, err := io.ReadFull(c.r, data[len(dst):]); err != nil {
+		return dst, c.fail(err)
 	}
-	return value, data, nil
+	return data, nil
 }
 
-// CallBin is one framed round trip; the reply payload is copied out of
-// the session buffer.
-func (c *Client) CallBin(cmd byte, parts ...[]byte) ([]byte, error) {
+// CallBin is one framed round trip.  A success reply's payload is
+// appended to dst, out of the session buffer it arrived in; CallBin
+// returns the extended slice, or dst unchanged on error.
+func (c *Client) CallBin(dst []byte, cmd byte, parts ...[]byte) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.begin(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer c.disarm()
 	if err := c.sess.WriteMsg(cmd, parts...); err != nil {
-		return nil, c.fail(err)
+		return dst, c.fail(err)
 	}
 	rcmd, pl, err := c.sess.ReadMsg()
 	if err != nil {
-		return nil, c.fail(err)
+		return dst, c.fail(err)
 	}
 	switch rcmd {
 	case wire.CmdOK:
-		return append([]byte(nil), pl...), nil
+		return append(dst, pl...), nil
 	case wire.CmdErr:
 		se, decErr := wire.DecodeErrorPayload(pl)
 		if decErr != nil {
-			return nil, c.fail(decErr)
+			return dst, c.fail(decErr)
 		}
-		return nil, se
+		return dst, se
 	}
-	return nil, c.fail(fmt.Errorf("bad response frame %#x", rcmd))
+	return dst, c.fail(fmt.Errorf("bad response frame %#x", rcmd))
 }
 
 // Recv reads the next record of a one-way stream the server opened in

@@ -75,16 +75,16 @@ func everyCall(c *Client) []error {
 	var errs []error
 	add := func(err error) { errs = append(errs, err) }
 	if c.Binary() {
-		_, err := c.CallBin(0x90, []byte("x"))
+		_, err := c.CallBin(nil, 0x90, []byte("x"))
 		add(err)
 		_, err = c.CallStatBin(0x91, "/p")
 		add(err)
 		_, err = c.CallListBin(0x92, "/p")
 		add(err)
 	} else {
-		_, _, err := c.Call("verb\n", 0)
+		_, err := c.Call("verb\n")
 		add(err)
-		_, _, err = c.Call("read\n", 4)
+		_, err = c.CallData(nil, "read\n")
 		add(err)
 		_, err = c.CallStat("stat\n")
 		add(err)
@@ -156,16 +156,16 @@ func TestTransportDeathIsStickyAndReportedOnce(t *testing.T) {
 			var err error
 			if c.Binary() {
 				var pl []byte
-				if pl, err = c.CallBin(0x90); err != nil || string(pl) != "pong" {
+				if pl, err = c.CallBin(nil, 0x90); err != nil || string(pl) != "pong" {
 					t.Fatalf("first call = %q, %v", pl, err)
 				}
-				_, err = c.CallBin(0x90)
+				_, err = c.CallBin(nil, 0x90)
 			} else {
 				var v string
-				if v, _, err = c.Call("ping\n", 0); err != nil || v != "pong" {
+				if v, err = c.Call("ping\n"); err != nil || v != "pong" {
 					t.Fatalf("first call = %q, %v", v, err)
 				}
-				_, _, err = c.Call("ping\n", 0)
+				_, err = c.Call("ping\n")
 			}
 			// The session layer may have named the dead transport itself.
 			code := testProto.ConnectionLost
@@ -214,7 +214,7 @@ func TestExpiredDeadlineIsRequestTimeout(t *testing.T) {
 	c := dialPeer(t, addr, DialOptions{IOTimeout: 100 * time.Millisecond})
 	rec := traced(c)
 	start := time.Now()
-	_, _, err := c.Call("ping\n", 0)
+	_, err := c.Call("ping\n")
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("call took %v, the deadline did not bound it", elapsed)
 	}
@@ -301,7 +301,7 @@ func TestFrameLayerCauseKeepsItsCode(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c := dialPeer(t, rawReply(tc.mode, tc.frame), DialOptions{Mode: tc.mode})
 			rec := traced(c)
-			_, err := c.CallBin(0x90)
+			_, err := c.CallBin(nil, 0x90)
 			wantEscaping(t, err, tc.code, scope.ScopeNetwork)
 			wantSticky(t, c, rec, err)
 		})
@@ -317,10 +317,10 @@ func TestFrameLayerCauseKeepsItsCode(t *testing.T) {
 		// Sealed frames sent: the handshake proof, then one call.
 		c := dialPeer(t, addr, DialOptions{Mode: wire.ModeSecure, RekeyAfter: 2})
 		rec := traced(c)
-		if _, err := c.CallBin(0x90); err != nil {
+		if _, err := c.CallBin(nil, 0x90); err != nil {
 			t.Fatal(err)
 		}
-		_, err := c.CallBin(0x90)
+		_, err := c.CallBin(nil, 0x90)
 		wantEscaping(t, err, wire.CodeKeyExpired, scope.ScopeLocalResource)
 		wantSticky(t, c, rec, err)
 	})
@@ -333,11 +333,11 @@ func TestMalformedReplyKillsTheConnection(t *testing.T) {
 		name, reply string
 		call        func(c *Client) error
 	}{
-		{"unknown verb", "maybe\n", func(c *Client) error { _, _, err := c.Call("x\n", 0); return err }},
-		{"bad error line", "error NoScope\n", func(c *Client) error { _, _, err := c.Call("x\n", 0); return err }},
-		{"bad data length", "ok many\n", func(c *Client) error { _, _, err := c.Call("x\n", 8); return err }},
-		{"data length over limit", fmt.Sprintf("ok %d\n", MaxData+1), func(c *Client) error { _, _, err := c.Call("x\n", 8); return err }},
-		{"short data", "ok 8\nabc", func(c *Client) error { _, _, err := c.Call("x\n", 8); return err }},
+		{"unknown verb", "maybe\n", func(c *Client) error { _, err := c.Call("x\n"); return err }},
+		{"bad error line", "error NoScope\n", func(c *Client) error { _, err := c.Call("x\n"); return err }},
+		{"bad data length", "ok many\n", func(c *Client) error { _, err := c.CallData(nil, "x\n"); return err }},
+		{"data length over limit", fmt.Sprintf("ok %d\n", MaxData+1), func(c *Client) error { _, err := c.CallData(nil, "x\n"); return err }},
+		{"short data", "ok 8\nabc", func(c *Client) error { _, err := c.CallData(nil, "x\n"); return err }},
 		{"bad stat record", "ok 12 0 unquoted\n", func(c *Client) error { _, err := c.CallStat("x\n"); return err }},
 		{"bad list count", "ok 1 2\n", func(c *Client) error { _, err := c.CallList("x\n"); return err }},
 		{"bad list entry", "ok 1\n5 x \"/p\"\n", func(c *Client) error { _, err := c.CallList("x\n"); return err }},
@@ -364,8 +364,8 @@ func TestMalformedReplyKillsTheConnection(t *testing.T) {
 		payload []byte
 		call    func(c *Client) error
 	}{
-		{"unknown reply frame", 0x55, nil, func(c *Client) error { _, err := c.CallBin(0x90); return err }},
-		{"bad error payload", wire.CmdErr, []byte{1}, func(c *Client) error { _, err := c.CallBin(0x90); return err }},
+		{"unknown reply frame", 0x55, nil, func(c *Client) error { _, err := c.CallBin(nil, 0x90); return err }},
+		{"bad error payload", wire.CmdErr, []byte{1}, func(c *Client) error { _, err := c.CallBin(nil, 0x90); return err }},
 		{"short stat", wire.CmdOK, []byte{0, 0}, func(c *Client) error { _, err := c.CallStatBin(0x90, "/p"); return err }},
 		{"short list", wire.CmdOK, []byte{0}, func(c *Client) error { _, err := c.CallListBin(0x90, "/p"); return err }},
 		{"list count over limit", wire.CmdOK, wire.AppendU32(nil, maxList+1), func(c *Client) error { _, err := c.CallListBin(0x90, "/p"); return err }},
@@ -420,10 +420,10 @@ func TestExplicitErrorsLeaveTheConnectionAlive(t *testing.T) {
 		rec := traced(c)
 		call := func() error {
 			if c.Binary() {
-				_, err := c.CallBin(0x90)
+				_, err := c.CallBin(nil, 0x90)
 				return err
 			}
-			_, _, err := c.Call("x\n", 0)
+			_, err := c.Call("x\n")
 			return err
 		}
 		se, ok := scope.AsError(call())
@@ -472,7 +472,7 @@ func TestChallenge(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v, _, err := c.Call("x\n", 0); err != nil || v != "authed" {
+	if v, err := c.Call("x\n"); err != nil || v != "authed" {
 		t.Fatalf("call after the challenge = %q, %v", v, err)
 	}
 

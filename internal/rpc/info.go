@@ -89,7 +89,7 @@ func AppendInfos(dst []byte, infos []vfs.Info) []byte {
 
 // CallStat is one text round trip whose reply value is a stat record.
 func (c *Client) CallStat(request string) (vfs.Info, error) {
-	v, _, err := c.Call(request, 0)
+	v, err := c.Call(request)
 	if err != nil {
 		return vfs.Info{}, err
 	}
@@ -134,7 +134,7 @@ func (c *Client) CallList(request string) ([]vfs.Info, error) {
 
 // CallStatBin is one framed round trip, path out and a stat record back.
 func (c *Client) CallStatBin(cmd byte, path string) (vfs.Info, error) {
-	pl, err := c.CallBin(cmd, []byte(path))
+	pl, err := c.CallBin(nil, cmd, []byte(path))
 	if err != nil {
 		return vfs.Info{}, err
 	}
@@ -149,7 +149,7 @@ func (c *Client) CallStatBin(cmd byte, path string) (vfs.Info, error) {
 // CallListBin is one framed round trip, prefix out and count u32 plus
 // that many stat records back.
 func (c *Client) CallListBin(cmd byte, prefix string) ([]vfs.Info, error) {
-	pl, err := c.CallBin(cmd, []byte(prefix))
+	pl, err := c.CallBin(nil, cmd, []byte(prefix))
 	if err != nil {
 		return nil, err
 	}

@@ -150,7 +150,7 @@ func (c *Client) AnswerChallenge(key []byte) error {
 	if err != nil {
 		return c.Fail(err)
 	}
-	_, _, err = c.Call(fmt.Sprintf("auth %s\n", hex.EncodeToString(authenticator(key, nonce))), 0)
+	_, err = c.Call(fmt.Sprintf("auth %s\n", hex.EncodeToString(authenticator(key, nonce))))
 	return err
 }
 

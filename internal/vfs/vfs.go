@@ -221,39 +221,45 @@ func corruptBytes(data []byte) {
 	}
 }
 
-// ReadAt reads up to length bytes from offset.  Reading at or past
-// the end yields EndOfFile with zero bytes; a short read at the tail
-// is not an error.
+// ReadAt reads up to length bytes from offset into a fresh slice; it
+// is AppendAt(nil, ...).
 func (fs *FileSystem) ReadAt(path string, offset int64, length int) ([]byte, error) {
+	return fs.AppendAt(nil, path, offset, length)
+}
+
+// AppendAt appends up to n bytes of path from offset to dst and returns
+// the extended slice; on error it returns dst unchanged.  Reading at or
+// past the end yields EndOfFile with zero bytes; a short read at the
+// tail is not an error.  Injected corruption alters only the bytes
+// appended.
+func (fs *FileSystem) AppendAt(dst []byte, path string, offset int64, n int) ([]byte, error) {
 	p, err := clean(path)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	if offset < 0 || length < 0 {
-		return nil, scope.New(scope.ScopeFunction, CodeBadArgument, "negative offset or length")
+	if offset < 0 || n < 0 {
+		return dst, scope.New(scope.ScopeFunction, CodeBadArgument, "negative offset or length")
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if err := fs.check("read"); err != nil {
-		return nil, err
+		return dst, err
 	}
 	f, ok := fs.files[p]
 	if !ok {
-		return nil, scope.New(scope.ScopeFile, CodeFileNotFound, "no such file %s", p)
+		return dst, scope.New(scope.ScopeFile, CodeFileNotFound, "no such file %s", p)
 	}
 	if offset >= int64(len(f.data)) {
-		return nil, scope.New(scope.ScopeFile, CodeEndOfFile, "offset %d past end of %s (%d bytes)", offset, p, len(f.data))
+		return dst, scope.New(scope.ScopeFile, CodeEndOfFile, "offset %d past end of %s (%d bytes)", offset, p, len(f.data))
 	}
-	end := offset + int64(length)
-	if end > int64(len(f.data)) {
-		end = int64(len(f.data))
+	end := min(offset+int64(n), int64(len(f.data)))
+	start := len(dst)
+	dst = append(dst, f.data[offset:end]...)
+	if c := fs.corrupt[p]; c > 0 {
+		fs.corrupt[p] = c - 1
+		corruptBytes(dst[start:])
 	}
-	data := append([]byte(nil), f.data[offset:end]...)
-	if n := fs.corrupt[p]; n > 0 {
-		fs.corrupt[p] = n - 1
-		corruptBytes(data)
-	}
-	return data, nil
+	return dst, nil
 }
 
 // WriteAt writes data at offset, extending the file if needed.

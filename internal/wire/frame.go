@@ -84,18 +84,26 @@ func Checksum(parts ...[]byte) uint32 {
 // extended slice.  The payload may be given in parts; they are
 // concatenated on the wire.
 func AppendFrame(dst []byte, cmd byte, seq uint16, parts ...[]byte) []byte {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
 	start := len(dst)
-	dst = append(dst, cmd, byte(seq>>8), byte(seq))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(n))
+	dst = appendHeader(dst, cmd, seq)
 	for _, p := range parts {
 		dst = append(dst, p...)
 	}
-	sum := Checksum(dst[start:])
-	return binary.BigEndian.AppendUint32(dst, sum)
+	return closeFrame(dst, start)
+}
+
+// appendHeader opens a frame at the end of dst: the header, with the
+// payload length left for closeFrame.  The caller appends the payload.
+func appendHeader(dst []byte, cmd byte, seq uint16) []byte {
+	return append(dst, cmd, byte(seq>>8), byte(seq), 0, 0, 0, 0)
+}
+
+// closeFrame completes the frame opened at dst[start:]: it fills in the
+// payload length and appends the checksum trailer.
+func closeFrame(dst []byte, start int) []byte {
+	frame := dst[start:]
+	binary.BigEndian.PutUint32(frame[3:frameHeaderLen], uint32(len(frame)-frameHeaderLen))
+	return binary.BigEndian.AppendUint32(dst, Checksum(frame))
 }
 
 // DecodeFrame parses one complete frame from buf.  The returned
@@ -121,14 +129,42 @@ func DecodeFrame(buf []byte) (cmd byte, seq uint16, payload []byte, err error) {
 	return buf[0], binary.BigEndian.Uint16(buf[1:3]), buf[frameHeaderLen:end], nil
 }
 
-// frameBufPool recycles frame buffers between connections; reads are
-// zero copy into the pooled buffer.
+// BufSize is the most a connection keeps between messages: the
+// capacity of every pooled frame buffer, the size of each file-protocol
+// endpoint's bufio.Reader and Writer, and the bound past which a frame
+// or session buffer grown for one oversized message is dropped after
+// that message instead of being kept or pooled.  64 KiB of payload plus
+// one frame's overhead holds the protocols' 32 KiB bulk messages whole,
+// arguments and AEAD tag included, so one read and one write syscall
+// carry each of them.
+const BufSize = 64<<10 + FrameOverhead
+
+// frameBufPool recycles frame buffers between connections: every
+// frame is assembled in one to be written and read into one to be
+// checked.  Every buffer in the pool has capacity BufSize.
 var frameBufPool = sync.Pool{
-	New: func() any { return make([]byte, 0, 64<<10) },
+	New: func() any { return make([]byte, 0, BufSize) },
+}
+
+// Keep returns buf emptied for the next message, or nil when one
+// oversized message grew it past BufSize: no connection holds more than
+// BufSize of scratch between messages.
+func Keep(buf []byte) []byte {
+	if cap(buf) > BufSize {
+		return nil
+	}
+	return buf[:0]
+}
+
+// release pools a frame buffer unless it outgrew BufSize.
+func release(buf []byte) {
+	if buf = Keep(buf); buf != nil {
+		frameBufPool.Put(buf)
+	}
 }
 
 // FrameReader reads frames from a stream, verifying checksum and
-// sequence on each.  The payload returned by Next aliases an internal
+// sequence on each.  The payload returned by Next aliases the reader's
 // pooled buffer and is valid only until the next call.
 type FrameReader struct {
 	r   *bufio.Reader
@@ -148,19 +184,19 @@ func NewFrameReader(r *bufio.Reader, maxPayload int) *FrameReader {
 // Release returns the reader's buffer to the pool.  The reader must
 // not be used afterwards.
 func (fr *FrameReader) Release() {
-	if fr.buf != nil {
-		frameBufPool.Put(fr.buf[:0])
-		fr.buf = nil
-	}
+	release(fr.buf)
+	fr.buf = nil
 }
 
-// grow ensures the scratch buffer holds n bytes.  A reallocation keeps
-// the frame header already read into the old buffer: the checksum
-// covers it.
+// grow ensures the scratch buffer holds n bytes.  A frame past BufSize
+// gets a buffer of exactly its size, which the next call drops; the
+// reallocation keeps the frame header already read into the old
+// buffer, since the checksum covers it.
 func (fr *FrameReader) grow(n int) []byte {
 	if cap(fr.buf) < n {
-		buf := make([]byte, frameHeaderLen, n+n/2)
+		buf := make([]byte, frameHeaderLen, n)
 		copy(buf, fr.buf[:frameHeaderLen])
+		release(fr.buf)
 		fr.buf = buf
 	}
 	return fr.buf[:n]
@@ -170,6 +206,11 @@ func (fr *FrameReader) grow(n int) []byte {
 // io.EOF; anything partial is a truncated frame.  The payload is
 // valid until the next call to Next.
 func (fr *FrameReader) Next() (cmd byte, payload []byte, err error) {
+	if fr.buf = Keep(fr.buf); fr.buf == nil {
+		// The previous frame was oversized and its payload is now
+		// dead: keep no more than BufSize between frames.
+		fr.buf = frameBufPool.Get().([]byte)
+	}
 	hdr := fr.grow(frameHeaderLen)
 	if _, err := io.ReadFull(fr.r, hdr); err != nil {
 		if err == io.EOF {
@@ -223,17 +264,35 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 
 // Release returns the writer's buffer to the pool.
 func (fw *FrameWriter) Release() {
-	if fw.buf != nil {
-		frameBufPool.Put(fw.buf[:0])
-		fw.buf = nil
-	}
+	release(fw.buf)
+	fw.buf = nil
 }
 
 // WriteFrame encodes and writes one frame, advancing the sequence
 // counter.
 func (fw *FrameWriter) WriteFrame(cmd byte, parts ...[]byte) error {
-	fw.buf = AppendFrame(fw.buf[:0], cmd, fw.seq, parts...)
+	buf := fw.begin(cmd)
+	for _, p := range parts {
+		buf = append(buf, p...)
+	}
+	return fw.send(buf)
+}
+
+// begin opens a frame in the writer's buffer: the header, with the
+// payload length left for send.  The caller appends the payload.
+func (fw *FrameWriter) begin(cmd byte) []byte {
+	return appendHeader(fw.buf[:0], cmd, fw.seq)
+}
+
+// send closes the frame begin opened — payload length, checksum —
+// writes it in one call and advances the sequence counter.  A buffer an
+// oversized frame grew past BufSize is dropped after the write.
+func (fw *FrameWriter) send(buf []byte) error {
+	buf = closeFrame(buf, 0)
 	fw.seq++
-	_, err := fw.w.Write(fw.buf)
+	_, err := fw.w.Write(buf)
+	if fw.buf = Keep(buf); fw.buf == nil {
+		fw.buf = make([]byte, 0, BufSize)
+	}
 	return err
 }

@@ -11,6 +11,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"io"
+	"slices"
 
 	"github.com/errscope/grid/internal/scope"
 )
@@ -130,11 +131,16 @@ type Session struct {
 	mode        Mode
 	established bool
 
-	seal, open         cipher.AEAD
-	sendName, recvName [4]byte
-	sendCtr, recvCtr   uint64
+	seal, open       cipher.AEAD
+	sendCtr, recvCtr uint64
 
-	plain []byte // scratch for seal/concat
+	// Per-direction AEAD scratch, so sealing allocates nothing: the
+	// nonce is the direction tag followed by the frame counter, and
+	// the additional data is the frame's command byte.  The two
+	// directions keep their own, so one goroutine may read while
+	// another writes.
+	sendNonce, recvNonce [12]byte
+	sendAD, recvAD       [1]byte
 }
 
 // NewSession wraps an established byte stream.  The reader side must
@@ -351,13 +357,15 @@ func (s *Session) deriveKeys(priv *ecdh.PrivateKey, peerPub, clientNonce, server
 	if err1 != nil || err2 != nil {
 		return scope.New(scope.ScopeProcess, CodeFrameProtocol, "handshake: cipher init failed")
 	}
-	if isClient {
-		s.seal, s.open = c2s, s2c
-		s.sendName, s.recvName = [4]byte{'c', '2', 's', 0}, [4]byte{'s', '2', 'c', 0}
-	} else {
+	// The nonces' direction tags; the fourth byte stays zero.
+	s.seal, s.open = c2s, s2c
+	send, recv := "c2s", "s2c"
+	if !isClient {
 		s.seal, s.open = s2c, c2s
-		s.sendName, s.recvName = [4]byte{'s', '2', 'c', 0}, [4]byte{'c', '2', 's', 0}
+		send, recv = recv, send
 	}
+	copy(s.sendNonce[:], send)
+	copy(s.recvNonce[:], recv)
 	return nil
 }
 
@@ -369,29 +377,32 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 	return cipher.NewGCM(block)
 }
 
-// nonceFor builds the 12-byte AEAD nonce: direction tag plus frame
-// counter.  Counters never repeat within a session, and the tag keeps
-// the two directions' nonce spaces disjoint under the related keys.
-func nonceFor(name [4]byte, ctr uint64) []byte {
-	var n [12]byte
-	copy(n[:4], name[:])
-	binary.BigEndian.PutUint64(n[4:], ctr)
-	return n[:]
+// nonceAt completes a direction's 12-byte AEAD nonce: its tag, set at
+// key derivation, then the frame counter.  Counters never repeat
+// within a session, and the tag keeps the two directions' nonce spaces
+// disjoint under the related keys.
+func nonceAt(nonce *[12]byte, ctr uint64) []byte {
+	binary.BigEndian.PutUint64(nonce[4:], ctr)
+	return nonce[:]
 }
 
-// writeSealed seals a payload and writes it as one frame, spending
-// one unit of the send budget.
+// writeSealed seals a payload in place inside the frame buffer and
+// writes it as one frame, spending one unit of the send budget.
 func (s *Session) writeSealed(cmd byte, parts ...[]byte) error {
 	if s.cfg.RekeyAfter > 0 && s.sendCtr >= s.cfg.RekeyAfter {
 		return keyExpired()
 	}
-	s.plain = s.plain[:0]
+	buf := s.fw.begin(cmd)
 	for _, p := range parts {
-		s.plain = append(s.plain, p...)
+		buf = append(buf, p...)
 	}
-	sealed := s.seal.Seal(nil, nonceFor(s.sendName, s.sendCtr), s.plain, []byte{cmd})
+	buf = slices.Grow(buf, s.seal.Overhead())
+	s.sendAD[0] = cmd
+	// The plaintext after the header becomes its own ciphertext and
+	// tag: dst's free capacity starts exactly where the plaintext does.
+	buf = s.seal.Seal(buf[:frameHeaderLen], nonceAt(&s.sendNonce, s.sendCtr), buf[frameHeaderLen:], s.sendAD[:])
 	s.sendCtr++
-	if err := s.fw.WriteFrame(cmd, sealed); err != nil {
+	if err := s.fw.send(buf); err != nil {
 		return scope.Escape(scope.ScopeNetwork, CodeConnectionLostName, err)
 	}
 	return nil
@@ -404,7 +415,8 @@ func (s *Session) openSealedCmd(cmd byte, payload []byte) ([]byte, error) {
 	if s.cfg.RekeyAfter > 0 && s.recvCtr >= s.cfg.RekeyAfter {
 		return nil, keyExpired()
 	}
-	plain, err := s.open.Open(payload[:0], nonceFor(s.recvName, s.recvCtr), payload, []byte{cmd})
+	s.recvAD[0] = cmd
+	plain, err := s.open.Open(payload[:0], nonceAt(&s.recvNonce, s.recvCtr), payload, s.recvAD[:])
 	if err != nil {
 		return nil, scope.New(scope.ScopeNetwork, CodeMACFailure,
 			"frame MAC did not verify: payload corrupted or forged")
@@ -417,7 +429,7 @@ func (s *Session) openSealedCmd(cmd byte, payload []byte) ([]byte, error) {
 // their own command bytes.
 func (s *Session) openSealed(payload []byte) ([]byte, error) {
 	cmd := MsgProof
-	if s.seal != nil && s.sendName[0] == 'c' {
+	if s.seal != nil && s.sendNonce[0] == 'c' {
 		cmd = MsgProofAck // client opens the server's proof
 	}
 	return s.openSealedCmd(cmd, payload)

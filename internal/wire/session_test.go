@@ -293,3 +293,42 @@ func TestModeString(t *testing.T) {
 		t.Fatal("unknown mode name")
 	}
 }
+
+// TestOversizedMessageLeavesBoundedBuffers: a message past BufSize
+// grows the frame buffers that carry it, and they are dropped once the
+// next message has gone through, so neither the session nor, after
+// Release, the buffer pool keeps more than BufSize per buffer.  (The
+// pool used to take back buffers of any size, so one 16 MiB frame left
+// a 24 MiB buffer for every later session.)
+func TestOversizedMessageLeavesBoundedBuffers(t *testing.T) {
+	for _, mode := range []Mode{ModeBinary, ModeSecure} {
+		t.Run(mode.String(), func(t *testing.T) {
+			secret := []byte("k")
+			client, server, _ := sessionPair(t, Config{Mode: mode, Secret: secret}, Config{Secret: secret}, nil)
+			for _, n := range []int{8 << 20, 16} {
+				done := make(chan error, 1)
+				go echo(t, server, done)
+				if err := client.WriteMsg(0x90, make([]byte, n)); err != nil {
+					t.Fatal(err)
+				}
+				if _, got, err := client.ReadMsg(); err != nil || len(got) != n {
+					t.Fatalf("%d-byte echo: %d bytes, %v", n, len(got), err)
+				}
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, s := range []*Session{client, server} {
+				if r, w := cap(s.fr.buf), cap(s.fw.buf); r > BufSize || w > BufSize {
+					t.Errorf("after a small message: read buffer %d, write buffer %d bytes, want at most %d", r, w, BufSize)
+				}
+				s.Release()
+			}
+			for i := 0; i < 4; i++ {
+				if buf := frameBufPool.Get().([]byte); cap(buf) > BufSize {
+					t.Errorf("pooled buffer of %d bytes, want at most %d", cap(buf), BufSize)
+				}
+			}
+		})
+	}
+}
