@@ -1,17 +1,18 @@
 GO ?= go
 
-.PHONY: check fmt-check vet determinism-grep no-testing-in-binaries build test race cover journal-smoke fuzz-smoke wire-smoke fault-smoke fault-sweep pool-smoke flock-smoke churn-smoke ops-smoke checkpoint-sweep bench bench-module bench-pairs trace
+.PHONY: check fmt-check vet determinism-grep no-testing-in-binaries build test race cover journal-smoke fuzz-smoke wire-smoke fault-sweep checkpoint-sweep bench bench-module bench-pairs trace
 
 ## check: the full gate — gofmt, vet, the determinism grep, the
-## no-testing-in-binaries guard, build, race-test
-## the concurrent packages, the whole suite with per-package coverage
-## (including the golden-trace regression suite and the per-package
-## coverage floors), the write-ahead-journal race smoke, the wire-codec
-## and transport smoke, the fault-injection smoke matrix, the
-## small-shape pool-throughput smoke, the federation smoke, the
-## machine-churn determinism smoke, the ops-plane smoke, then the
-## benchmark module's own vet and tests.
-check: fmt-check vet determinism-grep no-testing-in-binaries build race cover journal-smoke wire-smoke fault-smoke pool-smoke flock-smoke churn-smoke ops-smoke bench-module
+## no-testing-in-binaries guard, build, the whole suite under the race
+## detector, the whole suite again with per-package coverage and its
+## floors, the journal and wire race smokes, then the benchmark
+## module's own vet and tests.  The suite holds the regression gates:
+## the golden traces, the fault sweep and its one-cell-per-class smoke
+## (TestFaultSweep, TestFaultSweepSmoke), and the shape table
+## (TestShapes: every whole-pool shape serial == rerun == parallel,
+## its digest, exact counts and allocations pinned in
+## internal/experiments/testdata/shapes.golden).
+check: fmt-check vet determinism-grep no-testing-in-binaries build race cover journal-smoke wire-smoke bench-module
 
 ## fmt-check: every Go file in the repo (bench/ included) is
 ## gofmt-clean; lists the offenders and fails otherwise.
@@ -142,53 +143,15 @@ wire-smoke:
 	$(GO) test -race -count=1 ./internal/wire/ ./internal/rpc/ ./internal/chirp/ ./internal/remoteio/ ./internal/vfs/
 	$(GO) test -race -count=10 -run '^TestSharedLinkKeepsSessionsApart$$' ./internal/remoteio/
 
-## fault-smoke: one fault-injection cell per error class; exits
-## non-zero on any misclassification.
-fault-smoke:
-	$(GO) run ./cmd/experiments -run fault-smoke
-
 ## fault-sweep: the full conformance matrix — every error class at
 ## every injection site.
 fault-sweep:
 	$(GO) run ./cmd/experiments -run fault-sweep
 
-## flock-smoke: one small federated shape end to end — every home job
-## must flock to a peer pool to finish — serial, rerun, and parallel
-## arms byte-compared, plus the peer-pool-death zero-loss cell on both
-## engines.  The gate that keeps federation deterministic and its
-## failure semantics scoped.
-flock-smoke:
-	$(GO) run ./cmd/experiments -run flock-smoke
-
-## churn-smoke: a churned pool of checkpointing standard jobs run on
-## the serial and parallel engines — dispositions compared byte for
-## byte, every job must complete, and every eviction must stay scoped
-## to the claim.  The gate that keeps machine churn deterministic.
-churn-smoke:
-	$(GO) run ./cmd/experiments -run churn-smoke
-
-## ops-smoke: the live-operations-plane gate — the same seeded
-## workload run bare and monitored (streaming subscribers, one dying
-## mid-stream, a drain issued through the admin plane, a detach),
-## serial, rerun, and parallel, with dispositions and trace export
-## byte-compared against the bare run.  The gate that keeps
-## observation and administration scoped to their own sessions.
-ops-smoke:
-	$(GO) run ./cmd/experiments -run ops-smoke
-
 ## checkpoint-sweep: the checkpoint-interval overhead-vs-rework curve
 ## under machine churn; writes checkpoint_sweep.json.
 checkpoint-sweep:
 	$(GO) run ./cmd/experiments -run checkpoint-sweep
-
-## pool-smoke: one small uniform pool end to end, serial, rerun and on
-## the parallel engine at workers>1 — dispositions compared byte for
-## byte, every job must complete — plus a golden-trace spot check of
-## one fault cell on the parallel engine.  The gate that keeps the
-## throughput path deterministic; the fast-vs-reference proofs are the
-## test oracles in internal/daemon (FuzzNegotiate, CheckScheddIndex).
-pool-smoke:
-	$(GO) run ./cmd/experiments -run pool-smoke
 
 ## bench: the Go benchmark suite with allocation reporting.
 bench:

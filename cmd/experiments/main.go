@@ -10,8 +10,12 @@
 //
 // Experiment ids: figure1, figure2, figure3, figure4, naive,
 // blackhole, mounts, migration, crashes, crash-recovery, principles,
-// pool-smoke, flock-smoke, churn-smoke, ops-smoke, checkpoint-sweep,
-// fault-sweep, fault-smoke, trace.
+// checkpoint-sweep, fault-sweep, fault-smoke, trace.
+//
+// Whole-pool determinism and cost are not experiments here: the shape
+// table, TestShapes in internal/experiments, runs each pool shape
+// serial, rerun and parallel under `go test` and pins its digest,
+// exact counts and allocations in testdata/shapes.golden.
 //
 // checkpoint-sweep and trace write their output files (see
 // -checkpoint-sweep-out and -trace-out) when selected with -run; under
@@ -101,18 +105,6 @@ func main() {
 		{"principles", func() (*experiments.Report, error) {
 			return experiments.Principles(), nil
 		}, "the four principles, violated and obeyed"},
-		{"pool-smoke", func() (*experiments.Report, error) {
-			return experiments.PoolSmoke(*seed)
-		}, "small-shape pool throughput smoke (serial == rerun == parallel gate)"},
-		{"flock-smoke", func() (*experiments.Report, error) {
-			return experiments.FlockSmoke(*seed)
-		}, "federation smoke: flocked jobs complete, serial == rerun == parallel, peer-death zero loss"},
-		{"churn-smoke", func() (*experiments.Report, error) {
-			return experiments.ChurnSmoke(*seed)
-		}, "machine-churn smoke: churned standard jobs complete, serial == rerun == parallel"},
-		{"ops-smoke", func() (*experiments.Report, error) {
-			return experiments.OpsSmoke(*seed)
-		}, "ops-plane smoke: monitored + administered run byte-equal to bare, serial == rerun == parallel"},
 		{"checkpoint-sweep", func() (*experiments.Report, error) {
 			rows, rep, err := experiments.CheckpointSweep(*seed)
 			if err != nil {

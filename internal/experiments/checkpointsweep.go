@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"github.com/errscope/grid/internal/daemon"
@@ -101,7 +102,7 @@ func runCheckpointCell(seed int64, meanUp, interval time.Duration, workers int) 
 	p := pool.New(cfg)
 	p.SubmitStandard(jobs, pool.UniformCompute(40*time.Minute))
 	p.Run(14 * 24 * time.Hour)
-	return p, poolDispositions(p)
+	return p, dispositions(p.Schedds)
 }
 
 // CheckpointSweep measures total waste over checkpoint intervals ×
@@ -197,4 +198,18 @@ func CheckpointSweep(seed int64) ([]CheckpointSweepRow, *Report, error) {
 		rep.AddNote("under churn the rework past the last committed checkpoint pulls the optimum inward (Garba et al.)")
 	}
 	return rows, rep, firstErr
+}
+
+// dispositions renders every job's full event log at every submit
+// point, in a fixed order — the byte-exact record of what the pool (or
+// federation) decided and when.
+func dispositions(schedds []*daemon.Schedd) string {
+	var sb strings.Builder
+	for _, s := range schedds {
+		for _, j := range s.Jobs() {
+			fmt.Fprintf(&sb, "== %s job %d %s\n", s.Name(), j.ID, j.State)
+			sb.WriteString(j.EventLog())
+		}
+	}
+	return sb.String()
 }

@@ -1227,9 +1227,8 @@ func FaultSweep(seed int64) (*Report, error) {
 	return faultSweep(seed, false)
 }
 
-// FaultSweepSmoke is the one-cell-per-class subset wired into `make
-// check`: fast, but still crossing every error class and both live
-// protocol stacks.
+// FaultSweepSmoke is the one-cell-per-class subset: fast, but still
+// crossing every error class and both live protocol stacks.
 func FaultSweepSmoke(seed int64) (*Report, error) {
 	return faultSweep(seed, true)
 }

@@ -21,7 +21,8 @@ func TestFaultSweep(t *testing.T) {
 	}
 }
 
-// TestFaultSweepSmoke is the subset make check runs.
+// TestFaultSweepSmoke is the one-cell-per-class subset, the same run
+// as `experiments -run fault-smoke`.
 func TestFaultSweepSmoke(t *testing.T) {
 	rep, err := FaultSweepSmoke(42)
 	if err != nil {

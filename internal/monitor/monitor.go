@@ -9,7 +9,8 @@
 // read-mostly and strictly one-way.  A monitor that dies, a
 // subscriber whose connection drops, a stream that backs up — none of
 // it perturbs the pool.  Job dispositions are byte-equal with and
-// without a monitor attached (the ops-smoke experiment pins this),
+// without a monitor attached (the "ops" row of the shape table,
+// TestShapes in internal/experiments, pins this),
 // because the monitor only ever reads the pool's recorder and
 // metrics; it injects nothing into the simulation and holds no locks
 // the daemons contend on.  Admin verbs are the deliberate exception:

@@ -258,7 +258,6 @@ type Engine struct {
 	live int
 	seq  uint64
 	rng  *rand.Rand
-	seed int64
 	// stopped is atomic because Stop may be called from a worker
 	// goroutine during a parallel instant.
 	stopped atomic.Bool
@@ -277,7 +276,6 @@ type Engine struct {
 	// exclusive global shard.
 	shardNames []string
 	shardIDs   map[string]int32
-	shardRngs  []*rand.Rand
 	// wave state (see parallel.go).
 	waveActive bool
 	ctxs       []*shardCtx
@@ -303,10 +301,8 @@ const maxFreeEvents = 65536
 func New(seed int64) *Engine {
 	e := &Engine{
 		rng:        rand.New(rand.NewSource(seed)),
-		seed:       seed,
 		shardNames: []string{""},
 		shardIDs:   map[string]int32{"": globalShard},
-		shardRngs:  []*rand.Rand{nil},
 		ctxs:       []*shardCtx{nil},
 	}
 	return e

@@ -31,7 +31,6 @@ package sim
 // between barriers.
 
 import (
-	"math/rand"
 	"slices"
 	"strings"
 	"sync"
@@ -79,7 +78,6 @@ func (e *Engine) ShardID(key string) int32 {
 	id := int32(len(e.shardNames))
 	e.shardNames = append(e.shardNames, key)
 	e.shardIDs[key] = id
-	e.shardRngs = append(e.shardRngs, nil)
 	e.ctxs = append(e.ctxs, nil)
 	return id
 }
@@ -88,27 +86,6 @@ func (e *Engine) ShardID(key string) int32 {
 func (e *Engine) shardIDOf(key string) (int32, bool) {
 	id, ok := e.shardIDs[key]
 	return id, ok
-}
-
-// ShardRand returns the deterministic random stream of the shard,
-// derived from the engine seed and the shard's interned key, so
-// shards draw independently of one another and of execution
-// interleaving.  Shard 0 shares the engine's root source.
-func (e *Engine) ShardRand(shard int32) *rand.Rand {
-	if shard <= 0 || int(shard) >= len(e.shardRngs) {
-		return e.rng
-	}
-	if e.shardRngs[shard] == nil {
-		// A cheap, stable string hash (FNV-1a) folds the key into the
-		// seed; interning order does not influence the stream.
-		h := uint64(14695981039346656037)
-		for i := 0; i < len(e.shardNames[shard]); i++ {
-			h ^= uint64(e.shardNames[shard][i])
-			h *= 1099511628211
-		}
-		e.shardRngs[shard] = rand.New(rand.NewSource(e.seed ^ int64(h)))
-	}
-	return e.shardRngs[shard]
 }
 
 // effectKind tags one staged effect.
