@@ -1,23 +1,39 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestFaultSweep runs the full conformance matrix: every fault class
 // at >= 3 sites, correct scope and disposition per cell, byte-stable
-// traces per seed.
+// traces per seed.  The formatted report — every cell's row and the
+// trace hash — must equal testdata/sweep.golden byte for byte
+// (regenerate with -update after the package path).
 func TestFaultSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in -short mode")
 	}
-	rep, err := FaultSweep(42)
+	rep, err := FaultSweep(goldenSeed)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, rep.Format())
 	}
-	if len(rep.Rows) < 30 {
-		t.Errorf("sweep ran only %d cells", len(rep.Rows))
+	got := rep.Format()
+	path := filepath.Join("testdata", "sweep.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing sweep golden (run `go test ./internal/experiments -run '^TestFaultSweep$' -update`): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("sweep report diverged from %s at seed %d\n%s", path, goldenSeed, diffHint(string(want), got))
 	}
 }
 
