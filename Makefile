@@ -1,18 +1,27 @@
 GO ?= go
 
-.PHONY: check fmt-check vet determinism-grep no-testing-in-binaries build test race cover journal-smoke fuzz-smoke wire-smoke fault-sweep checkpoint-sweep bench bench-module bench-pairs trace
+.PHONY: check loc fmt-check vet determinism-grep no-testing-in-binaries build test race cover journal-smoke fuzz-smoke wire-smoke fault-sweep checkpoint-sweep bench bench-module bench-pairs trace
 
 ## check: the full gate — gofmt, vet, the determinism grep, the
 ## no-testing-in-binaries guard, build, the whole suite under the race
 ## detector, the whole suite again with per-package coverage and its
 ## floors, the journal and wire race smokes, then the benchmark
 ## module's own vet and tests.  The suite holds the regression gates:
-## the golden traces, the fault sweep and its one-cell-per-class smoke
-## (TestFaultSweep, TestFaultSweepSmoke), and the shape table
+## the golden traces, the fault sweep (TestFaultSweep, its whole report
+## pinned in internal/experiments/testdata/sweep.golden) and its
+## one-cell-per-class smoke (TestFaultSweepSmoke), and the shape table
 ## (TestShapes: every whole-pool shape serial == rerun == parallel,
 ## its digest, exact counts and allocations pinned in
 ## internal/experiments/testdata/shapes.golden).
 check: fmt-check vet determinism-grep no-testing-in-binaries build race cover journal-smoke wire-smoke bench-module
+
+## loc: the two sizes a simplicity change quotes — non-test and test
+## Go lines outside bench/, over the files git tracks.
+loc:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l | \
+		awk '{ print "non-test Go lines outside bench/: " $$1 }'
+	@git ls-files '*.go' | grep -v '^bench/' | grep '_test\.go$$' | xargs cat | wc -l | \
+		awk '{ print "test Go lines outside bench/:     " $$1 }'
 
 ## fmt-check: every Go file in the repo (bench/ included) is
 ## gofmt-clean; lists the offenders and fails otherwise.
@@ -69,8 +78,9 @@ race:
 ## COVER_PKGS is a regression-suite foundation (the tracing layer, the
 ## write-ahead journal, the wire codec, the live transport and the two
 ## file protocols and file system on it, the ClassAd evaluator every
-## match decision runs through) and must stay at or above the
-## COVER_FLOOR.
+## match decision runs through, and the one pool assembly every
+## sweep, shape and benchmark pass builds on) and must stay at or above
+## the COVER_FLOOR.
 COVER_PKGS = \
 	github.com/errscope/grid/internal/classad \
 	github.com/errscope/grid/internal/obs \
@@ -83,7 +93,8 @@ COVER_PKGS = \
 	github.com/errscope/grid/internal/record \
 	github.com/errscope/grid/internal/chirp \
 	github.com/errscope/grid/internal/remoteio \
-	github.com/errscope/grid/internal/vfs
+	github.com/errscope/grid/internal/vfs \
+	github.com/errscope/grid/internal/pool
 COVER_FLOOR = 85
 cover:
 	@$(GO) test -cover ./... > cover.txt 2>&1; status=$$?; \

@@ -54,15 +54,22 @@ func (e sweepExpect) String() string {
 	return s
 }
 
-// simCell is one simulation-side sweep cell.
+// simCell is one simulation-side sweep cell: a single pool built from
+// machines, or a federation built from pools.  The job is always
+// submitted at the first (home) pool, and the expectation is checked
+// against the home schedd — dispositions must come home no matter
+// where the job ran.
 type simCell struct {
 	class    faultinject.Class
 	site     string
 	faults   string // scenario fault lines, without the seed header
 	machines func() []daemon.MachineConfig
-	tune     func(*daemon.Params)
-	setup    func(p *pool.Pool)
-	prog     func(i int) *jvm.Program
+	// pools, when set, makes the cell federated: it replaces machines
+	// with these member pools, flocking after fedFlockAfter.
+	pools func() []pool.FedPoolConfig
+	tune  func(*daemon.Params)
+	setup func(p *pool.Pool)
+	prog  func(i int) *jvm.Program
 	// standard submits the job in the Standard Universe (checkpointing
 	// relinked binary) instead of the Java Universe.
 	standard bool
@@ -76,6 +83,9 @@ type simCell struct {
 	// pool-side expectation still applies in full: a monitor fault
 	// must never change what the pool does.
 	mcheck func(*monitor.Monitor) error
+	// check, when set, asserts cell-specific federation state beyond
+	// the standard expectation — flock counters, zero-loss invariants.
+	check func(f *pool.Federation, home *daemon.Schedd) error
 }
 
 // attemptErr extracts the error that classified one attempt, in the
@@ -112,11 +122,12 @@ func errSig(err error) string {
 }
 
 // runSim executes one cell and returns its canonical trace: the
-// injector log followed by a single outcome line.  Identical traces
-// across runs are the determinism contract.  A non-nil tr receives
-// the structured propagation trace (see the trace experiment).
-// workers > 1 runs the cell on the parallel engine, which must change
-// no byte of the trace.
+// injector log followed by a single outcome line, which for a
+// federated cell ends with the home schedd's flock counters.
+// Identical traces across runs are the determinism contract.  A
+// non-nil tr receives the structured propagation trace (see the trace
+// experiment).  workers > 1 runs the cell on the parallel engine,
+// which must change no byte of the trace.
 func (c simCell) runSim(seed int64, tr obs.Tracer, workers int) (string, error) {
 	params := daemon.DefaultParams()
 	params.ResultTimeout = 30 * time.Minute
@@ -137,8 +148,18 @@ func (c simCell) runSim(seed int64, tr obs.Tracer, workers int) (string, error) 
 	if c.tune != nil {
 		c.tune(&params)
 	}
-	p := pool.New(pool.Config{Seed: seed, Params: params, Machines: c.machines(), Workers: workers})
-	targets := faultinject.PoolTargets(p)
+	// A single pool is a federation of one unnamed member, which keeps
+	// the standalone daemon names and submit-file-system keys.
+	var members []pool.FedPoolConfig
+	if c.pools != nil {
+		members = c.pools()
+	} else {
+		members = []pool.FedPoolConfig{{Machines: c.machines()}}
+	}
+	fed := pool.NewFederation(pool.FederationConfig{Seed: seed, Params: params, Pools: members,
+		FlockAfter: fedFlockAfter, Workers: workers})
+	p := fed.Pools[0]
+	targets := faultinject.FederationTargets(fed)
 	var mon *monitor.Monitor
 	if c.monitor != "" {
 		mon = monitor.Attach(p, rec, c.monitor)
@@ -172,9 +193,10 @@ func (c simCell) runSim(seed int64, tr obs.Tracer, workers int) (string, error) 
 	} else {
 		ids = p.SubmitJava(1, prog)
 	}
-	p.Run(limit)
+	fed.Run(limit)
 
-	j := p.Schedd.Job(ids[0])
+	s := p.Schedd
+	j := s.Job(ids[0])
 	first := "none"
 	lastMachine := ""
 	if len(j.Attempts) > 0 {
@@ -182,15 +204,21 @@ func (c simCell) runSim(seed int64, tr obs.Tracer, workers int) (string, error) 
 		lastMachine = j.LastAttempt().Machine
 	}
 	disp := "none"
-	if n := len(p.Schedd.Reports); n > 0 {
-		disp = p.Schedd.Reports[n-1].Disposition.String()
+	if n := len(s.Reports); n > 0 {
+		disp = s.Reports[n-1].Disposition.String()
 	}
-	lines := append([]string(nil), in.Log()...)
-	lines = append(lines, fmt.Sprintf(
-		"t=%s state=%s attempts=%d first=%s final=%s on=%s disp=%s reports=%d",
-		p.Engine.Now(), j.State, len(j.Attempts), first, errSig(j.FinalErr),
-		lastMachine, disp, len(p.Schedd.Reports)))
-	err = c.verify(p, j)
+	outcome := fmt.Sprintf("t=%s state=%s attempts=%d first=%s final=%s on=%s disp=%s reports=%d",
+		fed.Engine.Now(), j.State, len(j.Attempts), first, errSig(j.FinalErr),
+		lastMachine, disp, len(s.Reports))
+	if c.pools != nil {
+		outcome += fmt.Sprintf(" flock=q%d/d%d/r%d/e%d",
+			s.FlockQueries, s.FlockDepartures, s.FlockReturns, s.FlockReplyErrors)
+	}
+	lines := append(append([]string(nil), in.Log()...), outcome)
+	err = verifyOutcome(c.expect, j, s.Reports)
+	if err == nil && c.check != nil {
+		err = c.check(fed, s)
+	}
 	if err == nil && mon != nil {
 		mon.Pump()
 		if c.mcheck != nil {
@@ -200,14 +228,8 @@ func (c simCell) runSim(seed int64, tr obs.Tracer, workers int) (string, error) 
 	return strings.Join(lines, "\n"), err
 }
 
-// verify checks the cell's expectation against the finished pool.
-func (c simCell) verify(p *pool.Pool, j *daemon.Job) error {
-	return verifyOutcome(c.expect, j, p.Schedd.Reports)
-}
-
 // verifyOutcome checks one expectation against a finished job and the
-// reports its home schedd surfaced — shared by the single-pool and
-// the federated cells.
+// reports its home schedd surfaced.
 func verifyOutcome(e sweepExpect, j *daemon.Job, reports []daemon.UserReport) error {
 	if j.State != e.state {
 		return fmt.Errorf("state = %v (err %v), want %v", j.State, j.FinalErr, e.state)
@@ -308,7 +330,8 @@ func hardMount(p *daemon.Params) {
 }
 
 // simCells is the simulation half of the sweep matrix: every
-// non-connection fault class at three or more injection sites.
+// non-connection fault class at three or more injection sites, the
+// single-pool cells first and the federated ones (fedCells) last.
 func simCells() []simCell {
 	writeOut := func(int) *jvm.Program {
 		return &jvm.Program{Class: "Main", Steps: []jvm.Step{
@@ -327,7 +350,7 @@ func simCells() []simCell {
 	}
 	rr := scope.ScopeRemoteResource
 
-	return []simCell{
+	return append([]simCell{
 		// --- crash: a machine, the matchmaker, the schedd ---------
 		{
 			class: faultinject.ClassCrash, site: "machine:big",
@@ -880,7 +903,7 @@ func simCells() []simCell {
 			limit:  48 * time.Hour,
 			expect: completed(rr, scope.KindExplicit, 2, "big"),
 		},
-	}
+	}, fedCells()...)
 }
 
 // standard45 is the canonical checkpointing workload of the
@@ -1274,39 +1297,6 @@ func faultSweep(seed int64, smoke bool) (*Report, error) {
 			// Parallel equivalence: the sharded engine must reproduce
 			// the serial trace, byte for byte.
 			trace3, err3 := c.runSim(seed, nil, 4)
-			if err3 != nil {
-				err = fmt.Errorf("parallel run: %v", err3)
-			} else if trace1 != trace3 {
-				err = fmt.Errorf("parallel engine diverged from serial trace")
-			}
-		}
-		ok := "ok"
-		if err != nil {
-			ok = "FAIL: " + err.Error()
-			failures++
-		} else {
-			mark(c.class, c.site)
-		}
-		hash.Write([]byte(trace1))
-		rep.AddRow(string(c.class), c.site, c.expect.String(), observed, ok)
-	}
-	for _, c := range fedCells() {
-		if smoke && seen[c.class] {
-			continue
-		}
-		seen[c.class] = true
-		trace1, err := c.runFed(seed, nil, 0)
-		observed := lastLine(trace1)
-		if err == nil {
-			trace2, err2 := c.runFed(seed, nil, 0)
-			if err2 != nil {
-				err = fmt.Errorf("second run: %v", err2)
-			} else if trace1 != trace2 {
-				err = fmt.Errorf("nondeterministic trace")
-			}
-		}
-		if err == nil {
-			trace3, err3 := c.runFed(seed, nil, 4)
 			if err3 != nil {
 				err = fmt.Errorf("parallel run: %v", err3)
 			} else if trace1 != trace3 {

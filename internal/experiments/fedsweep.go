@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/errscope/grid/internal/daemon"
 	"github.com/errscope/grid/internal/faultinject"
 	"github.com/errscope/grid/internal/jvm"
-	"github.com/errscope/grid/internal/obs"
 	"github.com/errscope/grid/internal/pool"
 	"github.com/errscope/grid/internal/scope"
 )
@@ -26,23 +24,6 @@ import (
 // with; small enough that a 24h limit leaves room for multiple
 // starve-flock-fail rounds.
 const fedFlockAfter = 2 * time.Minute
-
-// fedCell is one federated sweep cell.  The job is always submitted
-// at the first pool (the home pool), and the expectation is checked
-// against the home schedd — dispositions must come home no matter
-// where the job ran.
-type fedCell struct {
-	class  faultinject.Class
-	site   string
-	faults string // scenario fault lines, without the seed header
-	pools  func() []pool.FedPoolConfig
-	prog   func(i int) *jvm.Program
-	limit  time.Duration
-	expect sweepExpect
-	// check, when set, asserts cell-specific federation state beyond
-	// the standard expectation — flock counters, zero-loss invariants.
-	check func(f *pool.Federation, home *daemon.Schedd) error
-}
 
 // fedHome is the standard starved home pool: one machine too small
 // for the standard 128MB job ad, so local matching reports no-match
@@ -75,107 +56,9 @@ func fedTwoPeers() []pool.FedPoolConfig {
 	return []pool.FedPoolConfig{fedHome("p2", "p3"), fedPeer("p2"), fedPeer("p3")}
 }
 
-// runFed executes one federated cell and returns its canonical trace:
-// the injector log followed by a single outcome line, exactly as
-// simCell.runSim does, with the home schedd's flock counters appended.
-// workers > 1 runs the cell on the parallel engine, which must change
-// no byte of the trace.
-func (c fedCell) runFed(seed int64, tr obs.Tracer, workers int) (string, error) {
-	params := daemon.DefaultParams()
-	params.ResultTimeout = 30 * time.Minute
-	params.ChronicFailureThreshold = 1
-	params.Trace = tr
-	fed := pool.NewFederation(pool.FederationConfig{
-		Seed:       seed,
-		Params:     params,
-		Pools:      c.pools(),
-		FlockAfter: fedFlockAfter,
-		Workers:    workers,
-	})
-	in := faultinject.New(faultinject.FederationTargets(fed))
-	sc, err := faultinject.Parse(fmt.Sprintf("seed = %d\n%s", seed, c.faults))
-	if err != nil {
-		return "", fmt.Errorf("scenario: %v", err)
-	}
-	if err := in.Apply(sc); err != nil {
-		return "", fmt.Errorf("apply: %v", err)
-	}
-	prog := c.prog
-	if prog == nil {
-		prog = func(int) *jvm.Program { return jvm.WellBehaved(time.Minute) }
-	}
-	limit := c.limit
-	if limit == 0 {
-		limit = 24 * time.Hour
-	}
-	home := fed.Pools[0]
-	ids := home.SubmitJava(1, prog)
-	fed.Run(limit)
-
-	s := home.Schedd
-	j := s.Job(ids[0])
-	first := "none"
-	lastMachine := ""
-	if len(j.Attempts) > 0 {
-		first = errSig(attemptErr(j.Attempts[0]))
-		lastMachine = j.LastAttempt().Machine
-	}
-	disp := "none"
-	if n := len(s.Reports); n > 0 {
-		disp = s.Reports[n-1].Disposition.String()
-	}
-	lines := append([]string(nil), in.Log()...)
-	lines = append(lines, fmt.Sprintf(
-		"t=%s state=%s attempts=%d first=%s final=%s on=%s disp=%s reports=%d flock=q%d/d%d/r%d/e%d",
-		fed.Engine.Now(), j.State, len(j.Attempts), first, errSig(j.FinalErr),
-		lastMachine, disp, len(s.Reports),
-		s.FlockQueries, s.FlockDepartures, s.FlockReturns, s.FlockReplyErrors))
-	return strings.Join(lines, "\n"), c.verify(fed, j)
-}
-
-// verify checks the cell's expectation against the finished
-// federation: the standard outcome contract at the home schedd, then
-// the cell's own federation-level assertions.
-func (c fedCell) verify(fed *pool.Federation, j *daemon.Job) error {
-	home := fed.Pools[0].Schedd
-	if err := verifyOutcome(c.expect, j, home.Reports); err != nil {
-		return err
-	}
-	if c.check != nil {
-		return c.check(fed, home)
-	}
-	return nil
-}
-
-// fedTrace is simCell.simTrace's federated twin: one canonical cell
-// under a fresh recorder, exported as deterministic JSONL.
-func (c fedCell) fedTrace(seed int64, workers int) (string, *obs.Recorder, error) {
-	rec := obs.NewRecorder()
-	if _, err := c.runFed(seed, rec, workers); err != nil {
-		return "", nil, err
-	}
-	return rec.JSONL(obs.ExportOptions{}), rec, nil
-}
-
-// canonicalFedCells returns the first cell of each federated fault
-// class, in matrix order — the subset the smoke and the golden-trace
-// suite run.
-func canonicalFedCells() []fedCell {
-	seen := map[faultinject.Class]bool{}
-	var out []fedCell
-	for _, c := range fedCells() {
-		if seen[c.class] {
-			continue
-		}
-		seen[c.class] = true
-		out = append(out, c)
-	}
-	return out
-}
-
 // fedCells is the federated sweep matrix: every flocking fault class
 // at three or more injection sites.
-func fedCells() []fedCell {
+func fedCells() []simCell {
 	rr := scope.ScopeRemoteResource
 	completed := func(first scope.Scope, kind scope.Kind, min, max int, on string) sweepExpect {
 		return sweepExpect{state: daemon.JobCompleted, disp: scope.DispositionComplete,
@@ -219,7 +102,7 @@ func fedCells() []fedCell {
 		}
 	}
 
-	return []fedCell{
+	return []simCell{
 		// --- peer-negotiator-crash: the peer pool's matchmaker is
 		// partitioned.  Dead from the start it is never granted; dead
 		// after a grant the silence is discovered by the pacing clock

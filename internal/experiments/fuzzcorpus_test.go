@@ -50,9 +50,6 @@ func TestFuzzCorporaHoldTheSweep(t *testing.T) {
 			programs[jvm.EncodeProgram(j.Program)] = true
 		}
 	}
-	for _, c := range fedCells() {
-		add(c.faults, c.prog)
-	}
 	checkCorpus(t, "../faultinject/testdata/sweep-scenarios.txt", scenarios)
 	checkCorpus(t, "../jvm/testdata/sweep-programs.txt", programs)
 }

@@ -171,30 +171,6 @@ func Traces(seed int64) (*Report, map[string]string, error) {
 		}
 	}
 
-	for _, c := range canonicalFedCells() {
-		jsonl, rec, err := c.fedTrace(seed, 0)
-		det := "yes"
-		if err == nil {
-			jsonl2, _, err2 := c.fedTrace(seed, 0)
-			switch {
-			case err2 != nil:
-				err = fmt.Errorf("second run: %v", err2)
-			case jsonl != jsonl2:
-				err = fmt.Errorf("nondeterministic trace export")
-			}
-		}
-		if err != nil {
-			failures++
-			rep.AddRow(string(c.class), c.site, "-", "-", "-", "FAIL: "+err.Error())
-			continue
-		}
-		spans := rec.Spans()
-		rep.AddRow(string(c.class), c.site,
-			fmt.Sprint(len(rec.Events())), fmt.Sprint(len(spans)),
-			spanSummary(spans), det)
-		out[string(c.class)] = jsonl
-	}
-
 	for _, c := range connTraceCells() {
 		site := fmt.Sprintf("chirp (live TCP, %s)", c.mode)
 		jsonl, rec, err := c.connTrace()

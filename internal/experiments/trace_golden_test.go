@@ -75,33 +75,21 @@ func TestGoldenTracesParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden traces run full sweep cells")
 	}
-	dir := filepath.Join("testdata", "traces")
-	check := func(t *testing.T, class faultinject.Class, got string, err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatalf("parallel trace: %v", err)
-		}
-		want, err := os.ReadFile(filepath.Join(dir, string(class)+".jsonl"))
-		if err != nil {
-			t.Fatalf("missing golden trace: %v", err)
-		}
-		if got != string(want) {
-			t.Errorf("parallel trace for %s diverged from golden bytes at seed %d\n%s",
-				class, goldenSeed, diffHint(string(want), got))
-		}
-	}
 	for _, c := range canonicalSimCells() {
 		c := c
 		t.Run(string(c.class), func(t *testing.T) {
 			got, _, err := c.simTrace(goldenSeed, 4)
-			check(t, c.class, got, err)
-		})
-	}
-	for _, c := range canonicalFedCells() {
-		c := c
-		t.Run(string(c.class), func(t *testing.T) {
-			got, _, err := c.fedTrace(goldenSeed, 4)
-			check(t, c.class, got, err)
+			if err != nil {
+				t.Fatalf("parallel trace: %v", err)
+			}
+			want, err := os.ReadFile(filepath.Join("testdata", "traces", string(c.class)+".jsonl"))
+			if err != nil {
+				t.Fatalf("missing golden trace: %v", err)
+			}
+			if got != string(want) {
+				t.Errorf("parallel trace for %s diverged from golden bytes at seed %d\n%s",
+					c.class, goldenSeed, diffHint(string(want), got))
+			}
 		})
 	}
 }

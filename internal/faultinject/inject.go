@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"time"
 
@@ -24,7 +25,7 @@ type Targets struct {
 	Schedds map[string]*daemon.Schedd
 	// FileSystems maps site keys to file systems, for the fs fault
 	// classes.  PoolTargets registers each schedd's submit file
-	// system as "submit", "submit1", ...
+	// system (see there for the keys).
 	FileSystems map[string]*vfs.FileSystem
 	// Pools maps a federated pool's name to its membership, for the
 	// pool-site fault classes (peer-negotiator-crash, peer-pool-crash).
@@ -42,7 +43,9 @@ type PoolMembers struct {
 	Machines   []string
 }
 
-// PoolTargets derives the standard targets from an assembled pool.
+// PoolTargets derives the standard targets from an assembled pool.  A
+// standalone pool's submit file systems are "submit", "submit1", ...;
+// a federation member's are "submit-<schedd name>".
 func PoolTargets(p *pool.Pool) Targets {
 	t := Targets{
 		Engine:      p.Engine,
@@ -54,13 +57,14 @@ func PoolTargets(p *pool.Pool) Targets {
 	for _, sd := range p.Startds {
 		t.Startds[sd.Name()] = sd
 	}
-	for _, s := range p.Schedds {
-		t.Schedds[s.Name()] = s
-	}
 	for i, s := range p.Schedds {
-		key := "submit"
-		if i > 0 {
-			key = fmt.Sprintf("submit%d", i)
+		t.Schedds[s.Name()] = s
+		key := "submit-" + s.Name()
+		if p.Name == "" {
+			key = "submit"
+			if i > 0 {
+				key = fmt.Sprintf("submit%d", i)
+			}
 		}
 		t.FileSystems[key] = s.SubmitFS
 	}
@@ -68,10 +72,9 @@ func PoolTargets(p *pool.Pool) Targets {
 }
 
 // FederationTargets derives the injectable surfaces of an assembled
-// federation: every pool's machines and schedds flattened into the
-// standard maps (names are already pool-prefixed), each schedd's
-// submit file system registered as "submit-<schedd name>", and the
-// pool membership table the pool-site fault classes address.
+// federation: every member's PoolTargets merged into one set (names
+// are already pool-prefixed), plus the pool membership table the
+// pool-site fault classes address.
 func FederationTargets(f *pool.Federation) Targets {
 	t := Targets{
 		Engine:      f.Engine,
@@ -82,14 +85,13 @@ func FederationTargets(f *pool.Federation) Targets {
 		Pools:       make(map[string]PoolMembers, len(f.Pools)),
 	}
 	for _, p := range f.Pools {
+		pt := PoolTargets(p)
+		maps.Copy(t.Startds, pt.Startds)
+		maps.Copy(t.Schedds, pt.Schedds)
+		maps.Copy(t.FileSystems, pt.FileSystems)
 		pm := PoolMembers{Matchmaker: p.Matchmaker.Name()}
 		for _, sd := range p.Startds {
-			t.Startds[sd.Name()] = sd
 			pm.Machines = append(pm.Machines, sd.Name())
-		}
-		for _, s := range p.Schedds {
-			t.Schedds[s.Name()] = s
-			t.FileSystems["submit-"+s.Name()] = s.SubmitFS
 		}
 		t.Pools[p.Name] = pm
 	}

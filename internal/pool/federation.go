@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/errscope/grid/internal/daemon"
-	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/sim"
 )
 
@@ -14,8 +13,10 @@ import (
 // pools its starved jobs may flock to.
 type FedPoolConfig struct {
 	// Name prefixes every actor of the pool ("p1" -> "p1-schedd",
-	// "p1-c000", "mm-p1", "flockd-p1").  Names must not contain ':',
-	// which the engine reserves for shard-keyed child actors.
+	// "p1-c000", "mm-p1", "flockd-p1"); the empty name keeps the
+	// standalone names ("schedd", "c000", "matchmaker").  Names must
+	// not contain ':', which the engine reserves for shard-keyed child
+	// actors.
 	Name string
 	// Machines are the pool's execution machines; their names are
 	// prefixed with the pool name at build time.
@@ -54,36 +55,45 @@ type FederationConfig struct {
 	Churn *ChurnConfig
 }
 
-// FedPool is one assembled member pool.
-type FedPool struct {
-	Name       string
-	Matchmaker *daemon.Matchmaker
-	// Flockd is the pool's flock coordinator, nil when the pool has no
-	// peers to flock to.
-	Flockd *daemon.FlockCoordinator
-	// Schedd is the first (often only) submit point.
-	Schedd  *daemon.Schedd
-	Schedds []*daemon.Schedd
-	Startds []*daemon.Startd
-}
-
 // Federation is an assembled multi-pool simulation.
 type Federation struct {
 	Engine *sim.Engine
 	Bus    *sim.Bus
-	Pools  []*FedPool
+	Pools  []*Pool
+	// all holds every member's schedds and startds, so that the
+	// federation's run loop, terminal check and metrics are Pool's.
+	all Pool
 }
 
-// MatchmakerFor returns the actor name of a pool's negotiator.
-func MatchmakerFor(pool string) string { return "mm-" + pool }
+// MatchmakerFor returns the actor name of a pool's negotiator; the
+// unnamed pool's is the standalone "matchmaker".
+func MatchmakerFor(pool string) string {
+	if pool == "" {
+		return daemon.MatchmakerName
+	}
+	return "mm-" + pool
+}
 
 // FlockdFor returns the actor name of a pool's flock coordinator.
 func FlockdFor(pool string) string { return "flockd-" + pool }
 
-// NewFederation builds the federation.  All pools share the engine
-// and the bus; what separates them is naming: each pool's daemons
-// point at their own matchmaker, and only the flocking protocol
-// crosses the boundary.
+// memberName is the actor name of a member's daemon whose standalone
+// name is base: base itself in the unnamed pool, "<pool>-<base>" in a
+// named one.
+func memberName(pool, base string) string {
+	if pool == "" {
+		return base
+	}
+	return pool + "-" + base
+}
+
+// NewFederation builds the federation, and through New every
+// standalone pool.  All pools share the engine and the bus; what
+// separates them is naming: each pool's daemons point at their own
+// matchmaker, and only the flocking protocol crosses the boundary.
+// Names are part of the trace contract — they appear in every event,
+// digest and scenario site — so the unnamed member keeps exactly the
+// standalone names.
 func NewFederation(cfg FederationConfig) *Federation {
 	if cfg.MsgLatency == 0 {
 		cfg.MsgLatency = 5 * time.Millisecond
@@ -91,7 +101,13 @@ func NewFederation(cfg FederationConfig) *Federation {
 	eng := sim.New(cfg.Seed)
 	eng.SetWorkers(cfg.Workers)
 	bus := sim.NewBus(eng, cfg.MsgLatency)
+	// The bus shares the daemons' tracer, so message fates interleave
+	// with daemon events in one recording.
 	bus.Obs = cfg.Params.Trace
+	// With a parallel engine, each daemon's tracer is bound to its
+	// shard so emissions made inside a wave are staged and replayed in
+	// serial order at the barrier.  The serial engine skips the wrapper
+	// — it would be a pure passthrough on the hot path.
 	scoped := func(p daemon.Params, owner string) daemon.Params {
 		if cfg.Workers > 1 {
 			p.Trace = eng.ShardTracer(owner, p.Trace)
@@ -99,18 +115,17 @@ func NewFederation(cfg FederationConfig) *Federation {
 		return p
 	}
 
-	fed := &Federation{Engine: eng, Bus: bus}
+	f := &Federation{Engine: eng, Bus: bus, all: Pool{Engine: eng, Bus: bus}}
 	// Matchmakers first: flock coordinators ping them from the moment
 	// they are constructed.
 	for _, pc := range cfg.Pools {
-		fp := &FedPool{Name: pc.Name}
 		mp := cfg.Params
 		mp.Matchmaker = MatchmakerFor(pc.Name)
-		fp.Matchmaker = daemon.NewMatchmaker(bus, scoped(mp, mp.Matchmaker))
-		fed.Pools = append(fed.Pools, fp)
+		f.Pools = append(f.Pools, &Pool{Name: pc.Name, Engine: eng, Bus: bus,
+			Matchmaker: daemon.NewMatchmaker(bus, scoped(mp, mp.Matchmaker))})
 	}
 	for i, pc := range cfg.Pools {
-		fp := fed.Pools[i]
+		p := f.Pools[i]
 		pp := cfg.Params
 		pp.Matchmaker = MatchmakerFor(pc.Name)
 		if cfg.FlockAfter > 0 && len(pc.FlockTo) > 0 {
@@ -119,37 +134,32 @@ func NewFederation(cfg FederationConfig) *Federation {
 			for _, peer := range pc.FlockTo {
 				pp.FlockTo = append(pp.FlockTo, MatchmakerFor(peer))
 			}
-			fp.Flockd = daemon.NewFlockCoordinator(bus, scoped(pp, pp.Flockd))
+			p.Flockd = daemon.NewFlockCoordinator(bus, scoped(pp, pp.Flockd))
 		}
-		n := pc.Schedds
-		if n <= 0 {
-			n = 1
-		}
-		for s := 0; s < n; s++ {
-			name := pc.Name + "-schedd"
+		for s := 0; s < max(pc.Schedds, 1); s++ {
+			name := "schedd"
 			if s > 0 {
-				name = fmt.Sprintf("%s-schedd%d", pc.Name, s)
+				name = fmt.Sprintf("schedd%d", s)
 			}
-			fp.Schedds = append(fp.Schedds, daemon.NewSchedd(bus, scoped(pp, name), name))
+			name = memberName(pc.Name, name)
+			p.Schedds = append(p.Schedds, daemon.NewSchedd(bus, scoped(pp, name), name))
 		}
-		fp.Schedd = fp.Schedds[0]
+		p.Schedd = p.Schedds[0]
 		for _, mc := range pc.Machines {
-			mc.Name = pc.Name + "-" + mc.Name
-			fp.Startds = append(fp.Startds, daemon.NewStartd(bus, scoped(pp, mc.Name), mc))
+			mc.Name = memberName(pc.Name, mc.Name)
+			p.Startds = append(p.Startds, daemon.NewStartd(bus, scoped(pp, mc.Name), mc))
 		}
+		f.all.Schedds = append(f.all.Schedds, p.Schedds...)
+		f.all.Startds = append(f.all.Startds, p.Startds...)
 	}
 	if cfg.Churn != nil && cfg.Churn.MeanUp > 0 {
-		var all []*daemon.Startd
-		for _, fp := range fed.Pools {
-			all = append(all, fp.Startds...)
-		}
-		scheduleChurn(eng, all, *cfg.Churn, cfg.Seed)
+		scheduleChurn(eng, f.all.Startds, *cfg.Churn, cfg.Seed)
 	}
-	return fed
+	return f
 }
 
 // Pool returns the member with the given name, or nil.
-func (f *Federation) Pool(name string) *FedPool {
+func (f *Federation) Pool(name string) *Pool {
 	for _, p := range f.Pools {
 		if p.Name == name {
 			return p
@@ -160,53 +170,16 @@ func (f *Federation) Pool(name string) *FedPool {
 
 // AllTerminal reports whether every job at every schedd of every pool
 // is final.
-func (f *Federation) AllTerminal() bool {
-	for _, p := range f.Pools {
-		for _, s := range p.Schedds {
-			if !s.AllTerminal() {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SubmitJava queues n Java jobs at the pool's first schedd, staging
-// each executable on its submit-side file system, exactly as
-// Pool.SubmitJava does.
-func (p *FedPool) SubmitJava(n int, build func(i int) *jvm.Program) []daemon.JobID {
-	ids := make([]daemon.JobID, 0, n)
-	for i := 0; i < n; i++ {
-		exe := fmt.Sprintf("/home/user/job%d.class", i)
-		if err := p.Schedd.SubmitFS.WriteFile(exe, []byte("class bytes")); err != nil {
-			exe = ""
-		}
-		job := &daemon.Job{
-			Owner:      "user",
-			Ad:         daemon.NewJavaJobAd("user", 128),
-			Program:    build(i),
-			Executable: exe,
-		}
-		ids = append(ids, p.Schedd.Submit(job))
-	}
-	return ids
-}
+func (f *Federation) AllTerminal() bool { return f.all.AllTerminal() }
 
 // Run drives the federation until every job everywhere is terminal or
 // the virtual time limit elapses, and returns the elapsed virtual
 // time.
-func (f *Federation) Run(limit time.Duration) time.Duration {
-	start := f.Engine.Now()
-	deadline := start.Add(limit)
-	for f.Engine.Now() < deadline && !f.AllTerminal() {
-		step := time.Minute
-		if remaining := deadline.Sub(f.Engine.Now()); remaining < step {
-			step = remaining
-		}
-		f.Engine.RunFor(step)
-	}
-	return f.Engine.Now().Sub(start)
-}
+func (f *Federation) Run(limit time.Duration) time.Duration { return f.all.Run(limit) }
+
+// Metrics aggregates the run summary across every pool's schedds and
+// machines.
+func (f *Federation) Metrics() Metrics { return f.all.Metrics() }
 
 // FlockMetrics summarizes the federation's flocking traffic.
 type FlockMetrics struct {
@@ -243,16 +216,4 @@ func (f *Federation) FlockMetrics() FlockMetrics {
 		m.ForeignMatches += p.Matchmaker.ForeignMatches
 	}
 	return m
-}
-
-// Metrics aggregates the run summary across every pool's schedds and
-// machines, exactly as Pool.Metrics does for one pool.
-func (f *Federation) Metrics() Metrics {
-	var schedds []*daemon.Schedd
-	var startds []*daemon.Startd
-	for _, p := range f.Pools {
-		schedds = append(schedds, p.Schedds...)
-		startds = append(startds, p.Startds...)
-	}
-	return collectMetrics(f.Bus, schedds, startds)
 }

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"time"
 
+	"github.com/errscope/grid/internal/classad"
 	"github.com/errscope/grid/internal/daemon"
 	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/scope"
@@ -93,11 +94,20 @@ func scheduleChurn(eng *sim.Engine, startds []*daemon.Startd, cfg ChurnConfig, s
 	}
 }
 
-// Pool is an assembled simulation.
+// Pool is one assembled pool: a standalone simulation built by New, or
+// one member of a Federation.  Either way it is built by NewFederation;
+// a standalone pool is a federation of one unnamed member.
 type Pool struct {
+	// Name is the member's name in a federation, empty for a standalone
+	// pool.
+	Name string
+	// Engine and Bus are shared by every member of a federation.
 	Engine     *sim.Engine
 	Bus        *sim.Bus
 	Matchmaker *daemon.Matchmaker
+	// Flockd is the pool's flock coordinator, nil for a standalone pool
+	// and for a member with no peers to flock to.
+	Flockd *daemon.FlockCoordinator
 	// Schedd is the first (often only) submit point.
 	Schedd *daemon.Schedd
 	// Schedds lists every submit point.
@@ -105,53 +115,18 @@ type Pool struct {
 	Startds []*daemon.Startd
 }
 
-// New builds the pool.
+// New builds a standalone pool: a federation of one unnamed member,
+// whose daemons keep the standalone names ("matchmaker", "schedd",
+// "schedd1", ..., and the machines' own names).
 func New(cfg Config) *Pool {
-	if cfg.MsgLatency == 0 {
-		cfg.MsgLatency = 5 * time.Millisecond
-	}
-	eng := sim.New(cfg.Seed)
-	eng.SetWorkers(cfg.Workers)
-	bus := sim.NewBus(eng, cfg.MsgLatency)
-	// The bus shares the daemons' tracer, so message fates interleave
-	// with daemon events in one recording.
-	bus.Obs = cfg.Params.Trace
-	// With a parallel engine, each daemon's tracer is bound to its
-	// shard so emissions made inside a wave are staged and replayed in
-	// serial order at the barrier.  The serial engine skips the wrapper
-	// — it would be a pure passthrough on the hot path.
-	scoped := func(owner string) daemon.Params {
-		if cfg.Workers <= 1 {
-			return cfg.Params
-		}
-		pp := cfg.Params
-		pp.Trace = eng.ShardTracer(owner, pp.Trace)
-		return pp
-	}
-	p := &Pool{
-		Engine:     eng,
-		Bus:        bus,
-		Matchmaker: daemon.NewMatchmaker(bus, scoped(daemon.MatchmakerName)),
-	}
-	n := cfg.Schedds
-	if n <= 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		name := "schedd"
-		if i > 0 {
-			name = fmt.Sprintf("schedd%d", i)
-		}
-		p.Schedds = append(p.Schedds, daemon.NewSchedd(bus, scoped(name), name))
-	}
-	p.Schedd = p.Schedds[0]
-	for _, mc := range cfg.Machines {
-		p.Startds = append(p.Startds, daemon.NewStartd(bus, scoped(mc.Name), mc))
-	}
-	if cfg.Churn != nil && cfg.Churn.MeanUp > 0 {
-		scheduleChurn(eng, p.Startds, *cfg.Churn, cfg.Seed)
-	}
-	return p
+	return NewFederation(FederationConfig{
+		Seed:       cfg.Seed,
+		Params:     cfg.Params,
+		Pools:      []FedPoolConfig{{Machines: cfg.Machines, Schedds: cfg.Schedds}},
+		MsgLatency: cfg.MsgLatency,
+		Workers:    cfg.Workers,
+		Churn:      cfg.Churn,
+	}).Pools[0]
 }
 
 // AllTerminal reports whether every job at every schedd is final.
@@ -165,43 +140,34 @@ func (p *Pool) AllTerminal() bool {
 }
 
 // SubmitStandard queues n Standard Universe jobs — re-linked binaries
-// with transparent checkpointing — staging each executable on the
-// submit-side file system.  The jobs' ads are copies of one
-// precompiled template: each job owns its Ad, all of them share the
-// immutable expressions, the attribute table, the pre-filter and the
-// rendering, so Submit's Precompile and the journal's Ad.String() cost
-// one parse per call, not one per job.
+// with transparent checkpointing — at the first schedd, staging each
+// executable on its submit-side file system.
 func (p *Pool) SubmitStandard(n int, build func(i int) *jvm.Program) []daemon.JobID {
-	tmpl := daemon.NewStandardJobAd("user", 128)
-	tmpl.Precompile()
-	ids := make([]daemon.JobID, 0, n)
-	for i := 0; i < n; i++ {
-		exe := fmt.Sprintf("/home/user/job%d.exe", i)
-		if err := p.Schedd.SubmitFS.WriteFile(exe, []byte("relinked binary")); err != nil {
-			exe = ""
-		}
-		job := &daemon.Job{
-			Owner:      "user",
-			Universe:   "standard",
-			Ad:         tmpl.Copy(),
-			Program:    build(i),
-			Executable: exe,
-		}
-		ids = append(ids, p.Schedd.Submit(job))
-	}
-	return ids
+	return p.submit(n, "standard", daemon.NewStandardJobAd("user", 128),
+		"/home/user/job%d.exe", "relinked binary", build)
 }
 
-// SubmitJava queues n Java jobs whose programs come from the builder,
-// staging each executable on the submit-side file system.  Ads are
-// copies of one precompiled template, as in SubmitStandard.
+// SubmitJava queues n Java jobs whose programs come from the builder
+// at the first schedd, staging each executable on its submit-side file
+// system.
 func (p *Pool) SubmitJava(n int, build func(i int) *jvm.Program) []daemon.JobID {
-	tmpl := daemon.NewJavaJobAd("user", 128)
+	return p.submit(n, "", daemon.NewJavaJobAd("user", 128),
+		"/home/user/job%d.class", "class bytes", build)
+}
+
+// submit queues n jobs of one universe (empty for Java, the default)
+// at the first schedd.  The jobs'
+// ads are copies of one precompiled template: each job owns its Ad,
+// all of them share the immutable expressions, the attribute table,
+// the pre-filter and the rendering, so Submit's Precompile and the
+// journal's Ad.String() cost one parse per call, not one per job.
+func (p *Pool) submit(n int, universe string, tmpl *classad.Ad, exeFormat, contents string,
+	build func(i int) *jvm.Program) []daemon.JobID {
 	tmpl.Precompile()
 	ids := make([]daemon.JobID, 0, n)
 	for i := 0; i < n; i++ {
-		exe := fmt.Sprintf("/home/user/job%d.class", i)
-		if err := p.Schedd.SubmitFS.WriteFile(exe, []byte("class bytes")); err != nil {
+		exe := fmt.Sprintf(exeFormat, i)
+		if err := p.Schedd.SubmitFS.WriteFile(exe, []byte(contents)); err != nil {
 			// The submit file system may be offline by design in an
 			// experiment; stage nothing and let the shadow discover
 			// the condition.
@@ -209,6 +175,7 @@ func (p *Pool) SubmitJava(n int, build func(i int) *jvm.Program) []daemon.JobID 
 		}
 		job := &daemon.Job{
 			Owner:      "user",
+			Universe:   universe,
 			Ad:         tmpl.Copy(),
 			Program:    build(i),
 			Executable: exe,
@@ -218,8 +185,9 @@ func (p *Pool) SubmitJava(n int, build func(i int) *jvm.Program) []daemon.JobID 
 	return ids
 }
 
-// Run drives the simulation until every job is terminal or the
-// virtual time limit elapses, and returns the elapsed virtual time.
+// Run drives the simulation until every job of this pool is terminal
+// or the virtual time limit elapses, and returns the elapsed virtual
+// time.  A federation member's Run drives the whole shared engine.
 func (p *Pool) Run(limit time.Duration) time.Duration {
 	start := p.Engine.Now()
 	deadline := start.Add(limit)
@@ -295,18 +263,15 @@ func (m Metrics) MeanTurnaround() time.Duration {
 	return m.TurnaroundTotal / time.Duration(m.Completed)
 }
 
-// Metrics collects the summary for the current state.
+// Metrics collects the summary for the current state.  The bus
+// counters (MessagesSent, MessagesLost) are the bus's: for a federation
+// member they count the whole federation's traffic, since every member
+// shares one bus.
 func (p *Pool) Metrics() Metrics {
-	return collectMetrics(p.Bus, p.Schedds, p.Startds)
-}
-
-// collectMetrics builds the summary from any set of schedds and
-// startds — one pool's, or a whole federation's.
-func collectMetrics(bus *sim.Bus, schedds []*daemon.Schedd, startds []*daemon.Startd) Metrics {
 	var m Metrics
-	m.MessagesSent = bus.Sent()
-	m.MessagesLost = bus.Lost()
-	for _, s := range schedds {
+	m.MessagesSent = p.Bus.Sent()
+	m.MessagesLost = p.Bus.Lost()
+	for _, s := range p.Schedds {
 		m.Requeues += s.Requeues
 		m.Recoveries += s.Recoveries
 		for i := range s.Reports {
@@ -318,7 +283,7 @@ func collectMetrics(bus *sim.Bus, schedds []*daemon.Schedd, startds []*daemon.St
 			m.addJob(j)
 		}
 	}
-	for _, sd := range startds {
+	for _, sd := range p.Startds {
 		m.LeaseExpiries += sd.LeasesExpired
 		m.Preemptions += sd.Preemptions
 	}
