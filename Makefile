@@ -176,10 +176,11 @@ bench-module:
 	$(GO) test -C bench ./...
 
 ## bench-pairs: how a PR that claims a gain is judged (bench/README.md):
-## N alternating runs of workload W on revision PARENT and on this
-## checkout, then medians, quartiles, pair-wise wins and the median
-## ratio of every end-to-end metric; fails if the digests differ.
-##   make bench-pairs PARENT=HEAD~1 W=pool-deep N=10 [SEED=42] [SECS=10]
+## N alternating runs of each workload in W on revision PARENT and on
+## this checkout (both built once), then per workload the medians,
+## quartiles, pair-wise wins and median ratio of every end-to-end
+## metric; fails if a workload's digests differ.
+##   make bench-pairs PARENT=HEAD~1 W="pool-faulty pool-wide" N=10 [SEED=42] [SECS=10]
 N ?= 10
 SEED ?= 42
 SECS ?= 10

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -113,11 +112,11 @@ func main() {
 			if *ckptOut == "" {
 				return rep, nil
 			}
-			data, jerr := json.MarshalIndent(rows, "", "  ")
+			data, jerr := experiments.CheckpointSweepJSON(rows)
 			if jerr != nil {
 				return nil, jerr
 			}
-			if jerr := os.WriteFile(*ckptOut, append(data, '\n'), 0o644); jerr != nil {
+			if jerr := os.WriteFile(*ckptOut, data, 0o644); jerr != nil {
 				return nil, jerr
 			}
 			rep.AddNote("wrote %s", *ckptOut)

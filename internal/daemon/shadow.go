@@ -20,11 +20,12 @@ import (
 // retry for a bounded time (soft), or retry for as long as this
 // particular job declared it can tolerate (per-job).
 type Shadow struct {
-	bus    Runtime
+	bus Runtime
+	// params also supplies the tracer, through params.tracer(): a
+	// copy of it here would push the shadow past its size class.
 	params Params
 	name   string
 	schedd string
-	tr     obs.Tracer
 
 	job        JobID
 	universe   string
@@ -35,11 +36,15 @@ type Shadow struct {
 	machine    string
 
 	outageStart sim.Time
-	inOutage    bool
 	starter     string
+	inOutage    bool
 	finished    bool
 	// stopLease cancels the claim-lease renewal ticker.
 	stopLease func()
+	// timeouts cancel the activation timeout ([0]) and the result
+	// timeout ([1]), so a retired shadow leaves no timer behind to
+	// keep it alive.
+	timeouts [2]func()
 	// lastCheckpoint is the freshest progress the starter shipped;
 	// it survives the execution machine.
 	lastCheckpoint time.Duration
@@ -56,7 +61,6 @@ func newShadow(bus Runtime, params Params, name, schedd string, job *Job, submit
 		params:         params,
 		name:           name,
 		schedd:         schedd,
-		tr:             params.tracer(),
 		job:            job.ID,
 		universe:       job.Universe,
 		program:        job.Program,
@@ -96,7 +100,7 @@ func newShadow(bus Runtime, params Params, name, schedd string, job *Job, submit
 	// the activation — the silence must not strand the job.  The
 	// same discipline as the result timeout, armed from birth.
 	if params.ResultTimeout > 0 {
-		bus.After(params.ResultTimeout, func() {
+		sh.timeouts[0] = bus.After(params.ResultTimeout, func() {
 			if sh.finished || sh.starter != "" {
 				return
 			}
@@ -169,7 +173,7 @@ func (sh *Shadow) tryFetch() {
 	// and its duration widens it to remote-resource scope — the
 	// machine, not just the channel, is invalidated (Section 5).
 	if sh.params.ResultTimeout > 0 {
-		sh.bus.After(sh.params.ResultTimeout, func() {
+		cancel := sh.bus.After(sh.params.ResultTimeout, func() {
 			if sh.finished {
 				return
 			}
@@ -185,6 +189,12 @@ func (sh *Shadow) tryFetch() {
 				CheckpointCPU: sh.lastCheckpoint,
 			})
 		})
+		if first := sh.timeouts[1]; first != nil {
+			// A duplicated fetch keeps both timeouts armed.
+			second := cancel
+			cancel = func() { first(); second() }
+		}
+		sh.timeouts[1] = cancel
 	}
 }
 
@@ -241,10 +251,11 @@ func (sh *Shadow) fetchError(err error) {
 	// exponentially up to the cap.
 	sh.Retries++
 	delay := sh.retryDelay()
-	sh.tr.Count("shadow.retries", 1)
-	if sh.tr.Enabled() {
-		sh.tr.Observe("shadow.backoff_ns", int64(delay))
-		sh.tr.Emit(obs.Event{
+	tr := sh.params.tracer()
+	tr.Count("shadow.retries", 1)
+	if tr.Enabled() {
+		tr.Observe("shadow.backoff_ns", int64(delay))
+		tr.Emit(obs.Event{
 			T:     int64(sh.bus.Now()),
 			Comp:  sh.name,
 			Kind:  obs.KindRetry,
@@ -297,9 +308,10 @@ func (sh *Shadow) handleCheckpoint(m checkpointMsg) {
 			"checkpoint names job %d, shadow serves job %d", job, sh.job)
 	}
 	if err != nil {
-		sh.tr.Count("shadow.ckpt_rejected", 1)
-		if sh.tr.Enabled() {
-			sh.tr.Emit(errorEvent(int64(sh.bus.Now()), sh.name, sh.job,
+		tr := sh.params.tracer()
+		tr.Count("shadow.ckpt_rejected", 1)
+		if tr.Enabled() {
+			tr.Emit(errorEvent(int64(sh.bus.Now()), sh.name, sh.job,
 				ckptCorruptErr(err)))
 		}
 		return
@@ -347,12 +359,24 @@ func (sh *Shadow) kill() {
 	if sh.finished {
 		return
 	}
+	sh.retire()
+	sh.bus.Unregister(sh.name)
+}
+
+// retire marks the shadow finished and cancels every timer it armed:
+// the lease ticker and the activation and result timeouts.
+func (sh *Shadow) retire() {
 	sh.finished = true
 	if sh.stopLease != nil {
 		sh.stopLease()
 		sh.stopLease = nil
 	}
-	sh.bus.Unregister(sh.name)
+	for i, cancel := range sh.timeouts {
+		if cancel != nil {
+			cancel()
+			sh.timeouts[i] = nil
+		}
+	}
 }
 
 // finish sends the final report, releases resources, and retires the
@@ -361,23 +385,19 @@ func (sh *Shadow) finish(report jobFinalMsg) {
 	if sh.finished {
 		return
 	}
-	sh.finished = true
-	if sh.stopLease != nil {
-		sh.stopLease()
-		sh.stopLease = nil
-	}
-	if sh.tr.Enabled() {
+	sh.retire()
+	if tr := sh.params.tracer(); tr.Enabled() {
 		// One hop per error the shadow forwards; a clean result emits
 		// nothing, keeping clean completions span-free.
 		now := int64(sh.bus.Now())
 		switch {
 		case report.FetchError != nil:
-			sh.tr.Emit(errorEvent(now, sh.name, sh.job, report.FetchError))
+			tr.Emit(errorEvent(now, sh.name, sh.job, report.FetchError))
 		case report.LostContact != nil:
-			sh.tr.Emit(errorEvent(now, sh.name, sh.job, report.LostContact))
+			tr.Emit(errorEvent(now, sh.name, sh.job, report.LostContact))
 		default:
 			if err := report.Reported.Err(); err != nil {
-				sh.tr.Emit(errorEvent(now, sh.name, sh.job, err))
+				tr.Emit(errorEvent(now, sh.name, sh.job, err))
 			}
 		}
 	}

@@ -13,6 +13,7 @@ package experiments
 // churned shape must byte-compare equal.
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -48,6 +49,13 @@ type CheckpointSweepRow struct {
 	MeanTurnaroundMinutes float64 `json:"mean_turnaround_minutes"`
 	// Dispositions records the three-arm byte comparison.
 	Dispositions string `json:"dispositions"`
+}
+
+// CheckpointSweepJSON is the sweep's rows as checkpoint_sweep.json
+// spells them: indented, with a final newline.
+func CheckpointSweepJSON(rows []CheckpointSweepRow) ([]byte, error) {
+	data, err := json.MarshalIndent(rows, "", "  ")
+	return append(data, '\n'), err
 }
 
 // checkpointSweepIntervals are the swept checkpoint intervals.

@@ -93,6 +93,9 @@ var shapeColumns = []struct {
 	get   func(r shapeRun) int64
 }{
 	{"sim.events", 0, func(r shapeRun) int64 { return int64(r.eng.Processed()) }},
+	// The queue the drained shape leaves behind: the live timers of
+	// its daemons and churn, bounded by the machine count.
+	{"sim.pending", 0, func(r shapeRun) int64 { return int64(r.eng.Pending()) }},
 	{"sim.bus_msgs", 0, func(r shapeRun) int64 { return int64(r.bus.Sent()) }},
 	{"sim.bus_lost", 0, func(r shapeRun) int64 { return int64(r.bus.Lost()) }},
 	{"sim.bus_dup", 0, func(r shapeRun) int64 { return int64(r.bus.Duplicated()) }},
@@ -177,7 +180,11 @@ func readShapes(t *testing.T) (toolchain string, lines map[string]shapeLine) {
 		for _, col := range shapeColumns {
 			l.cols = append(l.cols, c.Int(col.key))
 		}
-		if c.Err != nil {
+		switch {
+		case c.Err != nil && *updateGolden:
+			// A line of an older column set is about to be rewritten.
+			continue
+		case c.Err != nil:
 			t.Fatalf("%s: %q: %v", shapesGolden, sc.Text(), c.Err)
 		}
 		lines[shapeKey(l.shape, l.n)] = l

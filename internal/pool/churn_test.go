@@ -1,6 +1,8 @@
 package pool
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -63,6 +65,32 @@ func TestChurnCrashMode(t *testing.T) {
 	if m.Unfinished != 0 || m.Completed != 12 {
 		t.Fatalf("completed = %d unfinished = %d: %s", m.Completed, m.Unfinished, m)
 	}
+}
+
+// TestChurnEnqueuesOneTransitionPerMachine: the whole schedule is
+// drawn when the pool is built, but the engine holds only each
+// machine's next transition, never the horizon's worth.
+func TestChurnEnqueuesOneTransitionPerMachine(t *testing.T) {
+	build := func(churn *ChurnConfig) *Pool {
+		return New(Config{Seed: 3, Params: daemon.DefaultParams(), Machines: UniformMachines(16, 2048), Churn: churn})
+	}
+	static := build(nil).Engine.Pending()
+	churned := build(&ChurnConfig{Horizon: 48 * time.Hour, MeanUp: 30 * time.Minute, Downtime: 10 * time.Minute})
+	if got := churned.Engine.Pending() - static; got != 16 {
+		t.Errorf("churn enqueued %d events for 16 machines, want one each", got)
+	}
+}
+
+// TestChurnRequiresHorizon: without a horizon the schedule would be
+// drawn forever, so building the pool panics and names the field.
+func TestChurnRequiresHorizon(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Horizon") {
+			t.Fatalf("recovered %v, want a panic naming Horizon", r)
+		}
+	}()
+	New(Config{Seed: 1, Params: daemon.DefaultParams(), Machines: UniformMachines(2, 2048),
+		Churn: &ChurnConfig{MeanUp: time.Hour}})
 }
 
 // TestChurnDeterministic: the churn schedule is part of the seed's

@@ -52,7 +52,7 @@ type ChurnConfig struct {
 	// Seed drives the schedule; 0 borrows the pool seed.
 	Seed int64
 	// Horizon bounds the schedule: no departure is generated at or
-	// after it.
+	// after it.  It must be positive.
 	Horizon time.Duration
 	// MeanUp is the average time a machine serves between departures;
 	// each actual up-phase is uniform in [0.5, 1.5) of it.
@@ -64,34 +64,68 @@ type ChurnConfig struct {
 	Crash bool
 }
 
-// scheduleChurn lays out every machine's departures and returns up
-// front, as plain engine timers: the schedule is part of the
-// experiment's definition, not of its execution, so parallel runs see
-// the identical sequence.
+// scheduleChurn draws every machine's departures when the pool is
+// built — machine by machine from one seeded generator, so the
+// schedule is part of the experiment's definition, not of its
+// execution, and parallel runs see the identical sequence — but
+// enqueues only each machine's next transition, so the engine holds
+// one churn event per machine instead of the whole horizon.  A
+// transition enqueues its successor before it acts, so the successor
+// precedes, in seq order, anything the transition schedules for the
+// same instant: the order a schedule enqueued in full at build time
+// would give.
 func scheduleChurn(eng *sim.Engine, startds []*daemon.Startd, cfg ChurnConfig, seed int64) {
+	if cfg.Horizon <= 0 {
+		panic("pool: churn requires a positive Horizon")
+	}
 	if cfg.Seed != 0 {
 		seed = cfg.Seed
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, sd := range startds {
-		sd := sd
-		t := time.Duration(0)
-		for {
-			up := time.Duration((0.5 + rng.Float64()) * float64(cfg.MeanUp))
-			t += up
-			if cfg.Horizon > 0 && t >= cfg.Horizon {
+		m := &churner{eng: eng, downtime: cfg.Downtime, leave: sd.Evict, back: sd.OwnerLeft}
+		if cfg.Crash {
+			m.leave, m.back = sd.Crash, sd.Restart
+		}
+		for t := time.Duration(0); ; t += cfg.Downtime {
+			t += time.Duration((0.5 + rng.Float64()) * float64(cfg.MeanUp))
+			if t >= cfg.Horizon {
 				break
 			}
-			if cfg.Crash {
-				eng.After(t, sd.Crash)
-				eng.After(t+cfg.Downtime, sd.Restart)
-			} else {
-				eng.After(t, sd.Evict)
-				eng.After(t+cfg.Downtime, sd.OwnerLeft)
-			}
-			t += cfg.Downtime
+			m.departures = append(m.departures, t)
 		}
+		m.next()
 	}
+}
+
+// churner walks one machine through its drawn schedule.
+type churner struct {
+	eng      *sim.Engine
+	downtime time.Duration
+	// leave and back are the machine's departure and return:
+	// Evict/OwnerLeft, or Crash/Restart in crash mode.
+	leave, back func()
+	departures  []time.Duration // those not yet enqueued, ascending
+}
+
+// next enqueues the machine's next departure, if any is left.
+func (m *churner) next() {
+	if len(m.departures) > 0 {
+		m.eng.At(sim.Time(m.departures[0]), m.depart)
+		m.departures = m.departures[1:]
+	}
+}
+
+// depart takes the machine away for the downtime.
+func (m *churner) depart() {
+	m.eng.After(m.downtime, m.ret)
+	m.leave()
+}
+
+// ret returns the machine and enqueues its next departure.
+func (m *churner) ret() {
+	m.next()
+	m.back()
 }
 
 // Pool is one assembled pool: a standalone simulation built by New, or

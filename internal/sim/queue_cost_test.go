@@ -48,10 +48,11 @@ func TestOneInstantIsOneHead(t *testing.T) {
 	}
 }
 
-// TestSingletonInstantsAllocateOnlyTheEvent is the set-up guard for
-// pools that pre-schedule a horizon of churn: an instant with one event
-// costs the event struct and its share of the heap slice's growth — no
-// bucket, no map entry, nothing per instant.
+// TestSingletonInstantsAllocateOnlyTheEvent is the guard for queues of
+// far-apart timers, such as a pool's per-machine tickers, timeouts and
+// churn transitions: an instant with one event costs the event struct
+// and its share of the heap slice's growth — no bucket, no map entry,
+// nothing per instant.
 func TestSingletonInstantsAllocateOnlyTheEvent(t *testing.T) {
 	const n = 10000
 	fn := func() {}
