@@ -34,17 +34,18 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-## determinism-grep: the simulated daemons and the engine must never
-## read the wall clock or the global math/rand state outside tests —
-## one stray time.Now() is enough to make same-seed traces diverge.
-## (Seeded rand.New(rand.NewSource(...)) instances are fine and do not
-## match the pattern.)  The live socket transport, internal/rpc, needs
-## the wall clock for its I/O deadlines; that is why it is a package
-## of its own, outside internal/wire and internal/monitor.  The ClassAd
-## evaluator is listed too: every match decision feeds the digests.
+## determinism-grep: no package under internal/ may read the wall
+## clock or the global math/rand state outside tests — one stray
+## time.Now() is enough to make same-seed traces diverge.  (Seeded
+## rand.New(rand.NewSource(...)) instances are fine and do not match
+## the pattern.)  The scan is an exclusion list, so a new package is
+## covered by default.  Only the two wall-clock packages are left out:
+## internal/rpc, the live socket transport, needs the wall clock for
+## its I/O deadlines, and internal/live runs the daemons on it.
 determinism-grep:
 	@if grep -rnE 'time\.Now\(|\brand\.(Int|Float|Perm|Shuffle|Seed|Exp|Norm)' \
-		--include='*.go' --exclude='*_test.go' internal/classad internal/daemon internal/sim internal/wire internal/monitor internal/record; then \
+		--include='*.go' --exclude='*_test.go' \
+		$$(ls -d internal/*/ | grep -vxE 'internal/(rpc|live)/'); then \
 		echo 'FAIL: wall clock or global math/rand state in a deterministic package'; \
 		exit 1; \
 	fi

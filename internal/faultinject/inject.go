@@ -1,12 +1,14 @@
 package faultinject
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"strings"
 	"time"
 
 	"github.com/errscope/grid/internal/daemon"
+	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/monitor"
 	"github.com/errscope/grid/internal/pool"
 	"github.com/errscope/grid/internal/sim"
@@ -98,6 +100,137 @@ func FederationTargets(f *pool.Federation) Targets {
 	return t
 }
 
+// simClass is one simulation fault class, declared once: the sites
+// check accepts, how Apply arms the fault and, for a message rule,
+// which messages it strikes and what it does to them.
+type simClass struct {
+	// sites lists the accepted site forms; the prefix through the colon
+	// selects one, and "<fs-key>" is a key of Targets.FileSystems.
+	sites []string
+	// noun names the class in a site rejection; "" = the class name.
+	noun string
+	// path reports whether the fault needs a Path.
+	path bool
+	// arm schedules a validated fault on the virtual clock.
+	arm func(in *Injector, f Fault)
+	// kind, if set, is the one message kind a rule strikes whatever its
+	// site matched; other traffic passes, sparing the match budget.
+	kind string
+	// fate folds one match of a message rule into the message's fate.
+	fate func(f Fault, out *sim.Fault)
+}
+
+var (
+	msgSites     = []string{"kind:<kind>", "actor:<name>"}
+	machineSites = []string{"machine:<name>"}
+	fsSites      = []string{"<fs-key>"}
+)
+
+// simClasses holds one row per simulation fault class; connClasses
+// holds the rest.
+var simClasses = map[Class]simClass{
+	// A machine crashes and restarts; a daemon crash is a partition
+	// window dropping every message to or from the actor.
+	ClassCrash: {sites: []string{"machine:<name>", "actor:<name>"}, fate: drop, arm: func(in *Injector, f Fault) {
+		if name, ok := strings.CutPrefix(f.Site, "machine:"); ok {
+			in.crashMachine(f, name)
+			return
+		}
+		in.armRule(f)
+	}},
+	ClassMsgDrop:  {sites: msgSites, noun: "message", arm: (*Injector).armRule, fate: drop},
+	ClassMsgDelay: {sites: msgSites, noun: "message", arm: (*Injector).armRule, fate: delay},
+	ClassMsgDup:   {sites: msgSites, noun: "message", arm: (*Injector).armRule, fate: duplicate},
+
+	ClassFSOffline: {sites: fsSites, arm: fsArm(func(fs *vfs.FileSystem, _ Fault, on bool) error {
+		fs.SetOffline(on)
+		return nil
+	})},
+	ClassDiskFull: {sites: fsSites, arm: fsArm(func(fs *vfs.FileSystem, f Fault, on bool) error {
+		quota := int64(0)
+		if on {
+			// By default full right now: clamp to current usage, but at
+			// least one byte, or SetQuota would mean "unlimited".
+			quota = param(f, max(fs.Used(), 1))
+		}
+		fs.SetQuota(quota)
+		return nil
+	})},
+	ClassPermission: {sites: fsSites, path: true, arm: fsArm(func(fs *vfs.FileSystem, f Fault, on bool) error {
+		return fs.SetReadOnly(f.Path, on)
+	})},
+	ClassCorruptData: {sites: fsSites, path: true, arm: fsArm(func(fs *vfs.FileSystem, f Fault, on bool) error {
+		n := 0
+		if on {
+			n = max(f.Count, 1)
+		}
+		return fs.CorruptNextReads(f.Path, n)
+	})},
+
+	ClassHeapExhaustion: {sites: machineSites, noun: "jvm", arm: jvmArm(func(cfg *jvm.Config, f Fault) {
+		cfg.HeapLimit = param(f, 1)
+	})},
+	ClassMissingInstall: {sites: machineSites, noun: "jvm", arm: jvmArm(func(cfg *jvm.Config, _ Fault) {
+		cfg.Broken = true
+	})},
+	ClassBadLibraryPath: {sites: machineSites, noun: "jvm", arm: jvmArm(func(cfg *jvm.Config, _ Fault) {
+		cfg.BadLibraryPath = true
+	})},
+
+	ClassScheddCrash: {sites: []string{"schedd:<name>"}, arm: func(in *Injector, f Fault) {
+		s := in.t.Schedds[siteName(f.Site)]
+		in.window(f, "crash "+f.Site, "recover "+f.Site, s.Crash, func() {
+			in.noteErr("recover "+f.Site, s.Recover(nil))
+		})
+	}},
+	ClassLeaseExpiry: {sites: msgSites, arm: (*Injector).armRule, kind: "lease-renew", fate: drop},
+
+	ClassPeerNegotiatorCrash: {sites: []string{"pool:<name>"}, fate: drop, arm: func(in *Injector, f Fault) {
+		in.partitionPool(f)
+	}},
+	ClassPeerPoolCrash: {sites: []string{"pool:<name>"}, fate: drop, arm: func(in *Injector, f Fault) {
+		for _, name := range in.partitionPool(f).Machines {
+			in.crashMachine(f, name)
+		}
+	}},
+	// 12 cuts "flock grant ..." mid-line, inside a field.
+	ClassFlockReplyTruncate: {sites: msgSites, arm: (*Injector).armRule, kind: "flock-reply",
+		fate: mutate(daemon.TruncateFlockReply, 12)},
+
+	ClassEvictMidCkpt: {sites: machineSites, arm: func(in *Injector, f Fault) {
+		sd := in.t.Startds[siteName(f.Site)]
+		in.window(f, "evict "+f.Site, "owner-left "+f.Site, sd.Evict, sd.OwnerLeft)
+	}},
+	// 9 lands inside the job= digits: syntax and CRC both break.
+	ClassCorruptCkpt: {sites: msgSites, arm: (*Injector).armRule, kind: "checkpoint",
+		fate: mutate(daemon.CorruptCheckpoint, 9)},
+	ClassRestartElsewhere: {sites: machineSites, arm: func(in *Injector, f Fault) {
+		in.crashMachine(f, siteName(f.Site))
+	}},
+	ClassPreemptGrace: {sites: machineSites, arm: func(in *Injector, f Fault) {
+		sd, grace := in.t.Startds[siteName(f.Site)], time.Duration(param(f, 1))*time.Millisecond
+		in.window(f, fmt.Sprintf("shrink-grace %s to %s", f.Site, grace), "", func() { sd.SetVacateGrace(grace) }, nil)
+	}},
+
+	ClassMonitorStreamDrop: {sites: []string{"monitor:<name>"}, arm: func(in *Injector, f Fault) {
+		mon := in.t.Monitors[siteName(f.Site)]
+		in.t.Engine.After(f.At, func() {
+			if f.Param > 0 {
+				in.note("kill %s (%d sessions closed)", f.Site, mon.Kill())
+				return
+			}
+			in.note("drop-subscribers %s (%d dropped)", f.Site, mon.DropSubscribers())
+		})
+	}},
+	ClassDrainGraceExpiry: {sites: machineSites, arm: func(in *Injector, f Fault) {
+		sd, grace := in.t.Startds[siteName(f.Site)], time.Duration(param(f, 1))*time.Millisecond
+		in.window(f, fmt.Sprintf("drain %s (grace %s)", f.Site, grace), "resume "+f.Site, func() {
+			sd.SetVacateGrace(grace)
+			in.noteErr("drain "+f.Site, sd.Drain())
+		}, sd.Resume)
+	}},
+}
+
 // msgRule is one armed message-level fault.  Rules activate and
 // deactivate on the virtual clock and expire after their match count.
 type msgRule struct {
@@ -135,6 +268,13 @@ func (in *Injector) note(format string, args ...any) {
 	in.log = append(in.log, fmt.Sprintf("%s ", in.t.Engine.Now())+fmt.Sprintf(format, args...))
 }
 
+// noteErr logs a failed action under what it was doing.
+func (in *Injector) noteErr(doing string, err error) {
+	if err != nil {
+		in.note("%s: %v", doing, err)
+	}
+}
+
 // Apply validates every fault in the scenario, then schedules them
 // all relative to the current virtual time.  A scenario with any
 // invalid fault is rejected whole — partial injection would make the
@@ -146,399 +286,189 @@ func (in *Injector) Apply(sc Scenario) error {
 		}
 	}
 	for _, f := range sc.Faults {
-		in.schedule(f)
+		simClasses[f.Class].arm(in, f)
 	}
 	return nil
 }
 
-// check validates one fault against the targets without arming it.
+// check validates one fault against its row and the targets without
+// arming it.
 func (in *Injector) check(f Fault) error {
-	if !validClass(f.Class) {
+	c, ok := simClasses[f.Class]
+	if !ok {
+		if ConnClass(f.Class) {
+			return fmt.Errorf("connection-level class is injected with a Proxy on the live stack, not on the simulation bus")
+		}
 		return fmt.Errorf("unknown class")
 	}
-	if ConnClass(f.Class) {
-		return fmt.Errorf("connection-level class is injected with a Proxy on the live stack, not on the simulation bus")
-	}
-	switch f.Class {
-	case ClassCrash:
-		if name, ok := strings.CutPrefix(f.Site, "machine:"); ok {
-			if _, ok := in.t.Startds[name]; !ok {
-				return fmt.Errorf("no machine %q", name)
+	for _, form := range c.sites {
+		prefix := form[:strings.IndexByte(form, ':')+1]
+		if name, ok := strings.CutPrefix(f.Site, prefix); ok {
+			if err := in.t.resolve(prefix, name); err != nil {
+				return err
+			}
+			if c.path && f.Path == "" {
+				return fmt.Errorf("%s needs a path", f.Class)
 			}
 			return nil
 		}
-		if _, ok := strings.CutPrefix(f.Site, "actor:"); ok {
-			if in.t.Bus == nil {
-				return fmt.Errorf("no bus to partition")
-			}
-			return nil
-		}
-		return fmt.Errorf("crash site must be machine:<name> or actor:<name>")
-	case ClassMsgDrop, ClassMsgDelay, ClassMsgDup:
-		if in.t.Bus == nil {
-			return fmt.Errorf("no bus")
-		}
-		if !strings.HasPrefix(f.Site, "kind:") && !strings.HasPrefix(f.Site, "actor:") {
-			return fmt.Errorf("message site must be kind:<kind> or actor:<name>")
-		}
-		return nil
-	case ClassFSOffline, ClassDiskFull, ClassPermission, ClassCorruptData:
-		if _, ok := in.t.FileSystems[f.Site]; !ok {
-			return fmt.Errorf("no file system registered as %q", f.Site)
-		}
-		if (f.Class == ClassPermission || f.Class == ClassCorruptData) && f.Path == "" {
-			return fmt.Errorf("%s needs a path", f.Class)
-		}
-		return nil
-	case ClassHeapExhaustion, ClassMissingInstall, ClassBadLibraryPath:
-		name, ok := strings.CutPrefix(f.Site, "machine:")
-		if !ok {
-			return fmt.Errorf("jvm site must be machine:<name>")
-		}
-		if _, ok := in.t.Startds[name]; !ok {
-			return fmt.Errorf("no machine %q", name)
-		}
-		return nil
-	case ClassScheddCrash:
-		name, ok := strings.CutPrefix(f.Site, "schedd:")
-		if !ok {
-			return fmt.Errorf("schedd-crash site must be schedd:<name>")
-		}
-		if _, ok := in.t.Schedds[name]; !ok {
-			return fmt.Errorf("no schedd %q", name)
-		}
-		return nil
-	case ClassLeaseExpiry:
-		if in.t.Bus == nil {
-			return fmt.Errorf("no bus")
-		}
-		if !strings.HasPrefix(f.Site, "kind:") && !strings.HasPrefix(f.Site, "actor:") {
-			return fmt.Errorf("lease-expiry site must be kind:<kind> or actor:<name>")
-		}
-		return nil
-	case ClassPeerNegotiatorCrash, ClassPeerPoolCrash:
-		name, ok := strings.CutPrefix(f.Site, "pool:")
-		if !ok {
-			return fmt.Errorf("%s site must be pool:<name>", f.Class)
-		}
-		if _, ok := in.t.Pools[name]; !ok {
-			return fmt.Errorf("no federated pool %q", name)
-		}
-		if in.t.Bus == nil {
-			return fmt.Errorf("no bus to partition")
-		}
-		return nil
-	case ClassFlockReplyTruncate:
-		if in.t.Bus == nil {
-			return fmt.Errorf("no bus")
-		}
-		if !strings.HasPrefix(f.Site, "kind:") && !strings.HasPrefix(f.Site, "actor:") {
-			return fmt.Errorf("flock-reply-truncate site must be kind:<kind> or actor:<name>")
-		}
-		return nil
-	case ClassEvictMidCkpt, ClassRestartElsewhere, ClassPreemptGrace:
-		name, ok := strings.CutPrefix(f.Site, "machine:")
-		if !ok {
-			return fmt.Errorf("%s site must be machine:<name>", f.Class)
-		}
-		if _, ok := in.t.Startds[name]; !ok {
-			return fmt.Errorf("no machine %q", name)
-		}
-		return nil
-	case ClassCorruptCkpt:
-		if in.t.Bus == nil {
-			return fmt.Errorf("no bus")
-		}
-		if !strings.HasPrefix(f.Site, "kind:") && !strings.HasPrefix(f.Site, "actor:") {
-			return fmt.Errorf("corrupt-checkpoint site must be kind:<kind> or actor:<name>")
-		}
-		return nil
-	case ClassMonitorStreamDrop:
-		name, ok := strings.CutPrefix(f.Site, "monitor:")
-		if !ok {
-			return fmt.Errorf("monitor-stream-drop site must be monitor:<name>")
-		}
-		if _, ok := in.t.Monitors[name]; !ok {
-			return fmt.Errorf("no monitor %q", name)
-		}
-		return nil
-	case ClassDrainGraceExpiry:
-		name, ok := strings.CutPrefix(f.Site, "machine:")
-		if !ok {
-			return fmt.Errorf("drain-grace-expiry site must be machine:<name>")
-		}
-		if _, ok := in.t.Startds[name]; !ok {
-			return fmt.Errorf("no machine %q", name)
-		}
-		return nil
 	}
-	return fmt.Errorf("unhandled class")
+	return fmt.Errorf("%s site must be %s", cmp.Or(c.noun, string(f.Class)), strings.Join(c.sites, " or "))
 }
 
-// schedule arms one validated fault on the virtual clock.
-func (in *Injector) schedule(f Fault) {
-	switch f.Class {
-	case ClassCrash:
-		if name, ok := strings.CutPrefix(f.Site, "machine:"); ok {
-			sd := in.t.Startds[name]
-			in.t.Engine.After(f.At, func() {
-				in.note("crash %s", f.Site)
-				sd.Crash()
-			})
-			if f.For > 0 {
-				in.t.Engine.After(f.At+f.For, func() {
-					in.note("restart %s", f.Site)
-					sd.Restart()
-				})
-			}
-			return
+// resolve checks that the name after a site form's prefix names a
+// target.  Actor, kind and pool sites arm message rules, so they also
+// need the bus.
+func (t Targets) resolve(prefix, name string) error {
+	missing := ""
+	switch prefix {
+	case "machine:":
+		if _, ok := t.Startds[name]; !ok {
+			missing = "machine"
 		}
-		// Daemon crash: a partition window dropping every message
-		// to or from the actor.
-		in.armRule(f)
-	case ClassMsgDrop, ClassMsgDelay, ClassMsgDup:
-		in.armRule(f)
-	case ClassFSOffline, ClassDiskFull, ClassPermission, ClassCorruptData:
-		in.scheduleFS(f)
-	case ClassHeapExhaustion, ClassMissingInstall, ClassBadLibraryPath:
-		in.scheduleJVM(f)
-	case ClassScheddCrash:
-		name := strings.TrimPrefix(f.Site, "schedd:")
-		s := in.t.Schedds[name]
-		in.t.Engine.After(f.At, func() {
-			in.note("crash %s", f.Site)
-			s.Crash()
-		})
-		if f.For > 0 {
-			in.t.Engine.After(f.At+f.For, func() {
-				in.note("recover %s", f.Site)
-				if err := s.Recover(nil); err != nil {
-					in.note("recover %s: %v", f.Site, err)
-				}
-			})
+	case "schedd:":
+		if _, ok := t.Schedds[name]; !ok {
+			missing = "schedd"
 		}
-	case ClassLeaseExpiry:
-		in.armRule(f)
-	case ClassPeerNegotiatorCrash:
-		// The negotiator is partitioned, not deleted: ads, pings, and
-		// queries to it vanish in flight, and it rebuilds from the
-		// periodic ads when the window closes.
-		pm := in.t.Pools[strings.TrimPrefix(f.Site, "pool:")]
-		fr := f
-		fr.Site = "actor:" + pm.Matchmaker
-		in.armRule(fr)
-	case ClassPeerPoolCrash:
-		pm := in.t.Pools[strings.TrimPrefix(f.Site, "pool:")]
-		fr := f
-		fr.Site = "actor:" + pm.Matchmaker
-		in.armRule(fr)
-		for _, name := range pm.Machines {
-			sd := in.t.Startds[name]
-			in.t.Engine.After(f.At, func() {
-				in.note("crash machine:%s", sd.Name())
-				sd.Crash()
-			})
-			if f.For > 0 {
-				in.t.Engine.After(f.At+f.For, func() {
-					in.note("restart machine:%s", sd.Name())
-					sd.Restart()
-				})
-			}
+	case "pool:":
+		if _, ok := t.Pools[name]; !ok {
+			missing = "federated pool"
 		}
-	case ClassFlockReplyTruncate:
-		in.armRule(f)
-	case ClassEvictMidCkpt:
-		sd := in.t.Startds[strings.TrimPrefix(f.Site, "machine:")]
-		in.t.Engine.After(f.At, func() {
-			in.note("evict %s", f.Site)
-			sd.Evict()
-		})
-		if f.For > 0 {
-			in.t.Engine.After(f.At+f.For, func() {
-				in.note("owner-left %s", f.Site)
-				sd.OwnerLeft()
-			})
+	case "monitor:":
+		if _, ok := t.Monitors[name]; !ok {
+			missing = "monitor"
 		}
-	case ClassRestartElsewhere:
-		sd := in.t.Startds[strings.TrimPrefix(f.Site, "machine:")]
-		in.t.Engine.After(f.At, func() {
-			in.note("crash %s", f.Site)
-			sd.Crash()
-		})
-		if f.For > 0 {
-			in.t.Engine.After(f.At+f.For, func() {
-				in.note("restart %s", f.Site)
-				sd.Restart()
-			})
+	case "":
+		if _, ok := t.FileSystems[name]; !ok {
+			missing = "file system registered as"
 		}
-	case ClassPreemptGrace:
-		sd := in.t.Startds[strings.TrimPrefix(f.Site, "machine:")]
-		in.t.Engine.After(f.At, func() {
-			grace := time.Duration(f.Param) * time.Millisecond
-			if grace <= 0 {
-				grace = time.Millisecond
-			}
-			in.note("shrink-grace %s to %s", f.Site, grace)
-			sd.SetVacateGrace(grace)
+	}
+	if missing != "" {
+		return fmt.Errorf("no %s %q", missing, name)
+	}
+	if t.Bus == nil && (prefix == "actor:" || prefix == "kind:" || prefix == "pool:") {
+		return fmt.Errorf("no bus")
+	}
+	return nil
+}
+
+// siteName is the name after a site's form prefix.
+func siteName(site string) string {
+	_, name, _ := strings.Cut(site, ":")
+	return name
+}
+
+// param is the fault's Param, or def when it is unset.
+func param(f Fault, def int64) int64 {
+	if f.Param <= 0 {
+		return def
+	}
+	return f.Param
+}
+
+// window runs up at f.At and, when the fault has a duration, down at
+// f.At+f.For, logging each note as it fires.
+func (in *Injector) window(f Fault, onNote, offNote string, up, down func()) {
+	in.t.Engine.After(f.At, func() {
+		in.note("%s", onNote)
+		up()
+	})
+	if f.For > 0 && down != nil {
+		in.t.Engine.After(f.At+f.For, func() {
+			in.note("%s", offNote)
+			down()
 		})
-	case ClassCorruptCkpt:
-		in.armRule(f)
-	case ClassMonitorStreamDrop:
-		mon := in.t.Monitors[strings.TrimPrefix(f.Site, "monitor:")]
-		in.t.Engine.After(f.At, func() {
-			if f.Param > 0 {
-				n := mon.Kill()
-				in.note("kill %s (%d sessions closed)", f.Site, n)
-				return
-			}
-			n := mon.DropSubscribers()
-			in.note("drop-subscribers %s (%d dropped)", f.Site, n)
-		})
-	case ClassDrainGraceExpiry:
-		sd := in.t.Startds[strings.TrimPrefix(f.Site, "machine:")]
-		in.t.Engine.After(f.At, func() {
-			grace := time.Duration(f.Param) * time.Millisecond
-			if grace <= 0 {
-				grace = time.Millisecond
-			}
-			in.note("drain %s (grace %s)", f.Site, grace)
-			sd.SetVacateGrace(grace)
-			if err := sd.Drain(); err != nil {
-				in.note("drain %s: %v", f.Site, err)
-			}
-		})
-		if f.For > 0 {
-			in.t.Engine.After(f.At+f.For, func() {
-				in.note("resume %s", f.Site)
-				sd.Resume()
-			})
-		}
 	}
 }
 
-// armRule schedules activation and expiry of one message-level rule.
+// crashMachine crashes the named machine mid-protocol and restarts it
+// when the window closes.
+func (in *Injector) crashMachine(f Fault, name string) {
+	sd, site := in.t.Startds[name], "machine:"+name
+	in.window(f, "crash "+site, "restart "+site, sd.Crash, sd.Restart)
+}
+
+// partitionPool partitions a federated pool's matchmaker.  The
+// negotiator is partitioned, not deleted: ads, pings, and queries to
+// it vanish in flight, and it rebuilds from the periodic ads when the
+// window closes.
+func (in *Injector) partitionPool(f Fault) PoolMembers {
+	pm := in.t.Pools[siteName(f.Site)]
+	f.Site = "actor:" + pm.Matchmaker
+	in.armRule(f)
+	return pm
+}
+
+// armRule arms one message-level rule for the fault's window.
 func (in *Injector) armRule(f Fault) {
 	r := &msgRule{f: f, remaining: -1}
 	if f.Count > 0 {
 		r.remaining = f.Count
 	}
 	in.rules = append(in.rules, r)
-	in.t.Engine.After(f.At, func() {
-		in.note("arm %s %s", f.Class, f.Site)
-		r.active = true
-	})
-	if f.For > 0 {
-		in.t.Engine.After(f.At+f.For, func() {
-			in.note("disarm %s %s", f.Class, f.Site)
-			r.active = false
-		})
+	tag := fmt.Sprintf("%s %s", f.Class, f.Site)
+	in.window(f, "arm "+tag, "disarm "+tag, func() { r.active = true }, func() { r.active = false })
+}
+
+// fsArm arms a file-system class from set, which injects the fault
+// with on and restores the file system without; an error is logged.
+func fsArm(set func(fs *vfs.FileSystem, f Fault, on bool) error) func(*Injector, Fault) {
+	return func(in *Injector, f Fault) {
+		fs := in.t.FileSystems[f.Site]
+		on, off := fmt.Sprintf("inject %s %s", f.Class, f.Site), fmt.Sprintf("restore %s %s", f.Class, f.Site)
+		in.window(f, on, off,
+			func() { in.noteErr(on, set(fs, f, true)) },
+			func() { in.noteErr(off, set(fs, f, false)) })
 	}
 }
 
-// scheduleFS arms one file-system fault, restoring the pre-fault
-// state after the window.
-func (in *Injector) scheduleFS(f Fault) {
-	fs := in.t.FileSystems[f.Site]
-	in.t.Engine.After(f.At, func() {
-		in.note("inject %s %s", f.Class, f.Site)
-		switch f.Class {
-		case ClassFSOffline:
-			fs.SetOffline(true)
-		case ClassDiskFull:
-			quota := f.Param
-			if quota <= 0 {
-				// Full right now: clamp to current usage, but at
-				// least one byte or SetQuota would mean "unlimited".
-				quota = fs.Used()
-				if quota <= 0 {
-					quota = 1
-				}
-			}
-			fs.SetQuota(quota)
-		case ClassPermission:
-			if err := fs.SetReadOnly(f.Path, true); err != nil {
-				in.note("inject %s %s: %v", f.Class, f.Site, err)
-			}
-		case ClassCorruptData:
-			n := f.Count
-			if n <= 0 {
-				n = 1
-			}
-			if err := fs.CorruptNextReads(f.Path, n); err != nil {
-				in.note("inject %s %s: %v", f.Class, f.Site, err)
-			}
-		}
-	})
-	if f.For > 0 {
-		in.t.Engine.After(f.At+f.For, func() {
-			in.note("restore %s %s", f.Class, f.Site)
-			switch f.Class {
-			case ClassFSOffline:
-				fs.SetOffline(false)
-			case ClassDiskFull:
-				fs.SetQuota(0)
-			case ClassPermission:
-				if err := fs.SetReadOnly(f.Path, false); err != nil {
-					in.note("restore %s %s: %v", f.Class, f.Site, err)
-				}
-			}
-		})
+// jvmArm arms a JVM degradation, restoring the machine's installation
+// as it was when the fault fired.
+func jvmArm(degrade func(cfg *jvm.Config, f Fault)) func(*Injector, Fault) {
+	return func(in *Injector, f Fault) {
+		sd := in.t.Startds[siteName(f.Site)]
+		var orig jvm.Config
+		in.window(f, fmt.Sprintf("inject %s %s", f.Class, f.Site), fmt.Sprintf("restore %s %s", f.Class, f.Site), func() {
+			orig = sd.Machine().Config()
+			cfg := orig
+			degrade(&cfg, f)
+			sd.SetJVMConfig(cfg)
+		}, func() { sd.SetJVMConfig(orig) })
 	}
 }
 
-// scheduleJVM arms one JVM degradation, restoring the original
-// installation after the window.
-func (in *Injector) scheduleJVM(f Fault) {
-	name := strings.TrimPrefix(f.Site, "machine:")
-	sd := in.t.Startds[name]
-	in.t.Engine.After(f.At, func() {
-		in.note("inject %s %s", f.Class, f.Site)
-		orig := sd.Machine().Config()
-		cfg := orig
-		switch f.Class {
-		case ClassHeapExhaustion:
-			cfg.HeapLimit = f.Param
-			if cfg.HeapLimit <= 0 {
-				cfg.HeapLimit = 1
+// The message fates.  Drops from any rule compound, delays and
+// duplicate counts add, and mutations chain in rule order.
+func drop(_ Fault, out *sim.Fault) { out.Drop = true }
+
+func delay(f Fault, out *sim.Fault) { out.Delay += time.Duration(param(f, 1000)) * time.Millisecond }
+
+func duplicate(f Fault, out *sim.Fault) { out.Duplicates += int(param(f, 1)) }
+
+// mutate is the fate that rewrites the body with fn(body, n), n being
+// Param or def.
+func mutate(fn func(body any, n int) any, def int64) func(Fault, *sim.Fault) {
+	return func(f Fault, out *sim.Fault) {
+		n, prev := int(param(f, def)), out.Mutate
+		out.Mutate = func(body any) any {
+			if prev != nil {
+				body = prev(body)
 			}
-		case ClassMissingInstall:
-			cfg.Broken = true
-		case ClassBadLibraryPath:
-			cfg.BadLibraryPath = true
+			return fn(body, n)
 		}
-		sd.SetJVMConfig(cfg)
-		if f.For > 0 {
-			in.t.Engine.After(f.For, func() {
-				in.note("restore %s %s", f.Class, f.Site)
-				sd.SetJVMConfig(orig)
-			})
-		}
-	})
+	}
 }
 
 // busFault is the injector's sim.FaultFunc: the combined fate of one
-// message under every active rule.  Drops from any rule compound;
-// delays and duplicate counts add.
+// message under every active rule.
 func (in *Injector) busFault(m sim.Message) sim.Fault {
 	var out sim.Fault
 	for _, r := range in.rules {
 		if !r.active || r.remaining == 0 || !siteMatches(r.f.Site, m) {
 			continue
 		}
-		// A lease-expiry rule targets only the renewal pulse, whatever
-		// actor its site matched; other traffic must pass before the
-		// rule's match budget is spent.
-		if r.f.Class == ClassLeaseExpiry && m.Kind != "lease-renew" {
-			continue
-		}
-		// Likewise a flock-reply-truncate rule cuts only the flock
-		// codec's wire, even when its site is an actor.
-		if r.f.Class == ClassFlockReplyTruncate && m.Kind != "flock-reply" {
-			continue
-		}
-		// And a corrupt-checkpoint rule damages only checkpoint
-		// payloads.
-		if r.f.Class == ClassCorruptCkpt && m.Kind != "checkpoint" {
+		c := simClasses[r.f.Class]
+		if c.kind != "" && m.Kind != c.kind {
 			continue
 		}
 		if r.remaining > 0 {
@@ -547,47 +477,7 @@ func (in *Injector) busFault(m sim.Message) sim.Fault {
 				r.active = false
 			}
 		}
-		switch r.f.Class {
-		case ClassCrash, ClassMsgDrop, ClassLeaseExpiry,
-			ClassPeerNegotiatorCrash, ClassPeerPoolCrash:
-			out.Drop = true
-		case ClassFlockReplyTruncate:
-			n := int(r.f.Param)
-			if n <= 0 {
-				n = 12 // mid-line: cuts "flock grant ..." inside a field
-			}
-			prev := out.Mutate
-			out.Mutate = func(body any) any {
-				if prev != nil {
-					body = prev(body)
-				}
-				return daemon.TruncateFlockReply(body, n)
-			}
-		case ClassCorruptCkpt:
-			n := int(r.f.Param)
-			if n <= 0 {
-				n = 9 // inside the job= digits: syntax and CRC both break
-			}
-			prev := out.Mutate
-			out.Mutate = func(body any) any {
-				if prev != nil {
-					body = prev(body)
-				}
-				return daemon.CorruptCheckpoint(body, n)
-			}
-		case ClassMsgDelay:
-			d := time.Duration(r.f.Param) * time.Millisecond
-			if d <= 0 {
-				d = time.Second
-			}
-			out.Delay += d
-		case ClassMsgDup:
-			n := int(r.f.Param)
-			if n <= 0 {
-				n = 1
-			}
-			out.Duplicates += n
-		}
+		c.fate(r.f, &out)
 	}
 	return out
 }

@@ -7,6 +7,8 @@ import (
 
 	"github.com/errscope/grid/internal/daemon"
 	"github.com/errscope/grid/internal/jvm"
+	"github.com/errscope/grid/internal/monitor"
+	"github.com/errscope/grid/internal/obs"
 	"github.com/errscope/grid/internal/pool"
 )
 
@@ -358,5 +360,135 @@ func TestInjectNewClassApplyErrors(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestClassTable: every class is declared exactly once — a row of the
+// simulation table or an entry of the connection map — and each row
+// accepts exactly the site forms pinned here, against a federation
+// with a monitor attached.  A form a row does not allow is rejected
+// with nothing armed and nothing logged.
+func TestClassTable(t *testing.T) {
+	machine, msg, fsKey := []string{"machine:"}, []string{"kind:", "actor:"}, []string{""}
+	wantForms := map[Class][]string{
+		ClassCrash:    {"machine:", "actor:"},
+		ClassMsgDrop:  msg,
+		ClassMsgDelay: msg,
+		ClassMsgDup:   msg,
+
+		ClassFSOffline:   fsKey,
+		ClassDiskFull:    fsKey,
+		ClassPermission:  fsKey,
+		ClassCorruptData: fsKey,
+
+		ClassHeapExhaustion: machine,
+		ClassMissingInstall: machine,
+		ClassBadLibraryPath: machine,
+
+		ClassScheddCrash:         {"schedd:"},
+		ClassLeaseExpiry:         msg,
+		ClassPeerNegotiatorCrash: {"pool:"},
+		ClassPeerPoolCrash:       {"pool:"},
+		ClassFlockReplyTruncate:  msg,
+		ClassEvictMidCkpt:        machine,
+		ClassCorruptCkpt:         msg,
+		ClassRestartElsewhere:    machine,
+		ClassPreemptGrace:        machine,
+		ClassMonitorStreamDrop:   {"monitor:"},
+		ClassDrainGraceExpiry:    machine,
+	}
+
+	seen := map[Class]int{}
+	for _, c := range Classes {
+		seen[c]++
+	}
+	for _, c := range Classes {
+		_, inSim := simClasses[c]
+		_, inConn := connClasses[c]
+		if seen[c] != 1 || inSim == inConn {
+			t.Errorf("%s: %d times in Classes, simulation row %v, connection entry %v", c, seen[c], inSim, inConn)
+		}
+		if _, pinned := wantForms[c]; pinned != inSim {
+			t.Errorf("%s: site forms pinned %v, simulation row %v", c, pinned, inSim)
+		}
+	}
+	if n := len(simClasses) + len(connClasses); n != len(Classes) {
+		t.Errorf("%d table entries for %d classes", n, len(Classes))
+	}
+
+	fed := pool.NewFederation(pool.FederationConfig{
+		Seed:   1,
+		Params: daemon.DefaultParams(),
+		Pools: []pool.FedPoolConfig{
+			{Name: "p1", Machines: []daemon.MachineConfig{{Name: "m0", Memory: 2048, AdvertiseJava: true}}},
+			{Name: "p2", Machines: []daemon.MachineConfig{{Name: "m0", Memory: 2048, AdvertiseJava: true}}},
+		},
+	})
+	targets := FederationTargets(fed)
+	targets.Monitors = map[string]*monitor.Monitor{"ops": monitor.Attach(fed.Pools[0], obs.NewRecorder(), "ops")}
+	// Per form: a site naming a target, and one naming nothing ("" where
+	// the form accepts any name).
+	sites := map[string][2]string{
+		"machine:": {"machine:p1-m0", "machine:nope"},
+		"actor:":   {"actor:mm-p1", ""},
+		"kind:":    {"kind:advertise", ""},
+		"schedd:":  {"schedd:p1-schedd", "schedd:nope"},
+		"pool:":    {"pool:p2", "pool:nope"},
+		"monitor:": {"monitor:ops", "monitor:nope"},
+		"":         {"submit-p1-schedd", "nope"},
+	}
+	apply := func(f Fault) (armed bool, err error) {
+		in, before := New(targets), fed.Engine.Pending()
+		err = in.Apply(Scenario{Seed: 1, Faults: []Fault{f}})
+		if err != nil && (fed.Engine.Pending() != before || len(in.Log()) != 0) {
+			t.Errorf("%s at %s: rejected, but armed %d events and logged %v",
+				f.Class, f.Site, fed.Engine.Pending()-before, in.Log())
+		}
+		return fed.Engine.Pending() > before, err
+	}
+	for c, forms := range wantForms {
+		for form, site := range sites {
+			f := Fault{Class: c, Site: site[0], Path: "/data/in", For: time.Minute}
+			allowed := false
+			for _, w := range forms {
+				allowed = allowed || w == form
+			}
+			armed, err := apply(f)
+			switch {
+			case allowed && (err != nil || !armed):
+				t.Errorf("%s at %s: armed %v, err %v; want it armed", c, f.Site, armed, err)
+			case !allowed && forms[0] == "" && (err == nil || !strings.Contains(err.Error(), "no file system registered")):
+				t.Errorf("%s at %s: err %v, want an unknown file system", c, f.Site, err)
+			case !allowed && forms[0] != "" && (err == nil || !strings.Contains(err.Error(), "site must be ")):
+				t.Errorf("%s at %s: err %v, want a site-form rejection", c, f.Site, err)
+			}
+			if !allowed || site[1] == "" {
+				continue
+			}
+			f.Site = site[1]
+			if _, err := apply(f); err == nil || !strings.Contains(err.Error(), "no ") {
+				t.Errorf("%s at %s: err %v, want the unknown target named", c, f.Site, err)
+			}
+			if simClasses[c].path {
+				f.Site, f.Path = site[0], ""
+				if _, err := apply(f); err == nil || !strings.Contains(err.Error(), "needs a path") {
+					t.Errorf("%s without a path: err %v", c, err)
+				}
+			}
+		}
+	}
+
+	for c := range connClasses {
+		cf, err := ConnFaultFor(Fault{Class: c})
+		if c == ClassKeyExpiry {
+			if err == nil {
+				t.Errorf("%s mapped through the proxy: %+v", c, cf)
+			}
+		} else if err != nil || cf == (ConnFault{}) {
+			t.Errorf("%s: ConnFault %+v, err %v", c, cf, err)
+		}
+		if _, err := apply(Fault{Class: c, Site: "chirp"}); err == nil || !strings.Contains(err.Error(), "Proxy") {
+			t.Errorf("%s on the simulation bus: err %v", c, err)
+		}
 	}
 }

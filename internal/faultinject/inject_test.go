@@ -183,13 +183,16 @@ func TestInjectFSOffline(t *testing.T) {
 
 // TestInjectFSStateFaults: the disk-full, permission, and
 // corrupt-data classes change the file system exactly as specified
-// and restore it after the window.
+// and restore it after the window — a corrupt-data window disarms the
+// corruptions no read has used up.
 func TestInjectFSStateFaults(t *testing.T) {
 	params := daemon.DefaultParams()
 	p := pool.New(pool.Config{Seed: 1, Params: params, Machines: twoMachines()[:1]})
 	fs := p.Schedd.SubmitFS
-	if err := fs.WriteFile("/data/in", []byte("payload")); err != nil {
-		t.Fatal(err)
+	for _, path := range []string{"/data/in", "/data/win"} {
+		if err := fs.WriteFile(path, []byte("payload")); err != nil {
+			t.Fatal(err)
+		}
 	}
 	in := New(PoolTargets(p))
 
@@ -197,6 +200,7 @@ func TestInjectFSStateFaults(t *testing.T) {
 		{Class: ClassDiskFull, Site: "submit", At: time.Minute, For: time.Hour},
 		{Class: ClassPermission, Site: "submit", Path: "/data/in", At: time.Minute, For: time.Hour},
 		{Class: ClassCorruptData, Site: "submit", Path: "/data/in", At: time.Minute, Count: 1},
+		{Class: ClassCorruptData, Site: "submit", Path: "/data/win", At: time.Minute, For: time.Hour, Count: 3},
 	}}); err != nil {
 		t.Fatal(err)
 	}
@@ -217,6 +221,9 @@ func TestInjectFSStateFaults(t *testing.T) {
 	if string(got) == "payload" {
 		t.Error("corrupt-data: first read came back clean")
 	}
+	if got, _ := fs.ReadFile("/data/win"); string(got) == "payload" {
+		t.Error("corrupt-data window: read inside the window came back clean")
+	}
 
 	p.Engine.RunFor(2 * time.Hour)
 	if err := fs.WriteFile("/data/other", make([]byte, 4096)); err != nil {
@@ -227,6 +234,9 @@ func TestInjectFSStateFaults(t *testing.T) {
 	}
 	if got, _ := fs.ReadFile("/data/in"); string(got) != "payload" {
 		t.Errorf("later reads still corrupt: %q", got)
+	}
+	if got, _ := fs.ReadFile("/data/win"); string(got) != "payload" {
+		t.Errorf("corrupt-data window closed but reads still corrupt: %q", got)
 	}
 }
 

@@ -53,32 +53,31 @@ func (f ConnFault) frameAware() bool {
 	return f.CorruptFrame > 0 || f.TruncateFrame > 0 || f.ReplayFrame > 0
 }
 
-// ConnFaultFor maps a connection-level fault class to the proxy
-// behavior the sweep arms: Param is the byte budget toward the
-// client for the stream classes, or the 1-based frame index for the
-// frame classes (default 1 — the very first response byte or frame).
+// connClasses maps each connection-level class to the proxy behavior
+// the sweep arms from n: the byte budget toward the client for the
+// stream classes, or the 1-based frame index for the frame classes.
+// Key expiry maps to nil: the session key budget arms it, not a proxy.
+var connClasses = map[Class]func(n int64) ConnFault{
+	ClassConnReset:     func(n int64) ConnFault { return ConnFault{CutToClient: n, Reset: true} },
+	ClassConnTruncate:  func(n int64) ConnFault { return ConnFault{CutToClient: n} },
+	ClassFrameCorrupt:  func(n int64) ConnFault { return ConnFault{CorruptFrame: n} },
+	ClassFrameTruncate: func(n int64) ConnFault { return ConnFault{TruncateFrame: n} },
+	ClassMACFailure:    func(n int64) ConnFault { return ConnFault{CorruptFrame: n, FixChecksum: true} },
+	ClassFrameReplay:   func(n int64) ConnFault { return ConnFault{ReplayFrame: n} },
+	ClassKeyExpiry:     nil,
+}
+
+// ConnFaultFor maps a connection-level fault to the proxy behavior the
+// sweep arms, n being Param (default 1: the first byte or frame).
 func ConnFaultFor(f Fault) (ConnFault, error) {
-	n := f.Param
-	if n <= 0 {
-		n = 1
+	arm, ok := connClasses[f.Class]
+	if !ok {
+		return ConnFault{}, fmt.Errorf("class %s is not connection-level", f.Class)
 	}
-	switch f.Class {
-	case ClassConnReset:
-		return ConnFault{CutToClient: n, Reset: true}, nil
-	case ClassConnTruncate:
-		return ConnFault{CutToClient: n}, nil
-	case ClassFrameCorrupt:
-		return ConnFault{CorruptFrame: n}, nil
-	case ClassFrameTruncate:
-		return ConnFault{TruncateFrame: n}, nil
-	case ClassMACFailure:
-		return ConnFault{CorruptFrame: n, FixChecksum: true}, nil
-	case ClassFrameReplay:
-		return ConnFault{ReplayFrame: n}, nil
-	case ClassKeyExpiry:
+	if arm == nil {
 		return ConnFault{}, fmt.Errorf("class %s is armed by the session key budget, not the proxy", f.Class)
 	}
-	return ConnFault{}, fmt.Errorf("class %s is not connection-level", f.Class)
+	return arm(param(f, 1)), nil
 }
 
 // Proxy is a TCP relay that injects connection faults between a live

@@ -184,25 +184,16 @@ var Classes = []Class{
 }
 
 func validClass(c Class) bool {
-	for _, k := range Classes {
-		if c == k {
-			return true
-		}
-	}
-	return false
+	_, sim := simClasses[c]
+	return sim || ConnClass(c)
 }
 
 // ConnClass reports whether the class is connection-level — injected
 // on the live stack (by a Proxy, or for key expiry by the session
 // configuration) rather than by the Injector on the simulation bus.
 func ConnClass(c Class) bool {
-	switch c {
-	case ClassConnReset, ClassConnTruncate,
-		ClassFrameCorrupt, ClassFrameTruncate, ClassMACFailure,
-		ClassFrameReplay, ClassKeyExpiry:
-		return true
-	}
-	return false
+	_, ok := connClasses[c]
+	return ok
 }
 
 // Fault is one injectable failure: a class, the site it strikes, and
@@ -210,14 +201,12 @@ func ConnClass(c Class) bool {
 // and never recovers.
 type Fault struct {
 	Class Class
-	// Site addresses the injection point:
-	//
-	//	machine:<name>  a startd and its JVM (crash, jvm classes)
-	//	actor:<name>    a daemon on the bus (crash-as-partition);
-	//	                a trailing colon prefix-matches, so
-	//	                actor:shadow: hits every shadow
-	//	kind:<kind>     every bus message of that kind (msg classes)
-	//	<fs-key>        a file system registered in Targets (fs classes)
+	// Site addresses the injection point, in one of the forms the
+	// class's row in simClasses accepts: machine:<name> (a startd and
+	// its JVM), actor:<name> (a daemon on the bus; a trailing colon
+	// prefix-matches, so actor:shadow: hits every shadow), kind:<kind>
+	// (every bus message of that kind), schedd:<name>, pool:<name>,
+	// monitor:<name>, or a file system registered in Targets.
 	Site string
 	// Path targets a file within a file-system site (permission,
 	// corrupt-data).

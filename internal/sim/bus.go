@@ -32,21 +32,15 @@ type ActorFunc func(m Message)
 // Receive calls f(m).
 func (f ActorFunc) Receive(m Message) { f(m) }
 
-// LatencyFunc models one-way delivery latency between two actors.
-type LatencyFunc func(from, to string) time.Duration
-
-// DropFunc decides whether a message is silently lost in transit.
-// Losing a message models a network fault; the sender learns nothing,
-// exactly as on a real network — detection is the business of
-// higher-layer timeouts (Section 5: the scope of a communication
-// failure is indeterminate until time passes).
-type DropFunc func(m Message) bool
-
 // Fault is the in-transit fate a FaultFunc assigns to one message:
 // silently lost, delayed beyond the modeled latency, delivered more
 // than once, or any combination.  The zero value is normal delivery.
 type Fault struct {
-	// Drop loses the message; the sender learns nothing.
+	// Drop loses the message.  Losing a message models a network
+	// fault; the sender learns nothing, exactly as on a real network —
+	// detection is the business of higher-layer timeouts (Section 5:
+	// the scope of a communication failure is indeterminate until time
+	// passes).
 	Drop bool
 	// Delay is added to the modeled latency.
 	Delay time.Duration
@@ -62,17 +56,16 @@ type Fault struct {
 }
 
 // FaultFunc decides the in-transit fate of each message.  It is the
-// bus's fault-injection point: deterministic given the same message
+// bus's one fault-injection point: deterministic given the same message
 // sequence, since the bus consults it synchronously at send time.
 type FaultFunc func(m Message) Fault
 
 // Bus delivers messages between named actors through the engine's
-// event queue, applying the latency and loss models.
+// event queue after a constant latency, applying the fault model.
 type Bus struct {
 	eng     *Engine
 	actors  map[string]Actor
-	latency LatencyFunc
-	drop    DropFunc
+	latency time.Duration
 	fault   FaultFunc
 	// Trace, if non-nil, observes every message at send time along
 	// with its fate.
@@ -143,14 +136,7 @@ func (d *delivery) deliver() {
 	b.putDelivery(d)
 	a, ok := b.actors[m.To]
 	if !ok {
-		b.lost.Add(1)
-		if b.Trace != nil {
-			b.Trace(m, false)
-		}
-		if b.Obs != nil {
-			b.Obs.Count("bus.lost", 1)
-		}
-		b.observe(m, obs.KindMsgLost)
+		b.lose(m)
 		return
 	}
 	if b.Trace != nil {
@@ -195,21 +181,11 @@ func (d *delivery) deliverWave(ctx *shardCtx, m Message) {
 
 // NewBus creates a bus on the engine with constant latency.
 func NewBus(eng *Engine, latency time.Duration) *Bus {
-	return &Bus{
-		eng:     eng,
-		actors:  make(map[string]Actor),
-		latency: func(_, _ string) time.Duration { return latency },
-	}
+	return &Bus{eng: eng, actors: make(map[string]Actor), latency: latency}
 }
 
-// SetLatencyFunc replaces the latency model.
-func (b *Bus) SetLatencyFunc(f LatencyFunc) { b.latency = f }
-
-// SetDropFunc installs a loss model; nil restores lossless delivery.
-func (b *Bus) SetDropFunc(f DropFunc) { b.drop = f }
-
 // SetFaultFunc installs a fault-injection model consulted for every
-// message after the loss model; nil restores faithful delivery.
+// message; nil restores faithful delivery.
 func (b *Bus) SetFaultFunc(f FaultFunc) { b.fault = f }
 
 // Register attaches an actor under a unique name.  Registering a
@@ -241,12 +217,25 @@ func (b *Bus) Lookup(name string) (Actor, bool) {
 // Sent and Lost report message counters for metrics.
 func (b *Bus) Sent() uint64 { return b.sent }
 
-// Lost reports the number of messages the loss model discarded or
-// that addressed a dead actor.
+// Lost reports the number of messages the fault model dropped or that
+// addressed a dead actor.
 func (b *Bus) Lost() uint64 { return b.lost.Load() }
 
 // Duplicated reports how many extra copies the fault model delivered.
 func (b *Bus) Duplicated() uint64 { return b.duplicated }
+
+// lose counts one serial-path message as lost: the counter, the trace,
+// the obs counter and the structured event.
+func (b *Bus) lose(m Message) {
+	b.lost.Add(1)
+	if b.Trace != nil {
+		b.Trace(m, false)
+	}
+	if b.Obs != nil {
+		b.Obs.Count("bus.lost", 1)
+	}
+	b.observe(m, obs.KindMsgLost)
+}
 
 // observe emits a structured event for a job-tagged message.  The
 // Enabled guard keeps the disabled path to one interface call with no
@@ -294,9 +283,9 @@ func (b *Bus) observeWave(ctx *shardCtx, m Message, fate string) {
 // counted as lost and the sender is not informed.
 //
 // During a parallel wave the send is staged on the sender's shard and
-// the whole body — loss model, fault model, counters, trace — runs at
-// the barrier in the exact position the serial engine would have run
-// it, which keeps stateful fault injectors deterministic.
+// the whole body — fault model, counters, trace — runs at the barrier
+// in the exact position the serial engine would have run it, which
+// keeps stateful fault injectors deterministic.
 func (b *Bus) Send(from, to, kind string, body any) {
 	m := Message{From: from, To: to, Kind: kind, Body: body}
 	if ctx := b.eng.activeCtxByOwner(from); ctx != nil {
@@ -316,30 +305,12 @@ func (b *Bus) sendNow(m Message) {
 	if b.Obs != nil {
 		b.Obs.Count("bus.sent", 1)
 	}
-	if b.drop != nil && b.drop(m) {
-		b.lost.Add(1)
-		if b.Trace != nil {
-			b.Trace(m, false)
-		}
-		if b.Obs != nil {
-			b.Obs.Count("bus.lost", 1)
-		}
-		b.observe(m, obs.KindMsgLost)
-		return
-	}
 	var f Fault
 	if b.fault != nil {
 		f = b.fault(m)
 	}
 	if f.Drop {
-		b.lost.Add(1)
-		if b.Trace != nil {
-			b.Trace(m, false)
-		}
-		if b.Obs != nil {
-			b.Obs.Count("bus.lost", 1)
-		}
-		b.observe(m, obs.KindMsgLost)
+		b.lose(m)
 		return
 	}
 	if f.Mutate != nil {
@@ -352,7 +323,7 @@ func (b *Bus) sendNow(m Message) {
 		b.lastTo, b.lastShard = m.To, b.eng.ShardID(ShardKey(m.To))
 	}
 	shard := b.lastShard
-	d := b.latency(m.From, m.To) + f.Delay
+	d := b.latency + f.Delay
 	if d < 0 {
 		d = 0
 	}

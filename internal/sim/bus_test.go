@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"github.com/errscope/grid/internal/obs"
 )
 
 func TestBusDelivery(t *testing.T) {
@@ -58,7 +61,7 @@ func TestBusDropModel(t *testing.T) {
 	b := NewBus(e, time.Millisecond)
 	count := 0
 	b.Register("b", ActorFunc(func(Message) { count++ }))
-	b.SetDropFunc(func(m Message) bool { return m.Kind == "lossy" })
+	b.SetFaultFunc(func(m Message) Fault { return Fault{Drop: m.Kind == "lossy"} })
 	b.Send("a", "b", "lossy", nil)
 	b.Send("a", "b", "solid", nil)
 	e.Run()
@@ -68,30 +71,11 @@ func TestBusDropModel(t *testing.T) {
 	if b.Lost() != 1 || b.Sent() != 2 {
 		t.Errorf("sent=%d lost=%d", b.Sent(), b.Lost())
 	}
-	b.SetDropFunc(nil)
+	b.SetFaultFunc(nil)
 	b.Send("a", "b", "lossy", nil)
 	e.Run()
 	if count != 2 {
 		t.Errorf("count after reset = %d", count)
-	}
-}
-
-func TestBusLatencyFunc(t *testing.T) {
-	e := New(1)
-	b := NewBus(e, 0)
-	b.SetLatencyFunc(func(from, to string) time.Duration {
-		if from == "far" {
-			return time.Second
-		}
-		return time.Millisecond
-	})
-	var at []Time
-	b.Register("b", ActorFunc(func(Message) { at = append(at, e.Now()) }))
-	b.Send("near", "b", "x", nil)
-	b.Send("far", "b", "x", nil)
-	e.Run()
-	if len(at) != 2 || at[0] != Time(time.Millisecond) || at[1] != Time(time.Second) {
-		t.Errorf("at = %v", at)
 	}
 }
 
@@ -107,29 +91,51 @@ func TestBusDuplicateRegisterPanics(t *testing.T) {
 	b.Register("x", ActorFunc(func(Message) {}))
 }
 
+// tagged is a job-tagged body, so the bus emits structured events for it.
+type tagged int64
+
+func (j tagged) TracedJob() int64 { return int64(j) }
+
+// TestBusTrace: a delivered message is traced once as delivered; a
+// fault drop (at send) and an unknown destination (at delivery) are
+// each lost exactly once — in Lost, in the bus.lost counter, in the
+// trace and as one message-lost event.
 func TestBusTrace(t *testing.T) {
 	e := New(1)
 	b := NewBus(e, 0)
+	rec := obs.NewRecorder()
+	b.Obs = rec
 	b.Register("b", ActorFunc(func(Message) {}))
-	var traced []bool
-	b.Trace = func(m Message, delivered bool) { traced = append(traced, delivered) }
-	b.SetDropFunc(func(m Message) bool { return m.Kind == "drop" })
-	b.Send("a", "b", "ok", nil)
-	b.Send("a", "b", "drop", nil)
-	b.Send("a", "ghost", "ok", nil)
-	e.Run()
-	if len(traced) != 3 {
-		t.Fatalf("traced = %v", traced)
-	}
-	// Order: drop is traced at send, others at delivery.
-	okCount := 0
-	for _, d := range traced {
-		if d {
-			okCount++
+	var lost []string
+	delivered := 0
+	b.Trace = func(m Message, ok bool) {
+		if ok {
+			delivered++
+		} else {
+			lost = append(lost, m.String())
 		}
 	}
-	if okCount != 1 {
-		t.Errorf("traced = %v", traced)
+	b.SetFaultFunc(func(m Message) Fault { return Fault{Drop: m.Kind == "drop"} })
+	b.Send("a", "b", "ok", tagged(1))
+	b.Send("a", "b", "drop", tagged(2))
+	b.Send("a", "ghost", "ok", tagged(3))
+	e.Run()
+	// The drop is traced at send, the others at delivery.
+	want := []string{"a->b drop", "a->ghost ok"}
+	if delivered != 1 || strings.Join(lost, ",") != strings.Join(want, ",") {
+		t.Errorf("delivered = %d, lost = %v, want 1 and %v", delivered, lost, want)
+	}
+	if b.Lost() != 2 || rec.Counter("bus.lost") != 2 {
+		t.Errorf("Lost() = %d, bus.lost = %d, want 2 each", b.Lost(), rec.Counter("bus.lost"))
+	}
+	var lostJobs []int64
+	for _, ev := range rec.Events() {
+		if ev.Kind == obs.KindMsgLost {
+			lostJobs = append(lostJobs, ev.Job)
+		}
+	}
+	if len(lostJobs) != 2 || lostJobs[0] != 2 || lostJobs[1] != 3 {
+		t.Errorf("message-lost events for jobs %v, want [2 3]", lostJobs)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation
 // engine: a virtual clock, an event queue with stable ordering, a
-// seeded random source, and a message bus with a configurable latency
-// and loss model.
+// seeded random source, and a message bus with a constant latency and
+// one fault-injection hook.
 //
 // The Condor kernel daemons of this repository are actors driven by
 // this engine, which makes every pool experiment reproducible: the
