@@ -129,15 +129,20 @@ journal-smoke:
 	$(GO) test -race -count=1 -run 'Schedd|GroupCommit|Replay|Recover' ./internal/daemon/
 
 ## fuzz-smoke: every Fuzz* target in the repo, FUZZTIME each (default
-## 5s).  The targets come from `go test -list`, so a new one is picked
-## up without touching this file; the corpus the fuzzer grows goes to
-## .fuzz-cache/ (ignored), and only a failing input lands under the
-## package's testdata/.  Not part of `check`: CI runs it nightly.
+## 5s); FUZZ=<regex> keeps only the targets it matches (e.g.
+## `make fuzz-smoke FUZZ=Negotiate FUZZTIME=60s`), and a regex that
+## matches none fails.  The targets come from `go test -list`, so a
+## new one is picked up without touching this file; the corpus the
+## fuzzer grows goes to .fuzz-cache/ (ignored), and only a failing
+## input lands under the package's testdata/.  Not part of `check`: CI
+## runs it nightly.
 FUZZTIME ?= 5s
+FUZZ ?= ^Fuzz
 fuzz-smoke:
-	@$(GO) test -list '^Fuzz' ./... | \
-	awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
-	while read pkg target; do \
+	@targets=$$($(GO) test -list '$(FUZZ)' ./... | \
+	awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }'); \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no Fuzz target matches FUZZ='$(FUZZ)'"; exit 1; }; \
+	echo "$$targets" | while read pkg target; do \
 		echo "== $$pkg $$target ($(FUZZTIME))"; \
 		$(GO) test $$pkg -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) \
 			-test.fuzzcachedir $(CURDIR)/.fuzz-cache || exit 1; \

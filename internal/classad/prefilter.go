@@ -1,10 +1,5 @@
 package classad
 
-import (
-	"strconv"
-	"strings"
-)
-
 // This file implements the matchmaker's static pre-filter: the
 // constant conjuncts of a Requirements expression, and the per-ad
 // snapshot of literal attributes they are tested against.  The
@@ -15,8 +10,8 @@ import (
 // Constraint is one constant conjunct of a Requirements expression
 // that mentions only a target attribute and a literal: `target.X`
 // alone, or `target.X OP literal` for a comparison operator.  The
-// matchmaker uses constraints to index machines and to skip full
-// evaluation of obviously incompatible pairs.
+// matchmaker uses constraints to skip full evaluation of obviously
+// incompatible pairs.
 type Constraint struct {
 	// Attr is the lower-cased target attribute name.
 	Attr string
@@ -43,42 +38,6 @@ func (c Constraint) String() string {
 		return c.Attr
 	}
 	return c.Attr + " " + c.Op() + " " + c.Val.String()
-}
-
-// IndexKey returns the canonical equality-bucket key for the
-// constraint, and whether the constraint is equality-indexable at
-// all.  Keys follow ClassAd equality: numbers compare across
-// int/real, strings compare case-insensitively.
-func (c Constraint) IndexKey() (string, bool) {
-	if c.IsTrue {
-		return ValueIndexKey(Bool(true))
-	}
-	if c.tok != tokEQ {
-		return "", false
-	}
-	return ValueIndexKey(c.Val)
-}
-
-// ValueIndexKey canonicalizes a constant value for equality
-// bucketing; two values receive the same key whenever the ClassAd ==
-// operator calls them equal.  Lists, nested ads, UNDEFINED, and ERROR
-// are not indexable.
-func ValueIndexKey(v Value) (string, bool) {
-	switch v.Type() {
-	case BooleanType:
-		b, _ := v.BoolValue()
-		if b {
-			return "b:true", true
-		}
-		return "b:false", true
-	case IntegerType, RealType:
-		f, _ := v.RealValue()
-		return "n:" + strconv.FormatFloat(f, 'g', -1, 64), true
-	case StringType:
-		s, _ := v.StringValue()
-		return "s:" + strings.ToLower(s), true
-	}
-	return "", false
 }
 
 // Admits reports whether the target snapshot could satisfy the
@@ -183,10 +142,9 @@ func flipCompare(op tokenKind) tokenKind {
 
 // --- per-ad attribute table ---
 
-// AttrTable is an ad's indexable snapshot: the literal attribute
+// AttrTable is an ad's pre-filter snapshot: the literal attribute
 // values plus the set of defined-but-dynamic attribute names, all
-// keyed by lower-cased name.  The matchmaker indexes machines by the
-// constant entries.
+// keyed by lower-cased name.
 type AttrTable struct {
 	Consts  map[string]Value
 	Dynamic map[string]bool

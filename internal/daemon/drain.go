@@ -55,7 +55,7 @@ func (s *Startd) Drain() error {
 	}
 	switch s.state {
 	case StartdClaimed, StartdRunning:
-		s.beginDrainVacate()
+		s.openGrace(s.completeDrainVacate)
 	default:
 		// Unclaimed (nothing resident) or owner-held (the owner's
 		// processes are not ours to vacate): drained immediately.
@@ -87,26 +87,6 @@ func (s *Startd) Resume() {
 	s.advertise()
 }
 
-// beginDrainVacate opens the drain's grace window over the resident
-// claim, with the same clean/dirty arithmetic as a preemption vacate:
-// shipping the final checkpoint costs StartupOverhead of machine
-// time, so a grace window at least that long hands off cleanly.
-func (s *Startd) beginDrainVacate() {
-	s.vacating = true
-	grace := s.params.vacateGrace()
-	if s.vacateGraceOverride > 0 {
-		grace = s.vacateGraceOverride
-	}
-	ship := s.params.StartupOverhead
-	clean := grace >= ship
-	delay := grace
-	if clean {
-		delay = ship
-	}
-	gen := s.claimGen
-	s.bus.After(delay, func() { s.completeDrainVacate(gen, clean) })
-}
-
 // completeDrainVacate ends the resident's attempt at the close of the
 // drain grace window.  The claimGen fence retires the timer if the
 // claim already ended some other way (natural completion, eviction,
@@ -122,20 +102,9 @@ func (s *Startd) completeDrainVacate(gen int, clean bool) {
 			Kind: obs.KindState, Job: int64(s.claimedJob), Code: "evicted",
 			Detail: fmt.Sprintf("drained (clean checkpoint: %v)", clean)})
 	}
-	if s.starterObj != nil {
-		// Synchronous, like Evict: the startd signals its own child.
-		s.starterObj.drainVacate(clean)
-		s.bus.Unregister(s.starter)
-		s.starter = ""
-		s.starterObj = nil
-	} else if s.claimedJob != 0 && s.claimedBy != "" {
-		// Claim granted but no starter yet: tell the submit side
-		// directly so the job requeues now, not at the lease expiry.
-		s.bus.Send(s.cfg.Name, s.claimedBy, kindClaimVacated, claimVacatedMsg{
-			Job:     s.claimedJob,
-			Machine: s.cfg.Name,
-		})
-	}
+	// No challenger takes the claim, so the attempt ends Evicted, not
+	// Preempted.
+	s.vacateResident(clean, false)
 	s.state = StartdUnclaimed
 	s.claimedBy = ""
 	s.claimedJob = 0

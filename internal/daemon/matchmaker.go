@@ -16,11 +16,12 @@ import (
 // matchmaker's word is advisory, exactly as in Condor.
 //
 // The negotiation cycle keeps every per-cycle structure
-// incremental: machines live in a name-sorted list and an
-// attribute-value index maintained on advertise/expire; jobs live in
-// per-owner buckets kept in submission order at insert time; jobs
-// with byte-identical ads share one auto-cluster, whose candidate
-// scan runs once per cycle no matter how many jobs ride it.  A
+// incremental: machines live in one name-sorted list maintained on
+// advertise/expire; jobs live in per-owner buckets kept in submission
+// order at insert time; jobs with byte-identical ads share one
+// auto-cluster, whose scan of the machine list runs once per cycle no
+// matter how many jobs ride it, and skips constant-incompatible
+// machines with the pre-filter before full evaluation.  A
 // steady-state cycle (nothing matchable) allocates nothing.
 type Matchmaker struct {
 	bus    Runtime
@@ -28,12 +29,11 @@ type Matchmaker struct {
 	name   string
 	tr     obs.Tracer
 
-	machines     map[string]*machineEntry
-	machineNames []string  // sorted; the deterministic scan order
-	index        attrIndex // constant-attribute value index
-	// absentMachines counts expired entries still occupying the map,
-	// the name list, and the index; when they reach half the map the
-	// structures are rebuilt in one pass (see machineEntry.absent).
+	machines    map[string]*machineEntry
+	machineList []*machineEntry // name-sorted; the deterministic scan order
+	// absentMachines counts expired entries still occupying the map
+	// and the list; when they reach half the map both are compacted in
+	// one pass (see machineEntry.absent).
 	absentMachines int
 
 	jobs map[jobKey]*jobEntry
@@ -69,7 +69,6 @@ type Matchmaker struct {
 	// Scratch storage reused across cycles.
 	ownerScratch []string
 	jobScratch   []*jobEntry
-	candScratch  []*machineEntry
 	nameScratch  []string
 
 	// Cycles counts negotiation cycles, for metrics.
@@ -82,9 +81,10 @@ type Matchmaker struct {
 	// schedd refreshes its idle jobs every AdInterval, so these are
 	// the requests of a dead schedd aging out of the pool.
 	JobAdsExpired int
-	// PrefilterSkips counts candidates rejected by the constant
-	// pre-filter without full Requirements evaluation, counted once
-	// per cluster scan (not once per job sharing the cluster).
+	// PrefilterSkips counts unmatched machines rejected by the
+	// constant pre-filter without full Requirements evaluation,
+	// counted once per cluster scan (not once per job sharing the
+	// cluster).
 	PrefilterSkips int
 	// ClusterScans counts auto-cluster candidate scans: the number of
 	// times a cycle actually ranked the pool.  Jobs minus scans is
@@ -101,7 +101,7 @@ type Matchmaker struct {
 type machineEntry struct {
 	name    string
 	ad      *classad.Ad
-	table   *classad.AttrTable // snapshot backing the index entries
+	table   *classad.AttrTable // constant snapshot the pre-filter reads
 	matched bool               // provisionally handed out this cycle
 	expires sim.Time           // ad lifetime; a silent machine vanishes
 	// claimed marks a machine advertising in the Claimed state —
@@ -112,13 +112,12 @@ type machineEntry struct {
 	claimed bool
 	curRank float64
 	// absent marks an expired machine.  The entry stays in the sorted
-	// name list and the attribute index — scans skip it — because a
-	// machine that goes quiet while running a job re-advertises on
-	// completion, and physically removing and re-inserting it in every
-	// 10k-entry sorted bucket is O(pool) memmove per transition.  When
-	// absents reach half the map, one O(pool) rebuild reclaims them
-	// all, so removal is O(1) amortized and occupancy stays within 2x
-	// of the live pool.
+	// list — scans skip it — because a machine that goes quiet while
+	// running a job re-advertises on completion, and physically
+	// removing and re-inserting it in a 10k-entry sorted list is
+	// O(pool) memmove per transition.  When absents reach half the map,
+	// one O(pool) compaction reclaims them all, so removal is O(1)
+	// amortized and occupancy stays within 2x of the live pool.
 	absent bool
 }
 
@@ -249,7 +248,6 @@ func NewMatchmaker(bus Runtime, params Params) *Matchmaker {
 		name:        name,
 		tr:          params.tracer(),
 		machines:    make(map[string]*machineEntry),
-		index:       newAttrIndex(),
 		jobs:        make(map[jobKey]*jobEntry),
 		schedds:     make(map[string]jobKey),
 		ownerQueues: make(map[string][]*jobEntry),
@@ -296,44 +294,42 @@ func (m *Matchmaker) receiveAd(ad advertiseMsg) {
 }
 
 // upsertMachine installs or refreshes a machine ad, keeping the
-// sorted name list and the attribute index current.  A re-advertise
-// clears the provisional matched flag: the machine is visible again.
+// sorted list current.  A re-advertise clears the provisional matched
+// flag: the machine is visible again.
 func (m *Matchmaker) upsertMachine(name string, ad *classad.Ad, expires sim.Time) {
 	if entry, ok := m.machines[name]; ok {
 		entry.expires = expires
 		entry.matched = false
 		if entry.absent {
 			// An expired machine came back before its slot was
-			// reclaimed: revive in place, no list or index motion.
+			// reclaimed: revive in place, no list motion.
 			entry.absent = false
 			m.absentMachines--
 		}
 		if entry.ad == ad {
 			// The startd re-sent the identical ad object (they cache
-			// theirs per state); nothing to re-index.
+			// theirs per state); nothing to re-read.
 			return
 		}
 		ad.Precompile()
-		m.index.remove(entry)
 		entry.ad = ad
 		entry.table = ad.Table()
 		entry.claimed, entry.curRank = machineClaimState(ad)
-		m.index.add(entry)
 		return
 	}
 	ad.Precompile()
-	table := ad.Table()
-	entry := &machineEntry{name: name, ad: ad, table: table, expires: expires}
+	entry := &machineEntry{name: name, ad: ad, table: ad.Table(), expires: expires}
 	entry.claimed, entry.curRank = machineClaimState(ad)
 	m.machines[name] = entry
-	pos, _ := slices.BinarySearch(m.machineNames, name)
-	m.machineNames = slices.Insert(m.machineNames, pos, name)
-	m.index.add(entry)
+	pos, _ := slices.BinarySearchFunc(m.machineList, name, func(e *machineEntry, name string) int {
+		return strings.Compare(e.name, name)
+	})
+	m.machineList = slices.Insert(m.machineList, pos, entry)
 }
 
 // removeMachine drops a machine: the entry is tombstoned where it
-// stands and the map, sorted list, and index are rebuilt in one pass
-// once tombstones reach half the map.  Scans skip absent entries, so
+// stands and the map and sorted list are compacted in one pass once
+// tombstones reach half the map.  Scans skip absent entries, so
 // the machine is invisible immediately; only the memory lingers.
 func (m *Matchmaker) removeMachine(name string) {
 	entry, ok := m.machines[name]
@@ -347,28 +343,19 @@ func (m *Matchmaker) removeMachine(name string) {
 	}
 }
 
-// compactMachines reclaims every absent entry: the name list is
-// filtered in place and the attribute index rebuilt from the surviving
-// entries.  Adding machines in name order appends at the tail of every
-// bucket, so the rebuild is linear in surviving index entries.
+// compactMachines reclaims every absent entry, filtering the sorted
+// list in place.
 func (m *Matchmaker) compactMachines() {
-	kept := m.machineNames[:0]
-	for _, name := range m.machineNames {
-		e := m.machines[name]
+	kept := m.machineList[:0]
+	for _, e := range m.machineList {
 		if e.absent {
-			delete(m.machines, name)
+			delete(m.machines, e.name)
 			continue
 		}
-		kept = append(kept, name)
+		kept = append(kept, e)
 	}
-	for i := len(kept); i < cap(kept) && i < len(m.machineNames); i++ {
-		m.machineNames[i] = ""
-	}
-	m.machineNames = kept
-	m.index = newAttrIndex()
-	for _, name := range kept {
-		m.index.add(m.machines[name])
-	}
+	clear(m.machineList[len(kept):]) // release the reclaimed entries
+	m.machineList = kept
 	m.absentMachines = 0
 }
 
@@ -592,9 +579,9 @@ func (m *Matchmaker) negotiate() {
 func (m *Matchmaker) expireMachines() {
 	now := m.bus.Now()
 	expired := m.nameScratch[:0]
-	for _, name := range m.machineNames {
-		if e := m.machines[name]; !e.absent && now > e.expires {
-			expired = append(expired, name)
+	for _, e := range m.machineList {
+		if !e.absent && now > e.expires {
+			expired = append(expired, e.name)
 		}
 	}
 	for _, name := range expired {
@@ -633,12 +620,11 @@ func (m *Matchmaker) expireJobs() {
 }
 
 // findBest returns the best unmatched machine for the job, or nil.
-// It resolves the job's auto-cluster — candidates narrowed through the
-// equality index, constant-incompatible pairs skipped via the
-// pre-filter, Requirements and Rank evaluated once per cluster — and
-// pops the best machine not yet handed out this cycle.  The full scan
-// it must agree with is the test oracle refFindBest
-// (matchmaker_ref_test.go).
+// It resolves the job's auto-cluster — one pass over the machine list,
+// constant-incompatible machines skipped via the pre-filter,
+// Requirements and Rank evaluated once per cluster — and pops the best
+// machine not yet handed out this cycle.  The full scan it must agree
+// with is the test oracle refFindBest (matchmaker_ref_test.go).
 func (m *Matchmaker) findBest(j *jobEntry) *machineEntry {
 	c := m.cluster(j)
 	for c.next < len(c.ranked) {
@@ -675,7 +661,7 @@ func (m *Matchmaker) cluster(j *jobEntry) *clusterEntry {
 	c.compatible = false
 	c.ranked = c.ranked[:0]
 	m.ClusterScans++
-	for _, entry := range m.candidates(j) {
+	for _, entry := range m.machineList {
 		if entry.absent {
 			continue
 		}
@@ -723,60 +709,13 @@ func (m *Matchmaker) cluster(j *jobEntry) *clusterEntry {
 
 // anyCompatible reports whether any advertised machine — including
 // ones provisionally matched this cycle — satisfies the job.  It
-// agrees with a full scan by the pre-filter soundness argument:
-// narrowing only ever discards machines full evaluation would reject.
+// agrees with a full scan by the pre-filter soundness argument: the
+// pre-filter only ever skips machines full evaluation would reject.
 func (m *Matchmaker) anyCompatible(j *jobEntry) bool {
 	// findBest already resolved the cluster this cycle (anyCompatible
 	// is only consulted after it returned nil), so this is a cached
 	// flag, not a scan.
 	return m.cluster(j).compatible
-}
-
-// candidates selects the machines worth considering for the job: the
-// smallest equality bucket named by the job's pre-filter, merged with
-// the machines whose binding for that attribute is dynamic, in name
-// order; or every machine when no constraint is indexable.  The
-// selection only ever narrows — soundness rests on the same argument
-// as Constraint.Admits: a machine outside the bucket has a constant
-// binding (or none) that full evaluation would reject.
-func (m *Matchmaker) candidates(j *jobEntry) []*machineEntry {
-	var bucket, dynamic []*machineEntry
-	found := false
-	for _, c := range j.pre {
-		key, ok := c.IndexKey()
-		if !ok {
-			continue
-		}
-		b, d := m.index.bucket(c.Attr, key)
-		if !found || len(b)+len(d) < len(bucket)+len(dynamic) {
-			bucket, dynamic = b, d
-			found = true
-		}
-	}
-	if !found {
-		out := m.candScratch[:0]
-		for _, name := range m.machineNames {
-			out = append(out, m.machines[name])
-		}
-		m.candScratch = out
-		return out
-	}
-	// Merge the two name-sorted lists, preserving the global order.
-	out := m.candScratch[:0]
-	i, k := 0, 0
-	for i < len(bucket) && k < len(dynamic) {
-		if bucket[i].name <= dynamic[k].name {
-			out = append(out, bucket[i])
-			i++
-		} else {
-			out = append(out, dynamic[k])
-			k++
-		}
-	}
-	out = append(out, bucket[i:]...)
-	out = append(out, dynamic[k:]...)
-	m.candScratch = out
-	return out
 }
 
 // AdvertiseMachine installs or refreshes a machine ad directly, for
@@ -805,121 +744,3 @@ func (m *Matchmaker) PendingJobs() int { return len(m.jobs) }
 // Negotiate runs one negotiation cycle immediately, for benchmarks
 // and tests that drive the matchmaker without the bus timer.
 func (m *Matchmaker) Negotiate() { m.negotiate() }
-
-// IndexedMachines reports how many (attribute, value) entries the
-// constant index currently holds, for tests.
-func (m *Matchmaker) IndexedMachines() int { return m.index.size() }
-
-// attrIndex buckets machines by the constant values of their
-// advertised attributes, so equality constraints in job Requirements
-// select a candidate bucket instead of scanning the pool.  Machines
-// whose binding for an attribute is dynamic (a non-literal
-// expression) are listed separately: the pre-filter never prejudges
-// them, so they join every bucket of that attribute at merge time.
-// All lists are name-sorted for deterministic iteration.
-type attrIndex struct {
-	byValue map[string]map[string][]*machineEntry // attr -> value key -> entries
-	dynamic map[string][]*machineEntry            // attr -> dynamic entries
-}
-
-func newAttrIndex() attrIndex {
-	return attrIndex{
-		byValue: make(map[string]map[string][]*machineEntry),
-		dynamic: make(map[string][]*machineEntry),
-	}
-}
-
-func compareEntryName(e *machineEntry, name string) int {
-	return strings.Compare(e.name, name)
-}
-
-func insertEntry(list []*machineEntry, e *machineEntry) []*machineEntry {
-	pos, _ := slices.BinarySearchFunc(list, e.name, compareEntryName)
-	return slices.Insert(list, pos, e)
-}
-
-func deleteEntry(list []*machineEntry, e *machineEntry) []*machineEntry {
-	if pos, found := slices.BinarySearchFunc(list, e.name, compareEntryName); found {
-		return slices.Delete(list, pos, pos+1)
-	}
-	return list
-}
-
-// add indexes the entry's snapshot table.
-func (x *attrIndex) add(e *machineEntry) {
-	if e.table == nil {
-		return
-	}
-	for attr, v := range e.table.Consts {
-		key, ok := classad.ValueIndexKey(v)
-		if !ok {
-			continue
-		}
-		vals := x.byValue[attr]
-		if vals == nil {
-			vals = make(map[string][]*machineEntry)
-			x.byValue[attr] = vals
-		}
-		vals[key] = insertEntry(vals[key], e)
-	}
-	for attr := range e.table.Dynamic {
-		x.dynamic[attr] = insertEntry(x.dynamic[attr], e)
-	}
-}
-
-// remove unindexes the entry using the same snapshot it was added
-// with.
-func (x *attrIndex) remove(e *machineEntry) {
-	if e.table == nil {
-		return
-	}
-	for attr, v := range e.table.Consts {
-		key, ok := classad.ValueIndexKey(v)
-		if !ok {
-			continue
-		}
-		vals := x.byValue[attr]
-		if vals == nil {
-			continue
-		}
-		if list := deleteEntry(vals[key], e); len(list) > 0 {
-			vals[key] = list
-		} else {
-			delete(vals, key)
-		}
-		if len(vals) == 0 {
-			delete(x.byValue, attr)
-		}
-	}
-	for attr := range e.table.Dynamic {
-		if list := deleteEntry(x.dynamic[attr], e); len(list) > 0 {
-			x.dynamic[attr] = list
-		} else {
-			delete(x.dynamic, attr)
-		}
-	}
-}
-
-// bucket returns the constant-value bucket and the dynamic list for
-// an attribute.
-func (x *attrIndex) bucket(attr, key string) (constant, dynamic []*machineEntry) {
-	if vals := x.byValue[attr]; vals != nil {
-		constant = vals[key]
-	}
-	return constant, x.dynamic[attr]
-}
-
-// size counts indexed (attribute, value, machine) entries plus
-// dynamic listings, for tests.
-func (x *attrIndex) size() int {
-	n := 0
-	for _, vals := range x.byValue {
-		for _, list := range vals {
-			n += len(list)
-		}
-	}
-	for _, list := range x.dynamic {
-		n += len(list)
-	}
-	return n
-}

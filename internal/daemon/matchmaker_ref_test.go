@@ -100,8 +100,7 @@ func (m *Matchmaker) refNegotiate() {
 func (m *Matchmaker) refFindBest(j *jobEntry) *machineEntry {
 	var best *machineEntry
 	bestRank := 0.0
-	for _, name := range m.machineNames {
-		entry := m.machines[name]
+	for _, entry := range m.machineList {
 		if entry.absent || entry.matched || !classad.Match(j.ad, entry.ad) {
 			continue
 		}
@@ -120,8 +119,8 @@ func (m *Matchmaker) refFindBest(j *jobEntry) *machineEntry {
 // refAnyCompatible reports whether any advertised machine — including
 // ones provisionally matched this cycle — satisfies the job.
 func (m *Matchmaker) refAnyCompatible(j *jobEntry) bool {
-	for _, name := range m.machineNames {
-		if e := m.machines[name]; !e.absent && classad.Match(j.ad, e.ad) &&
+	for _, e := range m.machineList {
+		if !e.absent && classad.Match(j.ad, e.ad) &&
 			m.preemptable(e, classad.Rank(j.ad, e.ad)) {
 			return true
 		}

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -30,59 +31,89 @@ func directMatchmaker(seed int64, params Params) (*sim.Engine, *Matchmaker) {
 	return eng, m
 }
 
-// TestMachineAdExpiryLeavesIndex checks that a silent machine vanishes
-// from the machine map AND from the incremental attribute index, and
-// that the expiry is counted.
-func TestMachineAdExpiryLeavesIndex(t *testing.T) {
+// machineListNames renders the matchmaker's machine list, tombstones
+// marked with a trailing "~".
+func machineListNames(m *Matchmaker) string {
+	var names []string
+	for _, e := range m.machineList {
+		if e.absent {
+			names = append(names, e.name+"~")
+		} else {
+			names = append(names, e.name)
+		}
+	}
+	return strings.Join(names, " ")
+}
+
+// TestMachineAdExpiry checks that a silent machine vanishes from
+// matchmaking and is counted, that its entry stays in the machine list
+// as a tombstone until half the machines have expired and the list
+// compacts, and that a re-advertise before compaction revives the same
+// entry in place.
+func TestMachineAdExpiry(t *testing.T) {
 	params := DefaultParams()
 	params.MachineAdLifetime = 2 * time.Minute
 	eng, m := directMatchmaker(1, params)
+	advertise := func(names ...string) {
+		for _, n := range names {
+			m.AdvertiseMachine(n, testMachineAd(n, 1024, true))
+		}
+	}
+	check := func(step, list string, count, expired int) {
+		t.Helper()
+		if got := machineListNames(m); got != list {
+			t.Errorf("%s: machine list %q want %q", step, got, list)
+		}
+		if m.MachineCount() != count {
+			t.Errorf("%s: MachineCount=%d want %d", step, m.MachineCount(), count)
+		}
+		if m.AdsExpired != expired {
+			t.Errorf("%s: AdsExpired=%d want %d", step, m.AdsExpired, expired)
+		}
+		if len(m.machines) != len(m.machineList) {
+			t.Errorf("%s: map holds %d entries, list %d", step, len(m.machines), len(m.machineList))
+		}
+	}
 
-	for i := 0; i < 4; i++ {
-		m.AdvertiseMachine(fmt.Sprintf("m%d", i), testMachineAd(fmt.Sprintf("m%d", i), 1024, true))
-	}
-	if m.MachineCount() != 4 {
-		t.Fatalf("MachineCount=%d want 4", m.MachineCount())
-	}
-	idx := m.IndexedMachines()
-	if idx == 0 {
-		t.Fatal("constant attributes should be indexed")
-	}
+	advertise("m3", "m1", "m0", "m2") // inserted in name order
+	check("advertised", "m0 m1 m2 m3", 4, 0)
 
-	// One machine refreshes later; the other three go silent.
+	// m3 goes silent: one tombstone of four stays in the list.
 	eng.RunFor(time.Minute)
-	m.AdvertiseMachine("m0", testMachineAd("m0", 1024, true))
-	eng.RunFor(90 * time.Second) // past the original ads' lifetime
+	advertise("m0", "m1", "m2")
+	eng.RunFor(90 * time.Second) // past m3's lifetime
 	m.Negotiate()
+	check("m3 expired", "m0 m1 m2 m3~", 3, 1)
 
-	if m.MachineCount() != 1 {
-		t.Errorf("MachineCount=%d want 1 after expiry", m.MachineCount())
+	// m3 comes back before compaction: the tombstone is revived.
+	e3 := m.machines["m3"]
+	advertise("m3")
+	if m.machines["m3"] != e3 {
+		t.Error("re-advertise replaced the tombstoned entry instead of reviving it")
 	}
-	if m.AdsExpired != 3 {
-		t.Errorf("AdsExpired=%d want 3", m.AdsExpired)
-	}
-	if got := m.IndexedMachines(); got != idx/4 {
-		t.Errorf("IndexedMachines=%d want %d: expired entries left in the index", got, idx/4)
-	}
+	check("m3 revived", "m0 m1 m2 m3", 4, 1)
+
+	// m2 and m3 go silent: the second tombstone is half the map, and
+	// the list compacts.
+	eng.RunFor(time.Minute)
+	advertise("m0", "m1")
+	eng.RunFor(90 * time.Second)
+	m.Negotiate()
+	check("compacted", "m0 m1", 2, 3)
+	advertise("m2")
+	check("m2 re-inserted", "m0 m1 m2", 3, 3)
 
 	eng.RunFor(2 * time.Hour)
 	m.Negotiate()
-	if m.MachineCount() != 0 || m.IndexedMachines() != 0 {
-		t.Errorf("after full expiry: machines=%d indexed=%d want 0/0",
-			m.MachineCount(), m.IndexedMachines())
-	}
-	if m.AdsExpired != 4 {
-		t.Errorf("AdsExpired=%d want 4", m.AdsExpired)
-	}
+	check("all expired", "", 0, 6)
 }
 
-// TestReadvertiseUpdatesIndex checks that a machine whose ad changes
-// is re-indexed under its new constants: a job needing Java stops
+// TestReadvertiseUpdatesTable checks that a machine whose ad changes
+// is pre-filtered on its new constants: a job needing Java stops
 // matching a machine that re-advertises without it.
-func TestReadvertiseUpdatesIndex(t *testing.T) {
+func TestReadvertiseUpdatesTable(t *testing.T) {
 	_, m := directMatchmaker(1, DefaultParams())
 	m.AdvertiseMachine("m0", testMachineAd("m0", 1024, true))
-	idx := m.IndexedMachines()
 
 	m.AdvertiseJob("schedd", 1, NewJavaJobAd("alice", 128))
 	m.Negotiate()
@@ -90,16 +121,23 @@ func TestReadvertiseUpdatesIndex(t *testing.T) {
 		t.Fatalf("MatchesMade=%d want 1", m.MatchesMade)
 	}
 
-	// The machine re-advertises with Java gone; same index footprint,
-	// different bucket.
+	// The machine re-advertises with Java gone: same list entry, new
+	// constant snapshot.
+	e := m.machines["m0"]
 	m.AdvertiseMachine("m0", testMachineAd("m0", 1024, false))
-	if got := m.IndexedMachines(); got != idx {
-		t.Errorf("IndexedMachines=%d want %d after re-advertise", got, idx)
+	if m.machines["m0"] != e || machineListNames(m) != "m0" {
+		t.Errorf("re-advertise moved the entry: list %q", machineListNames(m))
+	}
+	if v, _ := e.table.Consts["hasjava"].BoolValue(); v {
+		t.Error("constant snapshot still advertises HasJava")
 	}
 	m.AdvertiseJob("schedd", 2, NewJavaJobAd("alice", 128))
 	m.Negotiate()
 	if m.MatchesMade != 1 {
 		t.Errorf("MatchesMade=%d want 1: job matched a machine that lost Java", m.MatchesMade)
+	}
+	if m.PrefilterSkips != 1 {
+		t.Errorf("PrefilterSkips=%d want 1: the pre-filter should reject the machine", m.PrefilterSkips)
 	}
 	if m.PendingJobs() != 1 {
 		t.Errorf("PendingJobs=%d want 1", m.PendingJobs())

@@ -428,7 +428,8 @@ func (s *Schedd) effectiveAd(j *Job) *classad.Ad {
 		// Nothing to strengthen.  The precompiled ad is immutable
 		// from here on — evaluation only reads it — so
 		// it is shared instead of copied per advertisement, and the
-		// matchmaker recognizes the pointer and skips re-indexing.
+		// matchmaker recognizes the pointer and keeps its pre-filter
+		// and cluster signature.
 		return j.Ad
 	}
 	ad := j.Ad.Copy()

@@ -76,8 +76,7 @@ type Startd struct {
 	claimedBy  string
 	claimedJob JobID
 	starterSeq int
-	starter    string
-	starterObj *Starter
+	starter    *Starter // the running job's starter, nil when none
 	crashed    bool
 
 	// claimGen invalidates lease timers from earlier claims; each
@@ -108,7 +107,7 @@ type Startd struct {
 
 	// adCache holds the machine ad per (claimed, hasJava) shape —
 	// the only dynamic inputs of buildAd.  Re-advertising the same
-	// immutable ad object lets the matchmaker skip re-indexing and
+	// immutable ad object lets the matchmaker skip re-reading it and
 	// keeps the ad's attribute table and rendering warm.
 	adCache [4]*classad.Ad
 
@@ -222,24 +221,9 @@ func (s *Startd) Evict() {
 		s.pendingClaim = nil
 	}
 	s.vacating = false
-	if s.state == StartdRunning && s.starterObj != nil {
-		// Synchronous: the startd signals its own child process.
-		s.starterObj.evict()
-		s.bus.Unregister(s.starter)
-		s.starter = ""
-		s.starterObj = nil
-	} else if s.state == StartdClaimed && s.claimedJob != 0 && s.claimedBy != "" {
-		// The claim was granted but no starter runs yet — there is no
-		// child to report through, so tell the submit side directly.
-		// Without this notice the shadow would sit on its activation
-		// timeout while the claim's lease ran out, and the job would
-		// requeue hours late for an eviction the machine knew about
-		// instantly.
-		s.bus.Send(s.cfg.Name, s.claimedBy, kindClaimVacated, claimVacatedMsg{
-			Job:     s.claimedJob,
-			Machine: s.cfg.Name,
-		})
-	}
+	// The owner does not wait: a Standard Universe job checkpoints on
+	// its way out.
+	s.vacateResident(true, false)
 	s.Evictions++
 	s.tr.Count("startd.evictions", 1)
 	if s.tr.Enabled() {
@@ -283,9 +267,11 @@ func (s *Startd) Crash() {
 			Kind: obs.KindState, Job: int64(s.claimedJob), Code: "crashed"})
 	}
 	s.bus.Unregister(s.cfg.Name)
-	if s.starter != "" {
-		s.bus.Unregister(s.starter)
-		s.starter = ""
+	// The starter dies with its machine: finished, it ships no further
+	// checkpoint and no result, even once the machine restarts.
+	if s.starter != nil {
+		s.starter.finish()
+		s.dropStarter()
 	}
 }
 
@@ -450,8 +436,8 @@ func (s *Startd) checkLease(gen int) {
 			Kind: obs.KindState, Job: int64(s.claimedJob), Code: "lease-expired",
 			Detail: "no renewal within the lease period; releasing the claim"})
 	}
-	if s.starterObj != nil {
-		s.starterObj.shadowVanished()
+	if s.starter != nil {
+		s.starter.shadowVanished()
 	}
 	s.teardown()
 }
@@ -488,7 +474,7 @@ func (s *Startd) handleClaim(req claimRequestMsg) {
 					Detail: fmt.Sprintf("job %d from %s outranks the incumbent; vacating",
 						req.Job, req.Schedd)})
 			}
-			s.beginVacate()
+			s.openGrace(s.completeVacate)
 			return
 		}
 		deny("machine already claimed")
@@ -510,13 +496,14 @@ func (s *Startd) handleClaim(req claimRequestMsg) {
 		claimReplyMsg{Job: req.Job, Granted: true})
 }
 
-// beginVacate opens the incumbent's grace window.  Shipping the final
-// checkpoint costs StartupOverhead of machine time (state transfer is
-// the same data motion as job start); a grace window at least that
-// long ends with a clean checkpointed handoff at the moment the
-// checkpoint is away, while a shorter one expires first and the
-// incumbent forfeits everything since its last periodic checkpoint.
-func (s *Startd) beginVacate() {
+// openGrace opens a vacate grace window over the resident claim
+// (preemption or drain) and calls done when it closes.  Shipping the
+// final checkpoint costs StartupOverhead of machine time (state
+// transfer is the same data motion as job start); a grace window at
+// least that long ends with a clean checkpointed handoff at the moment
+// the checkpoint is away, while a shorter one expires first and the
+// resident forfeits everything since its last periodic checkpoint.
+func (s *Startd) openGrace(done func(gen int, clean bool)) {
 	s.vacating = true
 	grace := s.params.vacateGrace()
 	if s.vacateGraceOverride > 0 {
@@ -529,7 +516,35 @@ func (s *Startd) beginVacate() {
 		delay = ship
 	}
 	gen := s.claimGen
-	s.bus.After(delay, func() { s.completeVacate(gen, clean) })
+	s.bus.After(delay, func() { done(gen, clean) })
+}
+
+// vacateResident ends the resident claim's attempt.  A running starter
+// is stopped synchronously — the startd signals its own child, no
+// network is involved.  A claim granted before any starter runs has
+// no child to report through, so the submit side is told directly:
+// without that notice the shadow would sit on its activation timeout
+// while the claim's lease ran out, and the job would requeue hours
+// late for a vacate the machine knew about instantly.
+func (s *Startd) vacateResident(clean, preempted bool) {
+	if s.starter != nil {
+		s.starter.stop(clean, preempted)
+		s.dropStarter()
+	} else if s.claimedJob != 0 && s.claimedBy != "" {
+		s.bus.Send(s.cfg.Name, s.claimedBy, kindClaimVacated, claimVacatedMsg{
+			Job:       s.claimedJob,
+			Machine:   s.cfg.Name,
+			Preempted: preempted,
+		})
+	}
+}
+
+// dropStarter takes the starter, if any, off the bus and forgets it.
+func (s *Startd) dropStarter() {
+	if s.starter != nil {
+		s.bus.Unregister(s.starter.name)
+		s.starter = nil
+	}
 }
 
 // completeVacate ends the incumbent's attempt at the close of the
@@ -549,20 +564,7 @@ func (s *Startd) completeVacate(gen int, clean bool) {
 			Detail: fmt.Sprintf("claim transferred to job %d (clean checkpoint: %v)",
 				s.pendingClaim.Job, clean)})
 	}
-	if s.starterObj != nil {
-		// Synchronous, like Evict: the startd signals its own child.
-		s.starterObj.vacate(clean)
-		s.bus.Unregister(s.starter)
-		s.starter = ""
-		s.starterObj = nil
-	} else if s.claimedJob != 0 && s.claimedBy != "" {
-		// No starter yet: tell the submit side directly.
-		s.bus.Send(s.cfg.Name, s.claimedBy, kindClaimVacated, claimVacatedMsg{
-			Job:       s.claimedJob,
-			Machine:   s.cfg.Name,
-			Preempted: true,
-		})
-	}
+	s.vacateResident(clean, true)
 	s.transferClaim()
 }
 
@@ -599,9 +601,8 @@ func (s *Startd) handleActivate(act activateMsg) {
 	s.state = StartdRunning
 	s.starterSeq++
 	name := fmt.Sprintf("starter:%s:%d", s.cfg.Name, s.starterSeq)
-	s.starter = name
 	st := newStarter(s.bus, s.params, name, s, act.Job, act.Shadow)
-	s.starterObj = st
+	s.starter = st
 	s.bus.Register(name, st)
 	st.begin()
 }
@@ -633,11 +634,7 @@ func (s *Startd) handleStarterDone(done starterDoneMsg) {
 }
 
 func (s *Startd) teardown() {
-	if s.starter != "" {
-		s.bus.Unregister(s.starter)
-		s.starter = ""
-	}
-	s.starterObj = nil
+	s.dropStarter()
 	s.state = StartdUnclaimed
 	s.claimedBy = ""
 	s.claimedJob = 0

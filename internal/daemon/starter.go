@@ -126,7 +126,7 @@ func (st *Starter) execute(det jobDetailsMsg) {
 	// the pool boundary and the shadow validates its CRC.
 	if st.universe == "standard" && st.params.CheckpointInterval > 0 {
 		st.stopTicker = st.bus.Every(st.params.CheckpointInterval, func() {
-			if st.done || st.startd.crashed {
+			if st.done {
 				return
 			}
 			cpu := st.resume + st.progressed()
@@ -142,9 +142,10 @@ func (st *Starter) execute(det jobDetailsMsg) {
 		elapsed += time.Duration(k) * st.params.CheckpointOverhead
 	}
 	st.bus.After(elapsed, func() {
-		if st.done || st.startd.crashed {
-			// A crashed machine reports nothing; the shadow's
-			// result timeout discovers the silence.
+		if st.done {
+			// Stopped, or its machine crashed: a crashed machine
+			// reports nothing, and the shadow's result timeout
+			// discovers the silence.
 			return
 		}
 		st.finish()
@@ -202,32 +203,15 @@ func (st *Starter) progressed() time.Duration {
 	return elapsed
 }
 
-// evict is called synchronously by the startd when the machine owner
-// returns — parent and child share the machine, no network is
-// involved.  A Standard Universe job takes a final checkpoint on its
-// way out; the shadow is informed so the schedd can requeue.
-func (st *Starter) evict() {
-	if st.done {
-		return
-	}
-	var checkpoint time.Duration
-	if st.universe == "standard" {
-		checkpoint = st.resume + st.progressed()
-	}
-	st.finish()
-	st.bus.Send(st.name, st.shadow, kindJobEvicted, jobEvictedMsg{
-		Job:           st.job,
-		CheckpointCPU: checkpoint,
-	})
-}
-
-// vacate is called synchronously by the startd when a higher-Rank
-// claim preempts this one.  With a clean handoff — the grace window
-// was long enough to ship a final checkpoint — a Standard Universe
-// job leaves with its progress; an expired window forfeits everything
-// back to the last periodic checkpoint (the shadow keeps the max it
-// has committed).
-func (st *Starter) vacate(clean bool) {
+// stop is called synchronously by the startd to end the attempt: the
+// owner returned (evict), a higher-Rank claim preempts this one, or an
+// admin drain's grace window closed.  A clean stop — an eviction, or a
+// grace window long enough to ship a final checkpoint — lets a
+// Standard Universe job leave with its progress; an expired window
+// forfeits everything back to the last periodic checkpoint (the
+// shadow keeps the max it has committed).  The shadow is told, so the
+// schedd can requeue; preempted marks a claim taken by a challenger.
+func (st *Starter) stop(clean, preempted bool) {
 	if st.done {
 		return
 	}
@@ -239,27 +223,7 @@ func (st *Starter) vacate(clean bool) {
 	st.bus.Send(st.name, st.shadow, kindJobEvicted, jobEvictedMsg{
 		Job:           st.job,
 		CheckpointCPU: checkpoint,
-		Preempted:     true,
-	})
-}
-
-// drainVacate is called synchronously by the startd when an admin
-// drain's grace window closes.  Like a preemption vacate, a clean
-// handoff ships a final checkpoint and an expired window forfeits
-// progress back to the last periodic checkpoint — but no challenger
-// took the claim, so the attempt ends Evicted, not Preempted.
-func (st *Starter) drainVacate(clean bool) {
-	if st.done {
-		return
-	}
-	var checkpoint time.Duration
-	if clean && st.universe == "standard" {
-		checkpoint = st.resume + st.progressed()
-	}
-	st.finish()
-	st.bus.Send(st.name, st.shadow, kindJobEvicted, jobEvictedMsg{
-		Job:           st.job,
-		CheckpointCPU: checkpoint,
+		Preempted:     preempted,
 	})
 }
 

@@ -97,9 +97,10 @@ func runCheckpointCell(seed int64, meanUp, interval time.Duration, workers int) 
 	if meanUp > 0 {
 		// Crash-mode churn: departures are silent, so only the last
 		// periodic checkpoint survives — the polite vacate path would
-		// ship a final checkpoint and hide the interval entirely.
-		// Downtime exceeds the result timeout so a loss is always
-		// discovered rather than absorbed as a pause.
+		// ship a final checkpoint and hide the interval entirely.  The
+		// attempt's starter dies with the machine, so the shadow's
+		// result timeout discovers every loss; the downtime exceeds
+		// that timeout, so the machine is still down when it fires.
 		cfg.Churn = &pool.ChurnConfig{
 			Horizon:  36 * time.Hour,
 			MeanUp:   meanUp,

@@ -24,43 +24,60 @@ func twoMachines() []daemon.MachineConfig {
 // mid-job behaves exactly like startd.Crash called by hand — the
 // shadow's result timeout discovers the silence and the job finishes
 // on the fallback machine; the restart returns the machine to
-// service.
+// service.  The job's starter dies with the crash: a machine restarted
+// within the job's run time (for=5m, as the monitor's restart verb
+// does in one instant) must not complete the job on CPU the crash
+// lost.
 func TestInjectMachineCrash(t *testing.T) {
-	params := daemon.DefaultParams()
-	params.ResultTimeout = 30 * time.Minute
-	params.ChronicFailureThreshold = 1
-	p := pool.New(pool.Config{Seed: 1, Params: params, Machines: twoMachines()})
-	in := New(PoolTargets(p))
+	for _, tc := range []struct {
+		name    string
+		down    string
+		restart string // the restart's injector log line
+	}{
+		{"for=2h", "2h0m0s", "2h5m0s restart machine:big"},
+		{"for=5m", "5m0s", "10m0s restart machine:big"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := daemon.DefaultParams()
+			params.ResultTimeout = 30 * time.Minute
+			params.ChronicFailureThreshold = 1
+			p := pool.New(pool.Config{Seed: 1, Params: params, Machines: twoMachines()})
+			in := New(PoolTargets(p))
 
-	sc, err := Parse("seed = 1\nfault class=crash site=machine:big at=5m0s for=2h0m0s\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Apply(sc); err != nil {
-		t.Fatal(err)
-	}
-	ids := p.SubmitJava(1, func(int) *jvm.Program { return jvm.WellBehaved(20 * time.Minute) })
-	p.Run(24 * time.Hour)
+			sc, err := Parse("seed = 1\nfault class=crash site=machine:big at=5m0s for=" + tc.down + "\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := in.Apply(sc); err != nil {
+				t.Fatal(err)
+			}
+			ids := p.SubmitJava(1, func(int) *jvm.Program { return jvm.WellBehaved(20 * time.Minute) })
+			p.Run(24 * time.Hour)
 
-	j := p.Schedd.Job(ids[0])
-	if j.State != daemon.JobCompleted {
-		t.Fatalf("state = %v, err = %v", j.State, j.FinalErr)
-	}
-	if len(j.Attempts) < 2 || j.Attempts[0].Machine != "big" || j.Attempts[0].LostContact == nil {
-		t.Fatalf("attempts = %+v", j.Attempts)
-	}
-	if j.LastAttempt().Machine != "small" {
-		t.Errorf("finished on %s", j.LastAttempt().Machine)
-	}
-	// The job finishes before the restart fires; run the clock past
-	// it and the machine must return to service.
-	p.Engine.RunFor(3 * time.Hour)
-	if p.Startds[0].Crashed() {
-		t.Error("machine still down after the restart event")
-	}
-	log := strings.Join(in.Log(), "\n")
-	if !strings.Contains(log, "5m0s crash machine:big") || !strings.Contains(log, "2h5m0s restart machine:big") {
-		t.Errorf("injector log:\n%s", log)
+			j := p.Schedd.Job(ids[0])
+			if j.State != daemon.JobCompleted {
+				t.Fatalf("state = %v, err = %v", j.State, j.FinalErr)
+			}
+			if len(j.Attempts) < 2 || j.Attempts[0].Machine != "big" || j.Attempts[0].LostContact == nil {
+				t.Fatalf("attempts = %+v", j.Attempts)
+			}
+			if se, ok := j.Attempts[0].LostContact.(*scope.Error); !ok || se.Code != "StarterVanished" {
+				t.Errorf("lost contact = %v, want StarterVanished", j.Attempts[0].LostContact)
+			}
+			if j.LastAttempt().Machine != "small" {
+				t.Errorf("finished on %s", j.LastAttempt().Machine)
+			}
+			// Run the clock past the restart (the 2h job finishes
+			// before it fires): the machine must be back in service.
+			p.Engine.RunFor(3 * time.Hour)
+			if p.Startds[0].Crashed() {
+				t.Error("machine still down after the restart event")
+			}
+			log := strings.Join(in.Log(), "\n")
+			if !strings.Contains(log, "5m0s crash machine:big") || !strings.Contains(log, tc.restart) {
+				t.Errorf("injector log:\n%s", log)
+			}
+		})
 	}
 }
 
