@@ -79,11 +79,13 @@ race:
 ## COVER_PKGS is a regression-suite foundation (the tracing layer, the
 ## write-ahead journal, the wire codec, the live transport and the two
 ## file protocols and file system on it, the ClassAd evaluator every
-## match decision runs through, and the one pool assembly every
-## sweep, shape and benchmark pass builds on) and must stay at or above
-## the COVER_FLOOR.
+## match decision runs through, the daemons that make those decisions
+## and carry each job, and the one pool assembly every sweep, shape
+## and benchmark pass builds on) and must stay at or above the
+## COVER_FLOOR.
 COVER_PKGS = \
 	github.com/errscope/grid/internal/classad \
+	github.com/errscope/grid/internal/daemon \
 	github.com/errscope/grid/internal/obs \
 	github.com/errscope/grid/internal/journal \
 	github.com/errscope/grid/internal/wire \

@@ -12,10 +12,9 @@ import (
 // not usable; call NewAd.
 //
 // An Ad is not safe for concurrent mutation; daemons own their ads
-// and exchange copies.  Evaluation only reads an ad.  The constant-
-// attribute table, the Requirements pre-filter and the rendering are
-// cached lazily on first use and invalidated by any Set or Delete;
-// call Precompile to build them eagerly, which makes the ad safe for
+// and exchange copies.  Evaluation only reads an ad.  The rendering
+// is cached lazily on first use and invalidated by any Set or Delete;
+// call Precompile to build it eagerly, which makes the ad safe for
 // concurrent read-only use.
 type Ad struct {
 	names []string // insertion order, original spelling
@@ -28,13 +27,9 @@ type Ad struct {
 	// map's hashing and its construction cost.
 	index map[string]int
 
-	// version counts mutations; the memo caches below carry the
-	// version they were built at and are ignored once stale.
+	// version counts mutations; the memoized rendering carries the
+	// version it was built at and is ignored once stale.
 	version uint64
-	tblVer  uint64
-	tbl     *AttrTable
-	preVer  uint64
-	pre     []Constraint // constant conjuncts of Requirements
 	strVer  uint64
 	str     string // memoized String rendering
 }
@@ -181,8 +176,8 @@ func (a *Ad) Delete(name string) {
 }
 
 // Copy returns a deep copy of the ad structure.  Expressions are
-// immutable and therefore shared, and so are the attribute table, the
-// pre-filter and the rendering, which derive from expressions only.
+// immutable and therefore shared, and so is the rendering, which
+// derives from expressions only.
 func (a *Ad) Copy() *Ad {
 	cp := &Ad{
 		names: make([]string, len(a.names)),
@@ -190,10 +185,6 @@ func (a *Ad) Copy() *Ad {
 		exprs: make([]Expr, len(a.exprs)),
 
 		version: a.version,
-		tblVer:  a.tblVer,
-		tbl:     a.tbl,
-		preVer:  a.preVer,
-		pre:     a.pre,
 		strVer:  a.strVer,
 		str:     a.str,
 	}
@@ -239,13 +230,10 @@ func (a *Ad) EvalString(src string, target *Ad) (Value, error) {
 	return e.eval(env{self: a, target: target}), nil
 }
 
-// Precompile eagerly builds the ad's memoized caches: the
-// constant-attribute table, the Requirements pre-filter and the
-// rendering.  After Precompile every read of the ad is read-only and
-// safe for concurrent use until the next mutation.
+// Precompile eagerly builds the ad's memoized rendering.  After
+// Precompile every read of the ad is read-only and safe for
+// concurrent use until the next mutation.
 func (a *Ad) Precompile() {
-	a.Table()
-	RequirementsPrefilter(a)
 	_ = a.String()
 }
 

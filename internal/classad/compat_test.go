@@ -2,16 +2,16 @@ package classad
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
 
 // compatJobs and compatMachines span the expression shapes the
-// closure compiler handled specially and the pre-filter extracts:
-// constant conjuncts, my/target scopes, UNDEFINED and ERROR
-// propagation, dynamic attributes, numeric cross-type and
-// case-insensitive string comparison, and missing Requirements on
-// either side.
+// closure compiler handled specially: constant conjuncts, my/target
+// scopes, UNDEFINED and ERROR propagation, dynamic attributes, numeric
+// cross-type and case-insensitive string comparison, and missing
+// Requirements on either side.
 var compatJobs = []string{
 	`[ ImageSize = 128; Owner = "alice";
 	   Requirements = target.HasJava && target.Memory >= my.ImageSize;
@@ -64,116 +64,31 @@ func TestWalkMatchesCompilerOracle(t *testing.T) {
 	}
 }
 
-// TestPrefilterSoundness verifies the one-sided contract of the
-// constant pre-filter: it may only reject pairs that full evaluation
-// would also reject.  Over the whole compatibility grid, a pair the
-// filter drops must never be a pair Match accepts.
-func TestPrefilterSoundness(t *testing.T) {
-	for ji, jsrc := range compatJobs {
-		job := jobAd(t, jsrc)
-		pre := RequirementsPrefilter(job)
-		for mi, msrc := range compatMachines {
-			machine := jobAd(t, msrc)
-			if !AdmitsAll(pre, machine.Table()) && Match(job, machine) {
-				t.Errorf("job %d vs machine %d: pre-filter rejected a matching pair", ji, mi)
-			}
-		}
-	}
-}
-
-// TestPrefilterExtractsConstantConjuncts checks that the constant
-// conjuncts come out of a conjunctive Requirements and that
-// disjunctions contribute nothing (they cannot be prejudged).
-func TestPrefilterExtractsConstantConjuncts(t *testing.T) {
-	job := jobAd(t, `[ Requirements = target.HasJava && target.Memory >= 64
-		&& target.OpSys == "LINUX" && target.Arch != "SPARC" ]`)
-	pre := RequirementsPrefilter(job)
-	want := []string{"hasjava", "memory >= 64", `opsys == "LINUX"`, `arch != "SPARC"`}
-	if len(pre) != len(want) {
-		t.Fatalf("want %d constant conjuncts, got %d: %v", len(want), len(pre), pre)
-	}
-	for i, c := range pre {
-		if c.String() != want[i] {
-			t.Errorf("conjunct %d = %s, want %s", i, c, want[i])
-		}
-	}
-
-	or := jobAd(t, `[ Requirements = target.HasJava || target.Memory >= 64 ]`)
-	if pre := RequirementsPrefilter(or); len(pre) != 0 {
-		t.Errorf("disjunction must not produce constraints, got %v", pre)
-	}
-}
-
-// TestConstraintAdmits pins the filter's three bindings: a constant
-// that satisfies the constraint admits, a constant that cannot satisfy
-// it rejects, a dynamic binding always admits, and a missing attribute
-// rejects (the conjunct would evaluate UNDEFINED, never true).
-func TestConstraintAdmits(t *testing.T) {
-	job := jobAd(t, `[ Requirements = target.Memory >= 64 ]`)
-	pre := RequirementsPrefilter(job)
-	if len(pre) != 1 {
-		t.Fatalf("want one constraint, got %v", pre)
-	}
-
-	small := jobAd(t, `[ Memory = 32 ]`)
-	big := jobAd(t, `[ Memory = 128 ]`)
-	real := jobAd(t, `[ Memory = 64.0 ]`)
-	dynamic := jobAd(t, `[ Memory = Base * 2; Base = 16 ]`)
-	missing := jobAd(t, `[ Arch = "X86_64" ]`)
-
-	for _, tc := range []struct {
-		name string
-		ad   *Ad
-		want bool
-	}{
-		{"constant below", small, false},
-		{"constant above", big, true},
-		{"real boundary", real, true},
-		{"dynamic binding", dynamic, true},
-		{"missing attribute", missing, false},
-	} {
-		if got := AdmitsAll(pre, tc.ad.Table()); got != tc.want {
-			t.Errorf("%s: AdmitsAll=%v want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestMemoInvalidation verifies that Match and the pre-filter and
-// attribute-table caches follow the ad's mutations: Set and Delete
-// must be visible to the next Match, pre-filter and Table.
+// TestMemoInvalidation verifies that Match and the memoized rendering
+// follow the ad's mutations: Set and Delete must be visible to the
+// next Match and String.
 func TestMemoInvalidation(t *testing.T) {
 	job := jobAd(t, `[ Requirements = target.Memory >= 64 ]`)
 	machine := jobAd(t, `[ Memory = 128 ]`)
 	if !Match(job, machine) {
 		t.Fatal("baseline should match")
 	}
-	if pre := RequirementsPrefilter(job); len(pre) != 1 || !AdmitsAll(pre, machine.Table()) {
-		t.Fatalf("baseline pre-filter = %v, want one admitting constraint", pre)
+	if !strings.Contains(job.String(), "64") {
+		t.Fatalf("baseline rendering %s lacks the Requirements", job)
 	}
 	job.MustSetExpr("Requirements", "target.Memory >= 1024")
 	if Match(job, machine) {
 		t.Error("tightened Requirements still matching")
 	}
-	if AdmitsAll(RequirementsPrefilter(job), machine.Table()) {
-		t.Error("tightened Requirements still admitted: stale pre-filter")
+	if !strings.Contains(job.String(), "1024") {
+		t.Errorf("tightened Requirements missing from rendering %s: stale memo", job)
 	}
 	job.Delete("Requirements")
 	if !Match(job, machine) {
 		t.Error("deleted Requirements should accept everything")
 	}
-	if pre := RequirementsPrefilter(job); pre != nil {
-		t.Errorf("deleted Requirements left pre-filter %v", pre)
-	}
-
-	if _, ok := machine.Table().Consts["memory"]; !ok {
-		t.Fatal("Memory should be a constant binding")
-	}
-	machine.MustSetExpr("Memory", "Base + 1")
-	if _, ok := machine.Table().Consts["memory"]; ok {
-		t.Error("Memory became dynamic but Table still lists it constant")
-	}
-	if !machine.Table().Dynamic["memory"] {
-		t.Error("Memory should be listed dynamic after the rewrite")
+	if strings.Contains(job.String(), "Requirements") {
+		t.Errorf("deleted Requirements still rendered: %s", job)
 	}
 }
 
@@ -185,6 +100,7 @@ func TestCopyCarriesCaches(t *testing.T) {
 	if !Match(job, machine) {
 		t.Fatal("baseline should match")
 	}
+	orig := job.String() // memoized, so the copy starts out sharing it
 	cp := job.Copy()
 	if !Match(cp, machine) {
 		t.Error("copy should match like the original")
@@ -195,6 +111,12 @@ func TestCopyCarriesCaches(t *testing.T) {
 	}
 	if !Match(job, machine) {
 		t.Error("original disturbed by mutating the copy")
+	}
+	if got := job.String(); got != orig {
+		t.Errorf("original rendering %s disturbed by mutating the copy, want %s", got, orig)
+	}
+	if !strings.Contains(cp.String(), "false") {
+		t.Errorf("mutated copy still renders %s: stale shared memo", cp)
 	}
 }
 
@@ -226,9 +148,8 @@ func TestMatchAllocFree(t *testing.T) {
 }
 
 // TestPrecompiledAdsAreReadOnly holds Precompile's contract: once an
-// ad is precompiled, every read — Match, Rank, the pre-filter, the
-// attribute table and the rendering — may run from many goroutines at
-// once, over the ad and over copies that share its caches.  `make race`
+// ad is precompiled, every read — Match, Rank and the rendering — may
+// run from many goroutines at once, over the ad and over copies that share its caches.  `make race`
 // turns any write into a failure.
 func TestPrecompiledAdsAreReadOnly(t *testing.T) {
 	var shared, fresh []*Ad
@@ -241,15 +162,13 @@ func TestPrecompiledAdsAreReadOnly(t *testing.T) {
 	type result struct {
 		match bool
 		rank  float64
-		pre   []Constraint
-		tbl   *AttrTable
 		str   string
 	}
 	read := func(ads []*Ad) []result {
 		var out []result
 		for _, a := range ads {
 			for _, b := range ads {
-				out = append(out, result{Match(a, b), Rank(a, b), RequirementsPrefilter(a), a.Table(), a.String()})
+				out = append(out, result{Match(a, b), Rank(a, b), a.String()})
 			}
 		}
 		return out

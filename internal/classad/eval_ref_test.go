@@ -2,9 +2,10 @@ package classad
 
 // The closure compiler below evaluated Requirements and Rank in the
 // matchmaker until the AST walk became the package's one evaluator.
-// It is kept verbatim, but for the scope constants, as the walk's
-// oracle: FuzzEval and TestWalkMatchesCompilerOracle require the two
-// to return equal values.
+// It is kept verbatim, but for the scope constants and the pre-filter
+// conjuncts it once carried, as the walk's oracle: FuzzEval and
+// TestWalkMatchesCompilerOracle require the two to return equal
+// values.
 // Its closures fall back to the walk for a non-literal attribute's
 // expression and for select, call and nested-ad nodes, exactly as
 // they did when they shipped, so the oracle covers the operators,
@@ -24,22 +25,17 @@ type cnode func(self, target *Ad, depth int) Value
 type Compiled struct {
 	src Expr
 	fn  cnode
-	pre []Constraint
 }
 
 // Compile lowers a parsed expression.  Constant subtrees are folded
 // at compile time; attribute references carry interned lower-case
 // names resolved through the per-ad lookup table.
 func Compile(e Expr) *Compiled {
-	return &Compiled{src: e, fn: compileNode(e), pre: extractConstraints(e)}
+	return &Compiled{src: e, fn: compileNode(e)}
 }
 
 // Expr returns the expression the compilation came from.
 func (c *Compiled) Expr() Expr { return c.src }
-
-// Prefilter returns the constant conjuncts extracted from the
-// expression, for use as a machine-index pre-filter.
-func (c *Compiled) Prefilter() []Constraint { return c.pre }
 
 // Eval evaluates the compiled expression with self and target ads.
 func (c *Compiled) Eval(self, target *Ad) Value { return c.fn(self, target, 0) }

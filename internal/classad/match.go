@@ -53,22 +53,3 @@ func Rank(a, b *Ad) float64 {
 	}
 	return rankValue(e.eval(env{self: a, target: b}))
 }
-
-// RequirementsPrefilter returns the constant conjuncts of the ad's
-// Requirements, or nil when there are none.  Callers may test a
-// candidate's Table against them to skip full evaluation of pairs the
-// full Match would reject anyway.  The result is memoized on the ad,
-// and copies of one template share it.
-func RequirementsPrefilter(a *Ad) []Constraint {
-	if a == nil {
-		return nil
-	}
-	if a.preVer != a.version+1 {
-		a.pre = nil
-		if e, ok := a.lookupLower(attrRequirementsLower); ok {
-			a.pre = extractConstraints(e)
-		}
-		a.preVer = a.version + 1
-	}
-	return a.pre
-}

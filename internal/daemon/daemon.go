@@ -139,25 +139,14 @@ type Params struct {
 	ResultTimeout time.Duration
 	// MachineAdLifetime is how long the matchmaker trusts a machine
 	// ad without refresh; a crashed machine disappears from
-	// matchmaking when its last ad expires.
+	// matchmaking when its last ad expires.  Zero selects 150s.
 	MachineAdLifetime time.Duration
 	// JobAdLifetime is how long the matchmaker trusts a job ad
 	// without refresh.  Live schedds refresh idle jobs every
 	// AdInterval, so only a dead schedd's requests age out — the
 	// matchmaker-side half of submit-side crash recovery.  Zero
-	// selects the machine-ad default.
+	// selects 150s, whatever MachineAdLifetime is.
 	JobAdLifetime time.Duration
-	// LeaseInterval is how often a shadow renews the claim lease on
-	// its job's execution machine.  Zero disables renewal (leases
-	// then expire unconditionally if LeaseDuration is set).
-	LeaseInterval time.Duration
-	// LeaseDuration is how long a startd honours a claim without a
-	// renewal before concluding the submit side has vanished: the
-	// starter reports ShadowVanished, the job's CPU is released, and
-	// the machine returns to the pool.  Zero disables claim leases —
-	// an orphaned starter then runs to completion, the failure mode
-	// this protocol exists to prevent.
-	LeaseDuration time.Duration
 	// RequeueBackoff spaces retries of a requeued job.
 	RequeueBackoff time.Duration
 	// MaxFetchRetries bounds the shadow's fetch retries within one
@@ -181,18 +170,11 @@ type Params struct {
 	// Preemption enables Rank-based preemption: the matchmaker may
 	// match a job to a *claimed* machine when the newcomer's Rank
 	// strictly beats the incumbent's, and the startd then vacates the
-	// incumbent (shipping a final checkpoint within
-	// VacateGracePeriod) and transfers the claim.  Off by default —
-	// claimed machines never advertise and are invisible to
-	// negotiation, the historic behaviour.
+	// incumbent (shipping a final checkpoint within vacateGrace) and
+	// transfers the claim.  Off by default — claimed machines never
+	// advertise and are invisible to negotiation, the historic
+	// behaviour.
 	Preemption bool
-	// VacateGracePeriod is how long a preempted claim's incumbent has
-	// to ship a final checkpoint before the claim transfers anyway.
-	// When the grace window is too short for the checkpoint to ship,
-	// the incumbent loses everything since its last periodic
-	// checkpoint — the preempt-grace-expiry fault class.  Zero
-	// selects 30s.
-	VacateGracePeriod time.Duration
 	// Matchmaker names this pool's negotiator.  Empty selects the
 	// historic single-pool name ("matchmaker"); a federation gives
 	// each pool's negotiator a distinct name so N pools can share one
@@ -210,11 +192,6 @@ type Params struct {
 	// no-match — before the schedd asks the flock coordinator for a
 	// peer pool.  Zero disables flocking.
 	FlockAfter time.Duration
-	// FlockPingInterval is how often the flock coordinator probes
-	// peer negotiators for liveness; zero selects AdInterval.  A peer
-	// silent for three intervals is considered dead and is skipped
-	// when granting.
-	FlockPingInterval time.Duration
 	// Trace receives structured error-propagation events and metrics
 	// from every daemon (see package obs).  Nil disables tracing at
 	// zero allocation cost on the hot paths.
@@ -239,21 +216,27 @@ func (p Params) flocking() bool {
 	return p.Flockd != "" && p.FlockAfter > 0 && len(p.FlockTo) > 0
 }
 
-// flockPingInterval resolves the coordinator's probe period.
-func (p Params) flockPingInterval() time.Duration {
-	if p.FlockPingInterval > 0 {
-		return p.FlockPingInterval
-	}
-	return p.AdInterval
-}
-
-// vacateGrace resolves the preemption grace window.
-func (p Params) vacateGrace() time.Duration {
-	if p.VacateGracePeriod > 0 {
-		return p.VacateGracePeriod
-	}
-	return 30 * time.Second
-}
+// Claim leases and the vacate grace window are fixed protocol
+// constants, not parameters: no experiment varies them.
+const (
+	// leaseInterval is how often a shadow renews the claim lease on
+	// its job's execution machine.
+	leaseInterval = 2 * time.Minute
+	// leaseDuration is how long a startd honours a claim without a
+	// renewal before concluding the submit side has vanished: the
+	// starter reports ShadowVanished, the job's CPU is released, and
+	// the machine returns to the pool.  It covers more than two
+	// renewal intervals, so one lost renewal does not kill a healthy
+	// claim.
+	leaseDuration = 5 * time.Minute
+	// vacateGrace is how long a preempted or drained claim's
+	// incumbent has to ship a final checkpoint before the claim
+	// transfers anyway.  When the window is too short for the
+	// checkpoint to ship (Startd.SetVacateGrace, the
+	// preempt-grace-expiry fault class), the incumbent loses
+	// everything since its last periodic checkpoint.
+	vacateGrace = 30 * time.Second
+)
 
 // DefaultParams returns the parameters used throughout the paper's
 // experiments.
@@ -270,8 +253,6 @@ func DefaultParams() Params {
 		ResultTimeout:       12 * time.Hour,
 		MachineAdLifetime:   150 * time.Second,
 		JobAdLifetime:       150 * time.Second,
-		LeaseInterval:       2 * time.Minute,
-		LeaseDuration:       5 * time.Minute,
 		RequeueBackoff:      10 * time.Second,
 		CheckpointInterval:  10 * time.Minute,
 		// Generous enough that no sane outage hits it (with backoff,

@@ -6,12 +6,12 @@ import (
 )
 
 // FlockCoordinator is a pool's flocking daemon: it tracks which peer
-// negotiators are alive by pinging them, and answers a starved
-// schedd's query with the first live peer at or past the requested
-// flocking level.  Liveness is decided by time, not by messages
-// (Section 5): a negotiator that has not answered a ping for three
-// intervals is presumed dead and skipped, so a grant never points a
-// job at a pool that cannot negotiate for it.
+// negotiators are alive by pinging them every AdInterval, and answers
+// a starved schedd's query with the first live peer at or past the
+// requested flocking level.  Liveness is decided by time, not by
+// messages (Section 5): a negotiator that has not answered a ping for
+// three intervals is presumed dead and skipped, so a grant never
+// points a job at a pool that cannot negotiate for it.
 type FlockCoordinator struct {
 	bus    Runtime
 	params Params
@@ -45,7 +45,7 @@ func NewFlockCoordinator(bus Runtime, params Params) *FlockCoordinator {
 		lastPong: make(map[string]sim.Time),
 	}
 	bus.Register(name, f)
-	bus.Every(params.flockPingInterval(), f.ping)
+	bus.Every(params.AdInterval, f.ping)
 	// Probe immediately: Every's first firing is one interval out,
 	// and a grant decision before the first pong would wrongly read
 	// every peer as dead.
@@ -82,7 +82,7 @@ func (f *FlockCoordinator) alive(peer string) bool {
 	if !ok {
 		return false
 	}
-	return f.bus.Now().Sub(t) <= 3*f.params.flockPingInterval()
+	return f.bus.Now().Sub(t) <= 3*f.params.AdInterval
 }
 
 // handleQuery answers a starved schedd: grant the first live peer at

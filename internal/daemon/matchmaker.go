@@ -20,9 +20,9 @@ import (
 // advertise/expire; jobs live in per-owner buckets kept in submission
 // order at insert time; jobs with byte-identical ads share one
 // auto-cluster, whose scan of the machine list runs once per cycle no
-// matter how many jobs ride it, and skips constant-incompatible
-// machines with the pre-filter before full evaluation.  A
-// steady-state cycle (nothing matchable) allocates nothing.
+// matter how many jobs ride it and decides every pair with
+// classad.Match alone.  A steady-state cycle (nothing matchable)
+// allocates nothing.
 type Matchmaker struct {
 	bus    Runtime
 	params Params
@@ -81,10 +81,11 @@ type Matchmaker struct {
 	// schedd refreshes its idle jobs every AdInterval, so these are
 	// the requests of a dead schedd aging out of the pool.
 	JobAdsExpired int
-	// PrefilterSkips counts unmatched machines rejected by the
-	// constant pre-filter without full Requirements evaluation,
-	// counted once per cluster scan (not once per job sharing the
-	// cluster).
+	// PrefilterSkips is always 0: the constant pre-filter it counted
+	// is gone, and every pair is decided by classad.Match.  It stays
+	// only because the benchmark module still reports it as
+	// daemon.mm_prefilter_skips; the next change to the benchmark
+	// drops both that row and this field.
 	PrefilterSkips int
 	// ClusterScans counts auto-cluster candidate scans: the number of
 	// times a cycle actually ranked the pool.  Jobs minus scans is
@@ -101,9 +102,8 @@ type Matchmaker struct {
 type machineEntry struct {
 	name    string
 	ad      *classad.Ad
-	table   *classad.AttrTable // constant snapshot the pre-filter reads
-	matched bool               // provisionally handed out this cycle
-	expires sim.Time           // ad lifetime; a silent machine vanishes
+	matched bool     // provisionally handed out this cycle
+	expires sim.Time // ad lifetime; a silent machine vanishes
 	// claimed marks a machine advertising in the Claimed state —
 	// visible only under preemption, and only to jobs whose Rank
 	// strictly beats curRank, the incumbent's Rank the startd put in
@@ -154,7 +154,6 @@ type jobEntry struct {
 	job    JobID
 	ad     *classad.Ad
 	owner  string
-	pre    []classad.Constraint // constant conjuncts of the job's Requirements
 	// noMatchSent limits no-match notifications to one per
 	// advertisement, keeping a steady-state cycle allocation-free;
 	// each schedd re-advertise re-arms it.
@@ -279,11 +278,7 @@ func (m *Matchmaker) Receive(msg sim.Message) {
 func (m *Matchmaker) receiveAd(ad advertiseMsg) {
 	switch ad.Kind {
 	case "machine":
-		lifetime := m.params.MachineAdLifetime
-		if lifetime <= 0 {
-			lifetime = 150 * time.Second
-		}
-		m.upsertMachine(ad.Name, ad.Ad, m.bus.Now().Add(lifetime))
+		m.upsertMachine(ad.Name, ad.Ad, m.bus.Now().Add(adLifetime(m.params.MachineAdLifetime)))
 	case "job":
 		if ad.Ad == nil {
 			m.removeJob(m.jobKey(ad.Schedd, ad.Job)) // schedd withdraws the request
@@ -313,12 +308,11 @@ func (m *Matchmaker) upsertMachine(name string, ad *classad.Ad, expires sim.Time
 		}
 		ad.Precompile()
 		entry.ad = ad
-		entry.table = ad.Table()
 		entry.claimed, entry.curRank = machineClaimState(ad)
 		return
 	}
 	ad.Precompile()
-	entry := &machineEntry{name: name, ad: ad, table: ad.Table(), expires: expires}
+	entry := &machineEntry{name: name, ad: ad, expires: expires}
 	entry.claimed, entry.curRank = machineClaimState(ad)
 	m.machines[name] = entry
 	pos, _ := slices.BinarySearchFunc(m.machineList, name, func(e *machineEntry, name string) int {
@@ -375,16 +369,14 @@ func compareJobEntries(a, b *jobEntry) int {
 }
 
 // upsertJob installs or refreshes a job request in its owner bucket.
-// Jobs are always the self side of a match, so only their
-// Requirements pre-filter is needed — no attribute table.
 func (m *Matchmaker) upsertJob(schedd string, job JobID, ad *classad.Ad, foreign bool) {
 	key := m.jobKey(schedd, job)
-	expires := m.bus.Now().Add(m.jobAdLifetime())
+	expires := m.bus.Now().Add(adLifetime(m.params.JobAdLifetime))
 	if old, ok := m.jobs[key]; ok {
 		if old.ad == ad {
 			// The schedd re-sent the identical ad object (periodic
-			// refresh of an unchanged idle job); the pre-filter and
-			// the cluster signature are still good.
+			// refresh of an unchanged idle job); the cluster
+			// signature is still good.
 			old.noMatchSent = false
 			old.expires = expires
 			return
@@ -394,7 +386,6 @@ func (m *Matchmaker) upsertJob(schedd string, job JobID, ad *classad.Ad, foreign
 			m.removeJob(key)
 		} else {
 			old.ad = ad
-			old.pre = classad.RequirementsPrefilter(ad)
 			old.sig = "" // content changed: re-cluster lazily
 			old.noMatchSent = false
 			old.expires = expires
@@ -402,7 +393,7 @@ func (m *Matchmaker) upsertJob(schedd string, job JobID, ad *classad.Ad, foreign
 		}
 	}
 	j := &jobEntry{key: key, schedd: schedd, job: job, ad: ad, owner: jobOwner(schedd, ad),
-		pre: classad.RequirementsPrefilter(ad), expires: expires, foreign: foreign}
+		expires: expires, foreign: foreign}
 	if foreign {
 		m.foreignJobs++
 	}
@@ -591,11 +582,11 @@ func (m *Matchmaker) expireMachines() {
 	m.nameScratch = expired[:0]
 }
 
-// jobAdLifetime resolves the configured job-request lifetime, falling
-// back to the machine-ad default.
-func (m *Matchmaker) jobAdLifetime() time.Duration {
-	if m.params.JobAdLifetime > 0 {
-		return m.params.JobAdLifetime
+// adLifetime resolves a configured ad lifetime (MachineAdLifetime or
+// JobAdLifetime), falling back to 150 s when it is unset.
+func adLifetime(configured time.Duration) time.Duration {
+	if configured > 0 {
+		return configured
 	}
 	return 150 * time.Second
 }
@@ -621,7 +612,6 @@ func (m *Matchmaker) expireJobs() {
 
 // findBest returns the best unmatched machine for the job, or nil.
 // It resolves the job's auto-cluster — one pass over the machine list,
-// constant-incompatible machines skipped via the pre-filter,
 // Requirements and Rank evaluated once per cluster — and pops the best
 // machine not yet handed out this cycle.  The full scan it must agree
 // with is the test oracle refFindBest (matchmaker_ref_test.go).
@@ -668,15 +658,10 @@ func (m *Matchmaker) cluster(j *jobEntry) *clusterEntry {
 		if entry.matched {
 			// Handed out before this scan: invisible to findBest, but
 			// anyCompatible must still count it.
-			if !c.compatible && classad.AdmitsAll(j.pre, entry.table) &&
-				classad.Match(j.ad, entry.ad) &&
+			if !c.compatible && classad.Match(j.ad, entry.ad) &&
 				m.preemptable(entry, classad.Rank(j.ad, entry.ad)) {
 				c.compatible = true
 			}
-			continue
-		}
-		if !classad.AdmitsAll(j.pre, entry.table) {
-			m.PrefilterSkips++
 			continue
 		}
 		if !classad.Match(j.ad, entry.ad) {
@@ -708,9 +693,7 @@ func (m *Matchmaker) cluster(j *jobEntry) *clusterEntry {
 }
 
 // anyCompatible reports whether any advertised machine — including
-// ones provisionally matched this cycle — satisfies the job.  It
-// agrees with a full scan by the pre-filter soundness argument: the
-// pre-filter only ever skips machines full evaluation would reject.
+// ones provisionally matched this cycle — satisfies the job.
 func (m *Matchmaker) anyCompatible(j *jobEntry) bool {
 	// findBest already resolved the cluster this cycle (anyCompatible
 	// is only consulted after it returned nil), so this is a cached
@@ -721,11 +704,7 @@ func (m *Matchmaker) anyCompatible(j *jobEntry) bool {
 // AdvertiseMachine installs or refreshes a machine ad directly, for
 // benchmarks and tests that drive the matchmaker without the bus.
 func (m *Matchmaker) AdvertiseMachine(name string, ad *classad.Ad) {
-	lifetime := m.params.MachineAdLifetime
-	if lifetime <= 0 {
-		lifetime = 150 * time.Second
-	}
-	m.upsertMachine(name, ad, m.bus.Now().Add(lifetime))
+	m.upsertMachine(name, ad, m.bus.Now().Add(adLifetime(m.params.MachineAdLifetime)))
 }
 
 // AdvertiseJob installs or refreshes a job request directly, for

@@ -7,10 +7,10 @@ package daemon
 // the fair-share order, the hierarchical partition, the counters and
 // the notifications — but finds each job's machine by a full scan of
 // the name-sorted machine list, evaluating Requirements and Rank pair
-// by pair with no candidate index, no pre-filter and no auto-cluster.
-// Both cycles evaluate through classad.Match and classad.Rank, so they
-// differ only in scan, index, pre-filter and cluster; FuzzEval
-// (internal/classad) is the evaluator's own oracle.
+// by pair with no auto-cluster.  Both cycles decide every pair with
+// classad.Match and classad.Rank, so they differ only by
+// auto-clustering; FuzzEval (internal/classad) is the evaluator's own
+// oracle.
 // The fast path must change no decision against it:
 // TestDeterminismFastPathMatchesReference (pool traces) and
 // FuzzNegotiate (cycle by cycle) hold the two byte-equal.

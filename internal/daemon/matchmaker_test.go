@@ -109,8 +109,9 @@ func TestMachineAdExpiry(t *testing.T) {
 }
 
 // TestReadvertiseUpdatesTable checks that a machine whose ad changes
-// is pre-filtered on its new constants: a job needing Java stops
-// matching a machine that re-advertises without it.
+// is matched on its new ad: the same entry of the machine table holds
+// it, and a job needing Java is refused by a machine that
+// re-advertises without it, with exactly one no-match sent.
 func TestReadvertiseUpdatesTable(t *testing.T) {
 	_, m := directMatchmaker(1, DefaultParams())
 	m.AdvertiseMachine("m0", testMachineAd("m0", 1024, true))
@@ -122,25 +123,27 @@ func TestReadvertiseUpdatesTable(t *testing.T) {
 	}
 
 	// The machine re-advertises with Java gone: same list entry, new
-	// constant snapshot.
+	// ad.
 	e := m.machines["m0"]
-	m.AdvertiseMachine("m0", testMachineAd("m0", 1024, false))
+	noJava := testMachineAd("m0", 1024, false)
+	m.AdvertiseMachine("m0", noJava)
 	if m.machines["m0"] != e || machineListNames(m) != "m0" {
 		t.Errorf("re-advertise moved the entry: list %q", machineListNames(m))
 	}
-	if v, _ := e.table.Consts["hasjava"].BoolValue(); v {
-		t.Error("constant snapshot still advertises HasJava")
+	if e.ad != noJava {
+		t.Error("the entry still holds the old ad")
 	}
 	m.AdvertiseJob("schedd", 2, NewJavaJobAd("alice", 128))
+	m.Negotiate()
 	m.Negotiate()
 	if m.MatchesMade != 1 {
 		t.Errorf("MatchesMade=%d want 1: job matched a machine that lost Java", m.MatchesMade)
 	}
-	if m.PrefilterSkips != 1 {
-		t.Errorf("PrefilterSkips=%d want 1: the pre-filter should reject the machine", m.PrefilterSkips)
-	}
 	if m.PendingJobs() != 1 {
 		t.Errorf("PendingJobs=%d want 1", m.PendingJobs())
+	}
+	if m.NoMatches != 1 {
+		t.Errorf("NoMatches=%d want 1: the refused job is told once per advertisement", m.NoMatches)
 	}
 }
 

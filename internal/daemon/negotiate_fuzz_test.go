@@ -22,7 +22,7 @@ import (
 // missing attributes, UNDEFINED Requirements and Rank on either side,
 // owner policies that veto on an attribute jobs lack, byte-identical
 // ads (auto-clusters), rank ties, claimed machines at an incumbent
-// Rank, dynamic bindings the pre-filter must not prejudge, and
+// Rank, dynamic bindings computed from other attributes, and
 // avoidance-strengthened Requirements.
 func FuzzNegotiate(f *testing.F) {
 	for _, s := range negotiateSeeds() {
@@ -55,12 +55,11 @@ func TestNegotiateSeeds(t *testing.T) {
 		total.ForeignMatches += a.m.ForeignMatches
 		total.AdsExpired += a.m.AdsExpired
 		total.JobAdsExpired += a.m.JobAdsExpired
-		total.PrefilterSkips += a.m.PrefilterSkips
 	}
 	for name, n := range map[string]int{
 		"matches": total.MatchesMade, "no-matches": total.NoMatches,
 		"foreign matches": total.ForeignMatches, "machine ads expired": total.AdsExpired,
-		"job ads expired": total.JobAdsExpired, "pre-filter skips": total.PrefilterSkips,
+		"job ads expired": total.JobAdsExpired,
 	} {
 		if n == 0 {
 			t.Errorf("no seed reaches any %s", name)
@@ -364,7 +363,7 @@ func (p negotiateProg) foreignJobs(schedd, n, variant int) negotiateProg {
 // negotiateSeeds are the named seed shapes.  The first four reproduce
 // the UNDEFINED-edge pool's (pool determinism tests) at cycle
 // granularity; the rest aim at the fast path's own machinery — the
-// candidate index, the pre-filter, the rank sort, the per-cycle
+// machine list and its tombstones, the rank sort, the per-cycle
 // cluster reset — so that a broken fast path fails on the seeds alone.
 func negotiateSeeds() []struct{ name, prog string } {
 	var p negotiateProg
@@ -388,13 +387,13 @@ func negotiateSeeds() []struct{ name, prog string } {
 			negotiate().advance(2).job(1, 2, 9).machine(8, 12).negotiate()),
 		// Mid-cycle expiry: ads (150s lifetime) age out between cycles
 		// at instants off the 60s beat; some machines re-advertise, the
-		// rest vanish from the index; job requests expire too.
+		// rest vanish from the list; job requests expire too.
 		seed("mid-cycle-expiry", p.machines(10, 0).jobs(0, 4, 0).jobs(1, 3, 8).negotiate().
 			advance(4).negotiate().advance(5).machines(5, 0).jobs(1, 3, 8).negotiate().
 			advance(3).machine(7, 1).advance(2).jobs(0, 12, 0).negotiate().advance(11).
 			negotiate().machines(12, 1).jobs(2, 9, 7).negotiate()),
-		// Dynamic bindings the pre-filter must admit: HasJava and
-		// Memory computed from other attributes.
+		// Dynamic bindings: HasJava and Memory computed from other
+		// attributes.
 		seed("dynamic-binding", p.machine(0, 2).machine(1, 3).machine(2, 2).machine(3, 13).
 			jobs(0, 3, 0).job(1, 9, 7).negotiate()),
 		// Rank ties across more candidates than an insertion sort

@@ -84,9 +84,9 @@ func runTracedPool(seed int64, negotiate negotiation) string {
 	return dispositionTrace(p)
 }
 
-// TestDeterminismFastPathMatchesReference compares the indexed,
-// pre-filtered, auto-clustered negotiation against the reference scan on
-// a pool with black holes and avoidance: the optimization must change
+// TestDeterminismFastPathMatchesReference compares the auto-clustered
+// negotiation against the reference scan on a pool with black holes
+// and avoidance: the optimization must change
 // no decision, so the traces are byte-identical.
 func TestDeterminismFastPathMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 7, 23} {

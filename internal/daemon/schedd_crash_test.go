@@ -320,7 +320,7 @@ func TestLeaseExpiryFreesOrphanedClaim(t *testing.T) {
 
 	// One lease duration after the grant, plus slack for the check
 	// timer, the claim must be gone.
-	eng.RunFor(2*time.Minute + params.LeaseDuration + 10*time.Second)
+	eng.RunFor(2*time.Minute + leaseDuration + 10*time.Second)
 	sd := startds[0]
 	if sd.LeasesExpired != 1 {
 		t.Fatalf("lease expiries = %d", sd.LeasesExpired)

@@ -126,10 +126,9 @@ func (rp *replayer) replaySubmit(id JobID, at sim.Time) error {
 
 // ad returns the job's ad: its own Ad, a Copy of the template parsed
 // and precompiled the first time this replay met the field's text.
-// The copy shares the immutable expressions, the attribute table, the
-// pre-filter and the rendering, and nothing mutable — so per-job edits
-// and the matchmaker's pointer check work exactly as for a freshly
-// parsed ad.
+// The copy shares the immutable expressions and the rendering, and
+// nothing mutable — so per-job edits and the matchmaker's pointer
+// check work exactly as for a freshly parsed ad.
 func (rp *replayer) ad(id JobID) *classad.Ad {
 	raw := rp.Need("ad")
 	if rp.Err != nil {

@@ -87,14 +87,12 @@ func newShadow(bus Runtime, params Params, name, schedd string, job *Job, submit
 	// as this shadow lives.  The renewals are the submit side's pulse;
 	// when the schedd crashes and takes its shadows down, they stop,
 	// and the startd's lease expiry releases the machine.
-	if params.LeaseInterval > 0 {
-		sh.stopLease = bus.Every(params.LeaseInterval, func() {
-			if sh.finished {
-				return
-			}
-			sh.bus.Send(sh.name, sh.machine, kindLeaseRenew, leaseRenewMsg{Job: sh.job})
-		})
-	}
+	sh.stopLease = bus.Every(leaseInterval, func() {
+		if sh.finished {
+			return
+		}
+		sh.bus.Send(sh.name, sh.machine, kindLeaseRenew, leaseRenewMsg{Job: sh.job})
+	})
 	// Activation timeout: if no starter ever contacts this shadow —
 	// the machine died or was reclaimed between the claim grant and
 	// the activation — the silence must not strand the job.  The

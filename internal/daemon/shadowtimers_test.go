@@ -93,7 +93,6 @@ func newShadowRig(t *testing.T, staged bool) *shadowRig {
 	t.Helper()
 	params := DefaultParams()
 	params.ResultTimeout = 30 * time.Minute
-	params.LeaseInterval = 2 * time.Minute
 	eng := sim.New(1)
 	bus := sim.NewBus(eng, rigLatency)
 	r := &shadowRig{eng: eng, clock: &shadowClock{bus: bus}}

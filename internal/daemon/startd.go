@@ -95,8 +95,8 @@ type Startd struct {
 	incumbentRank float64
 	pendingClaim  *claimRequestMsg
 	vacating      bool
-	// vacateGraceOverride replaces Params.VacateGracePeriod on this
-	// machine, for fault injection (preempt-grace-expiry).
+	// vacateGraceOverride replaces vacateGrace on this machine, for
+	// fault injection (preempt-grace-expiry).
 	vacateGraceOverride time.Duration
 
 	// Drain state (see drain.go).  A draining machine has stopped
@@ -108,7 +108,7 @@ type Startd struct {
 	// adCache holds the machine ad per (claimed, hasJava) shape —
 	// the only dynamic inputs of buildAd.  Re-advertising the same
 	// immutable ad object lets the matchmaker skip re-reading it and
-	// keeps the ad's attribute table and rendering warm.
+	// keeps the ad's rendering warm.
 	adCache [4]*classad.Ad
 
 	// Metrics.
@@ -395,25 +395,22 @@ func (s *Startd) Receive(msg sim.Message) {
 // handleLeaseRenew extends the current claim's lease: the shadow is
 // alive, so the submit side still stands behind the claim.
 func (s *Startd) handleLeaseRenew(m leaseRenewMsg) {
-	if s.params.LeaseDuration <= 0 || m.Job != s.claimedJob {
+	if m.Job != s.claimedJob {
 		return
 	}
 	if s.state != StartdClaimed && s.state != StartdRunning {
 		return
 	}
-	s.leaseExpiry = s.bus.Now().Add(s.params.LeaseDuration)
+	s.leaseExpiry = s.bus.Now().Add(leaseDuration)
 }
 
 // armLease starts the lease clock for a freshly granted claim.  The
 // expiry check re-arms itself for as long as renewals keep pushing the
 // deadline out; a bumped claimGen retires it.
 func (s *Startd) armLease() {
-	if s.params.LeaseDuration <= 0 {
-		return
-	}
-	s.leaseExpiry = s.bus.Now().Add(s.params.LeaseDuration)
+	s.leaseExpiry = s.bus.Now().Add(leaseDuration)
 	gen := s.claimGen
-	s.bus.After(s.params.LeaseDuration, func() { s.checkLease(gen) })
+	s.bus.After(leaseDuration, func() { s.checkLease(gen) })
 }
 
 // checkLease fires at the lease deadline.  A renewed lease re-arms the
@@ -505,7 +502,7 @@ func (s *Startd) handleClaim(req claimRequestMsg) {
 // resident forfeits everything since its last periodic checkpoint.
 func (s *Startd) openGrace(done func(gen int, clean bool)) {
 	s.vacating = true
-	grace := s.params.vacateGrace()
+	grace := vacateGrace
 	if s.vacateGraceOverride > 0 {
 		grace = s.vacateGraceOverride
 	}

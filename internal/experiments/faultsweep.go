@@ -676,7 +676,7 @@ func simCells() []simCell {
 			faults:   "fault class=lease-expiry site=kind:lease-renew at=2m30s for=2m0s\n",
 			machines: bigSmall,
 			prog:     func(int) *jvm.Program { return jvm.WellBehaved(20 * time.Minute) },
-			// LeaseDuration covers more than two renewal intervals, so a
+			// The 5m lease covers more than two 2m renewal intervals, so a
 			// single lost pulse must not kill a healthy claim.
 			expect: completed(scope.ScopeNone, 0, 1, ""),
 		},

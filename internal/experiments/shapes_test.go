@@ -105,7 +105,6 @@ var shapeColumns = []struct {
 	{"daemon.mm_cycles", 0, func(r shapeRun) int64 { return sum(r.mms, func(m *daemon.Matchmaker) int { return m.Cycles }) }},
 	{"daemon.mm_matches", 0, func(r shapeRun) int64 { return sum(r.mms, func(m *daemon.Matchmaker) int { return m.MatchesMade }) }},
 	{"daemon.mm_cluster_scans", 0, func(r shapeRun) int64 { return sum(r.mms, func(m *daemon.Matchmaker) int { return m.ClusterScans }) }},
-	{"daemon.mm_prefilter_skips", 0, func(r shapeRun) int64 { return sum(r.mms, func(m *daemon.Matchmaker) int { return m.PrefilterSkips }) }},
 	{"daemon.mm_no_matches", 0, func(r shapeRun) int64 { return sum(r.mms, func(m *daemon.Matchmaker) int { return m.NoMatches }) }},
 	{"obs.events", 0, func(r shapeRun) int64 {
 		if r.rec == nil {

@@ -28,6 +28,9 @@ type FedPoolConfig struct {
 	FlockTo []string
 }
 
+// msgLatency is the one-way bus latency of every pool and federation.
+const msgLatency = 5 * time.Millisecond
+
 // FederationConfig describes N pools federated over one simulation
 // engine and one bus: cross-pool messages travel the same wire as
 // local ones, and the serial and parallel engines produce byte-equal
@@ -44,8 +47,6 @@ type FederationConfig struct {
 	// schedd asks the flock coordinator for a peer pool.  Zero
 	// disables flocking everywhere.
 	FlockAfter time.Duration
-	// MsgLatency is the one-way bus latency (default 5ms).
-	MsgLatency time.Duration
 	// Workers is the engine's intra-instant concurrency (see Config).
 	Workers int
 	// Churn, if non-nil, applies deterministic machine churn to every
@@ -95,12 +96,9 @@ func memberName(pool, base string) string {
 // digest and scenario site — so the unnamed member keeps exactly the
 // standalone names.
 func NewFederation(cfg FederationConfig) *Federation {
-	if cfg.MsgLatency == 0 {
-		cfg.MsgLatency = 5 * time.Millisecond
-	}
 	eng := sim.New(cfg.Seed)
 	eng.SetWorkers(cfg.Workers)
-	bus := sim.NewBus(eng, cfg.MsgLatency)
+	bus := sim.NewBus(eng, msgLatency)
 	// The bus shares the daemons' tracer, so message fates interleave
 	// with daemon events in one recording.
 	bus.Obs = cfg.Params.Trace

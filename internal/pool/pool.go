@@ -29,8 +29,6 @@ type Config struct {
 	// schedds share the matchmaker and compete for machines, as in a
 	// real multi-user pool.
 	Schedds int
-	// MsgLatency is the one-way bus latency (default 5ms).
-	MsgLatency time.Duration
 	// Workers is the engine's intra-instant concurrency: same-instant
 	// events of different daemons run on this many goroutines, with a
 	// barrier at every instant boundary.  Values <= 1 keep the engine
@@ -46,11 +44,10 @@ type Config struct {
 
 // ChurnConfig describes deterministic machine churn: every machine
 // alternates between serving the pool and being away, with per-machine
-// phases drawn from a seeded generator — equal seeds give equal
-// schedules, so churned runs replay byte-equal like everything else.
+// phases drawn from a generator seeded with the pool seed — equal
+// seeds give equal schedules, so churned runs replay byte-equal like
+// everything else.
 type ChurnConfig struct {
-	// Seed drives the schedule; 0 borrows the pool seed.
-	Seed int64
 	// Horizon bounds the schedule: no departure is generated at or
 	// after it.  It must be positive.
 	Horizon time.Duration
@@ -77,9 +74,6 @@ type ChurnConfig struct {
 func scheduleChurn(eng *sim.Engine, startds []*daemon.Startd, cfg ChurnConfig, seed int64) {
 	if cfg.Horizon <= 0 {
 		panic("pool: churn requires a positive Horizon")
-	}
-	if cfg.Seed != 0 {
-		seed = cfg.Seed
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for _, sd := range startds {
@@ -154,12 +148,11 @@ type Pool struct {
 // "schedd1", ..., and the machines' own names).
 func New(cfg Config) *Pool {
 	return NewFederation(FederationConfig{
-		Seed:       cfg.Seed,
-		Params:     cfg.Params,
-		Pools:      []FedPoolConfig{{Machines: cfg.Machines, Schedds: cfg.Schedds}},
-		MsgLatency: cfg.MsgLatency,
-		Workers:    cfg.Workers,
-		Churn:      cfg.Churn,
+		Seed:    cfg.Seed,
+		Params:  cfg.Params,
+		Pools:   []FedPoolConfig{{Machines: cfg.Machines, Schedds: cfg.Schedds}},
+		Workers: cfg.Workers,
+		Churn:   cfg.Churn,
 	}).Pools[0]
 }
 
@@ -190,10 +183,9 @@ func (p *Pool) SubmitJava(n int, build func(i int) *jvm.Program) []daemon.JobID 
 }
 
 // submit queues n jobs of one universe (empty for Java, the default)
-// at the first schedd.  The jobs'
-// ads are copies of one precompiled template: each job owns its Ad,
-// all of them share the immutable expressions, the attribute table,
-// the pre-filter and the rendering, so Submit's Precompile and the
+// at the first schedd.  The jobs' ads are copies of one precompiled
+// template: each job owns its Ad, all of them share the immutable
+// expressions and the rendering, so Submit's Precompile and the
 // journal's Ad.String() cost one parse per call, not one per job.
 func (p *Pool) submit(n int, universe string, tmpl *classad.Ad, exeFormat, contents string,
 	build func(i int) *jvm.Program) []daemon.JobID {
