@@ -80,9 +80,11 @@ race:
 ## write-ahead journal, the wire codec, the live transport and the two
 ## file protocols and file system on it, the ClassAd evaluator every
 ## match decision runs through, the daemons that make those decisions
-## and carry each job, and the one pool assembly every sweep, shape
-## and benchmark pass builds on) and must stay at or above the
-## COVER_FLOOR.
+## and carry each job, the one pool assembly every sweep, shape and
+## benchmark pass builds on, the theory library of scopes, contracts
+## and result files, the Section 4 program wrapper that classifies a
+## thrown exception, and the Java I/O library whose errors it
+## classifies) and must stay at or above the COVER_FLOOR.
 COVER_PKGS = \
 	github.com/errscope/grid/internal/classad \
 	github.com/errscope/grid/internal/daemon \
@@ -97,7 +99,10 @@ COVER_PKGS = \
 	github.com/errscope/grid/internal/chirp \
 	github.com/errscope/grid/internal/remoteio \
 	github.com/errscope/grid/internal/vfs \
-	github.com/errscope/grid/internal/pool
+	github.com/errscope/grid/internal/pool \
+	github.com/errscope/grid/internal/scope \
+	github.com/errscope/grid/internal/wrapper \
+	github.com/errscope/grid/internal/javaio
 COVER_FLOOR = 85
 cover:
 	@$(GO) test -cover ./... > cover.txt 2>&1; status=$$?; \

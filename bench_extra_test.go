@@ -26,14 +26,6 @@ func BenchmarkCrashesExperiment(b *testing.B) {
 	}
 }
 
-func BenchmarkEscalationScopeAt(b *testing.B) {
-	b.ReportAllocs()
-	e := scope.NetworkEscalation()
-	for i := 0; i < b.N; i++ {
-		e.ScopeAt(time.Duration(i%90000) * time.Second)
-	}
-}
-
 func BenchmarkVFSReadWrite(b *testing.B) {
 	b.ReportAllocs()
 	fs := vfs.New()
@@ -133,7 +125,7 @@ func BenchmarkWrapperAblation(b *testing.B) {
 			scratch := vfs.New()
 			w := &wrapper.Wrapper{}
 			w.Run(m, prog, nil, scratch)
-			res := wrapper.ReadResult(scratch, "")
+			res := wrapper.ReadResult(scratch)
 			if res.Scope != scope.ScopeVirtualMachine {
 				b.Fatal("bad scope")
 			}

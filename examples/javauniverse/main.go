@@ -68,7 +68,7 @@ func main() {
 	scratch := vfs.New()
 	w := &wrapper.Wrapper{}
 	w.Run(machine, prog, lib, scratch)
-	res := wrapper.ReadResult(scratch, "")
+	res := wrapper.ReadResult(scratch)
 	fmt.Printf("\nrun 1 (healthy): wrapper result = %s, exit %d\n", res.Status, res.ExitCode)
 	out, _ := submitFS.ReadFile("/home/alice/output.dat")
 	fmt.Printf("submit machine now holds output: %q\n", out)
@@ -77,7 +77,7 @@ func main() {
 	submitFS.SetOffline(true)
 	scratch2 := vfs.New()
 	w.Run(machine, prog, lib, scratch2)
-	res = wrapper.ReadResult(scratch2, "")
+	res = wrapper.ReadResult(scratch2)
 	fmt.Printf("\nrun 2 (home file system offline):\n")
 	fmt.Printf("  wrapper result = %s\n", res.Status)
 	fmt.Printf("  exception      = %s\n", res.Exception)
@@ -92,7 +92,7 @@ func main() {
 	}}
 	scratch3 := vfs.New()
 	w.Run(machine, bug, lib, scratch3)
-	res = wrapper.ReadResult(scratch3, "")
+	res = wrapper.ReadResult(scratch3)
 	fmt.Printf("\nrun 3 (program bug):\n")
 	fmt.Printf("  wrapper result = %s (%s), scope %s, disposition %s\n",
 		res.Status, res.Exception, res.Scope, scope.DisposeError(res.Err()))

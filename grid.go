@@ -47,8 +47,6 @@ type (
 	Result = scope.Result
 	// Disposition is the schedd's final decision for a job.
 	Disposition = scope.Disposition
-	// Classifier maps exception names to scopes.
-	Classifier = scope.Classifier
 )
 
 // The scope lattice, innermost to outermost.
@@ -162,14 +160,6 @@ var (
 	Figure4    = experiments.Figure4
 	Principles = experiments.Principles
 )
-
-// Escalation encodes time-dependent scope widening (Section 5).
-type Escalation = scope.Escalation
-
-// NewEscalation starts an escalation schedule at the given scope.
-func NewEscalation(base Scope, code string) *Escalation {
-	return scope.NewEscalation(base, code)
-}
 
 // End-to-end supervision (Section 5's layer above the grid).
 type (

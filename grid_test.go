@@ -48,11 +48,6 @@ func TestFacadeScopeAPI(t *testing.T) {
 	if Dispose(nil) != DispositionComplete {
 		t.Error("nil disposes complete")
 	}
-	e := NewEscalation(ScopeNetwork, "ConnectionLost").
-		Step(time.Minute, ScopeProcess, "RPCFailure")
-	if s, _ := e.ScopeAt(2 * time.Minute); s != ScopeProcess {
-		t.Errorf("escalated scope = %v", s)
-	}
 }
 
 func TestFacadeClassAdAPI(t *testing.T) {

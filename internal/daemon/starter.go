@@ -105,7 +105,7 @@ func (st *Starter) execute(det jobDetailsMsg) {
 	st.execCPU = exec.CPU
 
 	// Ground truth: the wrapper's result file (or its absence).
-	trueRes := wrapper.ReadResult(st.scratch, "")
+	trueRes := wrapper.ReadResult(st.scratch)
 	reported := trueRes
 	if st.params.Mode == ModeNaive {
 		// The original design: the starter relies entirely on the

@@ -299,7 +299,7 @@ func Figure4() (*Report, []Figure4Row) {
 	for _, spec := range specs {
 		scratch := vfs.New()
 		exec := w.Run(spec.m, spec.prog, spec.io, scratch)
-		res := wrapper.ReadResult(scratch, "")
+		res := wrapper.ReadResult(scratch)
 		wscope := res.Scope
 		wkind := res.Status.String()
 		if res.Status == scope.StatusExited {

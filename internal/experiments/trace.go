@@ -1,14 +1,12 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
 	"github.com/errscope/grid/internal/chirp"
 	"github.com/errscope/grid/internal/faultinject"
 	"github.com/errscope/grid/internal/obs"
-	"github.com/errscope/grid/internal/vfs"
 	"github.com/errscope/grid/internal/wire"
 )
 
@@ -75,38 +73,20 @@ func (c connTraceCell) connTrace() (string, *obs.Recorder, error) {
 // chirpTraced reads through a fault proxy with a traced client until
 // the transport dies, returning the first transport error.
 func chirpTraced(mode wire.Mode, rekey uint64, fault faultinject.ConnFault, rec *obs.Recorder) error {
-	fs := vfs.New()
-	if err := fs.WriteFile("/data", bytes.Repeat([]byte("x"), 4096)); err != nil {
-		return err
-	}
-	srv := chirp.NewServer(&chirp.VFSBackend{FS: fs}, "ck")
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	defer srv.Close()
-	px, err := faultinject.NewProxy(addr, fault)
-	if err != nil {
-		return err
-	}
-	defer px.Close()
-	c, err := chirp.DialOpts(px.Addr(), "ck", chirp.DialOptions{Mode: mode, RekeyAfter: rekey})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	c.Trace = rec
-	c.TraceJob = 1
-	fd, err := c.Open("/data", chirp.FlagRead)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < 16; i++ {
-		if _, err := c.Read(fd, 4096); err != nil {
+	return chirpThroughMode(mode, rekey, fault, func(c *chirp.Client) error {
+		c.Trace = rec
+		c.TraceJob = 1
+		fd, err := c.Open("/data", chirp.FlagRead)
+		if err != nil {
 			return err
 		}
-	}
-	return nil
+		for i := 0; i < 16; i++ {
+			if _, err := c.Read(fd, 4096); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // connTraceCells lists the canonical live scenarios, one per

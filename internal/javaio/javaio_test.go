@@ -159,9 +159,9 @@ func TestStreams(t *testing.T) {
 	fs.WriteFile("/in", content)
 
 	in := lib.OpenInput("/in")
-	got, err := in.ReadAll()
+	got, err := io.ReadAll(in)
 	if err != nil || !bytes.Equal(got, content) {
-		t.Fatalf("ReadAll: %d bytes, %v", len(got), err)
+		t.Fatalf("io.ReadAll: %d bytes, %v", len(got), err)
 	}
 
 	out := lib.OpenOutput("/out")
@@ -178,7 +178,7 @@ func TestStreams(t *testing.T) {
 	}
 
 	// io.Copy through both streams.
-	n64, err := CopyFile(lib, "/copy", lib, "/in")
+	n64, err := io.Copy(lib.OpenOutput("/copy"), lib.OpenInput("/in"))
 	if err != nil || n64 != int64(len(content)) {
 		t.Fatalf("copy = %d, %v", n64, err)
 	}
@@ -240,9 +240,9 @@ func TestChirpTransportEndToEnd(t *testing.T) {
 	lib := New(tr)
 
 	in := lib.OpenInput("/in")
-	data, err := in.ReadAll()
+	data, err := io.ReadAll(in)
 	if err != nil || string(data) != "over the wire" {
-		t.Fatalf("ReadAll = %q, %v", data, err)
+		t.Fatalf("io.ReadAll = %q, %v", data, err)
 	}
 
 	out := lib.OpenOutput("/out")

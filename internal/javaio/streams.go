@@ -49,22 +49,6 @@ func (s *InputStream) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// ReadAll drains the stream.
-func (s *InputStream) ReadAll() ([]byte, error) {
-	var out []byte
-	buf := make([]byte, 4096)
-	for {
-		n, err := s.Read(buf)
-		out = append(out, buf[:n]...)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-	}
-}
-
 // OutputStream presents a file as a sequential writer, in the style
 // of java.io.OutputStream.
 type OutputStream struct {
@@ -95,12 +79,3 @@ var (
 	_ io.Reader = (*InputStream)(nil)
 	_ io.Writer = (*OutputStream)(nil)
 )
-
-// CopyFile copies a whole file through the library, the shape of the
-// starter's input/output file transfer.
-func CopyFile(dst *Library, dstPath string, src *Library, srcPath string) (int64, error) {
-	in := src.OpenInput(srcPath)
-	out := dst.OpenOutput(dstPath)
-	n, err := io.Copy(out, in)
-	return n, err
-}

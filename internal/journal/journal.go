@@ -140,21 +140,6 @@ func (j *Journal) Compact(snapshot []byte, tail [][]byte) {
 	j.compactions++
 }
 
-// Rewrite compacts under a single critical section: fn receives the
-// replay of the current contents and returns the new snapshot payload,
-// and the log is replaced by that snapshot alone.  Unlike a separate
-// Replay+Compact pair, no concurrent append can slip into the gap and
-// be silently discarded, so this is the safe way to compact while
-// writers are live.  The replay passed to fn aliases the old log; fn
-// must not retain it.
-func (j *Journal) Rewrite(fn func(Replay) []byte) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	snap := fn(Decode(j.data))
-	j.data = frame(j.data[:0:0], KindSnapshot, snap)
-	j.compactions++
-}
-
 // Bytes returns a copy of the durable bytes — what a recovery process
 // would read off the disk.
 func (j *Journal) Bytes() []byte {

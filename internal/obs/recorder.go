@@ -176,13 +176,6 @@ type ExportOptions struct {
 	Normalize bool
 }
 
-// wallSuffix marks histograms measured in wall-clock nanoseconds.
-// They are kept for interactive inspection but never exported: wall
-// time is nondeterministic even under the simulation (the matchmaker
-// measures its real cycle time), and a deterministic trace is the
-// whole point of the export.
-const wallSuffix = "_wall_ns"
-
 // WriteJSONL writes the whole recording as JSON lines: events, then
 // assembled spans, then counters, then histograms.  Under the
 // simulation the output is byte-identical across same-seed runs; with
@@ -244,9 +237,6 @@ func (r *Recorder) WriteJSONL(w io.Writer, opts ExportOptions) error {
 		}
 	}
 	for _, name := range r.HistNames() {
-		if strings.HasSuffix(name, wallSuffix) {
-			continue
-		}
 		h := r.Hist(name)
 		b, err := json.Marshal(struct {
 			Hist string `json:"hist"`

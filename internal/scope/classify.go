@@ -1,130 +1,65 @@
 package scope
 
-import "sort"
-
-// Classifier maps error codes (exception names) to scopes.  The
-// program wrapper of Section 4 uses a Classifier to examine the type
-// of a caught exception and decide the scope of the error it reports
-// in the result file.
-//
-// A Classifier is a policy object: different layers may classify the
-// same code differently (the whole point of Section 3.3's scope
-// expansion), so classifiers are values, not globals.
-type Classifier struct {
-	table    map[string]Scope
-	fallback Scope
-}
-
-// NewClassifier creates a classifier that assigns fallback to any code
-// it has no entry for.  A conservative wrapper uses ScopeProgram as
-// the fallback: an unknown exception thrown by the program is most
-// likely the program's own.
-func NewClassifier(fallback Scope) *Classifier {
-	return &Classifier{table: make(map[string]Scope), fallback: fallback}
-}
-
-// Add registers the scope for a code and returns the classifier for
-// chaining.
-func (c *Classifier) Add(code string, s Scope) *Classifier {
-	c.table[code] = s
-	return c
-}
-
-// Classify returns the scope for the code.
-func (c *Classifier) Classify(code string) Scope {
-	if s, ok := c.table[code]; ok {
-		return s
-	}
-	return c.fallback
-}
-
-// Known reports whether the code has an explicit entry.
-func (c *Classifier) Known(code string) bool {
-	_, ok := c.table[code]
-	return ok
-}
-
-// Codes returns the registered codes in sorted order.
-func (c *Classifier) Codes() []string {
-	out := make([]string, 0, len(c.table))
-	for code := range c.table {
-		out = append(out, code)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// JavaUniverseClassifier returns the classification the Condor Java
-// Universe wrapper uses, covering the exception families discussed in
-// the paper.  Program-generated exceptions stay at Program scope so
-// the user sees them; environmental errors are widened to the scope of
-// the resource they invalidate (Figures 3 and 4).
-func JavaUniverseClassifier() *Classifier {
-	c := NewClassifier(ScopeProgram)
-
+// javaScopes is the classification the Condor Java Universe wrapper
+// uses, covering the exception families discussed in the paper.
+// Program-generated exceptions stay at Program scope so the user sees
+// them; environmental errors are widened to the scope of the resource
+// they invalidate (Figures 3 and 4).
+var javaScopes = map[string]Scope{
 	// Program scope: genuine program results.  "Users wanted to see
 	// program generated errors such as an
 	// ArrayIndexOutOfBoundsException."
-	for _, code := range []string{
-		"ArrayIndexOutOfBoundsException",
-		"NullPointerException",
-		"ArithmeticException",
-		"ClassCastException",
-		"NumberFormatException",
-		"IllegalArgumentException",
-		"IllegalStateException",
-		"RuntimeException",
-		"FileNotFoundException",
-		"EOFException",
-		"DiskFullException",
-		"AccessDeniedException",
-	} {
-		c.Add(code, ScopeProgram)
-	}
+	"ArrayIndexOutOfBoundsException": ScopeProgram,
+	"NullPointerException":           ScopeProgram,
+	"ArithmeticException":            ScopeProgram,
+	"ClassCastException":             ScopeProgram,
+	"NumberFormatException":          ScopeProgram,
+	"IllegalArgumentException":       ScopeProgram,
+	"IllegalStateException":          ScopeProgram,
+	"RuntimeException":               ScopeProgram,
+	"FileNotFoundException":          ScopeProgram,
+	"EOFException":                   ScopeProgram,
+	"DiskFullException":              ScopeProgram,
+	"AccessDeniedException":          ScopeProgram,
 
 	// Virtual machine scope: the job cannot run in the current
 	// conditions.  "...wanted to be shielded against incidental
 	// errors such as a VirtualMachineError."
-	for _, code := range []string{
-		"OutOfMemoryError",
-		"StackOverflowError",
-		"VirtualMachineError",
-		"InternalError",
-	} {
-		c.Add(code, ScopeVirtualMachine)
-	}
+	"OutOfMemoryError":    ScopeVirtualMachine,
+	"StackOverflowError":  ScopeVirtualMachine,
+	"VirtualMachineError": ScopeVirtualMachine,
+	"InternalError":       ScopeVirtualMachine,
 
 	// Remote resource scope: the job cannot run on the given host.
-	for _, code := range []string{
-		"MisconfiguredJVMError",
-		"NoClassDefFoundError", // standard libraries missing: bad install path
-		"UnsatisfiedLinkError",
-		"ScratchSpaceError",
-		"ChirpProxyError",
-	} {
-		c.Add(code, ScopeRemoteResource)
-	}
+	"MisconfiguredJVMError": ScopeRemoteResource,
+	"NoClassDefFoundError":  ScopeRemoteResource, // standard libraries missing: bad install path
+	"UnsatisfiedLinkError":  ScopeRemoteResource,
+	"ScratchSpaceError":     ScopeRemoteResource,
+	"ChirpProxyError":       ScopeRemoteResource,
 
 	// Local resource scope: the job cannot run right now; the
 	// submit-side environment is degraded.
-	for _, code := range []string{
-		"ConnectionTimedOutException",
-		"ShadowUnavailableError",
-		"CredentialsExpiredError",
-		"HomeFileSystemOfflineError",
-	} {
-		c.Add(code, ScopeLocalResource)
-	}
+	"ConnectionTimedOutException": ScopeLocalResource,
+	"ShadowUnavailableError":      ScopeLocalResource,
+	"CredentialsExpiredError":     ScopeLocalResource,
+	"HomeFileSystemOfflineError":  ScopeLocalResource,
 
 	// Job scope: the job itself can never run.
-	for _, code := range []string{
-		"CorruptProgramImageError",
-		"ClassFormatError",
-		"MissingInputFileError",
-		"InvalidJobError",
-	} {
-		c.Add(code, ScopeJob)
-	}
+	"CorruptProgramImageError": ScopeJob,
+	"ClassFormatError":         ScopeJob,
+	"MissingInputFileError":    ScopeJob,
+	"InvalidJobError":          ScopeJob,
+}
 
-	return c
+// ClassifyJava returns the scope of a thrown Java exception or error,
+// by name: how the program wrapper of Section 4 examines the type of
+// a caught exception to decide the scope of the error it reports in
+// the result file.  A code the table does not name is Program scope:
+// an unknown exception thrown by the program is most likely the
+// program's own.
+func ClassifyJava(code string) Scope {
+	if s, ok := javaScopes[code]; ok {
+		return s
+	}
+	return ScopeProgram
 }

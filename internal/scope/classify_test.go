@@ -3,7 +3,6 @@ package scope
 import "testing"
 
 func TestJavaUniverseClassifier(t *testing.T) {
-	c := JavaUniverseClassifier()
 	cases := map[string]Scope{
 		// Figure 4's execution details, by exception family.
 		"NullPointerException":             ScopeProgram,
@@ -18,31 +17,19 @@ func TestJavaUniverseClassifier(t *testing.T) {
 		"SomeUserDefinedBusinessException": ScopeProgram, // fallback
 	}
 	for code, want := range cases {
-		if got := c.Classify(code); got != want {
-			t.Errorf("Classify(%s) = %v, want %v", code, got, want)
+		if got := ClassifyJava(code); got != want {
+			t.Errorf("ClassifyJava(%s) = %v, want %v", code, got, want)
 		}
 	}
 }
 
-func TestClassifierKnownAndCodes(t *testing.T) {
-	c := NewClassifier(ScopeProgram).Add("B", ScopeJob).Add("A", ScopeFile)
-	if !c.Known("A") || c.Known("Z") {
-		t.Error("Known misbehaves")
-	}
-	codes := c.Codes()
-	if len(codes) != 2 || codes[0] != "A" || codes[1] != "B" {
-		t.Errorf("Codes() = %v", codes)
-	}
-	if c.Classify("Z") != ScopeProgram {
-		t.Error("fallback not applied")
-	}
-}
-
 func TestJavaClassifierCoversEveryScopeTier(t *testing.T) {
-	c := JavaUniverseClassifier()
 	seen := map[Scope]bool{}
-	for _, code := range c.Codes() {
-		seen[c.Classify(code)] = true
+	for code, s := range javaScopes {
+		if got := ClassifyJava(code); got != s {
+			t.Errorf("ClassifyJava(%s) = %v, table says %v", code, got, s)
+		}
+		seen[s] = true
 	}
 	for _, s := range []Scope{ScopeProgram, ScopeVirtualMachine, ScopeRemoteResource, ScopeLocalResource, ScopeJob} {
 		if !seen[s] {

@@ -1,9 +1,6 @@
 package scope
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Contract is a concise, finite error interface (Principle 4).  It
 // enumerates exactly the explicit error codes a routine may return and
@@ -67,16 +64,6 @@ func (c *Contract) Admits(code string) (Scope, bool) {
 	return s, ok
 }
 
-// Codes returns the declared codes in sorted order.
-func (c *Contract) Codes() []string {
-	out := make([]string, 0, len(c.admits))
-	for code := range c.admits {
-		out = append(out, code)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Apply filters an error through the contract at an interface
 // boundary.  A nil error passes through.  An error whose code the
 // contract admits is returned as an explicit error carrying the
@@ -119,8 +106,9 @@ func (c *Contract) Apply(err error) error {
 
 // Violations inspects an error against the contract without converting
 // it, returning a description of how the error would violate the
-// interface if passed through untouched, or "" if it conforms.  Used
-// by tests and by the generic-error ablation experiment.
+// interface if passed through untouched, or "" if it conforms.  Kept,
+// with WellFormed, for the contracts gate, which checks every error
+// that crosses an interface boundary.
 func (c *Contract) Violations(err error) string {
 	if err == nil {
 		return ""

@@ -2,7 +2,6 @@ package scope
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 )
 
@@ -141,14 +140,6 @@ func TestContractZeroValueAdmitsNothing(t *testing.T) {
 	se, _ := AsError(got)
 	if se.Kind != KindEscaping {
 		t.Error("zero contract should escape everything")
-	}
-}
-
-func TestContractCodesSorted(t *testing.T) {
-	c := fileWriterOpenContract()
-	want := []string{"AccessDenied", "FileNotFound"}
-	if got := c.Codes(); !reflect.DeepEqual(got, want) {
-		t.Errorf("Codes() = %v, want %v", got, want)
 	}
 }
 

@@ -198,56 +198,3 @@ func KindOf(err error) Kind {
 func Route(err error) Handler {
 	return ScopeOf(err).Handler()
 }
-
-// Merge combines several errors from one operation — a failure plus
-// its cleanup failures, or the results of parallel sub-operations —
-// into one error carrying the *widest* scope among them, with the
-// others preserved in the message.  Nil inputs are skipped; all-nil
-// yields nil.  Merging never narrows (Section 3.3) and never produces
-// an implicit error (Principle 1).
-func Merge(code string, errs ...error) error {
-	var widest *Error
-	var rest []error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		se, ok := AsError(err)
-		if !ok {
-			se = New(ScopeProcess, "UnknownError", "%v", err)
-			se.Kind = KindEscaping
-			se.Cause = err
-		}
-		if widest == nil || se.Scope > widest.Scope {
-			if widest != nil {
-				rest = append(rest, widest)
-			}
-			widest = se
-		} else {
-			rest = append(rest, se)
-		}
-	}
-	if widest == nil {
-		return nil
-	}
-	if len(rest) == 0 {
-		if code != "" && widest.Code != code {
-			cp := *widest
-			cp.Code = code
-			cp.Cause = widest
-			return &cp
-		}
-		return widest
-	}
-	merged := &Error{
-		Scope:   widest.Scope,
-		Kind:    widest.Kind,
-		Code:    code,
-		Message: fmt.Sprintf("%v (and %d more)", widest, len(rest)),
-		Cause:   widest,
-	}
-	if code == "" {
-		merged.Code = widest.Code
-	}
-	return merged
-}

@@ -1,10 +1,6 @@
 package scope
 
-import (
-	"errors"
-	"fmt"
-	"strings"
-)
+import "errors"
 
 // Hop is one layer an error passed through on its way up the system.
 type Hop struct {
@@ -12,14 +8,6 @@ type Hop struct {
 	Kind   Kind
 	Code   string
 	Origin string
-}
-
-// String renders the hop compactly.
-func (h Hop) String() string {
-	if h.Origin != "" {
-		return fmt.Sprintf("%s@%s(%s,%s)", h.Code, h.Origin, h.Kind, h.Scope)
-	}
-	return fmt.Sprintf("%s(%s,%s)", h.Code, h.Kind, h.Scope)
 }
 
 // Path returns the propagation history of err, outermost hop first:
@@ -40,19 +28,6 @@ func Path(err error) []Hop {
 		err = errors.Unwrap(err)
 	}
 	return hops
-}
-
-// FormatPath renders the propagation history as a single arrow chain,
-// innermost first, for diagnostics:
-//
-//	ConnectionLost(explicit,network) -> RPCFailure(explicit,process) -> ...
-func FormatPath(err error) string {
-	hops := Path(err)
-	parts := make([]string, len(hops))
-	for i, h := range hops {
-		parts[len(hops)-1-i] = h.String() // innermost first
-	}
-	return strings.Join(parts, " -> ")
 }
 
 // WellFormed reports whether the propagation history only widens:

@@ -128,30 +128,6 @@ func (r *Result) ErrScope() Scope {
 	}
 }
 
-// ResultFromError builds the Result the wrapper writes for an error it
-// caught (or nil error for success with the given exit code).
-func ResultFromError(exitCode int, err error) Result {
-	if err == nil {
-		return Result{Status: StatusExited, ExitCode: exitCode}
-	}
-	se, ok := AsError(err)
-	if !ok {
-		return Result{
-			Status:    StatusEscape,
-			Exception: "UnknownError",
-			Scope:     ScopeProcess,
-			Message:   err.Error(),
-		}
-	}
-	if se.Scope == ScopeProgram {
-		if se.Code == "NonZeroExit" {
-			return Result{Status: StatusExited, ExitCode: exitCode}
-		}
-		return Result{Status: StatusException, Exception: se.Code, Scope: ScopeProgram, Message: se.Message}
-	}
-	return Result{Status: StatusEscape, Exception: se.Code, Scope: se.Scope, Message: se.Message}
-}
-
 // The result file is a line-oriented key = value document, in the
 // spirit of the ClassAd-adjacent formats Condor uses for its
 // persistent state.  It is deliberately trivial to parse so that even

@@ -1,7 +1,6 @@
 package scope
 
 import (
-	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -180,43 +179,6 @@ func TestResultErr(t *testing.T) {
 	se, _ = AsError(err)
 	if se.Scope != ScopeRemoteResource || se.Kind != KindEscaping {
 		t.Errorf("scopeless escape: %+v", se)
-	}
-}
-
-func TestResultFromError(t *testing.T) {
-	r := ResultFromError(0, nil)
-	if r.Status != StatusExited || r.ExitCode != 0 {
-		t.Errorf("nil: %+v", r)
-	}
-
-	r = ResultFromError(0, New(ScopeProgram, "ArithmeticException", "/ by zero"))
-	if r.Status != StatusException || r.Exception != "ArithmeticException" {
-		t.Errorf("program exception: %+v", r)
-	}
-
-	r = ResultFromError(0, New(ScopeVirtualMachine, "OutOfMemoryError", "heap"))
-	if r.Status != StatusEscape || r.Scope != ScopeVirtualMachine {
-		t.Errorf("vm error: %+v", r)
-	}
-
-	r = ResultFromError(0, errors.New("mystery"))
-	if r.Status != StatusEscape || r.Scope != ScopeProcess || r.Exception != "UnknownError" {
-		t.Errorf("plain error: %+v", r)
-	}
-}
-
-func TestResultErrResultFromErrorInverse(t *testing.T) {
-	// For wrapper-produced results, Err and ResultFromError are
-	// mutual inverses on the (status, exception, scope) triple.
-	for _, r := range []Result{
-		{Status: StatusExited, ExitCode: 0},
-		{Status: StatusException, Exception: "NullPointerException", Scope: ScopeProgram, Message: "m"},
-		{Status: StatusEscape, Exception: "OutOfMemoryError", Scope: ScopeVirtualMachine, Message: "m"},
-	} {
-		back := ResultFromError(r.ExitCode, r.Err())
-		if back.Status != r.Status || back.Exception != r.Exception {
-			t.Errorf("inverse failed: %+v -> %+v", r, back)
-		}
 	}
 }
 

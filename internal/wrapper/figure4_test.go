@@ -50,7 +50,7 @@ func TestFigure4ExitCodeMatrix(t *testing.T) {
 		if exec.ExitCode == 1 {
 			abnormal++
 		}
-		res := ReadResult(scratch, "")
+		res := ReadResult(scratch)
 		if res.Status != c.wantStatus {
 			t.Errorf("%s: status = %v, want %v", c.name, res.Status, c.wantStatus)
 		}
@@ -133,7 +133,7 @@ func TestResultWriteFailureYieldsNoResult(t *testing.T) {
 	scratch.SetReadOnly(DefaultResultPath, true)
 	w := &Wrapper{}
 	w.Run(jvm.New(jvm.Config{}), jvm.NullPointer(), nil, scratch)
-	res := ReadResult(scratch, "")
+	res := ReadResult(scratch)
 	if res.Status != scope.StatusNoResult {
 		t.Fatalf("res = %+v, want no-result", res)
 	}

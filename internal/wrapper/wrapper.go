@@ -30,11 +30,6 @@ const DefaultResultPath = "/scratch/.condor_java_result"
 // Wrapper runs a program inside a JVM and reports through a result
 // file.
 type Wrapper struct {
-	// Classifier maps exception names to scopes; nil selects the
-	// Java Universe classification.
-	Classifier *scope.Classifier
-	// ResultPath overrides DefaultResultPath when non-empty.
-	ResultPath string
 	// Trace, when non-nil and enabled, receives the error's origin
 	// event (the JVM's thrown exception) and the wrapper's
 	// classification of it — the first two hops of every error span.
@@ -50,20 +45,6 @@ func (w *Wrapper) traceNow() int64 {
 		return w.TraceNow()
 	}
 	return 0
-}
-
-func (w *Wrapper) classifier() *scope.Classifier {
-	if w.Classifier != nil {
-		return w.Classifier
-	}
-	return scope.JavaUniverseClassifier()
-}
-
-func (w *Wrapper) resultPath() string {
-	if w.ResultPath != "" {
-		return w.ResultPath
-	}
-	return DefaultResultPath
 }
 
 // Run executes prog on machine m with the I/O service io, writing the
@@ -127,12 +108,12 @@ func (w *Wrapper) RunFrom(m *jvm.Machine, prog *jvm.Program, io jvm.FileOps, scr
 	// Write the result file.  Failure to write it is itself an
 	// environmental failure; the wrapper can do nothing but exit,
 	// and the starter will see the absent/partial file as NoResult.
-	_ = scratch.WriteFile(w.resultPath(), []byte(res.EncodeString()))
+	_ = scratch.WriteFile(DefaultResultPath, []byte(res.EncodeString()))
 	return exec
 }
 
 // Classify converts an execution into the wrapper's result, applying
-// the exception classification.  Exported for the Figure 4 experiment
+// the Java Universe classification (scope.ClassifyJava).  Exported for the Figure 4 experiment
 // and the simulation layer, which execute without a scratch file
 // system.
 func (w *Wrapper) Classify(exec *jvm.Execution) scope.Result {
@@ -140,7 +121,7 @@ func (w *Wrapper) Classify(exec *jvm.Execution) scope.Result {
 		return scope.Result{Status: scope.StatusExited, ExitCode: exec.ExitCode}
 	}
 	th := exec.Thrown
-	sc := w.classifier().Classify(th.Name)
+	sc := scope.ClassifyJava(th.Name)
 	// The thrown error may already carry a wider scope than the
 	// name alone implies; scope may only widen (Section 3.3).
 	sc = sc.Widen(th.Scope)
@@ -167,15 +148,13 @@ func (w *Wrapper) Classify(exec *jvm.Execution) scope.Result {
 }
 
 // ReadResult is the starter's side of the indirect channel: it reads
-// and decodes the wrapper's result file from scratch.  A missing or
+// and decodes the wrapper's result file (DefaultResultPath) from
+// scratch.  A missing or
 // unparseable file yields StatusNoResult — the execution environment
 // failed before the wrapper could report, an error of remote-resource
 // scope.
-func ReadResult(scratch *vfs.FileSystem, path string) scope.Result {
-	if path == "" {
-		path = DefaultResultPath
-	}
-	data, err := scratch.ReadFile(path)
+func ReadResult(scratch *vfs.FileSystem) scope.Result {
+	data, err := scratch.ReadFile(DefaultResultPath)
 	if err != nil {
 		return scope.Result{Status: scope.StatusNoResult}
 	}

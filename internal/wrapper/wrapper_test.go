@@ -15,7 +15,7 @@ func runThrough(t *testing.T, m *jvm.Machine, prog *jvm.Program, io jvm.FileOps)
 	scratch := vfs.New()
 	w := &Wrapper{}
 	w.Run(m, prog, io, scratch)
-	return ReadResult(scratch, "")
+	return ReadResult(scratch)
 }
 
 func TestCleanExitThroughResultFile(t *testing.T) {
@@ -87,7 +87,7 @@ func TestBrokenJVMProducesNoResultFile(t *testing.T) {
 	if exec.ExitCode != 1 {
 		t.Errorf("exit = %d", exec.ExitCode)
 	}
-	res := ReadResult(scratch, "")
+	res := ReadResult(scratch)
 	if res.Status != scope.StatusNoResult {
 		t.Fatalf("res = %+v", res)
 	}
@@ -100,7 +100,7 @@ func TestBrokenJVMProducesNoResultFile(t *testing.T) {
 func TestCorruptResultFileIsNoResult(t *testing.T) {
 	scratch := vfs.New()
 	scratch.WriteFile(DefaultResultPath, []byte("garbage ="))
-	res := ReadResult(scratch, "")
+	res := ReadResult(scratch)
 	if res.Status != scope.StatusNoResult {
 		t.Fatalf("res = %+v", res)
 	}
@@ -173,20 +173,6 @@ func TestRawExitInterpretationLosesScope(t *testing.T) {
 	w := &Wrapper{}
 	if w.Classify(oom).Scope == w.Classify(npe).Scope {
 		t.Error("wrapper should distinguish the scopes")
-	}
-}
-
-func TestCustomClassifierAndPath(t *testing.T) {
-	scratch := vfs.New()
-	cls := scope.NewClassifier(scope.ScopeProgram).Add("WeirdError", scope.ScopeJob)
-	w := &Wrapper{Classifier: cls, ResultPath: "/alt/result"}
-	prog := &jvm.Program{Class: "M", Steps: []jvm.Step{
-		jvm.Throw{Exception: "WeirdError", Message: "?", Scope: scope.ScopeProgram},
-	}}
-	w.Run(jvm.New(jvm.Config{}), prog, nil, scratch)
-	res := ReadResult(scratch, "/alt/result")
-	if res.Status != scope.StatusEscape || res.Scope != scope.ScopeJob {
-		t.Fatalf("res = %+v", res)
 	}
 }
 
