@@ -48,8 +48,8 @@ func TestMachineCrashMidJob(t *testing.T) {
 		t.Error("expected expired machine ads")
 	}
 	// The user never saw the crash.
-	if len(schedd.Reports) != 1 || schedd.Reports[0].IncidentalLeak {
-		t.Errorf("reports = %+v", schedd.Reports)
+	if len(schedd.Reports()) != 1 || schedd.Reports()[0].IncidentalLeak {
+		t.Errorf("reports = %+v", schedd.Reports())
 	}
 }
 
@@ -136,8 +136,8 @@ func TestFetchRetriesEscalateToHold(t *testing.T) {
 	if se.Scope != scope.ScopeLocalResource || se.Kind != scope.KindEscaping {
 		t.Errorf("escalated error = %+v", se)
 	}
-	if len(schedd.Reports) != 1 || schedd.Reports[0].Disposition != scope.DispositionHold {
-		t.Errorf("reports = %+v", schedd.Reports)
+	if len(schedd.Reports()) != 1 || schedd.Reports()[0].Disposition != scope.DispositionHold {
+		t.Errorf("reports = %+v", schedd.Reports())
 	}
 	// One attempt, one escalation: the job never bounced around the
 	// pool repeating the same submit-side failure.

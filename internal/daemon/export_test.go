@@ -24,11 +24,31 @@ func RefNegotiate(m *Matchmaker) { m.refNegotiate() }
 //   - every job's ad still renders as it did at Submit, the identity
 //     its journal submit record carries: the ad is shared with the
 //     matchmaker and the claim request, never copied, so nothing
-//     downstream may mutate it.
+//     downstream may mutate it;
+//   - the live list is the jobs map in id order, no live job is also
+//     retired, and every live report belongs to a live terminal job;
+//   - each live job's cached attempt lines are the lines its attempts
+//     encode to now: nothing changed an attempt after it froze.
 func CheckScheddIndex(s *Schedd) error {
 	nonTerminal, idle := 0, 0
-	for _, id := range s.order {
-		j := s.jobs[id]
+	if len(s.live) != len(s.jobs) {
+		return fmt.Errorf("schedd %s: %d live jobs listed, %d mapped", s.name, len(s.live), len(s.jobs))
+	}
+	for i, j := range s.live {
+		id := j.ID
+		if s.jobs[id] != j || i > 0 && s.live[i-1].ID >= id {
+			return fmt.Errorf("schedd %s: live slot %d (job %d) out of order or unmapped", s.name, i, id)
+		}
+		if _, ok := s.retired[id]; ok {
+			return fmt.Errorf("schedd %s: job %d both live and retired", s.name, id)
+		}
+		var fresh []byte
+		for k := range j.attEncN {
+			fresh = appendAttempt(fresh, id, &j.Attempts[k])
+		}
+		if !bytes.Equal(fresh, j.attEnc) {
+			return fmt.Errorf("schedd %s: job %d attempt cache is stale:\n%s\nencodes now as\n%s", s.name, id, j.attEnc, fresh)
+		}
 		if !j.State.Terminal() {
 			nonTerminal++
 		}
@@ -47,6 +67,11 @@ func CheckScheddIndex(s *Schedd) error {
 	if nonTerminal != s.nonTerminal {
 		return fmt.Errorf("schedd %s: nonTerminal = %d, queue holds %d non-terminal jobs",
 			s.name, s.nonTerminal, nonTerminal)
+	}
+	for _, r := range s.reports {
+		if j := s.jobs[r.Job]; j == nil || !j.State.Terminal() {
+			return fmt.Errorf("schedd %s: live report for job %d, which is not a live terminal job", s.name, r.Job)
+		}
 	}
 	live := 0
 	for pos, j := range s.idleOrder {

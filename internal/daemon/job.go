@@ -141,8 +141,9 @@ type Job struct {
 	identEnc []byte
 	// attEnc/attEncN cache the journal encoding of frozen attempts:
 	// every attempt before the last, plus the last once it is closed
-	// and the job terminal.  applyFinal and normalizeJob only ever
-	// touch the open last attempt, so cached lines cannot go stale.
+	// and the job not running.  applyFinal only touches the last
+	// attempt of a running job and normalizeJob only an open one, so
+	// cached lines cannot go stale (see Job.freezeAttempts).
 	attEnc  []byte
 	attEncN int
 	// refName caches the schedd#id advertisement name.

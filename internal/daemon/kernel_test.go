@@ -80,8 +80,8 @@ func TestFigure1KernelSingleJob(t *testing.T) {
 	if startds[0].State() != StartdUnclaimed {
 		t.Error("machine should be unclaimed after the job")
 	}
-	if len(schedd.Reports) != 1 || schedd.Reports[0].IncidentalLeak {
-		t.Errorf("reports = %+v", schedd.Reports)
+	if len(schedd.Reports()) != 1 || schedd.Reports()[0].IncidentalLeak {
+		t.Errorf("reports = %+v", schedd.Reports())
 	}
 }
 
@@ -166,8 +166,8 @@ func TestFigure3ScopeRouting(t *testing.T) {
 			t.Errorf("last attempt = %+v", last)
 		}
 		// The user never saw the remote-resource error.
-		if len(schedd.Reports) != 1 || schedd.Reports[0].IncidentalLeak {
-			t.Errorf("reports = %+v", schedd.Reports)
+		if len(schedd.Reports()) != 1 || schedd.Reports()[0].IncidentalLeak {
+			t.Errorf("reports = %+v", schedd.Reports())
 		}
 	})
 
@@ -237,10 +237,10 @@ func TestNaiveModeLeaksIncidentalErrors(t *testing.T) {
 	if j.State != JobCompleted {
 		t.Fatalf("state = %v", j.State)
 	}
-	if len(schedd.Reports) != 1 {
-		t.Fatalf("reports = %+v", schedd.Reports)
+	if len(schedd.Reports()) != 1 {
+		t.Fatalf("reports = %+v", schedd.Reports())
 	}
-	rep := schedd.Reports[0]
+	rep := schedd.Reports()[0]
 	if !rep.IncidentalLeak {
 		t.Error("the leak should be detected against ground truth")
 	}

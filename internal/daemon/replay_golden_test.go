@@ -1,8 +1,6 @@
 package daemon
 
 import (
-	"flag"
-	"os"
 	"testing"
 	"time"
 
@@ -10,32 +8,14 @@ import (
 	"github.com/errscope/grid/internal/sim"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/schedd-pr16.journal from this tree")
-
-// readGolden returns a committed file — or, under -update, first
-// rewrites it from the scenario.
-func readGolden(t *testing.T, path string) []byte {
-	t.Helper()
-	if *updateGolden {
-		if err := os.WriteFile(path, parentJournalScenario(t).Journal().Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b
-}
-
 // parentJournalScenario is the run testdata/schedd-pr16.journal was
-// captured from, at the parent commit: a small pool with a black-hole
+// captured from, at the commit that wrote it: a small pool with a black-hole
 // machine, Java jobs of every outcome, a checkpointing Standard
 // Universe job that gets evicted, an ad with escapes in it, a schedd
 // crash with a forced compaction after it, then a second crash and a
 // late submit, stopped with some fifty entries of every common kind
-// behind the snapshot.  It uses nothing the parent did not
-// have, so the same file is the proof in both directions.
+// behind the snapshot.  It uses nothing that commit did not have,
+// so this tree can rerun it and compare what it recovers.
 func parentJournalScenario(t *testing.T) *Schedd {
 	t.Helper()
 	params := DefaultParams()

@@ -378,7 +378,7 @@ func (s *Schedd) refSnapshotReport(kv map[string]string) error {
 	if r.IncidentalLeak, err = refParseBool(kv, "leak"); err != nil {
 		return err
 	}
-	s.Reports = append(s.Reports, r)
+	s.reports = append(s.reports, r)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strconv"
@@ -33,6 +34,109 @@ type UserReport struct {
 	IncidentalLeak bool
 }
 
+// Tally folds jobs into the counts a pool summary reports.  A schedd
+// keeps one for its retired jobs, folded once as each retires, and
+// Schedd.Tally adds the live queue to it.
+type Tally struct {
+	Jobs, Completed, Unexecutable, Held, Unfinished int
+	// IncidentalLeaks counts the reports that leaked an environmental
+	// condition as a program result — the postmortems the paper's
+	// users were forced into (Section 2.3).
+	IncidentalLeaks int
+	Attempts        int
+	FetchFailures   int
+	// LostContacts counts attempts whose execution site went silent
+	// (machine crash discovered by the shadow's result timeout).
+	LostContacts int
+	// Evictions counts attempts ended by a machine owner's return.
+	Evictions int
+	// Goodput is CPU consumed by attempts that yielded a program
+	// result; Badput is the occupancy of attempts that did not.
+	Goodput, Badput time.Duration
+	// TurnaroundTotal sums the queue residency of completed jobs.
+	TurnaroundTotal time.Duration
+}
+
+// Merge adds another tally's counts to t.
+func (t *Tally) Merge(o Tally) {
+	t.Jobs += o.Jobs
+	t.Completed += o.Completed
+	t.Unexecutable += o.Unexecutable
+	t.Held += o.Held
+	t.Unfinished += o.Unfinished
+	t.IncidentalLeaks += o.IncidentalLeaks
+	t.Attempts += o.Attempts
+	t.FetchFailures += o.FetchFailures
+	t.LostContacts += o.LostContacts
+	t.Evictions += o.Evictions
+	t.Goodput += o.Goodput
+	t.Badput += o.Badput
+	t.TurnaroundTotal += o.TurnaroundTotal
+}
+
+// Add folds one job and its attempts.  It reads attempts in place and
+// sorts a result by scope without building its error: a monitor runs
+// it over the live queue once per pump.
+func (t *Tally) Add(j *Job) {
+	t.Jobs++
+	switch j.State {
+	case JobCompleted:
+		t.Completed++
+		t.TurnaroundTotal += j.Finished.Sub(j.Submitted)
+	case JobUnexecutable:
+		t.Unexecutable++
+	case JobHeld:
+		t.Held++
+	default:
+		t.Unfinished++
+	}
+	for i := range j.Attempts {
+		att := &j.Attempts[i]
+		t.Attempts++
+		if att.FetchError != nil {
+			t.FetchFailures++
+			continue
+		}
+		if att.LostContact != nil {
+			t.LostContacts++
+			continue
+		}
+		if att.Evicted {
+			// The owner's return ends the attempt; whether the
+			// occupancy was wasted depends on the universe
+			// (checkpointing preserves it), so it is reported
+			// separately rather than as badput.
+			t.Evictions++
+			continue
+		}
+		if sc := att.True.ErrScope(); sc == scope.ScopeNone || sc == scope.ScopeProgram {
+			t.Goodput += att.CPU
+		} else {
+			// A failed attempt wastes the machine for its whole
+			// occupancy — claim, transfer, startup — not just the
+			// program CPU it burned (Section 5: "continuous waste of
+			// CPU and network capacity").
+			t.Badput += att.End.Sub(att.Start)
+		}
+	}
+}
+
+// Tally returns the retired tallies plus a fold of the live queue:
+// what a walk of every job ever submitted would count, at the cost of
+// the jobs still queued.
+func (s *Schedd) Tally() Tally {
+	t := s.retiredTally
+	for _, j := range s.live {
+		t.Add(j)
+	}
+	for i := range s.reports {
+		if s.reports[i].IncidentalLeak {
+			t.IncidentalLeaks++
+		}
+	}
+	return t
+}
+
 // Schedd owns the persistent job queue: it advertises idle jobs,
 // claims matched machines, spawns a shadow per running job, and is
 // the last line of defense for error disposition (Section 4).
@@ -46,9 +150,21 @@ type Schedd struct {
 	// running jobs by their shadows.
 	SubmitFS *vfs.FileSystem
 
+	// jobs and live hold the queue: every job not yet retired, by id
+	// and in submission (id) order.  A terminal job stays live until
+	// the next compaction retires it to the history (see retire).
 	jobs   map[JobID]*Job
-	order  []JobID
+	live   []*Job
 	nextID JobID
+	// retired holds every job the history owns, by id; retiredTally
+	// folds them once, at retirement; retiredReports are their reports
+	// in completion order, decoded or kept, and histReports the report
+	// blocks of the history frames Recover indexed but nobody has
+	// asked to decode yet.  See retire and readHistory.
+	retired        map[JobID]retiredJob
+	retiredTally   Tally
+	retiredReports []UserReport
+	histReports    [][]byte
 
 	// idleOrder and idlePos index the idle jobs in the order they
 	// became idle, with tombstoned (nil) slots compacted lazily, so
@@ -77,8 +193,10 @@ type Schedd struct {
 
 	// wal is the write-ahead journal: every queue transition is
 	// appended before it is acted on, so the queue survives a crash
-	// of this process (see scheddjournal.go).
-	wal *journal.Journal
+	// of this process (see scheddjournal.go).  hist is the history
+	// journal retired jobs move to; it is only ever appended to.
+	wal  *journal.Journal
+	hist *journal.Journal
 	// walAppends counts entries since the last compaction.
 	walAppends int
 	// Group commit: walBuf holds the records of the open
@@ -88,12 +206,9 @@ type Schedd struct {
 	walBuf      [][]byte
 	outbox      []pendingSend
 	commitArmed bool
-	// snapBuf is the reused snapshot assembly buffer; reportEnc and
-	// reportEncN cache the encoded prefix of Reports, which is
-	// append-only between recoveries.
-	snapBuf    []byte
-	reportEnc  []byte
-	reportEncN int
+	// snapBuf is the reused snapshot and history-frame assembly
+	// buffer.
+	snapBuf []byte
 	// crashed marks a schedd that is down; epoch invalidates timers
 	// (claim timeouts, requeue backoffs) armed before a crash.
 	crashed bool
@@ -101,8 +216,9 @@ type Schedd struct {
 	// stopAds cancels the periodic idle-job advertisement ticker.
 	stopAds func()
 
-	// Reports collects what users were shown, in completion order.
-	Reports []UserReport
+	// reports collects what users of live jobs were shown, in
+	// completion order; Reports prepends the retired ones.
+	reports []UserReport
 
 	// Metrics.  MatchesReceived/MatchesDeclined/ClaimsFailed are
 	// transient counters and do not survive a crash; Requeues is
@@ -146,11 +262,13 @@ func NewSchedd(bus Runtime, params Params, name string) *Schedd {
 		tr:              params.tracer(),
 		SubmitFS:        vfs.New(),
 		jobs:            make(map[JobID]*Job),
+		retired:         make(map[JobID]retiredJob),
 		idlePos:         make(map[JobID]int),
 		shadows:         make(map[JobID]*Shadow),
 		machineFailures: make(map[string]failureRecord),
 		avoidedDirty:    true,
 		wal:             journal.New(),
+		hist:            journal.New(),
 	}
 	bus.Register(name, s)
 	s.stopAds = bus.Every(params.AdInterval, s.advertiseIdle)
@@ -186,7 +304,7 @@ func (s *Schedd) Submit(job *Job) JobID {
 // Both Submit and journal replay funnel through it.
 func (s *Schedd) addJob(j *Job) {
 	s.jobs[j.ID] = j
-	s.order = append(s.order, j.ID)
+	s.live = append(s.live, j)
 	if !j.State.Terminal() {
 		s.nonTerminal++
 	}
@@ -249,16 +367,33 @@ func (s *Schedd) compactIdle() {
 	s.idleStale = 0
 }
 
-// Job returns the job with the given id.
-func (s *Schedd) Job(id JobID) *Job { return s.jobs[id] }
-
-// Jobs returns all jobs in submission order.
-func (s *Schedd) Jobs() []*Job {
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+// Job returns the job with the given id, live or retired.
+func (s *Schedd) Job(id JobID) *Job {
+	if j, ok := s.jobs[id]; ok {
+		return j
 	}
+	return s.retiredJob(id, nil)
+}
+
+// Jobs returns all jobs, live and retired, in submission order.
+func (s *Schedd) Jobs() []*Job {
+	out := make([]*Job, 0, len(s.retired)+len(s.live))
+	rp := newReplayer(s)
+	for id := range s.retired {
+		if j := s.retiredJob(id, rp); j != nil {
+			out = append(out, j)
+		}
+	}
+	out = append(out, s.live...)
+	slices.SortFunc(out, func(a, b *Job) int { return cmp.Compare(a.ID, b.ID) })
 	return out
+}
+
+// Reports returns what users were shown, retired jobs included, in
+// completion order.
+func (s *Schedd) Reports() []UserReport {
+	s.decodeHistoryReports()
+	return slices.Concat(s.retiredReports, s.reports)
 }
 
 // AllTerminal reports whether every job reached a final state.
@@ -767,21 +902,17 @@ func (s *Schedd) applyFinal(j *Job, f jobFinalMsg, err error, now sim.Time) scop
 		j.CheckpointCPU = f.CheckpointCPU
 	}
 
-	disp := scope.DisposeError(err)
+	disp := s.dispose(f, err, now)
 	switch disp {
 	case scope.DispositionComplete:
 		s.setState(j, JobCompleted)
 		j.Finished = now
-		if _, ok := s.machineFailures[f.Machine]; ok {
-			delete(s.machineFailures, f.Machine)
-			s.avoidedDirty = true
-		}
 		leak := false
 		if trueErr := f.True.Err(); trueErr != nil &&
 			scope.ScopeOf(trueErr) > scope.ScopeProgram {
 			leak = true
 		}
-		s.Reports = append(s.Reports, UserReport{
+		s.reports = append(s.reports, UserReport{
 			Job:            j.ID,
 			Disposition:    disp,
 			Result:         f.Reported,
@@ -792,12 +923,46 @@ func (s *Schedd) applyFinal(j *Job, f jobFinalMsg, err error, now sim.Time) scop
 		s.setState(j, JobUnexecutable)
 		j.Finished = now
 		j.FinalErr = err
-		s.Reports = append(s.Reports, UserReport{
+		s.reports = append(s.reports, UserReport{
 			Job:         j.ID,
 			Disposition: disp,
 			Err:         err,
 		})
 
+	default: // requeue, possibly hardened into a hold
+		if f.Hold || len(j.Attempts) >= s.params.MaxAttempts {
+			s.setState(j, JobHeld)
+			j.Finished = now
+			if f.Hold {
+				// The shadow already escalated; its error names the
+				// exhausted execution environment.
+				j.FinalErr = err
+			} else {
+				j.FinalErr = holdErr(err)
+			}
+			s.reports = append(s.reports, UserReport{
+				Job:         j.ID,
+				Disposition: scope.DispositionHold,
+				Err:         j.FinalErr,
+			})
+		}
+	}
+	return disp
+}
+
+// dispose applies what a final report does to the schedd rather than
+// to its job — the requeue count and the chronic-failure table — and
+// returns the disposition.  Replay applies it alone for the final
+// record of a job the history already holds.
+func (s *Schedd) dispose(f jobFinalMsg, err error, now sim.Time) scope.Disposition {
+	disp := scope.DisposeError(err)
+	switch disp {
+	case scope.DispositionComplete:
+		if _, ok := s.machineFailures[f.Machine]; ok {
+			delete(s.machineFailures, f.Machine)
+			s.avoidedDirty = true
+		}
+	case scope.DispositionUnexecutable:
 	default: // requeue, possibly hardened into a hold
 		s.Requeues++
 		// Blame the machine for its own failures — including going
@@ -809,22 +974,6 @@ func (s *Schedd) applyFinal(j *Job, f jobFinalMsg, err error, now sim.Time) scop
 			rec.last = now
 			s.machineFailures[f.Machine] = rec
 			s.avoidedDirty = true
-		}
-		if f.Hold || len(j.Attempts) >= s.params.MaxAttempts {
-			s.setState(j, JobHeld)
-			j.Finished = now
-			if f.Hold {
-				// The shadow already escalated; its error names the
-				// exhausted execution environment.
-				j.FinalErr = err
-			} else {
-				j.FinalErr = holdErr(err)
-			}
-			s.Reports = append(s.Reports, UserReport{
-				Job:         j.ID,
-				Disposition: scope.DispositionHold,
-				Err:         j.FinalErr,
-			})
 		}
 	}
 	return disp

@@ -37,7 +37,7 @@ func queueSummary(s *Schedd) string {
 	for _, j := range s.Jobs() {
 		b.WriteString(jobSummary(j))
 	}
-	for _, r := range s.Reports {
+	for _, r := range s.Reports() {
 		fmt.Fprintf(&b, "report job=%d disp=%s result=%q err=%v leak=%t\n",
 			r.Job, r.Disposition, r.Result.EncodeString(), r.Err, r.IncidentalLeak)
 	}
@@ -86,10 +86,10 @@ func TestScheddCrashRecoverPhases(t *testing.T) {
 			if schedd.Recoveries != 1 {
 				t.Errorf("recoveries = %d", schedd.Recoveries)
 			}
-			if len(schedd.Reports) != 1 {
-				t.Fatalf("reports = %+v", schedd.Reports)
+			if len(schedd.Reports()) != 1 {
+				t.Fatalf("reports = %+v", schedd.Reports())
 			}
-			rep := schedd.Reports[0]
+			rep := schedd.Reports()[0]
 			if rep.Disposition != scope.DispositionComplete || rep.IncidentalLeak {
 				t.Errorf("report = %+v", rep)
 			}
@@ -299,8 +299,8 @@ func TestScheddTornTailRecovery(t *testing.T) {
 	if j == nil || j.State != JobCompleted {
 		t.Fatalf("job = %+v", j)
 	}
-	if len(schedd.Reports) != 1 || schedd.Reports[0].Disposition != scope.DispositionComplete {
-		t.Errorf("reports = %+v", schedd.Reports)
+	if len(schedd.Reports()) != 1 || schedd.Reports()[0].Disposition != scope.DispositionComplete {
+		t.Errorf("reports = %+v", schedd.Reports())
 	}
 }
 

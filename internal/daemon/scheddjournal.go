@@ -8,11 +8,18 @@ package daemon
 // died with the schedd.
 //
 // The journal holds one text record per transition, and the periodic
-// compaction folds the applied prefix into a snapshot of the whole
-// queue.  Both are key=value lines written with package record's
-// quoter, so a torn tail truncates at a record boundary (package
-// journal) and a record never splits across frames; scheddreplay.go
-// reads them back in the record package's lenient journal grammar.
+// compaction folds the applied prefix into a snapshot of the live
+// queue: the jobs not yet terminal, and the terminal ones since the
+// last compaction.  At each compaction every terminal job first
+// retires: its job, attempt and report lines move, once, to an
+// append-only history journal (Condor's history file), and the
+// snapshot that follows omits it.  So compaction and recovery cost
+// what is still queued, not everything ever submitted.  Records,
+// snapshot and history frames are key=value lines written with package
+// record's quoter, so a torn tail truncates at a record boundary
+// (package journal) and a record never splits across frames;
+// scheddreplay.go reads them back in the record package's lenient
+// journal grammar.
 //
 // Deliberately not persisted: per-job event logs and the transient
 // counters (MatchesReceived, MatchesDeclined, ClaimsFailed) — they
@@ -47,6 +54,10 @@ const walCompactEvery = 64
 // the "disk" of a crashed schedd.
 func (s *Schedd) Journal() *journal.Journal { return s.wal }
 
+// History exposes the journal retired jobs move to.  It is never
+// compacted, and a crash keeps it as it keeps the write-ahead journal.
+func (s *Schedd) History() *journal.Journal { return s.hist }
+
 // Crashed reports whether the schedd is currently down.
 func (s *Schedd) Crashed() bool { return s.crashed }
 
@@ -68,43 +79,37 @@ func (s *Schedd) journalAppend(rec []byte) {
 }
 
 // compactEvery is the adaptive compaction threshold: at least
-// walCompactEvery, but grown with queue size.  A fixed
-// threshold makes a big pool re-serialize its whole queue every 64
-// transitions — O(queue²) journal work over a run — while a
-// proportional one keeps compaction amortized O(1) per transition.
+// walCompactEvery, but grown with the live queue — the jobs a
+// snapshot writes.  A fixed threshold makes a big queue re-serialize
+// itself every 64 transitions — O(queue²) journal work over a run —
+// while a proportional one keeps compaction amortized O(1) per
+// transition.  Retired jobs are not counted: no snapshot writes them.
 // The multiplier trades recovery replay length against snapshot
 // traffic; at 4x the run-long journal cost stays O(1) per transition
 // with half the 2x multiplier's snapshot bytes.
 func (s *Schedd) compactEvery() int {
-	if n := 4 * len(s.jobs); n > walCompactEvery {
+	if n := 4 * len(s.live); n > walCompactEvery {
 		return n
 	}
 	return walCompactEvery
 }
 
-// commitWAL closes the open batch.  The buffered records become
-// durable as one batched append — or are folded into a fresh snapshot
-// when the log is due for compaction: every buffered record describes
-// a transition already applied to the in-memory queue, so the
-// snapshot subsumes the batch.  Only then do the deferred sends go
-// out, in order.  The epoch fence drops commits armed before a crash:
-// the buffer and outbox are process memory, and losing them at a
-// crash is exactly the semantics the group-commit crash test pins.
+// commitWAL closes the open batch: the buffered records become
+// durable as one batched append, and when the log is due the
+// compaction follows.  Only then do the deferred sends go out, in
+// order.  The epoch fence drops commits armed before a crash: the
+// buffer and outbox are process memory, and losing them at a crash is
+// exactly the semantics the group-commit crash test pins.
 func (s *Schedd) commitWAL(epoch int) {
 	if s.crashed || epoch != s.epoch {
 		return
 	}
 	s.commitArmed = false
 	if len(s.walBuf) > 0 {
-		if s.walAppends+len(s.walBuf) >= s.compactEvery() {
-			s.wal.Compact(s.snapshot(), nil)
-			s.walAppends = 0
-		} else {
-			s.wal.AppendBatch(s.walBuf)
-			s.walAppends += len(s.walBuf)
+		s.flushBatch()
+		if s.walAppends >= s.compactEvery() {
+			s.compact()
 		}
-		clear(s.walBuf)
-		s.walBuf = s.walBuf[:0]
 	}
 	for i := range s.outbox {
 		p := s.outbox[i]
@@ -114,24 +119,54 @@ func (s *Schedd) commitWAL(epoch int) {
 	s.outbox = s.outbox[:0]
 }
 
-// ForceCompact folds the journal into a fresh snapshot now, without
-// waiting for the adaptive threshold — the ops-plane `compact` verb.
-// Any buffered group-commit records describe transitions already
-// applied to the in-memory queue, so the snapshot subsumes them; the
-// sends deferred behind those records still flush at the armed commit
-// (durability is only ever strengthened here, never weakened).  On a
-// crashed schedd the verb escapes to the caller as a local-resource
-// error naming the daemon it touched.
+// flushBatch appends the open batch to the write-ahead journal.
+func (s *Schedd) flushBatch() {
+	s.wal.AppendBatch(s.walBuf)
+	s.walAppends += len(s.walBuf)
+	clear(s.walBuf)
+	s.walBuf = s.walBuf[:0]
+}
+
+// compact retires every terminal job to the history, then folds the
+// write-ahead journal into a snapshot of the live queue.  The order
+// is the durability argument: every record is already in the journal,
+// so a crash before the history append replays the journal, a crash
+// after it finds the retired jobs in both and lets the history win,
+// and a crash after the snapshot finds each job in exactly one place.
+func (s *Schedd) compact() {
+	s.appendHistory()
+	s.foldJournal()
+}
+
+// appendHistory is a compaction's first write: every terminal job
+// retires, in one history frame.
+func (s *Schedd) appendHistory() {
+	if frame := s.retire(); frame != nil {
+		s.hist.Append(frame)
+	}
+}
+
+// foldJournal is a compaction's second write: the write-ahead journal
+// is replaced by a snapshot of the live queue.
+func (s *Schedd) foldJournal() {
+	s.wal.Compact(s.snapshot(), nil)
+	s.walAppends = 0
+}
+
+// ForceCompact compacts now, without waiting for the adaptive
+// threshold — the ops-plane `compact` verb.  Any buffered group-commit
+// records are appended first; the sends deferred behind them still
+// flush at the armed commit (durability is only ever strengthened
+// here, never weakened).  On a crashed schedd the verb escapes to the
+// caller as a local-resource error naming the daemon it touched.
 func (s *Schedd) ForceCompact() error {
 	if s.crashed {
 		e := scope.New(scope.ScopeLocalResource, "ScheddDown",
 			"cannot compact %s: the schedd is down", s.name)
 		return e.WithOrigin(s.name)
 	}
-	s.wal.Compact(s.snapshot(), nil)
-	s.walAppends = 0
-	clear(s.walBuf)
-	s.walBuf = s.walBuf[:0]
+	s.flushBatch()
+	s.compact()
 	if s.tr.Enabled() {
 		s.tr.Emit(obs.Event{T: int64(s.bus.Now()), Comp: s.name,
 			Kind: obs.KindState, Code: "wal-compacted",
@@ -143,7 +178,10 @@ func (s *Schedd) ForceCompact() error {
 // Crash takes the schedd process down: the advertisement ticker
 // stops, pending timers are fenced off by the epoch bump, the shadows
 // — child processes — die silently, and the actor leaves the bus.
-// The journal survives; it is the disk, not the process.
+// The journals survive; they are the disk, not the process.  The
+// retired jobs held in memory go with the process, as the queue does:
+// Recover rebuilds the queue and indexes the history, and decodes a
+// retired job only when asked for it.
 func (s *Schedd) Crash() {
 	if s.crashed {
 		return
@@ -183,9 +221,13 @@ func (s *Schedd) Crash() {
 }
 
 // Recover restarts a crashed schedd from a journal — its own by
-// default, or an explicit one standing in for the recovered disk.
-// The queue is rebuilt by replaying the snapshot and every surviving
-// record; jobs that were in flight when the process died are closed
+// default, or an explicit one standing in for the recovered disk —
+// and its history.  A torn tail is cut off both before anything is
+// appended to them.  The history is indexed, not decoded: its frames
+// are checked, the retired job ids read and the retired tallies taken
+// from the last frame.  The live queue is rebuilt by replaying the
+// snapshot and every surviving record, skipping whatever the history
+// holds; jobs that were in flight when the process died are closed
 // out with a local-resource ShadowDied error and requeued.
 func (s *Schedd) Recover(from *journal.Journal) error {
 	if !s.crashed {
@@ -194,12 +236,12 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	if from == nil {
 		from = s.wal
 	}
-	r := from.Replay()
+	r := intact(from)
 
 	s.wal = from
 	s.walAppends = len(r.Entries)
 	s.jobs = make(map[JobID]*Job)
-	s.order = nil
+	s.live = nil
 	s.nextID = 0
 	s.shadowSeq = 0
 	s.shadows = make(map[JobID]*Shadow)
@@ -207,12 +249,14 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	s.avoidedCache, s.avoidedDirty = nil, true
 	s.idleOrder, s.idleStale, s.nonTerminal = nil, 0, 0
 	s.idlePos = make(map[JobID]int)
-	s.Reports = nil
-	s.reportEnc, s.reportEncN = s.reportEnc[:0], 0
+	s.reports = nil
 	s.Requeues = 0
 	s.MatchesReceived, s.MatchesDeclined, s.ClaimsFailed = 0, 0, 0
 
 	rp := newReplayer(s)
+	if err := rp.readHistory(intact(s.hist)); err != nil {
+		return fmt.Errorf("schedd %s: history: %w", s.name, err)
+	}
 	if len(r.Snapshot) > 0 {
 		if err := rp.applySnapshot(r.Snapshot); err != nil {
 			return fmt.Errorf("schedd %s: snapshot: %w", s.name, err)
@@ -223,6 +267,9 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 			return fmt.Errorf("schedd %s: record %d: %w", s.name, i, err)
 		}
 	}
+	// An id the history holds is never handed out again, even if the
+	// journal lost the records that would say so.
+	s.nextID = max(s.nextID, rp.lastRetired)
 
 	s.crashed = false
 	s.bus.Register(s.name, s)
@@ -241,8 +288,7 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	// was serving it (shadow, claim, matchmaker entry) with the
 	// process, so it restarts from idle.  The normalization itself is
 	// journaled so a second crash replays to the same place.
-	for _, id := range s.order {
-		j := s.jobs[id]
+	for _, j := range s.live {
 		if j.State.Terminal() {
 			continue
 		}
@@ -266,6 +312,19 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	// disk; flush the batch before handing the queue back.
 	s.commitWAL(s.epoch)
 	return nil
+}
+
+// intact decodes a journal and cuts off its torn tail, so the records
+// appended after a recovery follow the last intact one.  Left in place,
+// the tail would hide them from every later replay: the history is
+// never compacted, so nothing else would ever clear it.
+func intact(j *journal.Journal) journal.Replay {
+	b := j.Bytes()
+	r := journal.Decode(b)
+	if r.Truncated > 0 {
+		j.SetBytes(b[:len(b)-r.Truncated])
+	}
+	return r
 }
 
 // normalizeJob requeues one non-terminal job after recovery: an open
@@ -419,23 +478,21 @@ func decodeScopedErr(enc string) (error, error) {
 
 // --- snapshot --------------------------------------------------------
 
-// snapshot serializes the whole queue: one header line, the
-// chronic-failure table, then per job its attempts, then the user
-// reports.  Line order is the replay order.  The assembly buffer is
-// reused across snapshots and the immutable pieces — job identity
-// lines, frozen attempts, already-written reports — come from caches,
-// so each compaction pays only for the state that changed since the
-// last one.  The returned slice aliases the reused buffer; callers
-// (journal framing) copy it before the next snapshot.
+// snapshot serializes the live queue: one header line, the
+// chronic-failure table, then per live job its job line and attempts.
+// compact calls it right after retire, so no live job is terminal and
+// no report is left to write: the snapshot carries what is still
+// queued and nothing the history holds.  (Replay still reads the
+// report lines of snapshots written before jobs retired.)  Line order
+// is the replay order.  The assembly buffer is reused across
+// snapshots and the immutable pieces — job identity lines and frozen
+// attempts — come from caches, so each compaction pays only for the
+// state that changed since the last one.  The returned slice aliases
+// the reused buffer; callers (journal framing) copy it before the
+// next snapshot.
 func (s *Schedd) snapshot() []byte {
-	if cap(s.snapBuf) < 256*len(s.jobs) {
-		// First snapshot at this queue size: reserve roughly a full
-		// serialization up front so the build doubles a handful of
-		// times instead of re-copying megabytes under append's damped
-		// growth factor.
-		s.snapBuf = make([]byte, 0, 256*len(s.jobs))
-	}
-	b := record.AppendInt(append(s.snapBuf[:0], "schedd"...), "nextID", int64(s.nextID))
+	b := s.snapshotBuf(len(s.live))
+	b = record.AppendInt(append(b, "schedd"...), "nextID", int64(s.nextID))
 	b = record.AppendInt(b, "requeues", int64(s.Requeues))
 	b = append(record.AppendInt(b, "recoveries", int64(s.Recoveries)), '\n')
 	machines := make([]string, 0, len(s.machineFailures))
@@ -451,47 +508,126 @@ func (s *Schedd) snapshot() []byte {
 		b = record.AppendInt(b, "count", int64(rec.count))
 		b = append(record.AppendInt(b, "last", int64(rec.last)), '\n')
 	}
-	for _, id := range s.order {
-		j := s.jobs[id]
-		b = append(record.AppendInt(append(b, "job"...), "id", int64(j.ID)), j.identLine()...)
-		b = append(append(b, " state="...), j.State.String()...)
-		b = record.AppendInt(b, "ckpt", int64(j.CheckpointCPU))
-		b = record.AppendBool(b, "relaxed", j.avoidanceRelaxed)
-		b = record.AppendInt(b, "submitted", int64(j.Submitted))
-		b = record.AppendInt(b, "finished", int64(j.Finished))
-		b = append(record.AppendStr(b, "finalerr", encodeScopedErr(j.FinalErr)), '\n')
-		b = j.appendAttempts(b)
+	for _, j := range s.live {
+		b = j.appendLines(b, true)
 	}
-	if s.reportEncN > len(s.Reports) {
-		// Reports were reset (recovery rebuilds them); re-encode.
-		s.reportEnc, s.reportEncN = s.reportEnc[:0], 0
-	}
-	for ; s.reportEncN < len(s.Reports); s.reportEncN++ {
-		s.reportEnc = appendReport(s.reportEnc, &s.Reports[s.reportEncN])
-	}
-	b = append(b, s.reportEnc...)
 	s.snapBuf = b
 	return b
 }
 
-// appendAttempts writes the job's attempt lines: the frozen prefix
-// from the cache, the still-mutable tail fresh.  An attempt freezes
-// when a later attempt exists (applyFinal and normalizeJob only touch
-// the last), or when it is closed and the job is terminal.
-func (j *Job) appendAttempts(b []byte) []byte {
-	for j.attEncN < len(j.Attempts) {
-		a := &j.Attempts[j.attEncN]
-		if j.attEncN == len(j.Attempts)-1 && !(a.End != 0 && j.State.Terminal()) {
-			break
+// snapshotBuf returns the reused assembly buffer, emptied.  The first
+// time it must hold n jobs it reserves roughly a full serialization up
+// front, so the build doubles a handful of times instead of
+// re-copying megabytes under append's damped growth factor.
+func (s *Schedd) snapshotBuf(n int) []byte {
+	if cap(s.snapBuf) < 256*n {
+		s.snapBuf = make([]byte, 0, 256*n)
+	}
+	return s.snapBuf[:0]
+}
+
+// retire moves every terminal job out of the queue and returns the
+// history frame that holds them, nil if none is terminal: a header
+// line with the cumulative retired tallies, then per job its snapshot
+// job and attempt lines, then the reports in completion order — every
+// report belongs to a terminal job, so all of them go.  Each job is
+// folded into the tallies here, once.  The retired *Job values stay in
+// process memory, event logs included, until the next crash; their
+// encode caches are dropped, since nothing encodes a retired job
+// again.  The frame aliases the snapshot buffer: append it before the
+// next snapshot.
+func (s *Schedd) retire() []byte {
+	n := len(s.live) - s.nonTerminal
+	if n == 0 {
+		return nil
+	}
+	for _, j := range s.live {
+		if j.State.Terminal() {
+			s.retiredTally.Add(j)
 		}
-		j.attEnc = appendAttempt(j.attEnc, j.ID, a)
-		j.attEncN++
+	}
+	for i := range s.reports {
+		if s.reports[i].IncidentalLeak {
+			s.retiredTally.IncidentalLeaks++
+		}
+	}
+	b := appendTally(s.snapshotBuf(n), &s.retiredTally)
+	keep := s.live[:0]
+	for _, j := range s.live {
+		if !j.State.Terminal() {
+			keep = append(keep, j)
+			continue
+		}
+		b = j.appendLines(b, false)
+		j.identEnc, j.attEnc, j.attEncN = nil, nil, 0
+		delete(s.jobs, j.ID)
+		s.retired[j.ID] = retiredJob{j: j}
+	}
+	clear(s.live[len(keep):])
+	s.live = keep
+	for i := range s.reports {
+		b = appendReport(b, &s.reports[i])
+	}
+	s.snapBuf = b
+	s.retiredReports = append(s.retiredReports, s.reports...)
+	clear(s.reports)
+	s.reports = s.reports[:0]
+	return b
+}
+
+// appendTally writes a history frame's header line: the retired
+// tallies so far, this frame's jobs included.  Jobs is the sum of the
+// three terminal states, so it is not written.
+func appendTally(b []byte, t *Tally) []byte {
+	b = record.AppendInt(append(b, "history"...), "completed", int64(t.Completed))
+	b = record.AppendInt(b, "unexecutable", int64(t.Unexecutable))
+	b = record.AppendInt(b, "held", int64(t.Held))
+	b = record.AppendInt(b, "leaks", int64(t.IncidentalLeaks))
+	b = record.AppendInt(b, "attempts", int64(t.Attempts))
+	b = record.AppendInt(b, "fetch", int64(t.FetchFailures))
+	b = record.AppendInt(b, "lost", int64(t.LostContacts))
+	b = record.AppendInt(b, "evictions", int64(t.Evictions))
+	b = record.AppendInt(b, "goodput", int64(t.Goodput))
+	b = record.AppendInt(b, "badput", int64(t.Badput))
+	return append(record.AppendInt(b, "turnaround", int64(t.TurnaroundTotal)), '\n')
+}
+
+// appendLines writes the job's snapshot lines: its job line, then its
+// attempts.  A snapshot caches the attempts that froze (see
+// freezeAttempts); a retiring job's are written without caching, since
+// nothing encodes it again.
+func (j *Job) appendLines(b []byte, cache bool) []byte {
+	b = append(record.AppendInt(append(b, "job"...), "id", int64(j.ID)), j.identLine()...)
+	b = append(append(b, " state="...), j.State.String()...)
+	b = record.AppendInt(b, "ckpt", int64(j.CheckpointCPU))
+	b = record.AppendBool(b, "relaxed", j.avoidanceRelaxed)
+	b = record.AppendInt(b, "submitted", int64(j.Submitted))
+	b = record.AppendInt(b, "finished", int64(j.Finished))
+	b = append(record.AppendStr(b, "finalerr", encodeScopedErr(j.FinalErr)), '\n')
+	if cache {
+		j.freezeAttempts()
 	}
 	b = append(b, j.attEnc...)
 	for i := j.attEncN; i < len(j.Attempts); i++ {
 		b = appendAttempt(b, j.ID, &j.Attempts[i])
 	}
 	return b
+}
+
+// freezeAttempts moves the attempts that can no longer change into the
+// encode cache.  An attempt freezes when a later attempt exists, or
+// when it is closed and the job is not running: applyFinal only
+// touches the last attempt of a running job, normalizeJob only an open
+// one, and a job runs again only by starting a new attempt.
+func (j *Job) freezeAttempts() {
+	for j.attEncN < len(j.Attempts) {
+		a := &j.Attempts[j.attEncN]
+		if j.attEncN == len(j.Attempts)-1 && (a.End == 0 || j.State == JobRunning) {
+			break
+		}
+		j.attEnc = appendAttempt(j.attEnc, j.ID, a)
+		j.attEncN++
+	}
 }
 
 func appendAttempt(b []byte, id JobID, a *Attempt) []byte {

@@ -1,33 +1,41 @@
 package daemon
 
 // The read side of the schedd journal: rebuilding the queue from the
-// records and snapshots scheddjournal.go writes, through the lenient
-// journal grammar of package record (record.Cursor).  DESIGN.md
-// ("Record language") has the grammar.
+// records and snapshots scheddjournal.go writes, and indexing and
+// decoding the history it retires jobs to, through the lenient journal
+// grammar of package record (record.Cursor).  DESIGN.md ("Record
+// language", "Schedd journal: record language and replay") has the
+// grammar.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"github.com/errscope/grid/internal/classad"
+	"github.com/errscope/grid/internal/journal"
 	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/record"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/sim"
 )
 
-// replayer rebuilds the queue for one Recover call.  It scans every
-// record and snapshot line into one reused record.Cursor, and resolves
-// what a queue repeats — job ads, programs, results, machine and
-// owner names — through tables keyed on the raw field text, so
-// replay parses each distinct text once.  The tables die with the
-// Recover call: a hit is only ever a field byte-identical to one that
+// replayer rebuilds the queue for one Recover call, or decodes
+// retired jobs from the history for one Job, Jobs or Reports call.  It
+// scans every record and snapshot line into one reused record.Cursor,
+// and resolves what a queue repeats — job ads, programs, results,
+// machine and owner names — through tables keyed on the raw field
+// text, so replay parses each distinct text once.  The tables die with
+// the call: a hit is only ever a field byte-identical to one that
 // already passed every check in this same replay.  Nothing handed to
 // the queue aliases the log.
 type replayer struct {
 	s *Schedd
 	record.Cursor
+	// lastRetired is the highest job id the history holds.
+	lastRetired JobID
 
 	ads     map[string]*classad.Ad
 	progs   map[string]*jvm.Program
@@ -46,7 +54,8 @@ func newReplayer(s *Schedd) *replayer {
 
 // applyEntry replays one journal record against the queue.  Records
 // are facts, not requests: they were written ahead of transitions
-// that then happened, so they apply unconditionally.
+// that then happened, so they apply unconditionally — except to a job
+// the history holds, which the history wins.
 func (rp *replayer) applyEntry(payload []byte) error {
 	if err := rp.Scan(payload); err != nil {
 		return err
@@ -57,6 +66,9 @@ func (rp *replayer) applyEntry(payload []byte) error {
 		return rp.Err
 	}
 	op, _ := rp.Get("op")
+	if _, ok := s.retired[id]; ok {
+		return rp.skipRetired(string(op), id, at)
+	}
 	if string(op) == "submit" {
 		return rp.replaySubmit(id, at)
 	}
@@ -108,20 +120,48 @@ func (rp *replayer) applyEntry(payload []byte) error {
 	return nil
 }
 
-// replaySubmit rebuilds one job from the identity fields under the
-// cursor (a submit record or a snapshot job line).
+// skipRetired replays a record of a job the history holds.  The job
+// itself is the history's; what a final report did to the schedd —
+// its disposition's share of the requeue count and the
+// chronic-failure table — still applies, so a crash between the
+// history append and the compaction that follows it recovers the
+// state the compaction would have written.  (A submit's id needs
+// nothing: Recover keeps nextID above every retired id.)
+func (rp *replayer) skipRetired(op string, id JobID, at sim.Time) error {
+	if op != "final" {
+		return nil
+	}
+	f, err := rp.decodeFinal(id)
+	if err != nil {
+		return err
+	}
+	rp.s.dispose(f, finalError(f), at)
+	return nil
+}
+
+// replaySubmit rebuilds one job from a submit record.
 func (rp *replayer) replaySubmit(id JobID, at sim.Time) error {
+	j, err := rp.decodeJob(id, at)
+	if err != nil {
+		return err
+	}
+	rp.enqueue(j)
+	return nil
+}
+
+// enqueue adds a rebuilt job to the queue.
+func (rp *replayer) enqueue(j *Job) {
+	rp.s.addJob(j)
+	rp.s.nextID = max(rp.s.nextID, j.ID)
+}
+
+// decodeJob builds a job from the identity fields under the cursor (a
+// submit record or a snapshot or history job line).
+func (rp *replayer) decodeJob(id JobID, at sim.Time) (*Job, error) {
 	j := &Job{ID: id, State: JobIdle, Submitted: at,
 		Owner: rp.name("owner"), Universe: rp.name("universe"), Executable: rp.Str("exe"),
 		Ad: rp.ad(id), Program: rp.program(id)}
-	if rp.Err != nil {
-		return rp.Err
-	}
-	rp.s.addJob(j)
-	if id > rp.s.nextID {
-		rp.s.nextID = id
-	}
-	return nil
+	return j, rp.Err
 }
 
 // ad returns the job's ad: its own Ad, a Copy of the template parsed
@@ -194,10 +234,12 @@ func (rp *replayer) decodeFinal(id JobID) (jobFinalMsg, error) {
 }
 
 // applySnapshot rebuilds the queue from a snapshot payload, one line
-// at a time, in place.
+// at a time, in place.  The lines of a job the history holds are
+// skipped: the history wins.
 func (rp *replayer) applySnapshot(data []byte) error {
 	s := rp.s
 	var cur *Job
+	skipping := false
 	for ln := 1; len(data) > 0; ln++ {
 		line, rest, _ := bytes.Cut(data, []byte{'\n'})
 		data = rest
@@ -228,14 +270,33 @@ func (rp *replayer) applySnapshot(data []byte) error {
 			s.machineFailures[m] = rec
 			s.avoidedDirty = true
 		case "job":
-			cur, err = rp.snapshotJob()
+			if id := JobID(rp.Int("id")); rp.Err == nil {
+				if _, skipping = s.retired[id]; skipping {
+					cur = nil
+					continue
+				}
+			}
+			if cur, err = rp.snapshotJob(); err == nil {
+				rp.enqueue(cur)
+			}
 		case "attempt":
+			if skipping {
+				continue
+			}
 			if cur == nil {
 				return fmt.Errorf("line %d: attempt before job", ln)
 			}
-			err = rp.snapshotAttempt(cur)
+			var a Attempt
+			if a, err = rp.decodeAttempt(); err == nil {
+				cur.Attempts = append(cur.Attempts, a)
+			}
 		case "report":
-			err = rp.snapshotReport()
+			var r UserReport
+			if r, err = rp.decodeReport(); err == nil {
+				if _, ok := s.retired[r.Job]; !ok {
+					s.reports = append(s.reports, r)
+				}
+			}
 		default:
 			return fmt.Errorf("line %d: unknown snapshot line %q", ln, kind)
 		}
@@ -246,21 +307,21 @@ func (rp *replayer) applySnapshot(data []byte) error {
 	return nil
 }
 
+// snapshotJob decodes the snapshot or history job line under the
+// cursor; nothing is registered.
 func (rp *replayer) snapshotJob() (*Job, error) {
 	id := JobID(rp.Int("id"))
 	if rp.Err != nil {
 		return nil, rp.Err
 	}
-	if err := rp.replaySubmit(id, 0); err != nil {
-		return nil, err
-	}
-	j := rp.s.jobs[id]
-	state, _ := rp.Get("state")
-	st, err := parseJobState(state)
+	j, err := rp.decodeJob(id, 0)
 	if err != nil {
 		return nil, err
 	}
-	rp.s.setState(j, st)
+	state, _ := rp.Get("state")
+	if j.State, err = parseJobState(state); err != nil {
+		return nil, err
+	}
 	j.CheckpointCPU = durationNS(rp.Int("ckpt"))
 	j.avoidanceRelaxed = rp.Bool("relaxed")
 	j.Submitted, j.Finished = sim.Time(rp.Int("submitted")), sim.Time(rp.Int("finished"))
@@ -268,7 +329,7 @@ func (rp *replayer) snapshotJob() (*Job, error) {
 	return j, rp.Err
 }
 
-func (rp *replayer) snapshotAttempt(j *Job) error {
+func (rp *replayer) decodeAttempt() (Attempt, error) {
 	a := Attempt{Machine: rp.name("machine"),
 		Start: sim.Time(rp.Int("start")), End: sim.Time(rp.Int("end")),
 		CPU: durationNS(rp.Int("cpu")), Evicted: rp.Bool("evicted")}
@@ -277,30 +338,237 @@ func (rp *replayer) snapshotAttempt(j *Job) error {
 	}
 	a.FetchError, a.LostContact = rp.scopedErr("fetch"), rp.scopedErr("lost")
 	a.Reported, a.True = rp.result("rep", ""), rp.result("tru", "")
-	if rp.Err != nil {
-		return rp.Err
-	}
-	j.Attempts = append(j.Attempts, a)
-	return nil
+	return a, rp.Err
 }
 
-func (rp *replayer) snapshotReport() error {
+func (rp *replayer) decodeReport() (UserReport, error) {
 	r := UserReport{Job: JobID(rp.Int("job"))}
 	if rp.Err != nil {
-		return rp.Err
+		return r, rp.Err
 	}
 	disp, _ := rp.Get("disp")
 	var err error
 	if r.Disposition, err = parseDisposition(disp); err != nil {
-		return err
+		return r, err
 	}
 	r.Result, r.Err = rp.result("result", ""), rp.scopedErr("err")
 	r.IncidentalLeak = rp.Bool("leak")
+	return r, rp.Err
+}
+
+// --- history ---------------------------------------------------------
+
+// retiredJob is one job the history holds: the *Job itself, once this
+// process retired or decoded it, or else its job and attempt lines in
+// the history as the last Recover read it.
+type retiredJob struct {
+	j     *Job
+	lines []byte
+}
+
+// readHistory indexes the history for Recover without decoding a
+// retired job: the journal checks each frame's checksum and stops at
+// the first bad one, as it does for the write-ahead journal; each
+// frame's header and line kinds are checked and its job ids read;
+// each job's lines and each frame's report block are kept for
+// retiredJob and Reports to decode on demand; and the retired tallies
+// are the last frame's header.
+func (rp *replayer) readHistory(r journal.Replay) error {
+	s := rp.s
+	s.retired = make(map[JobID]retiredJob)
+	s.retiredTally, s.retiredReports, s.histReports = Tally{}, nil, nil
+	if r.Snapshot != nil {
+		return errors.New("snapshot record in the history")
+	}
+	for i, frame := range r.Entries {
+		if err := rp.indexFrame(frame); err != nil {
+			return fmt.Errorf("frame %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// indexFrame indexes one history frame: its header, then job lines
+// each followed by its attempt lines, then report lines.
+func (rp *replayer) indexFrame(data []byte) error {
+	s := rp.s
+	header, data, _ := bytes.Cut(data, []byte{'\n'})
+	kind, kvs, _ := bytes.Cut(header, []byte{' '})
+	if string(kind) != "history" {
+		return fmt.Errorf("header %q", kind)
+	}
+	if err := rp.Scan(kvs); err != nil {
+		return err
+	}
+	t := rp.tally()
 	if rp.Err != nil {
 		return rp.Err
 	}
-	rp.s.Reports = append(rp.s.Reports, r)
+	var cur JobID
+	start := -1 // offset of cur's job line
+	for off := 0; off < len(data); {
+		end := off + bytes.IndexByte(data[off:], '\n')
+		if end < off {
+			end = len(data)
+		}
+		line := data[off:end]
+		kind, kvs, _ := bytes.Cut(line, []byte{' '})
+		switch string(kind) {
+		case "job":
+			if start >= 0 {
+				s.retired[cur] = retiredJob{lines: data[start:off]}
+			}
+			id, err := rp.jobID(kvs)
+			if err != nil {
+				return err
+			}
+			if _, dup := s.retired[id]; dup {
+				return fmt.Errorf("job %d retired twice", id)
+			}
+			rp.lastRetired = max(rp.lastRetired, id)
+			cur, start = id, off
+		case "attempt":
+			if start < 0 {
+				return errors.New("attempt before job")
+			}
+		case "report":
+			if start >= 0 {
+				s.retired[cur] = retiredJob{lines: data[start:off]}
+			}
+			for rest := data[off:]; len(rest) > 0; {
+				line, rest, _ = bytes.Cut(rest, []byte{'\n'})
+				if !bytes.HasPrefix(line, []byte("report ")) {
+					return fmt.Errorf("%q line after the reports", line)
+				}
+			}
+			s.histReports = append(s.histReports, data[off:])
+			s.retiredTally = t
+			return nil
+		case "":
+		default:
+			return fmt.Errorf("unknown history line %q", kind)
+		}
+		off = end + 1
+	}
+	if start >= 0 {
+		s.retired[cur] = retiredJob{lines: data[start:]}
+	}
+	s.retiredTally = t
 	return nil
+}
+
+// jobID reads the id of a job line from its fields.  The writer puts
+// id first, so the id is read without scanning the rest of the line;
+// any other spelling is scanned in full.
+func (rp *replayer) jobID(kvs []byte) (JobID, error) {
+	if v, ok := bytes.CutPrefix(kvs, []byte("id=")); ok {
+		if sp := bytes.IndexByte(v, ' '); sp >= 0 {
+			v = v[:sp]
+		}
+		if n, err := strconv.ParseInt(string(v), 10, 64); err == nil {
+			return JobID(n), nil
+		}
+	}
+	if err := rp.Scan(kvs); err != nil {
+		return 0, err
+	}
+	id := JobID(rp.Int("id"))
+	return id, rp.Err
+}
+
+// tally reads a history frame header.
+func (rp *replayer) tally() Tally {
+	t := Tally{Completed: int(rp.Int("completed")), Unexecutable: int(rp.Int("unexecutable")),
+		Held: int(rp.Int("held")), IncidentalLeaks: int(rp.Int("leaks")),
+		Attempts: int(rp.Int("attempts")), FetchFailures: int(rp.Int("fetch")),
+		LostContacts: int(rp.Int("lost")), Evictions: int(rp.Int("evictions")),
+		Goodput: durationNS(rp.Int("goodput")), Badput: durationNS(rp.Int("badput")),
+		TurnaroundTotal: durationNS(rp.Int("turnaround"))}
+	t.Jobs = t.Completed + t.Unexecutable + t.Held
+	return t
+}
+
+// retiredJob returns the retired job id, decoding its history lines on
+// first use, or nil when id is not retired or its lines do not decode
+// (the checksum passed, so only a forged history gets there).  A
+// non-nil rp is a replayer shared across a walk, so the jobs it
+// decodes share their ad templates, programs and names.
+func (s *Schedd) retiredJob(id JobID, rp *replayer) *Job {
+	r, ok := s.retired[id]
+	if !ok || r.j != nil || r.lines == nil {
+		return r.j
+	}
+	if rp == nil {
+		rp = newReplayer(s)
+	}
+	j, err := rp.decodeRetired(id, r.lines)
+	if err != nil {
+		j = nil
+	}
+	s.retired[id] = retiredJob{j: j}
+	return j
+}
+
+// decodeRetired decodes one retired job's history lines: its job line,
+// then its attempts.
+func (rp *replayer) decodeRetired(id JobID, data []byte) (*Job, error) {
+	var j *Job
+	for len(data) > 0 {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if len(line) == 0 {
+			continue
+		}
+		kind, kvs, _ := bytes.Cut(line, []byte{' '})
+		if err := rp.Scan(kvs); err != nil {
+			return nil, err
+		}
+		if j == nil {
+			var err error
+			if j, err = rp.snapshotJob(); err != nil {
+				return nil, err
+			}
+			if j.ID != id {
+				return nil, fmt.Errorf("history line for job %d indexed as %d", j.ID, id)
+			}
+			continue
+		}
+		if string(kind) != "attempt" {
+			return nil, fmt.Errorf("%q line inside job %d", kind, id)
+		}
+		a, err := rp.decodeAttempt()
+		if err != nil {
+			return nil, err
+		}
+		j.Attempts = append(j.Attempts, a)
+	}
+	return j, nil
+}
+
+// decodeHistoryReports decodes the report blocks Recover indexed, once,
+// ahead of the reports retired since: they are older.  A report line
+// that does not decode is dropped (only a forged history has one).
+func (s *Schedd) decodeHistoryReports() {
+	if len(s.histReports) == 0 {
+		return
+	}
+	rp := newReplayer(s)
+	var out []UserReport
+	for _, data := range s.histReports {
+		for len(data) > 0 {
+			var line []byte
+			line, data, _ = bytes.Cut(data, []byte{'\n'})
+			_, kvs, _ := bytes.Cut(line, []byte{' '})
+			if rp.Scan(kvs) != nil {
+				continue
+			}
+			if r, err := rp.decodeReport(); err == nil {
+				out = append(out, r)
+			}
+		}
+	}
+	s.retiredReports = append(out, s.retiredReports...)
+	s.histReports = nil
 }
 
 // name is Str for the fields a queue repeats — machine, owner,

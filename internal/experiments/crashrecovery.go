@@ -176,10 +176,11 @@ func crashRecoveryRun(seed int64, faults string) (crashOutcome, []daemon.JobEven
 	p.Run(24 * time.Hour)
 
 	var sigs []string
+	reports := p.Schedd.Reports()
 	for _, id := range ids {
 		j := p.Schedd.Job(id)
 		sig := fmt.Sprintf("%s/none/none", j.State)
-		for _, rep := range p.Schedd.Reports {
+		for _, rep := range reports {
 			if rep.Job != id {
 				continue
 			}

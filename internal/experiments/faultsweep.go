@@ -203,19 +203,20 @@ func (c simCell) runSim(seed int64, tr obs.Tracer, workers int) (string, error) 
 		first = errSig(attemptErr(j.Attempts[0]))
 		lastMachine = j.LastAttempt().Machine
 	}
+	reports := s.Reports()
 	disp := "none"
-	if n := len(s.Reports); n > 0 {
-		disp = s.Reports[n-1].Disposition.String()
+	if n := len(reports); n > 0 {
+		disp = reports[n-1].Disposition.String()
 	}
 	outcome := fmt.Sprintf("t=%s state=%s attempts=%d first=%s final=%s on=%s disp=%s reports=%d",
 		fed.Engine.Now(), j.State, len(j.Attempts), first, errSig(j.FinalErr),
-		lastMachine, disp, len(s.Reports))
+		lastMachine, disp, len(reports))
 	if c.pools != nil {
 		outcome += fmt.Sprintf(" flock=q%d/d%d/r%d/e%d",
 			s.FlockQueries, s.FlockDepartures, s.FlockReturns, s.FlockReplyErrors)
 	}
 	lines := append(append([]string(nil), in.Log()...), outcome)
-	err = verifyOutcome(c.expect, j, s.Reports)
+	err = verifyOutcome(c.expect, j, reports)
 	if err == nil && c.check != nil {
 		err = c.check(fed, s)
 	}

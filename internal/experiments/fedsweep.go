@@ -89,7 +89,7 @@ func fedCells() []simCell {
 					return fmt.Errorf("job %d lost to the peer-pool death: state %s", j.ID, j.State)
 				}
 			}
-			for _, rep := range home.Reports {
+			for _, rep := range home.Reports() {
 				if rep.Disposition != scope.DispositionComplete {
 					return fmt.Errorf("job %d surfaced %s to the user; peer death must stay invisible",
 						rep.Job, rep.Disposition)

@@ -164,8 +164,8 @@ func TestInjectMsgDupAndDelay(t *testing.T) {
 	if p.Bus.Duplicated() == 0 {
 		t.Error("no duplicates delivered")
 	}
-	if len(p.Schedd.Reports) != 1 {
-		t.Errorf("reports = %d, want 1", len(p.Schedd.Reports))
+	if len(p.Schedd.Reports()) != 1 {
+		t.Errorf("reports = %d, want 1", len(p.Schedd.Reports()))
 	}
 }
 

@@ -66,8 +66,8 @@ func TestFederationFlockingCompletesStarvedJobs(t *testing.T) {
 			t.Errorf("p1 job %d never flocked:\n%s", j.ID, j.EventLog())
 		}
 	}
-	if len(home.Reports) != 6 {
-		t.Errorf("p1 schedd has %d reports, want 6", len(home.Reports))
+	if len(home.Reports()) != 6 {
+		t.Errorf("p1 schedd has %d reports, want 6", len(home.Reports()))
 	}
 	fm := fed.FlockMetrics()
 	if fm.Departures == 0 || fm.Grants == 0 || fm.ForeignMatches == 0 {

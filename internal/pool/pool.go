@@ -13,7 +13,6 @@ import (
 	"github.com/errscope/grid/internal/classad"
 	"github.com/errscope/grid/internal/daemon"
 	"github.com/errscope/grid/internal/jvm"
-	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/sim"
 )
 
@@ -229,24 +228,10 @@ func (p *Pool) Run(limit time.Duration) time.Duration {
 
 // Metrics summarizes one run.
 type Metrics struct {
-	Jobs         int
-	Completed    int
-	Unexecutable int
-	Held         int
-	Unfinished   int
+	// Tally is the schedds' summary of their jobs: states, attempts,
+	// goodput and badput, turnaround, incidental leaks.
+	daemon.Tally
 
-	// IncidentalLeaks counts completed jobs whose ground truth was
-	// an environmental error — the postmortems the paper's users
-	// were forced into (Section 2.3).
-	IncidentalLeaks int
-
-	Attempts      int
-	FetchFailures int
-	// LostContacts counts attempts whose execution site went silent
-	// (machine crash discovered by the shadow's result timeout).
-	LostContacts int
-	// Evictions counts attempts ended by a machine owner's return.
-	Evictions int
 	// Preemptions counts claims transferred to a higher-Rank job.
 	Preemptions int
 	Requeues    int
@@ -256,14 +241,6 @@ type Metrics struct {
 	// LeaseExpiries counts claims released by the execute side after
 	// the submit side stopped renewing.
 	LeaseExpiries int
-
-	// Goodput is CPU consumed by attempts that yielded a program
-	// result; Badput is CPU burned by attempts that did not.
-	Goodput time.Duration
-	Badput  time.Duration
-
-	// TurnaroundTotal sums queue residency of completed jobs.
-	TurnaroundTotal time.Duration
 
 	// MessagesSent/Lost report bus traffic.
 	MessagesSent uint64
@@ -289,10 +266,11 @@ func (m Metrics) MeanTurnaround() time.Duration {
 	return m.TurnaroundTotal / time.Duration(m.Completed)
 }
 
-// Metrics collects the summary for the current state.  The bus
-// counters (MessagesSent, MessagesLost) are the bus's: for a federation
-// member they count the whole federation's traffic, since every member
-// shares one bus.
+// Metrics collects the summary for the current state: each schedd's
+// retired tallies plus a fold of its live queue, so a summary costs
+// what is still queued.  The bus counters (MessagesSent,
+// MessagesLost) are the bus's: for a federation member they count the
+// whole federation's traffic, since every member shares one bus.
 func (p *Pool) Metrics() Metrics {
 	var m Metrics
 	m.MessagesSent = p.Bus.Sent()
@@ -300,67 +278,13 @@ func (p *Pool) Metrics() Metrics {
 	for _, s := range p.Schedds {
 		m.Requeues += s.Requeues
 		m.Recoveries += s.Recoveries
-		for i := range s.Reports {
-			if s.Reports[i].IncidentalLeak {
-				m.IncidentalLeaks++
-			}
-		}
-		for _, j := range s.Jobs() {
-			m.addJob(j)
-		}
+		m.Merge(s.Tally())
 	}
 	for _, sd := range p.Startds {
 		m.LeaseExpiries += sd.LeasesExpired
 		m.Preemptions += sd.Preemptions
 	}
 	return m
-}
-
-// addJob folds one job and its attempts into the summary.  A monitor
-// runs this over the whole queue once per pump, so it reads attempts
-// in place and sorts a result by scope without building its error.
-func (m *Metrics) addJob(j *daemon.Job) {
-	m.Jobs++
-	switch j.State {
-	case daemon.JobCompleted:
-		m.Completed++
-		m.TurnaroundTotal += j.Finished.Sub(j.Submitted)
-	case daemon.JobUnexecutable:
-		m.Unexecutable++
-	case daemon.JobHeld:
-		m.Held++
-	default:
-		m.Unfinished++
-	}
-	for i := range j.Attempts {
-		att := &j.Attempts[i]
-		m.Attempts++
-		if att.FetchError != nil {
-			m.FetchFailures++
-			continue
-		}
-		if att.LostContact != nil {
-			m.LostContacts++
-			continue
-		}
-		if att.Evicted {
-			// The owner's return ends the attempt; whether the
-			// occupancy was wasted depends on the universe
-			// (checkpointing preserves it), so it is reported
-			// separately rather than as badput.
-			m.Evictions++
-			continue
-		}
-		if s := att.True.ErrScope(); s == scope.ScopeNone || s == scope.ScopeProgram {
-			m.Goodput += att.CPU
-		} else {
-			// A failed attempt wastes the machine for its whole
-			// occupancy — claim, transfer, startup — not just
-			// the program CPU it burned (Section 5: "continuous
-			// waste of CPU and network capacity").
-			m.Badput += att.End.Sub(att.Start)
-		}
-	}
 }
 
 // String renders the metrics as a one-line experiment row.
