@@ -131,11 +131,12 @@ cover:
 ## cursor reads the journal back — and then its one client: the
 ## schedd's crash, group-commit, replay and recovery tests, which
 ## include the replay decoder's differential seeds and its cost guards,
-## and the history retired jobs move to (crashes at every retirement
-## boundary, torn and damaged history frames).
+## the history retired jobs move to (crashes at every retirement
+## boundary, torn and damaged history frames), and the crash at every
+## commit (each batch durable, dropped and torn).
 journal-smoke:
 	$(GO) test -race -count=1 ./internal/journal/ ./internal/record/
-	$(GO) test -race -count=1 -run 'Schedd|GroupCommit|Replay|Recover|History|Retire' ./internal/daemon/
+	$(GO) test -race -count=1 -run 'Schedd|GroupCommit|Replay|Recover|History|Retire|EveryCommit' ./internal/daemon/
 
 ## fuzz-smoke: every Fuzz* target in the repo, FUZZTIME each (default
 ## 5s); FUZZ=<regex> keeps only the targets it matches (e.g.
