@@ -6,7 +6,10 @@ package daemon
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"sync"
 
+	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/record"
 )
 
@@ -21,19 +24,28 @@ func RefNegotiate(m *Matchmaker) { m.refNegotiate() }
 //   - nonTerminal (AllTerminal's answer) counts the non-terminal jobs;
 //   - the live slots of idleOrder (advertiseIdle's walk) are exactly
 //     the JobIdle jobs, each once, and idlePos maps each to its slot;
-//   - every job's ad still renders as it did at Submit, the identity
-//     its journal submit record carries: the ad is shared with the
-//     matchmaker and the claim request, never copied, so nothing
-//     downstream may mutate it;
 //   - the live list is the jobs map in id order, no live job is also
 //     retired, and every live report belongs to a live terminal job;
-//   - each live job's cached attempt lines are the lines its attempts
-//     encode to now: nothing changed an attempt after it froze.
+//   - each live job's log, replayed into an empty queue, rebuilds the
+//     job, and its first record still carries the ad as it renders
+//     now: the ad is shared with the matchmaker and the claim request,
+//     never copied, so nothing downstream may mutate it.
 func CheckScheddIndex(s *Schedd) error {
 	nonTerminal, idle := 0, 0
 	if len(s.live) != len(s.jobs) {
 		return fmt.Errorf("schedd %s: %d live jobs listed, %d mapped", s.name, len(s.live), len(s.jobs))
 	}
+	verifiedLogs.Lock()
+	defer verifiedLogs.Unlock()
+	if len(verifiedLogs.jobs) >= 8 || verifiedLogs.jobs == nil {
+		verifiedLogs.jobs = make(map[*Schedd]map[*Job]*verifiedJob)
+	}
+	verified := verifiedLogs.jobs[s]
+	if verified == nil {
+		verified = make(map[*Job]*verifiedJob)
+		verifiedLogs.jobs[s] = verified
+	}
+	rp := newReplayer(s.scratchQueue())
 	for i, j := range s.live {
 		id := j.ID
 		if s.jobs[id] != j || i > 0 && s.live[i-1].ID >= id {
@@ -42,12 +54,8 @@ func CheckScheddIndex(s *Schedd) error {
 		if _, ok := s.retired[id]; ok {
 			return fmt.Errorf("schedd %s: job %d both live and retired", s.name, id)
 		}
-		var fresh []byte
-		for k := range j.attEncN {
-			fresh = appendAttempt(fresh, id, &j.Attempts[k])
-		}
-		if !bytes.Equal(fresh, j.attEnc) {
-			return fmt.Errorf("schedd %s: job %d attempt cache is stale:\n%s\nencodes now as\n%s", s.name, id, j.attEnc, fresh)
+		if err := logReplays(rp, verified, j); err != nil {
+			return fmt.Errorf("schedd %s: job %d: %w", s.name, id, err)
 		}
 		if !j.State.Terminal() {
 			nonTerminal++
@@ -58,10 +66,6 @@ func CheckScheddIndex(s *Schedd) error {
 			if !ok || pos >= len(s.idleOrder) || s.idleOrder[pos] != j {
 				return fmt.Errorf("schedd %s: idle job %d not at its idlePos slot", s.name, id)
 			}
-		}
-		if j.identEnc != nil && j.Ad != nil &&
-			!bytes.Contains(j.identEnc, record.AppendStr(nil, "ad", j.Ad.String())) {
-			return fmt.Errorf("schedd %s: job %d ad changed since submit: %s", s.name, id, j.Ad)
 		}
 	}
 	if nonTerminal != s.nonTerminal {
@@ -88,5 +92,92 @@ func CheckScheddIndex(s *Schedd) error {
 		return fmt.Errorf("schedd %s: %d idle jobs, %d live idleOrder slots, %d idlePos entries, %d of %d slots counted stale",
 			s.name, idle, live, len(s.idlePos), s.idleStale, len(s.idleOrder))
 	}
+	return nil
+}
+
+// verifiedLogs holds, per schedd and live job, the job as its log last
+// replayed to it.  A log only grows, so while a job and its log both
+// stand as verified the replay would find what it found then, and the
+// check replays a log again only when either has changed since.  It
+// keeps the last few schedds checked: a pool's are checked after every
+// event, and a recovered schedd's only once.
+var verifiedLogs struct {
+	sync.Mutex
+	jobs map[*Schedd]map[*Job]*verifiedJob
+}
+
+type verifiedJob struct {
+	job      Job // a shallow copy
+	attempts []Attempt
+	ad       string
+}
+
+// unchanged reports whether j and its log are as v verified them.
+func (v *verifiedJob) unchanged(j *Job) bool {
+	c := &v.job
+	return len(j.log) == len(c.log) && j.ID == c.ID && j.Owner == c.Owner && j.Universe == c.Universe &&
+		j.Executable == c.Executable && j.Ad == c.Ad && j.Program == c.Program && j.State == c.State &&
+		j.CheckpointCPU == c.CheckpointCPU && j.FinalErr == c.FinalErr && j.Submitted == c.Submitted &&
+		j.Finished == c.Finished && j.avoidanceRelaxed == c.avoidanceRelaxed && j.flockedTo == c.flockedTo &&
+		j.flockLevel == c.flockLevel && j.flockedAt == c.flockedAt && slices.Equal(j.Attempts, v.attempts) &&
+		(j.Ad == nil || j.Ad.String() == v.ad)
+}
+
+// sameJob reports whether a replayed job a holds what the live job b
+// does: every field jobSummary renders, and the avoidance and flock
+// fields the journal also carries.  Errors and programs are decoded
+// afresh, so they compare by their text.
+func sameJob(a, b *Job) bool {
+	if a.ID != b.ID || a.Owner != b.Owner || a.Universe != b.Universe || a.Executable != b.Executable ||
+		a.State != b.State || a.CheckpointCPU != b.CheckpointCPU || a.Submitted != b.Submitted ||
+		a.Finished != b.Finished || errString(a.FinalErr) != errString(b.FinalErr) ||
+		(a.Ad == nil) != (b.Ad == nil) || a.Ad != nil && a.Ad.String() != b.Ad.String() ||
+		a.avoidanceRelaxed != b.avoidanceRelaxed || a.flockedTo != b.flockedTo ||
+		a.flockLevel != b.flockLevel || a.flockedAt != b.flockedAt || len(a.Attempts) != len(b.Attempts) ||
+		jvm.EncodeProgram(a.Program) != jvm.EncodeProgram(b.Program) {
+		return false
+	}
+	for i := range a.Attempts {
+		x, y := &a.Attempts[i], &b.Attempts[i]
+		if x.Machine != y.Machine || x.Start != y.Start || x.End != y.End || x.CPU != y.CPU ||
+			x.Evicted != y.Evicted || x.Preempted != y.Preempted || x.Reported != y.Reported || x.True != y.True ||
+			errString(x.FetchError) != errString(y.FetchError) || errString(x.LostContact) != errString(y.LostContact) {
+			return false
+		}
+	}
+	return true
+}
+
+// logReplays replays a live job's log into rp's scratch queue and
+// checks that it rebuilds the job (sameJob).  The submit record comes
+// first, so the ad it carries is the one rendered at Submit.
+func logReplays(rp *replayer, verified map[*Job]*verifiedJob, j *Job) error {
+	if v, ok := verified[j]; ok && v.unchanged(j) {
+		return nil
+	}
+	q := rp.s
+	if err := rp.applyLines(j.log); err != nil {
+		return fmt.Errorf("log does not replay: %w\n%s", err, j.log)
+	}
+	got := q.jobs[j.ID]
+	delete(q.jobs, j.ID)
+	if got == nil || !sameJob(got, j) {
+		state := func(j *Job) string {
+			if j == nil {
+				return "<nil>\n"
+			}
+			return fmt.Sprintf("%srelaxed=%t flock=%q/%d/%d\n", jobSummary(j), j.avoidanceRelaxed, j.flockedTo, j.flockLevel, j.flockedAt)
+		}
+		return fmt.Errorf("log replays to\n%snot to\n%slog:\n%s", state(got), state(j), j.log)
+	}
+	v := &verifiedJob{job: *j, attempts: slices.Clone(j.Attempts)}
+	if j.Ad != nil {
+		v.ad = j.Ad.String()
+		first, _, _ := bytes.Cut(j.log, []byte{'\n'})
+		if !bytes.Contains(first, record.AppendStr(nil, "ad", v.ad)) {
+			return fmt.Errorf("ad changed since submit: %s", j.Ad)
+		}
+	}
+	verified[j] = v
 	return nil
 }

@@ -87,10 +87,10 @@ type Job struct {
 	Universe string
 	// Ad carries Requirements/Rank and job attributes (ImageSize,
 	// OutageTolerance, ...).  It is immutable once the job is
-	// submitted: Submit renders it into the journal's submit record
-	// and every later snapshot line reuses that rendering, so an
-	// attribute set on a queued job's ad is lost at the next recovery.
-	// Set everything before Submit.
+	// submitted: Submit renders it into the submit record, the first
+	// record of the job's log, and every snapshot and history frame
+	// carries that record, so an attribute set on a queued job's ad is
+	// lost at the next recovery.  Set everything before Submit.
 	Ad *classad.Ad
 	// Program is the simulated Java program.
 	Program *jvm.Program
@@ -135,22 +135,25 @@ type Job struct {
 	Submitted sim.Time
 	Finished  sim.Time
 
-	// identEnc caches the journal encoding of the immutable identity
-	// fields (owner, universe, exe, ad, prog) — rendered once instead
-	// of per snapshot (see Job.identLine).
-	identEnc []byte
-	// attEnc/attEncN cache the journal encoding of frozen attempts:
-	// every attempt before the last, plus the last once it is closed
-	// and the job not running.  applyFinal only touches the last
-	// attempt of a running job and normalizeJob only an open one, so
-	// cached lines cannot go stale (see Job.freezeAttempts).
-	attEnc  []byte
-	attEncN int
+	// log is the job's own journal records, one per line, in the
+	// order they applied: its submit record, every record journaled
+	// for it since, and the requeue records the journal does not carry
+	// (see handleFinal).  Replaying it into an empty queue rebuilds the
+	// job, so a snapshot is the live jobs' logs and a history frame the
+	// retiring jobs' logs (see scheddjournal.go).  Recovery re-encodes
+	// each record it applies, so a rebuilt log never aliases the disk.
+	// A retired job's log is dropped.
+	log []byte
 	// refName caches the schedd#id advertisement name.
 	refName string
 	// adBody caches the boxed advertiseMsg last sent for the job (see
 	// Schedd.advertiseJob).
 	adBody any
+}
+
+// logRecord appends one record to the job's log.
+func (j *Job) logRecord(rec []byte) {
+	j.log = append(append(j.log, rec...), '\n')
 }
 
 // LastAttempt returns the most recent attempt, or nil.

@@ -3,12 +3,11 @@ package daemon
 import (
 	"bytes"
 	"fmt"
-	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/errscope/grid/internal/journal"
 	"github.com/errscope/grid/internal/jvm"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/sim"
@@ -20,18 +19,37 @@ func blankQueue() *Schedd {
 	return NewSchedd(sim.NewBus(sim.New(1), 5*time.Millisecond), DefaultParams(), "schedd")
 }
 
-// queueState is everything a replay rebuilds: the snapshot encoding
-// (header, blame table, jobs with identity and attempts), the reports
-// in completion order, and the flock fields a snapshot deliberately
-// leaves out.
+// queueState is everything a replay rebuilds: each job as jobSummary
+// renders it, with the avoidance, flock and preemption fields it
+// leaves out; the reports in completion order; the counters and the
+// retired tallies; the chronic-failure table; and the idle order.
 func queueState(s *Schedd) string {
 	var b strings.Builder
-	b.Write(s.snapshot())
-	for _, r := range s.Reports() {
-		b.Write(appendReport(nil, &r))
-	}
 	for _, j := range s.Jobs() {
-		fmt.Fprintf(&b, "flock id=%d to=%q level=%d at=%d\n", j.ID, j.flockedTo, j.flockLevel, j.flockedAt)
+		b.WriteString(jobSummary(j))
+		fmt.Fprintf(&b, "  relaxed=%t flock=%q/%d/%d pre=", j.avoidanceRelaxed, j.flockedTo, j.flockLevel, j.flockedAt)
+		for _, a := range j.Attempts {
+			fmt.Fprintf(&b, "%t,", a.Preempted)
+		}
+		b.WriteByte('\n')
+	}
+	for _, r := range s.Reports() {
+		fmt.Fprintf(&b, "report job=%d disp=%s result=%q err=%v leak=%t\n",
+			r.Job, r.Disposition, r.Result.EncodeString(), r.Err, r.IncidentalLeak)
+	}
+	fmt.Fprintf(&b, "nextID=%d requeues=%d recoveries=%d tally=%+v\n", s.nextID, s.Requeues, s.Recoveries, s.Tally())
+	var machines []string
+	for m := range s.machineFailures {
+		machines = append(machines, m)
+	}
+	slices.Sort(machines)
+	for _, m := range machines {
+		fmt.Fprintf(&b, "failure %q %+v\n", m, s.machineFailures[m])
+	}
+	for _, j := range s.idleOrder {
+		if j != nil {
+			fmt.Fprintf(&b, "idle %d\n", j.ID)
+		}
 	}
 	return b.String()
 }
@@ -53,20 +71,21 @@ func sameVerdict(t *testing.T, what string, input []byte, ref, got *Schedd, refE
 }
 
 // diffReplay feeds one input to the reference decoder and to the
-// cursor decoder, twice: as a snapshot payload into an empty queue,
-// and as an entry record on top of the queue base rebuilds.
+// cursor decoder, twice: as lines of records into an empty queue —
+// the snapshot's use, and a retired run's — and as one entry record
+// on top of the queue base rebuilds.
 func diffReplay(t *testing.T, base, input []byte) {
 	t.Helper()
 	ref, got := blankQueue(), blankQueue()
-	refErr, gotErr := ref.refApplySnapshot(input), newReplayer(got).applySnapshot(input)
-	sameVerdict(t, "snapshot", input, ref, got, refErr, gotErr)
+	refErr, gotErr := ref.refApplyLines(input), newReplayer(got).applyLines(input)
+	sameVerdict(t, "lines", input, ref, got, refErr, gotErr)
 
 	ref, got = blankQueue(), blankQueue()
 	rp := newReplayer(got)
-	if err := ref.refApplySnapshot(base); err != nil {
+	if err := ref.refApplyLines(base); err != nil {
 		t.Fatalf("reference refuses the base snapshot: %v", err)
 	}
-	if err := rp.applySnapshot(base); err != nil {
+	if err := rp.applyLines(base); err != nil {
 		t.Fatalf("cursor refuses the base snapshot: %v", err)
 	}
 	refErr, gotErr = ref.refApplyEntry(input), rp.applyEntry(input)
@@ -74,12 +93,14 @@ func diffReplay(t *testing.T, base, input []byte) {
 }
 
 // replaySeeds returns a real multi-job snapshot and one real record
-// of every kind the schedd journals.  The snapshot comes from a pool
-// that ran a mixed workload past a crash and a recovery, so it holds
-// completed, held-for-retry and unexecutable jobs, closed
-// attempts with scoped errors, blame-table lines and reports; the
-// entries the same schedd wrote afterwards cover submit, match, exec,
-// final and recover, and the encoders give the rest.
+// of every kind the schedd writes.  The snapshot comes from a pool
+// that ran a mixed workload past a crash and a recovery, taken before
+// the compaction retired its terminal jobs, so it holds the logs of
+// completed, held-for-retry and unexecutable jobs — closed attempts
+// with scoped errors, requeues, recover records — and a trailer with
+// blame-table records; the entries the same schedd wrote afterwards
+// cover submit, match, exec, final and recover, its history gives a
+// retired job's run, and the encoders give the rest.
 func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 	params := DefaultParams()
 	params.ChronicFailureThreshold = 1
@@ -101,14 +122,7 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 		t.Fatal(err)
 	}
 	eng.RunFor(20 * time.Minute)
-	// The seed is a snapshot of the whole queue as a journal written
-	// before jobs retired holds it, and replay still reads: taken before
-	// the compaction retires the terminal jobs, with the reports after
-	// the jobs.
 	snapshot = bytes.Clone(schedd.snapshot())
-	for i := range schedd.reports {
-		snapshot = appendReport(snapshot, &schedd.reports[i])
-	}
 	if err := schedd.ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +155,17 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 			t.Fatalf("seed journal holds no %s record (have %v)", op, seen)
 		}
 	}
+	// One retired job's run, as the history holds it: the first
+	// frame's records after its op=history, up to the next submit.
+	frames := schedd.History().Replay().Entries
+	if len(frames) == 0 {
+		t.Fatal("seed history holds no frame")
+	}
+	_, run, _ := bytes.Cut(frames[0], []byte{'\n'})
+	if next := bytes.Index(run, []byte("\nop=submit ")); next >= 0 {
+		run = run[:next+1]
+	}
+	records = append(records, bytes.Clone(run))
 	lost := scope.New(scope.ScopeRemoteResource, "LostContact", "machine %s went silent", "m 2")
 	records = append(records,
 		recCkpt(2, 1234, 90*time.Second),
@@ -149,6 +174,10 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 		recEvent("claim-timeout", 1, 99),
 		recEvent("claim-denied", 1, 100),
 		recEvent("relax", 3, 101),
+		recEvent("requeue", 3, 102),
+		bytes.TrimSuffix(schedd.appendSchedd(nil), []byte{'\n'}),
+		bytes.TrimSuffix(appendFailure(nil, "m 2", failureRecord{count: 2, last: 1800}), []byte{'\n'}),
+		bytes.TrimSuffix(appendTally(nil, &Tally{Completed: 3, Held: 1, Attempts: 7, Goodput: time.Minute}), []byte{'\n'}),
 		recFinal(jobFinalMsg{Job: 2, Machine: "m 2", CPU: time.Minute, CheckpointCPU: time.Second,
 			Evicted: true, Preempted: true, LostContact: lost.WithOrigin("shadow"),
 			Reported: scope.Result{Status: scope.StatusNoResult},
@@ -160,8 +189,8 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 // FuzzScheddReplay is the differential fuzz of the schedd-journal
 // decoder against the map-based one it replaced: the two must accept
 // and refuse exactly the same bytes, with the same error, and rebuild
-// byte-equal queues.  Seeds: a real snapshot, a real record of every
-// kind, and every prefix of each.
+// equal queues.  Seeds: a real snapshot, a real record of every kind,
+// and every prefix of each.
 //
 //	go test ./internal/daemon -run xxx -fuzz '^FuzzScheddReplay$' \
 //	    -fuzztime 30s -test.fuzzcachedir /root/scratch/fuzzcache
@@ -179,97 +208,49 @@ func FuzzScheddReplay(f *testing.F) {
 // decoders: the cases a fuzzer needs luck for, written down.
 func TestReplayMatchesReference(t *testing.T) {
 	base, records := replaySeeds(t)
-	job := func(edit string) string {
-		return `job id=9 owner="u" universe="java" exe="" ad="" prog="" state=idle ckpt=0 relaxed=false submitted=0 finished=0 finalerr=""` + edit
+	submit := func(edit string) string {
+		return `op=submit id=9 at=0 owner="u" universe="java" exe="" ad="" prog=""` + edit
 	}
+	const final = `op=final id=9 at=5 machine="m" cpu=3 ckpt=0 evicted=false hold=false fetch="" lost="" rep="" tru=""`
+	const history = "op=history completed=2 unexecutable=0 held=0 leaks=0 attempts=1 fetch=0 lost=0 evictions=0 goodput=3 badput=0 turnaround=10"
 	inputs := []string{
-		"", " ", "\n\n", "schedd", "schedd nextID=7 requeues=1 recoveries=2",
-		"schedd nextID=7 requeues=1", "schedd nextID=x requeues=1 recoveries=2",
-		"schedd nextID=+7 requeues=-0 recoveries=007", "schedd nextID=9223372036854775808 requeues=1 recoveries=2",
-		"schedd nextID=1_0 requeues=1 recoveries=2", "schedd nextID=1 nextID=2 requeues=1 recoveries=2 extra=\"x y\"",
-		"schedd  nextID=1   requeues=1 recoveries=2 ", "schedd nextID", "schedd =1 nextID=1 requeues=1 recoveries=2",
-		"schedd nextID=1 requeues=1 recoveries=2 junk", "schedd a b=1 nextID=1 requeues=1 recoveries=2",
-		"bogus x=1", "attempt id=1", "job", job(""), job(" state=running"), job(" state=bogus"), job(" state="),
-		job(` owner="a\"b"`), job(` owner="a\\"`), job(` owner="a\`), job(` owner="unterminated`),
-		job(` owner=bare`), job(` owner='x'`), job(" owner=`raw`"), job(` owner=""x`), job(` owner="a"b"`),
-		job(" owner=\"caf\u00e9\""), job(` owner="caf\u00e9"`), job(" owner=\"bad\xffutf8\""), job(` owner="tab\there"`),
-		job(" owner=\"raw\ttab\""), job(` owner="\x41\101\u0041"`), job(` owner="\q"`), job(` relaxed=TRUE`),
-		job(` relaxed=1`), job(` relaxed=yes`), job(` ad="[ A = 1 ]"`), job(` ad="[ A = "`), job(` ad="[ A = \"x\" ]"`),
-		job(` prog="program class=\"Main\" corrupt=false\n"`), job(` prog="nonsense"`),
-		job(` finalerr="a|b"`), job(` finalerr="program|explicit|C|o|m"`), job(` finalerr="nope|explicit|C|o|m"`),
-		job("") + "\nattempt id=9 machine=\"m\" start=1 end=2 cpu=3 evicted=false fetch=\"\" lost=\"\" rep=\"\" tru=\"\"",
-		job("") + "\nattempt id=9 machine=\"m\" start=1 end=2 cpu=3 evicted=false pre=true fetch=\"\" lost=\"\" rep=\"status = no-result\\n\" tru=\"\"",
-		job("") + "\nattempt id=9 machine=\"m\" start=1 end=2 cpu=3 evicted=false pre=maybe fetch=\"\" lost=\"\" rep=\"\" tru=\"\"",
-		job("") + "\n" + job("") + "\nreport job=9 disp=complete result=\"\" err=\"\" leak=false",
-		"report job=9 disp=nothing result=\"\" err=\"\" leak=false", "report job=9 result=\"\" err=\"\" leak=false",
-		"failure machine=\"m\" count=2", "failure machine=\"m\" count=2 last=5", "failure machine=\"m\" count=2 last=x",
-		"failure machine=m count=2", "failure count=2",
-		"op=submit", "op=submit id=1", "id=1 at=2", "op=bogus id=1 at=2", "op=match id=99 at=2", "op=exec id=1 at=2",
-		`op=exec id=1 at=2 machine="m 9"`, `op=exec at=2 machine="m" id=1 id=2`, "op=ckpt id=1 at=2", "op=ckpt id=1 at=2 cpu=-5",
+		"", " ", "\n\n", "op=schedd", "op=schedd nextID=7 requeues=1 recoveries=2",
+		"op=schedd nextID=7 requeues=1", "op=schedd nextID=x requeues=1 recoveries=2",
+		"op=schedd nextID=+7 requeues=-0 recoveries=007", "op=schedd nextID=9223372036854775808 requeues=1 recoveries=2",
+		"op=schedd nextID=1_0 requeues=1 recoveries=2", "op=schedd nextID=1 nextID=2 requeues=1 recoveries=2 extra=\"x y\"",
+		"op=schedd  nextID=1   requeues=1 recoveries=2 ", "op=schedd nextID", "op=schedd =1 nextID=1 requeues=1 recoveries=2",
+		"op=schedd nextID=1 requeues=1 recoveries=2 junk", "op=schedd a b=1 nextID=1 requeues=1 recoveries=2",
+		"schedd nextID=7 requeues=1 recoveries=2", "op=\"schedd\" nextID=7 requeues=1 recoveries=2",
+		"bogus x=1", "op=attempt id=1 at=2", "op=submit", submit(""), submit(" id=9"), submit(" at=x"),
+		submit(` owner="a\"b"`), submit(` owner="a\\"`), submit(` owner="a\`), submit(` owner="unterminated`),
+		submit(` owner=bare`), submit(` owner='x'`), submit(" owner=`raw`"), submit(` owner=""x`), submit(` owner="a"b"`),
+		submit(" owner=\"caf\u00e9\""), submit(` owner="caf\u00e9"`), submit(" owner=\"bad\xffutf8\""), submit(` owner="tab\there"`),
+		submit(" owner=\"raw\ttab\""), submit(` owner="\x41\101\u0041"`), submit(` owner="\q"`),
+		submit(` ad="[ A = 1 ]"`), submit(` ad="[ A = "`), submit(` ad="[ A = \"x\" ]"`),
+		submit(` prog="program class=\"Main\" corrupt=false\n"`), submit(` prog="nonsense"`),
+		submit("") + "\nop=match id=9 at=1", submit("") + "\nop=match id=9 at=1 machine=\"m\"",
+		submit("") + "\nop=exec id=9 at=1 machine=\"m\"\n" + final,
+		submit("") + "\nop=exec id=9 at=1 machine=\"m\"\n" + final + " pre=true evicted=true",
+		submit("") + "\nop=exec id=9 at=1 machine=\"m\"\n" + final + " pre=maybe",
+		submit("") + "\nop=exec id=9 at=1 machine=\"m\"\n" + final + ` finalerr="a|b" fetch="program|explicit|C|o|m"`,
+		submit("") + "\nop=exec id=9 at=1 machine=\"m\"\n" + final + ` lost="nope|explicit|C|o|m"`,
+		submit("") + "\nop=exec id=9 at=1 machine=\"m\"\n" + final + "\nop=requeue id=9 at=7",
+		submit("") + "\n" + submit("") + "\nop=relax id=9 at=3",
+		submit("") + "\nop=ckpt id=9 at=2 cpu=5\nop=schedd nextID=3 requeues=1 recoveries=0\nop=failure machine=\"m\" count=2 last=4",
+		"op=failure machine=\"m\" count=2", "op=failure machine=\"m\" count=2 last=5", "op=failure machine=\"m\" count=2 last=x",
+		"op=failure machine=m count=2 last=5", "op=failure count=2 last=5",
+		history, history + " completed=x", "op=history completed=2", history + "\n" + submit(""),
+		"op=submit id=1", "id=1 at=2", "op=bogus id=1 at=2", "op=match id=99 at=2", "op=match id=1 at=2",
+		`op=match id=1 at=2 machine="m 9"`, "op=exec id=1 at=2", `op=exec id=1 at=2 machine="m 9"`,
+		`op=exec at=2 machine="m" id=1 id=2`, "op=ckpt id=1 at=2", "op=ckpt id=1 at=2 cpu=-5",
 		`op=flock id=1 at=2 level=1`, `op=flock id=1 at=2 level=x to="p"`, "op=final id=1 at=2",
-		"op=recover id=1 at=2 trailing", "op=recover id=1 at=2\nop=match id=1 at=3", "op=\"match\" id=1 at=2",
+		"op=requeue id=1 at=2", "op=recover id=1 at=2 trailing", "op=recover id=1 at=2\nop=match id=1 at=3",
+		"op=\"match\" id=1 at=2",
 	}
 	for _, in := range inputs {
 		diffReplay(t, base, []byte(in))
 	}
 	for _, rec := range append(records, base) {
 		diffReplay(t, base, rec)
-	}
-}
-
-// TestParentJournalReplays recovers a journal captured from an
-// earlier commit (the map decoder and per-job ad parse) and
-// rebuilds the same scenario here.  The captured journal has no
-// history — it predates retirement, so its snapshot still holds the
-// terminal jobs and their reports — and it must still recover: under
-// this decoder to the queue the reference decoder rebuilds, and, as a
-// whole recovery with an empty history, to the queue this tree
-// recovers for the same scenario from its own journal and history.
-func TestParentJournalReplays(t *testing.T) {
-	want, err := os.ReadFile("testdata/schedd-pr16.journal")
-	if err != nil {
-		t.Fatal(err)
-	}
-	disk := journal.New()
-	disk.SetBytes(want)
-	r := disk.Replay()
-	if len(r.Snapshot) == 0 || len(r.Entries) == 0 || r.Truncated != 0 {
-		t.Fatalf("captured journal: %d snapshot bytes, %d entries, %d torn", len(r.Snapshot), len(r.Entries), r.Truncated)
-	}
-	ref, got := blankQueue(), blankQueue()
-	rp := newReplayer(got)
-	if err := ref.refApplySnapshot(r.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	if err := rp.applySnapshot(r.Snapshot); err != nil {
-		t.Fatal(err)
-	}
-	for i, e := range r.Entries {
-		if err := ref.refApplyEntry(e); err != nil {
-			t.Fatalf("reference: record %d: %v", i, err)
-		}
-		if err := rp.applyEntry(e); err != nil {
-			t.Fatalf("cursor: record %d: %v", i, err)
-		}
-	}
-	sameVerdict(t, "captured journal", nil, ref, got, nil, nil)
-
-	here := parentJournalScenario(t)
-	if here.History().Size() == 0 {
-		t.Fatal("the scenario retired no job: the comparison below would not cross the history")
-	}
-	eng := sim.New(1)
-	fresh := NewSchedd(sim.NewBus(eng, 5*time.Millisecond), DefaultParams(), "schedd")
-	eng.RunUntil(here.bus.Now())
-	fresh.Crash()
-	if err := fresh.Recover(disk); err != nil {
-		t.Fatalf("recover from the captured journal: %v", err)
-	}
-	if len(fresh.Jobs()) != len(ref.Jobs()) {
-		t.Fatalf("recovered %d jobs, reference %d", len(fresh.Jobs()), len(ref.Jobs()))
-	}
-	crashRecover(t, here)
-	if a, b := queueSummary(fresh), queueSummary(here); a != b {
-		t.Errorf("the captured journal and this tree's journal and history recover different queues:\n--- captured ---\n%s--- this tree ---\n%s", a, b)
 	}
 }

@@ -1,12 +1,18 @@
 package daemon
 
-// The schedd-journal decoder as it stood before the field cursor
-// (PR 16's scheddjournal.go), kept verbatim as the oracle for the
+// The schedd-journal record decoder as it stood before the field
+// cursor (PR 16's scheddjournal.go), kept as the oracle for the
 // differential tests and FuzzScheddReplay: every function body below
 // is the old one, with only the callee names prefixed "ref" so both
-// decoders live in one package.  Do not optimise or fix it; a
-// deliberate difference between the two decoders belongs in
-// CHANGES.md with the input that shows it.
+// decoders live in one package, and with the records the old decoder
+// never saw added in its own style — the trailer and history records
+// (schedd, failure, history), dispatched before id and at as the
+// cursor does, the requeue record, and the match record's machine,
+// which the cursor now reads to re-encode the record.  Its snapshot
+// half went with the snapshot line grammar: a snapshot is now a run of
+// these records.  Do not optimise or fix it; a deliberate difference
+// between the two decoders belongs in CHANGES.md with the input that
+// shows it.
 
 import (
 	"fmt"
@@ -23,6 +29,14 @@ func (s *Schedd) refApplyEntry(payload []byte) error {
 	kv, err := refScanKV(string(payload))
 	if err != nil {
 		return err
+	}
+	switch kv["op"] {
+	case "schedd":
+		return s.refSchedd(kv)
+	case "failure":
+		return s.refFailure(kv)
+	case "history":
+		return s.refHistory(kv)
 	}
 	id, err := refParseInt64(kv, "id")
 	if err != nil {
@@ -42,8 +56,11 @@ func (s *Schedd) refApplyEntry(payload []byte) error {
 	}
 	switch op {
 	case "match":
+		if _, err := refUnquoted(kv, "machine"); err != nil {
+			return err
+		}
 		s.setState(j, JobMatched)
-	case "claim-timeout", "claim-denied":
+	case "claim-timeout", "claim-denied", "requeue":
 		s.setState(j, JobIdle)
 	case "exec":
 		machine, err := refUnquoted(kv, "machine")
@@ -182,203 +199,73 @@ func refDecodeFinal(id JobID, kv map[string]string) (jobFinalMsg, error) {
 	return f, nil
 }
 
-func (s *Schedd) refApplySnapshot(data []byte) error {
-	var cur *Job
+func (s *Schedd) refApplyLines(data []byte) error {
 	for ln, line := range strings.Split(string(data), "\n") {
 		if line == "" {
 			continue
 		}
-		kind, rest, _ := strings.Cut(line, " ")
-		kv, err := refScanKV(rest)
-		if err != nil {
+		if err := s.refApplyEntry([]byte(line)); err != nil {
 			return fmt.Errorf("line %d: %w", ln+1, err)
 		}
-		switch kind {
-		case "schedd":
-			if v, err := refParseInt64(kv, "nextID"); err != nil {
-				return err
-			} else {
-				s.nextID = JobID(v)
-			}
-			if v, err := refParseInt64(kv, "requeues"); err != nil {
-				return err
-			} else {
-				s.Requeues = int(v)
-			}
-			if v, err := refParseInt64(kv, "recoveries"); err != nil {
-				return err
-			} else {
-				s.Recoveries = int(v)
-			}
-		case "failure":
-			m, err := refUnquoted(kv, "machine")
-			if err != nil {
-				return err
-			}
-			n, err := refParseInt64(kv, "count")
-			if err != nil {
-				return err
-			}
-			rec := failureRecord{count: int(n)}
-			if _, ok := kv["last"]; ok { // absent in pre-expiry logs
-				last, err := refParseInt64(kv, "last")
-				if err != nil {
-					return err
-				}
-				rec.last = sim.Time(last)
-			}
-			s.machineFailures[m] = rec
-			s.avoidedDirty = true
-		case "job":
-			if cur, err = s.refSnapshotJob(kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
-		case "attempt":
-			if cur == nil {
-				return fmt.Errorf("line %d: attempt before job", ln+1)
-			}
-			if err := refSnapshotAttempt(cur, kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
-		case "report":
-			if err := s.refSnapshotReport(kv); err != nil {
-				return fmt.Errorf("line %d: %w", ln+1, err)
-			}
-		default:
-			return fmt.Errorf("line %d: unknown snapshot line %q", ln+1, kind)
-		}
 	}
 	return nil
 }
 
-func (s *Schedd) refSnapshotJob(kv map[string]string) (*Job, error) {
-	id, err := refParseInt64(kv, "id")
-	if err != nil {
-		return nil, err
+func (s *Schedd) refSchedd(kv map[string]string) error {
+	if v, err := refParseInt64(kv, "nextID"); err != nil {
+		return err
+	} else {
+		s.nextID = JobID(v)
 	}
-	if err := s.refReplaySubmit(JobID(id), 0, kv); err != nil {
-		return nil, err
+	if v, err := refParseInt64(kv, "requeues"); err != nil {
+		return err
+	} else {
+		s.Requeues = int(v)
 	}
-	j := s.jobs[JobID(id)]
-	st, err := refParseJobState(kv["state"])
-	if err != nil {
-		return nil, err
+	if v, err := refParseInt64(kv, "recoveries"); err != nil {
+		return err
+	} else {
+		s.Recoveries = int(v)
 	}
-	s.setState(j, st)
-	ckpt, err := refParseInt64(kv, "ckpt")
-	if err != nil {
-		return nil, err
-	}
-	j.CheckpointCPU = durationNS(ckpt)
-	if j.avoidanceRelaxed, err = refParseBool(kv, "relaxed"); err != nil {
-		return nil, err
-	}
-	sub, err := refParseInt64(kv, "submitted")
-	if err != nil {
-		return nil, err
-	}
-	fin, err := refParseInt64(kv, "finished")
-	if err != nil {
-		return nil, err
-	}
-	j.Submitted, j.Finished = sim.Time(sub), sim.Time(fin)
-	fe, err := refUnquoted(kv, "finalerr")
-	if err != nil {
-		return nil, err
-	}
-	if j.FinalErr, err = decodeScopedErr(fe); err != nil {
-		return nil, err
-	}
-	return j, nil
+	clear(s.machineFailures)
+	s.avoidedDirty = true
+	return nil
 }
 
-func refSnapshotAttempt(j *Job, kv map[string]string) error {
-	var a Attempt
-	var err error
-	if a.Machine, err = refUnquoted(kv, "machine"); err != nil {
-		return err
-	}
-	start, err := refParseInt64(kv, "start")
+func (s *Schedd) refFailure(kv map[string]string) error {
+	m, err := refUnquoted(kv, "machine")
 	if err != nil {
 		return err
 	}
-	end, err := refParseInt64(kv, "end")
+	n, err := refParseInt64(kv, "count")
 	if err != nil {
 		return err
 	}
-	cpu, err := refParseInt64(kv, "cpu")
+	last, err := refParseInt64(kv, "last")
 	if err != nil {
 		return err
 	}
-	a.Start, a.End, a.CPU = sim.Time(start), sim.Time(end), durationNS(cpu)
-	if a.Evicted, err = refParseBool(kv, "evicted"); err != nil {
-		return err
-	}
-	if _, ok := kv["pre"]; ok { // absent in pre-preemption logs
-		if a.Preempted, err = refParseBool(kv, "pre"); err != nil {
+	s.machineFailures[m] = failureRecord{count: int(n), last: sim.Time(last)}
+	s.avoidedDirty = true
+	return nil
+}
+
+func (s *Schedd) refHistory(kv map[string]string) error {
+	var v [11]int64
+	for i, key := range []string{"completed", "unexecutable", "held", "leaks", "attempts",
+		"fetch", "lost", "evictions", "goodput", "badput", "turnaround"} {
+		n, err := refParseInt64(kv, key)
+		if err != nil {
 			return err
 		}
+		v[i] = n
 	}
-	fetch, err := refUnquoted(kv, "fetch")
-	if err != nil {
-		return err
-	}
-	if a.FetchError, err = decodeScopedErr(fetch); err != nil {
-		return err
-	}
-	lost, err := refUnquoted(kv, "lost")
-	if err != nil {
-		return err
-	}
-	if a.LostContact, err = decodeScopedErr(lost); err != nil {
-		return err
-	}
-	rep, err := refUnquoted(kv, "rep")
-	if err != nil {
-		return err
-	}
-	if a.Reported, err = scope.DecodeResultString(rep); err != nil {
-		return err
-	}
-	tru, err := refUnquoted(kv, "tru")
-	if err != nil {
-		return err
-	}
-	if a.True, err = scope.DecodeResultString(tru); err != nil {
-		return err
-	}
-	j.Attempts = append(j.Attempts, a)
-	return nil
-}
-
-func (s *Schedd) refSnapshotReport(kv map[string]string) error {
-	var r UserReport
-	job, err := refParseInt64(kv, "job")
-	if err != nil {
-		return err
-	}
-	r.Job = JobID(job)
-	if r.Disposition, err = refParseDisposition(kv["disp"]); err != nil {
-		return err
-	}
-	res, err := refUnquoted(kv, "result")
-	if err != nil {
-		return err
-	}
-	if r.Result, err = scope.DecodeResultString(res); err != nil {
-		return err
-	}
-	enc, err := refUnquoted(kv, "err")
-	if err != nil {
-		return err
-	}
-	if r.Err, err = decodeScopedErr(enc); err != nil {
-		return err
-	}
-	if r.IncidentalLeak, err = refParseBool(kv, "leak"); err != nil {
-		return err
-	}
-	s.reports = append(s.reports, r)
+	t := Tally{Completed: int(v[0]), Unexecutable: int(v[1]), Held: int(v[2]),
+		IncidentalLeaks: int(v[3]), Attempts: int(v[4]), FetchFailures: int(v[5]),
+		LostContacts: int(v[6]), Evictions: int(v[7]), Goodput: durationNS(v[8]),
+		Badput: durationNS(v[9]), TurnaroundTotal: durationNS(v[10])}
+	t.Jobs = t.Completed + t.Unexecutable + t.Held
+	s.retiredTally = t
 	return nil
 }
 
@@ -460,25 +347,4 @@ func refParseBool(kv map[string]string, key string) (bool, error) {
 		return false, fmt.Errorf("field %q: %w", key, err)
 	}
 	return v, nil
-}
-
-func refParseJobState(name string) (JobState, error) {
-	for i, n := range jobStateNames {
-		if n == name {
-			return JobState(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown job state %q", name)
-}
-
-func refParseDisposition(name string) (scope.Disposition, error) {
-	for _, d := range []scope.Disposition{
-		scope.DispositionComplete, scope.DispositionUnexecutable,
-		scope.DispositionRequeue, scope.DispositionHold,
-	} {
-		if d.String() == name {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown disposition %q", name)
 }

@@ -10,6 +10,7 @@ import (
 
 	"github.com/errscope/grid/internal/journal"
 	"github.com/errscope/grid/internal/jvm"
+	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/sim"
 )
 
@@ -232,7 +233,9 @@ func rebuilt(t testing.TB, s *Schedd) string {
 // TestRecoverAtRetirementBoundaries crashes the workload at every
 // compaction that retired jobs, three ways — right after the
 // compaction, between the history append and the compaction, and with
-// the history frame torn at every byte — and recovers each.  Every
+// the history frame torn (at every byte of the smallest frame, at every
+// 61st of the others) — and recovers each.  The snapshot a compaction
+// writes must replay to no terminal job and no report, and every
 // way must rebuild what the uncrashed schedd holds at that instant:
 // each acknowledged job, with its state (non-terminal ones requeued)
 // and attempts, one report per terminal job in completion order, and
@@ -252,10 +255,9 @@ func TestRecoverAtRetirementBoundaries(t *testing.T) {
 		t.Fatalf("%d retiring compactions, %d by the admin verb: the workload no longer crosses both kinds of boundary", len(bs), admin)
 	}
 	for i, b := range bs {
-		if snap := journal.Decode(b.walAfter).Snapshot; bytes.Contains(snap, []byte("\nreport ")) ||
-			bytes.Contains(snap, []byte(" state=completed ")) || bytes.Contains(snap, []byte(" state=held ")) ||
-			bytes.Contains(snap, []byte(" state=unexecutable ")) {
-			t.Fatalf("boundary %d (%s): the snapshot still carries a terminal job or a report:\n%s", i, b.at, snap)
+		snap, q := journal.Decode(b.walAfter).Snapshot, blankQueue()
+		if err := newReplayer(q).applyLines(snap); err != nil || q.nonTerminal != len(q.live) || len(q.reports) != 0 {
+			t.Fatalf("boundary %d (%s): the snapshot (%v) still carries a terminal job or a report:\n%s", i, b.at, err, snap)
 		}
 		if got := recoverDisk(t, b.at, b.walAfter, b.hist); got != b.uncrashed {
 			t.Fatalf("boundary %d (%s), crashed after the compaction:\n--- recovered ---\n%s--- uncrashed ---\n%s", i, b.at, got, b.uncrashed)
@@ -299,6 +301,37 @@ func TestRecoverAtRetirementBoundaries(t *testing.T) {
 				t.Fatalf("boundary %d (%s), history torn at byte %d, crashed again after the next compaction:\n--- recovered ---\n%s--- uncrashed ---\n%s", i, b.at, n, got, b.uncrashed)
 			}
 		}
+	}
+}
+
+// TestSnapshotReplaysToItself decodes the snapshot of every compaction
+// of the workload, before and after its crashes, into an empty queue
+// and snapshots that queue again: the bytes must be equal.  Replay
+// re-encodes every record it applies, so this holds only if each
+// record decodes to the fields it was written from and the trailer
+// restores what the job logs do not.
+func TestSnapshotReplaysToItself(t *testing.T) {
+	eng, s := retireWorkload(t)
+	n := 0
+	for eng.Now() < sim.Time(12*time.Hour) && !s.AllTerminal() {
+		compactions := s.wal.Compactions()
+		if !eng.Step() {
+			t.Fatal("the engine ran dry")
+		}
+		if s.wal.Compactions() == compactions {
+			continue
+		}
+		n++
+		snap, q := s.wal.Replay().Snapshot, blankQueue()
+		if err := newReplayer(q).applyLines(snap); err != nil {
+			t.Fatalf("compaction %d (%s): %v", n, eng.Now(), err)
+		}
+		if again := q.snapshot(); !bytes.Equal(again, snap) {
+			t.Fatalf("compaction %d (%s): the snapshot replays to\n%s\nnot to\n%s", n, eng.Now(), again, snap)
+		}
+	}
+	if n < 4 {
+		t.Fatalf("%d compactions: the workload no longer compacts across its crashes", n)
 	}
 }
 
@@ -446,7 +479,7 @@ func TestHistoryReplayStopsAtCorruptFrame(t *testing.T) {
 	}
 }
 
-// TestHistoryWinsOverTheJournal recovers a retired job's lines from
+// TestHistoryWinsOverTheJournal recovers a retired job's records from
 // the journal and the history at once — the disk a crash between the
 // history append and the compaction leaves — and checks that the
 // history's copy is the one recovered, exactly once, with the
@@ -478,7 +511,7 @@ func TestHistoryWinsOverTheJournal(t *testing.T) {
 	if n := len(got.live); n != 1 {
 		t.Fatalf("%d live jobs recovered, want the one still running", n)
 	}
-	if r := got.retired[1]; r.j != nil || r.lines == nil {
+	if r := got.retired[1]; r.j != nil || r.run == nil {
 		t.Fatal("job 1 was not left in the history undecoded")
 	}
 	if g := recoverDisk(t, eng.Now(), walBefore, s.hist.Bytes()); g != want {
@@ -486,22 +519,24 @@ func TestHistoryWinsOverTheJournal(t *testing.T) {
 	}
 }
 
-// TestHistoryGrammar recovers hand-written history frames: the
-// spellings the writer never produces but the lenient grammar admits
-// recover, and the frames that break the grammar refuse the recovery
-// with the reason.  A job line that indexes but does not decode is
-// left out of Jobs rather than guessed at.
+// TestHistoryGrammar recovers hand-made history frames: the spellings
+// the writer never produces but the lenient grammar admits recover, and
+// the frames that break the grammar refuse the recovery with the
+// reason.  A run that indexes but does not replay is left out of Jobs
+// and Reports rather than guessed at.
 func TestHistoryGrammar(t *testing.T) {
-	const job = `job id=%d owner="u" universe="" exe="" ad="" prog="program class=\"Main\" corrupt=false\n" state=completed ckpt=0 relaxed=false submitted=0 finished=5 finalerr=""`
-	const att = `attempt id=%d machine="m" start=1 end=5 cpu=3 evicted=false fetch="" lost="" rep="status = no-result\nexit_code = 0\nend = ok\n" tru="status = no-result\nexit_code = 0\nend = ok\n"`
-	const header = "history completed=2 unexecutable=0 held=0 leaks=0 attempts=1 fetch=0 lost=0 evictions=0 goodput=3 badput=0 turnaround=10\n"
+	const tally = "op=history completed=2 unexecutable=0 held=0 leaks=0 attempts=1 fetch=0 lost=0 evictions=0 goodput=3 badput=0 turnaround=10"
+	ok := scope.Result{Status: scope.StatusExited}
+	run := func(id JobID) string {
+		j := &Job{ID: id, Owner: "u", Program: jvm.WellBehaved(time.Second)}
+		return strings.Join([]string{string(recSubmit(j)),
+			string(recMachineOp("match", id, 1, "m")), string(recMachineOp("exec", id, 1, "m")),
+			string(recFinal(jobFinalMsg{Job: id, Machine: "m", CPU: 3, Reported: ok, True: ok}, 5))}, "\n")
+	}
 	frame := func(lines ...string) []byte {
 		j := journal.New()
 		j.Append([]byte(strings.Join(lines, "\n") + "\n"))
 		return j.Bytes()
-	}
-	withHeader := func(lines ...string) []byte {
-		return frame(append([]string{strings.TrimSuffix(header, "\n")}, lines...)...)
 	}
 	for _, c := range []struct {
 		name string
@@ -510,23 +545,20 @@ func TestHistoryGrammar(t *testing.T) {
 		jobs int
 		reps int
 	}{
-		{"written order", withHeader(fmt.Sprintf(job, 1), fmt.Sprintf(att, 1), "", fmt.Sprintf(job, 2),
-			`report job=1 disp=complete result="status = no-result\nexit_code = 0\nend = ok\n" err="" leak=false`), "", 2, 1},
-		{"undecodable report", withHeader(fmt.Sprintf(job, 1), `report job=1 disp=bogus`, `report "`), "", 1, 0},
-		{"id not first", withHeader(`job state=completed id=3` + strings.TrimPrefix(fmt.Sprintf(job, 3), "job id=3")), "", 1, 0},
-		{"undecodable job", withHeader(fmt.Sprintf(job, 1), `job id=2 owner="u"`), "", 1, 0},
-		{"undecodable attempt", withHeader(fmt.Sprintf(job, 1), `attempt id=1 machine="m"`), "", 0, 0},
-		{"not a job line", withHeader(`job id=x`), "frame 0: field \"id\"", 0, 0},
-		{"unscannable job line", withHeader(`job id="1`), "frame 0: unterminated quote", 0, 0},
-		{"no header", frame(fmt.Sprintf(job, 1)), "frame 0: header \"job\"", 0, 0},
-		{"bad header", frame("history completed=x"), "frame 0: field \"completed\"", 0, 0},
-		{"unscannable header", frame(`history "`), "frame 0: no '='", 0, 0},
-		{"attempt first", withHeader(fmt.Sprintf(att, 1)), "frame 0: attempt before job", 0, 0},
-		{"unknown line", withHeader("bogus x=1"), "frame 0: unknown history line", 0, 0},
-		{"job after reports", withHeader(fmt.Sprintf(job, 1), `report job=1 disp=complete result="" err="" leak=false`, fmt.Sprintf(job, 2)),
-			"frame 0: \"job id=2", 0, 0},
-		{"retired twice", withHeader(fmt.Sprintf(job, 1), fmt.Sprintf(job, 1)), "frame 0: job 1 retired twice", 0, 0},
-		{"snapshot record", func() []byte { j := journal.New(); j.Compact([]byte(header), nil); return j.Bytes() }(),
+		{"written order", frame(tally, run(2), run(1)), "", 2, 2},
+		{"blank lines", frame(tally, "", run(1), "", run(2), ""), "", 2, 2},
+		{"id not second", frame(tally, strings.Replace(run(3), "op=submit id=3 at=0", "op=submit at=0 id=3", 1)), "", 1, 1},
+		{"run that does not replay", frame(tally, run(1), "op=submit id=2 owner=\"u\""), "", 1, 1},
+		{"record that does not replay", frame(tally, run(1)+"\nop=bogus id=1 at=9", run(2)), "", 1, 1},
+		{"not a record", frame(tally, "op=submit id=x"), "frame 0: field \"id\"", 0, 0},
+		{"unscannable record", frame(tally, `op=submit id="1`), "frame 0: unterminated quote", 0, 0},
+		{"no header", frame(run(1)), "frame 0: frame opens with \"op=submit\"", 0, 0},
+		{"bad header", frame("op=history completed=x"), "frame 0: field \"completed\"", 0, 0},
+		{"unscannable header", frame(`op=history "`), "frame 0: no '='", 0, 0},
+		{"record before submit", frame(tally, "op=exec id=1 at=1 machine=\"m\""), "frame 0: exec record of job 1 before its submit", 0, 0},
+		{"another job's record inside a run", frame(tally, run(1), "op=relax id=2 at=9"), "frame 0: relax record of job 2 inside job 1's run", 0, 0},
+		{"retired twice", frame(tally, run(1), run(1)), "frame 0: job 1 retired twice", 0, 0},
+		{"snapshot record", func() []byte { j := journal.New(); j.Compact([]byte(tally), nil); return j.Bytes() }(),
 			"snapshot record in the history", 0, 0},
 	} {
 		s, err := recoverHistory(nil, c.hist)
@@ -544,7 +576,7 @@ func TestHistoryGrammar(t *testing.T) {
 			t.Errorf("%s: %d jobs and %d reports, want %d and %d", c.name, n, r, c.jobs, c.reps)
 		}
 		if tally := s.Tally(); tally.Completed != 2 || tally.Goodput != 3 {
-			t.Errorf("%s: tally %+v is not the header's", c.name, tally)
+			t.Errorf("%s: tally %+v is not the op=history record's", c.name, tally)
 		}
 		var last JobID
 		for id := range s.retired {

@@ -158,13 +158,13 @@ type Schedd struct {
 	nextID JobID
 	// retired holds every job the history owns, by id; retiredTally
 	// folds them once, at retirement; retiredReports are their reports
-	// in completion order, decoded or kept, and histReports the report
-	// blocks of the history frames Recover indexed but nobody has
-	// asked to decode yet.  See retire and readHistory.
+	// in completion order, decoded or kept, and histRuns the jobs of
+	// the history frames Recover indexed, in completion order, while
+	// their reports are not decoded yet.  See retire and readHistory.
 	retired        map[JobID]retiredJob
 	retiredTally   Tally
 	retiredReports []UserReport
-	histReports    [][]byte
+	histRuns       []JobID
 
 	// idleOrder and idlePos index the idle jobs in the order they
 	// became idle, with tombstoned (nil) slots compacted lazily, so
@@ -289,7 +289,7 @@ func (s *Schedd) Submit(job *Job) JobID {
 	// advertise shares (or copies) this ad, and copies inherit the
 	// caches.
 	job.Ad.Precompile()
-	s.journalAppend(recSubmit(job))
+	s.journalAppend(job, recSubmit(job))
 	s.addJob(job)
 	s.logEvent(job, EventSubmitted, "owner %s", job.Owner)
 	s.advertiseJob(job)
@@ -378,7 +378,7 @@ func (s *Schedd) Job(id JobID) *Job {
 // Jobs returns all jobs, live and retired, in submission order.
 func (s *Schedd) Jobs() []*Job {
 	out := make([]*Job, 0, len(s.retired)+len(s.live))
-	rp := newReplayer(s)
+	rp := newReplayer(s.scratchQueue())
 	for id := range s.retired {
 		if j := s.retiredJob(id, rp); j != nil {
 			out = append(out, j)
@@ -392,7 +392,9 @@ func (s *Schedd) Jobs() []*Job {
 // Reports returns what users were shown, retired jobs included, in
 // completion order.
 func (s *Schedd) Reports() []UserReport {
-	s.decodeHistoryReports()
+	if len(s.histRuns) > 0 {
+		s.decodeHistory()
+	}
 	return slices.Concat(s.retiredReports, s.reports)
 }
 
@@ -616,7 +618,7 @@ func (s *Schedd) handleCkptCommit(m ckptCommitMsg) {
 	if !ok || j.State != JobRunning || m.CPU <= j.CheckpointCPU {
 		return
 	}
-	s.journalAppend(recCkpt(j.ID, s.bus.Now(), m.CPU))
+	s.journalAppend(j, recCkpt(j.ID, s.bus.Now(), m.CPU))
 	j.CheckpointCPU = m.CPU
 	s.logEvent(j, EventCheckpointed, "committed %v", m.CPU)
 }
@@ -667,7 +669,7 @@ func (s *Schedd) handleNoMatch(m noMatchMsg) {
 		s.params.ChronicRelaxAfter > 0 &&
 		s.idleFor(j) >= s.params.ChronicRelaxAfter &&
 		len(s.avoidedMachines()) > 0 {
-		s.journalAppend(recEvent("relax", j.ID, s.bus.Now()))
+		s.journalAppend(j, recEvent("relax", j.ID, s.bus.Now()))
 		j.avoidanceRelaxed = true
 		s.logEvent(j, EventAvoidanceRelaxed,
 			"idle %v with no compatible machine; matching chronic machines again",
@@ -735,7 +737,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 	now := s.bus.Now()
 	switch m.Op {
 	case FlockGrant:
-		s.journalAppend(recFlock(j.ID, now, m.Level, m.Negotiator))
+		s.journalAppend(j, recFlock(j.ID, now, m.Level, m.Negotiator))
 		s.withdrawJob(j) // from the negotiator that starved it
 		j.flockedTo = m.Negotiator
 		j.flockLevel = m.Level
@@ -748,7 +750,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 		if j.flockedTo == "" {
 			return // already home; the pacing clock retries later
 		}
-		s.journalAppend(recFlock(j.ID, now, 0, ""))
+		s.journalAppend(j, recFlock(j.ID, now, 0, ""))
 		s.withdrawJob(j) // from the peer that no longer serves it
 		j.flockedTo = ""
 		j.flockLevel = 0
@@ -791,7 +793,7 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(recMachineOp("match", j.ID, s.bus.Now(), m.Machine))
+	s.journalAppend(j, recMachineOp("match", j.ID, s.bus.Now(), m.Machine))
 	s.setState(j, JobMatched)
 	j.claimSeq++
 	seq := j.claimSeq
@@ -812,7 +814,7 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 			// after recovery the queue holds rebuilt Job values, and a
 			// pre-crash closure's pointer no longer speaks for them.
 			if s.epoch == epoch && j.State == JobMatched && j.claimSeq == seq {
-				s.journalAppend(recEvent("claim-timeout", j.ID, s.bus.Now()))
+				s.journalAppend(j, recEvent("claim-timeout", j.ID, s.bus.Now()))
 				s.ClaimsFailed++
 				s.setState(j, JobIdle)
 				s.logEvent(j, EventClaimTimeout, "no reply from %s within %v",
@@ -832,14 +834,14 @@ func (s *Schedd) receiveClaim(from string, r claimReplyMsg) {
 	}
 	j.claimSeq++ // the reply arrived; disarm the claim timeout
 	if !r.Granted {
-		s.journalAppend(recEvent("claim-denied", j.ID, s.bus.Now()))
+		s.journalAppend(j, recEvent("claim-denied", j.ID, s.bus.Now()))
 		s.ClaimsFailed++
 		s.setState(j, JobIdle)
 		s.logEvent(j, EventClaimDenied, "%s: %s", from, r.Reason)
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(recMachineOp("exec", j.ID, s.bus.Now(), from))
+	s.journalAppend(j, recMachineOp("exec", j.ID, s.bus.Now(), from))
 	s.setState(j, JobRunning)
 	j.avoidanceRelaxed = false // the next idle spell re-arms avoidance
 	s.resetFlock(j)            // every attempt restarts the job at home
@@ -986,7 +988,7 @@ func (s *Schedd) handleFinal(f jobFinalMsg) {
 		return
 	}
 	now := s.bus.Now()
-	s.journalAppend(recFinal(f, now))
+	s.journalAppend(j, recFinal(f, now))
 	delete(s.shadows, f.Job) // the shadow retires with its report
 
 	err := finalError(f)
@@ -1043,10 +1045,16 @@ func (s *Schedd) handleFinal(f jobFinalMsg) {
 		}
 		// Log and attempt to execute the program at a new site.  The
 		// epoch check keeps a pre-crash backoff from resurrecting a
-		// stale Job value after recovery rebuilt the queue.
+		// stale Job value after recovery rebuilt the queue.  The return
+		// to idle is the one transition the journal does not carry —
+		// a record there would add a commit event — but the job's log
+		// does, so a snapshot replays the job idle, in the idle order
+		// it holds.  A crash before the next snapshot replays the job
+		// running, and recovery requeues it as it would anyway.
 		epoch := s.epoch
 		s.bus.After(s.params.RequeueBackoff, func() {
 			if s.epoch == epoch && j.State == JobRunning {
+				j.logRecord(recEvent("requeue", j.ID, s.bus.Now()))
 				s.setState(j, JobIdle)
 				s.advertiseJob(j)
 			}

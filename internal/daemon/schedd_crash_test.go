@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -14,22 +15,47 @@ import (
 )
 
 // jobSummary flattens everything the journal must preserve about a
-// job — its ad and program included — into one comparable string.
+// job — its ad and program included — into one comparable string.  It
+// is built with strconv rather than fmt: the crash oracles render
+// every job of thousands of recovered queues.
 func jobSummary(j *Job) string {
-	var b strings.Builder
 	ad := "<nil>"
 	if j.Ad != nil {
 		ad = j.Ad.String()
 	}
-	fmt.Fprintf(&b, "id=%d owner=%s universe=%s exe=%s state=%s ckpt=%s submitted=%d finished=%d finalerr=%v ad=%s prog=%q\n",
-		j.ID, j.Owner, j.Universe, j.Executable, j.State, j.CheckpointCPU,
-		j.Submitted, j.Finished, j.FinalErr, ad, jvm.EncodeProgram(j.Program))
+	b := make([]byte, 0, 512)
+	b = strconv.AppendInt(append(b, "id="...), int64(j.ID), 10)
+	b = append(append(append(append(b, " owner="...), j.Owner...), " universe="...), j.Universe...)
+	b = append(append(append(append(b, " exe="...), j.Executable...), " state="...), j.State.String()...)
+	b = append(append(b, " ckpt="...), j.CheckpointCPU.String()...)
+	b = strconv.AppendInt(append(b, " submitted="...), int64(j.Submitted), 10)
+	b = strconv.AppendInt(append(b, " finished="...), int64(j.Finished), 10)
+	b = append(append(b, " finalerr="...), errString(j.FinalErr)...)
+	b = append(append(b, " ad="...), ad...)
+	b = strconv.AppendQuote(append(b, " prog="...), jvm.EncodeProgram(j.Program))
+	b = append(b, '\n')
 	for i, a := range j.Attempts {
-		fmt.Fprintf(&b, "  att%d machine=%s start=%d end=%d cpu=%s evicted=%t fetch=%v lost=%v rep=%q tru=%q\n",
-			i, a.Machine, a.Start, a.End, a.CPU, a.Evicted,
-			a.FetchError, a.LostContact, a.Reported.EncodeString(), a.True.EncodeString())
+		b = strconv.AppendInt(append(b, "  att"...), int64(i), 10)
+		b = append(append(b, " machine="...), a.Machine...)
+		b = strconv.AppendInt(append(b, " start="...), int64(a.Start), 10)
+		b = strconv.AppendInt(append(b, " end="...), int64(a.End), 10)
+		b = append(append(b, " cpu="...), a.CPU.String()...)
+		b = strconv.AppendBool(append(b, " evicted="...), a.Evicted)
+		b = append(append(b, " fetch="...), errString(a.FetchError)...)
+		b = append(append(b, " lost="...), errString(a.LostContact)...)
+		b = strconv.AppendQuote(append(b, " rep="...), a.Reported.EncodeString())
+		b = strconv.AppendQuote(append(b, " tru="...), a.True.EncodeString())
+		b = append(b, '\n')
 	}
-	return b.String()
+	return string(b)
+}
+
+// errString is what %v prints for an error.
+func errString(err error) string {
+	if err == nil {
+		return "<nil>"
+	}
+	return err.Error()
 }
 
 func queueSummary(s *Schedd) string {
@@ -253,7 +279,8 @@ func TestReplayKeepsAdsDistinct(t *testing.T) {
 // TestRecoveryKeepsSubmittedAdAttributes pins what a submitter puts
 // in the ad before Submit: a Java job declaring OutageTolerance keeps
 // it across a crash taken before a compaction (replayed from the
-// submit record) and after one (replayed from a snapshot line).
+// submit record in the journal) and after one (replayed from the
+// submit record in the snapshot).
 func TestRecoveryKeepsSubmittedAdAttributes(t *testing.T) {
 	_, _, schedd, _, _ := testPool(t, DefaultParams(), goodMachine("m1"))
 	ad := NewJavaJobAd("alice", 128)

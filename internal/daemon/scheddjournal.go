@@ -7,28 +7,29 @@ package daemon
 // the queue by replaying the journal, requeueing jobs whose shadows
 // died with the schedd.
 //
-// The journal holds one text record per transition, and the periodic
-// compaction folds the applied prefix into a snapshot of the live
-// queue: the jobs not yet terminal, and the terminal ones since the
-// last compaction.  At each compaction every terminal job first
-// retires: its job, attempt and report lines move, once, to an
+// The schedd's disk speaks one record language: a record is one
+// key=value line, "op=<op> ...", written with package record's quoter
+// and read back by applyEntry (scheddreplay.go), the one decoder.  The
+// journal holds one record per transition.  Each live job also keeps
+// its own records, in order, in its log (Job.log), so the periodic
+// compaction folds the journal into a snapshot that is every live
+// job's log in id order followed by the schedd's counters and failure
+// table (op=schedd, op=failure).  At each compaction every terminal job
+// first retires: one history frame, an op=history tally record and
+// then each retiring job's log in completion order, goes to an
 // append-only history journal (Condor's history file), and the
-// snapshot that follows omits it.  So compaction and recovery cost
-// what is still queued, not everything ever submitted.  Records,
-// snapshot and history frames are key=value lines written with package
-// record's quoter, so a torn tail truncates at a record boundary
-// (package journal) and a record never splits across frames;
-// scheddreplay.go reads them back in the record package's lenient
-// journal grammar.
+// snapshot that follows omits those jobs.  So compaction and recovery
+// cost what is still queued, not everything ever submitted, and a
+// torn tail truncates at a record boundary (package journal).
 //
 // Deliberately not persisted: per-job event logs and the transient
 // counters (MatchesReceived, MatchesDeclined, ClaimsFailed) — they
 // are telemetry about the dead process, not queue state — and the
 // claim sequence numbers, whose timers died with the process and are
-// fenced off by the epoch check on recovery.  Flock state is
-// journaled (flock records) but never snapshotted: recovery resets
-// every job to its home pool (normalizeJob), because the remote
-// advertisement is exactly what a crash invalidates.
+// fenced off by the epoch check on recovery.  Flock state is journaled
+// (flock records), but recovery resets every job to its home pool
+// (normalizeJob), because the remote advertisement is exactly what a
+// crash invalidates.
 
 import (
 	"fmt"
@@ -61,11 +62,12 @@ func (s *Schedd) History() *journal.Journal { return s.hist }
 // Crashed reports whether the schedd is currently down.
 func (s *Schedd) Crashed() bool { return s.crashed }
 
-// journalAppend writes one record ahead of the transition it
-// describes: the record joins the open batch, and the group commit is
-// scheduled for the end of the current instant, deferring every
-// outgoing send behind it (see commitWAL).
-func (s *Schedd) journalAppend(rec []byte) {
+// journalAppend writes one record of job j ahead of the transition it
+// describes: the record joins j's log and the open batch, and the
+// group commit is scheduled for the end of the current instant,
+// deferring every outgoing send behind it (see commitWAL).
+func (s *Schedd) journalAppend(j *Job, rec []byte) {
+	j.logRecord(rec)
 	s.walBuf = append(s.walBuf, rec)
 	if !s.commitArmed {
 		s.commitArmed = true
@@ -180,8 +182,8 @@ func (s *Schedd) ForceCompact() error {
 // — child processes — die silently, and the actor leaves the bus.
 // The journals survive; they are the disk, not the process.  The
 // retired jobs held in memory go with the process, as the queue does:
-// Recover rebuilds the queue and indexes the history, and decodes a
-// retired job only when asked for it.
+// Recover rebuilds the queue and indexes the history, and replays a
+// retired job's run only when asked for it.
 func (s *Schedd) Crash() {
 	if s.crashed {
 		return
@@ -224,11 +226,12 @@ func (s *Schedd) Crash() {
 // default, or an explicit one standing in for the recovered disk —
 // and its history.  A torn tail is cut off both before anything is
 // appended to them.  The history is indexed, not decoded: its frames
-// are checked, the retired job ids read and the retired tallies taken
-// from the last frame.  The live queue is rebuilt by replaying the
-// snapshot and every surviving record, skipping whatever the history
-// holds; jobs that were in flight when the process died are closed
-// out with a local-resource ShadowDied error and requeued.
+// are checked, each retired job's run found and the retired tallies
+// taken from the last frame's op=history record.  The live queue is
+// rebuilt by replaying the snapshot's records and then every surviving
+// journal record, skipping whatever the history holds; jobs that were
+// in flight when the process died are closed out with a local-resource
+// ShadowDied error and requeued.
 func (s *Schedd) Recover(from *journal.Journal) error {
 	if !s.crashed {
 		return fmt.Errorf("schedd %s: recover without a crash", s.name)
@@ -258,7 +261,7 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 		return fmt.Errorf("schedd %s: history: %w", s.name, err)
 	}
 	if len(r.Snapshot) > 0 {
-		if err := rp.applySnapshot(r.Snapshot); err != nil {
+		if err := rp.applyLines(r.Snapshot); err != nil {
 			return fmt.Errorf("schedd %s: snapshot: %w", s.name, err)
 		}
 	}
@@ -293,7 +296,7 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 			continue
 		}
 		open := j.LastAttempt() != nil && j.LastAttempt().End == 0
-		s.journalAppend(recEvent("recover", j.ID, now))
+		s.journalAppend(j, recEvent("recover", j.ID, now))
 		s.normalizeJob(j, now)
 		if open {
 			// The shadow died mid-attempt.  The machine is blameless —
@@ -356,36 +359,27 @@ func shadowDiedErr(schedd string) *scope.Error {
 
 // --- record encoding -------------------------------------------------
 
-// identLine returns — building it on first use — the encoding of the
-// job's immutable identity fields, shared by the submit record and
-// every snapshot line: " owner=.. universe=.. exe=.. ad=.. prog=..".
-// Owner, Universe, Executable, Ad, and Program never change after
-// submission (recovery builds a fresh Job), so the rendered ad and the
-// quoting work are paid once per job instead of once per snapshot.
-func (j *Job) identLine() []byte {
-	if j.identEnc == nil {
-		ad := ""
-		if j.Ad != nil {
-			ad = j.Ad.String()
-		}
-		b := record.AppendStr(make([]byte, 0, 96+len(ad)), "owner", j.Owner)
-		b = record.AppendStr(b, "universe", j.Universe)
-		b = record.AppendStr(b, "exe", j.Executable)
-		b = record.AppendStr(b, "ad", ad)
-		j.identEnc = record.AppendStr(b, "prog", jvm.EncodeProgram(j.Program))
-	}
-	return j.identEnc
-}
-
 // recHead starts a record: "op=<op> id=<id> at=<at>".
 func recHead(size int, op string, id JobID, at sim.Time) []byte {
 	b := append(append(make([]byte, 0, size), "op="...), op...)
 	return record.AppendInt(record.AppendInt(b, "id", int64(id)), "at", int64(at))
 }
 
+// recSubmit records a submission with the job's immutable identity:
+// owner, universe, executable, the ad as rendered at submit, and the
+// program.
 func recSubmit(j *Job) []byte {
-	ident := j.identLine()
-	return append(recHead(40+len(ident), "submit", j.ID, j.Submitted), ident...)
+	ad := ""
+	if j.Ad != nil {
+		ad = j.Ad.String()
+	}
+	prog := jvm.EncodeProgram(j.Program)
+	b := recHead(112+len(ad)+len(prog), "submit", j.ID, j.Submitted)
+	b = record.AppendStr(b, "owner", j.Owner)
+	b = record.AppendStr(b, "universe", j.Universe)
+	b = record.AppendStr(b, "exe", j.Executable)
+	b = record.AppendStr(b, "ad", ad)
+	return record.AppendStr(b, "prog", prog)
 }
 
 // recMachineOp records a transition onto a machine: match, exec.
@@ -409,31 +403,29 @@ func recCkpt(id JobID, at sim.Time, cpu time.Duration) []byte {
 }
 
 // recEvent covers the transitions that carry no payload beyond the
-// job and the instant: claim-timeout, claim-denied, relax, recover.
+// job and the instant: claim-timeout, claim-denied, relax, recover, and
+// requeue, the one a job's log holds and the journal does not (see
+// handleFinal).
 func recEvent(op string, id JobID, at sim.Time) []byte {
 	return recHead(40, op, id, at)
 }
 
+// recFinal records a final report: the attempt's machine, CPU and
+// checkpoint, how it ended, its two scoped errors, and the reported and
+// the true result.
 func recFinal(f jobFinalMsg, at sim.Time) []byte {
 	b := record.AppendStr(recHead(256, "final", f.Job, at), "machine", f.Machine)
 	b = record.AppendInt(b, "cpu", int64(f.CPU))
 	b = record.AppendInt(b, "ckpt", int64(f.CheckpointCPU))
 	b = record.AppendBool(b, "evicted", f.Evicted)
-	if f.Preempted { // written only when set, so pre-preemption logs replay byte-identically
+	if f.Preempted { // written only when set, so a record without it reads as not preempted
 		b = record.AppendBool(b, "pre", true)
 	}
 	b = record.AppendBool(b, "hold", f.Hold)
-	return appendOutcome(b, f.FetchError, f.LostContact, &f.Reported, &f.True)
-}
-
-// appendOutcome writes the fields an attempt's end shares with the
-// final record that reports it: the two scoped errors, then the
-// reported and the true result.
-func appendOutcome(b []byte, fetch, lost error, rep, tru *scope.Result) []byte {
-	b = record.AppendStr(b, "fetch", encodeScopedErr(fetch))
-	b = record.AppendStr(b, "lost", encodeScopedErr(lost))
-	b = record.AppendStr(b, "rep", rep.EncodeString())
-	return record.AppendStr(b, "tru", tru.EncodeString())
+	b = record.AppendStr(b, "fetch", encodeScopedErr(f.FetchError))
+	b = record.AppendStr(b, "lost", encodeScopedErr(f.LostContact))
+	b = record.AppendStr(b, "rep", f.Reported.EncodeString())
+	return record.AppendStr(b, "tru", f.True.EncodeString())
 }
 
 // encodeScopedErr flattens an error for the journal.  The cause chain
@@ -476,110 +468,28 @@ func decodeScopedErr(enc string) (error, error) {
 		Origin: parts[3], Message: parts[4]}, nil
 }
 
-// --- snapshot --------------------------------------------------------
-
-// snapshot serializes the live queue: one header line, the
-// chronic-failure table, then per live job its job line and attempts.
-// compact calls it right after retire, so no live job is terminal and
-// no report is left to write: the snapshot carries what is still
-// queued and nothing the history holds.  (Replay still reads the
-// report lines of snapshots written before jobs retired.)  Line order
-// is the replay order.  The assembly buffer is reused across
-// snapshots and the immutable pieces — job identity lines and frozen
-// attempts — come from caches, so each compaction pays only for the
-// state that changed since the last one.  The returned slice aliases
-// the reused buffer; callers (journal framing) copy it before the
-// next snapshot.
-func (s *Schedd) snapshot() []byte {
-	b := s.snapshotBuf(len(s.live))
-	b = record.AppendInt(append(b, "schedd"...), "nextID", int64(s.nextID))
+// appendSchedd writes the snapshot trailer's first record: the
+// counters no job's records imply once retired jobs' records have left
+// the journal.  Replay clears the failure table on it, so the failure
+// records after it are the whole table.
+func (s *Schedd) appendSchedd(b []byte) []byte {
+	b = record.AppendInt(append(b, "op=schedd"...), "nextID", int64(s.nextID))
 	b = record.AppendInt(b, "requeues", int64(s.Requeues))
-	b = append(record.AppendInt(b, "recoveries", int64(s.Recoveries)), '\n')
-	machines := make([]string, 0, len(s.machineFailures))
-	for m, rec := range s.machineFailures {
-		if rec.count != 0 {
-			machines = append(machines, m)
-		}
-	}
-	sort.Strings(machines)
-	for _, m := range machines {
-		rec := s.machineFailures[m]
-		b = record.AppendStr(append(b, "failure"...), "machine", m)
-		b = record.AppendInt(b, "count", int64(rec.count))
-		b = append(record.AppendInt(b, "last", int64(rec.last)), '\n')
-	}
-	for _, j := range s.live {
-		b = j.appendLines(b, true)
-	}
-	s.snapBuf = b
-	return b
+	return append(record.AppendInt(b, "recoveries", int64(s.Recoveries)), '\n')
 }
 
-// snapshotBuf returns the reused assembly buffer, emptied.  The first
-// time it must hold n jobs it reserves roughly a full serialization up
-// front, so the build doubles a handful of times instead of
-// re-copying megabytes under append's damped growth factor.
-func (s *Schedd) snapshotBuf(n int) []byte {
-	if cap(s.snapBuf) < 256*n {
-		s.snapBuf = make([]byte, 0, 256*n)
-	}
-	return s.snapBuf[:0]
+// appendFailure writes one chronic-failure table entry as a record.
+func appendFailure(b []byte, machine string, rec failureRecord) []byte {
+	b = record.AppendStr(append(b, "op=failure"...), "machine", machine)
+	b = record.AppendInt(b, "count", int64(rec.count))
+	return append(record.AppendInt(b, "last", int64(rec.last)), '\n')
 }
 
-// retire moves every terminal job out of the queue and returns the
-// history frame that holds them, nil if none is terminal: a header
-// line with the cumulative retired tallies, then per job its snapshot
-// job and attempt lines, then the reports in completion order — every
-// report belongs to a terminal job, so all of them go.  Each job is
-// folded into the tallies here, once.  The retired *Job values stay in
-// process memory, event logs included, until the next crash; their
-// encode caches are dropped, since nothing encodes a retired job
-// again.  The frame aliases the snapshot buffer: append it before the
-// next snapshot.
-func (s *Schedd) retire() []byte {
-	n := len(s.live) - s.nonTerminal
-	if n == 0 {
-		return nil
-	}
-	for _, j := range s.live {
-		if j.State.Terminal() {
-			s.retiredTally.Add(j)
-		}
-	}
-	for i := range s.reports {
-		if s.reports[i].IncidentalLeak {
-			s.retiredTally.IncidentalLeaks++
-		}
-	}
-	b := appendTally(s.snapshotBuf(n), &s.retiredTally)
-	keep := s.live[:0]
-	for _, j := range s.live {
-		if !j.State.Terminal() {
-			keep = append(keep, j)
-			continue
-		}
-		b = j.appendLines(b, false)
-		j.identEnc, j.attEnc, j.attEncN = nil, nil, 0
-		delete(s.jobs, j.ID)
-		s.retired[j.ID] = retiredJob{j: j}
-	}
-	clear(s.live[len(keep):])
-	s.live = keep
-	for i := range s.reports {
-		b = appendReport(b, &s.reports[i])
-	}
-	s.snapBuf = b
-	s.retiredReports = append(s.retiredReports, s.reports...)
-	clear(s.reports)
-	s.reports = s.reports[:0]
-	return b
-}
-
-// appendTally writes a history frame's header line: the retired
+// appendTally writes a history frame's first record: the retired
 // tallies so far, this frame's jobs included.  Jobs is the sum of the
 // three terminal states, so it is not written.
 func appendTally(b []byte, t *Tally) []byte {
-	b = record.AppendInt(append(b, "history"...), "completed", int64(t.Completed))
+	b = record.AppendInt(append(b, "op=history"...), "completed", int64(t.Completed))
 	b = record.AppendInt(b, "unexecutable", int64(t.Unexecutable))
 	b = record.AppendInt(b, "held", int64(t.Held))
 	b = record.AppendInt(b, "leaks", int64(t.IncidentalLeaks))
@@ -592,61 +502,68 @@ func appendTally(b []byte, t *Tally) []byte {
 	return append(record.AppendInt(b, "turnaround", int64(t.TurnaroundTotal)), '\n')
 }
 
-// appendLines writes the job's snapshot lines: its job line, then its
-// attempts.  A snapshot caches the attempts that froze (see
-// freezeAttempts); a retiring job's are written without caching, since
-// nothing encodes it again.
-func (j *Job) appendLines(b []byte, cache bool) []byte {
-	b = append(record.AppendInt(append(b, "job"...), "id", int64(j.ID)), j.identLine()...)
-	b = append(append(b, " state="...), j.State.String()...)
-	b = record.AppendInt(b, "ckpt", int64(j.CheckpointCPU))
-	b = record.AppendBool(b, "relaxed", j.avoidanceRelaxed)
-	b = record.AppendInt(b, "submitted", int64(j.Submitted))
-	b = record.AppendInt(b, "finished", int64(j.Finished))
-	b = append(record.AppendStr(b, "finalerr", encodeScopedErr(j.FinalErr)), '\n')
-	if cache {
-		j.freezeAttempts()
+// snapshot serializes the live queue as records: every live job's
+// log, in id order, then the trailer — the op=schedd counters and the
+// chronic-failure table.  The trailer must come last: a job's replayed
+// final still disposes, and the finals of retired jobs have left the
+// journal, so the trailer overwrites what replaying the logs did to the
+// counters and the table.  compact calls snapshot right after retire,
+// so no live job is terminal.  The returned slice aliases a buffer
+// reused across snapshots; callers (journal framing) copy it before the
+// next snapshot.
+func (s *Schedd) snapshot() []byte {
+	b := s.snapBuf[:0]
+	for _, j := range s.live {
+		b = append(b, j.log...)
 	}
-	b = append(b, j.attEnc...)
-	for i := j.attEncN; i < len(j.Attempts); i++ {
-		b = appendAttempt(b, j.ID, &j.Attempts[i])
+	b = s.appendSchedd(b)
+	machines := make([]string, 0, len(s.machineFailures))
+	for m, rec := range s.machineFailures {
+		if rec.count != 0 {
+			machines = append(machines, m)
+		}
 	}
+	sort.Strings(machines)
+	for _, m := range machines {
+		b = appendFailure(b, m, s.machineFailures[m])
+	}
+	s.snapBuf = b
 	return b
 }
 
-// freezeAttempts moves the attempts that can no longer change into the
-// encode cache.  An attempt freezes when a later attempt exists, or
-// when it is closed and the job is not running: applyFinal only
-// touches the last attempt of a running job, normalizeJob only an open
-// one, and a job runs again only by starting a new attempt.
-func (j *Job) freezeAttempts() {
-	for j.attEncN < len(j.Attempts) {
-		a := &j.Attempts[j.attEncN]
-		if j.attEncN == len(j.Attempts)-1 && (a.End == 0 || j.State == JobRunning) {
-			break
+// retire moves every terminal job out of the queue and returns the
+// history frame that holds them, nil if none is terminal.  Each
+// terminal job has exactly one report, and the reports are in
+// completion order, so the frame walks them: the op=history record
+// with the cumulative retired tallies, then each retiring job's log in
+// completion order, so replaying the frame rebuilds the reports in
+// order.  Each job is folded into the tallies here, once.  The retired *Job
+// values stay in process memory, event logs included, until the next
+// crash; their logs are dropped, since nothing writes a retired job
+// again.  The frame aliases the snapshot buffer: append it before the
+// next snapshot.
+func (s *Schedd) retire() []byte {
+	if len(s.reports) == 0 {
+		return nil
+	}
+	for i := range s.reports {
+		s.retiredTally.Add(s.jobs[s.reports[i].Job])
+		if s.reports[i].IncidentalLeak {
+			s.retiredTally.IncidentalLeaks++
 		}
-		j.attEnc = appendAttempt(j.attEnc, j.ID, a)
-		j.attEncN++
 	}
-}
-
-func appendAttempt(b []byte, id JobID, a *Attempt) []byte {
-	b = record.AppendInt(append(b, "attempt"...), "id", int64(id))
-	b = record.AppendStr(b, "machine", a.Machine)
-	b = record.AppendInt(b, "start", int64(a.Start))
-	b = record.AppendInt(b, "end", int64(a.End))
-	b = record.AppendInt(b, "cpu", int64(a.CPU))
-	b = record.AppendBool(b, "evicted", a.Evicted)
-	if a.Preempted {
-		b = record.AppendBool(b, "pre", true)
+	b := appendTally(s.snapBuf[:0], &s.retiredTally)
+	for i := range s.reports {
+		j := s.jobs[s.reports[i].Job]
+		b = append(b, j.log...)
+		j.log = nil
+		delete(s.jobs, j.ID)
+		s.retired[j.ID] = retiredJob{j: j}
 	}
-	return append(appendOutcome(b, a.FetchError, a.LostContact, &a.Reported, &a.True), '\n')
-}
-
-func appendReport(b []byte, r *UserReport) []byte {
-	b = record.AppendInt(append(b, "report"...), "job", int64(r.Job))
-	b = append(append(b, " disp="...), r.Disposition.String()...)
-	b = record.AppendStr(b, "result", r.Result.EncodeString())
-	b = record.AppendStr(b, "err", encodeScopedErr(r.Err))
-	return append(record.AppendBool(b, "leak", r.IncidentalLeak), '\n')
+	s.live = slices.DeleteFunc(s.live, func(j *Job) bool { return j.State.Terminal() })
+	s.snapBuf = b
+	s.retiredReports = append(s.retiredReports, s.reports...)
+	clear(s.reports)
+	s.reports = s.reports[:0]
+	return b
 }

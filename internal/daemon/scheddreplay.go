@@ -1,16 +1,21 @@
 package daemon
 
-// The read side of the schedd journal: rebuilding the queue from the
-// records and snapshots scheddjournal.go writes, and indexing and
-// decoding the history it retires jobs to, through the lenient journal
-// grammar of package record (record.Cursor).  DESIGN.md ("Record
-// language", "Schedd journal: record language and replay") has the
-// grammar.
+// The read side of the schedd journal.  applyEntry is the one decoder
+// of the one record language scheddjournal.go writes, in three uses:
+// on the journal's records, on a snapshot's lines, and on a scratch
+// queue, to decode a retired job's run in the history on demand.  It
+// reads each record through the lenient journal grammar of package
+// record (record.Cursor) and re-encodes every job record it applies
+// into the job's log with the writer's own encoders, so a rebuilt log
+// is canonical and never a slice of the bytes it read.  DESIGN.md
+// ("Record language", "Schedd journal: record language and replay")
+// has the grammar.
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -23,14 +28,14 @@ import (
 )
 
 // replayer rebuilds the queue for one Recover call, or decodes
-// retired jobs from the history for one Job, Jobs or Reports call.  It
-// scans every record and snapshot line into one reused record.Cursor,
-// and resolves what a queue repeats — job ads, programs, results,
-// machine and owner names — through tables keyed on the raw field
-// text, so replay parses each distinct text once.  The tables die with
-// the call: a hit is only ever a field byte-identical to one that
-// already passed every check in this same replay.  Nothing handed to
-// the queue aliases the log.
+// retired jobs from the history into a scratch queue for one Job, Jobs
+// or Reports call.  It scans every record into one reused
+// record.Cursor, and resolves what a queue repeats — job ads,
+// programs, results, machine and owner names — through tables keyed
+// on the raw field text, so replay parses each distinct text once.
+// The tables die with the call: a hit is only ever a field
+// byte-identical to one that already passed every check in this same
+// replay.  Nothing handed to the queue aliases the log.
 type replayer struct {
 	s *Schedd
 	record.Cursor
@@ -52,20 +57,63 @@ func newReplayer(s *Schedd) *replayer {
 	}
 }
 
-// applyEntry replays one journal record against the queue.  Records
-// are facts, not requests: they were written ahead of transitions
-// that then happened, so they apply unconditionally — except to a job
-// the history holds, which the history wins.
+// applyLines replays a run of records, one per line: a snapshot, or a
+// job's log or run.
+func (rp *replayer) applyLines(data []byte) error {
+	for ln := 1; len(data) > 0; ln++ {
+		var line []byte
+		line, data, _ = bytes.Cut(data, []byte{'\n'})
+		if len(line) == 0 {
+			continue
+		}
+		if err := rp.applyEntry(line); err != nil {
+			return fmt.Errorf("line %d: %w", ln, err)
+		}
+	}
+	return nil
+}
+
+// applyEntry replays one record against the queue.  Records are
+// facts, not requests: they were written ahead of transitions that
+// then happened, so they apply unconditionally — except to a job the
+// history holds, which the history wins.  The schedd, failure and
+// history records carry state of the schedd rather than of a job.
 func (rp *replayer) applyEntry(payload []byte) error {
 	if err := rp.Scan(payload); err != nil {
 		return err
 	}
 	s := rp.s
+	op, _ := rp.Get("op")
+	switch string(op) {
+	case "schedd":
+		nextID, requeues, recoveries := rp.Int("nextID"), rp.Int("requeues"), rp.Int("recoveries")
+		if rp.Err != nil {
+			return rp.Err
+		}
+		s.nextID, s.Requeues, s.Recoveries = JobID(nextID), int(requeues), int(recoveries)
+		clear(s.machineFailures) // the failure records after it are the whole table
+		s.avoidedDirty = true
+		return nil
+	case "failure":
+		m, count, last := rp.name("machine"), rp.Int("count"), rp.Int("last")
+		if rp.Err != nil {
+			return rp.Err
+		}
+		s.machineFailures[m] = failureRecord{count: int(count), last: sim.Time(last)}
+		s.avoidedDirty = true
+		return nil
+	case "history":
+		t := rp.tally()
+		if rp.Err != nil {
+			return rp.Err
+		}
+		s.retiredTally = t
+		return nil
+	}
 	id, at := JobID(rp.Int("id")), sim.Time(rp.Int("at"))
 	if rp.Err != nil {
 		return rp.Err
 	}
-	op, _ := rp.Get("op")
 	if _, ok := s.retired[id]; ok {
 		return rp.skipRetired(string(op), id, at)
 	}
@@ -76,11 +124,18 @@ func (rp *replayer) applyEntry(payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%s record for unknown job %d", op, id)
 	}
+	var rec []byte
 	switch string(op) {
 	case "match":
+		machine := rp.name("machine")
+		if rp.Err != nil {
+			return rp.Err
+		}
 		s.setState(j, JobMatched)
-	case "claim-timeout", "claim-denied":
+		rec = recMachineOp("match", id, at, machine)
+	case "claim-timeout", "claim-denied", "requeue":
 		s.setState(j, JobIdle)
+		rec = recEvent(string(op), id, at)
 	case "exec":
 		machine := rp.name("machine")
 		if rp.Err != nil {
@@ -90,8 +145,10 @@ func (rp *replayer) applyEntry(payload []byte) error {
 		j.avoidanceRelaxed = false
 		s.resetFlock(j)
 		j.Attempts = append(j.Attempts, Attempt{Machine: machine, Start: at})
+		rec = recMachineOp("exec", id, at, machine)
 	case "relax":
 		j.avoidanceRelaxed = true
+		rec = recEvent("relax", id, at)
 	case "ckpt":
 		cpu := durationNS(rp.Int("cpu"))
 		if rp.Err != nil {
@@ -100,23 +157,28 @@ func (rp *replayer) applyEntry(payload []byte) error {
 		if cpu > j.CheckpointCPU {
 			j.CheckpointCPU = cpu
 		}
+		rec = recCkpt(id, at, cpu)
 	case "flock":
 		level, to := int(rp.Int("level")), rp.name("to")
 		if rp.Err != nil {
 			return rp.Err
 		}
 		j.flockedTo, j.flockLevel, j.flockedAt = to, level, at
+		rec = recFlock(id, at, level, to)
 	case "final":
 		f, err := rp.decodeFinal(id)
 		if err != nil {
 			return err
 		}
 		s.applyFinal(j, f, finalError(f), at)
+		rec = recFinal(f, at)
 	case "recover":
 		s.normalizeJob(j, at)
+		rec = recEvent("recover", id, at)
 	default:
 		return fmt.Errorf("unknown record op %q", op)
 	}
+	j.logRecord(rec)
 	return nil
 }
 
@@ -139,29 +201,19 @@ func (rp *replayer) skipRetired(op string, id JobID, at sim.Time) error {
 	return nil
 }
 
-// replaySubmit rebuilds one job from a submit record.
+// replaySubmit rebuilds one job from the submit record under the
+// cursor and queues it.
 func (rp *replayer) replaySubmit(id JobID, at sim.Time) error {
-	j, err := rp.decodeJob(id, at)
-	if err != nil {
-		return err
-	}
-	rp.enqueue(j)
-	return nil
-}
-
-// enqueue adds a rebuilt job to the queue.
-func (rp *replayer) enqueue(j *Job) {
-	rp.s.addJob(j)
-	rp.s.nextID = max(rp.s.nextID, j.ID)
-}
-
-// decodeJob builds a job from the identity fields under the cursor (a
-// submit record or a snapshot or history job line).
-func (rp *replayer) decodeJob(id JobID, at sim.Time) (*Job, error) {
 	j := &Job{ID: id, State: JobIdle, Submitted: at,
 		Owner: rp.name("owner"), Universe: rp.name("universe"), Executable: rp.Str("exe"),
 		Ad: rp.ad(id), Program: rp.program(id)}
-	return j, rp.Err
+	if rp.Err != nil {
+		return rp.Err
+	}
+	j.logRecord(recSubmit(j))
+	rp.s.addJob(j)
+	rp.s.nextID = max(rp.s.nextID, id)
+	return nil
 }
 
 // ad returns the job's ad: its own Ad, a Copy of the template parsed
@@ -223,7 +275,7 @@ func (rp *replayer) decodeFinal(id JobID) (jobFinalMsg, error) {
 	f := jobFinalMsg{Job: id, Machine: rp.name("machine"),
 		CPU: durationNS(rp.Int("cpu")), CheckpointCPU: durationNS(rp.Int("ckpt")),
 		Evicted: rp.Bool("evicted")}
-	if _, ok := rp.Get("pre"); ok { // absent in pre-preemption logs
+	if _, ok := rp.Get("pre"); ok { // written only when set
 		f.Preempted = rp.Bool("pre")
 	}
 	f.Hold = rp.Bool("hold")
@@ -233,150 +285,28 @@ func (rp *replayer) decodeFinal(id JobID) (jobFinalMsg, error) {
 	return f, rp.Err
 }
 
-// applySnapshot rebuilds the queue from a snapshot payload, one line
-// at a time, in place.  The lines of a job the history holds are
-// skipped: the history wins.
-func (rp *replayer) applySnapshot(data []byte) error {
-	s := rp.s
-	var cur *Job
-	skipping := false
-	for ln := 1; len(data) > 0; ln++ {
-		line, rest, _ := bytes.Cut(data, []byte{'\n'})
-		data = rest
-		if len(line) == 0 {
-			continue
-		}
-		kind, kvs, _ := bytes.Cut(line, []byte{' '})
-		err := rp.Scan(kvs)
-		if err != nil {
-			return fmt.Errorf("line %d: %w", ln, err)
-		}
-		switch string(kind) {
-		case "schedd":
-			s.nextID = JobID(rp.Int("nextID"))
-			s.Requeues = int(rp.Int("requeues"))
-			s.Recoveries = int(rp.Int("recoveries"))
-			if rp.Err != nil {
-				return rp.Err
-			}
-		case "failure":
-			m, rec := rp.name("machine"), failureRecord{count: int(rp.Int("count"))}
-			if _, ok := rp.Get("last"); ok { // absent in pre-expiry logs
-				rec.last = sim.Time(rp.Int("last"))
-			}
-			if rp.Err != nil {
-				return rp.Err
-			}
-			s.machineFailures[m] = rec
-			s.avoidedDirty = true
-		case "job":
-			if id := JobID(rp.Int("id")); rp.Err == nil {
-				if _, skipping = s.retired[id]; skipping {
-					cur = nil
-					continue
-				}
-			}
-			if cur, err = rp.snapshotJob(); err == nil {
-				rp.enqueue(cur)
-			}
-		case "attempt":
-			if skipping {
-				continue
-			}
-			if cur == nil {
-				return fmt.Errorf("line %d: attempt before job", ln)
-			}
-			var a Attempt
-			if a, err = rp.decodeAttempt(); err == nil {
-				cur.Attempts = append(cur.Attempts, a)
-			}
-		case "report":
-			var r UserReport
-			if r, err = rp.decodeReport(); err == nil {
-				if _, ok := s.retired[r.Job]; !ok {
-					s.reports = append(s.reports, r)
-				}
-			}
-		default:
-			return fmt.Errorf("line %d: unknown snapshot line %q", ln, kind)
-		}
-		if err != nil {
-			return fmt.Errorf("line %d: %w", ln, err)
-		}
-	}
-	return nil
-}
-
-// snapshotJob decodes the snapshot or history job line under the
-// cursor; nothing is registered.
-func (rp *replayer) snapshotJob() (*Job, error) {
-	id := JobID(rp.Int("id"))
-	if rp.Err != nil {
-		return nil, rp.Err
-	}
-	j, err := rp.decodeJob(id, 0)
-	if err != nil {
-		return nil, err
-	}
-	state, _ := rp.Get("state")
-	if j.State, err = parseJobState(state); err != nil {
-		return nil, err
-	}
-	j.CheckpointCPU = durationNS(rp.Int("ckpt"))
-	j.avoidanceRelaxed = rp.Bool("relaxed")
-	j.Submitted, j.Finished = sim.Time(rp.Int("submitted")), sim.Time(rp.Int("finished"))
-	j.FinalErr = rp.scopedErr("finalerr")
-	return j, rp.Err
-}
-
-func (rp *replayer) decodeAttempt() (Attempt, error) {
-	a := Attempt{Machine: rp.name("machine"),
-		Start: sim.Time(rp.Int("start")), End: sim.Time(rp.Int("end")),
-		CPU: durationNS(rp.Int("cpu")), Evicted: rp.Bool("evicted")}
-	if _, ok := rp.Get("pre"); ok { // absent in pre-preemption logs
-		a.Preempted = rp.Bool("pre")
-	}
-	a.FetchError, a.LostContact = rp.scopedErr("fetch"), rp.scopedErr("lost")
-	a.Reported, a.True = rp.result("rep", ""), rp.result("tru", "")
-	return a, rp.Err
-}
-
-func (rp *replayer) decodeReport() (UserReport, error) {
-	r := UserReport{Job: JobID(rp.Int("job"))}
-	if rp.Err != nil {
-		return r, rp.Err
-	}
-	disp, _ := rp.Get("disp")
-	var err error
-	if r.Disposition, err = parseDisposition(disp); err != nil {
-		return r, err
-	}
-	r.Result, r.Err = rp.result("result", ""), rp.scopedErr("err")
-	r.IncidentalLeak = rp.Bool("leak")
-	return r, rp.Err
-}
-
 // --- history ---------------------------------------------------------
 
 // retiredJob is one job the history holds: the *Job itself, once this
-// process retired or decoded it, or else its job and attempt lines in
-// the history as the last Recover read it.
+// process retired or decoded it, or else its run in the history — its
+// records, as the last Recover read them.  A decoded run keeps the
+// reports it made until Reports takes them.
 type retiredJob struct {
-	j     *Job
-	lines []byte
+	j       *Job
+	run     []byte
+	reports []UserReport
 }
 
 // readHistory indexes the history for Recover without decoding a
 // retired job: the journal checks each frame's checksum and stops at
 // the first bad one, as it does for the write-ahead journal; each
-// frame's header and line kinds are checked and its job ids read;
-// each job's lines and each frame's report block are kept for
-// retiredJob and Reports to decode on demand; and the retired tallies
-// are the last frame's header.
+// frame's op=history record is applied, so the retired tallies are the
+// last frame's; and each job's run is found and kept for retiredJob and
+// Reports to decode on demand.
 func (rp *replayer) readHistory(r journal.Replay) error {
 	s := rp.s
 	s.retired = make(map[JobID]retiredJob)
-	s.retiredTally, s.retiredReports, s.histReports = Tally{}, nil, nil
+	s.retiredTally, s.retiredReports, s.histRuns = Tally{}, nil, nil
 	if r.Snapshot != nil {
 		return errors.New("snapshot record in the history")
 	}
@@ -388,95 +318,76 @@ func (rp *replayer) readHistory(r journal.Replay) error {
 	return nil
 }
 
-// indexFrame indexes one history frame: its header, then job lines
-// each followed by its attempt lines, then report lines.
+// indexFrame indexes one history frame: its op=history record, then
+// runs of one job's records, each opened by the job's submit record.
 func (rp *replayer) indexFrame(data []byte) error {
 	s := rp.s
 	header, data, _ := bytes.Cut(data, []byte{'\n'})
-	kind, kvs, _ := bytes.Cut(header, []byte{' '})
-	if string(kind) != "history" {
-		return fmt.Errorf("header %q", kind)
+	if op, _, _ := bytes.Cut(header, []byte{' '}); string(op) != "op=history" {
+		return fmt.Errorf("frame opens with %q, not an op=history record", op)
 	}
-	if err := rp.Scan(kvs); err != nil {
+	if err := rp.applyEntry(header); err != nil {
 		return err
 	}
-	t := rp.tally()
-	if rp.Err != nil {
-		return rp.Err
-	}
 	var cur JobID
-	start := -1 // offset of cur's job line
+	start := -1 // offset of cur's submit record
 	for off := 0; off < len(data); {
 		end := off + bytes.IndexByte(data[off:], '\n')
 		if end < off {
 			end = len(data)
 		}
-		line := data[off:end]
-		kind, kvs, _ := bytes.Cut(line, []byte{' '})
-		switch string(kind) {
-		case "job":
-			if start >= 0 {
-				s.retired[cur] = retiredJob{lines: data[start:off]}
-			}
-			id, err := rp.jobID(kvs)
-			if err != nil {
+		if end > off {
+			op, id, err := rp.opID(data[off:end])
+			switch {
+			case err != nil:
 				return err
-			}
-			if _, dup := s.retired[id]; dup {
-				return fmt.Errorf("job %d retired twice", id)
-			}
-			rp.lastRetired = max(rp.lastRetired, id)
-			cur, start = id, off
-		case "attempt":
-			if start < 0 {
-				return errors.New("attempt before job")
-			}
-		case "report":
-			if start >= 0 {
-				s.retired[cur] = retiredJob{lines: data[start:off]}
-			}
-			for rest := data[off:]; len(rest) > 0; {
-				line, rest, _ = bytes.Cut(rest, []byte{'\n'})
-				if !bytes.HasPrefix(line, []byte("report ")) {
-					return fmt.Errorf("%q line after the reports", line)
+			case string(op) == "submit":
+				if start >= 0 {
+					s.retired[cur] = retiredJob{run: data[start:off]}
 				}
+				if _, dup := s.retired[id]; dup {
+					return fmt.Errorf("job %d retired twice", id)
+				}
+				s.retired[id] = retiredJob{}
+				s.histRuns = append(s.histRuns, id)
+				rp.lastRetired = max(rp.lastRetired, id)
+				cur, start = id, off
+			case start < 0:
+				return fmt.Errorf("%s record of job %d before its submit", op, id)
+			case id != cur:
+				return fmt.Errorf("%s record of job %d inside job %d's run", op, id, cur)
 			}
-			s.histReports = append(s.histReports, data[off:])
-			s.retiredTally = t
-			return nil
-		case "":
-		default:
-			return fmt.Errorf("unknown history line %q", kind)
 		}
 		off = end + 1
 	}
 	if start >= 0 {
-		s.retired[cur] = retiredJob{lines: data[start:]}
+		s.retired[cur] = retiredJob{run: data[start:]}
 	}
-	s.retiredTally = t
 	return nil
 }
 
-// jobID reads the id of a job line from its fields.  The writer puts
-// id first, so the id is read without scanning the rest of the line;
-// any other spelling is scanned in full.
-func (rp *replayer) jobID(kvs []byte) (JobID, error) {
-	if v, ok := bytes.CutPrefix(kvs, []byte("id=")); ok {
-		if sp := bytes.IndexByte(v, ' '); sp >= 0 {
-			v = v[:sp]
-		}
-		if n, err := strconv.ParseInt(string(v), 10, 64); err == nil {
-			return JobID(n), nil
+// opID reads the op and job id of a record.  The writer puts them
+// first, "op=<op> id=<id>", so they are read without scanning the rest
+// of the line; any other spelling is scanned in full.
+func (rp *replayer) opID(line []byte) ([]byte, JobID, error) {
+	if rest, ok := bytes.CutPrefix(line, []byte("op=")); ok {
+		op, rest, _ := bytes.Cut(rest, []byte{' '})
+		if v, ok := bytes.CutPrefix(rest, []byte("id=")); ok {
+			v, _, _ = bytes.Cut(v, []byte{' '})
+			if n, err := strconv.ParseInt(string(v), 10, 64); err == nil {
+				return op, JobID(n), nil
+			}
 		}
 	}
-	if err := rp.Scan(kvs); err != nil {
-		return 0, err
+	if err := rp.Scan(line); err != nil {
+		return nil, 0, err
 	}
+	op, _ := rp.Get("op")
 	id := JobID(rp.Int("id"))
-	return id, rp.Err
+	return op, id, rp.Err
 }
 
-// tally reads a history frame header.
+// tally reads an op=history record.
 func (rp *replayer) tally() Tally {
 	t := Tally{Completed: int(rp.Int("completed")), Unexecutable: int(rp.Int("unexecutable")),
 		Held: int(rp.Int("held")), IncidentalLeaks: int(rp.Int("leaks")),
@@ -488,87 +399,64 @@ func (rp *replayer) tally() Tally {
 	return t
 }
 
-// retiredJob returns the retired job id, decoding its history lines on
-// first use, or nil when id is not retired or its lines do not decode
-// (the checksum passed, so only a forged history gets there).  A
-// non-nil rp is a replayer shared across a walk, so the jobs it
-// decodes share their ad templates, programs and names.
+// scratchQueue is an empty queue with s's name and parameters — what
+// a job's records need to replay — that is never the queue itself.
+func (s *Schedd) scratchQueue() *Schedd {
+	return &Schedd{name: s.name, params: s.params,
+		jobs:            make(map[JobID]*Job),
+		idlePos:         make(map[JobID]int),
+		machineFailures: make(map[string]failureRecord)}
+}
+
+// decodeRun replays one job's run into the replayer's scratch queue
+// and takes the job and the reports it made out again, or returns nil
+// when the run does not replay to job id (the checksum passed, so only
+// a forged history gets there).
+func (rp *replayer) decodeRun(id JobID, run []byte) (*Job, []UserReport) {
+	q := rp.s
+	err := rp.applyLines(run)
+	j, reports := q.jobs[id], slices.Clone(q.reports)
+	delete(q.jobs, id)
+	q.reports = q.reports[:0]
+	if err != nil || j == nil {
+		return nil, nil
+	}
+	j.log = nil
+	return j, reports
+}
+
+// retiredJob returns the retired job id, decoding its run on first
+// use, or nil when id is not retired or its run does not decode.  A
+// non-nil rp is a replayer over a scratch queue shared across a walk,
+// so the jobs it decodes share their ad templates, programs and names.
 func (s *Schedd) retiredJob(id JobID, rp *replayer) *Job {
 	r, ok := s.retired[id]
-	if !ok || r.j != nil || r.lines == nil {
+	if !ok || r.run == nil {
 		return r.j
 	}
 	if rp == nil {
-		rp = newReplayer(s)
+		rp = newReplayer(s.scratchQueue())
 	}
-	j, err := rp.decodeRetired(id, r.lines)
-	if err != nil {
-		j = nil
-	}
-	s.retired[id] = retiredJob{j: j}
-	return j
+	r.j, r.reports = rp.decodeRun(id, r.run)
+	r.run = nil
+	s.retired[id] = r
+	return r.j
 }
 
-// decodeRetired decodes one retired job's history lines: its job line,
-// then its attempts.
-func (rp *replayer) decodeRetired(id JobID, data []byte) (*Job, error) {
-	var j *Job
-	for len(data) > 0 {
-		var line []byte
-		line, data, _ = bytes.Cut(data, []byte{'\n'})
-		if len(line) == 0 {
-			continue
-		}
-		kind, kvs, _ := bytes.Cut(line, []byte{' '})
-		if err := rp.Scan(kvs); err != nil {
-			return nil, err
-		}
-		if j == nil {
-			var err error
-			if j, err = rp.snapshotJob(); err != nil {
-				return nil, err
-			}
-			if j.ID != id {
-				return nil, fmt.Errorf("history line for job %d indexed as %d", j.ID, id)
-			}
-			continue
-		}
-		if string(kind) != "attempt" {
-			return nil, fmt.Errorf("%q line inside job %d", kind, id)
-		}
-		a, err := rp.decodeAttempt()
-		if err != nil {
-			return nil, err
-		}
-		j.Attempts = append(j.Attempts, a)
+// decodeHistory decodes every run Recover indexed that is not decoded
+// yet and takes their reports, in history order: the retired jobs'
+// reports in completion order, older than the ones retired since.
+func (s *Schedd) decodeHistory() {
+	rp := newReplayer(s.scratchQueue())
+	var reports []UserReport
+	for _, id := range s.histRuns {
+		s.retiredJob(id, rp)
+		r := s.retired[id]
+		reports = append(reports, r.reports...)
+		s.retired[id] = retiredJob{j: r.j}
 	}
-	return j, nil
-}
-
-// decodeHistoryReports decodes the report blocks Recover indexed, once,
-// ahead of the reports retired since: they are older.  A report line
-// that does not decode is dropped (only a forged history has one).
-func (s *Schedd) decodeHistoryReports() {
-	if len(s.histReports) == 0 {
-		return
-	}
-	rp := newReplayer(s)
-	var out []UserReport
-	for _, data := range s.histReports {
-		for len(data) > 0 {
-			var line []byte
-			line, data, _ = bytes.Cut(data, []byte{'\n'})
-			_, kvs, _ := bytes.Cut(line, []byte{' '})
-			if rp.Scan(kvs) != nil {
-				continue
-			}
-			if r, err := rp.decodeReport(); err == nil {
-				out = append(out, r)
-			}
-		}
-	}
-	s.retiredReports = append(out, s.retiredReports...)
-	s.histReports = nil
+	s.retiredReports = append(reports, s.retiredReports...)
+	s.histRuns = nil
 }
 
 // name is Str for the fields a queue repeats — machine, owner,
@@ -624,24 +512,3 @@ func (rp *replayer) scopedErr(key string) error {
 }
 
 func durationNS(n int64) time.Duration { return time.Duration(n) }
-
-func parseJobState(name []byte) (JobState, error) {
-	for i, n := range jobStateNames {
-		if n == string(name) {
-			return JobState(i), nil
-		}
-	}
-	return 0, fmt.Errorf("unknown job state %q", name)
-}
-
-func parseDisposition(name []byte) (scope.Disposition, error) {
-	for _, d := range []scope.Disposition{
-		scope.DispositionComplete, scope.DispositionUnexecutable,
-		scope.DispositionRequeue, scope.DispositionHold,
-	} {
-		if d.String() == string(name) {
-			return d, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown disposition %q", name)
-}
