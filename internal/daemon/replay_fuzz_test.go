@@ -99,8 +99,9 @@ func diffReplay(t *testing.T, base, input []byte) {
 // completed, held-for-retry and unexecutable jobs — closed attempts
 // with scoped errors, requeues, recover records — and a trailer with
 // blame-table records; the entries the same schedd wrote afterwards
-// cover submit, match, exec, final and recover, its history gives a
-// retired job's run, and the encoders give the rest.
+// cover submit, match, exec, final and recover, its history gives an
+// op=history record and a retired job's run, and the encoders give the
+// rest.
 func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 	params := DefaultParams()
 	params.ChronicFailureThreshold = 1
@@ -155,17 +156,25 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 			t.Fatalf("seed journal holds no %s record (have %v)", op, seen)
 		}
 	}
-	// One retired job's run, as the history holds it: the first
-	// frame's records after its op=history, up to the next submit.
-	frames := schedd.History().Replay().Entries
-	if len(frames) == 0 {
-		t.Fatal("seed history holds no frame")
+	// The snapshot's trailer records, the first history frame's
+	// op=history record, and one retired job's run as the history
+	// holds it: that frame's records up to the next submit.
+	for _, line := range bytes.Split(snapshot, []byte{'\n'}) {
+		op, _, _ := bytes.Cut(line, []byte{' '})
+		if (string(op) == "op=schedd" || string(op) == "op=failure") && !seen[string(op)] {
+			seen[string(op)] = true
+			records = append(records, line)
+		}
 	}
-	_, run, _ := bytes.Cut(frames[0], []byte{'\n'})
+	frames := schedd.History().Replay().Entries
+	if len(frames) == 0 || !seen["op=schedd"] || !seen["op=failure"] {
+		t.Fatalf("seed snapshot and history: %d frames, %v", len(frames), seen)
+	}
+	tally, run, _ := bytes.Cut(frames[0], []byte{'\n'})
 	if next := bytes.Index(run, []byte("\nop=submit ")); next >= 0 {
 		run = run[:next+1]
 	}
-	records = append(records, bytes.Clone(run))
+	records = append(records, bytes.Clone(tally), bytes.Clone(run))
 	lost := scope.New(scope.ScopeRemoteResource, "LostContact", "machine %s went silent", "m 2")
 	records = append(records,
 		recCkpt(2, 1234, 90*time.Second),
@@ -175,9 +184,6 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 		recEvent("claim-denied", 1, 100),
 		recEvent("relax", 3, 101),
 		recEvent("requeue", 3, 102),
-		bytes.TrimSuffix(schedd.appendSchedd(nil), []byte{'\n'}),
-		bytes.TrimSuffix(appendFailure(nil, "m 2", failureRecord{count: 2, last: 1800}), []byte{'\n'}),
-		bytes.TrimSuffix(appendTally(nil, &Tally{Completed: 3, Held: 1, Attempts: 7, Goodput: time.Minute}), []byte{'\n'}),
 		recFinal(jobFinalMsg{Job: 2, Machine: "m 2", CPU: time.Minute, CheckpointCPU: time.Second,
 			Evicted: true, Preempted: true, LostContact: lost.WithOrigin("shadow"),
 			Reported: scope.Result{Status: scope.StatusNoResult},

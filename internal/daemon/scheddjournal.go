@@ -468,23 +468,6 @@ func decodeScopedErr(enc string) (error, error) {
 		Origin: parts[3], Message: parts[4]}, nil
 }
 
-// appendSchedd writes the snapshot trailer's first record: the
-// counters no job's records imply once retired jobs' records have left
-// the journal.  Replay clears the failure table on it, so the failure
-// records after it are the whole table.
-func (s *Schedd) appendSchedd(b []byte) []byte {
-	b = record.AppendInt(append(b, "op=schedd"...), "nextID", int64(s.nextID))
-	b = record.AppendInt(b, "requeues", int64(s.Requeues))
-	return append(record.AppendInt(b, "recoveries", int64(s.Recoveries)), '\n')
-}
-
-// appendFailure writes one chronic-failure table entry as a record.
-func appendFailure(b []byte, machine string, rec failureRecord) []byte {
-	b = record.AppendStr(append(b, "op=failure"...), "machine", machine)
-	b = record.AppendInt(b, "count", int64(rec.count))
-	return append(record.AppendInt(b, "last", int64(rec.last)), '\n')
-}
-
 // appendTally writes a history frame's first record: the retired
 // tallies so far, this frame's jobs included.  Jobs is the sum of the
 // three terminal states, so it is not written.
@@ -503,11 +486,12 @@ func appendTally(b []byte, t *Tally) []byte {
 }
 
 // snapshot serializes the live queue as records: every live job's
-// log, in id order, then the trailer — the op=schedd counters and the
-// chronic-failure table.  The trailer must come last: a job's replayed
-// final still disposes, and the finals of retired jobs have left the
-// journal, so the trailer overwrites what replaying the logs did to the
-// counters and the table.  compact calls snapshot right after retire,
+// log, in id order, then the trailer — the op=schedd counters, on which
+// replay clears the chronic-failure table, and the table as op=failure
+// records.  The trailer must come last: a job's replayed final still
+// disposes, and the finals of retired jobs have left the journal, so
+// the trailer overwrites what replaying the logs did to the counters
+// and the table.  compact calls snapshot right after retire,
 // so no live job is terminal.  The returned slice aliases a buffer
 // reused across snapshots; callers (journal framing) copy it before the
 // next snapshot.
@@ -516,7 +500,9 @@ func (s *Schedd) snapshot() []byte {
 	for _, j := range s.live {
 		b = append(b, j.log...)
 	}
-	b = s.appendSchedd(b)
+	b = record.AppendInt(append(b, "op=schedd"...), "nextID", int64(s.nextID))
+	b = record.AppendInt(b, "requeues", int64(s.Requeues))
+	b = append(record.AppendInt(b, "recoveries", int64(s.Recoveries)), '\n')
 	machines := make([]string, 0, len(s.machineFailures))
 	for m, rec := range s.machineFailures {
 		if rec.count != 0 {
@@ -525,7 +511,10 @@ func (s *Schedd) snapshot() []byte {
 	}
 	sort.Strings(machines)
 	for _, m := range machines {
-		b = appendFailure(b, m, s.machineFailures[m])
+		rec := s.machineFailures[m]
+		b = record.AppendStr(append(b, "op=failure"...), "machine", m)
+		b = record.AppendInt(b, "count", int64(rec.count))
+		b = append(record.AppendInt(b, "last", int64(rec.last)), '\n')
 	}
 	s.snapBuf = b
 	return b
