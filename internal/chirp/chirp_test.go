@@ -2,6 +2,7 @@ package chirp
 
 import (
 	"bytes"
+	"github.com/errscope/grid/internal/rpc"
 	"strings"
 	"sync"
 	"testing"
@@ -403,16 +404,21 @@ func TestWireDataRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestOpenFlagsRoundTrip: open flags survive their text form, the
+// letters of open's row.
 func TestOpenFlagsRoundTrip(t *testing.T) {
 	prop := func(raw uint8) bool {
 		f := OpenFlags(raw) & (FlagRead | FlagWrite | FlagCreate | FlagTruncate | FlagAppend)
-		parsed, err := ParseOpenFlags(f.String())
-		return err == nil && parsed == f
+		parsed, err := rpc.ParseLetters(openFlags.Letters, string(rpc.AppendLetters(nil, openFlags.Letters, int64(f))))
+		return err == nil && OpenFlags(parsed) == f
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
 	}
-	if _, err := ParseOpenFlags("z"); err == nil {
+	if got := string(rpc.AppendLetters(nil, openFlags.Letters, int64(FlagRead|FlagCreate|FlagAppend))); got != "rca" {
+		t.Errorf("r|c|a = %q, want \"rca\"", got)
+	}
+	if _, err := rpc.ParseLetters(openFlags.Letters, "z"); err == nil {
 		t.Error("bad flag should fail")
 	}
 }

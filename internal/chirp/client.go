@@ -3,7 +3,6 @@ package chirp
 import (
 	"fmt"
 	"net"
-	"strconv"
 	"strings"
 	"time"
 
@@ -99,160 +98,80 @@ func NewClient(conn net.Conn, cookie string, o DialOptions) (*Client, error) {
 // Close ends the session politely and closes the connection.
 func (c *Client) Close() error { return c.Quit(binQuit) }
 
-// checkBin kills the connection over a framed response that did not
-// decode exactly; checkText does the same for a text response value.
-func (c *Client) checkBin(cur *wire.Cursor, what string, pl []byte) error {
-	if cur.Done() {
-		return nil
-	}
-	return c.Fail(fmt.Errorf("bad %s response (%d bytes)", what, len(pl)))
-}
+// call runs one operation through its row.
+func (c *Client) call(verb string, q *rpc.Req) error { return c.Invoke(&ops.Verb(verb).Spec, q) }
 
-func (c *Client) checkText(convErr error, what, v string) error {
-	if convErr == nil {
-		return nil
-	}
-	return c.Fail(fmt.Errorf("bad %s response %q", what, v))
+// count runs an operation whose reply is a count or a position.
+func (c *Client) count(verb string, q *rpc.Req) (int64, error) {
+	err := c.call(verb, q)
+	return q.N, err
 }
 
 // Open opens a remote file and returns its descriptor.
 func (c *Client) Open(path string, flags OpenFlags) (int, error) {
-	if c.Binary() {
-		pl, err := c.CallBin(nil, binOpen, []byte{byte(flags)}, []byte(path))
-		if err != nil {
-			return -1, err
-		}
-		cur := wire.NewCursor(pl)
-		fd := cur.U32()
-		return int(fd), c.checkBin(&cur, "open", pl)
-	}
-	v, err := c.Call(fmt.Sprintf("open %s %s\n", wire.Quote(path), flags))
+	fd, err := c.count("open", &rpc.Req{Str: [3]string{path}, Int: [3]int64{1: int64(flags)}})
 	if err != nil {
 		return -1, err
 	}
-	fd, convErr := strconv.Atoi(v)
-	return fd, c.checkText(convErr, "open", v)
+	return int(fd), nil
 }
 
 // CloseFD closes a remote descriptor.
 func (c *Client) CloseFD(fd int) error {
-	if c.Binary() {
-		_, err := c.CallBin(nil, binClose, wire.AppendU32(nil, uint32(fd)))
-		return err
-	}
-	_, err := c.Call(fmt.Sprintf("close %d\n", fd))
-	return err
+	return c.call("close", &rpc.Req{Int: [3]int64{int64(fd)}})
 }
 
 // Read reads up to length bytes from the descriptor's current offset.
 func (c *Client) Read(fd, length int) ([]byte, error) {
-	if c.Binary() {
-		arg := wire.AppendU32(wire.AppendU32(nil, uint32(fd)), uint32(length))
-		return c.CallBin(nil, binRead, arg)
-	}
-	return c.CallData(nil, fmt.Sprintf("read %d %d\n", fd, length))
+	q := rpc.Req{Int: [3]int64{int64(fd), int64(length)}}
+	err := c.call("read", &q)
+	return q.Out, err
 }
 
 // PRead reads up to length bytes at the given offset.
 func (c *Client) PRead(fd, length int, offset int64) ([]byte, error) {
-	if c.Binary() {
-		arg := wire.AppendI64(wire.AppendU32(wire.AppendU32(nil, uint32(fd)), uint32(length)), offset)
-		return c.CallBin(nil, binPRead, arg)
-	}
-	return c.CallData(nil, fmt.Sprintf("pread %d %d %d\n", fd, length, offset))
+	q := rpc.Req{Int: [3]int64{int64(fd), int64(length), offset}}
+	err := c.call("pread", &q)
+	return q.Out, err
 }
 
 // Write writes data at the descriptor's current offset.
 func (c *Client) Write(fd int, data []byte) (int, error) {
-	if c.Binary() {
-		pl, err := c.CallBin(nil, binWrite, wire.AppendU32(nil, uint32(fd)), data)
-		if err != nil {
-			return 0, err
-		}
-		cur := wire.NewCursor(pl)
-		n := cur.U32()
-		return int(n), c.checkBin(&cur, "write", pl)
-	}
-	v, err := c.Call(fmt.Sprintf("write %d %d\n", fd, len(data)), data)
-	if err != nil {
-		return 0, err
-	}
-	n, convErr := strconv.Atoi(v)
-	return n, c.checkText(convErr, "write", v)
+	n, err := c.count("write", &rpc.Req{Int: [3]int64{int64(fd)}, Data: data})
+	return int(n), err
 }
 
 // PWrite writes data at the given offset.
 func (c *Client) PWrite(fd int, data []byte, offset int64) (int, error) {
-	if c.Binary() {
-		arg := wire.AppendI64(wire.AppendU32(nil, uint32(fd)), offset)
-		pl, err := c.CallBin(nil, binPWrite, arg, data)
-		if err != nil {
-			return 0, err
-		}
-		cur := wire.NewCursor(pl)
-		n := cur.U32()
-		return int(n), c.checkBin(&cur, "pwrite", pl)
-	}
-	v, err := c.Call(fmt.Sprintf("pwrite %d %d %d\n", fd, len(data), offset), data)
-	if err != nil {
-		return 0, err
-	}
-	n, convErr := strconv.Atoi(v)
-	return n, c.checkText(convErr, "pwrite", v)
+	n, err := c.count("pwrite", &rpc.Req{Int: [3]int64{int64(fd), 2: offset}, Data: data})
+	return int(n), err
 }
 
 // Seek repositions the descriptor and returns the new offset.
 func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
-	if c.Binary() {
-		arg := wire.AppendI64(append(wire.AppendU32(nil, uint32(fd)), byte(whence)), offset)
-		pl, err := c.CallBin(nil, binSeek, arg)
-		if err != nil {
-			return 0, err
-		}
-		cur := wire.NewCursor(pl)
-		pos := cur.I64()
-		return pos, c.checkBin(&cur, "lseek", pl)
-	}
-	v, err := c.Call(fmt.Sprintf("lseek %d %d %d\n", fd, offset, whence))
-	if err != nil {
-		return 0, err
-	}
-	pos, convErr := strconv.ParseInt(v, 10, 64)
-	return pos, c.checkText(convErr, "lseek", v)
+	return c.count("lseek", &rpc.Req{Int: [3]int64{int64(fd), offset, int64(whence)}})
 }
 
 // Unlink removes a remote file.
 func (c *Client) Unlink(path string) error {
-	if c.Binary() {
-		_, err := c.CallBin(nil, binUnlink, []byte(path))
-		return err
-	}
-	_, err := c.Call(fmt.Sprintf("unlink %s\n", wire.Quote(path)))
-	return err
+	return c.call("unlink", &rpc.Req{Str: [3]string{path}})
 }
 
 // Rename moves a remote file.
 func (c *Client) Rename(oldPath, newPath string) error {
-	if c.Binary() {
-		_, err := c.CallBin(nil, binRename, wire.AppendStr(nil, oldPath), []byte(newPath))
-		return err
-	}
-	_, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)))
-	return err
+	return c.call("rename", &rpc.Req{Str: [3]string{oldPath, newPath}})
 }
 
 // List enumerates remote files under a prefix.
 func (c *Client) List(prefix string) ([]vfs.Info, error) {
-	if c.Binary() {
-		return c.CallListBin(binGetdir, prefix)
-	}
-	return c.CallList(fmt.Sprintf("getdir %s\n", wire.Quote(prefix)))
+	q := rpc.Req{Str: [3]string{prefix}}
+	err := c.call("getdir", &q)
+	return q.List, err
 }
 
 // Stat describes a remote file.
 func (c *Client) Stat(path string) (vfs.Info, error) {
-	if c.Binary() {
-		return c.CallStatBin(binStat, path)
-	}
-	return c.CallStat(fmt.Sprintf("stat %s\n", wire.Quote(path)))
+	q := rpc.Req{Str: [3]string{path}}
+	err := c.call("stat", &q)
+	return q.Info, err
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 )
 
@@ -113,7 +114,7 @@ func TestServerWriteOversizedLengthKeepsSession(t *testing.T) {
 	if resp := raw.send("cookie \"k\"\n"); !strings.HasPrefix(resp, "ok") {
 		t.Fatalf("auth: %q", resp)
 	}
-	over := maxDataLen + 3
+	over := rpc.MaxData + 3
 	payload := strings.Repeat("a", over)
 	resp := raw.send("write 3 " + strconv.Itoa(over) + "\n" + payload)
 	if !strings.HasPrefix(resp, "error ") || !strings.Contains(resp, CodeBadRequest) {

@@ -103,7 +103,7 @@ func TestOversizedReadLeavesBoundedBuffer(t *testing.T) {
 	go func() {
 		defer close(served)
 		defer sc.Close()
-		s.serveBinary(st, sc, bufio.NewReaderSize(sc, wire.BufSize))
+		s.serveFramed(st, sc, bufio.NewReaderSize(sc, wire.BufSize))
 	}()
 	c, err := NewClient(cc, "k", DialOptions{Mode: wire.ModeBinary})
 	if err != nil {
@@ -120,7 +120,7 @@ func TestOversizedReadLeavesBoundedBuffer(t *testing.T) {
 	}
 	c.Close()
 	<-served
-	if n := cap(st.buf); n > wire.BufSize {
+	if n := cap(st.req.Out); n > wire.BufSize {
 		t.Errorf("the connection keeps a %d-byte buffer after the oversized read, want at most %d", n, wire.BufSize)
 	}
 }

@@ -26,9 +26,7 @@
 package chirp
 
 import (
-	"fmt"
-	"strings"
-
+	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 )
 
@@ -57,25 +55,32 @@ const (
 	CodeRequestTimeout = "RequestTimeout"
 )
 
-// Binary protocol command bytes (wire.ModeBinary / wire.ModeSecure).
-// All are >= 0x80, which is how a server distinguishes a binary
-// client's first frame from a text client's first line.  Responses use
-// the shared wire.CmdOK / wire.CmdErr frames.
-const (
-	binOpen   byte = 0x90 // flags u8, path rest        -> fd u32
-	binClose  byte = 0x91 // fd u32
-	binRead   byte = 0x92 // fd u32, len u32            -> data
-	binPRead  byte = 0x93 // fd u32, len u32, off i64   -> data
-	binWrite  byte = 0x94 // fd u32, data rest          -> n u32
-	binPWrite byte = 0x95 // fd u32, off i64, data rest -> n u32
-	binSeek   byte = 0x96 // fd u32, whence u8, off i64 -> pos i64
-	binUnlink byte = 0x97 // path rest
-	binRename byte = 0x98 // old str, new rest
-	binStat   byte = 0x99 // path rest -> size i64, ro u8, path rest
-	binGetdir byte = 0x9A // prefix rest -> count u32, then per entry
-	//                       size i64, ro u8, path str
-	binQuit byte = 0x9F
-)
+// binQuit ends a framed session.  Every opcode is >= 0x80, which is
+// how the server tells a framed client's first frame from a text
+// client's first line; replies use the shared wire.CmdOK / wire.CmdErr
+// frames.
+const binQuit byte = 0x9F
+
+// openFlags travel as a subset of "rwcta" in text, "-" for none, and
+// as one byte in a frame.
+var openFlags = rpc.Arg{Kind: rpc.Flags, Frame: 0, Letters: "rwcta"}
+
+// ops is the protocol, one row per operation: the opcode byte and the
+// text verb, the reply, the handler, and the arguments in text order
+// with each one's place in the frame.
+var ops = rpc.Table[*session]{BadRequest: CodeBadRequest, Fallback: CodeBackend, Ops: []rpc.Op[*session]{
+	rpc.Row(0x90, "open", rpc.U32, (*session).open, rpc.At(rpc.Path, 1), openFlags),
+	rpc.Row(0x91, "close", rpc.None, (*session).close, rpc.At(rpc.FD, 0)),
+	rpc.Row(0x92, "read", rpc.Bytes, (*session).read, rpc.At(rpc.FD, 0), rpc.At(rpc.Length, 1)),
+	rpc.Row(0x93, "pread", rpc.Bytes, (*session).pread, rpc.At(rpc.FD, 0), rpc.At(rpc.Length, 1), rpc.At(rpc.Offset, 2)),
+	rpc.Row(0x94, "write", rpc.U32, (*session).write, rpc.At(rpc.FD, 0), rpc.At(rpc.Data, 1)),
+	rpc.Row(0x95, "pwrite", rpc.U32, (*session).pwrite, rpc.At(rpc.FD, 0), rpc.At(rpc.Data, 2), rpc.At(rpc.Offset, 1)),
+	rpc.Row(0x96, "lseek", rpc.I64, (*session).seek, rpc.At(rpc.FD, 0), rpc.At(rpc.Offset, 2), rpc.At(rpc.Whence, 1)),
+	rpc.Row(0x97, "unlink", rpc.None, (*session).unlink, rpc.At(rpc.Path, 0)),
+	rpc.Row(0x98, "rename", rpc.None, (*session).rename, rpc.At(rpc.Path, 0), rpc.At(rpc.Path, 1)),
+	rpc.Row(0x99, "stat", rpc.Stat, (*session).stat, rpc.At(rpc.Path, 0)),
+	rpc.Row(0x9A, "getdir", rpc.List, (*session).getdir, rpc.At(rpc.Path, 0)),
+}}
 
 // Contract returns the explicit error interface of the Chirp protocol.
 // Errors outside it escape with network scope.
@@ -102,55 +107,6 @@ const (
 	FlagTruncate
 	FlagAppend
 )
-
-// String renders flags in the wire encoding: a subset of "rwcta".
-func (f OpenFlags) String() string {
-	var sb strings.Builder
-	if f&FlagRead != 0 {
-		sb.WriteByte('r')
-	}
-	if f&FlagWrite != 0 {
-		sb.WriteByte('w')
-	}
-	if f&FlagCreate != 0 {
-		sb.WriteByte('c')
-	}
-	if f&FlagTruncate != 0 {
-		sb.WriteByte('t')
-	}
-	if f&FlagAppend != 0 {
-		sb.WriteByte('a')
-	}
-	if sb.Len() == 0 {
-		return "-"
-	}
-	return sb.String()
-}
-
-// ParseOpenFlags parses the wire encoding of open flags.
-func ParseOpenFlags(s string) (OpenFlags, error) {
-	var f OpenFlags
-	if s == "-" {
-		return 0, nil
-	}
-	for _, c := range s {
-		switch c {
-		case 'r':
-			f |= FlagRead
-		case 'w':
-			f |= FlagWrite
-		case 'c':
-			f |= FlagCreate
-		case 't':
-			f |= FlagTruncate
-		case 'a':
-			f |= FlagAppend
-		default:
-			return 0, fmt.Errorf("chirp: bad open flag %q", c)
-		}
-	}
-	return f, nil
-}
 
 // Whence values for lseek, as in POSIX.
 const (

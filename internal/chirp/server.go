@@ -3,19 +3,12 @@ package chirp
 import (
 	"bufio"
 	"crypto/subtle"
-	"io"
 	"net"
-	"slices"
-	"strconv"
 
 	"github.com/errscope/grid/internal/rpc"
 	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/wire"
 )
-
-// maxDataLen bounds a single read or write payload, protecting the
-// proxy from a runaway client.
-const maxDataLen = rpc.MaxData
 
 // Server is the Chirp proxy: it listens on a loopback TCP port,
 // authenticates clients by shared secret, and forwards file
@@ -50,20 +43,21 @@ func badRequest(format string, args ...any) *scope.Error {
 }
 
 // session is the per-connection descriptor table.  Its methods are the
-// protocol's descriptor rules — allocation and the append position on
-// open, the implicit offset of read and write, seek arithmetic, close —
-// stated once for the text and the frame decoder to share.
+// handlers of the protocol's rows, and with them its descriptor rules —
+// allocation and the append position on open, the implicit offset of
+// read and write, seek arithmetic, close — stated once for both
+// encodings.
 type session struct {
 	backend Backend
 	files   map[int]File
 	pos     map[int]int64
 	nextFD  int
 
-	// buf is the connection's own scratch, never shared with another
-	// connection even when their backends share one link: replies are
-	// built in it, and so are text-mode write payloads.  It is reset
-	// with wire.Keep after every reply.
-	buf []byte
+	// req is the connection's request, never shared with another
+	// connection even when their backends share one link; its Out is
+	// the connection's scratch, which replies and text-mode write
+	// payloads are built in.
+	req rpc.Req
 }
 
 func (s *Server) newSession() *session {
@@ -85,25 +79,27 @@ func (st *session) file(fd int) (File, error) {
 	return f, nil
 }
 
-func (st *session) open(path string, flags OpenFlags) (int, error) {
-	f, err := st.backend.Open(path, flags)
+func (st *session) open(q *rpc.Req) error {
+	flags := OpenFlags(q.Int[1])
+	f, err := st.backend.Open(q.Str[0], flags)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	fd := st.nextFD
 	st.nextFD++
 	st.files[fd] = f
+	st.pos[fd] = 0
 	if flags&FlagAppend != 0 {
 		if size, serr := f.Size(); serr == nil {
 			st.pos[fd] = size
 		}
-	} else {
-		st.pos[fd] = 0
 	}
-	return fd, nil
+	q.N = int64(fd)
+	return nil
 }
 
-func (st *session) close(fd int) error {
+func (st *session) close(q *rpc.Req) error {
+	fd := int(q.Int[0])
 	f, err := st.file(fd)
 	if err != nil {
 		return err
@@ -113,43 +109,53 @@ func (st *session) close(fd int) error {
 	return f.Close()
 }
 
-// read appends to dst what it reads at *at, or with at nil at the
+func (st *session) read(q *rpc.Req) error  { return st.readAt(q, nil) }
+func (st *session) pread(q *rpc.Req) error { return st.readAt(q, &q.Int[2]) }
+
+// readAt appends to q.Out what it reads at *at, or with at nil at the
 // descriptor's offset, which then advances.
-func (st *session) read(dst []byte, fd, length int, at *int64) ([]byte, error) {
+func (st *session) readAt(q *rpc.Req, at *int64) error {
+	fd, length := int(q.Int[0]), int(q.Int[1])
 	f, err := st.file(fd)
 	if err != nil {
-		return dst, err
+		return err
 	}
 	if at != nil {
-		return f.ReadAt(dst, *at, length)
+		q.Out, err = f.ReadAt(q.Out, *at, length)
+		return err
 	}
-	data, err := f.ReadAt(dst, st.pos[fd], length)
-	if err == nil {
-		st.pos[fd] += int64(len(data) - len(dst))
+	n := len(q.Out)
+	if q.Out, err = f.ReadAt(q.Out, st.pos[fd], length); err == nil {
+		st.pos[fd] += int64(len(q.Out) - n)
 	}
-	return data, err
+	return err
 }
 
-// write is read's twin.
-func (st *session) write(fd int, data []byte, at *int64) (int, error) {
+func (st *session) write(q *rpc.Req) error  { return st.writeAt(q, nil) }
+func (st *session) pwrite(q *rpc.Req) error { return st.writeAt(q, &q.Int[2]) }
+
+// writeAt is readAt's twin.
+func (st *session) writeAt(q *rpc.Req, at *int64) error {
+	fd := int(q.Int[0])
 	f, err := st.file(fd)
 	if err != nil {
-		return 0, err
+		return err
 	}
+	var n int
 	if at != nil {
-		return f.WriteAt(*at, data)
-	}
-	n, err := f.WriteAt(st.pos[fd], data)
-	if err == nil {
+		n, err = f.WriteAt(*at, q.Data)
+	} else if n, err = f.WriteAt(st.pos[fd], q.Data); err == nil {
 		st.pos[fd] += int64(n)
 	}
-	return n, err
+	q.N = int64(n)
+	return err
 }
 
-func (st *session) seek(fd int, off int64, whence int) (int64, error) {
+func (st *session) seek(q *rpc.Req) error {
+	fd, off, whence := int(q.Int[0]), q.Int[1], q.Int[2]
 	f, err := st.file(fd)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	var base int64
 	switch whence {
@@ -158,197 +164,84 @@ func (st *session) seek(fd int, off int64, whence int) (int64, error) {
 		base = st.pos[fd]
 	case SeekEnd:
 		if base, err = f.Size(); err != nil {
-			return 0, err
+			return err
 		}
 	default:
-		return 0, badRequest("bad whence %d", whence)
+		return badRequest("bad whence %d", whence)
 	}
-	pos := base + off
-	if pos < 0 {
-		return 0, badRequest("negative seek position")
+	if q.N = base + off; q.N < 0 {
+		return badRequest("negative seek position")
 	}
-	st.pos[fd] = pos
-	return pos, nil
+	st.pos[fd] = q.N
+	return nil
 }
+
+func (st *session) unlink(q *rpc.Req) error { return st.backend.Unlink(q.Str[0]) }
+func (st *session) rename(q *rpc.Req) error { return st.backend.Rename(q.Str[0], q.Str[1]) }
+
+func (st *session) stat(q *rpc.Req) (err error) {
+	q.Info, err = st.backend.Stat(q.Str[0])
+	return err
+}
+
+func (st *session) getdir(q *rpc.Req) (err error) {
+	q.List, err = st.backend.List(q.Str[0])
+	return err
+}
+
+func badCookie() *scope.Error { return scope.New(scope.ScopeProcess, CodeNotAuthed, "bad cookie") }
 
 func (s *Server) serve(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, wire.BufSize)
 	st := s.newSession()
 	defer st.closeAll()
-	// A binary client's first byte is a session message type (always
+	// A framed client's first byte is a session message type (always
 	// >= 0x80); a text client's first byte is a lowercase verb.  One
 	// peeked byte selects the protocol, with no bytes consumed.
-	if first, err := r.Peek(1); err == nil && first[0] >= 0x80 {
-		s.serveBinary(st, conn, r)
-		return
+	var err error
+	if first, perr := r.Peek(1); perr == nil && first[0] >= 0x80 {
+		err = s.serveFramed(st, conn, r)
+	} else {
+		err = s.serveText(st, r, bufio.NewWriterSize(conn, wire.BufSize))
 	}
-	w := bufio.NewWriterSize(conn, wire.BufSize)
+	if err != nil {
+		s.logErr(err)
+	}
+}
+
+// serveFramed runs a framed connection; r holds the peeked first byte.
+func (s *Server) serveFramed(st *session, conn net.Conn, r *bufio.Reader) error {
+	cfg := wire.Config{Secret: []byte(s.secret), AuthFailure: badCookie}
+	return rpc.ServeFramed(r, conn, cfg, binQuit, CodeBackend, func(cmd byte, pl []byte) ([]byte, error) {
+		return ops.Frame(st, &st.req, cmd, pl)
+	})
+}
+
+// serveText runs a text connection: the cookie first, then the table.
+// Refusals that end the session (a bad cookie, a request before the
+// cookie) are process scope: the client is not who the starter
+// revealed the secret to.
+func (s *Server) serveText(st *session, r *bufio.Reader, w *bufio.Writer) error {
 	authed := false
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			if err != io.EOF {
-				s.logErr(scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err))
-			}
-			return
-		}
-		// quit ends the session after the reply; fatal is an escaping
-		// error at this layer: it is logged and the connection drops.
-		var (
-			reply rpc.Reply
-			quit  bool
-			fatal error
-		)
-		switch verb, args := rpc.ParseRequest(line); {
-		case verb == "":
-			reply.Err = badRequest("empty request")
-		case verb == "quit":
-			quit = true
+	refuse := func(err error) { w.WriteString(wire.EncodeError(err, CodeBackend, scope.ScopeLocalResource)) }
+	return rpc.ServeText(r, w, func(verb string, a *rpc.Args) (bool, error) {
+		switch {
 		case verb == "cookie":
-			secret := args.Path()
-			if err := args.Done(); err != nil {
-				reply.Err = badRequest("cookie: %v", err)
+			secret := a.Path()
+			if err := a.Done(); err != nil {
+				refuse(badRequest("cookie: %v", err))
 			} else if subtle.ConstantTimeCompare([]byte(secret), []byte(s.secret)) != 1 {
-				// A bad cookie invalidates the whole session: the
-				// client is not who the starter revealed the secret
-				// to.  Process scope, and the connection drops.
-				reply.Err, quit = scope.New(scope.ScopeProcess, CodeNotAuthed, "bad cookie"), true
+				refuse(badCookie())
+				return false, nil
 			} else {
 				authed = true
+				w.WriteString("ok\n")
 			}
-		case !authed:
-			reply.Err, quit = scope.New(scope.ScopeProcess, CodeNotAuthed, "authenticate first"), true
-		case verb == "write" || verb == "pwrite":
-			reply, fatal = st.handleWrite(verb, args, r)
-		default:
-			reply = st.handle(verb, args)
+			return true, nil
+		case !authed && verb != "":
+			refuse(scope.New(scope.ScopeProcess, CodeNotAuthed, "authenticate first"))
+			return false, nil
 		}
-		// Plain errors go out as BackendError at local-resource scope:
-		// the proxy cannot explain them, but it can still state their
-		// scope.
-		reply.WriteTo(w, CodeBackend, scope.ScopeLocalResource)
-		if err := w.Flush(); err != nil && fatal == nil {
-			fatal = scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-		}
-		st.buf = wire.Keep(st.buf)
-		if fatal != nil {
-			s.logErr(fatal)
-			return
-		}
-		if quit {
-			return
-		}
-	}
-}
-
-// handle decodes and runs one authenticated text request.  Each verb
-// decodes its arguments and runs only if all of them did; otherwise it
-// falls out to the refusal at the bottom.
-func (st *session) handle(verb string, a *rpc.Args) rpc.Reply {
-	switch verb {
-	case "open":
-		if path, flagArg := a.Path(), a.Next("flags"); a.Done() == nil {
-			flags, err := ParseOpenFlags(flagArg)
-			if err != nil {
-				return rpc.Reply{Err: badRequest("%v", err)}
-			}
-			fd, err := st.open(path, flags)
-			return rpc.Reply{Value: strconv.Itoa(fd), Err: err}
-		}
-	case "close":
-		if fd := a.Int("fd"); a.Done() == nil {
-			return rpc.Reply{Err: st.close(fd)}
-		}
-	case "read", "pread":
-		fd, length := a.Int("fd"), a.Int("length")
-		var at *int64
-		if verb == "pread" {
-			off := a.Int64("offset")
-			at = &off
-		}
-		if a.Done() == nil {
-			if length < 0 || length > maxDataLen {
-				return rpc.Reply{Err: badRequest("bad length %d", length)}
-			}
-			data, err := st.read(st.buf[:0], fd, length, at)
-			st.buf = data
-			return rpc.Reply{Value: strconv.Itoa(len(data)), Data: data, Err: err}
-		}
-	case "lseek":
-		if fd, off, whence := a.Int("fd"), a.Int64("offset"), a.Int("whence"); a.Done() == nil {
-			pos, err := st.seek(fd, off, whence)
-			return rpc.Reply{Value: strconv.FormatInt(pos, 10), Err: err}
-		}
-	case "unlink":
-		if path := a.Path(); a.Done() == nil {
-			return rpc.Reply{Err: st.backend.Unlink(path)}
-		}
-	case "rename":
-		if oldPath, newPath := a.Path(), a.Path(); a.Done() == nil {
-			return rpc.Reply{Err: st.backend.Rename(oldPath, newPath)}
-		}
-	case "stat":
-		if path := a.Path(); a.Done() == nil {
-			info, err := st.backend.Stat(path)
-			return rpc.Reply{Value: rpc.InfoLine(info), Err: err}
-		}
-	case "getdir":
-		if prefix := a.Path(); a.Done() == nil {
-			infos, err := st.backend.List(prefix)
-			return rpc.ListReply(infos, err)
-		}
-	default:
-		return rpc.Reply{Err: badRequest("unknown verb %q", verb)}
-	}
-	return rpc.Reply{Err: badRequest("%s: %v", verb, a.Done())}
-}
-
-// handleWrite decodes and runs a write.  Its payload follows the
-// request line, so the length must be acted on before the fd or offset
-// may refuse; an error beside the reply is fatal to the connection.
-func (st *session) handleWrite(verb string, a *rpc.Args, r *bufio.Reader) (rpc.Reply, error) {
-	fdArg, length, offArg := a.Next("fd"), a.Int("length"), ""
-	if verb == "pwrite" {
-		offArg = a.Next("offset")
-	}
-	if err := a.Done(); err != nil || length < 0 {
-		// The payload length is unusable; the stream is no longer
-		// framed and the connection must drop (escaping error).
-		return rpc.Reply{Err: badRequest("%s: bad length", verb)},
-			scope.New(scope.ScopeNetwork, CodeProtocolError, "unframed write request")
-	}
-	if length > maxDataLen {
-		// The length parsed, so the framing is intact: the declared
-		// payload follows on the wire whether we want it or not.
-		// Consume and discard it, refuse the request, and keep the
-		// session — tearing the connection down here would turn a
-		// function-scope refusal into a network-scope failure.
-		if _, err := io.CopyN(io.Discard, r, int64(length)); err != nil {
-			return rpc.Reply{}, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-		}
-		return rpc.Reply{Err: badRequest("length %d exceeds limit %d", length, maxDataLen)}, nil
-	}
-	// Read the payload before validating the fd or offset: even a
-	// doomed request must have its bytes consumed, or the next request
-	// line would parse from the middle of this payload and
-	// desynchronize the protocol.
-	st.buf = slices.Grow(st.buf[:0], length)[:length]
-	data := st.buf
-	if _, err := io.ReadFull(r, data); err != nil {
-		return rpc.Reply{}, scope.Escape(scope.ScopeNetwork, CodeConnectionLost, err)
-	}
-	fd, err := strconv.Atoi(fdArg)
-	if err != nil {
-		return rpc.Reply{Err: badRequest("bad fd %q", fdArg)}, nil
-	}
-	var at *int64
-	if verb == "pwrite" {
-		off, err := strconv.ParseInt(offArg, 10, 64)
-		if err != nil {
-			return rpc.Reply{Err: badRequest("bad offset %q", offArg)}, nil
-		}
-		at = &off
-	}
-	n, err := st.write(fd, data, at)
-	return rpc.Reply{Value: strconv.Itoa(n), Err: err}, nil
+		return true, ops.Text(st, &st.req, verb, a, r, w)
+	})
 }

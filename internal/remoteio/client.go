@@ -1,9 +1,7 @@
 package remoteio
 
 import (
-	"fmt"
 	"net"
-	"strconv"
 	"time"
 
 	"github.com/errscope/grid/internal/rpc"
@@ -74,6 +72,9 @@ func NewClient(conn net.Conn, key []byte, o DialOptions) (*Client, error) {
 // Close ends the session politely and closes the connection.
 func (c *Client) Close() error { return c.Quit(rioQuit) }
 
+// call runs one operation through its row.
+func (c *Client) call(verb string, q *rpc.Req) error { return c.Invoke(&ops.Verb(verb).Spec, q) }
+
 // Read reads up to length bytes of path at offset into a fresh slice;
 // it is AppendAt(nil, ...).
 func (c *Client) Read(path string, offset int64, length int) ([]byte, error) {
@@ -85,80 +86,42 @@ func (c *Client) Read(path string, offset int64, length int) ([]byte, error) {
 // serializes its calls, so several callers may share it as long as
 // each brings its own dst.
 func (c *Client) AppendAt(dst []byte, path string, offset int64, length int) ([]byte, error) {
-	if c.Binary() {
-		arg := wire.AppendU32(wire.AppendI64(nil, offset), uint32(length))
-		return c.CallBin(dst, rioRead, arg, []byte(path))
-	}
-	return c.CallData(dst, fmt.Sprintf("read %s %d %d\n", wire.Quote(path), offset, length))
+	q := rpc.Req{Str: [3]string{path}, Int: [3]int64{1: offset, 2: int64(length)}, Out: dst}
+	err := c.call("read", &q)
+	return q.Out, err
 }
 
 // Write writes data to path at offset.
 func (c *Client) Write(path string, offset int64, data []byte) (int, error) {
-	if c.Binary() {
-		arg := wire.AppendStr(wire.AppendI64(nil, offset), path)
-		pl, err := c.CallBin(nil, rioWrite, arg, data)
-		if err != nil {
-			return 0, err
-		}
-		cur := wire.NewCursor(pl)
-		n := cur.U32()
-		if !cur.Done() {
-			return 0, c.Fail(fmt.Errorf("bad write response (%d bytes)", len(pl)))
-		}
-		return int(n), nil
-	}
-	v, err := c.Call(fmt.Sprintf("write %s %d %d\n", wire.Quote(path), offset, len(data)), data)
-	if err != nil {
-		return 0, err
-	}
-	n, convErr := strconv.Atoi(v)
-	if convErr != nil {
-		return 0, c.Fail(fmt.Errorf("bad write response %q", v))
-	}
-	return n, nil
-}
-
-// pathOp runs one path-only RPC in either transport.
-func (c *Client) pathOp(cmd byte, verb, path string) error {
-	if c.Binary() {
-		_, err := c.CallBin(nil, cmd, []byte(path))
-		return err
-	}
-	_, err := c.Call(fmt.Sprintf("%s %s\n", verb, wire.Quote(path)))
-	return err
+	q := rpc.Req{Str: [3]string{path}, Int: [3]int64{1: offset}, Data: data}
+	err := c.call("write", &q)
+	return int(q.N), err
 }
 
 // Create makes an empty file.
-func (c *Client) Create(path string) error { return c.pathOp(rioCreate, "create", path) }
+func (c *Client) Create(path string) error { return c.call("create", &rpc.Req{Str: [3]string{path}}) }
 
 // Truncate empties a file.
-func (c *Client) Truncate(path string) error { return c.pathOp(rioTrunc, "trunc", path) }
+func (c *Client) Truncate(path string) error { return c.call("trunc", &rpc.Req{Str: [3]string{path}}) }
 
 // Unlink removes a file.
-func (c *Client) Unlink(path string) error { return c.pathOp(rioUnlink, "unlink", path) }
+func (c *Client) Unlink(path string) error { return c.call("unlink", &rpc.Req{Str: [3]string{path}}) }
 
 // Rename moves a file.
 func (c *Client) Rename(oldPath, newPath string) error {
-	if c.Binary() {
-		_, err := c.CallBin(nil, rioRename, wire.AppendStr(nil, oldPath), []byte(newPath))
-		return err
-	}
-	_, err := c.Call(fmt.Sprintf("rename %s %s\n", wire.Quote(oldPath), wire.Quote(newPath)))
-	return err
+	return c.call("rename", &rpc.Req{Str: [3]string{oldPath, newPath}})
 }
 
 // List enumerates files under a prefix.
 func (c *Client) List(prefix string) ([]vfs.Info, error) {
-	if c.Binary() {
-		return c.CallListBin(rioList, prefix)
-	}
-	return c.CallList(fmt.Sprintf("list %s\n", wire.Quote(prefix)))
+	q := rpc.Req{Str: [3]string{prefix}}
+	err := c.call("list", &q)
+	return q.List, err
 }
 
 // Stat describes a file.
 func (c *Client) Stat(path string) (vfs.Info, error) {
-	if c.Binary() {
-		return c.CallStatBin(rioStat, path)
-	}
-	return c.CallStat(fmt.Sprintf("stat %s\n", wire.Quote(path)))
+	q := rpc.Req{Str: [3]string{path}}
+	err := c.call("stat", &q)
+	return q.Info, err
 }

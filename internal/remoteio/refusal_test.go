@@ -232,14 +232,16 @@ func chirpRefusals(t *testing.T, mode wire.Mode) string {
 	return refusalScript(t, dial, frame(0x99, '/', 'f'), chirpFrameRefusals)
 }
 
-func remoteioRefusals(t *testing.T, mode wire.Mode) string {
+// remoteioDial starts a shadow over /f and returns how to open an
+// authenticated raw session to it.
+func remoteioDial(t *testing.T, mode wire.Mode) func() *refusalSession {
 	fs := vfs.New()
 	must(t, fs.WriteFile("/f", []byte("x")))
 	srv := NewServer(fs, []byte("key"))
 	srv.Mode = mode
 	addr, err := srv.Listen("127.0.0.1:0")
 	must(t, err)
-	defer srv.Close()
+	t.Cleanup(srv.Close)
 	answer := func(rs *refusalSession) {
 		challenge, err := rs.r.ReadString('\n')
 		must(t, err)
@@ -251,11 +253,37 @@ func remoteioRefusals(t *testing.T, mode wire.Mode) string {
 			t.Fatalf("auth: %s", reply)
 		}
 	}
-	dial := func() *refusalSession { return dialRefusals(t, addr, mode, answer) }
+	return func() *refusalSession { return dialRefusals(t, addr, mode, answer) }
+}
+
+func remoteioRefusals(t *testing.T, mode wire.Mode) string {
+	dial := remoteioDial(t, mode)
 	if mode == wire.ModeText {
 		return refusalScript(t, dial, line(`stat "/f"`), remoteioTextRefusals)
 	}
 	return refusalScript(t, dial, frame(0xB5, '/', 'f'), remoteioFrameRefusals)
+}
+
+// TestServerWriteOversizedLengthKeepsSession: a write length that
+// parses but exceeds rpc.MaxData is a refusal, not a teardown — the
+// framing is intact, so the server drains exactly the declared bytes
+// and keeps serving.  A length that does not parse still drops the
+// connection: nobody knows how many bytes follow.
+func TestServerWriteOversizedLengthKeepsSession(t *testing.T) {
+	rs := remoteioDial(t, wire.ModeText)()
+	reply := rs.exchange(oversizeWrite(`write "/f" 0 %d`))
+	if !strings.Contains(reply, CodeBadRequest) {
+		t.Fatalf("oversized write -> %s, want %s", reply, CodeBadRequest)
+	}
+	if reply := rs.exchange(line(`stat "/f"`)); !strings.HasPrefix(reply, `"ok `) {
+		t.Fatalf("session dead after an oversized write: %s", reply)
+	}
+	if reply := rs.exchange(line(`write "/f" 0 notanumber`)); !strings.Contains(reply, CodeBadRequest) {
+		t.Fatalf("unparseable length -> %s", reply)
+	}
+	if reply := rs.exchange(line(`stat "/f"`)); reply != "" {
+		t.Fatalf("connection should be closed after an unframed write, got %s", reply)
+	}
 }
 
 func TestRefusalTranscripts(t *testing.T) {

@@ -18,10 +18,7 @@ package remoteio
 
 import (
 	"bufio"
-	"io"
 	"net"
-	"slices"
-	"strconv"
 	"sync"
 
 	"github.com/errscope/grid/internal/rpc"
@@ -43,23 +40,24 @@ const (
 	CodeRequestTimeout = "RequestTimeout"
 )
 
-// Binary RPC command bytes (wire.ModeBinary / wire.ModeSecure), all
-// >= 0x80.  Responses use the shared wire.CmdOK / wire.CmdErr frames.
-const (
-	rioRead   byte = 0xB0 // off i64, len u32, path rest -> data
-	rioWrite  byte = 0xB1 // off i64, path str, data rest -> n u32
-	rioCreate byte = 0xB2 // path rest
-	rioTrunc  byte = 0xB3 // path rest
-	rioUnlink byte = 0xB4 // path rest
-	rioStat   byte = 0xB5 // path rest -> size i64, ro u8, path rest
-	rioList   byte = 0xB6 // prefix rest -> count u32, then per entry
-	//                       size i64, ro u8, path str
-	rioRename byte = 0xB7 // old str, new rest
-	rioQuit   byte = 0xBF
-)
+// rioQuit ends a framed session.  Every opcode is >= 0x80; replies use
+// the shared wire.CmdOK / wire.CmdErr frames.
+const rioQuit byte = 0xBF
 
-// maxDataLen bounds one RPC payload.
-const maxDataLen = rpc.MaxData
+// ops is the protocol, one row per operation: the opcode byte and the
+// text verb, the reply, the handler, and the arguments in text order
+// with each one's place in the frame.  Every request first passes the
+// credential gate.
+var ops = rpc.Table[*Server]{BadRequest: CodeBadRequest, Fallback: CodeShadowError, Gate: (*Server).expiry, Ops: []rpc.Op[*Server]{
+	rpc.Row(0xB0, "read", rpc.Bytes, (*Server).read, rpc.At(rpc.Path, 2), rpc.At(rpc.Offset, 0), rpc.At(rpc.Length, 1)),
+	rpc.Row(0xB1, "write", rpc.U32, (*Server).write, rpc.At(rpc.Path, 1), rpc.At(rpc.Offset, 0), rpc.At(rpc.Data, 2)),
+	rpc.Row(0xB2, "create", rpc.None, (*Server).create, rpc.At(rpc.Path, 0)),
+	rpc.Row(0xB3, "trunc", rpc.None, (*Server).trunc, rpc.At(rpc.Path, 0)),
+	rpc.Row(0xB4, "unlink", rpc.None, (*Server).unlink, rpc.At(rpc.Path, 0)),
+	rpc.Row(0xB5, "stat", rpc.Stat, (*Server).stat, rpc.At(rpc.Path, 0)),
+	rpc.Row(0xB6, "list", rpc.List, (*Server).list, rpc.At(rpc.Path, 0)),
+	rpc.Row(0xB7, "rename", rpc.None, (*Server).rename, rpc.At(rpc.Path, 0), rpc.At(rpc.Path, 1)),
+}}
 
 // Contract returns the explicit error interface of the channel.
 func Contract() *scope.Contract {
@@ -144,118 +142,50 @@ func (s *Server) expiry(framed bool) error {
 	return nil
 }
 
-func badRequest(format string, args ...any) *scope.Error {
-	return scope.New(scope.ScopeFunction, CodeBadRequest, format, args...)
-}
-
 func authFailed() *scope.Error {
 	return scope.New(scope.ScopeLocalResource, CodeAuthFailed, "bad authenticator")
 }
 
 func (s *Server) serve(conn net.Conn) {
-	if s.Mode != wire.ModeText {
-		s.serveBinary(conn)
-		return
-	}
 	r := bufio.NewReaderSize(conn, wire.BufSize)
-	w := bufio.NewWriterSize(conn, wire.BufSize)
-	if !rpc.Challenge(r, w, s.key, authFailed()) {
+	var q rpc.Req // the connection's request; its Out is the connection's scratch
+	if s.Mode != wire.ModeText {
+		cfg := wire.Config{Secret: s.key, AuthFailure: authFailed}
+		rpc.ServeFramed(r, conn, cfg, rioQuit, CodeShadowError, func(cmd byte, pl []byte) ([]byte, error) {
+			return ops.Frame(s, &q, cmd, pl)
+		})
 		return
 	}
-	var buf []byte // the connection's scratch, reset with wire.Keep
-	for {
-		line, err := r.ReadString('\n')
-		if err != nil {
-			return
-		}
-		reply, more := s.handle(line, r, &buf)
-		reply.WriteTo(w, CodeShadowError, scope.ScopeLocalResource)
-		buf = wire.Keep(buf)
-		if w.Flush() != nil || !more {
-			return
-		}
+	w := bufio.NewWriterSize(conn, wire.BufSize)
+	if rpc.Challenge(r, w, s.key, authFailed()) {
+		rpc.ServeText(r, w, func(verb string, a *rpc.Args) (bool, error) {
+			return true, ops.Text(s, &q, verb, a, r, w)
+		})
 	}
 }
 
-// handle runs one text RPC and reports whether the session continues
-// after its reply.  A read's reply data and a write's payload are built
-// in *buf, the connection's scratch.
-func (s *Server) handle(line string, r *bufio.Reader, buf *[]byte) (reply rpc.Reply, more bool) {
-	verb, a := rpc.ParseRequest(line)
-	switch verb {
-	case "":
-		return rpc.Reply{Err: badRequest("empty request")}, true
-	case "quit":
-		return rpc.Reply{}, false
-	}
-	// A write's payload must be drained even when the RPC is refused,
-	// or the stream loses framing; its path and offset are decoded only
-	// afterwards.
-	var pathArg, offArg string
-	var payload []byte
-	if verb == "write" {
-		var n int
-		pathArg, offArg, n = a.Next("path"), a.Next("offset"), a.Int("length")
-		if err := a.Done(); err != nil || n < 0 || n > maxDataLen {
-			// Framing unknown: refuse and drop the connection.
-			return rpc.Reply{Err: badRequest("write: bad length")}, false
-		}
-		*buf = slices.Grow((*buf)[:0], n)[:n]
-		payload = *buf
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return rpc.Reply{Err: err}, false
-		}
-	}
-	if err := s.expiry(false); err != nil {
-		return rpc.Reply{Err: err}, true
-	}
+func (s *Server) read(q *rpc.Req) (err error) {
+	q.Out, err = s.fs.AppendAt(q.Out, q.Str[0], q.Int[1], int(q.Int[2]))
+	return err
+}
 
-	// Each verb decodes its arguments and runs only if all of them did;
-	// otherwise it falls out to the refusal at the bottom.
-	switch verb {
-	case "read":
-		path, off, length := a.Path(), a.Int64("offset"), a.Int("length")
-		if a.Done() == nil && length >= 0 && length <= maxDataLen {
-			data, err := s.fs.AppendAt((*buf)[:0], path, off, length)
-			*buf = data
-			return rpc.Reply{Value: strconv.Itoa(len(data)), Data: data, Err: err}, true
-		}
-		return rpc.Reply{Err: badRequest("bad read arguments")}, true
-	case "write":
-		path, err1 := wire.Unquote(pathArg)
-		off, err2 := strconv.ParseInt(offArg, 10, 64)
-		if err1 != nil || err2 != nil {
-			return rpc.Reply{Err: badRequest("bad write arguments")}, true
-		}
-		n, err := s.fs.WriteAt(path, off, payload)
-		return rpc.Reply{Value: strconv.Itoa(n), Err: err}, true
-	case "create":
-		if path := a.Path(); a.Done() == nil {
-			return rpc.Reply{Err: s.fs.Create(path)}, true
-		}
-	case "trunc":
-		if path := a.Path(); a.Done() == nil {
-			return rpc.Reply{Err: s.fs.WriteFile(path, nil)}, true
-		}
-	case "unlink":
-		if path := a.Path(); a.Done() == nil {
-			return rpc.Reply{Err: s.fs.Unlink(path)}, true
-		}
-	case "rename":
-		if oldPath, newPath := a.Path(), a.Path(); a.Done() == nil {
-			return rpc.Reply{Err: s.fs.Rename(oldPath, newPath)}, true
-		}
-	case "stat":
-		if path := a.Path(); a.Done() == nil {
-			info, err := s.fs.Stat(path)
-			return rpc.Reply{Value: rpc.InfoLine(info), Err: err}, true
-		}
-	case "list":
-		if prefix := a.Path(); a.Done() == nil {
-			return rpc.ListReply(s.fs.List(prefix)), true
-		}
-	default:
-		return rpc.Reply{Err: badRequest("unknown verb %q", verb)}, true
-	}
-	return rpc.Reply{Err: badRequest("%s: %v", verb, a.Done())}, true
+func (s *Server) write(q *rpc.Req) error {
+	n, err := s.fs.WriteAt(q.Str[0], q.Int[1], q.Data)
+	q.N = int64(n)
+	return err
+}
+
+func (s *Server) create(q *rpc.Req) error { return s.fs.Create(q.Str[0]) }
+func (s *Server) trunc(q *rpc.Req) error  { return s.fs.WriteFile(q.Str[0], nil) }
+func (s *Server) unlink(q *rpc.Req) error { return s.fs.Unlink(q.Str[0]) }
+func (s *Server) rename(q *rpc.Req) error { return s.fs.Rename(q.Str[0], q.Str[1]) }
+
+func (s *Server) stat(q *rpc.Req) (err error) {
+	q.Info, err = s.fs.Stat(q.Str[0])
+	return err
+}
+
+func (s *Server) list(q *rpc.Req) (err error) {
+	q.List, err = s.fs.List(q.Str[0])
+	return err
 }

@@ -30,6 +30,7 @@ import (
 
 	"github.com/errscope/grid/internal/obs"
 	"github.com/errscope/grid/internal/scope"
+	"github.com/errscope/grid/internal/vfs"
 	"github.com/errscope/grid/internal/wire"
 )
 
@@ -90,6 +91,7 @@ type Client struct {
 	mode      wire.Mode
 	sess      *wire.Session // nil in text mode
 	ioTimeout time.Duration // 0: no deadlines
+	req       []byte        // the request being built; the lock is held
 
 	// Trace, when non-nil and enabled, receives an error event the
 	// first time the transport fails; TraceJob tags it.  Set both
@@ -222,14 +224,17 @@ func (c *Client) usable() error {
 	return nil
 }
 
-// begin opens one exchange: on a usable connection the deadline is
-// armed and the caller defers disarm.  The lock is held.
-func (c *Client) begin() error {
-	err := c.usable()
-	if err == nil {
-		c.arm()
+// exchange runs one round trip under the lock, with the deadline
+// armed on a usable connection.
+func (c *Client) exchange(roundTrip func() error) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.usable(); err != nil {
+		return err
 	}
-	return err
+	c.arm()
+	defer c.disarm()
+	return roundTrip()
 }
 
 // fail records and returns the sticky transport error.  A scoped cause
@@ -269,27 +274,11 @@ func (c *Client) fail(err error) error {
 	return esc
 }
 
-// Fail kills the connection over a reply the protocol could not
-// decode, and returns the sticky error.
-func (c *Client) Fail(err error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.fail(err)
-}
-
-// textCall sends one request line (plus payload) and reads the reply
-// line, returning what follows "ok".  An "error" line is the server's
+// textCall sends the request written to c.w and reads the reply line,
+// returning what follows "ok".  An "error" line is the server's
 // explicit scoped error; anything else kills the connection.  The lock
 // is held and the deadline armed.
-func (c *Client) textCall(request string, payload [][]byte) (string, error) {
-	if _, err := io.WriteString(c.w, request); err != nil {
-		return "", c.fail(err)
-	}
-	for _, p := range payload {
-		if _, err := c.w.Write(p); err != nil {
-			return "", c.fail(err)
-		}
-	}
+func (c *Client) textCall() (string, error) {
 	if err := c.w.Flush(); err != nil {
 		return "", c.fail(err)
 	}
@@ -315,70 +304,153 @@ func (c *Client) textCall(request string, payload [][]byte) (string, error) {
 }
 
 // Call is one text round trip; it returns the reply value.
-func (c *Client) Call(request string, payload ...[]byte) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.begin(); err != nil {
-		return "", err
-	}
-	defer c.disarm()
-	return c.textCall(request, payload)
+func (c *Client) Call(request string, payload ...[]byte) (v string, err error) {
+	err = c.exchange(func() error {
+		c.w.WriteString(request)
+		for _, p := range payload {
+			c.w.Write(p)
+		}
+		v, err = c.textCall()
+		return err
+	})
+	return v, err
 }
 
-// CallData is one text round trip whose reply value opens with a byte
-// count; that many bytes follow the line and are appended to dst.  It
-// returns the extended slice, or dst unchanged on error.
-func (c *Client) CallData(dst []byte, request string) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.begin(); err != nil {
-		return dst, err
+// binCall is one framed round trip; a success reply's payload aliases
+// the session's buffer.  The lock is held and the deadline armed.
+func (c *Client) binCall(cmd byte, parts ...[]byte) ([]byte, error) {
+	if err := c.sess.WriteMsg(cmd, parts...); err != nil {
+		return nil, c.fail(err)
 	}
-	defer c.disarm()
-	value, err := c.textCall(request, nil)
+	rcmd, pl, err := c.sess.ReadMsg()
 	if err != nil {
-		return dst, err
+		return nil, c.fail(err)
 	}
-	lenField, _, _ := strings.Cut(value, " ")
-	n, convErr := strconv.Atoi(lenField)
-	if convErr != nil || n < 0 || n > MaxData {
-		return dst, c.fail(fmt.Errorf("bad data length %q", value))
+	switch rcmd {
+	case wire.CmdOK:
+		return pl, nil
+	case wire.CmdErr:
+		se, decErr := wire.DecodeErrorPayload(pl)
+		if decErr != nil {
+			return nil, c.fail(decErr)
+		}
+		return nil, se
 	}
-	data := slices.Grow(dst, n)[:len(dst)+n]
-	if _, err := io.ReadFull(c.r, data[len(dst):]); err != nil {
-		return dst, c.fail(err)
-	}
-	return data, nil
+	return nil, c.fail(fmt.Errorf("bad response frame %#x", rcmd))
 }
 
 // CallBin is one framed round trip.  A success reply's payload is
 // appended to dst, out of the session buffer it arrived in; CallBin
 // returns the extended slice, or dst unchanged on error.
 func (c *Client) CallBin(dst []byte, cmd byte, parts ...[]byte) ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.begin(); err != nil {
-		return dst, err
-	}
-	defer c.disarm()
-	if err := c.sess.WriteMsg(cmd, parts...); err != nil {
-		return dst, c.fail(err)
-	}
-	rcmd, pl, err := c.sess.ReadMsg()
-	if err != nil {
-		return dst, c.fail(err)
-	}
-	switch rcmd {
-	case wire.CmdOK:
-		return append(dst, pl...), nil
-	case wire.CmdErr:
-		se, decErr := wire.DecodeErrorPayload(pl)
-		if decErr != nil {
-			return dst, c.fail(decErr)
+	q := Req{Out: dst}
+	err := c.exchange(func() error { return c.frameReply(&Spec{Code: cmd, Reply: Bytes}, &q, parts...) })
+	return q.Out, err
+}
+
+// Invoke is one round trip of an operation in the client's mode: the
+// arguments in q go out as its row encodes them, and the reply comes
+// back where the row's Shape says; a data reply is appended to q.Out,
+// which is left as it was on error.
+func (c *Client) Invoke(sp *Spec, q *Req) error {
+	return c.exchange(func() error {
+		if c.sess != nil {
+			c.req = sp.appendFrame(c.req[:0], q)
+			return c.frameReply(sp, q, c.req, q.Data)
 		}
-		return dst, se
+		c.req = sp.appendText(c.req[:0], q)
+		c.w.Write(c.req)
+		c.w.Write(q.Data)
+		return c.textReply(sp, q)
+	})
+}
+
+// textReply sends the request written to c.w and decodes the reply.
+// Anything that does not decode kills the connection.  The lock is
+// held and the deadline armed.
+func (c *Client) textReply(sp *Spec, q *Req) error {
+	v, err := c.textCall()
+	if err != nil {
+		return err
 	}
-	return dst, c.fail(fmt.Errorf("bad response frame %#x", rcmd))
+	switch sp.Reply {
+	case U32, I64:
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			return c.fail(fmt.Errorf("bad %s response %q", sp.Verb, v))
+		}
+		q.N = n
+	case Bytes:
+		lenField, _, _ := strings.Cut(v, " ")
+		n, convErr := strconv.Atoi(lenField)
+		if convErr != nil || n < 0 || n > MaxData {
+			return c.fail(fmt.Errorf("bad data length %q", v))
+		}
+		data := slices.Grow(q.Out, n)[:len(q.Out)+n]
+		if _, err := io.ReadFull(c.r, data[len(q.Out):]); err != nil {
+			return c.fail(err)
+		}
+		q.Out = data
+	case Stat:
+		if q.Info, err = parseInfo(v); err != nil {
+			return c.fail(err)
+		}
+	case List:
+		n, convErr := strconv.Atoi(v)
+		if convErr != nil || n < 0 || n > maxList {
+			return c.fail(fmt.Errorf("bad list count %q", v))
+		}
+		list := make([]vfs.Info, n)
+		for i := range list {
+			entry, err := c.r.ReadString('\n')
+			if err != nil {
+				return c.fail(err)
+			}
+			if list[i], err = parseInfo(strings.TrimRight(entry, "\r\n")); err != nil {
+				return c.fail(err)
+			}
+		}
+		q.List = list
+	}
+	return nil
+}
+
+// frameReply sends a request frame and decodes the reply.  Anything
+// that does not decode exactly kills the connection.  The lock is held
+// and the deadline armed.
+func (c *Client) frameReply(sp *Spec, q *Req, parts ...[]byte) error {
+	pl, err := c.binCall(sp.Code, parts...)
+	if err != nil {
+		return err
+	}
+	cur := wire.NewCursor(pl)
+	switch sp.Reply {
+	case None:
+		return nil
+	case Bytes:
+		q.Out = append(q.Out, pl...)
+		return nil
+	case U32:
+		q.N = int64(cur.U32())
+	case I64:
+		q.N = cur.I64()
+	case Stat:
+		q.Info = readInfo(&cur, true)
+	case List:
+		n := int(cur.U32())
+		if !cur.OK() || n > maxList {
+			return c.fail(fmt.Errorf("bad list response (%d bytes)", len(pl)))
+		}
+		q.List = make([]vfs.Info, 0, n)
+		for i := 0; i < n && cur.OK(); i++ {
+			q.List = append(q.List, readInfo(&cur, false))
+		}
+	}
+	if !cur.Done() {
+		q.N, q.Info, q.List = 0, vfs.Info{}, nil
+		return c.fail(fmt.Errorf("bad %s response (%d bytes)", sp.Verb, len(pl)))
+	}
+	return nil
 }
 
 // Recv reads the next record of a one-way stream the server opened in

@@ -7,6 +7,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -93,6 +94,71 @@ func (a *Acceptor) Close() {
 	a.wg.Wait()
 }
 
+// ServeFramed runs one framed connection: the server handshake, then
+// one reply per request frame until the peer sends quit (answered with
+// an empty ok) or hangs up.  handle returns a request's reply payload;
+// its error goes back in-band as an error frame, at fallbackCode and
+// local-resource scope if it is not scoped, since a frame cannot
+// desynchronize the stream.  It returns
+// what ended the session: nil for a quit or a clean close, else the
+// failed handshake, read or reply.
+func ServeFramed(r *bufio.Reader, conn net.Conn, cfg wire.Config, quit byte, fallbackCode string,
+	handle func(cmd byte, pl []byte) ([]byte, error)) error {
+	sess := wire.NewSession(r, conn, cfg)
+	defer sess.Release()
+	if err := sess.ServerHandshake(); err != nil {
+		return err
+	}
+	for {
+		cmd, pl, err := sess.ReadMsg()
+		if err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+		if cmd == quit {
+			return sess.WriteMsg(wire.CmdOK)
+		}
+		if resp, err := handle(cmd, pl); err != nil {
+			err = sess.WriteError(err, fallbackCode, scope.ScopeLocalResource)
+		} else {
+			err = sess.WriteMsg(wire.CmdOK, resp)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// ServeText runs the requests of one text connection until the peer
+// sends quit (answered with ok) or hangs up, or handle, which writes
+// each other request's reply, says the session is over.  It returns
+// what ended the session: nil for a quit, a clean close or a hangup
+// handle chose, else handle's error, or the failed read or flush.
+func ServeText(r *bufio.Reader, w *bufio.Writer, handle func(verb string, a *Args) (more bool, err error)) error {
+	for {
+		line, err := r.ReadString('\n')
+		if err == io.EOF {
+			return nil
+		} else if err != nil {
+			return lost(err)
+		}
+		verb, a := ParseRequest(line)
+		more, fatal := false, error(nil)
+		if verb == "quit" {
+			w.WriteString("ok\n")
+		} else {
+			more, fatal = handle(verb, a)
+		}
+		if err := w.Flush(); err != nil && fatal == nil {
+			fatal = lost(err)
+		}
+		if fatal != nil || !more {
+			return fatal
+		}
+	}
+}
+
 // The text-mode authentication of the remote I/O and ops-plane
 // channels: the server sends a random nonce, the client answers with
 // HMAC-SHA256(key, nonce), and the key itself never crosses the wire.
@@ -146,26 +212,24 @@ func Challenge(r *bufio.Reader, w *bufio.Writer, key []byte, refusal *scope.Erro
 // a transport failure like any other; a refusal is the server's own
 // scoped error.
 func (c *Client) AnswerChallenge(key []byte) error {
-	nonce, err := c.readChallenge()
+	var nonce []byte
+	err := c.exchange(func() error {
+		line, err := c.r.ReadString('\n')
+		if err != nil {
+			return c.fail(err)
+		}
+		fields := strings.Fields(line)
+		if len(fields) != 2 || fields[0] != "challenge" {
+			return c.fail(fmt.Errorf("bad challenge %q", line))
+		}
+		if nonce, err = hex.DecodeString(fields[1]); err != nil {
+			return c.fail(err)
+		}
+		return nil
+	})
 	if err != nil {
-		return c.Fail(err)
+		return err
 	}
 	_, err = c.Call(fmt.Sprintf("auth %s\n", hex.EncodeToString(authenticator(key, nonce))))
 	return err
-}
-
-func (c *Client) readChallenge() ([]byte, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.arm()
-	defer c.disarm()
-	line, err := c.r.ReadString('\n')
-	if err != nil {
-		return nil, err
-	}
-	fields := strings.Fields(line)
-	if len(fields) != 2 || fields[0] != "challenge" {
-		return nil, fmt.Errorf("bad challenge %q", line)
-	}
-	return hex.DecodeString(fields[1])
 }

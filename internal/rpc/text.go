@@ -1,13 +1,11 @@
 package rpc
 
 import (
-	"bufio"
 	"fmt"
 	"strconv"
 	"strings"
 	"unicode"
 
-	"github.com/errscope/grid/internal/scope"
 	"github.com/errscope/grid/internal/wire"
 )
 
@@ -84,9 +82,10 @@ func (a *Args) Next(what string) string {
 	return arg
 }
 
-func (a *Args) num(what string, bits int) int64 {
+// Int64 decodes a decimal argument.
+func (a *Args) Int64(what string) int64 {
 	arg := a.Next(what)
-	n, err := strconv.ParseInt(arg, 10, bits)
+	n, err := strconv.ParseInt(arg, 10, 64)
 	if err != nil {
 		if a.err == nil {
 			a.err = fmt.Errorf("bad %s %q", what, arg)
@@ -95,12 +94,6 @@ func (a *Args) num(what string, bits int) int64 {
 	}
 	return n
 }
-
-// Int64 decodes a decimal argument.
-func (a *Args) Int64(what string) int64 { return a.num(what, 64) }
-
-// Int decodes a decimal argument that fits an int.
-func (a *Args) Int(what string) int { return int(a.num(what, strconv.IntSize)) }
 
 // Path decodes a quoted string argument.
 func (a *Args) Path() string {
@@ -112,6 +105,16 @@ func (a *Args) Path() string {
 	return p
 }
 
+// letters decodes flags in their text form.
+func (a *Args) letters(letters string) int64 {
+	arg := a.Next(kindNames[Flags])
+	flags, err := ParseLetters(letters, arg)
+	if err != nil && a.err == nil {
+		a.err = err
+	}
+	return flags
+}
+
 // Done reports why the request is malformed: the first argument that
 // failed to decode, or arguments left over.
 func (a *Args) Done() error {
@@ -119,29 +122,4 @@ func (a *Args) Done() error {
 		a.err = fmt.Errorf("too many arguments")
 	}
 	return a.err
-}
-
-// Reply is a server's answer to one text request, the line Client.Call
-// reads back: "ok [value]" followed by Data, or Err's error line.
-type Reply struct {
-	Value string
-	Data  []byte
-	Err   error
-}
-
-// WriteTo writes the reply; an Err that is not scoped goes out at the
-// fallback code and scope — the server cannot explain it, but it can
-// still state a scope.
-func (rp Reply) WriteTo(w *bufio.Writer, fallbackCode string, fallbackScope scope.Scope) {
-	switch {
-	case rp.Err != nil:
-		w.WriteString(wire.EncodeError(rp.Err, fallbackCode, fallbackScope))
-	case rp.Value == "":
-		w.WriteString("ok\n")
-	default:
-		w.WriteString("ok ")
-		w.WriteString(rp.Value)
-		w.WriteByte('\n')
-		w.Write(rp.Data)
-	}
 }

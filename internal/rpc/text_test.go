@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bufio"
 	"reflect"
 	"strings"
 	"testing"
@@ -55,7 +56,7 @@ func TestArgs(t *testing.T) {
 	if verb != "op" {
 		t.Fatalf("verb = %q", verb)
 	}
-	if p, off, n, raw := a.Path(), a.Int64("offset"), a.Int("length"), a.Next("flags"); p != "/a b" || off != -12 || n != 34 || raw != "raw" {
+	if p, off, n, raw := a.Path(), a.Int64("offset"), a.Int64("length"), a.Next("flags"); p != "/a b" || off != -12 || n != 34 || raw != "raw" {
 		t.Errorf("decoded %q %d %d %q", p, off, n, raw)
 	}
 	if err := a.Done(); err != nil {
@@ -78,7 +79,7 @@ func TestArgs(t *testing.T) {
 		a.Path()
 		a.Int64("offset")
 		// The first failure sticks: it and later reads are zero.
-		if n := a.Int("length"); n != 0 && tc.want != "too many arguments" {
+		if n := a.Int64("length"); n != 0 && tc.want != "too many arguments" {
 			t.Errorf("%q: length %d after a failed argument", tc.line, n)
 		}
 		if err := a.Done(); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -95,16 +96,16 @@ func TestInfoEncodings(t *testing.T) {
 		{Path: "/tab\there\nnewline", Size: 3},
 	}
 	for _, info := range infos {
-		got, err := parseInfo(InfoLine(info))
+		got, err := parseInfo(string(appendInfoLine(nil, info)))
 		if err != nil || got != info {
 			t.Errorf("text round trip of %+v = %+v, %v", info, got, err)
 		}
-		cur := wire.NewCursor(AppendInfo(nil, info, true))
+		cur := wire.NewCursor(appendInfo(nil, info, true))
 		if got := readInfo(&cur, true); got != info || !cur.Done() {
 			t.Errorf("framed round trip of %+v = %+v", info, got)
 		}
 	}
-	cur := wire.NewCursor(AppendInfos(nil, infos)[4:])
+	cur := wire.NewCursor(appendInfos(nil, infos)[4:])
 	for _, info := range infos {
 		if got := readInfo(&cur, false); got != info {
 			t.Errorf("framed list entry = %+v, want %+v", got, info)
@@ -119,8 +120,11 @@ func TestInfoEncodings(t *testing.T) {
 		}
 	}
 
-	rp := ListReply(infos[:2], nil)
-	if want := "12 0 \"/plain\"\n0 1 \"/dir/c  d\"\n"; rp.Value != "2" || string(rp.Data) != want || rp.Err != nil {
-		t.Errorf("ListReply = %q %q %v", rp.Value, rp.Data, rp.Err)
+	var sb strings.Builder
+	w := bufio.NewWriter(&sb)
+	List.writeText(w, &Req{List: infos[:2]})
+	w.Flush()
+	if want := "ok 2\n12 0 \"/plain\"\n0 1 \"/dir/c  d\"\n"; sb.String() != want {
+		t.Errorf("list reply = %q, want %q", sb.String(), want)
 	}
 }
