@@ -275,7 +275,9 @@ func (t *Table[S]) decodeText(s S, q *Req, verb string, a *Args, r *bufio.Reader
 			q.Str[i] = a.Path()
 		case Flags:
 			q.Int[i] = a.letters(arg.Letters)
-		default: // a write's length included: readPayload acted on it
+		case Data:
+			a.Next(kindNames[Data]) // the length readPayload acted on
+		default:
 
 			q.Int[i] = a.Int64(kindNames[arg.Kind])
 		}

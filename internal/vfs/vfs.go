@@ -262,6 +262,12 @@ func (fs *FileSystem) AppendAt(dst []byte, path string, offset int64, n int) ([]
 	return dst, nil
 }
 
+// maxFileSize bounds one file: a write that would grow a file past it
+// is refused at file scope (DiskFull), as a disk refuses a file past
+// its size limit, so that a hostile offset cannot make the file system
+// allocate the distance to it.
+const maxFileSize = 256 << 20
+
 // WriteAt writes data at offset, extending the file if needed.
 func (fs *FileSystem) WriteAt(path string, offset int64, data []byte) (int, error) {
 	p, err := clean(path)
@@ -282,6 +288,10 @@ func (fs *FileSystem) WriteAt(path string, offset int64, data []byte) (int, erro
 	}
 	if f.readOnly {
 		return 0, scope.New(scope.ScopeFile, CodeAccessDenied, "%s is read-only", p)
+	}
+	if offset > maxFileSize-int64(len(data)) {
+		return 0, scope.New(scope.ScopeFile, CodeDiskFull,
+			"writing %d bytes at %d grows %s past the %d-byte file limit", len(data), offset, p, maxFileSize)
 	}
 	newLen := offset + int64(len(data))
 	if newLen < int64(len(f.data)) {

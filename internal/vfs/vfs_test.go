@@ -172,6 +172,23 @@ func TestWriteAtQuota(t *testing.T) {
 	wantCode(t, err, CodeDiskFull, scope.ScopeFile)
 }
 
+// TestWriteAtPastFileLimit: with no quota, a write far past the end
+// is refused at file scope instead of allocating the gap — at the
+// largest offsets the gap's length used to overflow and panic.
+func TestWriteAtPastFileLimit(t *testing.T) {
+	fs := New()
+	if err := fs.WriteFile("/f", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	for _, off := range []int64{maxFileSize, 1 << 40, 0x3000000000200005, 1<<63 - 2} {
+		_, err := fs.WriteAt("/f", off, []byte("ab"))
+		wantCode(t, err, CodeDiskFull, scope.ScopeFile)
+	}
+	if info, _ := fs.Stat("/f"); info.Size != 1 {
+		t.Errorf("size after refused writes = %d, want 1", info.Size)
+	}
+}
+
 func TestReadOnly(t *testing.T) {
 	fs := New()
 	fs.WriteFile("/ro", []byte("x"))
