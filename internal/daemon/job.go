@@ -140,8 +140,9 @@ type Job struct {
 	// for it since, and the requeue records the journal does not carry
 	// (see handleFinal).  Replaying it into an empty queue rebuilds the
 	// job, so a snapshot is the live jobs' logs and a history frame the
-	// retiring jobs' logs (see scheddjournal.go).  Recovery re-encodes
-	// each record it applies, so a rebuilt log never aliases the disk.
+	// retiring jobs' logs (see scheddjournal.go).  Recovery appends a
+	// copy of the fields it read from each record it applies, so a
+	// rebuilt log never aliases the disk.
 	// A retired job's log is dropped.
 	log []byte
 	// refName caches the schedd#id advertisement name.

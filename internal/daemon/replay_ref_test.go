@@ -8,7 +8,7 @@ package daemon
 // never saw added in its own style — the trailer and history records
 // (schedd, failure, history), dispatched before id and at as the
 // cursor does, the requeue record, and the match record's machine,
-// which the cursor now reads to re-encode the record.  Its snapshot
+// which the cursor reads for its verdict.  Its snapshot
 // half went with the snapshot line grammar: a snapshot is now a run of
 // these records.  Do not optimise or fix it; a deliberate difference
 // between the two decoders belongs in CHANGES.md with the input that

@@ -306,10 +306,10 @@ func TestRecoverAtRetirementBoundaries(t *testing.T) {
 
 // TestSnapshotReplaysToItself decodes the snapshot of every compaction
 // of the workload, before and after its crashes, into an empty queue
-// and snapshots that queue again: the bytes must be equal.  Replay
-// re-encodes every record it applies, so this holds only if each
-// record decodes to the fields it was written from and the trailer
-// restores what the job logs do not.
+// and snapshots that queue again: the bytes must be equal.  Replay logs
+// the fields it read from every record it applies, so this holds only
+// if it reads every field the writer wrote and the trailer restores
+// what the job logs do not.
 func TestSnapshotReplaysToItself(t *testing.T) {
 	eng, s := retireWorkload(t)
 	n := 0

@@ -5,9 +5,10 @@ package daemon
 // on the journal's records, on a snapshot's lines, and on a scratch
 // queue, to decode a retired job's run in the history on demand.  It
 // reads each record through the lenient journal grammar of package
-// record (record.Cursor) and re-encodes every job record it applies
-// into the job's log with the writer's own encoders, so a rebuilt log
-// is canonical and never a slice of the bytes it read.  DESIGN.md
+// record (record.Cursor) and appends to the job's log a copy of the
+// fields it read from every job record it applies, as the writer
+// wrote them, so a rebuilt log is canonical, never encoded twice and
+// never a slice of the bytes it read.  DESIGN.md
 // ("Record language", "Schedd journal: record language and replay")
 // has the grammar.
 
@@ -124,18 +125,14 @@ func (rp *replayer) applyEntry(payload []byte) error {
 	if !ok {
 		return fmt.Errorf("%s record for unknown job %d", op, id)
 	}
-	var rec []byte
 	switch string(op) {
 	case "match":
-		machine := rp.name("machine")
-		if rp.Err != nil {
+		if rp.name("machine"); rp.Err != nil { // decoded for its verdict; only the log keeps it
 			return rp.Err
 		}
 		s.setState(j, JobMatched)
-		rec = recMachineOp("match", id, at, machine)
 	case "claim-timeout", "claim-denied", "requeue":
 		s.setState(j, JobIdle)
-		rec = recEvent(string(op), id, at)
 	case "exec":
 		machine := rp.name("machine")
 		if rp.Err != nil {
@@ -145,10 +142,8 @@ func (rp *replayer) applyEntry(payload []byte) error {
 		j.avoidanceRelaxed = false
 		s.resetFlock(j)
 		j.Attempts = append(j.Attempts, Attempt{Machine: machine, Start: at})
-		rec = recMachineOp("exec", id, at, machine)
 	case "relax":
 		j.avoidanceRelaxed = true
-		rec = recEvent("relax", id, at)
 	case "ckpt":
 		cpu := durationNS(rp.Int("cpu"))
 		if rp.Err != nil {
@@ -157,29 +152,33 @@ func (rp *replayer) applyEntry(payload []byte) error {
 		if cpu > j.CheckpointCPU {
 			j.CheckpointCPU = cpu
 		}
-		rec = recCkpt(id, at, cpu)
 	case "flock":
 		level, to := int(rp.Int("level")), rp.name("to")
 		if rp.Err != nil {
 			return rp.Err
 		}
 		j.flockedTo, j.flockLevel, j.flockedAt = to, level, at
-		rec = recFlock(id, at, level, to)
 	case "final":
 		f, err := rp.decodeFinal(id)
 		if err != nil {
 			return err
 		}
 		s.applyFinal(j, f, finalError(f), at)
-		rec = recFinal(f, at)
 	case "recover":
 		s.normalizeJob(j, at)
-		rec = recEvent("recover", id, at)
 	default:
 		return fmt.Errorf("unknown record op %q", op)
 	}
-	j.logRecord(rec)
+	rp.logRecord(j)
 	return nil
+}
+
+// logRecord appends the record under the cursor to the job's log: its
+// fields as they were written, so that replay, which decodes them
+// anyway, never encodes them again, and nothing it ignored.  The log
+// copies them, so it aliases nothing.
+func (rp *replayer) logRecord(j *Job) {
+	j.log = append(rp.AppendUsed(j.log), '\n')
 }
 
 // skipRetired replays a record of a job the history holds.  The job
@@ -210,7 +209,7 @@ func (rp *replayer) replaySubmit(id JobID, at sim.Time) error {
 	if rp.Err != nil {
 		return rp.Err
 	}
-	j.logRecord(recSubmit(j))
+	rp.logRecord(j)
 	rp.s.addJob(j)
 	rp.s.nextID = max(rp.s.nextID, id)
 	return nil

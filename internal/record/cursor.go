@@ -24,7 +24,10 @@ type Cursor struct {
 	Err error
 }
 
-type field struct{ key, val []byte }
+type field struct {
+	key, val []byte
+	used     bool // Get has returned it
+}
 
 // Scan points the cursor at line and clears Err.  The spans alias line.
 func (c *Cursor) Scan(line []byte) error {
@@ -56,7 +59,7 @@ func (c *Cursor) Scan(line []byte) error {
 		} else {
 			end = len(line)
 		}
-		c.kv = append(c.kv, field{key, line[i:end]})
+		c.kv = append(c.kv, field{key: key, val: line[i:end]})
 		i = end
 	}
 	return nil
@@ -72,11 +75,28 @@ func (c *Cursor) Field(i int) (key, val []byte) { return c.kv[i].key, c.kv[i].va
 // Get returns the raw value of key, quotes included.
 func (c *Cursor) Get(key string) ([]byte, bool) {
 	for i := len(c.kv) - 1; i >= 0; i-- {
-		if string(c.kv[i].key) == key {
-			return c.kv[i].val, true
+		if f := &c.kv[i]; string(f.key) == key {
+			f.used = true
+			return f.val, true
 		}
 	}
 	return nil, false
+}
+
+// AppendUsed appends the fields Get has returned since Scan, as written
+// and in line order, one space apart: the line as its decoder read it,
+// without the fields and duplicates it ignored.
+func (c *Cursor) AppendUsed(dst []byte) []byte {
+	n := len(dst)
+	for _, f := range c.kv {
+		if f.used {
+			if len(dst) > n {
+				dst = append(dst, ' ')
+			}
+			dst = append(append(append(dst, f.key...), '='), f.val...)
+		}
+	}
+	return dst
 }
 
 // Need is Get for a mandatory field.

@@ -187,3 +187,26 @@ func TestReaderFieldsFirst(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorAppendUsed: the copy of a line is the fields its decoder
+// read, as written and in line order — not the keys nobody asked for,
+// nor the duplicates that lost.
+func TestCursorAppendUsed(t *testing.T) {
+	var c Cursor
+	if err := c.Scan([]byte(`op=x  id=7 junk="a b" name="café" id=9 pad=1`)); err != nil {
+		t.Fatal(err)
+	}
+	c.Get("op")
+	c.Int("id")
+	c.Get("name")
+	c.Get("absent")
+	if got, want := string(c.AppendUsed([]byte("> "))), `> op=x name="café" id=9`; got != want {
+		t.Errorf("AppendUsed = %q, want %q", got, want)
+	}
+	if err := c.Scan([]byte("op=y id=1")); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.AppendUsed(nil); len(got) != 0 {
+		t.Errorf("a fresh Scan keeps %q used", got)
+	}
+}
