@@ -3,6 +3,7 @@ package daemon
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -70,25 +71,66 @@ func sameVerdict(t *testing.T, what string, input []byte, ref, got *Schedd, refE
 	}
 }
 
+// replayBase is what every input is applied on top of: an empty queue,
+// and the queue the base snapshot rebuilds, each built once by both
+// decoders, and the cursor's replayer, whose tables the base warmed.
+// An input is applied to copies (cloneQueue), so one replay of the base
+// serves every seed.
+type replayBase struct {
+	emptyRef, empty, ref, got *Schedd
+	rp                        *replayer
+}
+
+func newReplayBase(t testing.TB, base []byte) replayBase {
+	b := replayBase{emptyRef: blankQueue(), empty: blankQueue(), ref: blankQueue(), got: blankQueue()}
+	b.rp = newReplayer(b.got)
+	if err := b.ref.refApplyLines(base); err != nil {
+		t.Fatalf("reference refuses the base snapshot: %v", err)
+	}
+	if err := b.rp.applyLines(base); err != nil {
+		t.Fatalf("cursor refuses the base snapshot: %v", err)
+	}
+	return b
+}
+
+// cloneQueue copies a replayed queue so that a further replay into the
+// copy leaves q as it was: every job is copied, and so is every slice
+// and map a replay writes.  The copy shares q's bus, which replay does
+// not use.
+func cloneQueue(q *Schedd) *Schedd {
+	c := *q
+	c.jobs, c.live = make(map[JobID]*Job, len(q.jobs)), make([]*Job, len(q.live))
+	for i, j := range q.live {
+		cj := *j
+		cj.Attempts, cj.Events, cj.log = slices.Clone(j.Attempts), slices.Clone(j.Events), slices.Clone(j.log)
+		c.live[i], c.jobs[j.ID] = &cj, &cj
+	}
+	c.idleOrder = make([]*Job, len(q.idleOrder))
+	for i, j := range q.idleOrder {
+		if j != nil {
+			c.idleOrder[i] = c.jobs[j.ID]
+		}
+	}
+	c.idlePos, c.machineFailures, c.retired = maps.Clone(q.idlePos), maps.Clone(q.machineFailures), maps.Clone(q.retired)
+	c.reports, c.retiredReports, c.histRuns = slices.Clone(q.reports), slices.Clone(q.retiredReports), slices.Clone(q.histRuns)
+	return &c
+}
+
 // diffReplay feeds one input to the reference decoder and to the
 // cursor decoder, twice: as lines of records into an empty queue —
 // the snapshot's use, and a retired run's — and as one entry record
 // on top of the queue base rebuilds.
-func diffReplay(t *testing.T, base, input []byte) {
+func diffReplay(t *testing.T, b replayBase, input []byte) {
 	t.Helper()
-	ref, got := blankQueue(), blankQueue()
+	ref, got := cloneQueue(b.emptyRef), cloneQueue(b.empty)
 	refErr, gotErr := ref.refApplyLines(input), newReplayer(got).applyLines(input)
 	sameVerdict(t, "lines", input, ref, got, refErr, gotErr)
 
-	ref, got = blankQueue(), blankQueue()
-	rp := newReplayer(got)
-	if err := ref.refApplyLines(base); err != nil {
-		t.Fatalf("reference refuses the base snapshot: %v", err)
-	}
-	if err := rp.applyLines(base); err != nil {
-		t.Fatalf("cursor refuses the base snapshot: %v", err)
-	}
-	refErr, gotErr = ref.refApplyEntry(input), rp.applyEntry(input)
+	// The cursor's tables only ever hold what passed every check, so
+	// what one input adds to them the next may share.
+	ref, got = cloneQueue(b.ref), cloneQueue(b.got)
+	b.rp.s = got
+	refErr, gotErr = ref.refApplyEntry(input), b.rp.applyEntry(input)
 	sameVerdict(t, "entry", input, ref, got, refErr, gotErr)
 }
 
@@ -207,7 +249,8 @@ func FuzzScheddReplay(f *testing.F) {
 			f.Add(seed[:n])
 		}
 	}
-	f.Fuzz(func(t *testing.T, input []byte) { diffReplay(t, base, input) })
+	b := newReplayBase(f, base)
+	f.Fuzz(func(t *testing.T, input []byte) { diffReplay(t, b, input) })
 }
 
 // TestReplayMatchesReference runs the awkward spellings through both
@@ -253,10 +296,16 @@ func TestReplayMatchesReference(t *testing.T) {
 		"op=requeue id=1 at=2", "op=recover id=1 at=2 trailing", "op=recover id=1 at=2\nop=match id=1 at=3",
 		"op=\"match\" id=1 at=2",
 	}
+	b := newReplayBase(t, base)
+	want := [2]string{queueState(b.ref), queueState(b.got)}
 	for _, in := range inputs {
-		diffReplay(t, base, []byte(in))
+		diffReplay(t, b, []byte(in))
 	}
 	for _, rec := range append(records, base) {
-		diffReplay(t, base, rec)
+		diffReplay(t, b, rec)
+	}
+	// Every input went to copies: the base queues are as they were.
+	if got := [2]string{queueState(b.ref), queueState(b.got)}; got != want {
+		t.Errorf("replaying into copies changed the base queues:\n%s\n%s", got[0], got[1])
 	}
 }
