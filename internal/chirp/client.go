@@ -117,9 +117,7 @@ func (c *Client) Open(path string, flags OpenFlags) (int, error) {
 }
 
 // CloseFD closes a remote descriptor.
-func (c *Client) CloseFD(fd int) error {
-	return c.call("close", &rpc.Req{Int: [3]int64{int64(fd)}})
-}
+func (c *Client) CloseFD(fd int) error { return c.call("close", &rpc.Req{Int: [3]int64{int64(fd)}}) }
 
 // Read reads up to length bytes from the descriptor's current offset.
 func (c *Client) Read(fd, length int) ([]byte, error) {
@@ -153,9 +151,7 @@ func (c *Client) Seek(fd int, offset int64, whence int) (int64, error) {
 }
 
 // Unlink removes a remote file.
-func (c *Client) Unlink(path string) error {
-	return c.call("unlink", &rpc.Req{Str: [3]string{path}})
-}
+func (c *Client) Unlink(path string) error { return c.call("unlink", &rpc.Req{Str: [3]string{path}}) }
 
 // Rename moves a remote file.
 func (c *Client) Rename(oldPath, newPath string) error {

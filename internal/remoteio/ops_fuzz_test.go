@@ -148,7 +148,7 @@ func FuzzOpGarbage(f *testing.F) {
 		f.Add(op.Verb+` "/dir/a b" "/f"`+"\n", op.Code, wire.AppendStr(nil, "/dir/a b"))
 	}
 	for i, rq := range remoteioTextRefusals {
-		if fr := remoteioFrameRefusals[i%len(remoteioFrameRefusals)]; len(rq.text) < 1<<10 {
+		if fr := remoteioFrameRefusals[i%len(remoteioFrameRefusals)]; rq.pad == 0 {
 			f.Add(rq.text, fr.cmd, fr.pl)
 		}
 	}

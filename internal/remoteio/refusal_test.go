@@ -33,10 +33,11 @@ import (
 // TestRefusalTranscripts -update` only when a refusal is meant to
 // change.
 
-// refusal is one raw request: a text line with any payload after it,
-// or a frame.
+// refusal is one raw request: a text line with any payload after it
+// and pad more bytes, or a frame.
 type refusal struct {
 	text string
+	pad  int
 	cmd  byte
 	pl   []byte
 }
@@ -48,8 +49,11 @@ func frame(cmd byte, pl ...byte) refusal { return refusal{cmd: cmd, pl: pl} }
 var oversize = rpc.MaxData + 3
 
 func oversizeWrite(format string) refusal {
-	return refusal{text: fmt.Sprintf(format, oversize) + "\n" + strings.Repeat("a", oversize)}
+	return refusal{text: fmt.Sprintf(format, oversize) + "\n", pad: oversize}
 }
+
+// padding is what a refusal's pad bytes are sent from.
+var padding = []byte(strings.Repeat("a", 64<<10))
 
 var chirpTextRefusals = []refusal{
 	// arity
@@ -141,6 +145,11 @@ func (rs *refusalSession) exchange(rq refusal) string {
 		if _, err := rs.conn.Write([]byte(rq.text)); err != nil {
 			return ""
 		}
+		for n := rq.pad; n > 0; n -= len(padding) {
+			if _, err := rs.conn.Write(padding[:min(n, len(padding))]); err != nil {
+				return ""
+			}
+		}
 		reply, err := rs.r.ReadString('\n')
 		if err != nil {
 			return ""
@@ -186,15 +195,10 @@ func refusalScript(t *testing.T, dial func() *refusalSession, probe refusal, scr
 	var sb strings.Builder
 	rs := dial()
 	for _, rq := range script {
-		if rs.sess == nil {
-			shown := rq.text
-			if len(shown) > 256 {
-				head, _, _ := strings.Cut(shown, "\n")
-				shown = head + "\n"
-				fmt.Fprintf(&sb, "> %q + %d payload bytes\n", shown, len(rq.text)-len(shown))
-			} else {
-				fmt.Fprintf(&sb, "> %q\n", shown)
-			}
+		if rs.sess == nil && rq.pad > 0 {
+			fmt.Fprintf(&sb, "> %q + %d payload bytes\n", rq.text, rq.pad)
+		} else if rs.sess == nil {
+			fmt.Fprintf(&sb, "> %q\n", rq.text)
 		} else {
 			fmt.Fprintf(&sb, "> %#x %q\n", rq.cmd, rq.pl)
 		}

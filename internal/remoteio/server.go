@@ -146,6 +146,7 @@ func authFailed() *scope.Error {
 	return scope.New(scope.ScopeLocalResource, CodeAuthFailed, "bad authenticator")
 }
 
+// serve runs one connection; the shadow keeps no log of its faults.
 func (s *Server) serve(conn net.Conn) {
 	r := bufio.NewReaderSize(conn, wire.BufSize)
 	var q rpc.Req // the connection's request; its Out is the connection's scratch

@@ -7,8 +7,9 @@
 // escape at network scope, the first one is reported once and every
 // later call gets the same error back.  That agreement lives here, once:
 // the client connection (dial, deadlines, the sticky failure, the text
-// and framed round trips), the server accept loop, and the text-mode
-// HMAC challenge.
+// and framed round trips), the server accept loop and the serve loop of
+// each encoding, the op tables the two file protocols are written as
+// (op.go), and the text-mode HMAC challenge.
 //
 // The package reads the wall clock (deadlines, the failure event's
 // stamp), which is why it sits outside internal/wire and

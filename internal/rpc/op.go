@@ -318,7 +318,8 @@ func (t *Table[S]) readPayload(op *Op[S], q *Req, a Args, r *bufio.Reader) (err,
 		}
 		return t.refuse("length %d exceeds limit %d", n, MaxData), nil
 	}
-	q.Data = slices.Grow(q.Out, int(n))[:n]
+	q.Out = slices.Grow(q.Out, int(n)) // the connection keeps the grown scratch
+	q.Data = q.Out[:n]
 	if _, err := io.ReadFull(r, q.Data); err != nil {
 		return nil, lost(err)
 	}
@@ -341,8 +342,7 @@ func (sh Shape) writeText(w *bufio.Writer, q *Req) {
 		writeOK(w, int64(len(q.Out)))
 		w.Write(q.Out)
 	case Stat:
-		w.WriteString("ok ")
-		w.Write(appendInfoLine(w.AvailableBuffer(), q.Info))
+		w.Write(appendInfoLine(append(w.AvailableBuffer(), "ok "...), q.Info))
 		w.WriteByte('\n')
 	case List:
 		writeOK(w, int64(len(q.List)))
