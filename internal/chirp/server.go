@@ -212,7 +212,7 @@ func (s *Server) serve(conn net.Conn) {
 // serveFramed runs a framed connection; r holds the peeked first byte.
 func (s *Server) serveFramed(st *session, conn net.Conn, r *bufio.Reader) error {
 	cfg := wire.Config{Secret: []byte(s.secret), AuthFailure: badCookie}
-	return rpc.ServeFramed(r, conn, cfg, binQuit, CodeBackend, func(cmd byte, pl []byte) ([]byte, error) {
+	return rpc.ServeFramed(r, conn, cfg, binQuit, ops.Fallback, func(cmd byte, pl []byte) ([]byte, error) {
 		return ops.Frame(st, &st.req, cmd, pl)
 	})
 }

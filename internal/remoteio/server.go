@@ -152,7 +152,7 @@ func (s *Server) serve(conn net.Conn) {
 	var q rpc.Req // the connection's request; its Out is the connection's scratch
 	if s.Mode != wire.ModeText {
 		cfg := wire.Config{Secret: s.key, AuthFailure: authFailed}
-		rpc.ServeFramed(r, conn, cfg, rioQuit, CodeShadowError, func(cmd byte, pl []byte) ([]byte, error) {
+		rpc.ServeFramed(r, conn, cfg, rioQuit, ops.Fallback, func(cmd byte, pl []byte) ([]byte, error) {
 			return ops.Frame(s, &q, cmd, pl)
 		})
 		return
