@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check loc fmt-check vet determinism-grep no-testing-in-binaries build test race cover journal-smoke fuzz-smoke wire-smoke fault-sweep checkpoint-sweep bench bench-module bench-pairs trace
+.PHONY: check loc fmt-check vet determinism-grep no-testing-in-binaries build test race cover journal-smoke fuzz-smoke wire-smoke fault-sweep checkpoint-sweep bench bench-module bench-pairs bench-counts trace
 
 ## check: the full gate — gofmt, vet, the determinism grep, the
 ## no-testing-in-binaries guard, build, the whole suite under the race
@@ -202,6 +202,15 @@ SEED ?= 42
 SECS ?= 10
 bench-pairs:
 	@bash scripts/bench-pairs.sh "$(PARENT)" "$(W)" $(N) $(SEED) $(SECS)
+
+## bench-counts: which layers' work a change moved (scripts/bench-counts.sh):
+## one traced run (--trace 1) of each workload in W on revision PARENT
+## and on this checkout, then the digest and every per-layer metric
+## BENCHMARK.json counts in whole units (unit count or 1/job), parent
+## beside change, each marked equal or moved.
+##   make bench-counts PARENT=HEAD~1 W="pool-deep pool-faulty" [SEED=42]
+bench-counts:
+	@bash scripts/bench-counts.sh "$(PARENT)" "$(W)" $(SEED)
 
 ## trace: regenerate the canonical per-class propagation traces under
 ## traces/ (the committed goldens live in

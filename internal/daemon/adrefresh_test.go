@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -11,25 +12,31 @@ import (
 	"github.com/errscope/grid/internal/sim"
 )
 
-// The schedd boxes a job's advertisement once and re-sends the same
-// interface value while it would read the same (Schedd.advertiseJob).
-// These tests pin when it must not: every input of the body that can
-// change has a test that the next message carries the new value, and
-// the steady state has a guard that it allocates nothing.
+// The schedd sends its job advertisements as runs (noticeRun): the
+// idle refresh gathers one run per negotiator, and every other
+// advertisement or withdrawal is a run of one.  These tests pin what
+// the runs carry — every input of an entry that can change has a test
+// that the next run carries the new value — the order rules that make
+// a run exact, and the refresh's cost: one message per negotiator.
 
-// sentAd is one job advertisement as a negotiator received it.
+// sentAd is one entry of a run of job advertisements as a negotiator
+// received it.
 type sentAd struct {
 	to string
-	advertiseMsg
+	jobAd
 }
 
-// adTap is a schedd whose negotiators — the home one and a peer — are
-// recording stubs.
+// adTap is a schedd whose negotiators — the home one and a peer — and
+// flock coordinator are recording stubs.
 type adTap struct {
 	eng    *sim.Engine
 	bus    *sim.Bus
 	schedd *Schedd
 	got    []sentAd
+	// log renders every message the stubs received, in arrival order:
+	// a run as its destination and entries (wN withdraws job N), a
+	// flock query as "flockd query N".
+	log []string
 }
 
 const tapPeer = "peer-negotiator"
@@ -39,8 +46,26 @@ func newAdTap(params Params) *adTap {
 	tap.bus = sim.NewBus(tap.eng, 5*time.Millisecond)
 	for _, name := range []string{params.matchmaker(), tapPeer} {
 		tap.bus.Register(name, sim.ActorFunc(func(m sim.Message) {
-			if ad, ok := m.Body.(advertiseMsg); ok {
-				tap.got = append(tap.got, sentAd{name, ad})
+			run, ok := m.Body.(jobAdsMsg)
+			if !ok {
+				return
+			}
+			var entries []string
+			for _, e := range run.Ads {
+				tap.got = append(tap.got, sentAd{name, e})
+				if e.Ad == nil {
+					entries = append(entries, fmt.Sprintf("w%d", e.Job))
+				} else {
+					entries = append(entries, fmt.Sprint(e.Job))
+				}
+			}
+			tap.log = append(tap.log, fmt.Sprintf("%s %v", name, entries))
+		}))
+	}
+	if params.Flockd != "" {
+		tap.bus.Register(params.Flockd, sim.ActorFunc(func(m sim.Message) {
+			if q, ok := m.Body.(flockQueryMsg); ok {
+				tap.log = append(tap.log, fmt.Sprintf("%s query %d", params.Flockd, q.Job))
 			}
 		}))
 	}
@@ -106,7 +131,7 @@ func TestAdvertisedAdFollowsAvoidance(t *testing.T) {
 
 	tap.next(params.ChronicRelaxAfter)
 	tap.got = nil
-	s.handleNoMatch(noMatchMsg{Job: j.ID})
+	s.handleNoMatch(j.ID)
 	if !j.avoidanceRelaxed {
 		t.Fatal("the job was not relaxed")
 	}
@@ -166,8 +191,8 @@ func TestAdvertisedAdFollowsFlock(t *testing.T) {
 }
 
 // TestAdvertisedAdRebuiltAfterRecover: recovery rebuilds the Job
-// values, so the first advertisement afterwards carries the rebuilt
-// job's ad, never the body cached on the value the crash discarded.
+// values, so the first advertisement afterwards — Recover's run —
+// carries the rebuilt job's ad, never the discarded value's.
 func TestAdvertisedAdRebuiltAfterRecover(t *testing.T) {
 	tap := newAdTap(DefaultParams())
 	old := tap.submit()
@@ -180,17 +205,14 @@ func TestAdvertisedAdRebuiltAfterRecover(t *testing.T) {
 	if j == old || j.Ad == old.Ad {
 		t.Fatal("recovery kept the old Job value; this test assumes it rebuilds")
 	}
-	if sent, ok := j.adBody.(advertiseMsg); ok && sent.Ad != j.Ad {
-		t.Fatal("the recovered job starts with a body cached for another ad")
-	}
 	if ad := last(t, tap.next(time.Second)); ad.Ad != j.Ad {
 		t.Fatal("the advertisement after recovery carries the discarded job's ad")
 	}
 }
 
 // TestMutatedAdvertisementDoesNotLeak: a fault that replaces one
-// advertisement's body in transit corrupts that delivery only; the
-// job's next send carries the schedd's own, unmutated body.
+// run's body in transit corrupts that delivery only; the job's next
+// run carries the schedd's own, unmutated entry.
 func TestMutatedAdvertisementDoesNotLeak(t *testing.T) {
 	params := DefaultParams()
 	tap := newAdTap(params)
@@ -205,9 +227,10 @@ func TestMutatedAdvertisementDoesNotLeak(t *testing.T) {
 		}
 		armed = false
 		return sim.Fault{Mutate: func(body any) any {
-			ad := body.(advertiseMsg)
-			ad.Ad, ad.Flocked = forged, true
-			return ad
+			run := body.(jobAdsMsg)
+			run.Ads = slices.Clone(run.Ads)
+			run.Ads[0].Ad, run.Ads[0].Flocked = forged, true
+			return run
 		}}
 	})
 	if ad := last(t, tap.next(params.AdInterval)); ad.Ad != forged || !ad.Flocked {
@@ -218,16 +241,79 @@ func TestMutatedAdvertisementDoesNotLeak(t *testing.T) {
 	}
 }
 
-// TestIdleRefreshAllocatesNothing is the clock-free guard on the
-// refresh path — schedd to bus to matchmaker, most of a deep queue's
-// messages: re-advertising n unchanged idle jobs and delivering the n
-// messages allocates nothing, at n and at 2n.  Boxing the body per
-// message was one allocation each.
-func TestIdleRefreshAllocatesNothing(t *testing.T) {
+// TestAdvertisementRunOrder covers every order rule of the schedd's
+// runs.  In a refresh, an ad to another negotiator closes the open run
+// and so does any other send (a flocked job's query to the
+// coordinator); the loop's end closes the last.  Then a flocked job is
+// rescued home while the refresh's run to the peer is open: its
+// withdrawal to the peer arrives after that run's entries, and its home
+// advertisement after the home run.  The journal record the recall
+// writes defers the rest of the sends behind the group commit, and the
+// commit keeps their order.
+func TestAdvertisementRunOrder(t *testing.T) {
+	params := DefaultParams()
+	params.Flockd, params.FlockAfter, params.FlockTo = "flockd", time.Minute, []string{tapPeer}
+	tap := newAdTap(params)
+	s := tap.schedd
+	var jobs []*Job
+	for i := 0; i < 6; i++ {
+		jobs = append(jobs, tap.submit())
+	}
+	for _, j := range []*Job{jobs[2], jobs[5]} {
+		j.flockPending = true
+		s.handleFlockReply(flockReplyMsg{Job: j.ID, Payload: EncodeFlockMsg(
+			FlockMsg{Op: FlockGrant, Job: j.ID, Level: 1, Negotiator: tapPeer})})
+	}
+	tap.next(time.Second)
+
+	// The first refresh past FlockAfter: jobs 3 and 6 stand at the peer
+	// and each asks the coordinator again.
+	tap.log = nil
+	tap.eng.RunUntil(sim.Time(params.AdInterval))
+	tap.eng.RunFor(time.Second)
+	home := params.matchmaker()
+	want := []string{
+		home + " [1 2]", tapPeer + " [3]", "flockd query 3",
+		home + " [4 5]", tapPeer + " [6]", "flockd query 6",
+	}
+	if !slices.Equal(tap.log, want) {
+		t.Fatalf("refresh messages\ngot  %q\nwant %q", tap.log, want)
+	}
+
+	// The rescue inside an open refresh: the walk has gathered jobs 1,
+	// 2 and 3 when the coordinator's recall of job 3 is handled — as by
+	// any handler that withdraws and re-advertises while a run is open.
+	tap.log = nil
+	f := jobs[2]
+	for _, j := range jobs[:3] {
+		s.gatherAd(j, s.effectiveAd(j))
+	}
+	f.flockPending = true
+	s.handleFlockReply(flockReplyMsg{Job: f.ID, Payload: EncodeFlockMsg(
+		FlockMsg{Op: FlockDeny, Job: f.ID, Reason: "peer died"})})
+	s.gatherAd(jobs[3], s.effectiveAd(jobs[3]))
+	s.ads.flush()
+	tap.eng.RunFor(time.Second)
+	want = []string{home + " [1 2]", tapPeer + " [3 w3]", home + " [3]", home + " [4]"}
+	if !slices.Equal(tap.log, want) {
+		t.Fatalf("messages around the rescue\ngot  %q\nwant %q", tap.log, want)
+	}
+	if f.flockedTo != "" {
+		t.Fatal("the recall did not bring the job home")
+	}
+}
+
+// TestIdleRefreshIsOneRun is the clock-free guard on the refresh path
+// — schedd to bus to matchmaker, most of a deep queue's traffic: a
+// refresh of n unchanged idle jobs is one message to their negotiator,
+// delivered as one event, and allocates the same at n and at 2n (the
+// run's body and its entries, once each).
+func TestIdleRefreshIsOneRun(t *testing.T) {
+	allocs := map[int]float64{}
 	for _, n := range []int{512, 1024} {
 		t.Run(fmt.Sprint(n), func(t *testing.T) {
 			params := DefaultParams()
-			eng, _, schedd, mm, _ := testPool(t, params)
+			eng, bus, schedd, mm, _ := testPool(t, params)
 			for i := 0; i < n; i++ {
 				schedd.Submit(&Job{Owner: "alice", Ad: NewJavaJobAd("alice", 128),
 					Program: jvm.WellBehaved(time.Minute)})
@@ -236,21 +322,27 @@ func TestIdleRefreshAllocatesNothing(t *testing.T) {
 			if mm.PendingJobs() != n {
 				t.Fatalf("the matchmaker holds %d of %d requests", mm.PendingJobs(), n)
 			}
-			sent := eng.Processed()
-			// Each round is n messages sent and delivered; the rounds stay
-			// well inside one NegotiationInterval and one AdInterval, so
-			// nothing else runs.
-			allocs := testing.AllocsPerRun(5, func() {
+			events, sent := eng.Processed(), bus.Sent()
+			// The rounds stay well inside one NegotiationInterval and one
+			// AdInterval, so nothing else runs.
+			allocs[n] = testing.AllocsPerRun(5, func() {
 				schedd.advertiseIdle()
 				eng.RunFor(10 * time.Millisecond)
 			})
-			if got := eng.Processed() - sent; got != 6*uint64(n) {
-				t.Fatalf("%d events over six rounds, want %d deliveries", got, 6*n)
+			if got := bus.Sent() - sent; got != 6 {
+				t.Fatalf("%d messages over six rounds, want one per round", got)
 			}
-			if allocs > 0 {
-				t.Errorf("a refresh round of %d jobs allocates %.0f objects (%.2f per message), want 0",
-					n, allocs, allocs/float64(n))
+			if got := eng.Processed() - events; got != 6 {
+				t.Fatalf("%d events over six rounds, want one delivery per round", got)
 			}
+			if mm.PendingJobs() != n {
+				t.Fatalf("after the refreshes the matchmaker holds %d of %d requests", mm.PendingJobs(), n)
+			}
+			t.Logf("a refresh round of %d jobs allocates %.0f objects", n, allocs[n])
 		})
+	}
+	if allocs[512] != allocs[1024] || allocs[512] > 2 {
+		t.Errorf("a refresh round allocates %.0f objects at 512 jobs and %.0f at 1024, want the same, at most 2",
+			allocs[512], allocs[1024])
 	}
 }

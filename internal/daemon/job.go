@@ -145,11 +145,6 @@ type Job struct {
 	// rebuilt log never aliases the disk.
 	// A retired job's log is dropped.
 	log []byte
-	// refName caches the schedd#id advertisement name.
-	refName string
-	// adBody caches the boxed advertiseMsg last sent for the job (see
-	// Schedd.advertiseJob).
-	adBody any
 }
 
 // logRecord appends one record to the job's log.

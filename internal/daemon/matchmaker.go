@@ -37,14 +37,11 @@ type Matchmaker struct {
 	absentMachines int
 
 	jobs map[jobKey]*jobEntry
-	// schedds interns schedd names for jobKey; lastSchedd and
-	// lastScheddIdx remember the latest lookup, which a pool with one
-	// submit point hits on every message.
-	schedds       map[string]jobKey
-	lastSchedd    string
-	lastScheddIdx jobKey
-	ownerQueues   map[string][]*jobEntry // per owner, sorted by (schedd, job)
-	ownerNames    []string               // owners with non-empty queues, name-sorted
+	// schedds interns schedd names for jobKey, looked up once per run
+	// of advertisements.
+	schedds     map[string]jobKey
+	ownerQueues map[string][]*jobEntry // per owner, sorted by (schedd, job)
+	ownerNames  []string               // owners with non-empty queues, name-sorted
 	// deadJobs counts tombstoned queue slots awaiting the per-cycle
 	// compaction (see jobEntry.dead).
 	deadJobs int
@@ -55,6 +52,10 @@ type Matchmaker struct {
 	// foreignScratch is reused by the per-cycle hierarchical
 	// partition.
 	foreignScratch []*jobEntry
+	// noMatches is the cycle's open run of no-match notices (see
+	// noticeRun); send closes it before any other message leaves, and
+	// the cycle's end closes it.
+	noMatches noticeRun[JobID]
 
 	// clusters caches per-cycle candidate scans keyed by job-ad
 	// signature: jobs whose ads render identically are
@@ -131,21 +132,23 @@ type jobKey uint64
 // positions counted from 1, so 2^40 is out of any queue's reach.
 const jobKeyIDBits = 40
 
-// jobKey builds the key of a schedd's job, interning the name on first
-// sight.
-func (m *Matchmaker) jobKey(schedd string, job JobID) jobKey {
+// scheddKey returns the schedd's interned index in place above
+// jobKeyIDBits, interning the name on first sight.
+func (m *Matchmaker) scheddKey(schedd string) jobKey {
+	idx, ok := m.schedds[schedd]
+	if !ok {
+		idx = jobKey(len(m.schedds)+1) << jobKeyIDBits
+		m.schedds[schedd] = idx
+	}
+	return idx
+}
+
+// job returns the key of the schedd's job; k is a scheddKey.
+func (k jobKey) job(job JobID) jobKey {
 	if uint64(job)>>jobKeyIDBits != 0 {
 		panic("daemon: job id out of range")
 	}
-	if schedd != m.lastSchedd || m.lastScheddIdx == 0 {
-		idx, ok := m.schedds[schedd]
-		if !ok {
-			idx = jobKey(len(m.schedds)+1) << jobKeyIDBits
-			m.schedds[schedd] = idx
-		}
-		m.lastSchedd, m.lastScheddIdx = schedd, idx
-	}
-	return m.lastScheddIdx | jobKey(job)
+	return k | jobKey(job)
 }
 
 type jobEntry struct {
@@ -253,6 +256,7 @@ func NewMatchmaker(bus Runtime, params Params) *Matchmaker {
 		clusters:    make(map[string]*clusterEntry),
 		usage:       make(map[string]int),
 	}
+	m.noMatches.send = m.sendNoMatches
 	bus.Register(name, m)
 	bus.Every(params.NegotiationInterval, m.negotiate)
 	return m
@@ -265,27 +269,40 @@ func (m *Matchmaker) Name() string { return m.name }
 func (m *Matchmaker) Receive(msg sim.Message) {
 	switch body := msg.Body.(type) {
 	case advertiseMsg:
-		m.receiveAd(body)
+		m.AdvertiseMachine(body.Name, body.Ad)
+	case jobAdsMsg:
+		m.receiveJobAds(body)
 	case flockPingMsg:
 		// A peer pool's flock coordinator probes for liveness; answer
 		// by name so a partitioned negotiator goes silent rather than
 		// wrong.
-		m.bus.Send(m.name, msg.From, kindFlockPong,
-			flockPongMsg{From: m.name, Seq: body.Seq})
+		m.send(msg.From, kindFlockPong, flockPongMsg{From: m.name, Seq: body.Seq})
 	}
 }
 
-func (m *Matchmaker) receiveAd(ad advertiseMsg) {
-	switch ad.Kind {
-	case "machine":
-		m.upsertMachine(ad.Name, ad.Ad, m.bus.Now().Add(adLifetime(m.params.MachineAdLifetime)))
-	case "job":
-		if ad.Ad == nil {
-			m.removeJob(m.jobKey(ad.Schedd, ad.Job)) // schedd withdraws the request
-			return
+// receiveJobAds applies a schedd's run of job advertisements in order,
+// resolving the schedd's key once for the run.
+func (m *Matchmaker) receiveJobAds(run jobAdsMsg) {
+	schedd := m.scheddKey(run.Schedd)
+	for _, e := range run.Ads {
+		if e.Ad == nil {
+			m.removeJob(schedd.job(e.Job)) // the schedd withdraws the request
+			continue
 		}
-		m.upsertJob(ad.Schedd, ad.Job, ad.Ad, ad.Flocked)
+		m.upsertJob(schedd.job(e.Job), run.Schedd, e.Job, e.Ad, e.Flocked)
 	}
+}
+
+// send closes the open no-match run, which must arrive first, and
+// sends one message.
+func (m *Matchmaker) send(to, kind string, body any) {
+	m.noMatches.flush()
+	m.bus.Send(m.name, to, kind, body)
+}
+
+// sendNoMatches sends one run of no-match notices to a schedd.
+func (m *Matchmaker) sendNoMatches(schedd string, jobs []JobID) {
+	m.bus.Send(m.name, schedd, kindNoMatch, noMatchMsg{Jobs: jobs})
 }
 
 // upsertMachine installs or refreshes a machine ad, keeping the
@@ -368,9 +385,9 @@ func compareJobEntries(a, b *jobEntry) int {
 	return 0
 }
 
-// upsertJob installs or refreshes a job request in its owner bucket.
-func (m *Matchmaker) upsertJob(schedd string, job JobID, ad *classad.Ad, foreign bool) {
-	key := m.jobKey(schedd, job)
+// upsertJob installs or refreshes a job request in its owner bucket;
+// key is the schedd's job.
+func (m *Matchmaker) upsertJob(key jobKey, schedd string, job JobID, ad *classad.Ad, foreign bool) {
 	expires := m.bus.Now().Add(adLifetime(m.params.JobAdLifetime))
 	if old, ok := m.jobs[key]; ok {
 		if old.ad == ad {
@@ -529,8 +546,7 @@ func (m *Matchmaker) negotiate() {
 				j.noMatchSent = true
 				m.NoMatches++
 				m.tr.Count("matchmaker.no_matches", 1)
-				m.bus.Send(m.name, j.schedd, kindNoMatch,
-					noMatchMsg{Job: j.job})
+				m.noMatches.add(j.schedd, j.job)
 			}
 			continue
 		}
@@ -546,12 +562,13 @@ func (m *Matchmaker) negotiate() {
 		// advertised (a startd re-advertises a fresh object on every
 		// state change), so the claim protocol can read it without a
 		// per-match deep copy.
-		m.bus.Send(m.name, j.schedd, kindMatchNotify, matchNotifyMsg{
+		m.send(j.schedd, kindMatchNotify, matchNotifyMsg{
 			Job:       j.job,
 			Machine:   best.name,
 			MachineAd: best.ad,
 		})
 	}
+	m.noMatches.flush()
 	// Provisional matches expire when the startd re-advertises; a
 	// machine that was matched but never claimed becomes visible
 	// again on its next ad.  Cycle cost is measured on the wall clock
@@ -710,7 +727,7 @@ func (m *Matchmaker) AdvertiseMachine(name string, ad *classad.Ad) {
 // AdvertiseJob installs or refreshes a job request directly, for
 // benchmarks and tests that drive the matchmaker without the bus.
 func (m *Matchmaker) AdvertiseJob(schedd string, job JobID, ad *classad.Ad) {
-	m.upsertJob(schedd, job, ad, false)
+	m.upsertJob(m.scheddKey(schedd).job(job), schedd, job, ad, false)
 }
 
 // MachineCount reports the machines currently advertised (absent

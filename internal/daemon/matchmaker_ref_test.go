@@ -71,7 +71,7 @@ func (m *Matchmaker) refNegotiate() {
 				m.NoMatches++
 				m.tr.Count("matchmaker.no_matches", 1)
 				m.bus.Send(m.name, j.schedd, kindNoMatch,
-					noMatchMsg{Job: j.job})
+					noMatchMsg{Jobs: []JobID{j.job}})
 			}
 			continue
 		}

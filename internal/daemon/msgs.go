@@ -34,16 +34,26 @@ const (
 	kindFlockReply   = "flock-reply"   // flockd -> schedd (encoded grant or deny)
 )
 
-// advertiseMsg refreshes an ad at the matchmaker.
+// advertiseMsg refreshes a machine ad at the matchmaker.
 type advertiseMsg struct {
-	// Kind is "machine" or "job".
-	Kind string
-	// Name keys the ad: machine name, or schedd/job for jobs.
+	// Name is the machine's (its startd's) name.
 	Name string
-	// Schedd and Job identify the job advertisement's origin.
+	Ad   *classad.Ad
+}
+
+// jobAdsMsg is a schedd's run of job advertisements to one negotiator
+// (see noticeRun): the idle refresh, or a single advertisement or
+// withdrawal.  The negotiator applies the entries in order.
+type jobAdsMsg struct {
 	Schedd string
-	Job    JobID
-	Ad     *classad.Ad
+	Ads    []jobAd
+}
+
+// jobAd is one job's entry in a jobAdsMsg.
+type jobAd struct {
+	Job JobID
+	// Ad is the effective ad; nil withdraws the request.
+	Ad *classad.Ad
 	// Flocked marks a job advertised to a peer pool's negotiator:
 	// hierarchical negotiation serves it after the pool's own jobs.
 	Flocked bool
@@ -56,12 +66,14 @@ type matchNotifyMsg struct {
 	MachineAd *classad.Ad
 }
 
-// noMatchMsg tells a schedd that a job it advertised is compatible
+// noMatchMsg tells a schedd that jobs it advertised are compatible
 // with no machine currently known to the matchmaker — not merely
-// outbid this cycle, but unmatchable.  The schedd uses a run of these
-// to detect a job starved by its own avoidance constraint.
+// outbid this cycle, but unmatchable.  It carries one run of the
+// cycle's no-match notices (see noticeRun), in cycle order.  The
+// schedd uses these to detect a job starved by its own avoidance
+// constraint.
 type noMatchMsg struct {
-	Job JobID
+	Jobs []JobID
 }
 
 // claimRequestMsg asks a startd for the claim on its machine.
@@ -241,20 +253,22 @@ type flockReplyMsg struct {
 // concerns one job, so the bus can attribute message events without
 // knowing daemon types.  Periodic advertisements and the starter's
 // first contact (which does not yet know the job) stay untagged and
-// therefore untraced.
-func (m matchNotifyMsg) TracedJob() int64  { return int64(m.Job) }
-func (m noMatchMsg) TracedJob() int64      { return int64(m.Job) }
-func (m claimRequestMsg) TracedJob() int64 { return int64(m.Job) }
-func (m claimReplyMsg) TracedJob() int64   { return int64(m.Job) }
-func (m activateMsg) TracedJob() int64     { return int64(m.Job) }
-func (m jobDetailsMsg) TracedJob() int64   { return int64(m.Job) }
-func (m fetchAbortMsg) TracedJob() int64   { return int64(m.Job) }
-func (m jobResultMsg) TracedJob() int64    { return int64(m.Job) }
-func (m jobFinalMsg) TracedJob() int64     { return int64(m.Job) }
-func (m releaseClaimMsg) TracedJob() int64 { return int64(m.Job) }
-func (m checkpointMsg) TracedJob() int64   { return int64(m.Job) }
-func (m ckptCommitMsg) TracedJob() int64   { return int64(m.Job) }
-func (m jobEvictedMsg) TracedJob() int64   { return int64(m.Job) }
-func (m claimVacatedMsg) TracedJob() int64 { return int64(m.Job) }
-func (m flockQueryMsg) TracedJob() int64   { return int64(m.Job) }
-func (m flockReplyMsg) TracedJob() int64   { return int64(m.Job) }
+// therefore untraced.  A no-match run implements obs.JobRun instead:
+// one event per job, as when each notice travelled alone.
+func (m noMatchMsg) TracedJobs() int         { return len(m.Jobs) }
+func (m noMatchMsg) TracedJobAt(i int) int64 { return int64(m.Jobs[i]) }
+func (m matchNotifyMsg) TracedJob() int64    { return int64(m.Job) }
+func (m claimRequestMsg) TracedJob() int64   { return int64(m.Job) }
+func (m claimReplyMsg) TracedJob() int64     { return int64(m.Job) }
+func (m activateMsg) TracedJob() int64       { return int64(m.Job) }
+func (m jobDetailsMsg) TracedJob() int64     { return int64(m.Job) }
+func (m fetchAbortMsg) TracedJob() int64     { return int64(m.Job) }
+func (m jobResultMsg) TracedJob() int64      { return int64(m.Job) }
+func (m jobFinalMsg) TracedJob() int64       { return int64(m.Job) }
+func (m releaseClaimMsg) TracedJob() int64   { return int64(m.Job) }
+func (m checkpointMsg) TracedJob() int64     { return int64(m.Job) }
+func (m ckptCommitMsg) TracedJob() int64     { return int64(m.Job) }
+func (m jobEvictedMsg) TracedJob() int64     { return int64(m.Job) }
+func (m claimVacatedMsg) TracedJob() int64   { return int64(m.Job) }
+func (m flockQueryMsg) TracedJob() int64     { return int64(m.Job) }
+func (m flockReplyMsg) TracedJob() int64     { return int64(m.Job) }

@@ -18,7 +18,11 @@ import (
 // the other the reference scan refNegotiate (matchmaker_ref_test.go).
 // After every cycle the two must have sent the same match and
 // no-match notifications in the same order and hold the same
-// counters.  The ad tables cover what the scope argument rests on:
+// counters.  The reference sends one no-match per job; the cycle
+// sends runs (noticeRun), which its log flattens, so the comparison is
+// also the exactness oracle of the runs.  Job ads reach the cycle's
+// arm as runs too (opJobRun) while the reference arm gets them one by
+// one.  The ad tables cover what the scope argument rests on:
 // missing attributes, UNDEFINED Requirements and Rank on either side,
 // owner policies that veto on an attribute jobs lack, byte-identical
 // ads (auto-clusters), rank ties, claimed machines at an incumbent
@@ -43,6 +47,7 @@ func FuzzNegotiate(f *testing.F) {
 // comparison is about.
 func TestNegotiateSeeds(t *testing.T) {
 	var total Matchmaker
+	longRuns := 0
 	for _, s := range negotiateSeeds() {
 		a, err := runNegotiateProgram([]byte(s.prog))
 		if err != nil {
@@ -55,11 +60,12 @@ func TestNegotiateSeeds(t *testing.T) {
 		total.ForeignMatches += a.m.ForeignMatches
 		total.AdsExpired += a.m.AdsExpired
 		total.JobAdsExpired += a.m.JobAdsExpired
+		longRuns += a.longRuns
 	}
 	for name, n := range map[string]int{
 		"matches": total.MatchesMade, "no-matches": total.NoMatches,
 		"foreign matches": total.ForeignMatches, "machine ads expired": total.AdsExpired,
-		"job ads expired": total.JobAdsExpired,
+		"job ads expired": total.JobAdsExpired, "no-match runs of two or more": longRuns,
 	} {
 		if n == 0 {
 			t.Errorf("no seed reaches any %s", name)
@@ -117,10 +123,12 @@ var fuzzSchedds = []string{"s0", "s1", "s2"}
 // objects — an unchanged ad is re-sent by pointer, as startds and
 // schedds do, unless the program asks for a fresh copy.
 type negotiateArm struct {
-	eng        *sim.Engine
-	m          *Matchmaker
-	negotiate  func(*Matchmaker)
-	log        []string
+	eng       *sim.Engine
+	m         *Matchmaker
+	negotiate func(*Matchmaker)
+	log       []string
+	// longRuns counts no-match messages carrying two or more jobs.
+	longRuns   int
 	machineAds map[[2]int]*classad.Ad
 	jobAds     map[int]*classad.Ad
 }
@@ -143,7 +151,12 @@ func newNegotiateArm(negotiate func(*Matchmaker)) *negotiateArm {
 			case matchNotifyMsg:
 				a.log = append(a.log, fmt.Sprintf("%s match %d->%s", name, body.Job, body.Machine))
 			case noMatchMsg:
-				a.log = append(a.log, fmt.Sprintf("%s no-match %d", name, body.Job))
+				if len(body.Jobs) > 1 {
+					a.longRuns++
+				}
+				for _, id := range body.Jobs {
+					a.log = append(a.log, fmt.Sprintf("%s no-match %d", name, id))
+				}
 			}
 		}))
 	}
@@ -166,21 +179,30 @@ func (a *negotiateArm) advertiseMachine(i, variant int, fresh bool) {
 		ad = mustParseAd(fmt.Sprintf(fuzzMachineAds[variant], name))
 		a.machineAds[key] = ad
 	}
-	a.m.Receive(sim.Message{Body: advertiseMsg{Kind: "machine", Name: name, Ad: ad}})
+	a.m.Receive(sim.Message{Body: advertiseMsg{Name: name, Ad: ad}})
 }
 
-func (a *negotiateArm) advertiseJob(schedd string, id JobID, variant int, fresh, foreign bool) {
+// jobAd returns the arm's ad of a variant, parsed afresh on request.
+func (a *negotiateArm) jobAd(variant int, fresh bool) *classad.Ad {
 	ad := a.jobAds[variant]
 	if ad == nil || fresh {
 		ad = mustParseAd(fuzzJobAds[variant])
 		a.jobAds[variant] = ad
 	}
-	a.m.Receive(sim.Message{Body: advertiseMsg{Kind: "job", Schedd: schedd, Job: id,
-		Ad: ad, Flocked: foreign}})
+	return ad
+}
+
+// receiveAds delivers one run of job advertisements.
+func (a *negotiateArm) receiveAds(schedd string, ads ...jobAd) {
+	a.m.Receive(sim.Message{Body: jobAdsMsg{Schedd: schedd, Ads: ads}})
+}
+
+func (a *negotiateArm) advertiseJob(schedd string, id JobID, variant int, fresh, foreign bool) {
+	a.receiveAds(schedd, jobAd{Job: id, Ad: a.jobAd(variant, fresh), Flocked: foreign})
 }
 
 func (a *negotiateArm) withdrawJob(schedd string, id JobID) {
-	a.m.Receive(sim.Message{Body: advertiseMsg{Kind: "job", Schedd: schedd, Job: id}})
+	a.receiveAds(schedd, jobAd{Job: id})
 }
 
 // counters renders every counter both cycles keep.
@@ -203,6 +225,7 @@ const (
 	opNegotiate          //
 	opMachineWave        // count, variant|0x40 alternate with variant+1
 	opJobWave            // schedd|0x80 foreign, count, variant
+	opJobRun             // schedd|0x80 foreign, count, variant|0x80 withdraw every third
 	numOps
 )
 
@@ -294,6 +317,29 @@ func runNegotiateProgram(prog []byte) (*negotiateArm, error) {
 				}
 			}
 			pc += 4
+		case opJobRun:
+			// One refresh run to the cycle's arm; the same entries one
+			// message each to the reference arm.  Entry i is job i+1 at
+			// variant+i, or its withdrawal.
+			schedd := fuzzSchedds[(a1&0x7f)%len(fuzzSchedds)]
+			for _, a := range arms {
+				var run []jobAd
+				for i := 0; i < a2%(fuzzJobIDs+1); i++ {
+					e := jobAd{Job: JobID(i + 1), Flocked: a1&0x80 != 0}
+					if a3&0x80 == 0 || i%3 != 2 {
+						e.Ad = a.jobAd(((a3&0x7f)+i)%len(fuzzJobAds), false)
+					}
+					run = append(run, e)
+				}
+				if a == fast {
+					a.receiveAds(schedd, run...)
+					continue
+				}
+				for _, e := range run {
+					a.receiveAds(schedd, e)
+				}
+			}
+			pc += 4
 		}
 	}
 	return fast, cycle()
@@ -360,6 +406,15 @@ func (p negotiateProg) foreignJobs(schedd, n, variant int) negotiateProg {
 	return append(p, opJobWave, byte(schedd)|0x80, byte(n), byte(variant))
 }
 
+// jobRun advertises jobs 1..n of one schedd as one run, job i at
+// variant+i-1; with withdraw, every third entry is a withdrawal.
+func (p negotiateProg) jobRun(schedd, n, variant int, withdraw bool) negotiateProg {
+	if withdraw {
+		variant |= 0x80
+	}
+	return append(p, opJobRun, byte(schedd), byte(n), byte(variant))
+}
+
 // negotiateSeeds are the named seed shapes.  The first four reproduce
 // the UNDEFINED-edge pool's (pool determinism tests) at cycle
 // granularity; the rest aim at the fast path's own machinery — the
@@ -420,5 +475,12 @@ func negotiateSeeds() []struct{ name, prog string } {
 			machine(8, 10).machine(9, 11).jobs(0, 4, 3).job(1, 1, 4).job(1, 2, 5).
 			job(1, 3, 6).job(1, 4, 10).job(1, 5, 11).job(2, 1, 12).job(2, 2, 13).
 			negotiate().withdraw(1, 2).dropMachine(0).negotiate()),
+		// Runs both ways: refreshes of mixed ads arrive as one run at
+		// the cycle (withdrawals among them), and each cycle's no-match
+		// notices to a schedd are cut into runs by its matches.
+		seed("runs", p.machines(5, 0).machine(5, 8).jobRun(0, 14, 0, false).
+			jobRun(1, 9, 2, true).negotiate().advance(4).machines(6, 0).
+			jobRun(0, 14, 0, true).jobRun(2, 7, 5, false).negotiate().
+			jobRun(1, 12, 1, false).negotiate()),
 	}
 }

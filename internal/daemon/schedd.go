@@ -206,6 +206,11 @@ type Schedd struct {
 	walBuf      [][]byte
 	outbox      []pendingSend
 	commitArmed bool
+	// ads is the open run of job advertisements (see noticeRun):
+	// advertiseIdle and Recover gather the queue's refresh into it,
+	// any other advertisement or withdrawal goes out as a run of one,
+	// and send closes it before any other message leaves.
+	ads noticeRun[jobAd]
 	// snapBuf is the reused snapshot and history-frame assembly
 	// buffer.
 	snapBuf []byte
@@ -270,6 +275,7 @@ func NewSchedd(bus Runtime, params Params, name string) *Schedd {
 		wal:             journal.New(),
 		hist:            journal.New(),
 	}
+	s.ads.send = s.sendAds
 	bus.Register(name, s)
 	s.stopAds = bus.Every(params.AdInterval, s.advertiseIdle)
 	return s
@@ -401,18 +407,24 @@ func (s *Schedd) Reports() []UserReport {
 // AllTerminal reports whether every job reached a final state.
 func (s *Schedd) AllTerminal() bool { return s.nonTerminal == 0 }
 
+// advertiseIdle is the idle refresh: every idle job's ad, gathered
+// into one run per negotiator (see noticeRun).  The refresh is the
+// heartbeat that keeps the requests alive at the negotiators: a schedd
+// that stops sending it is discovered by time, when they age out.
 func (s *Schedd) advertiseIdle() {
 	s.expireFailures()
 	if s.idleStale > 0 && s.idleStale >= len(s.idleOrder)/2 {
 		s.compactIdle()
 	}
+	s.ads.hint = len(s.idlePos)
 	for _, j := range s.idleOrder {
 		if j == nil {
 			continue
 		}
-		s.advertiseJob(j)
+		s.gatherAd(j, s.effectiveAd(j))
 		s.rescueFlocked(j)
 	}
+	s.ads.flush()
 }
 
 // rescueFlocked re-runs the flock decision for a job advertised at a
@@ -487,11 +499,18 @@ func (s *Schedd) idleFor(j *Job) time.Duration {
 	return s.bus.Now().Sub(since)
 }
 
-// send routes one outgoing message, deferring it while a journal
+// send closes the open run of advertisements, which must arrive
+// first, and posts one message.
+func (s *Schedd) send(to, kind string, body any) {
+	s.ads.flush()
+	s.post(to, kind, body)
+}
+
+// post routes one outgoing message, deferring it while a journal
 // batch is open: a message is an externally visible action, and the
 // append-before-act discipline requires the records justifying it to
 // be durable first.  With no batch open it is a plain bus send.
-func (s *Schedd) send(to, kind string, body any) {
+func (s *Schedd) post(to, kind string, body any) {
 	if s.commitArmed {
 		s.outbox = append(s.outbox, pendingSend{to: to, kind: kind, body: body})
 		return
@@ -499,13 +518,9 @@ func (s *Schedd) send(to, kind string, body any) {
 	s.bus.Send(s.name, to, kind, body)
 }
 
-// jobRefName returns the job's advertisement name, rendered once and
-// cached on the job (it is advertised and withdrawn many times).
-func (s *Schedd) jobRefName(j *Job) string {
-	if j.refName == "" {
-		j.refName = s.name + "#" + strconv.Itoa(int(j.ID))
-	}
-	return j.refName
+// sendAds posts one run of job advertisements to a negotiator.
+func (s *Schedd) sendAds(to string, ads []jobAd) {
+	s.post(to, kindAdvertise, jobAdsMsg{Schedd: s.name, Ads: ads})
 }
 
 // matchmakerFor returns the negotiator currently serving the job: the
@@ -517,38 +532,23 @@ func (s *Schedd) matchmakerFor(j *Job) string {
 	return s.params.matchmaker()
 }
 
-// advertiseJob sends the job's request to its negotiator.  The body is
-// boxed once and the same interface value re-sent for as long as it
-// would read the same: the periodic refresh of an unchanged idle job —
-// most of a deep queue's traffic — allocates nothing.  The ad and the
-// flocked flag are the only fields that change in the life of a Job
-// value.
+// gatherAd adds the job's entry — ad, or nil for a withdrawal — to
+// the open run to its current negotiator.
+func (s *Schedd) gatherAd(j *Job, ad *classad.Ad) {
+	s.ads.add(s.matchmakerFor(j), jobAd{Job: j.ID, Ad: ad, Flocked: j.flockedTo != ""})
+}
+
+// advertiseJob sends the job's request to its negotiator.
 func (s *Schedd) advertiseJob(j *Job) {
-	ad, flocked := s.effectiveAd(j), j.flockedTo != ""
-	if sent, _ := j.adBody.(advertiseMsg); sent.Ad != ad || sent.Flocked != flocked {
-		j.adBody = advertiseMsg{
-			Kind:    "job",
-			Name:    s.jobRefName(j),
-			Schedd:  s.name,
-			Job:     j.ID,
-			Ad:      ad,
-			Flocked: flocked,
-		}
-	}
-	s.send(s.matchmakerFor(j), kindAdvertise, j.adBody)
+	s.gatherAd(j, s.effectiveAd(j))
+	s.ads.flush()
 }
 
 // withdrawJob removes the job's request from its current negotiator so
 // stale advertisements cannot produce matches for jobs no longer idle.
 func (s *Schedd) withdrawJob(j *Job) {
-	s.send(s.matchmakerFor(j), kindAdvertise, advertiseMsg{
-		Kind:    "job",
-		Name:    s.jobRefName(j),
-		Schedd:  s.name,
-		Job:     j.ID,
-		Ad:      nil,
-		Flocked: j.flockedTo != "",
-	})
+	s.gatherAd(j, nil)
+	s.ads.flush()
 }
 
 // effectiveAd returns the ad the schedd actually advertises: the
@@ -594,7 +594,9 @@ func (s *Schedd) Receive(msg sim.Message) {
 	case matchNotifyMsg:
 		s.handleMatch(body)
 	case noMatchMsg:
-		s.handleNoMatch(body)
+		for _, id := range body.Jobs {
+			s.handleNoMatch(id)
+		}
 	case claimReplyMsg:
 		s.receiveClaim(msg.From, body)
 	case flockReplyMsg:
@@ -660,8 +662,8 @@ func (s *Schedd) handleClaimVacated(m claimVacatedMsg) {
 // the job is starving even relaxed — the same starvation signal feeds
 // flocking: a job the whole local pool cannot run is offered to a
 // peer pool instead (maybeFlock).
-func (s *Schedd) handleNoMatch(m noMatchMsg) {
-	j, ok := s.jobs[m.Job]
+func (s *Schedd) handleNoMatch(id JobID) {
+	j, ok := s.jobs[id]
 	if !ok || j.State != JobIdle {
 		return
 	}

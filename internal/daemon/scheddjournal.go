@@ -290,7 +290,9 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	// Normalize the rebuilt queue: any non-terminal job lost whatever
 	// was serving it (shadow, claim, matchmaker entry) with the
 	// process, so it restarts from idle.  The normalization itself is
-	// journaled so a second crash replays to the same place.
+	// journaled so a second crash replays to the same place, and the
+	// re-advertisements go home as one run.
+	s.ads.hint = s.nonTerminal
 	for _, j := range s.live {
 		if j.State.Terminal() {
 			continue
@@ -309,8 +311,9 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 			s.logEvent(j, EventShadowVanished, "%v", died)
 		}
 		s.logEvent(j, EventRecovered, "queue rebuilt from journal")
-		s.advertiseJob(j)
+		s.gatherAd(j, s.effectiveAd(j))
 	}
+	s.ads.flush()
 	// Recovery is complete only when its normalization records are on
 	// disk; flush the batch before handing the queue back.
 	s.commitWAL(s.epoch)

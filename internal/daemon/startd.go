@@ -350,7 +350,6 @@ func (s *Startd) advertise() {
 			return
 		}
 		s.bus.Send(s.cfg.Name, s.params.matchmaker(), kindAdvertise, advertiseMsg{
-			Kind: "machine",
 			Name: s.cfg.Name,
 			Ad:   s.buildClaimedAd(),
 		})
@@ -360,7 +359,6 @@ func (s *Startd) advertise() {
 		s.runSelfTest()
 	}
 	s.bus.Send(s.cfg.Name, s.params.matchmaker(), kindAdvertise, advertiseMsg{
-		Kind: "machine",
 		Name: s.cfg.Name,
 		Ad:   s.buildAd(),
 	})

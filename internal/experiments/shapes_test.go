@@ -233,6 +233,7 @@ func TestShapes(t *testing.T) {
 	allocs := toolchain == runtime.Version() && !raceEnabled
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
+			msgsPerJob := map[int]float64{}
 			for _, n := range []int{sh.n, 2 * sh.n} {
 				// The rerun goes first: it warms every cache the
 				// measured serial run would otherwise fill.
@@ -241,6 +242,7 @@ func TestShapes(t *testing.T) {
 				objects, allocated := measured(func() { serial = sh.run(goldenSeed, n, 0) })
 				serial.objects, serial.bytes = objects, allocated
 				arms["serial"], arms["parallel"] = serial, sh.run(goldenSeed, n, 4)
+				msgsPerJob[n] = float64(serial.bus.Sent()) / float64(n)
 				if sh.bare != nil {
 					arms["bare"] = sh.bare(goldenSeed, n)
 				}
@@ -282,6 +284,10 @@ func TestShapes(t *testing.T) {
 					}
 				}
 			}
+			if lo, hi := msgsPerJob[sh.n], msgsPerJob[2*sh.n]; sh.flatTraffic && (hi < 0.9*lo || hi > 1.1*lo) {
+				t.Errorf("sim.bus_msgs per job: %.1f at n=%d, %.1f at n=%d; want within ±10 %%",
+					lo, sh.n, hi, 2*sh.n)
+			}
 		})
 	}
 	if *updateGolden {
@@ -300,11 +306,16 @@ type shape struct {
 	// administration applied directly: its dispositions and trace
 	// export must equal the serial run's.
 	bare func(seed int64, n int) shapeRun
+	// flatTraffic requires the serial run's bus messages per job at 2n
+	// within ±10 % of n's: the queue deepens, the traffic per job does
+	// not.
+	flatTraffic bool
 }
 
 var shapes = []shape{
 	{name: "uniform", n: 256, run: func(seed int64, n, workers int) shapeRun { return javaShape(seed, 64, n, workers) }},
-	{name: "deep", n: 256, run: func(seed int64, n, workers int) shapeRun { return javaShape(seed, 8, n, workers) }},
+	{name: "deep", n: 256, flatTraffic: true,
+		run: func(seed int64, n, workers int) shapeRun { return javaShape(seed, 8, n, workers) }},
 	{name: "faulty", n: 64, run: faultyShape},
 	{name: "ops", n: 12,
 		run:  func(seed int64, n, workers int) shapeRun { return opsShape(seed, n, workers, true) },

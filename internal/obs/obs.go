@@ -131,3 +131,13 @@ func Or(t Tracer) Tracer {
 type JobTagged interface {
 	TracedJob() int64
 }
+
+// JobRun is implemented by message bodies that carry a run of per-job
+// notices, one job each, which the sender would otherwise have sent as
+// consecutive messages.  The bus attributes one message event to each
+// job of the run, in order, so a trace reads as if every notice had
+// travelled alone.
+type JobRun interface {
+	TracedJobs() int
+	TracedJobAt(i int) int64
+}

@@ -237,45 +237,47 @@ func (b *Bus) lose(m Message) {
 	b.observe(m, obs.KindMsgLost)
 }
 
-// observe emits a structured event for a job-tagged message.  The
-// Enabled guard keeps the disabled path to one interface call with no
-// event construction.
+// observe emits a structured event for each job a message concerns
+// (see jobEvents).  The Enabled guard keeps the disabled path to one
+// interface call with no event construction.
 func (b *Bus) observe(m Message, fate string) {
 	if b.Obs == nil || !b.Obs.Enabled() {
 		return
 	}
-	tagged, ok := m.Body.(obs.JobTagged)
-	if !ok {
-		return
-	}
-	b.Obs.Emit(obs.Event{
-		T:      int64(b.eng.Now()),
-		Comp:   "bus",
-		Kind:   fate,
-		Job:    tagged.TracedJob(),
-		Code:   m.Kind,
-		Detail: m.From + "->" + m.To,
-	})
+	b.jobEvents(m, fate, b.Obs.Emit)
 }
 
-// observeWave stages the structured event instead of emitting it, so
-// the barrier replays it in serial order.
+// observeWave stages the structured events instead of emitting them,
+// so the barrier replays them in serial order.
 func (b *Bus) observeWave(ctx *shardCtx, m Message, fate string) {
 	if b.Obs == nil || !b.Obs.Enabled() {
 		return
 	}
-	tagged, ok := m.Body.(obs.JobTagged)
-	if !ok {
-		return
+	b.jobEvents(m, fate, func(ev obs.Event) { ctx.stageEmit(b.Obs, ev) })
+}
+
+// jobEvents hands emit one message event per job the body concerns:
+// one for an obs.JobTagged body, one per job in order for an
+// obs.JobRun, and none for the rest (periodic ads, internal notices).
+func (b *Bus) jobEvents(m Message, fate string, emit func(obs.Event)) {
+	event := func(job int64) obs.Event {
+		return obs.Event{
+			T:      int64(b.eng.Now()),
+			Comp:   "bus",
+			Kind:   fate,
+			Job:    job,
+			Code:   m.Kind,
+			Detail: m.From + "->" + m.To,
+		}
 	}
-	ctx.stageEmit(b.Obs, obs.Event{
-		T:      int64(b.eng.Now()),
-		Comp:   "bus",
-		Kind:   fate,
-		Job:    tagged.TracedJob(),
-		Code:   m.Kind,
-		Detail: m.From + "->" + m.To,
-	})
+	switch body := m.Body.(type) {
+	case obs.JobTagged:
+		emit(event(body.TracedJob()))
+	case obs.JobRun:
+		for i := 0; i < body.TracedJobs(); i++ {
+			emit(event(body.TracedJobAt(i)))
+		}
+	}
 }
 
 // Send queues a message for delivery.  Delivery occurs after the
