@@ -13,8 +13,9 @@ import (
 )
 
 // The schedd sends its job advertisements as runs (noticeRun): the
-// idle refresh gathers one run per negotiator, and every other
-// advertisement or withdrawal is a run of one.  These tests pin what
+// idle refresh gathers one run per stretch of idle jobs with the same
+// negotiator, and every other advertisement or withdrawal is a run of
+// one.  These tests pin what
 // the runs carry — every input of an entry that can change has a test
 // that the next run carries the new value — the order rules that make
 // a run exact, and the refresh's cost: one message per negotiator.

@@ -9,7 +9,8 @@ import (
 )
 
 // Message kinds exchanged on the bus.  Each kind's body type is the
-// struct of the same base name.
+// struct of the same base name; advertise also carries a schedd's
+// jobAdsMsg.
 const (
 	kindAdvertise    = "advertise"     // startd/schedd -> matchmaker
 	kindMatchNotify  = "match-notify"  // matchmaker -> schedd

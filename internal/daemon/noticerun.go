@@ -16,10 +16,10 @@ package daemon
 // hold is the owner's to keep: any other send from the actor closes
 // the open run first (flush), and so does the end of the callback.
 //
-// Two runs use it: the schedd's idle refresh (Schedd.advertiseIdle and
-// Recover's re-advertise loop, one jobAdsMsg per negotiator) and the
-// matchmaker's no-match notices (one noMatchMsg per schedd per stretch
-// of a cycle).
+// Two runs use it: the schedd's job advertisements (jobAdsMsg; the
+// idle refresh and Recover's re-advertise loop gather the queue into
+// them) and the matchmaker's no-match notices (noMatchMsg), each cut
+// wherever the destination changes or another send intervenes.
 type noticeRun[E any] struct {
 	to      string
 	entries []E

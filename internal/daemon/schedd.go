@@ -408,7 +408,8 @@ func (s *Schedd) Reports() []UserReport {
 func (s *Schedd) AllTerminal() bool { return s.nonTerminal == 0 }
 
 // advertiseIdle is the idle refresh: every idle job's ad, gathered
-// into one run per negotiator (see noticeRun).  The refresh is the
+// into runs, one per stretch of jobs with the same negotiator (see
+// noticeRun).  The refresh is the
 // heartbeat that keeps the requests alive at the negotiators: a schedd
 // that stops sending it is discovered by time, when they age out.
 func (s *Schedd) advertiseIdle() {

@@ -260,22 +260,16 @@ func (b *Bus) observeWave(ctx *shardCtx, m Message, fate string) {
 // one for an obs.JobTagged body, one per job in order for an
 // obs.JobRun, and none for the rest (periodic ads, internal notices).
 func (b *Bus) jobEvents(m Message, fate string, emit func(obs.Event)) {
-	event := func(job int64) obs.Event {
-		return obs.Event{
-			T:      int64(b.eng.Now()),
-			Comp:   "bus",
-			Kind:   fate,
-			Job:    job,
-			Code:   m.Kind,
-			Detail: m.From + "->" + m.To,
-		}
-	}
+	ev := obs.Event{T: int64(b.eng.Now()), Comp: "bus", Kind: fate, Code: m.Kind}
 	switch body := m.Body.(type) {
 	case obs.JobTagged:
-		emit(event(body.TracedJob()))
+		ev.Job, ev.Detail = body.TracedJob(), m.From+"->"+m.To
+		emit(ev)
 	case obs.JobRun:
+		ev.Detail = m.From + "->" + m.To
 		for i := 0; i < body.TracedJobs(); i++ {
-			emit(event(body.TracedJobAt(i)))
+			ev.Job = body.TracedJobAt(i)
+			emit(ev)
 		}
 	}
 }
