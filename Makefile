@@ -207,10 +207,11 @@ bench-pairs:
 ## one traced run (--trace 1) of each workload in W on revision PARENT
 ## and on this checkout, then the digest and every per-layer metric
 ## BENCHMARK.json counts in whole units (unit count or 1/job), parent
-## beside change, each marked equal or moved.
-##   make bench-counts PARENT=HEAD~1 W="pool-deep pool-faulty" [SEED=42]
+## beside change, each marked equal or moved.  It fails if the digest
+## or any count not listed in MAY_MOVE moved.
+##   make bench-counts PARENT=HEAD~1 W="pool-deep pool-faulty" [SEED=42] [MAY_MOVE="go.gc_cycles"]
 bench-counts:
-	@bash scripts/bench-counts.sh "$(PARENT)" "$(W)" $(SEED)
+	@MAY_MOVE="$(MAY_MOVE)" bash scripts/bench-counts.sh "$(PARENT)" "$(W)" $(SEED)
 
 ## trace: regenerate the canonical per-class propagation traces under
 ## traces/ (the committed goldens live in

@@ -18,22 +18,35 @@ import (
 func RefNegotiate(m *Matchmaker) { m.refNegotiate() }
 
 // CheckScheddIndex checks the schedd's derived queue indexes against
-// a scan of the queue itself — the four scans and the ad copy the
-// schedd once ran instead of keeping them:
+// a scan of the queue itself — the scans, folds and ad copy the schedd
+// once ran instead of keeping them:
 //
 //   - nonTerminal (AllTerminal's answer) counts the non-terminal jobs;
-//   - the live slots of idleOrder (advertiseIdle's walk) are exactly
-//     the JobIdle jobs, each once, and idlePos maps each to its slot;
-//   - the live list is the jobs map in id order, no live job is also
-//     retired, and every live report belongs to a live terminal job;
+//   - the live slots of idleOrder (the refresh's walks) are exactly
+//     the JobIdle jobs, each once, and each holds its slot;
+//   - the live list is the id index in id order, the window holds
+//     nothing else and starts and ends at a live job, no live job is
+//     also retired, and every live report belongs to a live terminal
+//     job;
+//   - Tally, folded at transitions, equals the full fold: the retired
+//     tallies, every live job, and the leaks of the live reports;
 //   - each live job's log, replayed into an empty queue, rebuilds the
 //     job, and its first record still carries the ad as it renders
 //     now: the ad is shared with the matchmaker and the claim request,
 //     never copied, so nothing downstream may mutate it.
 func CheckScheddIndex(s *Schedd) error {
-	nonTerminal, idle := 0, 0
-	if len(s.live) != len(s.jobs) {
-		return fmt.Errorf("schedd %s: %d live jobs listed, %d mapped", s.name, len(s.live), len(s.jobs))
+	nonTerminal, idle, indexed := 0, 0, len(s.jobs.far)
+	for _, j := range s.jobs.slots {
+		if j != nil {
+			indexed++
+		}
+	}
+	if len(s.live) != indexed {
+		return fmt.Errorf("schedd %s: %d live jobs listed, %d indexed", s.name, len(s.live), indexed)
+	}
+	if w := s.jobs; len(w.slots) > 0 && (w.slots[0] == nil || w.slots[len(w.slots)-1] == nil) {
+		return fmt.Errorf("schedd %s: the job window [%d, %d) is not trimmed to live ids",
+			s.name, w.base, w.base+JobID(len(w.slots)))
 	}
 	verifiedLogs.Lock()
 	defer verifiedLogs.Unlock()
@@ -46,10 +59,11 @@ func CheckScheddIndex(s *Schedd) error {
 		verifiedLogs.jobs[s] = verified
 	}
 	rp := newReplayer(s.scratchQueue())
+	tally := s.retiredTally
 	for i, j := range s.live {
 		id := j.ID
-		if s.jobs[id] != j || i > 0 && s.live[i-1].ID >= id {
-			return fmt.Errorf("schedd %s: live slot %d (job %d) out of order or unmapped", s.name, i, id)
+		if s.jobs.get(id) != j || i > 0 && s.live[i-1].ID >= id {
+			return fmt.Errorf("schedd %s: live slot %d (job %d) out of order or unindexed", s.name, i, id)
 		}
 		if _, ok := s.retired[id]; ok {
 			return fmt.Errorf("schedd %s: job %d both live and retired", s.name, id)
@@ -57,15 +71,17 @@ func CheckScheddIndex(s *Schedd) error {
 		if err := logReplays(rp, verified, j); err != nil {
 			return fmt.Errorf("schedd %s: job %d: %w", s.name, id, err)
 		}
+		tally.Add(j)
 		if !j.State.Terminal() {
 			nonTerminal++
 		}
 		if j.State == JobIdle {
 			idle++
-			pos, ok := s.idlePos[id]
-			if !ok || pos >= len(s.idleOrder) || s.idleOrder[pos] != j {
-				return fmt.Errorf("schedd %s: idle job %d not at its idlePos slot", s.name, id)
+			if pos := j.idleSlot - 1; pos < 0 || pos >= len(s.idleOrder) || s.idleOrder[pos] != j {
+				return fmt.Errorf("schedd %s: idle job %d not at its idle slot", s.name, id)
 			}
+		} else if j.idleSlot != 0 {
+			return fmt.Errorf("schedd %s: %s job %d holds idle slot %d", s.name, j.State, id, j.idleSlot)
 		}
 	}
 	if nonTerminal != s.nonTerminal {
@@ -73,9 +89,15 @@ func CheckScheddIndex(s *Schedd) error {
 			s.name, s.nonTerminal, nonTerminal)
 	}
 	for _, r := range s.reports {
-		if j := s.jobs[r.Job]; j == nil || !j.State.Terminal() {
+		if j := s.jobs.get(r.Job); j == nil || !j.State.Terminal() {
 			return fmt.Errorf("schedd %s: live report for job %d, which is not a live terminal job", s.name, r.Job)
 		}
+		if r.IncidentalLeak {
+			tally.IncidentalLeaks++
+		}
+	}
+	if got := s.Tally(); got != tally {
+		return fmt.Errorf("schedd %s: Tally() = %+v, the full fold is %+v", s.name, got, tally)
 	}
 	live := 0
 	for pos, j := range s.idleOrder {
@@ -83,14 +105,14 @@ func CheckScheddIndex(s *Schedd) error {
 			continue
 		}
 		live++
-		if j.State != JobIdle || s.jobs[j.ID] != j || s.idlePos[j.ID] != pos {
+		if j.State != JobIdle || s.jobs.get(j.ID) != j || j.idleSlot != pos+1 {
 			return fmt.Errorf("schedd %s: idleOrder slot %d holds job %d in state %s",
 				s.name, pos, j.ID, j.State)
 		}
 	}
-	if live != idle || len(s.idlePos) != idle || s.idleStale != len(s.idleOrder)-live {
-		return fmt.Errorf("schedd %s: %d idle jobs, %d live idleOrder slots, %d idlePos entries, %d of %d slots counted stale",
-			s.name, idle, live, len(s.idlePos), s.idleStale, len(s.idleOrder))
+	if live != idle || s.idleStale != len(s.idleOrder)-live {
+		return fmt.Errorf("schedd %s: %d idle jobs, %d live idleOrder slots, %d of %d slots counted stale",
+			s.name, idle, live, s.idleStale, len(s.idleOrder))
 	}
 	return nil
 }
@@ -159,8 +181,8 @@ func logReplays(rp *replayer, verified map[*Job]*verifiedJob, j *Job) error {
 	if err := rp.applyLines(j.log); err != nil {
 		return fmt.Errorf("log does not replay: %w\n%s", err, j.log)
 	}
-	got := q.jobs[j.ID]
-	delete(q.jobs, j.ID)
+	got := q.jobs.get(j.ID)
+	q.jobs.drop(j.ID)
 	if got == nil || !sameJob(got, j) {
 		state := func(j *Job) string {
 			if j == nil {
@@ -181,3 +203,6 @@ func logReplays(rp *replayer, verified map[*Job]*verifiedJob, j *Job) error {
 	verified[j] = v
 	return nil
 }
+
+// CheckRequests checks the matchmaker's request table (checkRequests).
+func CheckRequests(m *Matchmaker) error { return m.checkRequests() }

@@ -129,6 +129,15 @@ type Job struct {
 	// job at its current level forever.
 	flockPending   bool
 	flockPendingAt sim.Time
+	// inFlocked marks a job on its schedd's flocked list (setFlock).
+	inFlocked bool
+	// idleSlot is the job's position in its schedd's idle index plus
+	// one; 0 while the job is not idle.
+	idleSlot int
+	// avoidingAd is the effective ad last built for the job under the
+	// avoided list of version avoidingVer (Schedd.effectiveAd).
+	avoidingAd  *classad.Ad
+	avoidingVer int
 	// FinalErr is the error (if any) accompanying a terminal state.
 	FinalErr error
 	// Submitted and Finished bracket the job's queue residency.

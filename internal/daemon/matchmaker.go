@@ -36,10 +36,13 @@ type Matchmaker struct {
 	// one pass (see machineEntry.absent).
 	absentMachines int
 
-	jobs map[jobKey]*jobEntry
-	// schedds interns schedd names for jobKey, looked up once per run
-	// of advertisements.
-	schedds     map[string]jobKey
+	// leases holds one lease per schedd, looked up once per job-ad
+	// message, and with it the schedd's requests, by job id.  requests
+	// counts them: the queued ones and the dormant ones a lease keeps
+	// for revival (jobEntry.dormant), which dormantJobs counts.
+	leases      map[string]*jobLease
+	requests    int
+	dormantJobs int
 	ownerQueues map[string][]*jobEntry // per owner, sorted by (schedd, job)
 	ownerNames  []string               // owners with non-empty queues, name-sorted
 	// deadJobs counts tombstoned queue slots awaiting the per-cycle
@@ -55,7 +58,7 @@ type Matchmaker struct {
 	// noMatches is the cycle's open run of no-match notices (see
 	// noticeRun); send closes it before any other message leaves, and
 	// the cycle's end closes it.
-	noMatches noticeRun[JobID]
+	noMatches noticeRun
 
 	// clusters caches per-cycle candidate scans keyed by job-ad
 	// signature: jobs whose ads render identically are
@@ -67,10 +70,15 @@ type Matchmaker struct {
 	// fair-share ordering.
 	usage map[string]int
 
+	// fullMark stamps the entries of the full message being applied
+	// (applyFull).
+	fullMark uint64
+
 	// Scratch storage reused across cycles.
-	ownerScratch []string
-	jobScratch   []*jobEntry
-	nameScratch  []string
+	ownerScratch   []string
+	jobScratch     []*jobEntry
+	nameScratch    []string
+	expiredScratch []*jobEntry
 
 	// Cycles counts negotiation cycles, for metrics.
 	Cycles int
@@ -79,9 +87,12 @@ type Matchmaker struct {
 	// AdsExpired counts machine ads dropped for silence.
 	AdsExpired int
 	// JobAdsExpired counts job requests dropped for silence: a live
-	// schedd refreshes its idle jobs every AdInterval, so these are
-	// the requests of a dead schedd aging out of the pool.
+	// schedd renews its lease every AdInterval, so these are the
+	// requests of a dead schedd aging out of the pool.
 	JobAdsExpired int
+	// AdResyncs counts full job-ad messages asked for: each is a gap
+	// found in a schedd's sequence.
+	AdResyncs int
 	// PrefilterSkips is always 0: the constant pre-filter it counted
 	// is gone, and every pair is decided by classad.Match.  It stays
 	// only because the benchmark module still reports it as
@@ -122,49 +133,77 @@ type machineEntry struct {
 	absent bool
 }
 
-// jobKey identifies a request: the schedd's interned index above
-// jobKeyIDBits, the JobID below.  An integer key keeps every refresh,
-// withdrawal and match on the map's fast64 path; a (name, id) struct
-// key hashed and compared the schedd name per message.
-type jobKey uint64
-
-// jobKeyIDBits leaves 24 bits of schedd index.  Job ids are queue
-// positions counted from 1, so 2^40 is out of any queue's reach.
-const jobKeyIDBits = 40
-
-// scheddKey returns the schedd's interned index in place above
-// jobKeyIDBits, interning the name on first sight.
-func (m *Matchmaker) scheddKey(schedd string) jobKey {
-	idx, ok := m.schedds[schedd]
-	if !ok {
-		idx = jobKey(len(m.schedds)+1) << jobKeyIDBits
-		m.schedds[schedd] = idx
-	}
-	return idx
+// jobLease is the negotiator's end of one schedd's advertisement
+// channel (jobAdsMsg) and the liveness of every request the schedd
+// holds here.  A request the lease covers (jobEntry.lease) expires at
+// max(last, its own ad's arrival) + JobAdLifetime, and a heartbeat
+// re-arms every covered request's no-match notice by bumping round: a
+// request whose notice was stamped with an older round may be told
+// again.  So a heartbeat does for every request what re-sending its ad
+// did, in O(1).
+type jobLease struct {
+	name string
+	// jobs holds the schedd's requests, covered or not, by job id.
+	jobs jobWindow[jobEntry]
+	// incarnation and seq are the last message applied.
+	incarnation, seq uint64
+	// last is the arrival of the last heartbeat or full message.
+	last  sim.Time
+	round uint64
+	// gap marks a missed message: the next heartbeat asks for a full
+	// one instead of renewing the lease.  asked marks a full message
+	// asked for and not yet come; a heartbeat arriving meanwhile asks
+	// again, since the question or its answer may be lost.
+	gap, asked bool
+	// dormant lists the covered requests the negotiator itself dropped
+	// — matched, or expired — which a heartbeat revives, as re-sending
+	// every idle job's ad re-queued them: the schedd still advertises
+	// them until it says otherwise.
+	dormant []*jobEntry
 }
 
-// job returns the key of the schedd's job; k is a scheddKey.
-func (k jobKey) job(job JobID) jobKey {
-	if uint64(job)>>jobKeyIDBits != 0 {
-		panic("daemon: job id out of range")
+// lease returns the schedd's lease, opening it on first sight.
+func (m *Matchmaker) lease(schedd string) *jobLease {
+	l, ok := m.leases[schedd]
+	if !ok {
+		l = &jobLease{name: schedd, round: 1}
+		m.leases[schedd] = l
 	}
-	return k | jobKey(job)
+	return l
 }
 
 type jobEntry struct {
-	key    jobKey
 	schedd string
 	job    JobID
 	ad     *classad.Ad
 	owner  string
-	// noMatchSent limits no-match notifications to one per
-	// advertisement, keeping a steady-state cycle allocation-free;
-	// each schedd re-advertise re-arms it.
-	noMatchSent bool
-	// expires is the request's lifetime; a schedd that stops
-	// refreshing (it crashed) has its requests age out rather than
-	// matching machines to a submitter that no longer exists.
-	expires sim.Time
+	// lease is the schedd's lease, which covers the request while the
+	// schedd advertises the job here as far as the negotiator knows.
+	// A full message that leaves the request out makes it stale: it
+	// then keeps the refresh instant and the no-match state it had, and
+	// ages out on its own.
+	lease *jobLease
+	stale bool
+	// at is the arrival of the job's own ad; a stale request's last
+	// refresh.  A schedd that stops refreshing (it crashed) has
+	// its requests age out rather than matching machines to a
+	// submitter that no longer exists (see expired).
+	at sim.Time
+	// noMatch limits no-match notifications to one per advertisement,
+	// keeping a steady-state cycle allocation-free: a covered request
+	// was told in the lease round noMatch holds (0: not told since its
+	// ad), a stale one was told if it is non-zero.  Every ad and every
+	// heartbeat re-arms it.
+	noMatch uint64
+	// mark is the fullMark of the last full message that carried the
+	// job.
+	mark uint64
+	// dormant marks a covered request the negotiator dropped itself,
+	// waiting in its lease for the next heartbeat.
+	dormant bool
+	// queued marks an entry standing in its owner queue, live or as a
+	// tombstone the next compaction reclaims.
+	queued bool
 	// sig is the rendered ad, the auto-cluster key.  Computed lazily
 	// on the job's first cycle and invalidated when the ad content
 	// changes.
@@ -250,8 +289,7 @@ func NewMatchmaker(bus Runtime, params Params) *Matchmaker {
 		name:        name,
 		tr:          params.tracer(),
 		machines:    make(map[string]*machineEntry),
-		jobs:        make(map[jobKey]*jobEntry),
-		schedds:     make(map[string]jobKey),
+		leases:      make(map[string]*jobLease),
 		ownerQueues: make(map[string][]*jobEntry),
 		clusters:    make(map[string]*clusterEntry),
 		usage:       make(map[string]int),
@@ -270,7 +308,7 @@ func (m *Matchmaker) Receive(msg sim.Message) {
 	switch body := msg.Body.(type) {
 	case advertiseMsg:
 		m.AdvertiseMachine(body.Name, body.Ad)
-	case jobAdsMsg:
+	case *jobAdsMsg:
 		m.receiveJobAds(body)
 	case flockPingMsg:
 		// A peer pool's flock coordinator probes for liveness; answer
@@ -280,17 +318,99 @@ func (m *Matchmaker) Receive(msg sim.Message) {
 	}
 }
 
-// receiveJobAds applies a schedd's run of job advertisements in order,
-// resolving the schedd's key once for the run.
-func (m *Matchmaker) receiveJobAds(run jobAdsMsg) {
-	schedd := m.scheddKey(run.Schedd)
-	for _, e := range run.Ads {
+// receiveJobAds applies one sequenced job-ad message (jobAdsMsg).  A
+// message from an older incarnation, or numbered at or below the last
+// one applied, is stale or a duplicate and is ignored.  A full message
+// always applies.  Any other message past a gap is applied as usual,
+// but the gap is remembered, and the next heartbeat asks the schedd
+// for a full message instead of renewing the lease: a lost heartbeat
+// cost the requests one refresh, as a lost run of every idle job's ad
+// did, and the full message answers where that run's successor would
+// have.
+func (m *Matchmaker) receiveJobAds(msg *jobAdsMsg) {
+	l := m.lease(msg.Schedd)
+	if msg.Incarnation < l.incarnation || msg.Incarnation == l.incarnation && msg.Seq <= l.seq {
+		return
+	}
+	if msg.Full {
+		m.applyFull(l, msg)
+		return
+	}
+	if msg.Incarnation != l.incarnation || msg.Seq != l.seq+1 {
+		l.gap = true
+	}
+	l.incarnation, l.seq = msg.Incarnation, msg.Seq
+	if msg.Beat {
+		if l.gap || l.asked {
+			l.gap, l.asked = false, true
+			m.AdResyncs++
+			m.tr.Count("matchmaker.ad_resyncs", 1)
+			m.send(msg.Schedd, kindAdResync, adResyncMsg{})
+			return
+		}
+		l.last = m.bus.Now()
+		l.round++
+		for _, j := range l.dormant {
+			if j.dormant {
+				m.requeue(j)
+			}
+		}
+		clear(l.dormant)
+		l.dormant = l.dormant[:0]
+	}
+	m.applyAds(l, msg.Ads)
+}
+
+// applyAds applies a message's entries in order.
+func (m *Matchmaker) applyAds(l *jobLease, ads []jobAd) {
+	for _, e := range ads {
 		if e.Ad == nil {
-			m.removeJob(schedd.job(e.Job)) // the schedd withdraws the request
+			m.removeJob(l.jobs.get(e.Job)) // the schedd withdraws the request
 			continue
 		}
-		m.upsertJob(schedd.job(e.Job), run.Schedd, e.Job, e.Ad, e.Flocked)
+		m.upsertJob(l, e.Job, e.Ad, e.Flocked)
 	}
+}
+
+// applyFull applies a full message: its entries are everything the
+// schedd advertises here, so every other request of the schedd goes
+// stale — kept, as a request whose withdrawal was lost stood until it
+// aged out — and every dormant one the message leaves out is gone.
+func (m *Matchmaker) applyFull(l *jobLease, msg *jobAdsMsg) {
+	now := m.bus.Now()
+	l.incarnation, l.seq, l.gap, l.asked = msg.Incarnation, msg.Seq, false, false
+	m.fullMark++
+	m.applyAds(l, msg.Ads)
+	for _, e := range msg.Ads {
+		if j := l.jobs.get(e.Job); j != nil && e.Ad != nil {
+			j.mark = m.fullMark
+		}
+	}
+	for _, o := range m.ownerNames {
+		for _, j := range m.ownerQueues[o] {
+			if !j.dead && !j.stale && j.lease == l && j.mark != m.fullMark {
+				j.at = max(j.at, l.last)
+				j.noMatch = b2u(j.noMatch == l.round)
+				j.stale = true
+			}
+		}
+	}
+	for _, j := range l.dormant {
+		if j.dormant && j.mark != m.fullMark {
+			m.removeJob(j)
+		}
+	}
+	clear(l.dormant)
+	l.dormant = l.dormant[:0]
+	l.last = now
+}
+
+// b2u is 1 for true and 0 for false.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // send closes the open no-match run, which must arrive first, and
@@ -385,48 +505,64 @@ func compareJobEntries(a, b *jobEntry) int {
 	return 0
 }
 
-// upsertJob installs or refreshes a job request in its owner bucket;
-// key is the schedd's job.
-func (m *Matchmaker) upsertJob(key jobKey, schedd string, job JobID, ad *classad.Ad, foreign bool) {
-	expires := m.bus.Now().Add(adLifetime(m.params.JobAdLifetime))
-	if old, ok := m.jobs[key]; ok {
-		if old.ad == ad {
-			// The schedd re-sent the identical ad object (periodic
-			// refresh of an unchanged idle job); the cluster
-			// signature is still good.
-			old.noMatchSent = false
-			old.expires = expires
+// upsertJob installs or refreshes a job request of the lease's schedd
+// in its owner bucket: the lease covers it, and its no-match notice is
+// re-armed.
+func (m *Matchmaker) upsertJob(l *jobLease, job JobID, ad *classad.Ad, foreign bool) {
+	if old := l.jobs.get(job); old != nil {
+		if old.ad == ad || jobOwner(l.name, ad) == old.owner {
+			if old.dormant {
+				m.requeue(old)
+			}
+			old.stale, old.at, old.noMatch = false, m.bus.Now(), 0
+			if old.ad != ad {
+				old.ad = ad
+				old.sig = "" // content changed: re-cluster lazily
+			}
 			return
 		}
-		// Refresh in place; owner may change if the ad changed.
-		if newOwner := jobOwner(schedd, ad); newOwner != old.owner {
-			m.removeJob(key)
-		} else {
-			old.ad = ad
-			old.sig = "" // content changed: re-cluster lazily
-			old.noMatchSent = false
-			old.expires = expires
-			return
-		}
+		m.removeJob(old) // the owner changed: the request moves bucket
 	}
-	j := &jobEntry{key: key, schedd: schedd, job: job, ad: ad, owner: jobOwner(schedd, ad),
-		expires: expires, foreign: foreign}
-	if foreign {
+	j := &jobEntry{schedd: l.name, job: job, ad: ad, owner: jobOwner(l.name, ad),
+		lease: l, at: m.bus.Now(), foreign: foreign}
+	l.jobs.put(job, j)
+	m.requests++
+	m.enqueue(j)
+}
+
+// enqueue puts a request into its owner's queue, in submission order.
+func (m *Matchmaker) enqueue(j *jobEntry) {
+	if j.foreign {
 		m.foreignJobs++
 	}
-	m.jobs[key] = j
+	if j.queued {
+		// Revived before the compaction reclaimed its slot (a
+		// heartbeat reviving a match the schedd has not withdrawn yet):
+		// the tombstone is the entry itself.
+		j.dead = false
+		m.deadJobs--
+		return
+	}
+	j.queued = true
 	q := m.ownerQueues[j.owner]
 	if len(q) == 0 {
 		pos, _ := slices.BinarySearch(m.ownerNames, j.owner)
 		m.ownerNames = slices.Insert(m.ownerNames, pos, j.owner)
 	}
+	j.dead = false
+	if n := len(q); n > 0 && compareJobEntries(q[n-1], j) < 0 {
+		// A new job sorts last, as submissions arrive in id order.
+		m.ownerQueues[j.owner] = append(q, j)
+		return
+	}
 	pos, found := slices.BinarySearchFunc(q, j, compareJobEntries)
-	if found && q[pos].dead {
-		// The same job was withdrawn and re-advertised within one
-		// cycle (failed claim); its tombstone sits exactly where the
-		// new entry sorts, so revive the slot instead of shifting the
-		// queue.  A live entry can never be found here — it would have
-		// matched in m.jobs above.
+	if found {
+		// The same job left the queue and came back within one cycle
+		// (a failed claim, a revival); its tombstone — this entry's or
+		// an earlier one's — sits exactly where the entry sorts, so
+		// revive the slot instead of shifting the queue.  A live entry
+		// can never be found here: it would be in the lease.
+		q[pos].queued = false
 		q[pos] = j
 		m.deadJobs--
 		return
@@ -434,20 +570,82 @@ func (m *Matchmaker) upsertJob(key jobKey, schedd string, job JobID, ad *classad
 	m.ownerQueues[j.owner] = slices.Insert(q, pos, j)
 }
 
-// removeJob withdraws a job request.  The entry is tombstoned in its
-// queue slot — scans skip it, and the next cycle's compaction reclaims
-// it along with any owner bucket it leaves empty.
-func (m *Matchmaker) removeJob(key jobKey) {
-	j, ok := m.jobs[key]
-	if !ok {
-		return
-	}
-	delete(m.jobs, key)
+// requeue revives a dormant request.
+func (m *Matchmaker) requeue(j *jobEntry) {
+	j.dormant = false
+	m.dormantJobs--
+	m.enqueue(j)
+}
+
+// dequeue tombstones a queued request in its slot: scans skip it, and
+// the next cycle's compaction reclaims it along with any owner bucket
+// it leaves empty.
+func (m *Matchmaker) dequeue(j *jobEntry) {
 	j.dead = true
 	m.deadJobs++
 	if j.foreign {
 		m.foreignJobs--
 	}
+}
+
+// removeJob withdraws a job request, queued or dormant; nil is none.
+func (m *Matchmaker) removeJob(j *jobEntry) {
+	if j == nil {
+		return
+	}
+	j.lease.jobs.drop(j.job)
+	m.requests--
+	if j.dormant {
+		j.dormant = false
+		m.dormantJobs--
+		return
+	}
+	m.dequeue(j)
+}
+
+// dropJob takes a request out of the queue on the negotiator's own
+// account — matched, or expired.  A covered request goes dormant in
+// its lease, since its schedd still advertises it; a stale one is
+// gone.
+func (m *Matchmaker) dropJob(j *jobEntry) {
+	if j.stale {
+		m.removeJob(j)
+		return
+	}
+	m.dequeue(j)
+	j.dormant = true
+	m.dormantJobs++
+	j.lease.dormant = append(j.lease.dormant, j)
+}
+
+// queuedJobs is the number of queued requests.
+func (m *Matchmaker) queuedJobs() int { return m.requests - m.dormantJobs }
+
+// noMatchSent reports whether the request was told of no match since
+// its last ad or its lease's last heartbeat.
+func (j *jobEntry) noMatchSent() bool {
+	if j.stale {
+		return j.noMatch != 0
+	}
+	return j.noMatch == j.lease.round
+}
+
+// markNoMatch records that the request was told of no match.
+func (j *jobEntry) markNoMatch() {
+	j.noMatch = 1
+	if !j.stale {
+		j.noMatch = j.lease.round
+	}
+}
+
+// expired reports whether the request outlived its lifetime, counted
+// from its own ad or its lease's last heartbeat, whichever is later.
+func (j *jobEntry) expired(now sim.Time, lifetime time.Duration) bool {
+	last := j.at
+	if !j.stale {
+		last = max(last, j.lease.last)
+	}
+	return now > last.Add(lifetime)
 }
 
 // compactJobQueues filters every owner queue in place, dropping
@@ -465,6 +663,8 @@ func (m *Matchmaker) compactJobQueues() {
 		for _, j := range q {
 			if !j.dead {
 				live = append(live, j)
+			} else {
+				j.queued = false
 			}
 		}
 		for i := len(live); i < len(q); i++ {
@@ -506,7 +706,7 @@ func (m *Matchmaker) negotiate() {
 	m.ownerScratch = owners
 
 	jobs := m.jobScratch[:0]
-	for round := 0; len(jobs) < len(m.jobs); round++ {
+	for round := 0; len(jobs) < m.queuedJobs(); round++ {
 		for _, o := range owners {
 			if q := m.ownerQueues[o]; round < len(q) {
 				jobs = append(jobs, q[round])
@@ -538,12 +738,12 @@ func (m *Matchmaker) negotiate() {
 	for _, j := range jobs {
 		best := m.findBest(j)
 		if best == nil {
-			if !j.noMatchSent && !m.anyCompatible(j) {
+			if !j.noMatchSent() && !m.anyCompatible(j) {
 				// Not outbid — unmatchable: no ad in the pool
 				// satisfies the job at all.  Tell the schedd, which
 				// alone knows whether its own avoidance constraint
 				// caused this.  One notification per advertisement.
-				j.noMatchSent = true
+				j.markNoMatch()
 				m.NoMatches++
 				m.tr.Count("matchmaker.no_matches", 1)
 				m.noMatches.add(j.schedd, j.job)
@@ -557,7 +757,7 @@ func (m *Matchmaker) negotiate() {
 		}
 		m.tr.Count("matchmaker.matches", 1)
 		m.usage[j.owner]++
-		m.removeJob(j.key)
+		m.dropJob(j)
 		// The machine ad travels by reference: ads are immutable once
 		// advertised (a startd re-advertises a fresh object on every
 		// state change), so the claim protocol can read it without a
@@ -612,19 +812,21 @@ func adLifetime(configured time.Duration) time.Duration {
 // The iteration follows the deterministic owner/queue order, never the
 // jobs map.
 func (m *Matchmaker) expireJobs() {
-	now := m.bus.Now()
-	var expired []jobKey
+	now, lifetime := m.bus.Now(), adLifetime(m.params.JobAdLifetime)
+	expired := m.expiredScratch[:0]
 	for _, o := range m.ownerNames {
 		for _, j := range m.ownerQueues[o] {
-			if !j.dead && now > j.expires {
-				expired = append(expired, j.key)
+			if !j.dead && j.expired(now, lifetime) {
+				expired = append(expired, j)
 			}
 		}
 	}
-	for _, key := range expired {
-		m.removeJob(key)
+	for _, j := range expired {
+		m.dropJob(j)
 		m.JobAdsExpired++
 	}
+	clear(expired)
+	m.expiredScratch = expired[:0]
 }
 
 // findBest returns the best unmatched machine for the job, or nil.
@@ -652,7 +854,7 @@ func (m *Matchmaker) cluster(j *jobEntry) *clusterEntry {
 	}
 	c, ok := m.clusters[j.sig]
 	if !ok {
-		if len(m.clusters) >= 2*len(m.jobs)+16 {
+		if len(m.clusters) >= 2*m.queuedJobs()+16 {
 			// Mostly signatures of long-departed jobs: reset rather
 			// than grow without bound.
 			clear(m.clusters)
@@ -727,7 +929,7 @@ func (m *Matchmaker) AdvertiseMachine(name string, ad *classad.Ad) {
 // AdvertiseJob installs or refreshes a job request directly, for
 // benchmarks and tests that drive the matchmaker without the bus.
 func (m *Matchmaker) AdvertiseJob(schedd string, job JobID, ad *classad.Ad) {
-	m.upsertJob(m.scheddKey(schedd).job(job), schedd, job, ad, false)
+	m.upsertJob(m.lease(schedd), job, ad, false)
 }
 
 // MachineCount reports the machines currently advertised (absent
@@ -735,7 +937,7 @@ func (m *Matchmaker) AdvertiseJob(schedd string, job JobID, ad *classad.Ad) {
 func (m *Matchmaker) MachineCount() int { return len(m.machines) - m.absentMachines }
 
 // PendingJobs reports the job requests currently queued, for tests.
-func (m *Matchmaker) PendingJobs() int { return len(m.jobs) }
+func (m *Matchmaker) PendingJobs() int { return m.queuedJobs() }
 
 // Negotiate runs one negotiation cycle immediately, for benchmarks
 // and tests that drive the matchmaker without the bus timer.

@@ -40,7 +40,7 @@ func (m *Matchmaker) refNegotiate() {
 	m.ownerScratch = owners
 
 	jobs := m.jobScratch[:0]
-	for round := 0; len(jobs) < len(m.jobs); round++ {
+	for round := 0; len(jobs) < m.queuedJobs(); round++ {
 		for _, o := range owners {
 			if q := m.ownerQueues[o]; round < len(q) {
 				jobs = append(jobs, q[round])
@@ -66,8 +66,8 @@ func (m *Matchmaker) refNegotiate() {
 	for _, j := range jobs {
 		best := m.refFindBest(j)
 		if best == nil {
-			if !j.noMatchSent && !m.refAnyCompatible(j) {
-				j.noMatchSent = true
+			if !j.noMatchSent() && !m.refAnyCompatible(j) {
+				j.markNoMatch()
 				m.NoMatches++
 				m.tr.Count("matchmaker.no_matches", 1)
 				m.bus.Send(m.name, j.schedd, kindNoMatch,
@@ -82,7 +82,7 @@ func (m *Matchmaker) refNegotiate() {
 		}
 		m.tr.Count("matchmaker.matches", 1)
 		m.usage[j.owner]++
-		m.removeJob(j.key)
+		m.dropJob(j)
 		m.bus.Send(m.name, j.schedd, kindMatchNotify, matchNotifyMsg{
 			Job:       j.job,
 			Machine:   best.name,

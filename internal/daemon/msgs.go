@@ -10,11 +10,12 @@ import (
 
 // Message kinds exchanged on the bus.  Each kind's body type is the
 // struct of the same base name; advertise also carries a schedd's
-// jobAdsMsg.
+// *jobAdsMsg.
 const (
 	kindAdvertise    = "advertise"     // startd/schedd -> matchmaker
 	kindMatchNotify  = "match-notify"  // matchmaker -> schedd
 	kindNoMatch      = "no-match"      // matchmaker -> schedd (zero compatible ads)
+	kindAdResync     = "ad-resync"     // matchmaker -> schedd (a job-ad message went missing)
 	kindClaimRequest = "claim-request" // schedd -> startd
 	kindClaimReply   = "claim-reply"   // startd -> schedd
 	kindActivate     = "activate"      // schedd -> startd (names the shadow)
@@ -42,12 +43,24 @@ type advertiseMsg struct {
 	Ad   *classad.Ad
 }
 
-// jobAdsMsg is a schedd's run of job advertisements to one negotiator
-// (see noticeRun): the idle refresh, or a single advertisement or
-// withdrawal.  The negotiator applies the entries in order.
+// jobAdsMsg is one sequenced message of a schedd's job advertisements
+// to one negotiator: a heartbeat (Beat), one advertisement or
+// withdrawal, or a full message.  Each channel — schedd, negotiator —
+// numbers its messages from 1 in every Incarnation, a schedd process
+// life, so the negotiator finds a missed one by the gap, and ignores a
+// duplicate or stale one by its number.  A heartbeat renews every
+// request the negotiator holds from the schedd and carries only the
+// entries that changed without a message of their own; a Full message
+// carries every idle job the negotiator serves, and the negotiator
+// holds nothing more from the schedd than it.  Entries apply in order.
+// The schedd sends a pointer into a slab, never reused
+// (Schedd.sendAds).
 type jobAdsMsg struct {
-	Schedd string
-	Ads    []jobAd
+	Schedd      string
+	Incarnation uint64
+	Seq         uint64
+	Beat, Full  bool
+	Ads         []jobAd
 }
 
 // jobAd is one job's entry in a jobAdsMsg.
@@ -76,6 +89,10 @@ type matchNotifyMsg struct {
 type noMatchMsg struct {
 	Jobs []JobID
 }
+
+// adResyncMsg asks a schedd for a full job-ad message: the negotiator
+// found a gap in the schedd's sequence (see jobAdsMsg).
+type adResyncMsg struct{}
 
 // claimRequestMsg asks a startd for the claim on its machine.
 type claimRequestMsg struct {

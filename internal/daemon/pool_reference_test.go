@@ -150,14 +150,15 @@ func TestDeterminismUndefinedEdgesMatchReference(t *testing.T) {
 	}
 }
 
-// checkSchedds runs CheckScheddIndex on every submit point.
+// checkSchedds runs CheckScheddIndex on every submit point, and
+// CheckRequests on the matchmaker.
 func checkSchedds(p *pool.Pool) error {
 	for _, s := range p.Schedds {
 		if err := daemon.CheckScheddIndex(s); err != nil {
 			return err
 		}
 	}
-	return nil
+	return daemon.CheckRequests(p.Matchmaker)
 }
 
 // TestScheddIndexHoldsAfterEveryEvent steps a small pool one event at
@@ -210,6 +211,52 @@ func TestScheddIndexHoldsAfterEveryEvent(t *testing.T) {
 		}
 	}
 	t.Logf("%d events checked", events)
+}
+
+// TestTallyFoldsAtEveryEvent steps a pool that fails, churns,
+// checkpoints and crashes one event at a time, and after each checks
+// (CheckScheddIndex) that Tally, folded as jobs turn terminal, equals
+// the full fold of every job — through two schedd crashes, whose
+// replays fold again from the journal, and the compactions that
+// retire terminal jobs between them.
+func TestTallyFoldsAtEveryEvent(t *testing.T) {
+	params := daemon.DefaultParams()
+	params.ChronicFailureThreshold = 2
+	params.MaxAttempts = 4
+	params.CheckpointInterval = 2 * time.Minute
+	ms := pool.Misconfigure(pool.UniformMachines(10, 2048), 3, pool.BreakBadLibraryPath, false)
+	p := pool.New(pool.Config{Seed: 11, Params: params, Machines: ms,
+		Churn: &pool.ChurnConfig{Horizon: 4 * time.Hour, MeanUp: 40 * time.Minute, Downtime: 15 * time.Minute}})
+	p.StageSharedInput()
+	p.SubmitJava(24, pool.MixedWorkload(11, 15*time.Minute))
+	p.SubmitStandard(12, pool.UniformCompute(25*time.Minute))
+	for _, at := range []time.Duration{41 * time.Minute, 97 * time.Minute} {
+		p.Engine.After(at, p.Schedd.Crash)
+		p.Engine.After(at+7*time.Minute, func() {
+			if err := p.Schedd.Recover(nil); err != nil {
+				t.Errorf("recover: %v", err)
+			}
+		})
+	}
+	deadline := sim.Time(0).Add(72 * time.Hour)
+	events := 0
+	for p.Engine.Now() < deadline && !p.AllTerminal() && p.Engine.Step() {
+		events++
+		if err := checkSchedds(p); err != nil {
+			t.Fatalf("after event %d at %v: %v", events, p.Engine.Now(), err)
+		}
+	}
+	m := p.Metrics()
+	if !p.AllTerminal() || m.Evictions == 0 || m.Held+m.Unexecutable == 0 || m.Completed == 0 {
+		t.Fatalf("the pool did not drain through evictions and failures: %s", m)
+	}
+	trace := dispositionTrace(p)
+	for _, ev := range []daemon.EventKind{daemon.EventCheckpointed, daemon.EventRecovered} {
+		if !strings.Contains(trace, " "+string(ev)+" ") {
+			t.Errorf("no job was ever %s", ev)
+		}
+	}
+	t.Logf("%d events checked: %s", events, m)
 }
 
 // run4kPool drives a pool-scale uniform workload — 4096 machines, one

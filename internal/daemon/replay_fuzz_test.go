@@ -99,19 +99,31 @@ func newReplayBase(t testing.TB, base []byte) replayBase {
 // not use.
 func cloneQueue(q *Schedd) *Schedd {
 	c := *q
-	c.jobs, c.live = make(map[JobID]*Job, len(q.jobs)), make([]*Job, len(q.live))
+	c.jobs = jobWindow[Job]{base: q.jobs.base, slots: slices.Clone(q.jobs.slots), far: maps.Clone(q.jobs.far)}
+	c.live = make([]*Job, len(q.live))
 	for i, j := range q.live {
 		cj := *j
 		cj.Attempts, cj.Events, cj.log = slices.Clone(j.Attempts), slices.Clone(j.Events), slices.Clone(j.log)
-		c.live[i], c.jobs[j.ID] = &cj, &cj
+		c.live[i] = &cj
+		if w := &c.jobs; j.ID >= w.base && j.ID-w.base < JobID(len(w.slots)) {
+			w.slots[j.ID-w.base] = &cj
+		} else {
+			w.far[j.ID] = &cj
+		}
 	}
 	c.idleOrder = make([]*Job, len(q.idleOrder))
 	for i, j := range q.idleOrder {
 		if j != nil {
-			c.idleOrder[i] = c.jobs[j.ID]
+			c.idleOrder[i] = c.jobs.get(j.ID)
 		}
 	}
-	c.idlePos, c.machineFailures, c.retired = maps.Clone(q.idlePos), maps.Clone(q.machineFailures), maps.Clone(q.retired)
+	c.flocked = nil
+	for _, j := range q.flocked {
+		if cj := c.jobs.get(j.ID); cj != nil && cj.inFlocked {
+			c.flocked = append(c.flocked, cj)
+		}
+	}
+	c.machineFailures, c.retired = maps.Clone(q.machineFailures), maps.Clone(q.retired)
 	c.reports, c.retiredReports, c.histRuns = slices.Clone(q.reports), slices.Clone(q.retiredReports), slices.Clone(q.histRuns)
 	return &c
 }

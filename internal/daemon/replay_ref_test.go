@@ -50,8 +50,8 @@ func (s *Schedd) refApplyEntry(payload []byte) error {
 	if op == "submit" {
 		return s.refReplaySubmit(JobID(id), sim.Time(at), kv)
 	}
-	j, ok := s.jobs[JobID(id)]
-	if !ok {
+	j := s.jobs.get(JobID(id))
+	if j == nil {
 		return fmt.Errorf("%s record for unknown job %d", op, id)
 	}
 	switch op {

@@ -587,3 +587,42 @@ func TestHistoryGrammar(t *testing.T) {
 		}
 	}
 }
+
+// TestJobWindowTrimsRetiredJobs: ten thousand jobs pass through the
+// queue a few hundred at a time and retire at the compactions; the id
+// window spans only the live ids all along, never the retired ones,
+// and holds nothing once the last job has retired.
+func TestJobWindowTrimsRetiredJobs(t *testing.T) {
+	eng := sim.New(1)
+	s := NewSchedd(sim.NewBus(eng, time.Millisecond), DefaultParams(), "schedd")
+	ok := scope.Result{Status: scope.StatusExited}
+	widest, roomiest := 0, 0
+	for batch := 0; batch < 40; batch++ {
+		var ids []JobID
+		for i := 0; i < 250; i++ {
+			ids = append(ids, s.Submit(&Job{Owner: "u", Ad: NewJavaJobAd("u", 128), Program: jvm.WellBehaved(time.Second)}))
+		}
+		for _, id := range ids {
+			j := s.jobs.get(id)
+			s.setState(j, JobRunning)
+			j.Attempts = append(j.Attempts, Attempt{Machine: "m", Start: eng.Now()})
+			s.handleFinal(jobFinalMsg{Job: id, Machine: "m", CPU: time.Second, Reported: ok, True: ok})
+		}
+		if n := len(s.jobs.slots); n > len(s.live) {
+			t.Fatalf("batch %d: the window spans %d ids for %d live jobs", batch, n, len(s.live))
+		}
+		eng.RunFor(time.Second)
+		if err := s.ForceCompact(); err != nil {
+			t.Fatal(err)
+		}
+		widest, roomiest = max(widest, len(s.jobs.slots)), max(roomiest, cap(s.jobs.slots))
+	}
+	if s.nextID != 10000 || len(s.retired) != 10000 || len(s.live) != 0 || len(s.jobs.slots) != 0 || len(s.jobs.far) != 0 {
+		t.Fatalf("after 10000 jobs: %d retired, %d live, a window of %d ids and %d far",
+			len(s.retired), len(s.live), len(s.jobs.slots), len(s.jobs.far))
+	}
+	if widest != 0 || roomiest > 1024 {
+		t.Errorf("after a compaction the window spanned up to %d ids and held up to %d slots, for no live job",
+			widest, roomiest)
+	}
+}

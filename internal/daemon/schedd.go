@@ -76,29 +76,34 @@ func (t *Tally) Merge(o Tally) {
 
 // Add folds one job and its attempts.  It reads attempts in place and
 // sorts a result by scope without building its error: a monitor runs
-// it over the live queue once per pump.
-func (t *Tally) Add(j *Job) {
-	t.Jobs++
+// it over the unfinished jobs once per pump.
+func (t *Tally) Add(j *Job) { t.fold(j, 1) }
+
+// fold adds n times one job's share: n is 1 to fold the job in, -1 to
+// take it out again.
+func (t *Tally) fold(j *Job, n int) {
+	d := time.Duration(n)
+	t.Jobs += n
 	switch j.State {
 	case JobCompleted:
-		t.Completed++
-		t.TurnaroundTotal += j.Finished.Sub(j.Submitted)
+		t.Completed += n
+		t.TurnaroundTotal += d * j.Finished.Sub(j.Submitted)
 	case JobUnexecutable:
-		t.Unexecutable++
+		t.Unexecutable += n
 	case JobHeld:
-		t.Held++
+		t.Held += n
 	default:
-		t.Unfinished++
+		t.Unfinished += n
 	}
 	for i := range j.Attempts {
 		att := &j.Attempts[i]
-		t.Attempts++
+		t.Attempts += n
 		if att.FetchError != nil {
-			t.FetchFailures++
+			t.FetchFailures += n
 			continue
 		}
 		if att.LostContact != nil {
-			t.LostContacts++
+			t.LostContacts += n
 			continue
 		}
 		if att.Evicted {
@@ -106,32 +111,31 @@ func (t *Tally) Add(j *Job) {
 			// occupancy was wasted depends on the universe
 			// (checkpointing preserves it), so it is reported
 			// separately rather than as badput.
-			t.Evictions++
+			t.Evictions += n
 			continue
 		}
 		if sc := att.True.ErrScope(); sc == scope.ScopeNone || sc == scope.ScopeProgram {
-			t.Goodput += att.CPU
+			t.Goodput += d * att.CPU
 		} else {
 			// A failed attempt wastes the machine for its whole
 			// occupancy — claim, transfer, startup — not just the
 			// program CPU it burned (Section 5: "continuous waste of
 			// CPU and network capacity").
-			t.Badput += att.End.Sub(att.Start)
+			t.Badput += d * att.End.Sub(att.Start)
 		}
 	}
 }
 
-// Tally returns the retired tallies plus a fold of the live queue:
-// what a walk of every job ever submitted would count, at the cost of
-// the jobs still queued.
+// Tally returns what a walk of every job ever submitted would count:
+// the retired tallies, the live terminal jobs folded as each became
+// terminal (setState) with their leaks counted as each report was
+// made, and a fold of the non-terminal live jobs.
 func (s *Schedd) Tally() Tally {
 	t := s.retiredTally
+	t.Merge(s.doneTally)
 	for _, j := range s.live {
-		t.Add(j)
-	}
-	for i := range s.reports {
-		if s.reports[i].IncidentalLeak {
-			t.IncidentalLeaks++
+		if !j.State.Terminal() {
+			t.Add(j)
 		}
 	}
 	return t
@@ -153,7 +157,7 @@ type Schedd struct {
 	// jobs and live hold the queue: every job not yet retired, by id
 	// and in submission (id) order.  A terminal job stays live until
 	// the next compaction retires it to the history (see retire).
-	jobs   map[JobID]*Job
+	jobs   jobWindow[Job]
 	live   []*Job
 	nextID JobID
 	// retired holds every job the history owns, by id; retiredTally
@@ -165,17 +169,25 @@ type Schedd struct {
 	retiredTally   Tally
 	retiredReports []UserReport
 	histRuns       []JobID
+	// doneTally folds the live terminal jobs, each as setState makes it
+	// terminal, and counts their reports' leaks as each is made;
+	// retirement moves it into retiredTally whole.
+	doneTally Tally
 
-	// idleOrder and idlePos index the idle jobs in the order they
-	// became idle, with tombstoned (nil) slots compacted lazily, so
-	// the periodic advertisement walks O(idle) entries — the jobs
-	// themselves, no queue lookup each — instead of the whole queue.
+	// idleOrder indexes the idle jobs in the order they became idle,
+	// with tombstoned (nil) slots compacted lazily; each idle job holds
+	// its slot (Job.idleSlot).  The refresh's rare walks — a full
+	// message, an avoided list that changed — read the jobs themselves,
+	// no queue lookup each, instead of the whole queue.
 	idleOrder []*Job
-	idlePos   map[JobID]int
 	idleStale int
 	// nonTerminal counts jobs not yet in a final state; AllTerminal —
 	// polled every scheduling step — reads it in O(1).
 	nonTerminal int
+	// flocked lists the jobs whose request stands at a peer negotiator
+	// (Job.inFlocked marks them), pruned lazily by flockedIdle: the
+	// refresh rescues these and walks no other job.
+	flocked []*Job
 
 	shadowSeq int
 	// shadows tracks the live shadow of each running job, so a schedd
@@ -186,10 +198,15 @@ type Schedd struct {
 	// failure so stale grudges can expire (see expireFailures).
 	machineFailures map[string]failureRecord
 	// avoidedCache is the sorted avoided-machine list, rebuilt only
-	// when the failure table changes; every idle advertisement reads
-	// it.
+	// when the failure table changes; avoidedVer counts the rebuilds
+	// that changed it, and avoidedSent is the version the last refresh
+	// carried to the negotiators.  avoidedNext is the rebuild's
+	// scratch.
 	avoidedCache []string
+	avoidedNext  []string
 	avoidedDirty bool
+	avoidedVer   int
+	avoidedSent  int
 
 	// wal is the write-ahead journal: every queue transition is
 	// appended before it is acted on, so the queue survives a crash
@@ -206,11 +223,16 @@ type Schedd struct {
 	walBuf      [][]byte
 	outbox      []pendingSend
 	commitArmed bool
-	// ads is the open run of job advertisements (see noticeRun):
-	// advertiseIdle and Recover gather the queue's refresh into it,
-	// any other advertisement or withdrawal goes out as a run of one,
-	// and send closes it before any other message leaves.
-	ads noticeRun[jobAd]
+	// The advertisement channels (see sendAds): incarnation names this
+	// process's life — Recover starts a new one — and links holds one
+	// sequence counter per negotiator this incarnation has advertised
+	// to.  adSlab is the slab every job-ad message is carved from.
+	incarnation uint64
+	links       []adLink
+	adSlab      []jobAdsMsg
+	// peerScratch and flockScratch are the refresh's reused scratch.
+	peerScratch  []string
+	flockScratch []*Job
 	// snapBuf is the reused snapshot and history-frame assembly
 	// buffer.
 	snapBuf []byte
@@ -266,16 +288,14 @@ func NewSchedd(bus Runtime, params Params, name string) *Schedd {
 		name:            name,
 		tr:              params.tracer(),
 		SubmitFS:        vfs.New(),
-		jobs:            make(map[JobID]*Job),
 		retired:         make(map[JobID]retiredJob),
-		idlePos:         make(map[JobID]int),
 		shadows:         make(map[JobID]*Shadow),
 		machineFailures: make(map[string]failureRecord),
 		avoidedDirty:    true,
 		wal:             journal.New(),
 		hist:            journal.New(),
+		incarnation:     1,
 	}
-	s.ads.send = s.sendAds
 	bus.Register(name, s)
 	s.stopAds = bus.Every(params.AdInterval, s.advertiseIdle)
 	return s
@@ -306,56 +326,63 @@ func (s *Schedd) Submit(job *Job) JobID {
 	return job.ID
 }
 
-// addJob registers a job in the queue maps and the derived indexes.
+// addJob registers a job in the queue index and the derived indexes.
 // Both Submit and journal replay funnel through it.
 func (s *Schedd) addJob(j *Job) {
-	s.jobs[j.ID] = j
+	s.jobs.put(j.ID, j)
 	s.live = append(s.live, j)
 	if !j.State.Terminal() {
 		s.nonTerminal++
+	} else {
+		s.doneTally.fold(j, 1)
 	}
 	if j.State == JobIdle {
 		s.idleAdd(j)
 	}
 }
 
-// setState moves a job between states, keeping the idle index and the
-// non-terminal count consistent.  Every state transition — live or
-// replayed — goes through here.
+// setState moves a job between states, keeping the idle index, the
+// non-terminal count and the terminal jobs' tally consistent.  Every
+// state transition — live or replayed — goes through here, so a job's
+// attempts and Finished must be final before it is made terminal.
 func (s *Schedd) setState(j *Job, st JobState) {
 	if j.State == st {
 		return
 	}
 	if j.State == JobIdle {
-		s.idleRemove(j.ID)
+		s.idleRemove(j)
 	}
 	if st == JobIdle {
 		s.idleAdd(j)
 	}
-	if !j.State.Terminal() && st.Terminal() {
+	if j.State.Terminal() {
+		s.doneTally.fold(j, -1)
+	} else if st.Terminal() {
 		s.nonTerminal--
 	}
 	j.State = st
+	if st.Terminal() {
+		s.doneTally.fold(j, 1)
+	}
 }
 
 // idleAdd appends a job to the idle index.
 func (s *Schedd) idleAdd(j *Job) {
-	if _, ok := s.idlePos[j.ID]; ok {
+	if j.idleSlot != 0 {
 		return
 	}
-	s.idlePos[j.ID] = len(s.idleOrder)
 	s.idleOrder = append(s.idleOrder, j)
+	j.idleSlot = len(s.idleOrder)
 }
 
 // idleRemove tombstones a job's slot; compaction happens lazily on
 // the next advertisement pass, never mid-iteration.
-func (s *Schedd) idleRemove(id JobID) {
-	pos, ok := s.idlePos[id]
-	if !ok {
+func (s *Schedd) idleRemove(j *Job) {
+	if j.idleSlot == 0 {
 		return
 	}
-	delete(s.idlePos, id)
-	s.idleOrder[pos] = nil
+	s.idleOrder[j.idleSlot-1] = nil
+	j.idleSlot = 0
 	s.idleStale++
 }
 
@@ -364,8 +391,8 @@ func (s *Schedd) compactIdle() {
 	live := s.idleOrder[:0]
 	for _, j := range s.idleOrder {
 		if j != nil {
-			s.idlePos[j.ID] = len(live)
 			live = append(live, j)
+			j.idleSlot = len(live)
 		}
 	}
 	clear(s.idleOrder[len(live):])
@@ -373,9 +400,12 @@ func (s *Schedd) compactIdle() {
 	s.idleStale = 0
 }
 
+// idleCount returns the number of idle jobs.
+func (s *Schedd) idleCount() int { return len(s.idleOrder) - s.idleStale }
+
 // Job returns the job with the given id, live or retired.
 func (s *Schedd) Job(id JobID) *Job {
-	if j, ok := s.jobs[id]; ok {
+	if j := s.jobs.get(id); j != nil {
 		return j
 	}
 	return s.retiredJob(id, nil)
@@ -407,38 +437,89 @@ func (s *Schedd) Reports() []UserReport {
 // AllTerminal reports whether every job reached a final state.
 func (s *Schedd) AllTerminal() bool { return s.nonTerminal == 0 }
 
-// advertiseIdle is the idle refresh: every idle job's ad, gathered
-// into runs, one per stretch of jobs with the same negotiator (see
-// noticeRun).  The refresh is the
-// heartbeat that keeps the requests alive at the negotiators: a schedd
-// that stops sending it is discovered by time, when they age out.
+// advertiseIdle is the idle refresh, the heartbeat that keeps the
+// requests alive at the negotiators: a schedd that stops sending it is
+// discovered by time, when they age out (Section 5).  Each negotiator
+// holding any of the idle jobs gets one heartbeat, which renews every
+// request it holds from this schedd and carries only the entries that
+// changed without a message of their own — every job the avoidance
+// constraint covers, when the avoided list changed since the last
+// refresh.  So a steady round walks no jobs: only the flocked ones,
+// which it rescues.
 func (s *Schedd) advertiseIdle() {
 	s.expireFailures()
 	if s.idleStale > 0 && s.idleStale >= len(s.idleOrder)/2 {
 		s.compactIdle()
 	}
-	s.ads.hint = len(s.idlePos)
-	for _, j := range s.idleOrder {
-		if j == nil {
-			continue
-		}
-		s.gatherAd(j, s.effectiveAd(j))
-		s.rescueFlocked(j)
+	idle := s.idleCount()
+	if idle == 0 {
+		return
 	}
-	s.ads.flush()
+	flocked := s.flockedIdle()
+	s.avoidedMachines() // rebuild a stale list, so its version is current
+	changed := s.avoidedVer != s.avoidedSent
+	s.avoidedSent = s.avoidedVer
+	home := s.params.matchmaker()
+	peers := s.peerScratch[:0]
+	if idle > len(flocked) {
+		peers = append(peers, home)
+	}
+	for _, j := range flocked {
+		if !slices.Contains(peers, j.flockedTo) {
+			peers = append(peers, j.flockedTo)
+		}
+	}
+	for _, to := range peers {
+		var ads []jobAd
+		if changed {
+			ads = s.idleAds(to, true)
+		}
+		s.sendAds(to, true, ads)
+	}
+	clear(peers)
+	s.peerScratch = peers[:0]
+	// The rescue: re-run the flock decision for each job advertised at
+	// a peer.  A live peer that cannot match the job says so with a
+	// no-match, and handleNoMatch escalates; a *dead* peer says nothing
+	// at all, so without this periodic check a flocked job would wait
+	// on a silent pool forever.  The silence is discovered by time,
+	// not by a message (Section 5): maybeFlock's pacing clock fires a
+	// FlockAfter after the departure, and the coordinator — whose pings
+	// have meanwhile outed the dead peer — redirects or recalls the job.
+	for _, j := range flocked {
+		s.maybeFlock(j)
+	}
+	clear(flocked)
+	s.flockScratch = flocked[:0]
 }
 
-// rescueFlocked re-runs the flock decision for a job advertised at a
-// peer negotiator.  A live peer that cannot match the job says so
-// with a no-match, and handleNoMatch escalates; a *dead* peer says
-// nothing at all, so without this periodic check a flocked job would
-// wait on a silent pool forever.  The silence is discovered by time,
-// not by a message (Section 5): maybeFlock's pacing clock fires a
-// FlockAfter after the departure, and the coordinator — whose pings
-// have meanwhile outed the dead peer — redirects or recalls the job.
-func (s *Schedd) rescueFlocked(j *Job) {
-	if j.flockedTo != "" {
-		s.maybeFlock(j)
+// flockedIdle prunes the flocked list to the jobs still flocked and
+// returns the idle ones in idle order, in a reused scratch slice.
+func (s *Schedd) flockedIdle() []*Job {
+	kept, idle := s.flocked[:0], s.flockScratch[:0]
+	for _, j := range s.flocked {
+		if j.flockedTo == "" || s.jobs.get(j.ID) != j {
+			j.inFlocked = false
+			continue
+		}
+		kept = append(kept, j)
+		if j.idleSlot != 0 {
+			idle = append(idle, j)
+		}
+	}
+	clear(s.flocked[len(kept):])
+	s.flocked = kept
+	slices.SortFunc(idle, func(a, b *Job) int { return cmp.Compare(a.idleSlot, b.idleSlot) })
+	return idle
+}
+
+// setFlock records the negotiator a job's request stands at — a peer,
+// or "" for home — keeping the flocked list the refresh rescues.
+func (s *Schedd) setFlock(j *Job, to string, level int, at sim.Time) {
+	j.flockedTo, j.flockLevel, j.flockedAt = to, level, at
+	if to != "" && !j.inFlocked {
+		j.inFlocked = true
+		s.flocked = append(s.flocked, j)
 	}
 }
 
@@ -467,20 +548,26 @@ func (s *Schedd) expireFailures() {
 
 // avoidedMachines lists the machines the chronic-failure policy
 // currently excludes, sorted for deterministic ads.  The list is
-// cached between failure-table changes: every idle job's every
-// advertisement reads it.
+// cached between failure-table changes, and a rebuild that changes it
+// bumps avoidedVer: every effective ad under avoidance changes with
+// it.
 func (s *Schedd) avoidedMachines() []string {
 	if s.params.ChronicFailureThreshold <= 0 {
 		return nil
 	}
 	if s.avoidedDirty {
-		s.avoidedCache = s.avoidedCache[:0]
+		next := s.avoidedNext[:0]
 		for machine, rec := range s.machineFailures {
 			if rec.count >= s.params.ChronicFailureThreshold {
-				s.avoidedCache = append(s.avoidedCache, machine)
+				next = append(next, machine)
 			}
 		}
-		slices.Sort(s.avoidedCache)
+		slices.Sort(next)
+		if !slices.Equal(next, s.avoidedCache) {
+			s.avoidedVer++
+			s.avoidedCache, next = next, s.avoidedCache
+		}
+		s.avoidedNext = next[:0]
 		s.avoidedDirty = false
 	}
 	return s.avoidedCache
@@ -500,18 +587,11 @@ func (s *Schedd) idleFor(j *Job) time.Duration {
 	return s.bus.Now().Sub(since)
 }
 
-// send closes the open run of advertisements, which must arrive
-// first, and posts one message.
-func (s *Schedd) send(to, kind string, body any) {
-	s.ads.flush()
-	s.post(to, kind, body)
-}
-
-// post routes one outgoing message, deferring it while a journal
+// send routes one outgoing message, deferring it while a journal
 // batch is open: a message is an externally visible action, and the
 // append-before-act discipline requires the records justifying it to
 // be durable first.  With no batch open it is a plain bus send.
-func (s *Schedd) post(to, kind string, body any) {
+func (s *Schedd) send(to, kind string, body any) {
 	if s.commitArmed {
 		s.outbox = append(s.outbox, pendingSend{to: to, kind: kind, body: body})
 		return
@@ -519,9 +599,72 @@ func (s *Schedd) post(to, kind string, body any) {
 	s.bus.Send(s.name, to, kind, body)
 }
 
-// sendAds posts one run of job advertisements to a negotiator.
-func (s *Schedd) sendAds(to string, ads []jobAd) {
-	s.post(to, kindAdvertise, jobAdsMsg{Schedd: s.name, Ads: ads})
+// adLink is the schedd's end of one advertisement channel: the
+// sequence number of the last message it sent to that negotiator in
+// this incarnation, and whether the next one must go full.
+type adLink struct {
+	to   string
+	seq  uint64
+	full bool
+}
+
+// link returns the channel to a negotiator, opening it — its first
+// message full — on first use in the incarnation.
+func (s *Schedd) link(to string) *adLink {
+	for i := range s.links {
+		if s.links[i].to == to {
+			return &s.links[i]
+		}
+	}
+	s.links = append(s.links, adLink{to: to, full: true})
+	return &s.links[len(s.links)-1]
+}
+
+// adSlabLen is how many job-ad messages one slab holds.
+const adSlabLen = 64
+
+// sendAds sends one sequenced message of job advertisements to a
+// negotiator: a heartbeat (beat) or a message of its own.  A message
+// the channel owes full — its first in an incarnation, or the answer
+// to a resync — carries every idle job the negotiator serves instead,
+// whatever it was asked to carry, so the negotiator learns the whole
+// set and forgets what it held beyond it.  Messages come from a slab
+// and are never reused, so a heartbeat allocates nothing and a
+// delivery, however late or duplicated, reads what was sent.
+func (s *Schedd) sendAds(to string, beat bool, ads []jobAd) {
+	l := s.link(to)
+	full := l.full
+	if full {
+		l.full = false
+		ads = s.idleAds(to, false)
+	}
+	l.seq++
+	if len(s.adSlab) == cap(s.adSlab) {
+		s.adSlab = make([]jobAdsMsg, 0, adSlabLen)
+	}
+	s.adSlab = append(s.adSlab, jobAdsMsg{Schedd: s.name, Incarnation: s.incarnation,
+		Seq: l.seq, Beat: beat, Full: full, Ads: ads})
+	s.send(to, kindAdvertise, &s.adSlab[len(s.adSlab)-1])
+}
+
+// sendFull answers a negotiator that missed a message with a full one.
+func (s *Schedd) sendFull(to string) {
+	s.link(to).full = true
+	s.sendAds(to, false, nil)
+}
+
+// idleAds returns the entry of every idle job the negotiator serves,
+// in idle order — what a full message carries — or, when avoiding,
+// only of those the avoidance constraint covers: what changed when
+// the avoided list did.
+func (s *Schedd) idleAds(to string, avoiding bool) []jobAd {
+	var ads []jobAd
+	for _, j := range s.idleOrder {
+		if j != nil && !(avoiding && s.relaxed(j)) && s.matchmakerFor(j) == to {
+			ads = append(ads, s.entry(j, s.effectiveAd(j)))
+		}
+	}
+	return ads
 }
 
 // matchmakerFor returns the negotiator currently serving the job: the
@@ -533,30 +676,30 @@ func (s *Schedd) matchmakerFor(j *Job) string {
 	return s.params.matchmaker()
 }
 
-// gatherAd adds the job's entry — ad, or nil for a withdrawal — to
-// the open run to its current negotiator.
-func (s *Schedd) gatherAd(j *Job, ad *classad.Ad) {
-	s.ads.add(s.matchmakerFor(j), jobAd{Job: j.ID, Ad: ad, Flocked: j.flockedTo != ""})
+// entry is the job's entry in a job-ad message: ad, or nil for a
+// withdrawal.
+func (s *Schedd) entry(j *Job, ad *classad.Ad) jobAd {
+	return jobAd{Job: j.ID, Ad: ad, Flocked: j.flockedTo != ""}
 }
 
 // advertiseJob sends the job's request to its negotiator.
 func (s *Schedd) advertiseJob(j *Job) {
-	s.gatherAd(j, s.effectiveAd(j))
-	s.ads.flush()
+	s.sendAds(s.matchmakerFor(j), false, []jobAd{s.entry(j, s.effectiveAd(j))})
 }
 
 // withdrawJob removes the job's request from its current negotiator so
 // stale advertisements cannot produce matches for jobs no longer idle.
 func (s *Schedd) withdrawJob(j *Job) {
-	s.gatherAd(j, nil)
-	s.ads.flush()
+	s.sendAds(s.matchmakerFor(j), false, []jobAd{s.entry(j, nil)})
 }
 
 // effectiveAd returns the ad the schedd actually advertises: the
 // job's own ad, strengthened — when chronic-failure avoidance is on —
 // with a requirement steering the matchmaker away from machines with
 // repeated failures.  Extending Requirements is the ClassAd idiom for
-// schedd-side policy.
+// schedd-side policy.  The strengthened copy is kept per job for the
+// avoided list's version, so every advertisement of one list shares
+// it.
 func (s *Schedd) effectiveAd(j *Job) *classad.Ad {
 	var avoided []string
 	if !s.relaxed(j) {
@@ -569,6 +712,9 @@ func (s *Schedd) effectiveAd(j *Job) *classad.Ad {
 		// matchmaker recognizes the pointer and keeps its cluster
 		// signature.
 		return j.Ad
+	}
+	if j.avoidingAd != nil && j.avoidingVer == s.avoidedVer {
+		return j.avoidingAd
 	}
 	ad := j.Ad.Copy()
 	var list strings.Builder
@@ -586,6 +732,7 @@ func (s *Schedd) effectiveAd(j *Job) *classad.Ad {
 	}
 	ad.MustSetExpr(classad.AttrRequirements,
 		fmt.Sprintf("(%s) && !member(target.Machine, %s)", req, list.String()))
+	j.avoidingAd, j.avoidingVer = ad, s.avoidedVer
 	return ad
 }
 
@@ -598,6 +745,8 @@ func (s *Schedd) Receive(msg sim.Message) {
 		for _, id := range body.Jobs {
 			s.handleNoMatch(id)
 		}
+	case adResyncMsg:
+		s.sendFull(msg.From)
 	case claimReplyMsg:
 		s.receiveClaim(msg.From, body)
 	case flockReplyMsg:
@@ -617,8 +766,8 @@ func (s *Schedd) Receive(msg sim.Message) {
 // replays the record, and the next attempt — on any machine — resumes
 // from the committed CPU instead of from scratch.
 func (s *Schedd) handleCkptCommit(m ckptCommitMsg) {
-	j, ok := s.jobs[m.Job]
-	if !ok || j.State != JobRunning || m.CPU <= j.CheckpointCPU {
+	j := s.jobs.get(m.Job)
+	if j == nil || j.State != JobRunning || m.CPU <= j.CheckpointCPU {
 		return
 	}
 	s.journalAppend(j, recCkpt(j.ID, s.bus.Now(), m.CPU))
@@ -633,8 +782,8 @@ func (s *Schedd) handleCkptCommit(m ckptCommitMsg) {
 // attempt closes exactly once, by the same path a running eviction
 // takes.
 func (s *Schedd) handleClaimVacated(m claimVacatedMsg) {
-	j, ok := s.jobs[m.Job]
-	if !ok || j.State != JobRunning {
+	j := s.jobs.get(m.Job)
+	if j == nil || j.State != JobRunning {
 		return
 	}
 	sh := s.shadows[m.Job]
@@ -664,8 +813,8 @@ func (s *Schedd) handleClaimVacated(m claimVacatedMsg) {
 // flocking: a job the whole local pool cannot run is offered to a
 // peer pool instead (maybeFlock).
 func (s *Schedd) handleNoMatch(id JobID) {
-	j, ok := s.jobs[id]
-	if !ok || j.State != JobIdle {
+	j := s.jobs.get(id)
+	if j == nil || j.State != JobIdle {
 		return
 	}
 	if !s.relaxed(j) &&
@@ -720,8 +869,8 @@ func (s *Schedd) maybeFlock(j *Job) {
 // current advertisement, the error is traced and counted, and the
 // pacing clock retries the query a FlockAfter later.
 func (s *Schedd) handleFlockReply(r flockReplyMsg) {
-	j, ok := s.jobs[r.Job]
-	if !ok || !j.flockPending {
+	j := s.jobs.get(r.Job)
+	if j == nil || !j.flockPending {
 		return
 	}
 	j.flockPending = false
@@ -742,9 +891,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 	case FlockGrant:
 		s.journalAppend(j, recFlock(j.ID, now, m.Level, m.Negotiator))
 		s.withdrawJob(j) // from the negotiator that starved it
-		j.flockedTo = m.Negotiator
-		j.flockLevel = m.Level
-		j.flockedAt = now
+		s.setFlock(j, m.Negotiator, m.Level, now)
 		s.FlockDepartures++
 		s.tr.Count("schedd.flock.departures", 1)
 		s.logEvent(j, EventFlocked, "to %s (level %d)", m.Negotiator, m.Level)
@@ -755,9 +902,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 		}
 		s.journalAppend(j, recFlock(j.ID, now, 0, ""))
 		s.withdrawJob(j) // from the peer that no longer serves it
-		j.flockedTo = ""
-		j.flockLevel = 0
-		j.flockedAt = now
+		s.setFlock(j, "", 0, now)
 		s.FlockReturns++
 		s.tr.Count("schedd.flock.returns", 1)
 		s.logEvent(j, EventFlockReturned, "%s", m.Reason)
@@ -770,9 +915,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 // advertisement, and an attempt or a crash invalidates exactly that
 // remote arrangement — never the job itself.
 func (s *Schedd) resetFlock(j *Job) {
-	j.flockedTo = ""
-	j.flockLevel = 0
-	j.flockedAt = 0
+	s.setFlock(j, "", 0, 0)
 	j.flockPending = false
 	j.flockPendingAt = 0
 }
@@ -781,8 +924,8 @@ func (s *Schedd) resetFlock(j *Job) {
 // chronic-failure policy vetoes it.
 func (s *Schedd) handleMatch(m matchNotifyMsg) {
 	s.MatchesReceived++
-	j, ok := s.jobs[m.Job]
-	if !ok || j.State != JobIdle {
+	j := s.jobs.get(m.Job)
+	if j == nil || j.State != JobIdle {
 		return
 	}
 	if s.params.ChronicFailureThreshold > 0 &&
@@ -831,8 +974,8 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 // receiveClaim activates a granted claim by spawning the shadow; the
 // sender's name identifies the machine.
 func (s *Schedd) receiveClaim(from string, r claimReplyMsg) {
-	j, ok := s.jobs[r.Job]
-	if !ok || j.State != JobMatched {
+	j := s.jobs.get(r.Job)
+	if j == nil || j.State != JobMatched {
 		return
 	}
 	j.claimSeq++ // the reply arrived; disarm the claim timeout
@@ -910,12 +1053,13 @@ func (s *Schedd) applyFinal(j *Job, f jobFinalMsg, err error, now sim.Time) scop
 	disp := s.dispose(f, err, now)
 	switch disp {
 	case scope.DispositionComplete:
-		s.setState(j, JobCompleted)
 		j.Finished = now
+		s.setState(j, JobCompleted)
 		leak := false
 		if trueErr := f.True.Err(); trueErr != nil &&
 			scope.ScopeOf(trueErr) > scope.ScopeProgram {
 			leak = true
+			s.doneTally.IncidentalLeaks++
 		}
 		s.reports = append(s.reports, UserReport{
 			Job:            j.ID,
@@ -925,8 +1069,8 @@ func (s *Schedd) applyFinal(j *Job, f jobFinalMsg, err error, now sim.Time) scop
 		})
 
 	case scope.DispositionUnexecutable:
-		s.setState(j, JobUnexecutable)
 		j.Finished = now
+		s.setState(j, JobUnexecutable)
 		j.FinalErr = err
 		s.reports = append(s.reports, UserReport{
 			Job:         j.ID,
@@ -936,8 +1080,8 @@ func (s *Schedd) applyFinal(j *Job, f jobFinalMsg, err error, now sim.Time) scop
 
 	default: // requeue, possibly hardened into a hold
 		if f.Hold || len(j.Attempts) >= s.params.MaxAttempts {
-			s.setState(j, JobHeld)
 			j.Finished = now
+			s.setState(j, JobHeld)
 			if f.Hold {
 				// The shadow already escalated; its error names the
 				// exhausted execution environment.
@@ -986,8 +1130,8 @@ func (s *Schedd) dispose(f jobFinalMsg, err error, now sim.Time) scope.Dispositi
 
 // handleFinal applies the schedd's last-line-of-defense policy.
 func (s *Schedd) handleFinal(f jobFinalMsg) {
-	j, ok := s.jobs[f.Job]
-	if !ok || j.State != JobRunning {
+	j := s.jobs.get(f.Job)
+	if j == nil || j.State != JobRunning {
 		return
 	}
 	now := s.bus.Now()

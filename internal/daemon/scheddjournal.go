@@ -32,6 +32,7 @@ package daemon
 // crash invalidates.
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sort"
@@ -243,18 +244,28 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 
 	s.wal = from
 	s.walAppends = len(r.Entries)
-	s.jobs = make(map[JobID]*Job)
-	s.live = nil
+	// The snapshot holds one submit record per live job: size the
+	// queue for them before replay grows it.
+	queued := bytes.Count(r.Snapshot, []byte("\nop=submit "))
+	if bytes.HasPrefix(r.Snapshot, []byte("op=submit ")) {
+		queued++
+	}
+	s.jobs = jobWindow[Job]{slots: make([]*Job, 0, queued)}
+	s.live = make([]*Job, 0, queued)
 	s.nextID = 0
 	s.shadowSeq = 0
 	s.shadows = make(map[JobID]*Shadow)
 	s.machineFailures = make(map[string]failureRecord)
 	s.avoidedCache, s.avoidedDirty = nil, true
-	s.idleOrder, s.idleStale, s.nonTerminal = nil, 0, 0
-	s.idlePos = make(map[JobID]int)
-	s.reports = nil
+	s.idleOrder, s.idleStale, s.nonTerminal = make([]*Job, 0, queued), 0, 0
+	s.flocked = nil
+	s.reports, s.doneTally = nil, Tally{}
 	s.Requeues = 0
 	s.MatchesReceived, s.MatchesDeclined, s.ClaimsFailed = 0, 0, 0
+	// A new incarnation: every channel's first message is full, so each
+	// negotiator forgets what the dead process left there.
+	s.incarnation++
+	s.links = nil
 
 	rp := newReplayer(s)
 	if err := rp.readHistory(intact(s.hist)); err != nil {
@@ -291,8 +302,8 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	// was serving it (shadow, claim, matchmaker entry) with the
 	// process, so it restarts from idle.  The normalization itself is
 	// journaled so a second crash replays to the same place, and the
-	// re-advertisements go home as one run.
-	s.ads.hint = s.nonTerminal
+	// re-advertisement goes home as the new incarnation's first
+	// message, full.
 	for _, j := range s.live {
 		if j.State.Terminal() {
 			continue
@@ -311,9 +322,10 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 			s.logEvent(j, EventShadowVanished, "%v", died)
 		}
 		s.logEvent(j, EventRecovered, "queue rebuilt from journal")
-		s.gatherAd(j, s.effectiveAd(j))
 	}
-	s.ads.flush()
+	if s.idleCount() > 0 {
+		s.sendAds(s.params.matchmaker(), false, nil)
+	}
 	// Recovery is complete only when its normalization records are on
 	// disk; flush the batch before handing the queue back.
 	s.commitWAL(s.epoch)
@@ -529,7 +541,7 @@ func (s *Schedd) snapshot() []byte {
 // completion order, so the frame walks them: the op=history record
 // with the cumulative retired tallies, then each retiring job's log in
 // completion order, so replaying the frame rebuilds the reports in
-// order.  Each job is folded into the tallies here, once.  The retired *Job
+// order.  The jobs' share of the tallies moves here, once.  The retired *Job
 // values stay in process memory, event logs included, until the next
 // crash; their logs are dropped, since nothing writes a retired job
 // again.  The frame aliases the snapshot buffer: append it before the
@@ -538,18 +550,16 @@ func (s *Schedd) retire() []byte {
 	if len(s.reports) == 0 {
 		return nil
 	}
-	for i := range s.reports {
-		s.retiredTally.Add(s.jobs[s.reports[i].Job])
-		if s.reports[i].IncidentalLeak {
-			s.retiredTally.IncidentalLeaks++
-		}
-	}
+	// Every live terminal job has its report here, so the terminal
+	// tally moves whole.
+	s.retiredTally.Merge(s.doneTally)
+	s.doneTally = Tally{}
 	b := appendTally(s.snapBuf[:0], &s.retiredTally)
 	for i := range s.reports {
-		j := s.jobs[s.reports[i].Job]
+		j := s.jobs.get(s.reports[i].Job)
 		b = append(b, j.log...)
 		j.log = nil
-		delete(s.jobs, j.ID)
+		s.jobs.drop(j.ID)
 		s.retired[j.ID] = retiredJob{j: j}
 	}
 	s.live = slices.DeleteFunc(s.live, func(j *Job) bool { return j.State.Terminal() })

@@ -121,8 +121,8 @@ func (rp *replayer) applyEntry(payload []byte) error {
 	if string(op) == "submit" {
 		return rp.replaySubmit(id, at)
 	}
-	j, ok := s.jobs[id]
-	if !ok {
+	j := s.jobs.get(id)
+	if j == nil {
 		return fmt.Errorf("%s record for unknown job %d", op, id)
 	}
 	switch string(op) {
@@ -157,7 +157,7 @@ func (rp *replayer) applyEntry(payload []byte) error {
 		if rp.Err != nil {
 			return rp.Err
 		}
-		j.flockedTo, j.flockLevel, j.flockedAt = to, level, at
+		s.setFlock(j, to, level, at)
 	case "final":
 		f, err := rp.decodeFinal(id)
 		if err != nil {
@@ -402,8 +402,6 @@ func (rp *replayer) tally() Tally {
 // a job's records need to replay — that is never the queue itself.
 func (s *Schedd) scratchQueue() *Schedd {
 	return &Schedd{name: s.name, params: s.params,
-		jobs:            make(map[JobID]*Job),
-		idlePos:         make(map[JobID]int),
 		machineFailures: make(map[string]failureRecord)}
 }
 
@@ -414,8 +412,8 @@ func (s *Schedd) scratchQueue() *Schedd {
 func (rp *replayer) decodeRun(id JobID, run []byte) (*Job, []UserReport) {
 	q := rp.s
 	err := rp.applyLines(run)
-	j, reports := q.jobs[id], slices.Clone(q.reports)
-	delete(q.jobs, id)
+	j, reports := q.jobs.get(id), slices.Clone(q.reports)
+	q.jobs.drop(id)
 	q.reports = q.reports[:0]
 	if err != nil || j == nil {
 		return nil, nil

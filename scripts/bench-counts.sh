@@ -7,7 +7,12 @@
 # shows which layers' work a change moved and which it left alone;
 # timings are bench-pairs.sh's business.
 #
-#   scripts/bench-counts.sh PARENT "WORKLOAD..." [SEED=42]
+#   [MAY_MOVE="metric ..."] scripts/bench-counts.sh PARENT "WORKLOAD..." [SEED=42]
+#
+# It is a gate: after printing every table it exits 1 if the digest or
+# any count not named in MAY_MOVE moved on any workload, and names
+# them.  A count the change is meant to move goes in MAY_MOVE, and
+# the table still shows it, marked "moved (may)".
 #
 # Both sides are built once, as bench-pairs.sh builds them: the parent
 # is exported with `git archive` into .bench_build/counts/, so nothing
@@ -19,6 +24,7 @@ parent=${1:?$usage}
 read -r -a workloads <<<"${2:?$usage}"
 ((${#workloads[@]})) || { echo "$usage" >&2; exit 2; }
 seed=${3:-42}
+read -r -a may_move <<<"${MAY_MOVE:-}"
 
 build="$PWD/.bench_build"
 counts="$build/counts"
@@ -47,6 +53,7 @@ run() {
 	} >"$counts/$1.$2"
 }
 
+failed=()
 for w in "${workloads[@]}"; do
 	for side in parent change; do
 		echo "$w $side" >&2
@@ -55,15 +62,25 @@ for w in "${workloads[@]}"; do
 	printf '%s  seed %s  one traced run per side, against %s\n' "$w" "$seed" "$parent"
 	printf '%-32s %20s %20s\n' metric parent change
 	for m in digest $names; do
-		awk -v m="$m" -v pf="$counts/$w.parent" -v cf="$counts/$w.change" '
+		may=0
+		for x in "${may_move[@]}"; do
+			[[ $m != digest && $x == "$m" ]] && may=1
+		done
+		line=$(awk -v m="$m" -v may="$may" -v pf="$counts/$w.parent" -v cf="$counts/$w.change" '
 		BEGIN {
 			while ((getline l < pf) > 0) { split(l, f, " "); if (f[1] == m) p = f[2] }
 			while ((getline l < cf) > 0) { split(l, f, " "); if (f[1] == m) c = f[2] }
 			if (p == "" && c == "") exit
-			mark = p == c ? "equal" : "moved"
+			mark = p == c ? "equal" : may ? "moved (may)" : "moved"
 			if (m == "digest") { p = substr(p, 1, 16); c = substr(c, 1, 16) }
 			printf "%-32s %20s %20s   %s\n", m, p == "" ? "-" : p, c == "" ? "-" : c, mark
-		}'
+		}')
+		[[ -n $line ]] && echo "$line"
+		[[ $line == *"   moved" ]] && failed+=("$w:$m")
 	done
 	echo
 done
+if ((${#failed[@]})); then
+	echo "FAIL: moved outside MAY_MOVE: ${failed[*]}" >&2
+	exit 1
+fi
