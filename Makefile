@@ -126,8 +126,8 @@ cover:
 	done
 
 ## journal-smoke: the schedd write-ahead journal under the race
-## detector — concurrent append/compact/replay plus the torn-tail and
-## fuzz-seeded decode tests, and the record language whose lenient
+## detector — concurrent append/compact/replay plus the torn-tail,
+## fuzz-seeded decode and segment tests, and the record language whose lenient
 ## cursor reads the journal back — and then its one client: the
 ## schedd's crash, group-commit, replay and recovery tests, which
 ## include the replay decoder's differential seeds and its cost guards,

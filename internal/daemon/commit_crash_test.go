@@ -61,7 +61,7 @@ func commitPoints(t testing.TB) ([]commitPoint, int) {
 			if crashed {
 				for _, j := range s.live {
 					if !j.State.Terminal() {
-						before = append(before, recEvent("recover", j.ID, eng.Now()))
+						before = append(before, recEvent(nil, "recover", j.ID, eng.Now()))
 					}
 				}
 			}

@@ -149,16 +149,12 @@ type Job struct {
 	// for it since, and the requeue records the journal does not carry
 	// (see handleFinal).  Replaying it into an empty queue rebuilds the
 	// job, so a snapshot is the live jobs' logs and a history frame the
-	// retiring jobs' logs (see scheddjournal.go).  Recovery appends a
-	// copy of the fields it read from each record it applies, so a
-	// rebuilt log never aliases the disk.
+	// retiring jobs' logs (see scheddjournal.go).  Every record is
+	// encoded here, once: the journal's open batch holds slices of the
+	// logs.  Recovery appends a copy of the fields it read from each
+	// record it applies, so a rebuilt log never aliases the disk.
 	// A retired job's log is dropped.
 	log []byte
-}
-
-// logRecord appends one record to the job's log.
-func (j *Job) logRecord(rec []byte) {
-	j.log = append(append(j.log, rec...), '\n')
 }
 
 // LastAttempt returns the most recent attempt, or nil.

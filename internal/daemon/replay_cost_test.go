@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,8 +77,10 @@ func TestRecoverCostIsTheDistinctAds(t *testing.T) {
 // almost all padding — an 8 MB value under a key the decoder ignores
 // — and measures the live heap before and after.  The rebuilt queue
 // is a few hundred small jobs; if any of their strings were a slice
-// of the decoded log, the whole copy of it would stay reachable and
-// the heap would carry 8 MB more.
+// of a copy of the decoded log, that copy would stay reachable and
+// the heap would carry 8 MB more.  Replay hands recovery the journal's
+// own bytes, and compaction writes over them, so then the snapshot is
+// overwritten in place: a rebuilt job that aliased it would change.
 func TestRecoveredQueueDoesNotPinTheLog(t *testing.T) {
 	const pad = 8 << 20
 	_, s := twoAdQueue(256)
@@ -90,10 +93,11 @@ func TestRecoveredQueueDoesNotPinTheLog(t *testing.T) {
 	padded = append(padded, "\"\n"...)
 	padded = append(padded, rest...)
 	disk := journal.New()
-	disk.Compact(padded, nil)
-	// One more record doubles the log's backing array now, so that
-	// recovery's own appends do not grow it inside the measurement.
-	disk.Append(recEvent("relax", 1, 0))
+	disk.Compact(len(padded), func(b []byte) []byte { return append(b, padded...) })
+	// One more record opens the log's next segment now, so that
+	// recovery's own appends do not allocate it inside the measurement.
+	disk.Append(recEvent(nil, "relax", 1, 0))
+	n := len(padded)
 	padded, snap = nil, nil
 
 	before := heapAlloc()
@@ -107,7 +111,19 @@ func TestRecoveredQueueDoesNotPinTheLog(t *testing.T) {
 	if grew := int64(after) - int64(before); grew > pad/2 {
 		t.Errorf("live heap grew %d bytes across a recovery of 256 jobs: the queue pins the %d-byte log", grew, disk.Size())
 	}
-	runtime.KeepAlive(disk)
+
+	queue := func() string {
+		var b strings.Builder
+		for _, j := range s.Jobs() {
+			fmt.Fprintf(&b, "%s%s\n%s", jobSummary(j), j.Ad, j.log)
+		}
+		return b.String()
+	}
+	want := queue()
+	disk.Compact(n, func(b []byte) []byte { return append(b, bytes.Repeat([]byte{'#'}, n)...) })
+	if got := queue(); got != want {
+		t.Errorf("overwriting the recovered snapshot changed the queue:\n%s\nwas\n%s", got, want)
+	}
 }
 
 func BenchmarkRecover(b *testing.B) {
@@ -122,5 +138,64 @@ func BenchmarkRecover(b *testing.B) {
 		s.ForceCompact()
 		s.Crash()
 		b.StartTimer()
+	}
+}
+
+// TestRecoverAliasesTheHistory recovers a schedd whose history holds
+// over a thousand retired jobs.  The history pass indexes the retired
+// runs where they lie in the history journal, so it allocates less
+// than the history's size; and since the history is only ever appended
+// to, a run decoded after later frames were appended still decodes to
+// the job it did before them.
+func TestRecoverAliasesTheHistory(t *testing.T) {
+	const jobs = 1100
+	params := DefaultParams()
+	eng := sim.New(1)
+	bus := sim.NewBus(eng, 5*time.Millisecond)
+	NewMatchmaker(bus, params)
+	s := NewSchedd(bus, params, "schedd")
+	for i := range 32 {
+		NewStartd(bus, params, goodMachine(fmt.Sprintf("m%d", i)))
+	}
+	for range jobs {
+		submitJavaJob(s, jvm.WellBehaved(time.Minute))
+	}
+	runUntilDone(t, eng, s, 24*time.Hour)
+	if err := s.ForceCompact(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.retired) != jobs {
+		t.Fatalf("%d of %d jobs retired", len(s.retired), jobs)
+	}
+	s.Crash()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := newReplayer(s).readHistory(s.hist.Intact()); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= uint64(s.hist.Size()) {
+		t.Errorf("indexing a %d-byte history allocated %d bytes: the retired runs are a copy", s.hist.Size(), alloc)
+	}
+
+	if err := s.Recover(nil); err != nil {
+		t.Fatal(err)
+	}
+	first := s.histRuns[0]
+	want, _ := newReplayer(s.scratchQueue()).decodeRun(first, s.retired[first].run)
+	hist := s.hist.Size()
+	for range 50 {
+		submitJavaJob(s, jvm.WellBehaved(time.Minute))
+	}
+	runUntilDone(t, eng, s, 24*time.Hour)
+	if err := s.ForceCompact(); err != nil {
+		t.Fatal(err)
+	}
+	if s.hist.Size() == hist {
+		t.Fatal("no history frame was appended after the recovery")
+	}
+	if got := s.Job(first); want == nil || got == nil || !sameJob(got, want) {
+		t.Fatalf("retired job %d decodes to\n%v\nafter the history grew, and to\n%v\nbefore", first, got, want)
 	}
 }

@@ -177,7 +177,7 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 		t.Fatal(err)
 	}
 	eng.RunFor(20 * time.Minute)
-	snapshot = bytes.Clone(schedd.snapshot())
+	snapshot = schedd.appendSnapshot(nil)
 	if err := schedd.ForceCompact(); err != nil {
 		t.Fatal(err)
 	}
@@ -231,14 +231,14 @@ func replaySeeds(t testing.TB) (snapshot []byte, records [][]byte) {
 	records = append(records, bytes.Clone(tally), bytes.Clone(run))
 	lost := scope.New(scope.ScopeRemoteResource, "LostContact", "machine %s went silent", "m 2")
 	records = append(records,
-		recCkpt(2, 1234, 90*time.Second),
-		recFlock(2, 1500, 1, "negotiator@peer pool"),
-		recFlock(2, 1600, 0, ""),
-		recEvent("claim-timeout", 1, 99),
-		recEvent("claim-denied", 1, 100),
-		recEvent("relax", 3, 101),
-		recEvent("requeue", 3, 102),
-		recFinal(jobFinalMsg{Job: 2, Machine: "m 2", CPU: time.Minute, CheckpointCPU: time.Second,
+		recCkpt(nil, 2, 1234, 90*time.Second),
+		recFlock(nil, 2, 1500, 1, "negotiator@peer pool"),
+		recFlock(nil, 2, 1600, 0, ""),
+		recEvent(nil, "claim-timeout", 1, 99),
+		recEvent(nil, "claim-denied", 1, 100),
+		recEvent(nil, "relax", 3, 101),
+		recEvent(nil, "requeue", 3, 102),
+		recFinal(nil, jobFinalMsg{Job: 2, Machine: "m 2", CPU: time.Minute, CheckpointCPU: time.Second,
 			Evicted: true, Preempted: true, LostContact: lost.WithOrigin("shadow"),
 			Reported: scope.Result{Status: scope.StatusNoResult},
 			True:     scope.Result{Status: scope.StatusNoResult}}, 1700),

@@ -326,7 +326,7 @@ func TestSnapshotReplaysToItself(t *testing.T) {
 		if err := newReplayer(q).applyLines(snap); err != nil {
 			t.Fatalf("compaction %d (%s): %v", n, eng.Now(), err)
 		}
-		if again := q.snapshot(); !bytes.Equal(again, snap) {
+		if again := q.appendSnapshot(nil); !bytes.Equal(again, snap) {
 			t.Fatalf("compaction %d (%s): the snapshot replays to\n%s\nnot to\n%s", n, eng.Now(), again, snap)
 		}
 	}
@@ -350,7 +350,7 @@ func TestCompactRetiresBeforeItFolds(t *testing.T) {
 	s.flushBatch()
 	now, want := eng.Now(), recoveredFrom(s, eng.Now())
 	hist, compactions := s.hist.Size(), s.wal.Compactions()
-	s.appendHistory()
+	s.retire()
 	if s.hist.Size() == hist || s.wal.Compactions() != compactions {
 		t.Fatalf("first write: history %d -> %d bytes, journal compacted %d times: want only the history written",
 			hist, s.hist.Size(), s.wal.Compactions()-compactions)
@@ -529,9 +529,9 @@ func TestHistoryGrammar(t *testing.T) {
 	ok := scope.Result{Status: scope.StatusExited}
 	run := func(id JobID) string {
 		j := &Job{ID: id, Owner: "u", Program: jvm.WellBehaved(time.Second)}
-		return strings.Join([]string{string(recSubmit(j)),
-			string(recMachineOp("match", id, 1, "m")), string(recMachineOp("exec", id, 1, "m")),
-			string(recFinal(jobFinalMsg{Job: id, Machine: "m", CPU: 3, Reported: ok, True: ok}, 5))}, "\n")
+		return strings.Join([]string{string(recSubmit(nil, j)),
+			string(recMachineOp(nil, "match", id, 1, "m")), string(recMachineOp(nil, "exec", id, 1, "m")),
+			string(recFinal(nil, jobFinalMsg{Job: id, Machine: "m", CPU: 3, Reported: ok, True: ok}, 5))}, "\n")
 	}
 	frame := func(lines ...string) []byte {
 		j := journal.New()
@@ -558,7 +558,11 @@ func TestHistoryGrammar(t *testing.T) {
 		{"record before submit", frame(tally, "op=exec id=1 at=1 machine=\"m\""), "frame 0: exec record of job 1 before its submit", 0, 0},
 		{"another job's record inside a run", frame(tally, run(1), "op=relax id=2 at=9"), "frame 0: relax record of job 2 inside job 1's run", 0, 0},
 		{"retired twice", frame(tally, run(1), run(1)), "frame 0: job 1 retired twice", 0, 0},
-		{"snapshot record", func() []byte { j := journal.New(); j.Compact([]byte(tally), nil); return j.Bytes() }(),
+		{"snapshot record", func() []byte {
+			j := journal.New()
+			j.Compact(len(tally), func(b []byte) []byte { return append(b, tally...) })
+			return j.Bytes()
+		}(),
 			"snapshot record in the history", 0, 0},
 	} {
 		s, err := recoverHistory(nil, c.hist)

@@ -216,10 +216,11 @@ type Schedd struct {
 	hist *journal.Journal
 	// walAppends counts entries since the last compaction.
 	walAppends int
-	// Group commit: walBuf holds the records of the open
-	// batch, outbox the sends deferred until those records are
-	// durable, and commitArmed whether the commit event is scheduled
-	// for the end of the current instant.
+	// Group commit: walBuf holds the records of the open batch —
+	// slices of the jobs' logs, their capacity cut to their length
+	// (see journalAppend) — outbox the sends deferred until those
+	// records are durable, and commitArmed whether the commit event is
+	// scheduled for the end of the current instant.
 	walBuf      [][]byte
 	outbox      []pendingSend
 	commitArmed bool
@@ -233,9 +234,6 @@ type Schedd struct {
 	// peerScratch and flockScratch are the refresh's reused scratch.
 	peerScratch  []string
 	flockScratch []*Job
-	// snapBuf is the reused snapshot and history-frame assembly
-	// buffer.
-	snapBuf []byte
 	// crashed marks a schedd that is down; epoch invalidates timers
 	// (claim timeouts, requeue backoffs) armed before a crash.
 	crashed bool
@@ -315,7 +313,7 @@ func (s *Schedd) Submit(job *Job) JobID {
 	// advertise shares (or copies) this ad, and copies inherit the
 	// caches.
 	job.Ad.Precompile()
-	s.journalAppend(job, recSubmit(job))
+	s.journalAppend(job, recSubmit(job.log, job))
 	s.addJob(job)
 	s.logEvent(job, EventSubmitted, "owner %s", job.Owner)
 	s.advertiseJob(job)
@@ -770,7 +768,7 @@ func (s *Schedd) handleCkptCommit(m ckptCommitMsg) {
 	if j == nil || j.State != JobRunning || m.CPU <= j.CheckpointCPU {
 		return
 	}
-	s.journalAppend(j, recCkpt(j.ID, s.bus.Now(), m.CPU))
+	s.journalAppend(j, recCkpt(j.log, j.ID, s.bus.Now(), m.CPU))
 	j.CheckpointCPU = m.CPU
 	s.logEvent(j, EventCheckpointed, "committed %v", m.CPU)
 }
@@ -821,7 +819,7 @@ func (s *Schedd) handleNoMatch(id JobID) {
 		s.params.ChronicRelaxAfter > 0 &&
 		s.idleFor(j) >= s.params.ChronicRelaxAfter &&
 		len(s.avoidedMachines()) > 0 {
-		s.journalAppend(j, recEvent("relax", j.ID, s.bus.Now()))
+		s.journalAppend(j, recEvent(j.log, "relax", j.ID, s.bus.Now()))
 		j.avoidanceRelaxed = true
 		s.logEvent(j, EventAvoidanceRelaxed,
 			"idle %v with no compatible machine; matching chronic machines again",
@@ -889,7 +887,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 	now := s.bus.Now()
 	switch m.Op {
 	case FlockGrant:
-		s.journalAppend(j, recFlock(j.ID, now, m.Level, m.Negotiator))
+		s.journalAppend(j, recFlock(j.log, j.ID, now, m.Level, m.Negotiator))
 		s.withdrawJob(j) // from the negotiator that starved it
 		s.setFlock(j, m.Negotiator, m.Level, now)
 		s.FlockDepartures++
@@ -900,7 +898,7 @@ func (s *Schedd) handleFlockReply(r flockReplyMsg) {
 		if j.flockedTo == "" {
 			return // already home; the pacing clock retries later
 		}
-		s.journalAppend(j, recFlock(j.ID, now, 0, ""))
+		s.journalAppend(j, recFlock(j.log, j.ID, now, 0, ""))
 		s.withdrawJob(j) // from the peer that no longer serves it
 		s.setFlock(j, "", 0, now)
 		s.FlockReturns++
@@ -939,7 +937,7 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(j, recMachineOp("match", j.ID, s.bus.Now(), m.Machine))
+	s.journalAppend(j, recMachineOp(j.log, "match", j.ID, s.bus.Now(), m.Machine))
 	s.setState(j, JobMatched)
 	j.claimSeq++
 	seq := j.claimSeq
@@ -960,7 +958,7 @@ func (s *Schedd) handleMatch(m matchNotifyMsg) {
 			// after recovery the queue holds rebuilt Job values, and a
 			// pre-crash closure's pointer no longer speaks for them.
 			if s.epoch == epoch && j.State == JobMatched && j.claimSeq == seq {
-				s.journalAppend(j, recEvent("claim-timeout", j.ID, s.bus.Now()))
+				s.journalAppend(j, recEvent(j.log, "claim-timeout", j.ID, s.bus.Now()))
 				s.ClaimsFailed++
 				s.setState(j, JobIdle)
 				s.logEvent(j, EventClaimTimeout, "no reply from %s within %v",
@@ -980,14 +978,14 @@ func (s *Schedd) receiveClaim(from string, r claimReplyMsg) {
 	}
 	j.claimSeq++ // the reply arrived; disarm the claim timeout
 	if !r.Granted {
-		s.journalAppend(j, recEvent("claim-denied", j.ID, s.bus.Now()))
+		s.journalAppend(j, recEvent(j.log, "claim-denied", j.ID, s.bus.Now()))
 		s.ClaimsFailed++
 		s.setState(j, JobIdle)
 		s.logEvent(j, EventClaimDenied, "%s: %s", from, r.Reason)
 		s.advertiseJob(j)
 		return
 	}
-	s.journalAppend(j, recMachineOp("exec", j.ID, s.bus.Now(), from))
+	s.journalAppend(j, recMachineOp(j.log, "exec", j.ID, s.bus.Now(), from))
 	s.setState(j, JobRunning)
 	j.avoidanceRelaxed = false // the next idle spell re-arms avoidance
 	s.resetFlock(j)            // every attempt restarts the job at home
@@ -1135,7 +1133,7 @@ func (s *Schedd) handleFinal(f jobFinalMsg) {
 		return
 	}
 	now := s.bus.Now()
-	s.journalAppend(j, recFinal(f, now))
+	s.journalAppend(j, recFinal(j.log, f, now))
 	delete(s.shadows, f.Job) // the shadow retires with its report
 
 	err := finalError(f)
@@ -1201,7 +1199,7 @@ func (s *Schedd) handleFinal(f jobFinalMsg) {
 		epoch := s.epoch
 		s.bus.After(s.params.RequeueBackoff, func() {
 			if s.epoch == epoch && j.State == JobRunning {
-				j.logRecord(recEvent("requeue", j.ID, s.bus.Now()))
+				j.log = append(recEvent(j.log, "requeue", j.ID, s.bus.Now()), '\n')
 				s.setState(j, JobIdle)
 				s.advertiseJob(j)
 			}

@@ -64,12 +64,16 @@ func (s *Schedd) History() *journal.Journal { return s.hist }
 func (s *Schedd) Crashed() bool { return s.crashed }
 
 // journalAppend writes one record of job j ahead of the transition it
-// describes: the record joins j's log and the open batch, and the
-// group commit is scheduled for the end of the current instant,
-// deferring every outgoing send behind it (see commitWAL).
-func (s *Schedd) journalAppend(j *Job, rec []byte) {
-	j.logRecord(rec)
-	s.walBuf = append(s.walBuf, rec)
+// describes.  log is j's log with the record appended by one of the
+// rec* encoders: it becomes j's log, and the record joins the open
+// batch as a slice of it whose capacity ends with the record, so no
+// later append to the log can write into a batched record.  The group
+// commit is scheduled for the end of the current instant, deferring
+// every outgoing send behind it (see commitWAL).
+func (s *Schedd) journalAppend(j *Job, log []byte) {
+	start, end := len(j.log), len(log)
+	j.log = append(log, '\n')
+	s.walBuf = append(s.walBuf, j.log[start:end:end])
 	if !s.commitArmed {
 		s.commitArmed = true
 		epoch := s.epoch
@@ -130,29 +134,22 @@ func (s *Schedd) flushBatch() {
 	s.walBuf = s.walBuf[:0]
 }
 
-// compact retires every terminal job to the history, then folds the
-// write-ahead journal into a snapshot of the live queue.  The order
-// is the durability argument: every record is already in the journal,
-// so a crash before the history append replays the journal, a crash
-// after it finds the retired jobs in both and lets the history win,
-// and a crash after the snapshot finds each job in exactly one place.
+// compact retires every terminal job to the history (its first
+// write), then folds the write-ahead journal into a snapshot of the
+// live queue (its second).  The order is the durability argument:
+// every record is already in the journal, so a crash before the
+// history append replays the journal, a crash after it finds the
+// retired jobs in both and lets the history win, and a crash after the
+// snapshot finds each job in exactly one place.
 func (s *Schedd) compact() {
-	s.appendHistory()
+	s.retire()
 	s.foldJournal()
-}
-
-// appendHistory is a compaction's first write: every terminal job
-// retires, in one history frame.
-func (s *Schedd) appendHistory() {
-	if frame := s.retire(); frame != nil {
-		s.hist.Append(frame)
-	}
 }
 
 // foldJournal is a compaction's second write: the write-ahead journal
 // is replaced by a snapshot of the live queue.
 func (s *Schedd) foldJournal() {
-	s.wal.Compact(s.snapshot(), nil)
+	s.wal.Compact(s.snapshotSize(), s.appendSnapshot)
 	s.walAppends = 0
 }
 
@@ -240,7 +237,10 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	if from == nil {
 		from = s.wal
 	}
-	r := intact(from)
+	// r's payloads are the journal's own bytes, which a compaction
+	// writes over: applyEntry copies what it keeps, and r is used up
+	// before the commit that ends Recover.
+	r := from.Intact()
 
 	s.wal = from
 	s.walAppends = len(r.Entries)
@@ -268,7 +268,7 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	s.links = nil
 
 	rp := newReplayer(s)
-	if err := rp.readHistory(intact(s.hist)); err != nil {
+	if err := rp.readHistory(s.hist.Intact()); err != nil {
 		return fmt.Errorf("schedd %s: history: %w", s.name, err)
 	}
 	if len(r.Snapshot) > 0 {
@@ -309,7 +309,7 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 			continue
 		}
 		open := j.LastAttempt() != nil && j.LastAttempt().End == 0
-		s.journalAppend(j, recEvent("recover", j.ID, now))
+		s.journalAppend(j, recEvent(j.log, "recover", j.ID, now))
 		s.normalizeJob(j, now)
 		if open {
 			// The shadow died mid-attempt.  The machine is blameless —
@@ -330,19 +330,6 @@ func (s *Schedd) Recover(from *journal.Journal) error {
 	// disk; flush the batch before handing the queue back.
 	s.commitWAL(s.epoch)
 	return nil
-}
-
-// intact decodes a journal and cuts off its torn tail, so the records
-// appended after a recovery follow the last intact one.  Left in place,
-// the tail would hide them from every later replay: the history is
-// never compacted, so nothing else would ever clear it.
-func intact(j *journal.Journal) journal.Replay {
-	b := j.Bytes()
-	r := journal.Decode(b)
-	if r.Truncated > 0 {
-		j.SetBytes(b[:len(b)-r.Truncated])
-	}
-	return r
 }
 
 // normalizeJob requeues one non-terminal job after recovery: an open
@@ -374,22 +361,30 @@ func shadowDiedErr(schedd string) *scope.Error {
 
 // --- record encoding -------------------------------------------------
 
+// The rec* encoders append one record, without its newline, to b —
+// a job's log (see journalAppend) — and return the result.
+
 // recHead starts a record: "op=<op> id=<id> at=<at>".
-func recHead(size int, op string, id JobID, at sim.Time) []byte {
-	b := append(append(make([]byte, 0, size), "op="...), op...)
+func recHead(b []byte, op string, id JobID, at sim.Time) []byte {
+	b = append(append(b, "op="...), op...)
 	return record.AppendInt(record.AppendInt(b, "id", int64(id)), "at", int64(at))
 }
 
+// runRecords is what the records a job's run typically adds to its
+// log after the submit record take: a match, an exec and a final.
+const runRecords = 400
+
 // recSubmit records a submission with the job's immutable identity:
 // owner, universe, executable, the ad as rendered at submit, and the
-// program.
-func recSubmit(j *Job) []byte {
+// program.  It opens the job's log, so b is grown for the record and
+// the run after it at once.
+func recSubmit(b []byte, j *Job) []byte {
 	ad := ""
 	if j.Ad != nil {
 		ad = j.Ad.String()
 	}
 	prog := jvm.EncodeProgram(j.Program)
-	b := recHead(112+len(ad)+len(prog), "submit", j.ID, j.Submitted)
+	b = recHead(slices.Grow(b, 128+len(ad)+len(prog)+runRecords), "submit", j.ID, j.Submitted)
 	b = record.AppendStr(b, "owner", j.Owner)
 	b = record.AppendStr(b, "universe", j.Universe)
 	b = record.AppendStr(b, "exe", j.Executable)
@@ -398,38 +393,38 @@ func recSubmit(j *Job) []byte {
 }
 
 // recMachineOp records a transition onto a machine: match, exec.
-func recMachineOp(op string, id JobID, at sim.Time, machine string) []byte {
-	return record.AppendStr(recHead(48+len(machine), op, id, at), "machine", machine)
+func recMachineOp(b []byte, op string, id JobID, at sim.Time, machine string) []byte {
+	return record.AppendStr(recHead(b, op, id, at), "machine", machine)
 }
 
 // recFlock records a flock transition: the job's advertisement moved
 // to the peer negotiator `to` at 1-based `level`, or came home again
 // (level 0, empty to).
-func recFlock(id JobID, at sim.Time, level int, to string) []byte {
-	b := record.AppendInt(recHead(56+len(to), "flock", id, at), "level", int64(level))
+func recFlock(b []byte, id JobID, at sim.Time, level int, to string) []byte {
+	b = record.AppendInt(recHead(b, "flock", id, at), "level", int64(level))
 	return record.AppendStr(b, "to", to)
 }
 
 // recCkpt records a committed checkpoint: the job can resume from cpu
 // nanoseconds of delivered work on any machine, even after a schedd
 // crash.
-func recCkpt(id JobID, at sim.Time, cpu time.Duration) []byte {
-	return record.AppendInt(recHead(56, "ckpt", id, at), "cpu", int64(cpu))
+func recCkpt(b []byte, id JobID, at sim.Time, cpu time.Duration) []byte {
+	return record.AppendInt(recHead(b, "ckpt", id, at), "cpu", int64(cpu))
 }
 
 // recEvent covers the transitions that carry no payload beyond the
 // job and the instant: claim-timeout, claim-denied, relax, recover, and
 // requeue, the one a job's log holds and the journal does not (see
 // handleFinal).
-func recEvent(op string, id JobID, at sim.Time) []byte {
-	return recHead(40, op, id, at)
+func recEvent(b []byte, op string, id JobID, at sim.Time) []byte {
+	return recHead(b, op, id, at)
 }
 
 // recFinal records a final report: the attempt's machine, CPU and
 // checkpoint, how it ended, its two scoped errors, and the reported and
 // the true result.
-func recFinal(f jobFinalMsg, at sim.Time) []byte {
-	b := record.AppendStr(recHead(256, "final", f.Job, at), "machine", f.Machine)
+func recFinal(b []byte, f jobFinalMsg, at sim.Time) []byte {
+	b = record.AppendStr(recHead(b, "final", f.Job, at), "machine", f.Machine)
 	b = record.AppendInt(b, "cpu", int64(f.CPU))
 	b = record.AppendInt(b, "ckpt", int64(f.CheckpointCPU))
 	b = record.AppendBool(b, "evicted", f.Evicted)
@@ -483,6 +478,11 @@ func decodeScopedErr(enc string) (error, error) {
 		Origin: parts[3], Message: parts[4]}, nil
 }
 
+// tallyBound bounds the length of a history frame's op=history
+// record: the tag, eleven integer fields of at most 22 bytes past
+// their keys, the 79 bytes of the keys, and the newline.
+const tallyBound = len("op=history") + 11*22 + 79 + 1
+
 // appendTally writes a history frame's first record: the retired
 // tallies so far, this frame's jobs included.  Jobs is the sum of the
 // three terminal states, so it is not written.
@@ -500,18 +500,32 @@ func appendTally(b []byte, t *Tally) []byte {
 	return append(record.AppendInt(b, "turnaround", int64(t.TurnaroundTotal)), '\n')
 }
 
-// snapshot serializes the live queue as records: every live job's
-// log, in id order, then the trailer — the op=schedd counters, on which
-// replay clears the chronic-failure table, and the table as op=failure
-// records.  The trailer must come last: a job's replayed final still
-// disposes, and the finals of retired jobs have left the journal, so
-// the trailer overwrites what replaying the logs did to the counters
-// and the table.  compact calls snapshot right after retire,
-// so no live job is terminal.  The returned slice aliases a buffer
-// reused across snapshots; callers (journal framing) copy it before the
-// next snapshot.
-func (s *Schedd) snapshot() []byte {
-	b := s.snapBuf[:0]
+// snapshotSize bounds the length of the snapshot appendSnapshot
+// writes: the live jobs' logs exactly, and the trailer's fields at
+// their widest.  (A machine name is bounded as printable ASCII; a name
+// that quotes longer only costs the journal a copy.)
+func (s *Schedd) snapshotSize() int {
+	n := len("op=schedd nextID= requeues= recoveries=\n") + 3*20
+	for _, j := range s.live {
+		n += len(j.log)
+	}
+	for m, rec := range s.machineFailures {
+		if rec.count != 0 {
+			n += len("op=failure machine=\"\" count= last=\n") + 2*len(m) + 2*20
+		}
+	}
+	return n
+}
+
+// appendSnapshot appends the live queue to b as records: every live
+// job's log, in id order, then the trailer — the op=schedd counters, on
+// which replay clears the chronic-failure table, and the table as
+// op=failure records.  The trailer must come last: a job's replayed
+// final still disposes, and the finals of retired jobs have left the
+// journal, so the trailer overwrites what replaying the logs did to the
+// counters and the table.  compact calls it right after retire, so no
+// live job is terminal.
+func (s *Schedd) appendSnapshot(b []byte) []byte {
 	for _, j := range s.live {
 		b = append(b, j.log...)
 	}
@@ -531,41 +545,50 @@ func (s *Schedd) snapshot() []byte {
 		b = record.AppendInt(b, "count", int64(rec.count))
 		b = append(record.AppendInt(b, "last", int64(rec.last)), '\n')
 	}
-	s.snapBuf = b
 	return b
 }
 
-// retire moves every terminal job out of the queue and returns the
-// history frame that holds them, nil if none is terminal.  Each
-// terminal job has exactly one report, and the reports are in
-// completion order, so the frame walks them: the op=history record
-// with the cumulative retired tallies, then each retiring job's log in
-// completion order, so replaying the frame rebuilds the reports in
-// order.  The jobs' share of the tallies moves here, once.  The retired *Job
-// values stay in process memory, event logs included, until the next
-// crash; their logs are dropped, since nothing writes a retired job
-// again.  The frame aliases the snapshot buffer: append it before the
-// next snapshot.
-func (s *Schedd) retire() []byte {
+// retire moves every terminal job out of the queue into one history
+// frame, written in place in the history journal.  Each terminal job
+// has exactly one report, and the reports are in completion order, so
+// the frame walks them: the op=history record with the cumulative
+// retired tallies, then each retiring job's log in completion order,
+// so replaying the frame rebuilds the reports in order.  The jobs'
+// share of the tallies moves here, once.  The retired *Job values stay
+// in process memory, event logs included, until the next crash; their
+// logs are dropped, since nothing writes a retired job again.  With
+// no job terminal, nothing is written.
+func (s *Schedd) retire() {
 	if len(s.reports) == 0 {
-		return nil
+		return
 	}
 	// Every live terminal job has its report here, so the terminal
 	// tally moves whole.
 	s.retiredTally.Merge(s.doneTally)
 	s.doneTally = Tally{}
-	b := appendTally(s.snapBuf[:0], &s.retiredTally)
+	size := tallyBound
+	for i := range s.reports {
+		size += len(s.jobs.get(s.reports[i].Job).log)
+	}
+	s.hist.AppendFunc(size, s.appendRetiring)
 	for i := range s.reports {
 		j := s.jobs.get(s.reports[i].Job)
-		b = append(b, j.log...)
 		j.log = nil
 		s.jobs.drop(j.ID)
 		s.retired[j.ID] = retiredJob{j: j}
 	}
 	s.live = slices.DeleteFunc(s.live, func(j *Job) bool { return j.State.Terminal() })
-	s.snapBuf = b
 	s.retiredReports = append(s.retiredReports, s.reports...)
 	clear(s.reports)
 	s.reports = s.reports[:0]
+}
+
+// appendRetiring appends the history frame of the retiring jobs to b:
+// the retired tallies, then each reporting job's log.
+func (s *Schedd) appendRetiring(b []byte) []byte {
+	b = appendTally(b, &s.retiredTally)
+	for i := range s.reports {
+		b = append(b, s.jobs.get(s.reports[i].Job).log...)
+	}
 	return b
 }

@@ -288,8 +288,10 @@ func (rp *replayer) decodeFinal(id JobID) (jobFinalMsg, error) {
 
 // retiredJob is one job the history holds: the *Job itself, once this
 // process retired or decoded it, or else its run in the history — its
-// records, as the last Recover read them.  A decoded run keeps the
-// reports it made until Reports takes them.
+// records, as the last Recover read them, where they lie in the
+// history journal.  The history is only ever appended to, so the run
+// stays as it was read.  A decoded run keeps the reports it made until
+// Reports takes them.
 type retiredJob struct {
 	j       *Job
 	run     []byte
@@ -300,8 +302,8 @@ type retiredJob struct {
 // retired job: the journal checks each frame's checksum and stops at
 // the first bad one, as it does for the write-ahead journal; each
 // frame's op=history record is applied, so the retired tallies are the
-// last frame's; and each job's run is found and kept for retiredJob and
-// Reports to decode on demand.
+// last frame's; and each job's run is found and kept, a slice of the
+// frame, for retiredJob and Reports to decode on demand.
 func (rp *replayer) readHistory(r journal.Replay) error {
 	s := rp.s
 	s.retired = make(map[JobID]retiredJob)

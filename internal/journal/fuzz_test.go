@@ -10,7 +10,8 @@ func fuzzSeed() []byte {
 	j := New()
 	j.Append([]byte("op=submit id=1"))
 	j.Append([]byte("op=match id=1 machine=big"))
-	j.Compact([]byte("snapshot nextID=2"), [][]byte{[]byte("op=exec id=1")})
+	compact(j, []byte("snapshot nextID=2"))
+	j.Append([]byte("op=exec id=1"))
 	j.Append([]byte("op=final id=1"))
 	return j.Bytes()
 }
@@ -38,11 +39,10 @@ func FuzzDecode(f *testing.F) {
 		// exactly the same state with a clean tail.
 		j := New()
 		if r.Snapshot != nil {
-			j.Compact(r.Snapshot, r.Entries)
-		} else {
-			for _, e := range r.Entries {
-				j.Append(e)
-			}
+			compact(j, r.Snapshot)
+		}
+		for _, e := range r.Entries {
+			j.Append(e)
 		}
 		r2 := j.Replay()
 		if r2.Truncated != 0 {

@@ -45,16 +45,49 @@ const (
 	KindSnapshot byte = 'S'
 )
 
+// Segment sizes: the first segment holds firstSegment bytes and each
+// next one twice its predecessor, up to maxSegment.  A frame never
+// spans two segments; one larger than the next segment gets a segment
+// of exactly its own size.
+const (
+	firstSegment = 4 << 10
+	maxSegment   = 1 << 20
+)
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Journal is the durable log.  The backing store is a byte slice — the
-// "disk" that survives a simulated crash of its writer.  All methods
-// are safe for concurrent use; the simulation is single-threaded, but
-// the race-enabled journal-smoke test exercises concurrent append and
-// compaction so the type stays correct under a live runtime too.
+// The CRC of each kind byte alone: a frame's checksum continues from
+// its kind's seed over the payload.
+var (
+	entrySeed    = crc32.Checksum([]byte{KindEntry}, castagnoli)
+	snapshotSeed = crc32.Checksum([]byte{KindSnapshot}, castagnoli)
+)
+
+func checksum(kind byte, payload []byte) uint32 {
+	seed := entrySeed
+	if kind == KindSnapshot {
+		seed = snapshotSeed
+	}
+	return crc32.Update(seed, castagnoli, payload)
+}
+
+// Journal is the durable log — the "disk" that survives a simulated
+// crash of its writer.  It is a sequence of segments that are only
+// ever appended to: growing the log allocates a new segment and never
+// copies the old ones, so a payload Replay returned stays valid as
+// later records are appended.  Only Compact rewrites: it reuses the
+// old segments for the new log.  All methods are safe for concurrent
+// use; the simulation is single-threaded, but the race-enabled
+// journal-smoke test exercises concurrent append and compaction so the
+// type stays correct under a live runtime too.
 type Journal struct {
-	mu   sync.Mutex
-	data []byte
+	mu sync.Mutex
+	// segs is the log, in order; every segment but the last is sealed.
+	// spare holds the segments the last compaction emptied, for the
+	// log to grow into before it allocates.
+	segs  [][]byte
+	spare [][]byte
+	size  int
 
 	appends     int
 	compactions int
@@ -63,45 +96,84 @@ type Journal struct {
 // New returns an empty journal.
 func New() *Journal { return &Journal{} }
 
-// grow ensures buf has room for n more bytes, doubling the backing
-// array when it must reallocate.  Plain append approaches 1.25x growth
-// for megabyte-scale slices, which re-copies a long log four times as
-// often; a write-ahead log is the textbook case for exponential
-// growth, keeping total copy traffic O(final size) over a run.
-func grow(buf []byte, n int) []byte {
-	if cap(buf)-len(buf) >= n {
-		return buf
+// room returns the last segment with at least n bytes free after its
+// length, opening a new one — a spare if one is big enough — when the
+// last segment has no room.
+func (j *Journal) room(n int) []byte {
+	k := len(j.segs)
+	if k > 0 && cap(j.segs[k-1])-len(j.segs[k-1]) >= n {
+		return j.segs[k-1]
 	}
-	newCap := 2 * cap(buf)
-	if newCap < len(buf)+n {
-		newCap = len(buf) + n
+	var seg []byte
+	for i, s := range j.spare {
+		if cap(s) >= n {
+			seg = s
+			j.spare = append(j.spare[:i], j.spare[i+1:]...)
+			break
+		}
 	}
-	if newCap < 1024 {
-		newCap = 1024
+	if seg == nil {
+		size := firstSegment
+		if k > 0 {
+			size = min(2*cap(j.segs[k-1]), maxSegment)
+		}
+		seg = make([]byte, 0, max(size, n))
 	}
-	nb := make([]byte, len(buf), newCap)
-	copy(nb, buf)
-	return nb
+	j.segs = append(j.segs, seg)
+	return seg
 }
 
-// frame appends one record frame to buf and returns the result.
-func frame(buf []byte, kind byte, payload []byte) []byte {
-	buf = grow(buf, headerSize+len(payload))
-	var hdr [headerSize]byte
+// seal writes the header of the frame at seg[off:], whose payload runs
+// to the end of seg, and makes seg the log's last segment.
+func (j *Journal) seal(seg []byte, off int, kind byte) {
+	hdr, payload := seg[off:off+headerSize], seg[off+headerSize:]
 	hdr[0] = magic
 	hdr[1] = kind
 	binary.LittleEndian.PutUint32(hdr[2:6], uint32(len(payload)))
-	crc := crc32.Update(crc32.Checksum([]byte{kind}, castagnoli), castagnoli, payload)
-	binary.LittleEndian.PutUint32(hdr[6:10], crc)
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	binary.LittleEndian.PutUint32(hdr[6:10], checksum(kind, payload))
+	j.size += len(seg) - off
+	j.segs[len(j.segs)-1] = seg
+}
+
+// write frames a copy of payload.
+func (j *Journal) write(kind byte, payload []byte) {
+	seg := j.room(headerSize + len(payload))
+	off := len(seg)
+	j.seal(append(seg[:off+headerSize], payload...), off, kind)
+}
+
+// writeFunc frames the payload fn appends to the empty slice it is
+// given, which has room for size bytes in place.  A payload fn could
+// not build in place — it outgrew the room, or fn returned other
+// bytes — is framed as a copy.
+func (j *Journal) writeFunc(kind byte, size int, fn func([]byte) []byte) {
+	seg := j.room(headerSize + size)
+	off := len(seg)
+	at := off + headerSize
+	p := fn(seg[at:at])
+	if len(p) > cap(seg)-at || len(p) > 0 && &p[0] != &seg[at:cap(seg)][0] {
+		j.write(kind, p)
+		return
+	}
+	j.seal(seg[:at+len(p)], off, kind)
 }
 
 // Append writes one entry record.
 func (j *Journal) Append(payload []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.data = frame(j.data, KindEntry, payload)
+	j.write(KindEntry, payload)
+	j.appends++
+}
+
+// AppendFunc writes one entry record whose payload fn appends, in
+// place, to the slice it is given; size is the payload's length, or a
+// bound on it.  fn runs under the journal's lock and must not call the
+// journal.
+func (j *Journal) AppendFunc(size int, fn func([]byte) []byte) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.writeFunc(KindEntry, size, fn)
 	j.appends++
 }
 
@@ -117,26 +189,24 @@ func (j *Journal) AppendBatch(payloads [][]byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, p := range payloads {
-		j.data = frame(j.data, KindEntry, p)
+		j.write(KindEntry, p)
 		j.appends++
 	}
 }
 
-// Compact atomically replaces the log with one snapshot record
-// followed by the tail entries.  The caller serializes its complete
-// state into snapshot; everything the snapshot subsumes is discarded.
-func (j *Journal) Compact(snapshot []byte, tail [][]byte) {
+// Compact atomically replaces the log with one snapshot record, whose
+// payload fn appends in place as AppendFunc's does; size is its length
+// or a bound on it.  Everything the snapshot subsumes is discarded, and
+// the new log is written into the old one's segments: a payload an
+// earlier Replay returned is overwritten, so fn must not read one.
+func (j *Journal) Compact(size int, fn func([]byte) []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	// The old backing array is reused: frame copies the snapshot and
-	// tail payloads in, and Bytes/Replay hand out copies, so no caller
-	// holds a reference into j.data.  (The snapshot argument itself is
-	// built by the caller in its own buffer, never aliased to j.data.)
-	buf := frame(j.data[:0], KindSnapshot, snapshot)
-	for _, p := range tail {
-		buf = frame(buf, KindEntry, p)
+	for _, s := range j.segs {
+		j.spare = append(j.spare, s[:0])
 	}
-	j.data = buf
+	j.segs, j.size = j.segs[:0], 0
+	j.writeFunc(KindSnapshot, size, fn)
 	j.compactions++
 }
 
@@ -145,25 +215,31 @@ func (j *Journal) Compact(snapshot []byte, tail [][]byte) {
 func (j *Journal) Bytes() []byte {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]byte, len(j.data))
-	copy(out, j.data)
+	return j.bytes()
+}
+
+func (j *Journal) bytes() []byte {
+	out := make([]byte, 0, j.size)
+	for _, s := range j.segs {
+		out = append(out, s...)
+	}
 	return out
 }
 
-// SetBytes replaces the durable bytes wholesale.  Tests use it to
-// model torn writes and corruption; recovery tooling uses it to mount
-// a salvaged log.
+// SetBytes replaces the durable bytes wholesale with a copy of b, in
+// a segment of its own.  Tests use it to model torn writes and
+// corruption; recovery tooling uses it to mount a salvaged log.
 func (j *Journal) SetBytes(b []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.data = append(j.data[:0:0], b...)
+	j.segs, j.spare, j.size = [][]byte{append([]byte(nil), b...)}, nil, len(b)
 }
 
 // Size returns the current log length in bytes.
 func (j *Journal) Size() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.data)
+	return j.size
 }
 
 // Appends returns how many entry records have been appended over the
@@ -181,8 +257,53 @@ func (j *Journal) Compactions() int {
 	return j.compactions
 }
 
-// Replay decodes the journal's current contents.
-func (j *Journal) Replay() Replay { return Decode(j.Bytes()) }
+// Replay decodes the journal's current contents, as Decode would
+// decode Bytes().  Its payloads alias the journal's segments: they
+// stay valid as records are appended, until the next Compact.
+func (j *Journal) Replay() Replay {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.replay()
+}
+
+func (j *Journal) replay() Replay {
+	var r Replay
+	for i, s := range j.segs {
+		if n := r.decode(s); n < len(s) {
+			if i < len(j.segs)-1 {
+				// Bytes SetBytes left mid-log: a frame may run on
+				// into the next segment, so decode the log whole.
+				return Decode(j.bytes())
+			}
+			r.Truncated = len(s) - n
+		}
+	}
+	return r
+}
+
+// Intact replays the journal and cuts its torn tail off in place, so
+// that the next record appended follows the last intact one.  Left in
+// place, the tail would hide every later record from replay.
+func (j *Journal) Intact() Replay {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	r := j.replay()
+	if r.Truncated == 0 {
+		return r
+	}
+	keep := j.size - r.Truncated
+	for i, s := range j.segs {
+		if keep <= len(s) {
+			j.segs[i] = s[:keep]
+			clear(j.segs[i+1:])
+			j.segs = j.segs[:i+1]
+			break
+		}
+		keep -= len(s)
+	}
+	j.size -= r.Truncated
+	return r
+}
 
 // Replay is the result of decoding a log: the last intact snapshot (if
 // any), the entry payloads after it, and how the tail ended.
@@ -207,14 +328,15 @@ type Replay struct {
 // payloads alias data.
 func Decode(data []byte) Replay {
 	var r Replay
+	r.Truncated = len(data) - r.decode(data)
+	return r
+}
+
+// decode adds the records of data to r, up to the first frame that is
+// not intact, and returns how many bytes they take.
+func (r *Replay) decode(data []byte) int {
 	off := 0
-	for {
-		if len(data)-off < headerSize {
-			break
-		}
-		if data[off] != magic {
-			break
-		}
+	for len(data)-off >= headerSize && data[off] == magic {
 		kind := data[off+1]
 		if kind != KindEntry && kind != KindSnapshot {
 			break
@@ -224,9 +346,7 @@ func Decode(data []byte) Replay {
 			break
 		}
 		payload := data[off+headerSize : off+headerSize+n]
-		want := binary.LittleEndian.Uint32(data[off+6 : off+10])
-		crc := crc32.Update(crc32.Checksum([]byte{kind}, castagnoli), castagnoli, payload)
-		if crc != want {
+		if checksum(kind, payload) != binary.LittleEndian.Uint32(data[off+6:off+10]) {
 			break
 		}
 		if kind == KindSnapshot {
@@ -238,6 +358,5 @@ func Decode(data []byte) Replay {
 		r.Records++
 		off += headerSize + n
 	}
-	r.Truncated = len(data) - off
-	return r
+	return off
 }

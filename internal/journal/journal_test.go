@@ -7,6 +7,11 @@ import (
 	"testing"
 )
 
+// compact compacts j to a snapshot whose payload is p.
+func compact(j *Journal, p []byte) {
+	j.Compact(len(p), func(b []byte) []byte { return append(b, p...) })
+}
+
 func payloads(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {
@@ -52,7 +57,7 @@ func TestSnapshotResetsEntries(t *testing.T) {
 	j := New()
 	j.Append([]byte("before-1"))
 	j.Append([]byte("before-2"))
-	j.Compact([]byte("state@2"), nil)
+	compact(j, []byte("state@2"))
 	j.Append([]byte("after-1"))
 	r := j.Replay()
 	if string(r.Snapshot) != "state@2" {
@@ -66,12 +71,15 @@ func TestSnapshotResetsEntries(t *testing.T) {
 	}
 }
 
+// TestCompactKeepsTail compacts a log, appends to it, and replays it:
+// the snapshot and then only the entries appended after it.
 func TestCompactKeepsTail(t *testing.T) {
 	j := New()
 	for i := 0; i < 10; i++ {
 		j.Append([]byte(fmt.Sprintf("e%d", i)))
 	}
-	j.Compact([]byte("snap"), [][]byte{[]byte("t1"), []byte("t2")})
+	compact(j, []byte("snap"))
+	j.AppendBatch([][]byte{[]byte("t1"), []byte("t2")})
 	r := j.Replay()
 	if string(r.Snapshot) != "snap" {
 		t.Fatalf("snapshot = %q", r.Snapshot)
@@ -79,7 +87,7 @@ func TestCompactKeepsTail(t *testing.T) {
 	if len(r.Entries) != 2 || string(r.Entries[0]) != "t1" || string(r.Entries[1]) != "t2" {
 		t.Fatalf("entries = %q", r.Entries)
 	}
-	if j.Compactions() != 1 || j.Appends() != 10 {
+	if j.Compactions() != 1 || j.Appends() != 12 {
 		t.Fatalf("compactions=%d appends=%d", j.Compactions(), j.Appends())
 	}
 }
@@ -155,7 +163,8 @@ func TestCorruptByte(t *testing.T) {
 func TestSetBytesRestores(t *testing.T) {
 	j := New()
 	j.Append([]byte("alpha"))
-	j.Compact([]byte("snap"), [][]byte{[]byte("beta")})
+	compact(j, []byte("snap"))
+	j.Append([]byte("beta"))
 	saved := j.Bytes()
 
 	k := New()
@@ -197,7 +206,7 @@ func TestConcurrentAppendCompact(t *testing.T) {
 			if r.Truncated != 0 {
 				t.Errorf("mid-run replay truncated %d bytes", r.Truncated)
 			}
-			j.Compact([]byte(fmt.Sprintf("compaction=%d entries=%d", c, len(r.Entries))), nil)
+			compact(j, []byte(fmt.Sprintf("compaction=%d entries=%d", c, len(r.Entries))))
 		}
 	}()
 	wg.Wait()

@@ -2,10 +2,21 @@
 # Paired runs of bench/ workloads on a parent revision and on this
 # checkout: N pairs per workload, alternating which side goes first,
 # then one table per workload with, per side, the median and quartiles
-# of each end-to-end metric, the pair-wise wins and the median of the
-# pair-wise ratios.  Exits 1 if any two runs of a workload disagree on
-# the digest.  The rule this implements is in bench/README.md ("a PR
-# that claims a gain ...").
+# of each end-to-end metric, the pair-wise wins, the median of the
+# pair-wise ratios and the claim rule's verdict on the metric:
+#
+#   gain        the change won at least 9/10 of the pairs, and its median
+#               is better than the parent's by more than the parent's
+#               q3 - q1;
+#   worse       the change's median is worse than the parent's by more
+#               than the metric's bound (BENCHMARK.json, "end_to_end");
+#   unresolved  either side's q3 - q1 exceeds that bound, as a share of
+#               its median;
+#   ok          anything else.
+#
+# The verdict is printed, not enforced: the script exits 1 only if any
+# two runs of a workload disagree on the digest.  The rule this
+# implements is in bench/README.md ("a PR that claims a gain ...").
 #
 #   scripts/bench-pairs.sh PARENT "WORKLOAD..." [N=10] [SEED=42] [SECONDS=10]
 #
@@ -58,9 +69,15 @@ for ((i = 1; i <= n; i++)); do
 	done
 done
 
+# "metric better bound" per end-to-end metric, read from BENCHMARK.json,
+# where each field of an entry stands on a line of its own.
+bounds=$(awk '/"end_to_end"/ { e = 1 } /"per_layer"/ { e = 0 }
+	e { gsub(/[",]/, "") }
+	e && $1 == "name:" { m = $2 } e && $1 == "better:" { b = $2 } e && $1 == "bound:" { print m, b, $2 }' BENCHMARK.json)
+
 status=0
 for w in "${workloads[@]}"; do
-	awk -v w="$w" -v parent="$parent" -v seed="$seed" '
+	awk -v w="$w" -v parent="$parent" -v seed="$seed" -v bounds="$bounds" '
 function quant(a, n, q,    pos, lo, f) {
 	pos = (n - 1) * q; lo = int(pos); f = pos - lo
 	return lo + 1 >= n ? a[n] : a[lo + 1] * (1 - f) + a[lo + 2] * f
@@ -68,6 +85,10 @@ function quant(a, n, q,    pos, lo, f) {
 function sorted(src, prefix, n, dst,    i, j, t) {
 	for (i = 1; i <= n; i++) dst[i] = src[prefix, i]
 	for (i = 2; i <= n; i++) { t = dst[i]; for (j = i - 1; j >= 1 && dst[j] > t; j--) dst[j + 1] = dst[j]; dst[j + 1] = t }
+}
+BEGIN {
+	nb = split(bounds, lines, "\n")
+	for (i = 1; i <= nb; i++) { split(lines[i], f, " "); better[f[1]] = f[2]; bound[f[1]] = f[3] }
 }
 $1 != w { next }
 {
@@ -78,17 +99,24 @@ $1 != w { next }
 END {
 	nd = 0; for (d in digests) { nd++; digest = d }
 	printf "%s  seed %s  %d pairs against %s\n", w, seed, n, parent
-	printf "%-18s %-7s %12s %12s %12s   %s\n", "metric", "side", "q1", "median", "q3", "pairs won / median ratio"
+	printf "%-18s %-7s %12s %12s %12s   %s\n", "metric", "side", "q1", "median", "q3", "pairs won / median ratio / verdict"
 	for (k = 1; k <= nm; k++) {
-		m = order[k]; higher = (m == "throughput_per_s"); wins = 0
+		m = order[k]; higher = (better[m] == "higher"); wins = 0
 		for (i = 1; i <= n; i++) {
 			p = v[m, "parent", i]; c = v[m, "change", i]
 			vp["p", i] = p; vc["c", i] = c; r["r", i] = c / p
 			if (higher ? c > p : c < p) wins++
 		}
 		sorted(vp, "p", n, sp); sorted(vc, "c", n, sc); sorted(r, "r", n, sr)
-		printf "%-18s %-7s %12.6g %12.6g %12.6g\n", m, "parent", quant(sp, n, .25), quant(sp, n, .5), quant(sp, n, .75)
-		printf "%-18s %-7s %12.6g %12.6g %12.6g   %d/%d  x%.3f\n", m, "change", quant(sc, n, .25), quant(sc, n, .5), quant(sc, n, .75), wins, n, quant(sr, n, .5)
+		p1 = quant(sp, n, .25); pm = quant(sp, n, .5); p3 = quant(sp, n, .75)
+		c1 = quant(sc, n, .25); cm = quant(sc, n, .5); c3 = quant(sc, n, .75)
+		gain = higher ? cm - pm : pm - cm; b = bound[m]
+		if (10 * wins >= 9 * n && gain > p3 - p1) verdict = "gain"
+		else if (b != "" && -gain > b * pm) verdict = "worse"
+		else if (b != "" && (p3 - p1 > b * pm || c3 - c1 > b * cm)) verdict = "unresolved"
+		else verdict = "ok"
+		printf "%-18s %-7s %12.6g %12.6g %12.6g\n", m, "parent", p1, pm, p3
+		printf "%-18s %-7s %12.6g %12.6g %12.6g   %d/%d  x%.3f  %s\n", m, "change", c1, cm, c3, wins, n, quant(sr, n, .5), verdict
 	}
 	if (nd != 1) { printf "FAIL: %d different digests among the runs\n", nd; exit 1 }
 	printf "digest %s on every run\n\n", digest
