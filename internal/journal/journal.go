@@ -24,6 +24,7 @@ package journal
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"sync"
 )
 
@@ -79,12 +80,15 @@ func checksum(kind byte, payload []byte) uint32 {
 // old segments for the new log.  All methods are safe for concurrent
 // use; the simulation is single-threaded, but the race-enabled
 // journal-smoke test exercises concurrent append and compaction so the
-// type stays correct under a live runtime too.
+// type stays correct under a live runtime too.  The payloads Replay
+// and Intact return are the exception: a Compact writes over them, so
+// they must not be read while another goroutine compacts.
 type Journal struct {
 	mu sync.Mutex
 	// segs is the log, in order; every segment but the last is sealed.
-	// spare holds the segments the last compaction emptied, for the
-	// log to grow into before it allocates.
+	// spare holds the segments the last compaction emptied that the
+	// log has not taken back yet, for it to grow into before it
+	// allocates.
 	segs  [][]byte
 	spare [][]byte
 	size  int
@@ -108,7 +112,7 @@ func (j *Journal) room(n int) []byte {
 	for i, s := range j.spare {
 		if cap(s) >= n {
 			seg = s
-			j.spare = append(j.spare[:i], j.spare[i+1:]...)
+			j.spare = slices.Delete(j.spare, i, i+1)
 			break
 		}
 	}
@@ -143,15 +147,21 @@ func (j *Journal) write(kind byte, payload []byte) {
 }
 
 // writeFunc frames the payload fn appends to the empty slice it is
-// given, which has room for size bytes in place.  A payload fn could
-// not build in place — it outgrew the room, or fn returned other
-// bytes — is framed as a copy.
+// given, which has room for size bytes in place; fn must append to
+// that slice.  A payload that outgrew the room, which append moved to
+// a new array, is framed as a copy.
 func (j *Journal) writeFunc(kind byte, size int, fn func([]byte) []byte) {
 	seg := j.room(headerSize + size)
 	off := len(seg)
 	at := off + headerSize
 	p := fn(seg[at:at])
-	if len(p) > cap(seg)-at || len(p) > 0 && &p[0] != &seg[at:cap(seg)][0] {
+	if len(p) > cap(seg)-at {
+		if off == 0 {
+			// The segment room opened holds nothing: hand it back
+			// rather than leave it empty in the log.
+			j.segs = j.segs[:len(j.segs)-1]
+			j.spare = append(j.spare, seg)
+		}
 		j.write(kind, p)
 		return
 	}
@@ -168,8 +178,8 @@ func (j *Journal) Append(payload []byte) {
 
 // AppendFunc writes one entry record whose payload fn appends, in
 // place, to the slice it is given; size is the payload's length, or a
-// bound on it.  fn runs under the journal's lock and must not call the
-// journal.
+// bound on it.  fn must return an append to that slice; it runs under
+// the journal's lock and must not call the journal.
 func (j *Journal) AppendFunc(size int, fn func([]byte) []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -199,13 +209,25 @@ func (j *Journal) AppendBatch(payloads [][]byte) {
 // or a bound on it.  Everything the snapshot subsumes is discarded, and
 // the new log is written into the old one's segments: a payload an
 // earlier Replay returned is overwritten, so fn must not read one.
+// The spares an earlier compaction left unused are let go, so the
+// journal holds at most the old log's segments and the new log's.
 func (j *Journal) Compact(size int, fn func([]byte) []byte) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	clear(j.spare[:cap(j.spare)])
+	spare, fits := j.spare[:0], false
 	for _, s := range j.segs {
-		j.spare = append(j.spare, s[:0])
+		spare = append(spare, s[:0])
+		fits = fits || cap(s) >= headerSize+size
 	}
-	j.segs, j.size = j.segs[:0], 0
+	if !fits {
+		// A snapshot larger than the old log's segments gets one with
+		// room to spare, so that the next, slightly larger snapshot of
+		// a growing queue fits it too.
+		spare = append(spare, make([]byte, 0, max(firstSegment, 2*(headerSize+size))))
+	}
+	clear(j.segs)
+	j.segs, j.spare, j.size = j.segs[:0], spare, 0
 	j.writeFunc(KindSnapshot, size, fn)
 	j.compactions++
 }

@@ -62,13 +62,62 @@ func TestLargeRecordSegment(t *testing.T) {
 	}
 }
 
+// TestAppendFuncOutgrowsItsSegment appends, through AppendFunc, a
+// payload larger than the size it declared and than the segment opened
+// for it: the payload lands as a copy in a segment of its own, and the
+// segment opened for it is not left empty in the log but taken by the
+// next record.
+func TestAppendFuncOutgrowsItsSegment(t *testing.T) {
+	j := New()
+	big := bytes.Repeat([]byte{'x'}, 2*firstSegment)
+	j.AppendFunc(1, func(b []byte) []byte { return append(b, big...) })
+	j.Append([]byte("after"))
+	if len(j.segs) != 2 || len(j.segs[0]) != headerSize+len(big) || cap(j.segs[1]) != firstSegment {
+		t.Fatalf("segments %d, the first %d bytes", len(j.segs), len(j.segs[0]))
+	}
+	r := j.Replay()
+	if len(r.Entries) != 2 || !bytes.Equal(r.Entries[0], big) || string(r.Entries[1]) != "after" {
+		t.Fatalf("replay = %d entries", len(r.Entries))
+	}
+}
+
+// TestCompactGrowingSnapshot compacts a log whose snapshot grows from
+// one compaction to the next, with entries between, and checks that
+// the segments the journal holds — the log's and the spares — stay
+// within a small multiple of the log's size: a compaction keeps the
+// old log's segments for the new one and lets go of older spares.
+func TestCompactGrowingSnapshot(t *testing.T) {
+	j := New()
+	entry := bytes.Repeat([]byte{'e'}, 60)
+	for round := 1; round <= 50; round++ {
+		for range 100 {
+			j.Append(entry)
+		}
+		snap := bytes.Repeat([]byte{'s'}, round*8<<10)
+		j.Compact(len(snap), func(b []byte) []byte { return append(b, snap...) })
+		held := 0
+		for _, s := range j.segs {
+			held += cap(s)
+		}
+		for _, s := range j.spare {
+			held += cap(s)
+		}
+		if held > 6*j.Size()+maxSegment {
+			t.Fatalf("round %d: segments hold %d bytes for a %d-byte log", round, held, j.Size())
+		}
+	}
+	if r := j.Replay(); len(r.Snapshot) != 50*8<<10 || len(r.Entries) != 0 {
+		t.Fatalf("replay = %d-byte snapshot, %d entries", len(r.Snapshot), len(r.Entries))
+	}
+}
+
 // FuzzSegments drives a journal through random sequences of its
 // writes — Append, AppendBatch, AppendFunc with an exact and with a
 // too-small size, a record larger than a segment, Compact, SetBytes of
 // a torn prefix and Intact — and checks after each one that Replay
 // equals Decode of Bytes, that no record spans two segments, and that
 // no payload an earlier Replay returned has changed since the last
-// compaction.
+// compaction; and that no segment but the first is empty.
 func FuzzSegments(f *testing.F) {
 	f.Add([]byte{0, 10, 1, 3, 2, 40, 3, 60, 0, 200})
 	f.Add([]byte{4, 1, 0, 5, 5, 30, 0, 7, 2, 9, 6, 90, 0, 3, 7, 0, 0, 4})
@@ -155,6 +204,9 @@ func FuzzSegments(f *testing.F) {
 				}
 			}
 			for k, s := range j.segs {
+				if k > 0 && len(s) == 0 {
+					t.Fatalf("op %d: segment %d of %d is empty", i/2, k, len(j.segs))
+				}
 				if k == 0 && setBytes {
 					continue
 				}
